@@ -68,6 +68,8 @@ def _plain_value(value):
     hashable and wire-stable."""
     value = tuple(value)
     if value and isinstance(value[0], (tuple, list)):
+        if set(map(type, value)) == {tuple}:
+            return value  # already a tuple of tuples: nothing to rebuild
         return tuple(tuple(v) for v in value)
     return value
 

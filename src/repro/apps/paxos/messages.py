@@ -169,6 +169,8 @@ def unpack_value(value) -> Tuple[Command, ...]:
     if value == NOOP or not value:
         return ()
     if isinstance(value[0], (tuple, list)):
+        if set(map(type, value)) == {tuple}:
+            return value  # already a tuple of tuples: nothing to rebuild
         return tuple(tuple(v) for v in value)
     return (value,)
 

@@ -131,6 +131,10 @@ class StateModel:
         Only the latest checkpoint per node is stored, so a node whose
         checkpoint is already past the cut epoch has no snapshot *from*
         that epoch and is omitted rather than mixed in inconsistently.
+
+        The returned mapping is new; the state dicts in it are the
+        stored checkpoints themselves, shared and immutable under the
+        same contract as :meth:`latest_states`.
         """
         candidates = [
             cp for cp in self._checkpoints.values()
@@ -140,14 +144,22 @@ class StateModel:
             return {}
         cut_epoch = min(cp.epoch for cp in candidates)
         return {
-            cp.node_id: snapshot_value(cp.state)
+            cp.node_id: cp.state
             for cp in candidates
             if cp.epoch == cut_epoch
         }
 
     def latest_states(self) -> Dict[int, Dict[str, Any]]:
-        """Most recent state per node, ignoring epoch consistency."""
-        return {nid: snapshot_value(cp.state) for nid, cp in self._checkpoints.items()}
+        """Most recent state per node, ignoring epoch consistency.
+
+        The returned mapping is new (callers add and drop entries); the
+        state dicts in it are the stored checkpoints themselves, copied
+        once on :meth:`update` and never mutated afterwards.  They are
+        shared with every caller and immutable by the ``WorldState``
+        contract: hand them to ``WorldState(copy_states=False)`` or
+        read them, and ``snapshot_value`` one before changing it.
+        """
+        return {nid: cp.state for nid, cp in self._checkpoints.items()}
 
     def __len__(self) -> int:
         return len(self._checkpoints)

@@ -449,8 +449,10 @@ class CrystalBallRuntime(InboundInterposer):
 
     def _record_own_checkpoint(self) -> None:
         now = self.node.sim.now
+        # The model copies what it stores, so it is handed the live
+        # fields; a checkpoint() here would be a second copy.
         self.state_model.update(
-            self.node.node_id, self.epoch, now, self.node.service.checkpoint(),
+            self.node.node_id, self.epoch, now, self.node.service.live_state(),
             timers=self._own_timers(),
         )
 
@@ -646,7 +648,8 @@ class CrystalBallRuntime(InboundInterposer):
                 continue
             for name, delay, payload in self.state_model.timers_of(nid):
                 timers.append(_pending_timer(nid, name, delay, payload))
-        # latest_states() returns fresh copies, so the world adopts them.
+        # latest_states() shares the model's stored checkpoints, which
+        # nothing mutates; the world adopts them under the same contract.
         return WorldState(
             node_states=states, timers=timers, down=down, time=self.node.sim.now,
             copy_states=False,

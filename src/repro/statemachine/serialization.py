@@ -11,6 +11,19 @@ Plain data means: ``None``, ``bool``, ``int``, ``float``, ``str``,
 fields are plain data (covers wire messages).  Deques round-trip as
 deques (and freeze with their own tag) so queue-shaped service state
 survives checkpoint/restore with its type intact.
+
+Both walkers dispatch on the exact ``type()`` of a value through one
+table each.  A container whose elements are all scalars is handled by a
+single constructor call instead of a Python-level loop, and
+:func:`snapshot_value` *shares* what cannot change: a ``tuple`` or
+``frozenset`` whose elements are (recursively) immutable comes back as
+the same object.  The aliasing rule of a copy is therefore: every
+mutable container (``dict``, ``list``, ``set``, ``deque``, dataclass
+instance) is private to the copy, immutable leaves may be shared with
+the original.  Subclasses of the plain types (``defaultdict``,
+namedtuples, ``IntEnum``, ...) are not in the tables; an ``isinstance``
+scan finds their base type and they come back normalized to it (a
+namedtuple as a plain ``tuple``), never shared.
 """
 
 from __future__ import annotations
@@ -18,74 +31,244 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import deque
-from typing import Any, Dict, Hashable
+from itertools import chain, repeat
+from operator import is_
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-_SCALARS = (type(None), bool, int, float, str, bytes)
+_SCALAR_TYPES = (type(None), bool, int, float, str, bytes)
+_SCALARS = frozenset(_SCALAR_TYPES)
+
+# Exact container types that, holding only scalars, are copied by one call
+# of the mapped constructor (``None``: immutable, shared instead) ...
+_FLAT_COPY: Dict[type, Optional[type]] = {
+    tuple: None, frozenset: None, list: list, set: set, deque: deque,
+}
+# ... and frozen by pairing their elements with the mapped tag.
+_FLAT_TAGS: Dict[type, str] = {tuple: "__tuple__", list: "__list__", deque: "__deque__"}
+
+# Field names per dataclass type, filled when the first instance of the
+# class is met (``dataclasses.fields`` rebuilds its tuple per call).
+_DATACLASS_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
 
 class SerializationError(TypeError):
     """Raised when a value is not plain data."""
 
 
+def _not_plain(value: Any) -> SerializationError:
+    return SerializationError(
+        f"value of type {type(value).__name__} is not plain data: {value!r}"
+    )
+
+
+def _field_names(value: Any) -> Optional[Tuple[str, ...]]:
+    """Field names if ``value`` is a dataclass instance, else ``None``."""
+    kind = type(value)
+    names = _DATACLASS_FIELDS.get(kind)
+    if names is None and dataclasses.is_dataclass(kind):
+        names = tuple(f.name for f in dataclasses.fields(kind))
+        _DATACLASS_FIELDS[kind] = names
+    return names
+
+
+# ----------------------------------------------------------------------
+# snapshot_value
+# ----------------------------------------------------------------------
+
+
 def snapshot_value(value: Any) -> Any:
     """Deep-copy a plain-data value for a checkpoint.
 
-    Dataclass instances are copied by reconstructing them, so mutable
-    fields inside a message are not shared between a checkpoint and the
-    live state.
+    Every mutable container in the result is a fresh object, so neither
+    side can observe a mutation of the other; immutable leaves (scalars,
+    and tuples/frozensets holding only immutable values) are shared.
+    Dataclass instances are copied by reconstructing them.
     """
-    if isinstance(value, _SCALARS):
+    copier = _COPIERS.get(type(value), _snapshot_other)
+    return value if copier is None else copier(value)
+
+
+def _copied_elements(values: Any) -> Any:
+    """Copies of the elements of ``values``, in iteration order.
+
+    Returns ``values`` itself when every element is immutable all the
+    way down, so the caller can share them (or the whole container).
+    """
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        return values
+    if len(kinds) == 1:
+        # One level of homogeneous nesting over scalars (a log of
+        # ``(origin, seq)`` commands, a table of ``[sent, acked]``
+        # pairs) is still checked and copied without a Python-level loop.
+        (kind,) = kinds
+        if kind in _FLAT_COPY and set(map(type, chain.from_iterable(values))) <= _SCALARS:
+            copy = _FLAT_COPY[kind]
+            return values if copy is None else map(copy, values)
+    return [snapshot_value(v) for v in values]
+
+
+def _copy_list(value: list) -> list:
+    return list(_copied_elements(value))
+
+
+def _copy_deque(value: deque) -> deque:
+    return deque(_copied_elements(value))
+
+
+def _copy_set(value: set) -> set:
+    return set(_copied_elements(value))
+
+
+def _copy_immutable(value: Any) -> Any:
+    """``tuple``/``frozenset``: shared unless something inside it had to
+    be copied."""
+    copied = _copied_elements(value)
+    if copied is value:
         return value
-    if isinstance(value, dict):
-        return {snapshot_value(k): snapshot_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [snapshot_value(v) for v in value]
-    if isinstance(value, deque):
-        return deque(snapshot_value(v) for v in value)
-    if isinstance(value, tuple):
-        return tuple(snapshot_value(v) for v in value)
-    if isinstance(value, (set, frozenset)):
-        copied = {snapshot_value(v) for v in value}
-        return frozenset(copied) if isinstance(value, frozenset) else copied
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: snapshot_value(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return type(value)(**fields)
-    raise SerializationError(
-        f"value of type {type(value).__name__} is not plain data: {value!r}"
-    )
+    copied = tuple(copied)
+    return value if all(map(is_, copied, value)) else type(value)(copied)
+
+
+def _copy_dict(value: dict) -> dict:
+    held = value.values()
+    keys, values = _copied_elements(value), _copied_elements(held)
+    if keys is value and values is held:
+        return dict(value)
+    return dict(zip(keys, values))
+
+
+# Base containers in the order a subclass instance is tested against
+# them, each with the walker that rebuilds it as the plain base type.
+_SUBCLASS_COPIERS: Tuple[Tuple[type, Callable[[Any], Any]], ...] = (
+    (dict, _copy_dict),
+    (list, _copy_list),
+    (deque, _copy_deque),
+    (tuple, lambda value: tuple(_copied_elements(value))),
+    (set, _copy_set),
+    (frozenset, lambda value: frozenset(_copied_elements(value))),
+)
+
+
+def _snapshot_other(value: Any) -> Any:
+    """Values whose exact type is not in the table: subclasses of the
+    plain types (normalized to the base type) and dataclasses."""
+    names = _DATACLASS_FIELDS.get(type(value))
+    if names is None:
+        if isinstance(value, _SCALAR_TYPES):
+            return value
+        for base, copier in _SUBCLASS_COPIERS:
+            if isinstance(value, base):
+                return copier(value)
+        names = _field_names(value)
+        if names is None:
+            raise _not_plain(value)
+    return type(value)(**{name: snapshot_value(getattr(value, name)) for name in names})
+
+
+_COPIERS: Dict[type, Optional[Callable[[Any], Any]]] = dict.fromkeys(_SCALAR_TYPES)
+_COPIERS.update({
+    dict: _copy_dict,
+    list: _copy_list,
+    deque: _copy_deque,
+    tuple: _copy_immutable,
+    set: _copy_set,
+    frozenset: _copy_immutable,
+})
+
+
+# ----------------------------------------------------------------------
+# freeze
+# ----------------------------------------------------------------------
 
 
 def freeze(value: Any) -> Hashable:
     """Convert a plain-data value to a canonical hashable form.
 
     The encoding is injective per type (containers are tagged) so that
-    e.g. ``[1, 2]`` and ``(1, 2)`` freeze differently.
+    e.g. ``[1, 2]`` and ``(1, 2)`` freeze differently.  ``value`` is
+    only read, never mutated or retained.
     """
-    if isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, dict):
-        items = tuple(sorted(((freeze(k), freeze(v)) for k, v in value.items()),
-                             key=lambda kv: repr(kv[0])))
-        return ("__dict__", items)
-    if isinstance(value, list):
-        return ("__list__", tuple(freeze(v) for v in value))
-    if isinstance(value, deque):
-        return ("__deque__", tuple(freeze(v) for v in value))
-    if isinstance(value, tuple):
-        return ("__tuple__", tuple(freeze(v) for v in value))
-    if isinstance(value, (set, frozenset)):
-        return ("__set__", tuple(sorted((freeze(v) for v in value), key=repr)))
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = tuple(
-            (f.name, freeze(getattr(value, f.name))) for f in dataclasses.fields(value)
-        )
-        return ("__dc__", type(value).__name__, fields)
-    raise SerializationError(
-        f"value of type {type(value).__name__} is not plain data: {value!r}"
-    )
+    freezer = _FREEZERS.get(type(value), _freeze_other)
+    return value if freezer is None else freezer(value)
+
+
+def _frozen_elements(values: Any) -> Any:
+    """The frozen elements of ``values``, in iteration order."""
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        return values
+    if len(kinds) == 1:
+        # The same one level of nesting as in _copied_elements: tagging
+        # flat sequences needs no Python-level loop either.
+        (kind,) = kinds
+        tag = _FLAT_TAGS.get(kind)
+        if tag is not None and set(map(type, chain.from_iterable(values))) <= _SCALARS:
+            return zip(repeat(tag), map(tuple, values))
+    return [freeze(v) for v in values]
+
+
+def _freeze_list(value: list) -> Hashable:
+    return ("__list__", tuple(_frozen_elements(value)))
+
+
+def _freeze_deque(value: deque) -> Hashable:
+    return ("__deque__", tuple(_frozen_elements(value)))
+
+
+def _freeze_tuple(value: tuple) -> Hashable:
+    return ("__tuple__", tuple(_frozen_elements(value)))
+
+
+def _freeze_set(value: Any) -> Hashable:
+    return ("__set__", tuple(sorted(_frozen_elements(value), key=repr)))
+
+
+def _key_repr(item: tuple) -> str:
+    return repr(item[0])
+
+
+def _freeze_dict(value: dict) -> Hashable:
+    items = zip(_frozen_elements(value), _frozen_elements(value.values()))
+    return ("__dict__", tuple(sorted(items, key=_key_repr)))
+
+
+# In the order a subclass instance is tested against them; the frozen
+# form carries a tag, not the type, so the same walkers serve both.
+_CONTAINER_FREEZERS: Dict[type, Callable[[Any], Hashable]] = {
+    dict: _freeze_dict,
+    list: _freeze_list,
+    deque: _freeze_deque,
+    tuple: _freeze_tuple,
+    set: _freeze_set,
+    frozenset: _freeze_set,
+}
+
+
+def _freeze_other(value: Any) -> Hashable:
+    """Counterpart of :func:`_snapshot_other` for :func:`freeze`."""
+    names = _DATACLASS_FIELDS.get(type(value))
+    if names is None:
+        if isinstance(value, _SCALAR_TYPES):
+            return value
+        for base, freezer in _CONTAINER_FREEZERS.items():
+            if isinstance(value, base):
+                return freezer(value)
+        names = _field_names(value)
+        if names is None:
+            raise _not_plain(value)
+    fields = tuple([(name, freeze(getattr(value, name))) for name in names])
+    return ("__dc__", type(value).__name__, fields)
+
+
+_FREEZERS: Dict[type, Optional[Callable[[Any], Hashable]]] = {
+    **dict.fromkeys(_SCALAR_TYPES), **_CONTAINER_FREEZERS,
+}
+
+
+# ----------------------------------------------------------------------
+# Digests and checkpoints
+# ----------------------------------------------------------------------
 
 
 def encode_frozen(frozen_value: Hashable) -> bytes:
@@ -114,7 +297,8 @@ def checkpoint_state(obj: Any, field_names) -> Dict[str, Any]:
 
 
 def restore_state(obj: Any, checkpoint: Dict[str, Any]) -> None:
-    """Install a checkpoint dict onto ``obj`` (deep-copying values)."""
+    """Install a checkpoint dict onto ``obj`` (copying every mutable
+    container, so ``obj`` holds no reference into ``checkpoint``)."""
     for name, value in checkpoint.items():
         setattr(obj, name, snapshot_value(value))
 

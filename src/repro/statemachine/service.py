@@ -159,9 +159,18 @@ class Service:
         """Install a checkpoint produced by :meth:`checkpoint`."""
         restore_state(self, checkpoint)
 
+    def live_state(self) -> Dict[str, Any]:
+        """The declared state fields by name, *not* copied: the shape of
+        :meth:`checkpoint` over the live values, for read-only use."""
+        return {name: getattr(self, name) for name in self.state_fields}
+
     def state_digest(self) -> str:
-        """Stable digest of the current state (for MC state hashing)."""
-        return digest(self.checkpoint())
+        """Stable digest of the current state (for MC state hashing).
+
+        Equal to ``digest(self.checkpoint())`` without the copy:
+        digesting only reads.
+        """
+        return digest(self.live_state())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(node_id={self.node_id})"

@@ -29,7 +29,6 @@ from ..choice.choicepoint import ChoicePoint
 from .context import Context
 from .handlers import HandlerSpec
 from .messages import Message
-from .serialization import snapshot_value
 from .service import Service
 from .handlers import msg_handler
 
@@ -168,7 +167,10 @@ class ServiceStack(Service):
 
     def restore(self, checkpoint: Dict[str, Any]) -> None:
         for name, layer_state in checkpoint.items():
-            self.layers[name].restore(snapshot_value(layer_state))
+            self.layers[name].restore(layer_state)
+
+    def live_state(self) -> Dict[str, Any]:
+        return {name: self.layers[name].live_state() for name in self._order}
 
     def __repr__(self) -> str:
         return f"ServiceStack(node_id={self.node_id}, layers={self._order})"

@@ -223,3 +223,20 @@ def test_client_load_closed_loop_commits_offered_volume():
         if tuple(v) != NOOP
     ]
     assert max(sizes) > 1, "the resolver never chose a real batch"
+
+
+def test_value_normalization_keeps_canonical_batches_and_rebuilds_the_rest():
+    # A batch that already is a tuple of tuples is the common case on
+    # every Learn/Accepted; it must come back as the same object, and
+    # every other shape must normalize exactly as before.
+    from repro.apps.paxos.batched import _plain_value
+
+    batch = ((0, 1), (0, 2), (1, 1))
+    assert unpack_value(batch) is batch
+    assert _plain_value(batch) is batch
+    for loose in ([[0, 1], [0, 2]], ([0, 1], (0, 2)), [(0, 1), (0, 2)]):
+        assert unpack_value(loose) == ((0, 1), (0, 2)) == _plain_value(loose)
+        assert all(type(c) is tuple for c in unpack_value(loose) + _plain_value(loose))
+    assert unpack_value((3, 4)) == ((3, 4),) and _plain_value([3, 4]) == (3, 4)
+    assert unpack_value(NOOP) == () and unpack_value(()) == ()
+    assert _plain_value(NOOP) == NOOP and _plain_value(()) == ()

@@ -116,9 +116,17 @@ def test_neighbor_checkpoint_default_timers_is_fresh_list():
     assert b.timers == []
 
 
-def test_latest_states_returns_copies():
+def test_latest_states_shares_stored_checkpoints_in_a_new_mapping():
+    # The model copied the state once on update(); readers get that copy
+    # (immutable by the WorldState contract), not a copy of the copy.
     model = StateModel(0)
     model.update(1, epoch=1, taken_at=0.0, state={"x": [1]})
     states = model.latest_states()
-    states[1]["x"].append(2)
+    assert states[1] is model.get(1).state
+    assert model.consistent_cut(now=1.0)[1] is model.get(1).state
+    # The outer mapping is the caller's own: _score_candidate swaps the
+    # local node's entry for a replayed checkpoint.
+    states[1] = {"x": [2]}
+    states[7] = {}
     assert model.get(1).state == {"x": [1]}
+    assert model.known_nodes() == [1]

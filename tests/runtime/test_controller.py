@@ -204,3 +204,67 @@ def test_runtime_metrics_registry_backs_stats():
     # The checkpoint-broadcast span timed every broadcast on this node.
     span = runtime.metrics.span_stats("runtime.checkpoint_broadcast", node=0)
     assert span is not None and span.count > 0
+
+
+@dataclass
+class Note(Message):
+    n: int
+
+
+class LedgerService(Service):
+    """State made of mutable containers, so aliasing would show."""
+
+    state_fields = ("log", "seen")
+
+    def __init__(self, node_id: int) -> None:
+        super().__init__(node_id)
+        self.log = []
+        self.seen = {}
+
+    def on_init(self) -> None:
+        self.set_timer("tick", 0.4)
+
+    @timer_handler("tick")
+    def on_tick(self, payload) -> None:
+        self.log.append(len(self.log))
+        self.send((self.node_id + 1) % 3, Note(n=len(self.log)))
+        self.set_timer("tick", 0.4)
+
+    @msg_handler(Note)
+    def on_note(self, src: int, msg: Note) -> None:
+        self.seen.setdefault(src, []).append(msg.n)
+
+
+def test_prediction_and_live_mutation_leave_stored_checkpoints_unchanged():
+    # latest_states() hands the model's stored checkpoints to the
+    # predictor un-copied.  Exploring from them (handlers mutate pooled
+    # services restored from those dicts) and the live run going on
+    # must both leave them exactly as stored.
+    from repro.statemachine import freeze
+
+    cluster = Cluster(3, LedgerService, seed=3)
+    runtimes = install_crystalball(
+        cluster, LedgerService, checkpoint_period=0.5, prediction_period=0.0,
+        chain_depth=3, budget=300,
+    )
+    cluster.start_all()
+    cluster.run(until=3.0)
+    runtime = runtimes[0]
+    world = runtime.current_world()
+    stored = {
+        nid: runtime.state_model.get(nid).state
+        for nid in runtime.state_model.known_nodes()
+    }
+    assert set(stored) == {0, 1, 2}
+    assert all(world.state_of(nid) is state for nid, state in stored.items())
+    before = {nid: freeze(state) for nid, state in stored.items()}
+    assert any(state["log"] and state["seen"] for state in stored.values())
+
+    report = runtime.run_prediction()
+    assert report.total_states > 1
+    for service in cluster.services:
+        service.log.append("live")
+        service.seen.setdefault(9, []).append("live")
+    cluster.run(until=5.0)
+
+    assert {nid: freeze(state) for nid, state in stored.items()} == before

@@ -90,6 +90,16 @@ def test_state_digest_changes_with_state():
     assert service.state_digest() != before
 
 
+def test_state_digest_is_the_digest_of_the_checkpoint_without_the_copy():
+    from repro.statemachine import digest
+
+    service = sandboxed(Chooser(), script=[10])
+    service.deliver(1, Item(value=1))
+    assert service.state_digest() == digest(service.checkpoint())
+    assert service.live_state()["picks"] is service.picks
+    assert service.picks == [10]  # digesting only reads
+
+
 def test_state_digest_stable_for_equal_state():
     a = sandboxed(Chooser())
     b = sandboxed(Chooser())

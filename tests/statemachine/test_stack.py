@@ -123,6 +123,28 @@ def test_restore_roundtrip():
     assert stack.state_digest() == digest
 
 
+def test_state_digest_is_the_digest_of_the_checkpoint():
+    from repro.statemachine import digest
+
+    cluster = Cluster(2, stack_factory(), seed=1)
+    cluster.start_all()
+    cluster.run(until=2.5)
+    stack = cluster.service(0)
+    assert stack.state_digest() == digest(stack.checkpoint())
+    assert stack.live_state() == stack.checkpoint()
+
+
+def test_restore_does_not_alias_the_checkpoint():
+    cluster = Cluster(2, stack_factory(), seed=1)
+    cluster.start_all()
+    cluster.run(until=2.5)
+    stack = cluster.service(0)
+    saved = stack.checkpoint()
+    stack.restore(saved)
+    assert stack.layer("counter").targets == saved["counter"]["targets"]
+    assert stack.layer("counter").targets is not saved["counter"]["targets"]
+
+
 def test_unknown_layer_traced_not_crashing():
     cluster = Cluster(2, stack_factory(), seed=1)
     cluster.start_all()
