@@ -92,7 +92,9 @@ class _WorldPatch:
     """Delta from a root world to one stored chain world."""
 
     states: Dict[int, Dict[str, Any]]
-    digests: Dict[int, str]
+    # Memo cells of ``states`` (WorldState._cells), shared by every
+    # rebase: a patched state is frozen at most once, if ever.
+    cells: Dict[int, List[Optional[int]]]
     removed_msgs: Tuple[Tuple, ...]
     added_msgs: Tuple[InFlightMessage, ...]
     removed_timers: Tuple[Tuple[Tuple, float], ...]
@@ -120,31 +122,19 @@ class _CachedChain:
 # ----------------------------------------------------------------------
 
 def _ordered_msg_keys(world: WorldState) -> List[Tuple]:
-    keys = getattr(world, "_memo_msg_keys", None)
-    if keys is None:
-        keys = [m.key() for m in world.inflight]
-        world._memo_msg_keys = keys
-    return keys
+    return world.memo("_memo_msg_keys", lambda w: [m.key() for m in w.inflight])
 
 
 def _ordered_timer_keys(world: WorldState) -> List[Tuple]:
-    keys = getattr(world, "_memo_timer_keys", None)
-    if keys is None:
-        keys = [t.key() for t in world.timers]
-        world._memo_timer_keys = keys
-    return keys
+    return world.memo("_memo_timer_keys", lambda w: [t.key() for t in w.timers])
 
 
 def _states_env(world: WorldState) -> Tuple:
-    """Digest of every node state plus the down set, cached per world."""
-    cached = getattr(world, "_memo_env", None)
-    if cached is None:
-        cached = (
-            tuple((nid, world._node_digest(nid)) for nid in sorted(world.node_states)),
-            tuple(sorted(world.down)),
-        )
-        world._memo_env = cached
-    return cached
+    """Hash of every node state plus the down set."""
+    return world.memo("_memo_env", lambda w: (
+        tuple((nid, w._node_part(nid)) for nid in sorted(w.node_states)),
+        tuple(sorted(w.down)),
+    ))
 
 
 def footprint_value(root: WorldState, fp: Footprint) -> Tuple:
@@ -158,7 +148,7 @@ def footprint_value(root: WorldState, fp: Footprint) -> Tuple:
     parts: List[Any] = [root.down]
     node_states = root.node_states
     parts.append(tuple(
-        (nid, root._node_digest(nid) if nid in node_states else None)
+        (nid, root._node_part(nid) if nid in node_states else None)
         for nid in fp.nodes
     ))
     if fp.env_level == ENV_STATES:
@@ -207,8 +197,27 @@ def _delays_match(fp: Footprint, network_model) -> bool:
 # World patching
 # ----------------------------------------------------------------------
 
-def _timer_id_counter(world: WorldState) -> Counter:
-    return Counter((t.key(), t.delay) for t in world.timers)
+def _timer_id(timer: PendingTimer) -> Tuple:
+    return (timer.key(), timer.delay)
+
+
+def _multiset_delta(before: List, after: List, identity) -> Tuple[Tuple, Tuple]:
+    """``(identities removed, items added)`` taking ``before`` to ``after``."""
+    had = Counter(map(identity, before))
+    has = Counter(map(identity, after))
+    added: List[Any] = []
+    pending = has - had
+    if pending:
+        # Reverse scan: chain-created events sit at the tail, and an
+        # identity present in both root and chain worlds must resolve to
+        # the chain's instances (last occurrences), preserving list order.
+        for item in reversed(after):
+            ident = identity(item)
+            if pending.get(ident, 0) > 0:
+                pending[ident] -= 1
+                added.append(item)
+        added.reverse()
+    return tuple((had - has).elements()), tuple(added)
 
 
 def _make_patch(root: WorldState, world: WorldState) -> _WorldPatch:
@@ -219,88 +228,48 @@ def _make_patch(root: WorldState, world: WorldState) -> _WorldPatch:
         nid: s for nid, s in world.node_states.items()
         if root_states.get(nid) is not s
     }
-    digests = {nid: world._node_digest(nid) for nid in states}
-
-    root_msgs = Counter(_ordered_msg_keys(root))
-    world_msgs = Counter(_ordered_msg_keys(world))
-    removed_msgs = tuple((root_msgs - world_msgs).elements())
-    need = world_msgs - root_msgs
-    added_msgs: List[InFlightMessage] = []
-    if need:
-        pending = Counter(need)
-        # Reverse scan: chain-created events sit at the tail, and a key
-        # present in both root and chain worlds must resolve to the
-        # chain's instances (last occurrences), preserving list order.
-        for m in reversed(world.inflight):
-            key = m.key()
-            if pending.get(key, 0) > 0:
-                pending[key] -= 1
-                added_msgs.append(m)
-        added_msgs.reverse()
-
-    root_timers = _timer_id_counter(root)
-    world_timers = _timer_id_counter(world)
-    removed_timers = tuple((root_timers - world_timers).elements())
-    need_t = world_timers - root_timers
-    added_timers: List[PendingTimer] = []
-    if need_t:
-        pending_t = Counter(need_t)
-        for t in reversed(world.timers):
-            tid = (t.key(), t.delay)
-            if pending_t.get(tid, 0) > 0:
-                pending_t[tid] -= 1
-                added_timers.append(t)
-        added_timers.reverse()
-
+    world_cells = world._node_cells()
+    removed_msgs, added_msgs = _multiset_delta(
+        root.inflight, world.inflight, InFlightMessage.key)
+    removed_timers, added_timers = _multiset_delta(root.timers, world.timers, _timer_id)
     return _WorldPatch(
         states=states,
-        digests=digests,
+        cells={nid: world_cells[nid] for nid in states},
         removed_msgs=removed_msgs,
-        added_msgs=tuple(added_msgs),
+        added_msgs=added_msgs,
         removed_timers=removed_timers,
-        added_timers=tuple(added_timers),
+        added_timers=added_timers,
         dt=world.time - root.time,
         ddepth=world.depth - root.depth,
     )
+
+
+def _pop_matching(items: List, identity, wanted: Tuple) -> Any:
+    for index, item in enumerate(items):
+        if identity(item) == wanted:
+            return items.pop(index)
+    raise LookupError(f"event to remove not in root: {wanted!r}")
 
 
 def _apply_patch(root: WorldState, patch: _WorldPatch) -> WorldState:
     """Rebase a stored chain world onto a new root.
 
     Produces a world digest-identical to what re-exploring the chain
-    from ``root`` would have built, at O(delta) cost.
+    from ``root`` would have built, at O(delta) cost: the rebased
+    world's digest is the root's adjusted by the patch's parts.
     """
-    node_states = dict(root.node_states)
-    node_states.update(patch.states)
     inflight = list(root.inflight)
-    for key in patch.removed_msgs:
-        for index, m in enumerate(inflight):
-            if m.key() == key:
-                del inflight[index]
-                break
-        else:
-            raise LookupError(f"message to remove not in root: {key!r}")
+    left = [_pop_matching(inflight, InFlightMessage.key, key)
+            for key in patch.removed_msgs]
     inflight.extend(patch.added_msgs)
     timers = list(root.timers)
-    for tid in patch.removed_timers:
-        for index, t in enumerate(timers):
-            if (t.key(), t.delay) == tid:
-                del timers[index]
-                break
-        else:
-            raise LookupError(f"timer to remove not in root: {tid!r}")
+    left += [_pop_matching(timers, _timer_id, tid) for tid in patch.removed_timers]
     timers.extend(patch.added_timers)
-    world = WorldState(
-        node_states=node_states,
-        inflight=inflight,
-        timers=timers,
-        down=root.down,
-        time=root.time + patch.dt,
-        depth=root.depth + patch.ddepth,
-        copy_states=False,
-    )
-    world._digest_parent = root
-    world._node_digests.update(patch.digests)
+    world = root._derive(patch.states, inflight, timers, left,
+                         patch.added_msgs + patch.added_timers, cells=patch.cells)
+    world._prop_parent = None
+    world.time = root.time + patch.dt
+    world.depth = root.depth + patch.ddepth
     return world
 
 

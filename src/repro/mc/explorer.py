@@ -327,11 +327,9 @@ class Explorer:
         ]
 
     def _apply_timer(self, world: WorldState, action: TimerAction) -> List[WorldState]:
-        matching = [t for t in world.timers
-                    if t.node == action.node and t.name == action.name]
-        if not matching:
+        timer = _first_timers(world).get((action.node, action.name))
+        if timer is None:
             raise ExplorationError(f"timer not pending: {action!r}")
-        timer = matching[0]
 
         def invoke(service: Service) -> None:
             service.fire_timer(action.name, action.payload)
@@ -482,27 +480,20 @@ class Explorer:
 
 
 def _message_key_counter(world: WorldState) -> Counter:
-    """Memoized multiset of in-flight message keys for one world.
-
-    Worlds are treated as frozen once exploration reads them (the same
-    contract digesting already relies on), so the counter is computed
-    once per world — it serves as ``after`` for one edge and ``before``
-    for every outgoing edge of that successor.
-    """
-    cached = getattr(world, "_msg_key_counter", None)
-    if cached is None:
-        cached = Counter(m.key() for m in world.inflight)
-        world._msg_key_counter = cached
-    return cached
+    """Multiset of in-flight message keys, once per world: ``after`` for
+    one edge and ``before`` for every outgoing edge of that successor."""
+    return world.memo("_msg_key_counter", lambda w: Counter(m.key() for m in w.inflight))
 
 
 def _timer_key_set(world: WorldState) -> set:
-    """Memoized set of pending-timer keys for one world."""
-    cached = getattr(world, "_timer_key_set", None)
-    if cached is None:
-        cached = {t.key() for t in world.timers}
-        world._timer_key_set = cached
-    return cached
+    return world.memo("_timer_key_set", lambda w: {t.key() for t in w.timers})
+
+
+def _first_timers(world: WorldState) -> Dict[Tuple[int, str], PendingTimer]:
+    """``(node, name) -> first pending timer``: one pass per expanded
+    world, not one per timer action."""
+    return world.memo(
+        "_first_timers", lambda w: {(t.node, t.name): t for t in reversed(w.timers)})
 
 
 def created_event_keys(before: WorldState, after: WorldState) -> set:

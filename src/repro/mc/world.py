@@ -14,43 +14,65 @@ model checker into a simulator (Section 3.3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..statemachine.serialization import digest_of_frozen, freeze, snapshot_value
 
 
-@dataclass(frozen=True)
-class InFlightMessage:
-    """A message sent but not yet delivered.
+_MASK = (1 << 64) - 1
 
-    ``key()`` and ``digest()`` are memoized per instance: worlds along
-    an exploration path share message objects, so each payload is
-    frozen once per object lifetime instead of once per world visit.
-    """
 
-    src: int
-    dst: int
-    msg: Any
+def _part(domain: str, frozen_value: Any) -> int:
+    """64-bit hash of one part of a world.  A digest is the *sum* of its
+    parts, so each is hashed with its domain (``"node"``, ``"msg"``,
+    ``"timer"``, ``"down"``): a message and a timer with equal fields,
+    or one state held by two different nodes, are different parts."""
+    return int(digest_of_frozen((domain, frozen_value)), 16)
+
+
+def _down_part(down: FrozenSet[int]) -> int:
+    return _part("down", tuple(sorted(down)))
+
+
+class _Event:
+    """Memoized identity of an immutable message or timer: worlds along
+    an exploration path share event objects, so each payload is frozen
+    and hashed once per object lifetime instead of once per world visit."""
+
+    _domain: str
 
     def key(self) -> Tuple:
         """Canonical identity used for matching and digests."""
         key = getattr(self, "_key", None)
         if key is None:
-            key = (self.src, self.dst, freeze(self.msg))
+            key = self._identity()
             object.__setattr__(self, "_key", key)
         return key
 
-    def digest(self) -> str:
-        """Memoized digest of :meth:`key` (world-digest building block)."""
-        cached = getattr(self, "_digest", None)
+    def part(self) -> int:
+        """Hash of :meth:`key` (world-digest building block)."""
+        cached = getattr(self, "_part", None)
         if cached is None:
-            cached = digest_of_frozen(self.key())
-            object.__setattr__(self, "_digest", cached)
+            cached = _part(self._domain, self.key())
+            object.__setattr__(self, "_part", cached)
         return cached
 
 
 @dataclass(frozen=True)
-class PendingTimer:
+class InFlightMessage(_Event):
+    """A message sent but not yet delivered."""
+
+    src: int
+    dst: int
+    msg: Any
+    _domain = "msg"
+
+    def _identity(self) -> Tuple:
+        return (self.src, self.dst, freeze(self.msg))
+
+
+@dataclass(frozen=True)
+class PendingTimer(_Event):
     """An armed timer in some node's runtime.
 
     ``delay`` is the interval it was armed with, kept for performance
@@ -61,21 +83,10 @@ class PendingTimer:
     name: str
     payload: Any
     delay: float = 0.0
+    _domain = "timer"
 
-    def key(self) -> Tuple:
-        key = getattr(self, "_key", None)
-        if key is None:
-            key = (self.node, self.name, freeze(self.payload))
-            object.__setattr__(self, "_key", key)
-        return key
-
-    def digest(self) -> str:
-        """Memoized digest of :meth:`key` (world-digest building block)."""
-        cached = getattr(self, "_digest", None)
-        if cached is None:
-            cached = digest_of_frozen(self.key())
-            object.__setattr__(self, "_digest", cached)
-        return cached
+    def _identity(self) -> Tuple:
+        return (self.node, self.name, freeze(self.payload))
 
 
 class WorldState:
@@ -108,17 +119,20 @@ class WorldState:
         self.down: FrozenSet[int] = frozenset(down)
         self.time = time
         self.depth = depth
-        # Per-node digest cache, filled lazily by digest() and pulled
-        # from ancestors on demand: clone() records a parent link
-        # instead of copying the cache, and _node_digest() walks that
-        # chain while the state dict is the *same object* — so a
-        # successor re-hashes O(changed nodes), not O(cluster), no
-        # matter in which order worlds get digested.  Valid because
-        # state dicts inside a world are immutable by contract (see
-        # above).  digest() drops the parent link once every node is
-        # cached locally, keeping ancestor chains short.
-        self._node_digests: Dict[int, str] = {}
-        self._digest_parent: Optional["WorldState"] = None
+        # Digest bookkeeping (see digest()), built on first use, so a
+        # world may be edited in place (``world.inflight.append``) until
+        # it is first digested or evolved.  _cells is the per-node part
+        # table, node id -> one-slot cell [part or None]: a cell is the
+        # memo of one state-dict *object*, handed down to every successor
+        # that keeps that dict, so whichever world freezes the state
+        # first fills it for all of them.  _sum is ``(acc, owed)``: the
+        # sum mod 2^64 of every event part, the down part and the part
+        # of every node not in ``owed``; None until this world or an
+        # ancestor is digested, so worlds nobody digests hash nothing.
+        # Replaced whole, never updated in place: worker threads digest
+        # a shared root concurrently.
+        self._cells: Optional[Dict[int, List[Optional[int]]]] = None
+        self._sum: Optional[Tuple[int, Tuple[int, ...]]] = None
         # Incremental property checking (see properties.pairwise):
         # _prop_parent is the world this one was evolved from,
         # _changed_nodes the ids whose state dicts differ from it, and
@@ -150,24 +164,67 @@ class WorldState:
         """Known node ids that are up."""
         return [nid for nid in self.node_ids if nid not in self.down]
 
+    def memo(self, slot: str, build: Callable[["WorldState"], Any]) -> Any:
+        """``build(self)``, computed once and kept on this world — sound
+        because a world is frozen once exploration reads it (the contract
+        digesting already relies on)."""
+        try:
+            return self.__dict__[slot]
+        except KeyError:
+            value = self.__dict__[slot] = build(self)
+            return value
+
     # ------------------------------------------------------------------
     # Functional updates
     # ------------------------------------------------------------------
 
-    def clone(self) -> "WorldState":
-        """Deep copy (state dicts copied; messages/timers are immutable)."""
-        successor = WorldState(
-            node_states=self.node_states,
-            inflight=self.inflight,
-            timers=self.timers,
-            down=self.down,
-            time=self.time,
-            depth=self.depth,
-            copy_states=False,
-        )
-        successor._digest_parent = self
+    def _derive(
+        self,
+        replaced: Dict[int, Dict[str, Any]],
+        inflight: List[InFlightMessage],
+        timers: List[PendingTimer],
+        left: Iterable[Any] = (),
+        arrived: Iterable[Any] = (),
+        cells: Optional[Dict[int, List[Optional[int]]]] = None,
+    ) -> "WorldState":
+        """A world that differs from this one by the given delta.
+
+        ``replaced`` maps node ids to their new state dicts (``cells``
+        brings their memo cells along, if any), ``inflight`` and
+        ``timers`` are the new event lists, ``left``/``arrived`` the
+        events in only one of the two worlds.  The digest sum follows
+        the delta: parts that left are subtracted, parts that arrived
+        added, the replaced nodes owed until :meth:`digest` is called.
+        """
+        table = self._node_cells()
+        summed = self._sum
+        if summed is not None:
+            acc, owed = summed
+            for event in left:
+                acc -= event.part()
+            for event in arrived:
+                acc += event.part()
+            for nid in replaced:
+                if nid not in owed:
+                    if nid in table:
+                        acc -= table[nid][0]
+                    owed += (nid,)
+            summed = (acc & _MASK, owed)
+        successor = WorldState(self.node_states, inflight, timers, self.down,
+                               self.time, self.depth, copy_states=False)
+        if replaced:
+            successor.node_states.update(replaced)
+            table = dict(table)
+            for nid in replaced:
+                table[nid] = [None] if cells is None else cells[nid]
+        successor._cells = table
+        successor._sum = summed
         successor._prop_parent = self
         return successor
+
+    def clone(self) -> "WorldState":
+        """Copy (state dicts, messages and timers are immutable and shared)."""
+        return self._derive({}, self.inflight, self.timers)
 
     def evolve(
         self,
@@ -191,37 +248,42 @@ class WorldState:
         only pass it for dicts that are already fresh copies nothing
         else aliases (e.g. a ``Service.checkpoint()`` result).
         """
-        successor = self.clone()
-        if node_id is not None and new_state is not None:
-            successor.node_states = dict(successor.node_states)
-            successor.node_states[node_id] = (
-                snapshot_value(new_state) if copy_state else new_state
-            )
-            successor._changed_nodes.add(node_id)
+        left: List[Any] = []
+        inflight = self.inflight
         if remove_inflight is not None:
             target = remove_inflight.key()
-            for index, message in enumerate(successor.inflight):
+            for index, message in enumerate(inflight):
                 if message.key() == target:
-                    successor.inflight = (
-                        successor.inflight[:index] + successor.inflight[index + 1:]
-                    )
+                    inflight = inflight[:index] + inflight[index + 1:]
+                    left.append(message)
                     break
             else:
                 raise ValueError(f"message not in flight: {remove_inflight!r}")
-        removals = set(remove_timers)
-        if removals:
-            successor.timers = [
-                t for t in successor.timers if (t.node, t.name) not in removals
-            ]
+        arrived: List[Any] = list(add_inflight)
+        if arrived:
+            inflight = inflight + arrived
+        timers = self.timers
         added = list(add_timers)
+        superseded = set(remove_timers)
         if added:
-            rearmed = {(t.node, t.name) for t in added}
-            successor.timers = [
-                t for t in successor.timers if (t.node, t.name) not in rearmed
-            ] + added
-        extra = list(add_inflight)
-        if extra:
-            successor.inflight = successor.inflight + extra
+            superseded.update((t.node, t.name) for t in added)
+        if superseded:
+            # One pass; the node test first, since most timers belong to
+            # other nodes and then need no (node, name) tuple.
+            nodes = {node for node, _ in superseded}
+            timers = []
+            for timer in self.timers:
+                if timer.node in nodes and (timer.node, timer.name) in superseded:
+                    left.append(timer)
+                else:
+                    timers.append(timer)
+            timers += added
+            arrived += added
+        replaced = {}
+        if node_id is not None and new_state is not None:
+            replaced[node_id] = snapshot_value(new_state) if copy_state else new_state
+        successor = self._derive(replaced, inflight, timers, left, arrived)
+        successor._changed_nodes.update(replaced)
         successor.time = self.time + time_delta
         successor.depth = self.depth + 1
         return successor
@@ -231,73 +293,57 @@ class WorldState:
         successor = self.clone()
         successor.down = frozenset(down)
         successor._prop_parent = None
+        if successor._sum is not None:
+            acc, owed = successor._sum
+            acc += _down_part(successor.down) - _down_part(self.down)
+            successor._sum = (acc & _MASK, owed)
         return successor
 
     # ------------------------------------------------------------------
     # Hashing
     # ------------------------------------------------------------------
 
-    def _node_digest(self, node_id: int) -> str:
-        """Cached digest of one node's checkpoint dict.
+    def _node_cells(self) -> Dict[int, List[Optional[int]]]:
+        table = self._cells
+        if table is None:
+            table = self._cells = {nid: [None] for nid in self.node_states}
+        return table
 
-        On a miss, walks the clone-parent chain while the ancestor holds
-        the *same dict object* for this node — an identity check, so a
-        hit is always sound — and pulls its cached digest in before
-        falling back to a full freeze+hash.
-        """
-        cached = self._node_digests.get(node_id)
-        if cached is not None:
-            return cached
-        state = self.node_states[node_id]
-        ancestor = self._digest_parent
-        last_match: Optional["WorldState"] = None
-        while ancestor is not None and ancestor.node_states.get(node_id) is state:
-            cached = ancestor._node_digests.get(node_id)
-            if cached is not None:
-                break
-            last_match = ancestor
-            ancestor = ancestor._digest_parent
-        if cached is None:
-            cached = digest_of_frozen(freeze(state))
-            if last_match is not None:
-                # Publish at the highest ancestor sharing this state so
-                # sibling branches find it instead of re-freezing.
-                last_match._node_digests[node_id] = cached
-        self._node_digests[node_id] = cached
-        return cached
-
-    def frozen(self) -> Tuple:
-        """Canonical hashable form (time/depth excluded: they are
-        bookkeeping, not protocol state).  Events are ordered by their
-        cached digests, so ordering cost is O(events), not O(repr)."""
-        states = tuple(
-            (nid, freeze(self.node_states[nid])) for nid in sorted(self.node_states)
-        )
-        messages = tuple(
-            m.key() for m in sorted(self.inflight, key=InFlightMessage.digest)
-        )
-        timers = tuple(t.key() for t in sorted(self.timers, key=PendingTimer.digest))
-        return (states, messages, timers, tuple(sorted(self.down)))
+    def _node_part(self, node_id: int) -> int:
+        """Hash of ``(node_id, state)``, memoized in the state's cell."""
+        cell = self._node_cells()[node_id]
+        part = cell[0]
+        if part is None:
+            part = cell[0] = _part("node", (node_id, freeze(self.node_states[node_id])))
+        return part
 
     def digest(self) -> str:
         """Stable hex digest for visited-state tracking.
 
-        A combine of per-part digests: per-node state digests (cached,
-        maintained incrementally across :meth:`evolve`) and per-event
-        digests (memoized on the immutable message/timer objects).  The
-        expensive ``freeze`` of a node state therefore runs once per
-        distinct state, not once per ``digest()`` call.
+        An additive multiset hash: the sum mod 2^64 of one 64-bit part
+        per ``(node id, state)``, per in-flight message, per pending
+        timer, and one for the down-set (time and depth are
+        bookkeeping, not protocol state).  A sum, not XOR, so two
+        identical in-flight messages differ from none.  A successor
+        inherits its parent's sum adjusted by its delta (see
+        :meth:`_derive`), and only here is a changed node's state
+        frozen and hashed — once per distinct state dict.
         """
-        parts = (
-            tuple((nid, self._node_digest(nid)) for nid in sorted(self.node_states)),
-            tuple(sorted(m.digest() for m in self.inflight)),
-            tuple(sorted(t.digest() for t in self.timers)),
-            tuple(sorted(self.down)),
-        )
-        # Every node digest is cached locally now; release the parent
-        # link so undigested ancestor chains stay bounded.
-        self._digest_parent = None
-        return digest_of_frozen(parts)
+        summed = self._sum
+        if summed is None:
+            acc = _down_part(self.down)
+            for event in self.inflight:
+                acc += event.part()
+            for event in self.timers:
+                acc += event.part()
+            owed: Iterable[int] = self.node_states
+        else:
+            acc, owed = summed
+        for nid in owed:
+            acc += self._node_part(nid)
+        acc &= _MASK
+        self._sum = (acc, ())
+        return f"{acc:016x}"
 
     def recompute_digest(self) -> str:
         """Digest recomputed from scratch, bypassing every cache.
@@ -306,18 +352,12 @@ class WorldState:
         ``world.digest() == world.recompute_digest()`` must hold after
         any sequence of :meth:`evolve`/:meth:`with_down` steps.
         """
-        fresh = WorldState(
-            node_states=self.node_states,
-            inflight=[InFlightMessage(m.src, m.dst, m.msg) for m in self.inflight],
-            timers=[
-                PendingTimer(t.node, t.name, t.payload, t.delay) for t in self.timers
-            ],
-            down=self.down,
-            time=self.time,
-            depth=self.depth,
-            copy_states=False,
-        )
-        return fresh.digest()
+        return WorldState(
+            self.node_states,
+            [InFlightMessage(m.src, m.dst, m.msg) for m in self.inflight],
+            [PendingTimer(t.node, t.name, t.payload, t.delay) for t in self.timers],
+            self.down, copy_states=False,
+        ).digest()
 
     def __repr__(self) -> str:
         return (

@@ -73,7 +73,9 @@ class Network:
         self._uplink_busy: Dict[int, float] = {}
         # In-order delivery per directed pair for reliable traffic.
         self._last_delivery: Dict[Tuple[int, int], float] = {}
-        self._partition_groups: Optional[List[Set[int]]] = None
+        # node -> index of its partition group while a partition is
+        # installed; unlisted nodes share the implicit group -1.
+        self._partition_of: Optional[Dict[int, int]] = None
         # Chaos fault interposers (see repro.chaos.faults): consulted on
         # every send, they may drop, duplicate, delay, or replace the
         # payload — the adversarial end of the fault spectrum, layered
@@ -176,12 +178,14 @@ class Network:
 
         Nodes absent from every group form an implicit extra group.
         """
-        self._partition_groups = [set(g) for g in groups]
+        self._partition_of = {
+            node: idx for idx, group in enumerate(groups) for node in group
+        }
         self._notify_topology("partition")
 
     def clear_partition(self) -> None:
         """Heal any installed partition."""
-        self._partition_groups = None
+        self._partition_of = None
         self._notify_topology("heal")
 
     def _notify_topology(self, kind: str) -> None:
@@ -233,13 +237,8 @@ class Network:
         return combined
 
     def _crosses_partition(self, a: int, b: int) -> bool:
-        if self._partition_groups is None:
-            return False
-        group_of: Dict[int, int] = {}
-        for idx, group in enumerate(self._partition_groups):
-            for node in group:
-                group_of[node] = idx
-        return group_of.get(a, -1) != group_of.get(b, -1)
+        group_of = self._partition_of
+        return group_of is not None and group_of.get(a, -1) != group_of.get(b, -1)
 
     # ------------------------------------------------------------------
     # Sending
@@ -276,7 +275,7 @@ class Network:
         if not self.liveness.is_up(src):
             self._drop(src, dst, payload, "source-down")
             return None
-        if self._partition_groups is not None and self._crosses_partition(src, dst):
+        if self._partition_of is not None and self._crosses_partition(src, dst):
             self._drop(src, dst, payload, "partition")
             return None
         fault = self._consult_faults(src, dst, payload) if self._fault_interposers else None

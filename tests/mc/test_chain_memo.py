@@ -84,6 +84,31 @@ def test_identical_rounds_hit(token_factory):
     assert memo.snapshot()["rebase_errors"] == 0
 
 
+def test_rebase_derives_digests_from_a_digested_root(token_factory):
+    """A root whose digest is known hands its sum to every rebased
+    world by delta; one that was never digested leaves them to sum from
+    scratch.  Either way: the memo-free report, and the oracle."""
+    world = token_world(
+        token_factory,
+        inflight=[InFlightMessage(0, 1, Token(value=1))],
+        timers=[PendingTimer(0, "kick", None, 1.0)],
+    )
+    memo = ChainMemo()
+    on, off = predictors(token_factory, memo)
+    assert_identical(on, off, world)
+    expected = off.predict(fresh(world)).digest()
+    for digested in (True, False):
+        root = fresh(world)
+        if digested:
+            root.digest()
+        report = on.predict(root)
+        assert report.memo_hits == len(report.outcomes) > 0
+        leaves = [w for o in report.outcomes for w in o.leaf_worlds]
+        assert leaves and all(w.digest() == w.recompute_digest() for w in leaves)
+        assert report.digest() == expected
+    assert memo.snapshot()["rebase_errors"] == 0
+
+
 def test_touched_node_change_misses(token_factory):
     world = token_world(token_factory, inflight=[InFlightMessage(0, 1, Token(value=1))])
     memo = ChainMemo()

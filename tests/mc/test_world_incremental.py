@@ -1,21 +1,27 @@
 """The incremental-digest invariant under randomized evolve sequences.
 
-``WorldState.digest()`` is maintained incrementally (cached per-node
-digests pulled lazily across clone-parent links, memoized per-event
-digests); ``recompute_digest()`` rebuilds the same digest from scratch
+``WorldState.digest()`` is an additive multiset hash maintained
+incrementally: a successor inherits its parent's sum adjusted by the
+parts that left and arrived, and freezes at most the node state it
+changed; ``recompute_digest()`` rebuilds the same digest from scratch
 with every cache empty.  These tests drive randomized action sequences
 — deliver-like state changes, sends, receives, timer arms/fires, drops,
 down-set changes — digesting worlds in arbitrary interleavings, and
-assert the two always agree.
+assert the two always agree, that the digest tells apart exactly the
+worlds the sort-and-hash digest it replaced told apart, and that it
+pays for the delta only.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mc import InFlightMessage, PendingTimer, WorldState
+import repro.mc.world as world_module
+from repro.mc import ConsequencePredictor, Explorer, InFlightMessage, PendingTimer, WorldState
 
 from .conftest import Token
+from .legacy_world_digest import legacy_world_digest
 
 
 def _initial_world(rng: random.Random) -> WorldState:
@@ -88,8 +94,8 @@ def test_incremental_digest_matches_full_recompute(seed, digest_mask):
         world = _random_step(rng, world)
         chain.append(world)
         if digest_mask >> step & 1:
-            # Interleave digesting mid-chain: exercises both eagerly
-            # warmed caches and cold parent-pull paths.
+            # Interleave digesting mid-chain: exercises both sums derived
+            # from a digested parent and sums built from scratch.
             world.digest()
     for w in chain:
         assert w.digest() == w.recompute_digest()
@@ -116,26 +122,134 @@ def test_digest_independent_of_computation_order(seed):
     assert forward == backward
 
 
-def test_changed_node_only_rehashes_that_node():
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_same_equality_classes_as_legacy_digest(seed):
+    """Never merges two worlds the old digest told apart, never splits
+    two it merged."""
+    worlds = []
+    for replay in range(2):  # the same chain twice: equal worlds, distinct objects
+        rng = random.Random(seed)
+        world = _initial_world(rng)
+        worlds.append(world)
+        for _ in range(12):
+            world = _random_step(rng, world)
+            worlds.append(world)
+    # ... and event order, which neither digest may see.
+    shuffled = worlds[-1].clone()
+    shuffled.inflight.reverse()
+    shuffled.timers.reverse()
+    worlds.append(shuffled)
+    new = [w.digest() for w in worlds]
+    old = [legacy_world_digest(w) for w in worlds]
+    assert len(set(new)) < len(worlds)  # there are classes to merge
+    assert len(set(zip(new, old))) == len(set(new)) == len(set(old))
+
+
+def test_multiplicity_counts():
+    states = {0: {"x": 1}, 1: {"x": 2}}
+    m = InFlightMessage(0, 1, Token(value=1))
+    digests = {
+        WorldState(node_states=states, inflight=copies * [m]).digest()
+        for copies in range(4)
+    }
+    assert len(digests) == 4  # an XOR would fold [m, m] onto []
+    t = PendingTimer(0, "kick", None, 1.0)
+    assert (WorldState(node_states=states, timers=[t, t]).digest()
+            != WorldState(node_states=states).digest())
+
+
+def test_parts_are_domain_separated():
+    a, b = {"x": 1}, {"x": 2}
+    # Which node holds a state is part of the world.
+    assert (WorldState(node_states={0: a, 1: b}).digest()
+            != WorldState(node_states={0: b, 1: a}).digest())
+    # A message and a timer with equal fields are different events.
+    as_message = WorldState(node_states={0: a}, inflight=[InFlightMessage(0, "kick", None)])
+    as_timer = WorldState(node_states={0: a}, timers=[PendingTimer(0, "kick", None)])
+    assert as_message.inflight[0].key() == as_timer.timers[0].key()
+    assert as_message.digest() != as_timer.digest()
+    # The down-set is not a node state or an event either.
+    world = WorldState(node_states={0: a, 1: b})
+    assert world.with_down({1}).digest() != world.digest()
+    assert world.with_down({1}).with_down(()).digest() == world.digest()
+
+
+@pytest.fixture
+def state_freezes(monkeypatch):
+    """Node states frozen through ``repro.mc.world.freeze`` (messages
+    and timer payloads are frozen by it too; states are the dicts)."""
+    frozen = []
+    freeze = world_module.freeze
+
+    def counting(value):
+        if isinstance(value, dict):
+            frozen.append(value)
+        return freeze(value)
+
+    monkeypatch.setattr(world_module, "freeze", counting)
+    return frozen
+
+
+def _token_world(token_factory):
+    return WorldState(
+        node_states={i: token_factory(i).checkpoint() for i in range(3)},
+        inflight=[InFlightMessage(0, 1, Token(value=1)), InFlightMessage(1, 2, Token(value=1))],
+        timers=[PendingTimer(0, "kick", None, 1.0)],
+    )
+
+
+def test_bfs_successor_freezes_only_its_changed_node(token_factory, state_freezes):
+    explorer = Explorer(token_factory)
+    root = _token_world(token_factory)
+    root.digest()
+    assert len(state_freezes) == 3
+    transitions = 0
+    for action in explorer.enabled_actions(root):
+        for successor in explorer.successors(root, action):
+            before = len(state_freezes)
+            assert successor.digest() == successor.recompute_digest()
+            # recompute_digest() freezes all three again; digest() froze
+            # the one state the action changed.
+            assert len(state_freezes) - before == 1 + 3
+            (changed,) = [nid for nid in root.node_states
+                          if successor.state_of(nid) is not root.state_of(nid)]
+            assert state_freezes[before] is successor.state_of(changed)
+            transitions += 1
+    assert transitions > 3
+    del state_freezes[:]
+    result = explorer.bfs(root, max_depth=3)
+    assert result.transitions >= len(state_freezes) > 0
+
+
+def test_unchanged_node_evolve_freezes_nothing(state_freezes):
     world = WorldState(node_states={0: {"x": 1}, 1: {"x": 2}, 2: {"x": 3}})
     world.digest()
-    child = world.evolve(node_id=1, new_state={"x": 99})
-    child.digest()
-    # Unchanged nodes were pulled from the parent's cache, not re-frozen.
-    assert child._node_digests[0] == world._node_digests[0]
-    assert child._node_digests[2] == world._node_digests[2]
-    assert child._node_digests[1] != world._node_digests[1]
+    del state_freezes[:]
+    sent = world.evolve(add_inflight=[InFlightMessage(0, 1, Token(value=1))])
+    armed = sent.evolve(add_timers=[PendingTimer(1, "kick", None, 1.0)])
+    assert len({world.digest(), sent.digest(), armed.digest(),
+                armed.with_down({2}).digest()}) == 4
+    assert state_freezes == []
 
 
-def test_sibling_leaves_share_published_ancestor_digests():
-    """A digest computed by one branch is found by its siblings via the
-    highest ancestor still sharing the state dict."""
+def test_siblings_freeze_a_shared_state_once(state_freezes):
+    """A state changed in an undigested ancestor is frozen by whichever
+    descendant digests first, for all of them."""
     root = WorldState(node_states={0: {"x": 1}, 1: {"x": 2}})
     mid = root.evolve(node_id=0, new_state={"x": 5})
     left = mid.evolve(add_inflight=[InFlightMessage(0, 1, Token(value=1))])
     right = mid.evolve(add_inflight=[InFlightMessage(1, 0, Token(value=2))])
-    left.digest()  # computes node digests, publishes at `mid`
-    assert 0 in mid._node_digests
+    left.digest()
+    assert len(state_freezes) == 2
     right.digest()
-    assert right._node_digests[0] == left._node_digests[0]
+    mid.digest()
+    assert len(state_freezes) == 2
     assert right.digest() == right.recompute_digest()
+
+
+def test_prediction_without_memo_freezes_no_node_state(token_factory, state_freezes):
+    predictor = ConsequencePredictor(Explorer(token_factory), chain_depth=3, budget=500)
+    report = predictor.predict(_token_world(token_factory))
+    assert report.total_states > 3
+    assert state_freezes == []

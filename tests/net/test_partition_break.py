@@ -105,7 +105,32 @@ def test_nodes_outside_every_group_form_implicit_group():
     sim, net, inboxes, _ = make_net(latency=0.1)
     net.set_partition([{0, 1}])       # 2 and 3 are in the implicit rest
     net.send(2, 3, "rest-to-rest")
-    net.send(0, 2, "cross")
+    net.send(0, 2, "listed-to-rest")
+    net.send(3, 1, "rest-to-listed")
+    net.send(0, 1, "listed-to-listed")
     sim.run()
     assert inboxes[3] == ["rest-to-rest"]
     assert inboxes[2] == []
+    assert inboxes[1] == ["listed-to-listed"]
+    assert drop_reasons(sim) == ["partition", "partition"]
+
+
+def test_implicit_group_follows_each_installed_partition():
+    # The node -> group table is built per set_partition and dropped by
+    # clear_partition: a node unlisted in one partition may be listed in
+    # the next, and nobody is walled off once healed.
+    sim, net, inboxes, _ = make_net(n=5, latency=0.1)
+    net.set_partition([{0}, {1}])     # 2, 3, 4 implicit
+    net.send(2, 4, "rest-1")
+    net.send(2, 0, "walled-1")
+    net.set_partition([{2, 0}])       # now 1, 3, 4 implicit
+    net.send(2, 0, "together-2")
+    net.send(2, 4, "walled-2")
+    net.send(1, 3, "rest-2")
+    net.clear_partition()
+    net.send(2, 4, "healed")
+    sim.run()
+    assert inboxes[0] == ["together-2"]
+    assert inboxes[3] == ["rest-2"]
+    assert inboxes[4] == ["rest-1", "healed"]
+    assert drop_reasons(sim) == ["partition", "partition"]
