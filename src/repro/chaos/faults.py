@@ -151,6 +151,13 @@ class LinkChaos:
         self._profiles: Dict[Tuple[int, int], LinkFaultProfile] = {}
         self._flaps: List[FlapSpec] = []
         self._slow: Dict[int, float] = {}
+        # One named stream per fault kind, resolved once: a stream's
+        # draws depend on (seed, name) only, never on when it was made.
+        stream = sim.rng.stream
+        self._drop_rng = stream("chaos.drop")
+        self._duplicate_rng = stream("chaos.duplicate")
+        self._reorder_rng = stream("chaos.reorder")
+        self._corrupt_rng = stream("chaos.corrupt")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = stats_view(
             self.metrics, "chaos",
@@ -222,27 +229,25 @@ class LinkChaos:
         slow = self._slow.get(dst, 0.0)
         decision: Optional[FaultDecision] = None
         if not profile.is_null:
-            if profile.drop and self.sim.rng.stream("chaos.drop").random() < profile.drop:
+            if profile.drop and self._drop_rng.random() < profile.drop:
                 self.stats["dropped"] += 1
                 self.sim.trace.record(now, "chaos.drop", node=src, dst=dst,
                                       kind=type(payload).__name__)
                 return FaultDecision(drop=True, reason="chaos-drop")
             decision = FaultDecision()
-            if profile.duplicate and self.sim.rng.stream("chaos.duplicate").random() < profile.duplicate:
-                rng = self.sim.rng.stream("chaos.duplicate")
+            if profile.duplicate and self._duplicate_rng.random() < profile.duplicate:
                 decision.duplicates = 1
-                decision.duplicate_delays = (rng.uniform(0.0, profile.reorder_jitter),)
+                decision.duplicate_delays = (
+                    self._duplicate_rng.uniform(0.0, profile.reorder_jitter),)
                 self.stats["duplicated"] += 1
                 self.sim.trace.record(now, "chaos.duplicate", node=src, dst=dst,
                                       kind=type(payload).__name__)
-            if profile.reorder and self.sim.rng.stream("chaos.reorder").random() < profile.reorder:
-                extra_delay += self.sim.rng.stream("chaos.reorder").uniform(
-                    0.0, profile.reorder_jitter,
-                )
+            if profile.reorder and self._reorder_rng.random() < profile.reorder:
+                extra_delay += self._reorder_rng.uniform(0.0, profile.reorder_jitter)
                 self.stats["reordered"] += 1
                 self.sim.trace.record(now, "chaos.reorder", node=src, dst=dst,
                                       kind=type(payload).__name__)
-            if profile.corrupt and self.sim.rng.stream("chaos.corrupt").random() < profile.corrupt:
+            if profile.corrupt and self._corrupt_rng.random() < profile.corrupt:
                 decision.replace = CorruptedPayload(
                     original_type=type(payload).__name__, src=src, dst=dst,
                 )

@@ -57,6 +57,9 @@ class Topology:
         # pairs() keeps reporting only what was explicitly installed.
         self._computed: Dict[Tuple[int, int], Link] = {}
         self._node_ids = range(n)
+        # Bumped by every set_link: the transport re-reads the links it
+        # has cached when (and only when) this has moved.
+        self.version = 0
 
     @property
     def node_ids(self) -> Sequence[int]:
@@ -74,6 +77,7 @@ class Topology:
         self._check(src)
         self._check(dst)
         self._links[(src, dst)] = link
+        self.version += 1
 
     def set_symmetric(self, a: int, b: int, link: Link) -> None:
         """Install the same link parameters in both directions."""
@@ -126,6 +130,27 @@ def _pair_rng(base_seed: int, i: int, j: int) -> random.Random:
     return random.Random(derive_seed(base_seed, f"{a}-{b}"))
 
 
+def _per_unordered_pair(derive: Callable[[int, int], Link]) -> LinkFn:
+    """A ``link_fn`` that calls ``derive(lo, hi)`` once per unordered
+    pair and hands both directions the same :class:`Link`.
+
+    ``Topology`` caches per *directed* pair, so without this a symmetric
+    lazy topology pays each pair's seed derivation twice.  Always
+    deriving in ``lo < hi`` order also keeps latency sums exactly
+    symmetric (float addition is not associative).
+    """
+    derived: Dict[Tuple[int, int], Link] = {}
+
+    def link_fn(i: int, j: int) -> Link:
+        key = (i, j) if i < j else (j, i)
+        link = derived.get(key)
+        if link is None:
+            link = derived[key] = derive(*key)
+        return link
+
+    return link_fn
+
+
 def full_mesh(n: int, latency: float = 0.05, bandwidth: float = 10e6, loss: float = 0.0) -> Topology:
     """Uniform full mesh: every pair shares the same link parameters."""
     return Topology(n, default=Link(latency=latency, bandwidth=bandwidth, loss=loss))
@@ -174,12 +199,12 @@ def random_uniform(
     if lazy:
         base_seed = rng.getrandbits(64)
 
-        def link_fn(i: int, j: int) -> Link:
+        def derive(i: int, j: int) -> Link:
             pr = _pair_rng(base_seed, i, j)
             return Link(latency=pr.uniform(lo, hi),
                         bandwidth=pr.uniform(blo, bhi), loss=loss)
 
-        return Topology(n, link_fn=link_fn)
+        return Topology(n, link_fn=_per_unordered_pair(derive))
 
     topo = Topology(n)
     for i in range(n):
@@ -265,11 +290,7 @@ def transit_stub(
         access = [rng.uniform(alo, ahi) for _ in range(n)]
         base_seed = rng.getrandbits(64)
 
-        def link_fn(i: int, j: int) -> Link:
-            # Canonical pair order: float addition is not associative,
-            # so summing in call order would break exact symmetry.
-            if i > j:
-                i, j = j, i
+        def derive(i: int, j: int) -> Link:
             si, sj = i // stub_size, j // stub_size
             if si == sj:
                 lat = access[i] + access[j]
@@ -282,7 +303,7 @@ def transit_stub(
                         bandwidth=_pair_rng(base_seed, i, j).uniform(blo, bhi),
                         loss=loss)
 
-        return Topology(n, link_fn=link_fn)
+        return Topology(n, link_fn=_per_unordered_pair(derive))
 
     transit_of = [rng.randrange(n_transit) for _ in range(n)]
     stub_uplink = [rng.uniform(slo, shi) for _ in range(n)]
@@ -291,11 +312,8 @@ def transit_stub(
     if lazy:
         base_seed = rng.getrandbits(64)
 
-        def link_fn(i: int, j: int) -> Link:
-            # Canonical pair order keeps latencies exactly symmetric and
-            # identical to the eager path's i<j summation.
-            if i > j:
-                i, j = j, i
+        def derive(i: int, j: int) -> Link:
+            # i < j: the same summation order as the eager path below.
             ti, tj = transit_of[i], transit_of[j]
             core = 0.0 if ti == tj else backbone[(ti, tj)]
             lat = access[i] + stub_uplink[i] + core + stub_uplink[j] + access[j]
@@ -303,7 +321,7 @@ def transit_stub(
                         bandwidth=_pair_rng(base_seed, i, j).uniform(blo, bhi),
                         loss=loss)
 
-        return Topology(n, link_fn=link_fn)
+        return Topology(n, link_fn=_per_unordered_pair(derive))
 
     topo = Topology(n)
     for i in range(n):

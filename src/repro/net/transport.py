@@ -15,6 +15,7 @@ Reliable sends model retransmission as added delay instead of loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs import MetricsRegistry
@@ -28,7 +29,9 @@ RETRANSMIT_TIMEOUT = 0.2
 
 
 class TransportError(Exception):
-    """Raised on sends from/to unattached endpoints."""
+    """Raised on a send from an unattached source, or a non-positive
+    uplink capacity.  An unattached *destination* is not an error: the
+    message is dropped on arrival with reason ``detached``."""
 
 
 @dataclass
@@ -39,6 +42,29 @@ class _Endpoint:
 
 def _pair(a: int, b: int) -> Tuple[int, int]:
     return (a, b) if a <= b else (b, a)
+
+
+class _Path:
+    """Everything a send needs to know about one directed pair.
+
+    The link parameters are a copy of ``Topology.link(src, dst)`` as of
+    ``version`` and are re-read only when the topology's version has
+    moved on; the two watermarks are transport state and outlive any
+    re-read.  Liveness, partitions and fault interposers are *not* here:
+    they change without a topology version and are consulted per send.
+    """
+
+    __slots__ = ("version", "latency", "bandwidth", "loss", "busy_until",
+                 "last_delivery", "tag", "conn")
+
+    def __init__(self, src: int, dst: int) -> None:
+        self.version = -1
+        # FIFO watermark: when the previous byte finishes serializing.
+        self.busy_until = 0.0
+        # In-order watermark for reliable traffic (reset by a break).
+        self.last_delivery = 0.0
+        self.tag = f"net.deliver:{src}->{dst}"
+        self.conn = _pair(src, dst)
 
 
 class Network:
@@ -64,15 +90,13 @@ class Network:
         # TCP-like connection epoch per unordered pair: breaking a
         # connection bumps the epoch, invalidating in-flight messages.
         self._conn_epoch: Dict[Tuple[int, int], int] = {}
-        # FIFO per directed link: when the previous byte finishes serializing.
-        self._busy_until: Dict[Tuple[int, int], float] = {}
+        # One record per directed pair that has carried a send.
+        self._paths: Dict[Tuple[int, int], _Path] = {}
         # Optional per-node uplink capacity (bits/s): all of a node's
         # outgoing transfers serialize through it, modelling the shared
         # access-link bottleneck content-distribution systems contend on.
         self._uplink_bps: Dict[int, float] = {}
         self._uplink_busy: Dict[int, float] = {}
-        # In-order delivery per directed pair for reliable traffic.
-        self._last_delivery: Dict[Tuple[int, int], float] = {}
         # node -> index of its partition group while a partition is
         # installed; unlisted nodes share the implicit group -1.
         self._partition_of: Optional[Dict[int, int]] = None
@@ -95,12 +119,9 @@ class Network:
         self._messages_dropped = self.metrics.counter("net.messages_dropped")
         self._messages_duplicated = self.metrics.counter("net.messages_duplicated")
         self._bytes_sent = self.metrics.counter("net.bytes_sent")
-        # Hot-loop caches: the loss stream is one registry object per
-        # name (looking it up per send costs a dict probe + method call),
-        # and delivery tags are interned per directed pair instead of
-        # being formatted on every send.
+        # Hot-loop cache: the loss stream is one registry object per
+        # name (looking it up per send costs a dict probe + method call).
         self._loss_rng = sim.rng.stream("net.loss")
-        self._deliver_tags: Dict[Tuple[int, int], str] = {}
         self._batch_tags: Dict[int, str] = {}
 
     @property
@@ -244,11 +265,17 @@ class Network:
     # Sending
     # ------------------------------------------------------------------
 
-    def _deliver_tag(self, src: int, dst: int) -> str:
-        tag = self._deliver_tags.get((src, dst))
-        if tag is None:
-            tag = self._deliver_tags[(src, dst)] = f"net.deliver:{src}->{dst}"
-        return tag
+    def _resolve_path(self, src: int, dst: int, path: Optional[_Path]) -> _Path:
+        """(Re)read the pair's link into its path record, creating the
+        record on the pair's first send."""
+        link = self.topology.link(src, dst)
+        if path is None:
+            path = self._paths[(src, dst)] = _Path(src, dst)
+        path.latency = link.latency
+        path.bandwidth = link.bandwidth
+        path.loss = link.loss
+        path.version = self.topology.version
+        return path
 
     def _prepare_send(
         self,
@@ -262,8 +289,8 @@ class Network:
         queue insertion.
 
         Returns ``None`` when the message is dropped at send time, else
-        ``(arrival, delivered_payload, epoch, ctx, fault)``.  Shared by
-        :meth:`send` and :meth:`send_many` so the two paths cannot
+        ``(arrival, delivered_payload, epoch, ctx, fault, tag)``.  Shared
+        by :meth:`send` and :meth:`send_many` so the two paths cannot
         diverge: counters, liveness/partition/fault checks, loss
         sampling, FIFO serialization, and the ``net.send`` trace record
         all happen here, in exactly the per-send order.
@@ -283,48 +310,57 @@ class Network:
             self._drop(src, dst, payload, fault.reason)
             return None
 
-        link = self.topology.link(src, dst)
-        delay = link.latency
-        if link.loss > 0.0:
+        path = self._paths.get((src, dst))
+        if path is None or path.version != self.topology.version:
+            path = self._resolve_path(src, dst, path)
+        delay = path.latency
+        loss = path.loss
+        if loss > 0.0:
             rng = self._loss_rng
             if reliable:
                 # Each sampled loss costs one retransmission timeout.
-                while rng.random() < link.loss:
-                    delay += RETRANSMIT_TIMEOUT + link.latency
-            elif rng.random() < link.loss:
+                while rng.random() < loss:
+                    delay += RETRANSMIT_TIMEOUT + path.latency
+            elif rng.random() < loss:
                 self._drop(src, dst, payload, "loss")
                 return None
 
         # Serialize through the directed link FIFO and, when capped, the
         # sender's shared uplink.
         now = self.sim.now
-        start = max(now, self._busy_until.get((src, dst), 0.0))
+        start = path.busy_until
+        if start < now:
+            start = now
         uplink_bps = self._uplink_bps.get(src)
         if uplink_bps is not None:
             start = max(start, self._uplink_busy.get(src, 0.0))
-            effective_bps = min(link.bandwidth, uplink_bps)
+            effective_bps = min(path.bandwidth, uplink_bps)
             tx_done = start + (size_bytes * 8.0) / effective_bps
             self._uplink_busy[src] = tx_done
         else:
-            tx_done = start + link.transmission_time(size_bytes)
-        self._busy_until[(src, dst)] = tx_done
+            tx_done = start + (size_bytes * 8.0) / path.bandwidth
+        path.busy_until = tx_done
         arrival = tx_done + delay
 
         displaced = fault is not None and fault.extra_delay > 0.0
         if displaced:
             arrival += fault.extra_delay
-        if reliable and not displaced:
-            # FIFO in-order delivery per directed pair.  A chaos-displaced
-            # message deliberately skips the clamp (and leaves the FIFO
-            # watermark alone): reordering *is* the injected fault.
-            arrival = max(arrival, self._last_delivery.get((src, dst), 0.0))
-            self._last_delivery[(src, dst)] = arrival
+        epoch = None
+        if reliable:
+            if not displaced:
+                # FIFO in-order delivery per directed pair.  A
+                # chaos-displaced message deliberately skips the clamp
+                # (and leaves the watermark alone): reordering *is* the
+                # injected fault.
+                if arrival < path.last_delivery:
+                    arrival = path.last_delivery
+                path.last_delivery = arrival
+            epoch = self._conn_epoch.get(path.conn, 0)
 
         delivered_payload = payload
         if fault is not None and fault.replace is not None:
             delivered_payload = fault.replace
 
-        epoch = self._conn_epoch.get(_pair(src, dst), 0) if reliable else None
         tracer = self.sim.causal
         ctx = None
         if tracer is not None:
@@ -333,15 +369,15 @@ class Network:
         if trace.enabled:
             trace.record(now, "net.send", node=src, dst=dst, size=size_bytes,
                          kind=type(payload).__name__)
-        return arrival, delivered_payload, epoch, ctx, fault
+        return arrival, delivered_payload, epoch, ctx, fault, path.tag
 
     def _schedule_duplicates(self, src, dst, arrival, payload, epoch, ctx, fault) -> None:
         for extra in fault.duplicate_delays[: fault.duplicates]:
             self._messages_duplicated.value += 1
             self.sim.schedule_at(
                 arrival + extra,
-                lambda: self._deliver(src, dst, payload, epoch, ctx, dup=True),
-                tag=f"net.deliver-dup:{src}->{dst}",
+                partial(self._deliver, src, dst, payload, epoch, ctx, True),
+                f"net.deliver-dup:{src}->{dst}",
             )
 
     def send(
@@ -362,11 +398,9 @@ class Network:
         prepared = self._prepare_send(src, dst, payload, size_bytes, reliable)
         if prepared is None:
             return False
-        arrival, delivered_payload, epoch, ctx, fault = prepared
+        arrival, delivered_payload, epoch, ctx, fault, tag = prepared
         self.sim.schedule_at(
-            arrival,
-            lambda: self._deliver(src, dst, delivered_payload, epoch, ctx),
-            tag=self._deliver_tag(src, dst),
+            arrival, partial(self._deliver, src, dst, delivered_payload, epoch, ctx), tag,
         )
         if fault is not None and fault.duplicates:
             self._schedule_duplicates(src, dst, arrival, delivered_payload,
@@ -407,13 +441,12 @@ class Network:
         results: List[bool] = []
         batch: List[tuple] = []
         batch_arrival = 0.0
-        schedule_at = self.sim.schedule_at
         for dst in dsts:
             prepared = self._prepare_send(src, dst, payload, size_bytes, reliable)
             if prepared is None:
                 results.append(False)
                 continue
-            arrival, delivered_payload, epoch, ctx, fault = prepared
+            arrival, delivered_payload, epoch, ctx, fault, _tag = prepared
             if batch and arrival != batch_arrival:
                 self._flush_batch(src, batch_arrival, batch)
                 batch = []
@@ -433,17 +466,14 @@ class Network:
         if len(batch) == 1:
             dst, payload, epoch, ctx = batch[0]
             self.sim.schedule_at(
-                arrival,
-                lambda: self._deliver(src, dst, payload, epoch, ctx),
-                tag=self._deliver_tag(src, dst),
+                arrival, partial(self._deliver, src, dst, payload, epoch, ctx),
+                self._paths[(src, dst)].tag,
             )
             return
         tag = self._batch_tags.get(src)
         if tag is None:
             tag = self._batch_tags[src] = f"net.deliver-many:{src}"
-        self.sim.schedule_at(
-            arrival, lambda: self._deliver_batch(src, batch), tag=tag,
-        )
+        self.sim.schedule_at(arrival, partial(self._deliver_batch, src, batch), tag)
 
     def _deliver_batch(self, src: int, batch: List[tuple]) -> None:
         if self.sim.causal is not None:
@@ -454,14 +484,13 @@ class Network:
         # per-message attribute walks hoisted: a k-peer broadcast fires
         # k application handlers from one event, so this loop IS the
         # simulator's hot loop at scale.
-        conn_epoch_get = self._conn_epoch.get
+        epochs = self._conn_epoch
         is_up = self.liveness.is_up
         endpoints_get = self._endpoints.get
         delivered = self._messages_delivered
         trace = self.sim.trace
         for dst, payload, epoch, ctx in batch:
-            if (epoch is not None
-                    and conn_epoch_get(_pair(src, dst), 0) != epoch):
+            if epoch is not None and epochs and epochs.get(_pair(src, dst), 0) != epoch:
                 self._drop(src, dst, payload, "connection-broken", ctx,
                            at_dst=True)
                 continue
@@ -487,7 +516,10 @@ class Network:
         ctx: Optional[Any] = None,
         dup: bool = False,
     ) -> None:
-        if epoch is not None and self._conn_epoch.get(_pair(src, dst), 0) != epoch:
+        # No epoch is recorded until some connection has been broken, and
+        # until then every in-flight epoch is the default 0.
+        epochs = self._conn_epoch
+        if epoch is not None and epochs and epochs.get(_pair(src, dst), 0) != epoch:
             self._drop(src, dst, payload, "connection-broken", ctx, at_dst=True)
             return
         if not self.liveness.is_up(dst):
@@ -551,8 +583,10 @@ class Network:
         """
         key = _pair(a, b)
         self._conn_epoch[key] = self._conn_epoch.get(key, 0) + 1
-        self._last_delivery.pop((a, b), None)
-        self._last_delivery.pop((b, a), None)
+        for directed in ((a, b), (b, a)):
+            path = self._paths.get(directed)
+            if path is not None:
+                path.last_delivery = 0.0
         self.sim.trace.record(self.sim.now, "net.break", node=a, peer=b)
         self._notify_topology("break")
         for me, peer in ((a, b), (b, a)):

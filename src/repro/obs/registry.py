@@ -32,6 +32,8 @@ import math
 from collections.abc import Mapping, MutableMapping
 from typing import Any, Dict, Iterator, Optional, Tuple
 
+from .spans import NULL_SPAN, Span, SpanStats
+
 LabelSet = Tuple[Tuple[str, Any], ...]
 
 
@@ -262,8 +264,6 @@ class MetricsRegistry:
     def span(self, name: str, clock=None, **labels: Any):
         """A timing span (see :mod:`repro.obs.spans`); a shared no-op
         object when the registry is disabled."""
-        from .spans import NULL_SPAN, Span, SpanStats
-
         if not self.enabled:
             return NULL_SPAN
         key = (name, _labelset(labels))

@@ -487,6 +487,13 @@ class CrystalBallRuntime(InboundInterposer):
                 )
                 peers = self.neighbors()
                 size = message.wire_size()
+                # NOTE: on a forwarding wrapper (ReliableLayer) this
+                # instance lookup finds the RAW network's send_many, so
+                # full checkpoints bypass the at-least-once layer.
+                # Node.broadcast_out asks the transport's class instead;
+                # this one is left as is on purpose, because routing
+                # checkpoints through the wrapper changes A7's
+                # reliable-variant traffic and its recorded numbers.
                 send_many = getattr(self.node.network, "send_many", None)
                 if send_many is not None:
                     # Batched fan-out: one queue insertion per distinct

@@ -43,21 +43,23 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self.clock.now
+        # The scheduler owns the clock and reads its slot directly, here
+        # and in schedule/schedule_at/run: several reads per message.
+        return self.clock._now
 
     def schedule(self, delay: float, callback: Callable[[], None], tag: str = "") -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        return self.queue.push(self.now + delay, callback, tag=tag)
+        return self.queue.push(self.clock._now + delay, callback, tag)
 
     def schedule_at(self, time: float, callback: Callable[[], None], tag: str = "") -> EventHandle:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        if time < self.now:
+        if time < self.clock._now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is before now ({self.now!r})"
             )
-        return self.queue.push(time, callback, tag=tag)
+        return self.queue.push(time, callback, tag)
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a scheduled event; returns whether it was still live."""
@@ -92,18 +94,18 @@ class Simulator:
         """
         dispatched = 0
         # Inlined hot loop: pop_if does the peek and the pop in one heap
-        # inspection, and the clock/counter accesses are hoisted out of
-        # the attribute-lookup chain.
+        # inspection, and the clock advances in place (queue times are
+        # already floats); advance_to is called only to raise.
         pop_if = self.queue.pop_if
-        advance_to = self.clock.advance_to
-        while True:
-            if max_events is not None and dispatched >= max_events:
-                break
+        clock = self.clock
+        while max_events is None or dispatched < max_events:
             popped = pop_if(until)
             if popped is None:
                 break
             time, _tag, callback = popped
-            advance_to(time)
+            if time < clock._now:
+                clock.advance_to(time)
+            clock._now = time
             dispatched += 1
             callback()
         self.events_dispatched += dispatched

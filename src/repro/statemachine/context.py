@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..choice.choicepoint import ChoiceError, ChoicePoint
 from ..sim.rng import derive_seed
@@ -89,23 +89,18 @@ class LiveContext(Context):
 
     def __init__(self, node) -> None:
         self.node = node
+        # The four downcalls the node implements itself are bound, not
+        # wrapped: a service's send reaches Node.send_out in one frame.
+        self.send = node.send_out
+        self.broadcast = node.broadcast_out
+        self.set_timer = node.set_timer
+        self.cancel_timer = node.cancel_timer
+        self._streams: Dict[str, random.Random] = {}
 
     def now(self) -> float:
         # clock_skew is chaos-injected: the service's view of time can
         # drift from simulated truth, but scheduling stays exact.
         return self.node.sim.now + self.node.clock_skew
-
-    def send(self, dst: int, msg: Any) -> None:
-        self.node.send_out(dst, msg)
-
-    def broadcast(self, dsts, msg: Any) -> None:
-        self.node.broadcast_out(dsts, msg)
-
-    def set_timer(self, name: str, delay: float, payload: Any = None) -> None:
-        self.node.set_timer(name, delay, payload)
-
-    def cancel_timer(self, name: str) -> None:
-        self.node.cancel_timer(name)
 
     def choose(self, point: ChoicePoint) -> Any:
         value = self.node.resolve_choice(point)
@@ -135,10 +130,18 @@ class LiveContext(Context):
         return spec
 
     def random(self, stream: str) -> random.Random:
-        return self.node.sim.rng.stream(f"node{self.node.node_id}.{stream}")
+        # The registry hands out one object per name for the whole run,
+        # so the node-scoped name is formatted once per stream.
+        found = self._streams.get(stream)
+        if found is None:
+            found = self._streams[stream] = self.node.sim.rng.stream(
+                f"node{self.node.node_id}.{stream}")
+        return found
 
     def record(self, category: str, **data: Any) -> None:
-        self.node.sim.trace.record(self.node.sim.now, category, node=self.node.node_id, **data)
+        trace = self.node.sim.trace
+        if trace.enabled:
+            trace.record(self.node.sim.now, category, node=self.node.node_id, **data)
 
 
 class SandboxContext(Context):

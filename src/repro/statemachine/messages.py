@@ -8,10 +8,10 @@ world states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Hashable
 
-from .serialization import freeze
+from .serialization import _field_names, freeze
 
 
 @dataclass
@@ -35,8 +35,8 @@ class Message:
         this with their real block size.
         """
         size = 64
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _field_names(self):
+            value = getattr(self, name)
             if isinstance(value, (bytes, str)):
                 size += len(value)
             elif isinstance(value, (list, tuple, set, frozenset, dict)):

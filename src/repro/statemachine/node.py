@@ -230,9 +230,12 @@ class Node:
         if not passed:
             return results
         size = msg.wire_size() if hasattr(msg, "wire_size") else 1024
-        send_many = getattr(self.network, "send_many", None)
-        if send_many is not None:
-            accepted = send_many(self.node_id, passed, msg, size_bytes=size)
+        # Asked of the transport's class, not the instance: a wrapper
+        # that forwards unknown attributes (ReliableLayer) would hand
+        # back the raw network's send_many and the fan-out would bypass
+        # the wrapper's own send.
+        if hasattr(type(self.network), "send_many"):
+            accepted = self.network.send_many(self.node_id, passed, msg, size_bytes=size)
         else:
             accepted = [
                 self.network.send(self.node_id, dst, msg, size_bytes=size)
@@ -242,7 +245,7 @@ class Node:
         return [bool(flag and next(it)) for flag in results]
 
     def _on_message(self, src: int, dst: int, payload: Any) -> None:
-        if not self.is_up:
+        if not self.network.liveness.is_up(self.node_id):
             return
         for interposer in self.inbound_interposers:
             if not interposer.on_inbound(self, src, payload):
@@ -264,7 +267,8 @@ class Node:
             self.service.deliver(src, payload)
         finally:
             self.current_dispatch = None
-        self._after_dispatch()
+        if self.inbound_interposers:
+            self._after_dispatch()
 
     def _after_dispatch(self) -> None:
         for interposer in self.inbound_interposers:
@@ -345,7 +349,8 @@ class Node:
             self.service.fire_timer(name, payload)
         finally:
             self.current_dispatch = None
-        self._after_dispatch()
+        if self.inbound_interposers:
+            self._after_dispatch()
 
     def pending_timers(self) -> List[tuple]:
         """Live timers as ``(name, deadline, payload)`` (for snapshots)."""

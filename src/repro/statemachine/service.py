@@ -37,6 +37,14 @@ class Service:
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._msg_handlers, cls._timer_handlers = collect_handlers(cls)
+        # Message types with exactly one handler and no guard need no
+        # applicability scan: deliver() finds their spec in one lookup.
+        # Rebuilt per subclass, so a subclass that adds a second handler
+        # or a guard for a type takes that type off the table.
+        cls._sole_handlers = {
+            msg_cls: specs[0] for msg_cls, specs in cls._msg_handlers.items()
+            if len(specs) == 1 and specs[0].guard is None
+        }
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
@@ -121,14 +129,16 @@ class Service:
         applicable handler (they are traced and ignored, matching
         transport semantics of unhandled messages).
         """
-        specs = self.applicable_handlers(src, msg)
-        if not specs:
-            self.record("service.unhandled", msg=type(msg).__name__, src=src)
-            return False
-        if len(specs) == 1:
-            spec = specs[0]
-        else:
-            spec = self.ctx.choose_handler(src, msg, specs)
+        spec = self._sole_handlers.get(type(msg))
+        if spec is None:
+            specs = self.applicable_handlers(src, msg)
+            if not specs:
+                self.record("service.unhandled", msg=type(msg).__name__, src=src)
+                return False
+            if len(specs) == 1:
+                spec = specs[0]
+            else:
+                spec = self.ctx.choose_handler(src, msg, specs)
         self.invoke_handler(spec, src, msg)
         return True
 

@@ -272,3 +272,40 @@ def test_retry_delivery_carries_attempt_number():
     graph = HappensBeforeGraph.from_trace(sim.trace)
     chain = graph.chain(landed.causal["ev"])
     assert chain[0].id == root  # back to the dispatch that sent it
+
+
+def test_service_broadcast_goes_through_the_reliable_layer():
+    # ReliableLayer forwards unknown attributes to the raw network, so an
+    # instance lookup of ``send_many`` finds Network.send_many and a
+    # Service.broadcast would silently skip the ack/retry protocol.
+    from dataclasses import dataclass
+
+    from repro.chaos import reliable_transport
+    from repro.statemachine import Cluster, Message, Service, msg_handler
+
+    @dataclass
+    class Note(Message):
+        text: str
+
+    class Chatter(Service):
+        state_fields = ("heard",)
+
+        def __init__(self, node_id):
+            super().__init__(node_id)
+            self.heard = []
+
+        @msg_handler(Note)
+        def on_note(self, src, msg):
+            self.heard.append((src, msg.text))
+
+    cluster = Cluster(4, Chatter, transport_wrapper=reliable_transport())
+    cluster.start_all()
+    cluster.service(0).broadcast([1, 2, 3], Note("all"))
+    cluster.service(0).send(1, Note("one"))
+    cluster.run()
+    layer = cluster.transport
+    assert layer.stats["sent"] == 4
+    assert layer.stats["acked"] == 4
+    assert layer.pending_count == 0
+    assert cluster.service(1).heard == [(0, "all"), (0, "one")]
+    assert cluster.service(2).heard == cluster.service(3).heard == [(0, "all")]

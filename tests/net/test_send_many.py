@@ -12,7 +12,7 @@ separately.
 import random
 
 from repro.chaos.faults import FaultDecision
-from repro.net import Link, Network, Topology, full_mesh
+from repro.net import Link, Network, Topology, full_mesh, schedule_latency_change
 from repro.sim import Simulator
 
 
@@ -170,6 +170,30 @@ def test_broken_connection_epochs_equivalent():
         return out
 
     _assert_equivalent(3, full_mesh, script)
+
+
+def test_mid_run_link_changes_equivalent():
+    # The transport caches link parameters per pair; a change between
+    # two broadcasts (direct and scheduled, with FIFOs still busy) must
+    # reach both paths at the same send.
+    def topo(n):
+        return Topology(n, default=Link(latency=0.05, bandwidth=1e6))
+
+    def script(net, mode):
+        sim = net.sim
+        out = _broadcast(net, mode, 0, [1, 2, 3], "warm", size_bytes=20_000)
+        sim.run(until=0.01)
+        net.topology.set_symmetric(0, 2, Link(latency=0.3, bandwidth=1e5))
+        schedule_latency_change(sim, net.topology, at=0.02, a=0, b=3, latency=0.001)
+        out += _broadcast(net, mode, 0, [1, 2, 3], "moved", size_bytes=20_000)
+        sim.run(until=0.03)
+        out += _broadcast(net, mode, 0, [3, 2, 1], "again")
+        out += _broadcast(net, mode, 2, [0, 3], "reverse")
+        return out
+
+    sim, _ = _assert_equivalent(4, topo, script)
+    latency_changes = list(sim.trace.select("net.latency_change"))
+    assert len(latency_changes) == 1
 
 
 def test_send_many_batches_same_arrival_into_one_event():

@@ -134,6 +134,7 @@ def test_random_uniform_lazy_matches_bounds_and_symmetry():
         lat = topo.latency(i, j)
         assert 0.01 <= lat <= 0.05
         assert lat == topo.latency(j, i)
+        assert topo.link(i, j) is topo.link(j, i)      # one derivation per pair
 
 
 def test_random_uniform_lazy_deterministic_per_seed():
@@ -161,6 +162,10 @@ def test_transit_stub_grouped_mode_scales_sparse():
     cross = topo.latency(0, 1023)
     assert 0.0 < same < cross
     assert topo.latency(0, 1023) == topo.latency(1023, 0)
+    # Both directions share one Link: the pair's seed derivation (a
+    # SHA-256 and a Random) is paid once, whichever side asks first.
+    assert topo.link(0, 1023) is topo.link(1023, 0)
+    assert topo.link(1, 0) is topo.link(0, 1)
 
 
 def test_transit_stub_grouped_mode_deterministic():
@@ -187,6 +192,7 @@ def test_transit_stub_legacy_lazy_keeps_structure():
     for i in range(16):
         for j in range(16):
             assert eager.latency(i, j) == lazy.latency(i, j)
+            assert lazy.link(i, j) is lazy.link(j, i)
 
 
 def test_set_link_still_overrides_computed_topology():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import ClockError, SimulationError, Simulator
 
 
 def test_schedule_and_run_until():
@@ -51,6 +51,35 @@ def test_max_events_bounds_dispatch():
         sim.schedule(float(i + 1), lambda: None)
     assert sim.run(max_events=4) == 4
     assert len(sim.queue) == 6
+
+
+def test_max_events_zero_n_and_none():
+    sim = Simulator()
+    fired = []
+    for i in range(5):
+        sim.schedule(float(i + 1), lambda i=i: fired.append(i))
+    assert sim.run(max_events=0) == 0
+    assert fired == [] and sim.now == 0.0 and len(sim.queue) == 5
+    assert sim.run(max_events=2) == 2
+    assert fired == [0, 1] and sim.now == 2.0
+    assert sim.run(until=3.5, max_events=None) == 1
+    assert fired == [0, 1, 2] and sim.now == 3.5
+    assert sim.run() == 2
+    assert sim.now == 5.0 and sim.events_dispatched == 5
+
+
+def test_event_behind_the_clock_raises_clock_error_undispatched():
+    # schedule/schedule_at refuse the past; an entry pushed behind the
+    # clock some other way must still stop the run loop, not rewind time.
+    sim = Simulator()
+    sim.run(until=5.0)
+    fired = []
+    sim.queue.push(1.0, lambda: fired.append("late"))
+    with pytest.raises(ClockError):
+        sim.run()
+    assert fired == [] and sim.now == 5.0
+    with pytest.raises(SimulationError):
+        sim.schedule_at(4.9, lambda: None)
 
 
 def test_negative_delay_rejected():
