@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import MetricsRegistry, stats_view
+from ..obs import NULL_SPAN, MetricsRegistry, Span, stats_view
 
 
 class ChaosError(ValueError):
@@ -159,6 +159,9 @@ class LinkChaos:
         self._reorder_rng = stream("chaos.reorder")
         self._corrupt_rng = stream("chaos.corrupt")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # The one re-enterable "chaos.apply" span, held from the first
+        # interposition that finds the registry enabled.
+        self._span: Optional[Span] = None
         self.stats = stats_view(
             self.metrics, "chaos",
             ("dropped", "duplicated", "reordered", "corrupted", "flap_dropped"),
@@ -211,7 +214,10 @@ class LinkChaos:
 
     def apply(self, src: int, dst: int, payload: Any, now: float) -> Optional[FaultDecision]:
         """Decide the fate of one send; ``None`` means untouched."""
-        with self.metrics.span("chaos.apply", clock=self._sim_clock):
+        span = self._span if self.metrics.enabled else NULL_SPAN
+        if span is None:
+            span = self._span = self.metrics.span("chaos.apply", clock=self._sim_clock)
+        with span:
             return self._apply(src, dst, payload, now)
 
     def _sim_clock(self) -> float:

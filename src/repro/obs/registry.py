@@ -306,17 +306,17 @@ class MetricsRegistry:
         }
 
     def reset(self) -> None:
-        """Zero every instrument (handles stay valid)."""
+        """Zero every instrument in place: handles, held spans included,
+        stay valid and keep recording into this registry."""
         for counter in self._counters.values():
             counter.value = 0
         for gauge in self._gauges.values():
             gauge.value = 0.0
-        for key in list(self._histograms):
-            hist = self._histograms[key]
-            self._histograms[key] = Histogram(
-                hist.name, hist.labels, buckets=hist.buckets or None, registry=self,
-            )
-        self._spans.clear()
+        # Zeroed means as constructed, so the constructors are run again.
+        for hist in self._histograms.values():
+            hist.__init__(hist.name, hist.labels, buckets=hist.buckets or None, registry=self)
+        for stats in self._spans.values():
+            stats.__init__(stats.name, stats.labels)
 
     def __repr__(self) -> str:
         return (f"MetricsRegistry(enabled={self.enabled}, "

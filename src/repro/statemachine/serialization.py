@@ -9,8 +9,10 @@ Plain data means: ``None``, ``bool``, ``int``, ``float``, ``str``,
 ``bytes``, and ``dict``/``list``/``tuple``/``set``/``frozenset``/
 ``collections.deque`` of plain data, plus dataclass instances whose
 fields are plain data (covers wire messages).  Deques round-trip as
-deques (and freeze with their own tag) so queue-shaped service state
-survives checkpoint/restore with its type intact.
+deques, bound (``maxlen``) included, and freeze with their own tag, so
+queue-shaped service state survives checkpoint/restore with its type
+intact.  The frozen form does not carry ``maxlen``: a bounded and an
+unbounded deque with the same elements are one state to the digest.
 
 Both walkers dispatch on the exact ``type()`` of a value through one
 table each.  A container whose elements are all scalars is handled by a
@@ -24,12 +26,22 @@ the original.  Subclasses of the plain types (``defaultdict``,
 namedtuples, ``IntEnum``, ...) are not in the tables; an ``isinstance``
 scan finds their base type and they come back normalized to it (a
 namedtuple as a plain ``tuple``), never shared.
+
+A log is hashed, not spelled out: a container of at least ``_RUN_MIN``
+elements that are all exact ``int``, or all tuples (or all lists) of
+one width holding only exact ``int``, freezes to one leaf ``(tag,
+shape, count, sha256hex)`` over the packed run instead of one tagged
+tuple per element (see ``_run_leaf``).  Which form a value takes
+depends on the value alone, and the two cannot collide: a spelled-out
+container is a 2-tuple whose second item is a tuple.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import sys
+from array import array
 from collections import deque
 from itertools import chain, repeat
 from operator import is_
@@ -40,11 +52,16 @@ _SCALARS = frozenset(_SCALAR_TYPES)
 
 # Exact container types that, holding only scalars, are copied by one call
 # of the mapped constructor (``None``: immutable, shared instead) ...
-_FLAT_COPY: Dict[type, Optional[type]] = {
-    tuple: None, frozenset: None, list: list, set: set, deque: deque,
+_FLAT_COPY: Dict[type, Optional[Callable[[Any], Any]]] = {
+    tuple: None, frozenset: None, list: list, set: set, deque: deque.copy,
 }
 # ... and frozen by pairing their elements with the mapped tag.
 _FLAT_TAGS: Dict[type, str] = {tuple: "__tuple__", list: "__list__", deque: "__deque__"}
+
+# Shortest int run that freezes to a hashed leaf.  Below it one hashlib
+# call costs more than the tags it saves; a log passes it within a
+# batch or two, and no container of a tree or gossip service reaches it.
+_RUN_MIN = 32
 
 # Field names per dataclass type, filled when the first instance of the
 # class is met (``dataclasses.fields`` rebuilds its tuple per call).
@@ -113,7 +130,7 @@ def _copy_list(value: list) -> list:
 
 
 def _copy_deque(value: deque) -> deque:
-    return deque(_copied_elements(value))
+    return deque(_copied_elements(value), value.maxlen)
 
 
 def _copy_set(value: set) -> set:
@@ -208,20 +225,68 @@ def _frozen_elements(values: Any) -> Any:
     return [freeze(v) for v in values]
 
 
+def _run_leaf(tag: str, values: Any, ordered: bool = True) -> Optional[Hashable]:
+    """The leaf ``(tag, shape, count, sha256hex)`` if ``values`` is an
+    int run, else ``None``.
+
+    ``shape`` is ``"q"`` when the elements are all exact ``int`` and
+    ``"t<w>"`` / ``"l<w>"`` when they are all tuples / all lists of one
+    width ``w > 0`` holding only exact ``int``; the hash is the full
+    SHA-256 of the run packed row-major as little-endian int64, in
+    iteration order or, unless ``ordered``, in natural sorted order.
+    ``bool``, ``float`` and ``IntEnum`` cells are told from the int they
+    equal by their ``repr`` alone, and an int outside 64 bits does not
+    pack: all of those stay spelled out.
+    """
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        shape, cells = "q", values
+    else:
+        # A namedtuple row is a tuple row, as everywhere else in freeze:
+        # snapshot_value hands it back as one and no digest may notice.
+        if all(issubclass(kind, tuple) for kind in kinds):
+            shape = "t"
+        elif all(issubclass(kind, list) for kind in kinds):
+            shape = "l"
+        else:
+            return None
+        widths = set(map(len, values))
+        # Flattened once, for the check and for the packing; ragged
+        # rows leave no cells and fail with the empty ones.
+        cells = list(chain.from_iterable(values)) if len(widths) == 1 else ()
+        if set(map(type, cells)) != {int}:
+            return None
+        shape += str(widths.pop())
+    if not ordered:
+        values = sorted(values)
+        cells = values if shape == "q" else chain.from_iterable(values)
+    try:
+        packed = array("q", cells)
+    except OverflowError:
+        return None
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return (tag, shape, len(values), hashlib.sha256(packed).hexdigest())
+
+
 def _freeze_list(value: list) -> Hashable:
-    return ("__list__", tuple(_frozen_elements(value)))
+    leaf = len(value) >= _RUN_MIN and _run_leaf("__list__", value)
+    return leaf or ("__list__", tuple(_frozen_elements(value)))
 
 
 def _freeze_deque(value: deque) -> Hashable:
-    return ("__deque__", tuple(_frozen_elements(value)))
+    leaf = len(value) >= _RUN_MIN and _run_leaf("__deque__", value)
+    return leaf or ("__deque__", tuple(_frozen_elements(value)))
 
 
 def _freeze_tuple(value: tuple) -> Hashable:
-    return ("__tuple__", tuple(_frozen_elements(value)))
+    leaf = len(value) >= _RUN_MIN and _run_leaf("__tuple__", value)
+    return leaf or ("__tuple__", tuple(_frozen_elements(value)))
 
 
 def _freeze_set(value: Any) -> Hashable:
-    return ("__set__", tuple(sorted(_frozen_elements(value), key=repr)))
+    leaf = len(value) >= _RUN_MIN and _run_leaf("__set__", value, ordered=False)
+    return leaf or ("__set__", tuple(sorted(_frozen_elements(value), key=repr)))
 
 
 def _key_repr(item: tuple) -> str:
@@ -229,6 +294,11 @@ def _key_repr(item: tuple) -> str:
 
 
 def _freeze_dict(value: dict) -> Hashable:
+    leaf = len(value) >= _RUN_MIN and _run_leaf("__dict__", value, ordered=False)
+    if leaf:
+        # Keys that are a run are hashed; the held values follow as one
+        # tuple in the keys' natural order.
+        return (*leaf, freeze(tuple(map(value.__getitem__, sorted(value)))))
     items = zip(_frozen_elements(value), _frozen_elements(value.values()))
     return ("__dict__", tuple(sorted(items, key=_key_repr)))
 

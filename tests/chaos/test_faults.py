@@ -12,6 +12,7 @@ from repro.chaos import (
     NULL_PROFILE,
 )
 from repro.net import Network, full_mesh
+from repro.obs import MetricsRegistry
 from repro.sim import LivenessRegistry, Simulator
 
 
@@ -172,3 +173,40 @@ class TestLinkChaos:
             sim.run()
             outcomes.append((len(inboxes[1]), dict(chaos.stats)))
         assert outcomes[0] == outcomes[1]
+
+    def test_one_span_handle_serves_every_interposition(self, monkeypatch):
+        lookups = []
+        original = MetricsRegistry.span
+
+        def counted(registry, name, **kwargs):
+            lookups.append(name)
+            return original(registry, name, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "span", counted)
+        sim, net, _ = make_net()
+        metrics = MetricsRegistry(enabled=False)
+        chaos = LinkChaos(sim, metrics=metrics)
+        chaos.set_profile(LinkFaultProfile(drop=0.3))
+        net.add_fault_interposer(chaos)
+
+        def send(count):
+            for _ in range(count):
+                net.send(0, 1, "m", reliable=False)
+
+        send(10)                      # disabled: no lookup, nothing recorded
+        assert lookups == [] and metrics.snapshot()["spans"] == {}
+        metrics.enabled = True        # read per call, not frozen at construction
+        send(25)
+        sim.run(until=1.0)
+        send(15)
+        apply = metrics.snapshot()["spans"]["chaos.apply"]
+        assert apply["count"] == 40 and apply["sim_window"] == [0.0, 1.0]
+        metrics.enabled = False
+        send(5)
+        assert metrics.snapshot()["spans"]["chaos.apply"]["count"] == 40
+        # A reset zeroes in place: the held span keeps feeding the registry.
+        metrics.enabled = True
+        metrics.reset()
+        send(7)
+        assert metrics.snapshot()["spans"]["chaos.apply"]["count"] == 7
+        assert lookups == ["chaos.apply"]

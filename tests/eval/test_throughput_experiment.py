@@ -1,5 +1,8 @@
 """T1/T2 throughput experiment: steering modes and digest discipline."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.eval import run_throughput_experiment, steering_mode
@@ -62,3 +65,16 @@ def test_modes_off_and_static_unaffected_by_amortized_machinery():
         run_throughput_experiment("static", **SMALL).state_digest
         == static.state_digest
     )
+
+
+def test_t1_replay_gives_one_digest_and_it_is_the_recorded_one():
+    """The decided logs here are long int runs, digested as hashed
+    leaves: same seed, same digest — the one BENCH_T1.json records and
+    ``benchmarks/bench_t2_amortized.py`` compares the static mode to."""
+    replay = dict(seed=7, total_requests=1_500, horizon=10.0)
+    first = run_throughput_experiment("static", **replay)
+    second = run_throughput_experiment("static", **replay)
+    assert first.committed == second.committed == 1_500
+    assert first.state_digest == second.state_digest
+    recorded = json.loads((Path(__file__).resolve().parents[2] / "BENCH_T1.json").read_text())
+    assert first.state_digest == recorded["metrics"]["repro_digest"]

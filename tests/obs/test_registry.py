@@ -115,6 +115,33 @@ def test_snapshot_and_reset():
     assert registry.snapshot()["spans"] == {}
 
 
+def test_reset_zeroes_in_place_so_held_handles_keep_recording():
+    registry = MetricsRegistry()
+    hist = registry.histogram("h", buckets=(1.0, 10.0), node=1)
+    span = registry.span("s", clock=lambda: 5.0)
+    hist.observe(0.5)
+    with span:
+        span.annotate(hits=3)
+    registry.reset()
+    assert registry.histogram("h", node=1) is hist
+    assert registry.span_stats("s") is span.stats
+    assert (hist.count, hist.total, hist.bucket_counts, hist.quantile(0.5)) == (0, 0.0, [0, 0, 0], None)
+    assert hist.summary()["min"] is None and hist.buckets == (1.0, 10.0)
+    assert registry.snapshot()["histograms"] == registry.snapshot()["spans"] == {}
+    hist.observe(2.0)
+    with span:
+        pass
+    snap = registry.snapshot()
+    assert snap["histograms"]["h{node=1}"]["count"] == 1
+    assert snap["histograms"]["h{node=1}"]["buckets"] == {"1.0": 0, "10.0": 1, "+inf": 0}
+    assert snap["spans"]["s"]["count"] == 1 and "attrs" not in snap["spans"]["s"]
+    assert snap["spans"]["s"]["sim_window"] == [5.0, 5.0]
+    # A disabled registry still gates the handle after a reset.
+    registry.enabled = False
+    hist.observe(3.0)
+    assert hist.count == 1
+
+
 def test_stats_view_repr_is_dict_repr():
     view = stats_view(MetricsRegistry(), "r", ("x",))
     assert repr(view) == "{'x': 0}"

@@ -1,5 +1,6 @@
 """Checkpoint serialization, freezing, and digests."""
 
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
@@ -105,6 +106,46 @@ def test_checkpoint_and_restore_roundtrip():
     restore_state(holder, checkpoint)
     assert holder.x == [1, 2]
     assert holder.y == {"k": 3}
+
+
+class Ring(deque):
+    pass
+
+
+@pytest.mark.parametrize("queue", [
+    deque([1, 2, 3], maxlen=3),                # flat: one constructor call
+    deque([[1], [2, 3]], maxlen=4),            # holding something mutable
+    Ring([1, (2, 3)], maxlen=2),               # subclass, back as a plain deque
+], ids=["flat", "nested-mutable", "subclass"])
+def test_a_bounded_deque_keeps_its_bound(queue):
+    copy = snapshot_value(queue)
+    assert type(copy) is deque and copy == deque(queue)
+    assert copy.maxlen == queue.maxlen
+    copy.extend([7, 8, 9, 10])
+    assert len(copy) == queue.maxlen          # still drops from the left
+
+
+def test_a_bounded_deque_keeps_its_bound_wherever_it_sits():
+    class Holder:
+        pass
+
+    holder = Holder()
+    # Rows of flat deques are copied by one map() over the rows.
+    holder.windows = [deque([1, 2], maxlen=2), deque([3], maxlen=2)]
+    holder.inbox = {"recent": deque([(0, 1)], maxlen=5)}
+    checkpoint = checkpoint_state(holder, ("windows", "inbox"))
+    holder.windows[0].append(99)
+    restore_state(holder, checkpoint)
+    assert holder.windows == [deque([1, 2]), deque([3])]
+    assert [w.maxlen for w in holder.windows] == [2, 2]
+    assert holder.inbox["recent"].maxlen == 5
+    assert holder.windows[0] is not checkpoint["windows"][0]
+    assert snapshot_value(deque([1, 2])).maxlen is None
+
+
+def test_the_frozen_form_does_not_carry_the_bound():
+    assert freeze(deque([1, 2], maxlen=2)) == freeze(deque([1, 2]))
+    assert digest(deque(range(40), maxlen=64)) == digest(deque(range(40)))
 
 
 def test_digest_differs_for_different_values():

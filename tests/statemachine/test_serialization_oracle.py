@@ -5,18 +5,27 @@ constructor-level fast paths.  The walkers they replaced — one
 ``isinstance`` chain per element, every container rebuilt — are kept
 here, and only here, as the oracle: outputs must be equal, of identical
 types, and encode to identical bytes.
+
+A long int run no longer freezes to the oracle's bytes (it is one
+hashed leaf), so for values that hold one the oracle judges equality
+classes instead: two values digest alike iff the oracle's digests do.
 """
 
 import dataclasses
+import hashlib
+import random
+import struct
+import tracemalloc
 from collections import OrderedDict, defaultdict, deque, namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.statemachine import Message, SerializationError, digest, freeze, snapshot_value
-from repro.statemachine.serialization import encode_frozen
+from repro.statemachine import serialization
+from repro.statemachine.serialization import _RUN_MIN, digest_of_frozen, encode_frozen
 
 # ----------------------------------------------------------------------
 # Oracle: the walkers as they were before the dispatch table
@@ -33,7 +42,7 @@ def oracle_snapshot(value):
     if isinstance(value, list):
         return [oracle_snapshot(v) for v in value]
     if isinstance(value, deque):
-        return deque(oracle_snapshot(v) for v in value)
+        return deque((oracle_snapshot(v) for v in value), value.maxlen)
     if isinstance(value, tuple):
         return tuple(oracle_snapshot(v) for v in value)
     if isinstance(value, (set, frozenset)):
@@ -70,6 +79,10 @@ def oracle_freeze(value):
         )
         return ("__dc__", type(value).__name__, fields)
     raise SerializationError(type(value).__name__)
+
+
+def oracle_digest(value):
+    return digest_of_frozen(oracle_freeze(value))
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +151,7 @@ def _containers(children):
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
         | st.lists(children, max_size=4).map(deque)
+        | st.lists(children, max_size=4).map(lambda v: deque(v, maxlen=4))
         | st.sets(hashables, max_size=4)
         | st.frozensets(hashables, max_size=4)
         | st.dictionaries(hashables, children, max_size=4)
@@ -161,6 +175,8 @@ def _containers(children):
     )
 
 
+# No container drawn from ``plain`` holds more than four elements, far
+# below ``_RUN_MIN``: these values freeze to the oracle's bytes exactly.
 plain = st.recursive(scalars, _containers, max_leaves=14)
 
 
@@ -193,7 +209,9 @@ def shape(value):
         return (kind, sorted(((shape(k), shape(v)) for k, v in value.items()), key=repr))
     if isinstance(value, (set, frozenset)):
         return (kind, sorted(map(shape, value), key=repr))
-    if isinstance(value, (list, tuple, deque)):
+    if isinstance(value, deque):
+        return (kind, value.maxlen, [shape(v) for v in value])
+    if isinstance(value, (list, tuple)):
         return (kind, [shape(v) for v in value])
     if dataclasses.is_dataclass(value):
         return (kind, [shape(getattr(value, f.name)) for f in dataclasses.fields(value)])
@@ -369,3 +387,283 @@ GOLDEN = [
 def test_golden_digests(value, expected):
     assert digest(value) == expected
     assert digest(snapshot_value(value)) == expected
+
+
+# ----------------------------------------------------------------------
+# Long int runs: one hashed leaf, the oracle's equality classes
+# ----------------------------------------------------------------------
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
+def _base_run(rng, kind, count, width):
+    """``count`` ints or int rows from a small pool (so that changing
+    one can land on a value already there) plus the int64 edges."""
+    def cell():
+        return rng.choice((rng.randint(-3, 3), rng.randint(-3, 3), INT64_MIN, INT64_MAX,
+                           rng.randint(-10**12, 10**12)))
+    if kind == "ints":
+        return [cell() for _ in range(count)]
+    row = tuple if kind == "tuples" else list
+    return [row(cell() for _ in range(width)) for _ in range(count)]
+
+
+def _with(run, at, element):
+    return run[:at] + [element] + run[at + 1:]
+
+
+def _swap_cell(replacement):
+    """Put ``replacement`` where an equal cell sits if there is one —
+    the swap a check looser than exact ``int`` would miss — else anywhere."""
+    def perturb(rng, run):
+        cells = [(at, col, cell) for at, v in enumerate(run)
+                 for col, cell in enumerate([v] if isinstance(v, int) else v)]
+        if not cells:
+            return run
+        at, col, _ = rng.choice([c for c in cells if c[2] == replacement] or cells)
+        if isinstance(run[at], int):
+            return _with(run, at, replacement)
+        row = list(run[at])
+        row[col] = replacement
+        return _with(run, at, type(run[at])(row))
+    return perturb
+
+
+def _bump(rng, run):
+    if not run:
+        return run
+    at = rng.randrange(len(run))
+    if isinstance(run[at], int):
+        return _with(run, at, run[at] // 2 + 1)
+    return _with(run, at, type(run[at])(c // 2 + 1 for c in run[at]))
+
+
+def _widen(rng, run):
+    if not run:
+        return run
+    at = rng.randrange(len(run))
+    return _with(run, at, (run[at],) if isinstance(run[at], int) else type(run[at])([*run[at], 0]))
+
+
+def _shuffled(rng, run):
+    return rng.sample(run, len(run))
+
+
+def _rows_as(row):
+    return lambda rng, run: [v if isinstance(v, int) else row(v) for v in run]
+
+
+def _one_row_as(row):
+    def perturb(rng, run):
+        at = rng.randrange(len(run)) if run else 0
+        return [row(v) if i == at and not isinstance(v, int) else v for i, v in enumerate(run)]
+    return perturb
+
+
+def _as_point(values):
+    return Point(*values) if len(values) == 2 else tuple(values)
+
+
+PERTURBATIONS = {
+    "same": lambda rng, run: list(run),
+    "shuffled": _shuffled,
+    "one changed": _bump,
+    "one widened": _widen,
+    "one dropped": lambda rng, run: run[:-1],
+    "one more": lambda rng, run: run + run[:1],
+    "a True": _swap_cell(True),
+    "a 1.0": _swap_cell(1.0),
+    "an IntEnum": _swap_cell(Color.RED),
+    "beyond int64": _swap_cell(2**70),
+    "a 1": _swap_cell(1),
+    "tuple rows": _rows_as(tuple),
+    "list rows": _rows_as(list),
+    "namedtuple rows": _rows_as(_as_point),
+    "list-subclass rows": _rows_as(lambda v: Stack(v) if isinstance(v, list) else v),
+    "one tuple row": _one_row_as(tuple),
+    "one list row": _one_row_as(list),
+    "one namedtuple row": _one_row_as(_as_point),
+}
+
+
+def _keys(run):
+    """``run`` as hashable, distinct keys in first-seen order."""
+    return list(dict.fromkeys(tuple(v) if isinstance(v, list) else v for v in run))
+
+
+def _held(key):
+    return [key] if isinstance(key, tuple) else key
+
+
+SITES = {
+    "list": list,
+    "list subclass": Stack,
+    "tuple": tuple,
+    "deque": deque,
+    "bounded deque": lambda run: deque(run, maxlen=256),
+    "deque subclass": Ring,
+    "set": lambda run: set(_keys(run)),
+    "frozenset": lambda run: frozenset(_keys(run)),
+    "set subclass": lambda run: Bag(_keys(run)),
+    "dict keys": lambda run: {k: _held(k) for k in _keys(run)},
+    "defaultdict keys": lambda run: defaultdict(list, {k: _held(k) for k in _keys(run)}),
+    "dict keys, held by position": lambda run: {k: i for i, k in enumerate(_keys(run))},
+    "dict values": lambda run: {"log": list(run), "n": len(run)},
+    "message field": lambda run: Wire(seq=1, body=list(run)),
+    "namedtuple field": lambda run: Point(list(run), 0),
+    "batches": lambda run: {i: tuple(run[i:i + 40]) for i in range(0, len(run), 40)},
+}
+
+run_pairs = st.tuples(
+    st.randoms(use_true_random=False),
+    st.sampled_from(["ints", "tuples", "lists"]),
+    st.sampled_from([0, 1, _RUN_MIN - 1, _RUN_MIN, _RUN_MIN + 1, 200]) | st.integers(0, 200),
+    st.integers(1, 3),
+    st.sampled_from(sorted(PERTURBATIONS)),
+    st.sampled_from(sorted(SITES)),
+    st.sampled_from(sorted(SITES)) | st.none(),
+)
+
+
+def _pair(rng, kind, count, width, perturbation, site, other_site):
+    run = _base_run(rng, kind, count, width)
+    return (SITES[site](run),
+            SITES[other_site or site](PERTURBATIONS[perturbation](rng, run)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_pairs)
+def test_runs_digest_alike_iff_the_oracle_says_so(drawn):
+    a, b = _pair(*drawn)
+    assert (digest(a) == digest(b)) == (oracle_digest(a) == oracle_digest(b))
+    for value in (a, b):
+        # ... and a copy, which hands subclass rows back as plain ones,
+        # is the same state.
+        assert digest(snapshot_value(value)) == digest(value)
+
+
+def test_every_perturbation_lands_on_both_sides_of_the_threshold():
+    """The property above is vacuous if its pairs never differ, or never
+    agree: walk every (site, perturbation) once per side, deterministically."""
+    outcomes = {True: 0, False: 0}
+    for count in (_RUN_MIN - 1, _RUN_MIN + 8):
+        for kind in ("ints", "tuples", "lists"):
+            for site in sorted(SITES):
+                for perturbation in sorted(PERTURBATIONS):
+                    a, b = _pair(random.Random(count), kind, count, 2, perturbation, site, None)
+                    same = oracle_digest(a) == oracle_digest(b)
+                    assert (digest(a) == digest(b)) == same, (count, kind, site, perturbation)
+                    outcomes[same] += 1
+    assert min(outcomes.values()) > 200, outcomes
+
+
+def test_the_threshold_is_where_the_form_changes():
+    short, long = list(range(_RUN_MIN - 1)), list(range(_RUN_MIN))
+    assert freeze(short) == oracle_freeze(short)
+    assert freeze(long) == ("__list__", "q", _RUN_MIN, hashlib.sha256(
+        struct.pack(f"<{_RUN_MIN}q", *long)).hexdigest())
+    assert _RUN_MIN == 32
+
+
+def test_the_leaf_is_little_endian_row_major_full_sha256():
+    log = [(i, -i) for i in range(40)]
+    packed = struct.pack("<80q", *(cell for row in log for cell in row))
+    expected = hashlib.sha256(packed).hexdigest()
+    assert len(expected) == 64
+    assert freeze(log) == ("__list__", "t2", 40, expected)
+    assert freeze(tuple(log)) == ("__tuple__", "t2", 40, expected)
+    assert freeze(deque(log)) == ("__deque__", "t2", 40, expected)
+    assert freeze([list(row) for row in log]) == ("__list__", "l2", 40, expected)
+    assert freeze([Point(*row) for row in log]) == ("__list__", "t2", 40, expected)
+    # Unordered containers are packed in natural sorted order ...
+    ordered = struct.pack("<80q", *(cell for row in sorted(log) for cell in row))
+    assert freeze(set(log)) == freeze(frozenset(reversed(log))) == (
+        "__set__", "t2", 40, hashlib.sha256(ordered).hexdigest())
+    # ... and a dict hashes its keys so, then freezes what they hold,
+    # in that order, as one tuple.
+    table = {key: [sum(key)] for key in reversed(log)}
+    assert freeze(table) == (
+        "__dict__", "t2", 40, hashlib.sha256(ordered).hexdigest(),
+        freeze(tuple([sum(key)] for key in sorted(log))))
+    assert freeze({i: i for i in range(40)})[4][:3] == ("__tuple__", "q", 40)
+
+
+def test_a_value_that_looks_like_a_leaf_is_not_one():
+    run = list(range(40))
+    leaf = freeze(run)
+    lookalike = list(leaf[1:])
+    assert lookalike == ["q", 40, leaf[3]]
+    assert freeze(lookalike) == ("__list__", ("q", 40, leaf[3])) != leaf
+    assert digest(lookalike) != digest(run)
+    assert digest(tuple(leaf)) != digest(run)
+    # Same cells, different shape or count: different leaves.
+    flat = [cell for i in range(40) for cell in (i, -i)]
+    pairs = [(i, -i) for i in range(40)]
+    assert freeze(flat)[3] == freeze(pairs)[3] and freeze(flat) != freeze(pairs)
+    assert len({digest(flat), digest(pairs), digest([list(p) for p in pairs]),
+                digest([tuple(flat[i:i + 4]) for i in range(0, 80, 4)])}) == 4
+
+
+@pytest.mark.parametrize("spoiler", [
+    True, 1.0, Color.RED, 2**63, -2**63 - 1, "1", None, (1,), (1, 2, 3), [1, 2], (1, True),
+], ids=repr)
+def test_anything_but_a_homogeneous_int64_run_stays_spelled_out(spoiler):
+    for run in ([1] * 40, [(1, 2)] * 40):
+        value = run[:20] + [spoiler] + run[20:]
+        assert freeze(value) == oracle_freeze(value)
+        assert freeze({"log": value}) == oracle_freeze({"log": value})
+    assert freeze([()] * 40) == oracle_freeze([()] * 40)
+
+
+@pytest.mark.parametrize("intruder", [Opaque(), 1j, range(2)], ids=repr)
+def test_an_intruder_in_a_long_container_is_still_rejected(intruder):
+    ints, rows = list(range(40)), [(i, i) for i in range(40)]
+    for value in (ints + [intruder], rows + [intruder], rows + [(1, intruder)],
+                  tuple(ints + [intruder]), deque(rows + [(intruder, 1)]),
+                  {**dict.fromkeys(ints), 41: intruder}, {**dict.fromkeys(rows), (1, 1): [intruder]},
+                  Wire(0, ints + [intruder])):
+        with pytest.raises(SerializationError):
+            freeze(value)
+        with pytest.raises(SerializationError):
+            snapshot_value(value)
+
+
+# ----------------------------------------------------------------------
+# Cost: the forest is gone, not hidden
+# ----------------------------------------------------------------------
+
+
+def test_a_long_log_freezes_small_and_digests_in_bounded_memory():
+    log = [(i % 5, i) for i in range(100_000)]
+    assert len(repr(freeze(log))) < 200
+    tracemalloc.start()
+    try:
+        digest(log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_freezing_a_replica_costs_a_call_per_container_not_per_command(monkeypatch):
+    calls = {"freeze": 0, "_frozen_elements": 0}
+
+    def counted(name):
+        original = getattr(serialization, name)
+
+        def wrapper(value):
+            calls[name] += 1
+            return original(value)
+        monkeypatch.setattr(serialization, name, wrapper)
+
+    counted("freeze")
+    counted("_frozen_elements")
+    state = {
+        "executed": [(i % 5, i) for i in range(80_000)],
+        "chosen": {i: tuple((i % 5, 128 * i + j) for j in range(128)) for i in range(625)},
+    }
+    frozen = serialization.freeze(state)
+    # The state, its two fields, the tuple of held batches, each batch.
+    assert calls["freeze"] == 1 + 2 + 1 + 625
+    assert calls["_frozen_elements"] <= 4
+    assert len(repr(frozen)) < 100 * 625
