@@ -61,11 +61,18 @@ def test_o1_metrics_overhead_on_hot_path():
     enabled_registry = MetricsRegistry()
     disabled_registry = MetricsRegistry(enabled=False)
 
-    base_time, base_report = _timed(lambda: pipeline(None), repeats=REPEATS)
-    enabled_time, enabled_report = _timed(
-        lambda: pipeline(enabled_registry), repeats=REPEATS)
-    disabled_time, disabled_report = _timed(
-        lambda: pipeline(disabled_registry), repeats=REPEATS)
+    # The arms alternate inside each repeat (best-of-N per arm over the
+    # same rounds): timed as three consecutive blocks, a slow phase of
+    # the host lands on one arm and reads as that arm's overhead.
+    arms = (None, enabled_registry, disabled_registry)
+    times = [float("inf")] * len(arms)
+    reports = [None] * len(arms)
+    for _ in range(REPEATS):
+        for arm, metrics in enumerate(arms):
+            elapsed, reports[arm] = _timed(lambda: pipeline(metrics), repeats=1)
+            times[arm] = min(times[arm], elapsed)
+    base_time, enabled_time, disabled_time = times
+    base_report, enabled_report, disabled_report = reports
 
     # Instrumentation must never change what prediction explores.
     for report in (enabled_report, disabled_report):

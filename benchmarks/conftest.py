@@ -38,7 +38,6 @@ KNOWN_BENCH_IDS: Dict[str, str] = {
     "E7": "consequence-prediction depth/cost sweep",
     "A1": "checkpoint staleness sensitivity",
     "A2": "lookahead depth sweep",
-    "A3": "prediction execution modes",
     "A4": "adaptation under link degradation",
     "A5": "steady churn",
     "A6": "cluster-size scaling",
@@ -46,7 +45,7 @@ KNOWN_BENCH_IDS: Dict[str, str] = {
     "O1": "observability overhead",
     "O2": "causal tracing overhead",
     "O3": "streaming telemetry overhead (sampler + RunStream)",
-    "P1": "prediction hot path (digests, pooling, parallelism)",
+    "P1": "prediction hot path (digests, pooling)",
     "P2": "cross-round incremental prediction + delta checkpoints",
     "R1": "adversarial scenario search (fuzz vs random)",
     "S1": "simulator scale (hot loop, sparse topologies, partial views)",

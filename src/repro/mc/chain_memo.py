@@ -35,7 +35,6 @@ take the identical truncation path.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
@@ -47,6 +46,10 @@ from .world import InFlightMessage, PendingTimer, WorldState
 ENV_NONE = 0
 ENV_STATES = 1
 ENV_WORLD = 2
+
+# Chains kept per initial action: distinct footprints (budgets, roots)
+# of the same action coexist up to this many, oldest dropped first.
+_VARIANTS_PER_ACTION = 4
 
 
 class ChainRecorder:
@@ -280,18 +283,15 @@ def _apply_patch(root: WorldState, patch: _WorldPatch) -> WorldState:
 class ChainMemo:
     """LRU cache of chain explorations keyed by initial action.
 
-    Thread-safe (the parallel predictor looks up and stores from worker
-    threads).  ``bind()`` ties the memo to an exploration configuration
-    and flushes it when the configuration changes; ``invalidate()`` is
-    the hook for external world-model changes (topology, chaos,
-    steering installs) that footprints cannot see.
+    ``bind()`` ties the memo to an exploration configuration and
+    flushes it when the configuration changes; ``invalidate()`` is the
+    hook for external world-model changes (topology, chaos, steering
+    installs) that footprints cannot see.
     """
 
-    def __init__(self, max_entries: int = 256, variants_per_action: int = 4) -> None:
+    def __init__(self, max_entries: int = 256) -> None:
         self.max_entries = max_entries
-        self.variants_per_action = variants_per_action
         self._entries: "OrderedDict[Tuple, List[_CachedChain]]" = OrderedDict()
-        self._lock = threading.Lock()
         self._count = 0
         self._config: Optional[Tuple] = None
         self.hits = 0
@@ -307,23 +307,18 @@ class ChainMemo:
 
     def bind(self, config: Tuple) -> None:
         """Flush if the exploration configuration changed."""
-        with self._lock:
-            if self._config is not None and self._config != config:
-                self._invalidate_locked()
-            self._config = config
+        if self._config is not None and self._config != config:
+            self.invalidate()
+        self._config = config
 
     def invalidate(self, reason: str = "") -> None:
         """Drop every entry (topology/chaos/steering changed)."""
-        with self._lock:
-            if self._entries and reason:
+        if self._entries:
+            self.invalidations += 1
+            if reason:
                 self.invalidation_reasons[reason] = (
                     self.invalidation_reasons.get(reason, 0) + 1
                 )
-            self._invalidate_locked()
-
-    def _invalidate_locked(self) -> None:
-        if self._entries:
-            self.invalidations += 1
         self._entries.clear()
         self._count = 0
 
@@ -339,14 +334,10 @@ class ChainMemo:
         """``(states, violations, leaf_worlds)`` rebased onto ``root``
         if a cached chain's footprint matches, else ``None``."""
         key = action.key()
-        with self._lock:
-            chains = self._entries.get(key)
-            if chains:
-                self._entries.move_to_end(key)
-                candidates = list(chains)
-            else:
-                candidates = []
-        for chain in reversed(candidates):  # newest first
+        chains = self._entries.get(key)
+        if chains:
+            self._entries.move_to_end(key)
+        for chain in reversed(chains or ()):  # newest first
             if not (budget == chain.budget_given
                     or (not chain.truncated and budget > chain.max_pending)):
                 continue
@@ -360,11 +351,9 @@ class ChainMemo:
             rebased = self._rebase(root, chain)
             if rebased is None:
                 continue
-            with self._lock:
-                self.hits += 1
+            self.hits += 1
             return rebased
-        with self._lock:
-            self.misses += 1
+        self.misses += 1
         return None
 
     def _rebase(
@@ -381,8 +370,7 @@ class ChainMemo:
             # A footprint mismatch the value comparison failed to catch
             # would be a bug; degrade to a miss rather than crash the
             # prediction loop, and count it so tests can assert zero.
-            with self._lock:
-                self.rebase_errors += 1
+            self.rebase_errors += 1
             return None
         return chain.states, violations, leaves
 
@@ -442,27 +430,26 @@ class ChainMemo:
             ),
         )
         key = action.key()
-        with self._lock:
-            chains = self._entries.get(key)
-            if chains is None:
-                chains = self._entries[key] = []
-            chains.append(chain)
-            self._count += 1
-            self._entries.move_to_end(key)
-            while len(chains) > self.variants_per_action:
-                chains.pop(0)
-                self._count -= 1
-                self.evictions += 1
-            while self._count > self.max_entries and len(self._entries) > 1:
-                old_key, old_chains = self._entries.popitem(last=False)
-                if old_key == key:
-                    # Never evict the entry just stored; put it back.
-                    self._entries[old_key] = old_chains
-                    self._entries.move_to_end(old_key)
-                    break
-                self._count -= len(old_chains)
-                self.evictions += len(old_chains)
-            self.stores += 1
+        chains = self._entries.get(key)
+        if chains is None:
+            chains = self._entries[key] = []
+        chains.append(chain)
+        self._count += 1
+        self._entries.move_to_end(key)
+        while len(chains) > _VARIANTS_PER_ACTION:
+            chains.pop(0)
+            self._count -= 1
+            self.evictions += 1
+        while self._count > self.max_entries and len(self._entries) > 1:
+            old_key, old_chains = self._entries.popitem(last=False)
+            if old_key == key:
+                # Never evict the entry just stored; put it back.
+                self._entries[old_key] = old_chains
+                self._entries.move_to_end(old_key)
+                break
+            self._count -= len(old_chains)
+            self.evictions += len(old_chains)
+        self.stores += 1
 
     # -- reporting ------------------------------------------------------
 
@@ -473,19 +460,18 @@ class ChainMemo:
 
     def snapshot(self) -> Dict[str, Any]:
         """Memo effectiveness counters, JSON-able."""
-        with self._lock:
-            return {
-                "entries": self._count,
-                "actions": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "invalidation_reasons": dict(self.invalidation_reasons),
-                "rebase_errors": self.rebase_errors,
-                "hit_rate": self.hit_rate,
-            }
+        return {
+            "entries": self._count,
+            "actions": len(self._entries),
+            "hits": self.hits,
+            "misses": self.misses,
+            "stores": self.stores,
+            "evictions": self.evictions,
+            "invalidations": self.invalidations,
+            "invalidation_reasons": dict(self.invalidation_reasons),
+            "rebase_errors": self.rebase_errors,
+            "hit_rate": self.hit_rate,
+        }
 
 
 __all__ = ["ChainMemo", "ChainRecorder", "Footprint", "footprint_value"]

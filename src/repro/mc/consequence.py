@@ -13,7 +13,6 @@ predictive choice resolution consume.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -151,34 +150,21 @@ class PredictionReport:
 
 
 class ConsequencePredictor:
-    """Bounded causal-chain exploration from a snapshot world.
-
-    With ``workers > 1`` the independent initial-action chains fan out
-    over a thread pool, each on its own :meth:`Explorer.spawn` clone
-    (pooled services are not thread-safe).  Merge order and budget
-    accounting are deterministic and byte-identical to serial mode: the
-    outcomes are folded in enabled-action order, and any chain that
-    would have been truncated by the serial running budget is re-run
-    serially with that exact remaining budget.
-    """
+    """Bounded causal-chain exploration from a snapshot world."""
 
     def __init__(
         self,
         explorer: Explorer,
         chain_depth: int = 4,
         budget: int = 2_000,
-        workers: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         memo: Optional[ChainMemo] = None,
     ) -> None:
         if chain_depth < 1:
             raise ValueError(f"chain_depth must be >= 1, got {chain_depth}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.explorer = explorer
         self.chain_depth = chain_depth
         self.budget = budget
-        self.workers = workers
         # None means fully uninstrumented (not even counters) — the
         # predictor is the hot path, so the baseline stays untouched.
         self.metrics = metrics
@@ -208,37 +194,15 @@ class ConsequencePredictor:
         # report, matching the original behavior).
         self.explorer.check(world)
         actions = self.explorer.enabled_actions(world)
-        # One entry per chain explored this pass: True for a memo hit.
-        # A plain list: worker threads append concurrently (atomic under
-        # the GIL) and the totals fold in after the merge.
-        tallies: List[bool] = []
-        if self.workers > 1 and len(actions) > 1:
-            outcomes = self._explore_parallel(world, actions, tallies)
-        else:
-            outcomes = None
         report = PredictionReport()
-        for index, action in enumerate(actions):
+        for action in actions:
             remaining = self.budget - report.total_states
             if remaining <= 0:
                 report.budget_exhausted = True
                 break
-            if outcomes is None:
-                outcome = self._explore_chain_memo(
-                    self.explorer, world, action, remaining, tallies
-                )
-            else:
-                outcome = outcomes[index]
-                if outcome.states >= remaining and remaining < self.budget:
-                    # The serial pass would have truncated this chain:
-                    # replay it with the exact remaining budget (chain
-                    # exploration is deterministic) so both modes agree.
-                    outcome = self._explore_chain_memo(
-                        self.explorer, world, action, remaining, tallies
-                    )
+            outcome = self._explore_chain_memo(world, action, remaining, report)
             report.outcomes.append(outcome)
             report.total_states += outcome.states
-        report.memo_hits = sum(1 for hit in tallies if hit)
-        report.memo_misses = len(tallies) - report.memo_hits
         if metrics is not None:
             metrics.counter("mc.predictions").inc()
             metrics.counter("mc.states").inc(report.total_states)
@@ -264,70 +228,42 @@ class ConsequencePredictor:
                 metrics.gauge("mc.states_per_sec").set(report.total_states / elapsed)
         return report
 
-    def _explore_parallel(
-        self, world: WorldState, actions: List[Action], tallies: List[bool]
-    ) -> List[ActionOutcome]:
-        """Explore every chain concurrently, each with the full budget
-        (the upper bound of what any serial chain could receive)."""
-        metrics = self.metrics
-        timed = metrics is not None and metrics.enabled
-        chain_times: List[float] = []
-
-        def run(action: Action) -> ActionOutcome:
-            start = perf_counter() if timed else 0.0
-            outcome = self._explore_chain_memo(
-                self.explorer.spawn(), world, action, self.budget, tallies
-            )
-            if timed:
-                chain_times.append(perf_counter() - start)
-            return outcome
-
-        wall_start = perf_counter() if timed else 0.0
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(run, action) for action in actions]
-            results = [future.result() for future in futures]
-        if timed:
-            wall = perf_counter() - wall_start
-            if wall > 0.0:
-                busy = sum(chain_times) / (self.workers * wall)
-                metrics.gauge("mc.workers.utilization").set(min(1.0, busy))
-        return results
-
     def _explore_chain_memo(
         self,
-        explorer: Explorer,
         root: WorldState,
         action: Action,
         budget: int,
-        tallies: List[bool],
+        report: PredictionReport,
     ) -> ActionOutcome:
         """Memo-aware chain exploration: serve a cached chain rebased
         onto ``root`` when its footprint matches, else explore fresh
         under a recorder and store the result."""
         memo = self.memo
         if memo is None:
-            return self._explore_chain(explorer, root, action, budget)
+            return self._explore_chain(root, action, budget)
+        explorer = self.explorer
         cached = memo.lookup(root, action, budget, explorer)
         if cached is not None:
-            tallies.append(True)
+            report.memo_hits += 1
             states, violations, leaves = cached
             return ActionOutcome(
                 action=action, violations=violations,
                 leaf_worlds=leaves, states=states,
             )
-        tallies.append(False)
+        report.memo_misses += 1
         recorder = ChainRecorder()
         explorer.recorder = recorder
         try:
-            outcome = self._explore_chain(explorer, root, action, budget)
+            outcome = self._explore_chain(root, action, budget)
         finally:
             explorer.recorder = None
         memo.store(root, action, budget, outcome, recorder, explorer)
         return outcome
 
     def _explore_chain(
-        self, explorer: Explorer, root: WorldState, action: Action, budget: int
+        self, root: WorldState, action: Action, budget: int
     ) -> ActionOutcome:
+        explorer = self.explorer
         recorder = explorer.recorder
         outcome = ActionOutcome(action=action)
         # Stack entries: (world, causal frontier of event keys, path, depth).
@@ -384,37 +320,22 @@ class ConsequencePredictor:
         return outcome
 
 
-def score_outcome(
-    outcome: ActionOutcome,
-    objective: Objective,
-    aggregate: str = "mean",
-) -> float:
+def score_outcome(outcome: ActionOutcome, objective: Objective) -> float:
     """Score an action outcome against an objective.
 
     Violations dominate everything (each costs :data:`SAFETY_PENALTY`);
     otherwise the objective is evaluated over the chain's leaf worlds
-    and aggregated by ``mean``, ``min`` (pessimistic) or ``max``
-    (optimistic).
+    and averaged.
     """
     if outcome.violations:
         return -SAFETY_PENALTY * len(outcome.violations)
     if not outcome.leaf_worlds:
         return 0.0
     scores = [objective.score(world) for world in outcome.leaf_worlds]
-    if aggregate == "mean":
-        return sum(scores) / len(scores)
-    if aggregate == "min":
-        return min(scores)
-    if aggregate == "max":
-        return max(scores)
-    raise ValueError(f"unknown aggregate {aggregate!r}")
+    return sum(scores) / len(scores)
 
 
-def score_report(
-    report: PredictionReport,
-    objective: Objective,
-    aggregate: str = "mean",
-) -> float:
+def score_report(report: PredictionReport, objective: Objective) -> float:
     """The report-level future score: outcome scores averaged.
 
     This is the quantity both choice-scoring paths (the per-choice
@@ -425,8 +346,7 @@ def score_report(
     if not report.outcomes:
         return 0.0
     return sum(
-        score_outcome(outcome, objective, aggregate=aggregate)
-        for outcome in report.outcomes
+        score_outcome(outcome, objective) for outcome in report.outcomes
     ) / len(report.outcomes)
 
 

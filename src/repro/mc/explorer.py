@@ -160,23 +160,6 @@ class Explorer:
         # the hot path pays one attribute check.
         self.recorder = None
 
-    def spawn(self) -> "Explorer":
-        """A configuration clone with its own service pool.
-
-        Pooled services are not thread-safe; the parallel predictor
-        gives each worker chain its own spawned explorer.
-        """
-        return Explorer(
-            self.service_factory,
-            properties=self.properties,
-            network_model=self.network_model,
-            include_drops=self.include_drops,
-            generic_node=self.generic_node,
-            rng_seed=self.rng_seed,
-            max_choice_variants=self.max_choice_variants,
-            service_pooling=self.pool is not None,
-        )
-
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------

@@ -129,8 +129,6 @@ class WorldState:
         # sum mod 2^64 of every event part, the down part and the part
         # of every node not in ``owed``; None until this world or an
         # ancestor is digested, so worlds nobody digests hash nothing.
-        # Replaced whole, never updated in place: worker threads digest
-        # a shared root concurrently.
         self._cells: Optional[Dict[int, List[Optional[int]]]] = None
         self._sum: Optional[Tuple[int, Tuple[int, ...]]] = None
         # Incremental property checking (see properties.pairwise):

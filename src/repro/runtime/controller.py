@@ -42,6 +42,14 @@ from .policy import AmortizedSteering
 from .steering import EventFilter, SteeringModule
 
 
+# Sandbox replays of one dispatch before giving up: each replay fills one
+# more unscripted choice, so this bounds the choices a handler may make.
+_MAX_REPLAY_FILLS = 32
+# Capacity of the chain memo behind the amortized policy's scored
+# rounds: the value BENCH_T2.json's numbers were recorded with.
+_POLICY_MEMO_ENTRIES = 128
+
+
 class _ZeroObjective(Objective):
     """Neutral objective: only safety matters."""
 
@@ -75,22 +83,14 @@ class CrystalBallRuntime(InboundInterposer):
         prediction_period: float = 0.0,
         chain_depth: int = 3,
         budget: int = 1_500,
-        prediction_workers: int = 1,
         filter_ttl: float = 10.0,
         steering_enabled: bool = True,
-        max_replay_fills: int = 32,
-        score_aggregate: str = "mean",
         passive_measurement: bool = True,
-        prediction_mode: str = "chains",
         prediction_scope: str = "global",
-        sampling_walks: int = 16,
-        sampling_steps: int = 8,
         broadcast_on_change: bool = False,
         min_broadcast_interval: float = 0.05,
         checkpoint_deltas: bool = False,
         full_checkpoint_every: int = 5,
-        prediction_memo: bool = True,
-        memo_max_entries: int = 256,
         model_share_period: float = 0.0,
         generic_node: Optional[object] = None,
         max_snapshot_age: Optional[float] = None,
@@ -104,7 +104,6 @@ class CrystalBallRuntime(InboundInterposer):
         policy_rate_budget: Optional[float] = 1200.0,
         policy_initial_allowance: Optional[float] = None,
         policy_budget: int = 240,
-        policy_memo_entries: int = 128,
     ) -> None:
         self.node = node
         self.service_factory = service_factory
@@ -116,27 +115,12 @@ class CrystalBallRuntime(InboundInterposer):
         self.prediction_period = prediction_period
         self.chain_depth = chain_depth
         self.budget = budget
-        # Fan independent prediction chains over a thread pool (>1);
-        # results are byte-identical to serial mode by construction.
-        self.prediction_workers = prediction_workers
         self.filter_ttl = filter_ttl
         self.steering_enabled = steering_enabled
-        self.max_replay_fills = max_replay_fills
-        self.score_aggregate = score_aggregate
         # Passive measurement: fold message timestamps into the network
         # model (disable to freeze the model after bootstrap — the A4
         # ablation of model freshness under changing conditions).
         self.passive_measurement = passive_measurement
-        # Prediction backend for choice scoring: "chains" explores the
-        # causal consequences exhaustively (bounded); "sampling" runs
-        # random-walk simulations instead — "a simulator that runs a
-        # large number of simulations" (Section 3.3.2) — cheaper at
-        # deep horizons, noisier at shallow ones (ablation A3).
-        if prediction_mode not in ("chains", "sampling"):
-            raise ValueError(
-                f"prediction_mode must be 'chains' or 'sampling', got {prediction_mode!r}"
-            )
-        self.prediction_mode = prediction_mode
         # Prediction scope: "global" assembles every collected
         # checkpoint into the snapshot world (the paper's mode, fine at
         # tens of nodes); "neighborhood" restricts it to this node plus
@@ -152,8 +136,6 @@ class CrystalBallRuntime(InboundInterposer):
                 f"prediction_scope must be 'global' or 'neighborhood', got {prediction_scope!r}"
             )
         self.prediction_scope = prediction_scope
-        self.sampling_walks = sampling_walks
-        self.sampling_steps = sampling_steps
         # Checkpoint-on-change (Figure 1's checkpoints accompanying
         # outbound messages): broadcast immediately when local state
         # moves, rate-limited to min_broadcast_interval.
@@ -175,10 +157,7 @@ class CrystalBallRuntime(InboundInterposer):
         # Cross-round chain memo for run_prediction (not used for
         # hypothetical choice-scoring worlds, which differ per
         # candidate and would only churn the cache).
-        self.prediction_memo = prediction_memo
-        self._chain_memo: Optional[ChainMemo] = (
-            ChainMemo(max_entries=memo_max_entries) if prediction_memo else None
-        )
+        self._chain_memo = ChainMemo()
         self.last_prediction_summary: Optional[Dict[str, Any]] = None
         self.model_share_period = model_share_period
         self.generic_node = generic_node
@@ -244,7 +223,7 @@ class CrystalBallRuntime(InboundInterposer):
         self._policy_memo: Optional[ChainMemo] = None
         self.policy_budget = policy_budget
         if steering_policy:
-            self._policy_memo = ChainMemo(max_entries=policy_memo_entries)
+            self._policy_memo = ChainMemo(max_entries=_POLICY_MEMO_ENTRIES)
             self.amortized = AmortizedSteering(
                 fallback=policy_fallback,
                 score_fn=self._policy_score,
@@ -261,30 +240,26 @@ class CrystalBallRuntime(InboundInterposer):
         # cost at high event rates, so capture starts disarmed and the
         # scheduler arms it only while it is hungry for a scoring round.
         node.capture_dispatch = self.amortized is None
-        if self._chain_memo is not None or self.amortized is not None:
-            # Cached chains and policy rankings implicitly read
-            # connectivity and liveness (which destinations are
-            # reachable/up); neither is part of the recorded footprint
-            # or the scenario signature's bucketed hints, so changes
-            # flush both.
-            node.network.topology_listeners.append(self._on_topology_change)
-            node.network.liveness.subscribe(self._on_liveness_change)
+        # Cached chains and policy rankings implicitly read connectivity
+        # and liveness (which destinations are reachable/up); neither is
+        # part of the recorded footprint or the scenario signature's
+        # bucketed hints, so changes flush both.
+        node.network.topology_listeners.append(self._on_topology_change)
+        node.network.liveness.subscribe(self._on_liveness_change)
+
+    def _invalidate_predictions(self, reason: str, policy_reason: Optional[str] = None) -> None:
+        """Flush the chain memos and, in amortized mode, the policy and
+        coalesced answers."""
+        self._chain_memo.invalidate(reason)
+        if self.amortized is not None:
+            self._policy_memo.invalidate(reason)
+            self.amortized.invalidate(policy_reason or reason)
 
     def _on_topology_change(self, kind: str) -> None:
-        if self._chain_memo is not None:
-            self._chain_memo.invalidate(kind)
-        if self._policy_memo is not None:
-            self._policy_memo.invalidate(kind)
-        if self.amortized is not None:
-            self.amortized.invalidate(f"topology:{kind}")
+        self._invalidate_predictions(kind, f"topology:{kind}")
 
     def _on_liveness_change(self, node_id: int, is_up: bool) -> None:
-        if self._chain_memo is not None:
-            self._chain_memo.invalidate("liveness")
-        if self._policy_memo is not None:
-            self._policy_memo.invalidate("liveness")
-        if self.amortized is not None:
-            self.amortized.invalidate("liveness")
+        self._invalidate_predictions("liveness")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -683,8 +658,7 @@ class CrystalBallRuntime(InboundInterposer):
         """One consequence-prediction pass over the current snapshot."""
         predictor = ConsequencePredictor(
             self.make_explorer(), chain_depth=self.chain_depth, budget=self.budget,
-            workers=self.prediction_workers, metrics=self.metrics,
-            memo=self._chain_memo,
+            metrics=self.metrics, memo=self._chain_memo,
         )
         try:
             with self.metrics.span(
@@ -692,12 +666,11 @@ class CrystalBallRuntime(InboundInterposer):
             ) as span:
                 world = self.current_world()
                 report = predictor.predict(world)
-                if self._chain_memo is not None:
-                    span.annotate(
-                        memo_hits=self._chain_memo.hits,
-                        memo_misses=self._chain_memo.misses,
-                        memo_entries=len(self._chain_memo),
-                    )
+                span.annotate(
+                    memo_hits=self._chain_memo.hits,
+                    memo_misses=self._chain_memo.misses,
+                    memo_entries=len(self._chain_memo),
+                )
         except Exception as exc:
             # The postmortem moment: dump the telemetry ring before the
             # exception propagates, so the last N seconds of samples and
@@ -786,17 +759,10 @@ class CrystalBallRuntime(InboundInterposer):
                 # new filters count as installations.
                 if newly_installed:
                     self.stats["filters_installed"] += 1
-                    if self._chain_memo is not None:
-                        # A new filter changes what future deliveries
-                        # reach the service; cached chains predicted
-                        # without it are no longer trustworthy.
-                        self._chain_memo.invalidate("steering")
-                    if self._policy_memo is not None:
-                        self._policy_memo.invalidate("steering")
-                    if self.amortized is not None:
-                        # Rankings distilled before the install assumed
-                        # deliveries the filter now drops.
-                        self.amortized.invalidate("steering")
+                    # A new filter changes what future deliveries reach
+                    # the service: chains predicted and rankings
+                    # distilled without it are no longer trustworthy.
+                    self._invalidate_predictions("steering")
                 self.node.sim.trace.record(
                     now, "runtime.filter_installed", node=self.node.node_id,
                     src=action.src, msg=type(action.msg).__name__,
@@ -842,9 +808,9 @@ class CrystalBallRuntime(InboundInterposer):
             return value
         dispatch = node.current_dispatch
         if dispatch is None:
-            # No dispatch to replay (e.g. choice made in on_init):
-            # score candidates on the immediate world only.
-            return self._resolve_without_replay(point)
+            # No dispatch to replay (e.g. choice made in on_init), so
+            # nothing distinguishes the candidates.
+            return point.candidates[0]
         if self._snapshot_too_stale():
             # Confidence gating: the model is too old to predict from;
             # degrade to the cheap fallback instead of guessing.
@@ -881,12 +847,6 @@ class CrystalBallRuntime(InboundInterposer):
         if not ages:
             return True  # nothing collected yet: no basis to predict
         return max(ages) > self.max_snapshot_age
-
-    def _resolve_without_replay(self, point: ChoicePoint) -> Any:
-        world = self.current_world()
-        base = self.objective.score(world)
-        del base  # identical for every candidate; nothing to compare
-        return point.candidates[0]
 
     def _policy_score(self, point: ChoicePoint, node: Node):
         """One scored prediction round for the amortized policy.
@@ -985,37 +945,21 @@ class CrystalBallRuntime(InboundInterposer):
             copy_states=False,
         )
         immediate = self.objective.score(world)
-        if self.prediction_mode == "sampling":
-            from ..mc.randomwalk import RandomWalkSimulator
-
-            simulator = RandomWalkSimulator(
-                self.make_explorer(), seed=self.node.sim.rng.root_seed,
-            )
-            report = simulator.sample(
-                world, walks=self.sampling_walks, max_steps=self.sampling_steps,
-                metric=self.objective.score,
-            )
-            self.stats["states_explored"] += sum(w.steps for w in report.walks)
-            future = report.mean_metric if report.mean_metric is not None else 0.0
-            return immediate + future
         predictor = ConsequencePredictor(
             self.make_explorer(), chain_depth=self.chain_depth,
             budget=self.budget if budget is None else budget,
-            workers=self.prediction_workers, metrics=self.metrics,
-            memo=memo,
+            metrics=self.metrics, memo=memo,
         )
         report = predictor.predict(world)
         self.stats["states_explored"] += report.total_states
         self.last_prediction_summary = report.summary()
-        return immediate + score_report(
-            report, self.objective, aggregate=self.score_aggregate,
-        )
+        return immediate + score_report(report, self.objective)
 
     def _replay(self, dispatch, candidate: Any):
         """Re-run the captured dispatch with ``candidate`` at the pending
         choice; later unscripted choices are filled first-candidate."""
         script = list(dispatch.choices) + [candidate]
-        for _ in range(self.max_replay_fills):
+        for _ in range(_MAX_REPLAY_FILLS):
             service = self._replay_service
             if service is None:
                 service = self.service_factory(self.node.node_id)

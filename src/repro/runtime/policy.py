@@ -209,8 +209,6 @@ class AmortizedSteering:
         max_policy_age: float = 5.0,
         rate_budget: Optional[float] = 1200.0,
         initial_allowance: Optional[float] = None,
-        policy: Optional[SteeringPolicy] = None,
-        coalesce_entries: int = 4096,
     ) -> None:
         if fallback is None or not callable(getattr(fallback, "resolve", None)):
             raise ConfigurationError(
@@ -228,8 +226,8 @@ class AmortizedSteering:
         # concentrated where it is cheap.
         self.cost_fn = cost_fn
         self.coalesce_window = coalesce_window
-        self.policy = policy if policy is not None else SteeringPolicy(max_age=max_policy_age)
-        self.coalesce = PolicyCache(ttl=coalesce_window, max_entries=coalesce_entries)
+        self.policy = SteeringPolicy(max_age=max_policy_age)
+        self.coalesce = PolicyCache(ttl=coalesce_window)
         # Prediction budget: at most rate_budget predicted states per
         # simulated second (plus one sim-second's allowance up front so
         # scoring can start at t=0).  None disables the cap.

@@ -46,11 +46,11 @@ def token_world(factory, inflight=(), timers=(), n=3, extra_nodes=()):
     return WorldState(node_states=states, inflight=inflight, timers=timers)
 
 
-def predictors(factory, memo, properties=(), chain_depth=3, budget=500, workers=1):
+def predictors(factory, memo, properties=(), chain_depth=3, budget=500):
     """A memoized predictor and its memo-free twin."""
     on = ConsequencePredictor(
         Explorer(factory, properties=list(properties)),
-        chain_depth=chain_depth, budget=budget, workers=workers, memo=memo,
+        chain_depth=chain_depth, budget=budget, memo=memo,
     )
     off = ConsequencePredictor(
         Explorer(factory, properties=list(properties)),
@@ -214,19 +214,6 @@ def test_config_change_flushes(token_factory):
     on2, off2 = predictors(token_factory, memo, chain_depth=2)
     report = assert_identical(on2, off2, world)
     assert report.memo_hits == 0
-
-
-def test_parallel_predictor_matches_serial(token_factory):
-    world = token_world(
-        token_factory,
-        inflight=[InFlightMessage(i, (i + 1) % 3, Token(value=1)) for i in range(3)],
-        timers=[PendingTimer(0, "kick", None, 1.0)],
-    )
-    memo = ChainMemo()
-    on, off = predictors(token_factory, memo, workers=2)
-    assert_identical(on, off, world)
-    report = assert_identical(on, off, world)
-    assert report.memo_hits == len(report.outcomes)
 
 
 def test_lru_eviction_bounds_entries(token_factory):

@@ -4,7 +4,9 @@ import pytest
 
 from repro.choice import PerformanceObjective
 from repro.mc import (
+    ActionOutcome,
     ConsequencePredictor,
+    DeliverAction,
     Explorer,
     InFlightMessage,
     PendingTimer,
@@ -87,6 +89,26 @@ def test_outcome_lookup_by_key(token_factory):
     assert report.outcome_for(("nope",)) is None
 
 
+def test_outcome_for_indexes_by_action_key(token_factory):
+    world = world_with(
+        token_factory,
+        inflight=[InFlightMessage(i, (i + 1) % 3, Token(value=1)) for i in range(3)],
+        timers=[PendingTimer(0, "kick", None, 1.0)],
+    )
+    predictor = ConsequencePredictor(Explorer(token_factory), chain_depth=3, budget=2_000)
+    report = predictor.predict(world)
+    assert len(report.outcomes) > 1
+    for outcome in report.outcomes:
+        assert report.outcome_for(outcome.action.key()) is outcome
+    assert report.outcome_for(("deliver", 9, 9, None, "nope")) is None
+    # The index tracks later appends.
+    extra = ActionOutcome(
+        action=DeliverAction(src=9, dst=9, msg=Token(value=0), handler="on_token")
+    )
+    report.outcomes.append(extra)
+    assert report.outcome_for(extra.action.key()) is extra
+
+
 def test_score_outcome_penalizes_violations(token_factory):
     prop = SafetyProperty("never", lambda w: False)
     world = world_with(token_factory, inflight=[InFlightMessage(0, 1, Token(value=1))])
@@ -96,25 +118,6 @@ def test_score_outcome_penalizes_violations(token_factory):
     report = predictor.predict(world)
     objective = PerformanceObjective("sum", total_sum)
     assert score_outcome(report.outcomes[0], objective) < -1000
-
-
-def test_score_outcome_aggregates(token_factory):
-    world = world_with(token_factory, inflight=[InFlightMessage(0, 1, Token(value=1))])
-    predictor = ConsequencePredictor(Explorer(token_factory), chain_depth=3, budget=500)
-    outcome = predictor.predict(world).outcomes[0]
-    objective = PerformanceObjective("sum", total_sum)
-    low = score_outcome(outcome, objective, aggregate="min")
-    mean = score_outcome(outcome, objective, aggregate="mean")
-    high = score_outcome(outcome, objective, aggregate="max")
-    assert low <= mean <= high
-
-
-def test_score_outcome_invalid_aggregate(token_factory):
-    world = world_with(token_factory, inflight=[InFlightMessage(0, 1, Token(value=1))])
-    predictor = ConsequencePredictor(Explorer(token_factory), chain_depth=1, budget=100)
-    outcome = predictor.predict(world).outcomes[0]
-    with pytest.raises(ValueError):
-        score_outcome(outcome, PerformanceObjective("s", total_sum), aggregate="median")
 
 
 def test_invalid_chain_depth():

@@ -100,14 +100,6 @@ def test_enabled_actions_materializes_each_destination_once(token_factory):
     assert acquires == 2  # destinations 1 and 2, not one per message
 
 
-def test_spawn_gets_its_own_pool(token_factory):
-    explorer = Explorer(token_factory, service_pooling=True)
-    clone = explorer.spawn()
-    assert clone.pool is not None
-    assert clone.pool is not explorer.pool
-    assert Explorer(token_factory, service_pooling=False).spawn().pool is None
-
-
 def test_enabled_actions_frontier_filter_is_a_strict_subset(token_factory):
     explorer = Explorer(token_factory)
     world = _world(token_factory)

@@ -2,7 +2,10 @@
 
 from dataclasses import dataclass
 
-from repro.mc import DeliverAction, SafetyProperty
+import pytest
+
+from repro.choice.resolvers import FirstResolver
+from repro.mc import ConsequencePredictor, DeliverAction, SafetyProperty
 from repro.runtime import CheckpointMsg, CrystalBallRuntime, install_crystalball
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
 
@@ -171,15 +174,43 @@ def test_broadcast_checkpoints_service_exactly_once():
     assert runtimes[0].stats["checkpoints_sent"] == 2
 
 
-def test_filters_installed_not_inflated_by_ttl_refresh():
-    # Regression: re-predicting the same violation refreshes the
-    # existing filter's TTL; the installation counter must not grow.
-    from repro.mc import ActionOutcome, PredictionReport, Violation
+# World changes that no footprint or scenario signature records flush
+# every prediction store the runtime owns.
 
-    cluster, runtimes = make_cluster(checkpoint_period=0.0)
+def stores(runtime):
+    amortized = runtime.amortized
+    if amortized is None:
+        return [runtime._chain_memo]
+    return [runtime._chain_memo, runtime._policy_memo,
+            amortized.policy.cache, amortized.coalesce]
+
+
+def warm(runtime):
+    runtime.run_prediction()
+    if runtime.amortized is not None:
+        now = runtime.node.sim.now
+        ConsequencePredictor(
+            runtime.make_explorer(), chain_depth=runtime.chain_depth,
+            budget=runtime.policy_budget, memo=runtime._policy_memo,
+        ).predict(runtime.current_world())
+        runtime.amortized.policy.install(("scenario",), ((1, 1.0),), now)
+        runtime.amortized.coalesce.put(("point",), 1, now)
+    assert all(len(store) > 0 for store in stores(runtime))
+
+
+def warm_runtime(**runtime_kwargs):
+    cluster, runtimes = make_cluster(checkpoint_period=0.0, **runtime_kwargs)
     cluster.start_all()
     cluster.run(until=0.5)
-    runtime = runtimes[0]
+    warm(runtimes[0])
+    return cluster, runtimes[0]
+
+
+def install_filter(cluster):
+    """Steer node 0 on a violation predicted one delivery away."""
+    from repro.mc import ActionOutcome, PredictionReport, Violation
+
+    runtime = cluster.node(0).crystalball
     world = runtime.current_world()
     action = DeliverAction(src=1, dst=0, msg=Bump(amount=1), handler="on_bump")
     outcome = ActionOutcome(
@@ -188,9 +219,52 @@ def test_filters_installed_not_inflated_by_ttl_refresh():
     )
     report = PredictionReport(outcomes=[outcome], total_states=1)
     runtime._apply_steering(report, world)
-    runtime._apply_steering(report, world)
+
+
+FLUSH_TRIGGERS = [
+    ("partition", "topology:partition", lambda c: c.network.set_partition([{0}, {1, 2}])),
+    ("heal", "topology:heal", lambda c: c.network.clear_partition()),
+    ("break", "topology:break", lambda c: c.network.break_connection(0, 1)),
+    ("liveness", "liveness", lambda c: c.node(2).crash()),
+    ("steering", "steering", install_filter),
+]
+
+
+@pytest.mark.parametrize("reason, policy_reason, fire", FLUSH_TRIGGERS)
+def test_world_change_flushes_every_prediction_store(reason, policy_reason, fire):
+    cluster, runtime = warm_runtime(steering_policy=True, policy_fallback=FirstResolver())
+    fire(cluster)
+    assert not any(len(store) for store in stores(runtime))
+    assert runtime._chain_memo.invalidation_reasons == {reason: 1}
+    assert runtime._policy_memo.invalidation_reasons == {reason: 1}
+    assert runtime.amortized.policy.invalidations == {policy_reason: 1}
+
+
+def test_filters_installed_not_inflated_by_ttl_refresh():
+    # Regression: re-predicting the same violation refreshes the
+    # existing filter's TTL; the installation counter must not grow,
+    # and nothing is flushed for a filter that was already there.
+    cluster, runtime = warm_runtime(steering_policy=True, policy_fallback=FirstResolver())
+    install_filter(cluster)
+    warm(runtime)
+    install_filter(cluster)
     assert runtime.stats["filters_installed"] == 1
     assert len(runtime.steering) == 1
+    assert all(len(store) > 0 for store in stores(runtime))
+    assert runtime.amortized.policy.invalidations == {"steering": 1}
+
+
+def test_per_choice_runtime_takes_every_flush_trigger():
+    # Network and liveness observers are isolated (a raising one is
+    # traced, not propagated), so "no error" is read off the record.
+    cluster, runtime = warm_runtime()
+    assert runtime.amortized is None
+    for _reason, _policy_reason, fire in FLUSH_TRIGGERS:
+        fire(cluster)
+    assert cluster.sim.trace.count("net.topology_listener_error") == 0
+    assert cluster.network.liveness.notify_errors == 0
+    assert len(runtime._chain_memo) == 0
+    assert runtime._chain_memo.invalidation_reasons == {"partition": 1}
 
 
 def test_runtime_metrics_registry_backs_stats():

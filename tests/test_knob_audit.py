@@ -1,0 +1,42 @@
+"""No dead knobs: every defaulted constructor keyword of the prediction
+stack is passed by name by some call outside the module that defines it.
+
+A keyword nobody passes is a constant with a signature: it documents a
+choice nobody makes and adds a configuration nobody tests.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+from repro.mc import ChainMemo, ConsequencePredictor
+from repro.runtime import AmortizedSteering, CrystalBallRuntime
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+CALLER_TREES = ("src", "tests", "benchmarks", "examples", "perf")
+
+
+def keywords_passed_by_file():
+    """path -> every keyword name some call in that file passes."""
+    passed = {}
+    for tree in CALLER_TREES:
+        for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+            passed[path] = {
+                keyword.arg
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+                for keyword in node.keywords if keyword.arg
+            }
+    return passed
+
+
+def test_every_defaulted_keyword_has_a_caller():
+    by_file = keywords_passed_by_file()
+    dead = {}
+    for cls in (CrystalBallRuntime, ConsequencePredictor, ChainMemo, AmortizedSteering):
+        home = Path(inspect.getsourcefile(cls)).resolve()
+        passed = set().union(*(names for path, names in by_file.items() if path != home))
+        for name, param in inspect.signature(cls.__init__).parameters.items():
+            if param.default is not param.empty and name not in passed:
+                dead.setdefault(cls.__name__, []).append(name)
+    assert dead == {}
