@@ -72,6 +72,10 @@ def main():
     result = explorer.bfs(world, max_depth=6, max_states=4000)
     print(f"states explored: {result.states_explored}   "
           f"transitions: {result.transitions}   violations: {len(result.violations)}")
+    # Why transitions are fewer than every enabled action of every state:
+    # actions a sleep set skipped, handler steps served from the memo.
+    print(f"pruned by sleep sets: {result.pruned}   "
+          f"handler steps reused: {result.reused}")
     assert not result.found_violation
 
     print("\n--- 2. liveness: is a decision still reachable? ---")

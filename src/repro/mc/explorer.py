@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..statemachine.context import ChoiceRequested, SandboxContext
 from ..statemachine.service import Service
@@ -55,13 +56,22 @@ class Violation:
 
 @dataclass
 class ExplorationResult:
-    """Outcome of a bounded BFS."""
+    """Outcome of a bounded BFS.
+
+    ``pruned`` counts enabled actions the search skipped because a
+    sleep set showed their successors were already reached, ``reused``
+    the deliver/timer steps whose successors were built from the
+    search's memo instead of running the handler: together they say why
+    ``transitions`` is below an unreduced search's.
+    """
 
     states_explored: int = 0
     transitions: int = 0
     violations: List[Violation] = field(default_factory=list)
     max_depth: int = 0
     truncated: bool = False
+    pruned: int = 0
+    reused: int = 0
 
     @property
     def found_violation(self) -> bool:
@@ -262,9 +272,9 @@ class Explorer:
         """All successor worlds of applying ``action`` (one per inner
         choice-script variant)."""
         if isinstance(action, DeliverAction):
-            return self._apply_deliver(world, action)
+            return self._apply_handler(world, action, action.dst, _deliver)
         if isinstance(action, TimerAction):
-            return self._apply_timer(world, action)
+            return self._apply_handler(world, action, action.node, _fire)
         if isinstance(action, DropAction):
             return [
                 world.evolve(
@@ -290,58 +300,103 @@ class Explorer:
             self.recorder.delays.append((src, dst, size, delay))
         return delay
 
-    def _apply_deliver(self, world: WorldState, action: DeliverAction) -> List[WorldState]:
-        def invoke(service: Service) -> None:
-            specs = [s for s in service.applicable_handlers(action.src, action.msg)
-                     if s.name == action.handler]
-            if not specs:
-                # Guard no longer passes after restoration drift; treat
-                # the delivery as a no-op rather than crashing exploration.
-                return
-            service.invoke_handler(specs[0], action.src, action.msg)
-
-        variants = self._invoke_variants(world, action.dst, invoke)
-        delay = self._delivery_delay(action.src, action.dst, action.msg)
-        removed = InFlightMessage(action.src, action.dst, action.msg)
-        return [
-            self._build_successor(world, action.dst, checkpoint, effects,
-                                  remove_inflight=removed, time_delta=delay)
-            for checkpoint, effects in variants
-        ]
-
-    def _apply_timer(self, world: WorldState, action: TimerAction) -> List[WorldState]:
+    def _consumed(self, world: WorldState, action: Action) -> Tuple[
+            Optional[InFlightMessage], Tuple[Tuple[int, str], ...], float]:
+        """What a deliver or timer step takes out of ``world`` besides
+        its handler's own effects — ``(message, fired timers)`` — and
+        the time it advances."""
+        if isinstance(action, DeliverAction):
+            removed = InFlightMessage(action.src, action.dst, action.msg)
+            return removed, (), self._delivery_delay(action.src, action.dst, action.msg)
         timer = _first_timers(world).get((action.node, action.name))
         if timer is None:
             raise ExplorationError(f"timer not pending: {action!r}")
+        return None, ((timer.node, timer.name),), max(timer.delay, 0.0) or DEFAULT_STEP_TIME
 
-        def invoke(service: Service) -> None:
-            service.fire_timer(action.name, action.payload)
-
-        variants = self._invoke_variants(world, action.node, invoke)
+    def _apply_handler(
+        self,
+        world: WorldState,
+        action: Action,
+        node_id: int,
+        run: Callable[[Action, Service], None],
+    ) -> List[WorldState]:
+        removed, fired, delay = self._consumed(world, action)
+        variants, _ = self._invoke_variants(world, node_id, partial(run, action))
         return [
-            self._build_successor(
-                world, action.node, checkpoint, effects,
-                remove_timers_extra=[(timer.node, timer.name)],
-                time_delta=max(timer.delay, 0.0) or DEFAULT_STEP_TIME,
-            )
+            self._build_successor(world, node_id, checkpoint, effects,
+                                  remove_inflight=removed, remove_timers_extra=fired,
+                                  time_delta=delay)
             for checkpoint, effects in variants
         ]
+
+    def _expand(
+        self,
+        world: WorldState,
+        action: Action,
+        memo: Dict[Tuple, Any],
+        result: ExplorationResult,
+    ) -> Tuple[List[WorldState], Optional[int]]:
+        """``successors(world, action)`` for :meth:`_search`, and the node
+        the step acted on — ``None`` for a step dependent with every
+        action: a drop, an injection, or a handler that read the clock.
+
+        ``memo`` maps ``(node, id(node's state dict), action key)`` to
+        ``(that state dict, steps)``: a handler is a function of its
+        node's state and its message unless it reads the clock, so a
+        clock-free run's checkpoints, their digest cells and the events
+        they create serve every later world holding the same state dict.
+        The entry keeps the dict alive, so its id is not reused.
+        """
+        if isinstance(action, DeliverAction):
+            node_id, run = action.dst, _deliver
+        elif isinstance(action, TimerAction):
+            node_id, run = action.node, _fire
+        else:
+            return self.successors(world, action), None
+        removed, fired, delay = self._consumed(world, action)
+        state = world.state_of(node_id)
+        key = (node_id, id(state), action.key())
+        entry = memo.get(key)
+        if entry is not None:
+            result.reused += 1
+            steps, time_read = entry[1], False
+        else:
+            variants, time_read = self._invoke_variants(world, node_id, partial(run, action))
+            steps = [(checkpoint, [None]) + _effect_events(node_id, effects)
+                     for checkpoint, effects in variants]
+            if not time_read:
+                memo[key] = (state, steps)
+        successors = []
+        for checkpoint, cell, sent, cancelled, armed in steps:
+            successor = world.evolve(
+                node_id=node_id, new_state=checkpoint, remove_inflight=removed,
+                add_inflight=sent, remove_timers=[*cancelled, *fired], add_timers=armed,
+                time_delta=delay, copy_state=False,
+            )
+            # The checkpoint's digest cell goes with it (see
+            # WorldState._cells): the first of these worlds to be
+            # digested hashes the state for all of them.
+            successor._cells[node_id] = cell
+            successors.append(successor)
+        return successors, None if time_read else node_id
 
     def _invoke_variants(
         self,
         world: WorldState,
         node_id: int,
         invoke: Callable[[Service], None],
-    ) -> List[Tuple[Dict[str, Any], Any]]:
+    ) -> Tuple[List[Tuple[Dict[str, Any], Any]], bool]:
         """Run a handler under every inner choice-script variant.
 
         Each exposed choice reached inside the handler multiplies the
         branches (bounded by ``max_choice_variants``).  Returns a list
-        of ``(new_checkpoint, effects)``.
+        of ``(new_checkpoint, effects)`` and whether any run read the
+        clock.
         """
         results: List[Tuple[Dict[str, Any], Any]] = []
         stack: List[List[Any]] = [[]]
         expansions = 0
+        time_read = False
         recorder = self.recorder
         while stack:
             script = stack.pop()
@@ -361,11 +416,13 @@ class Explorer:
                 if expansions <= self.max_choice_variants:
                     for candidate in reversed(request.point.candidates):
                         stack.append(list(request.consumed) + [candidate])
-            if recorder is not None and ctx.time_read:
-                recorder.time_read = True
+            if ctx.time_read:
+                time_read = True
+                if recorder is not None:
+                    recorder.time_read = True
             if not branched:
                 results.append((service.checkpoint(), ctx.effects))
-        return results
+        return results, time_read
 
     def _build_successor(
         self,
@@ -377,15 +434,8 @@ class Explorer:
         remove_timers_extra: Iterable[Tuple[int, str]] = (),
         time_delta: float = DEFAULT_STEP_TIME,
     ) -> WorldState:
-        add_inflight = [
-            InFlightMessage(src=node_id, dst=dst, msg=msg) for dst, msg in effects.sent
-        ]
-        remove_timers = [(node_id, name) for name in effects.timers_cancelled]
+        add_inflight, remove_timers, add_timers = _effect_events(node_id, effects)
         remove_timers.extend(remove_timers_extra)
-        add_timers = [
-            PendingTimer(node=node_id, name=name, payload=payload, delay=delay)
-            for name, delay, payload in effects.timers_set
-        ]
         if self.recorder is not None:
             # Every (node, name) this step cancels, fires, or re-arms:
             # evolve() removes matching *root* timers wholesale, so the
@@ -431,35 +481,118 @@ class Explorer:
         budget truncated the search.
         """
         result = ExplorationResult()
-        visited = {root.digest()}
+        for world, path in self._search(root, max_depth, max_states, result):
+            for name in self.check(world):
+                result.violations.append(Violation(property_name=name, path=path, world=world))
+        return result
+
+    def _search(
+        self,
+        root: WorldState,
+        max_depth: int,
+        max_states: int,
+        result: ExplorationResult,
+    ) -> Iterator[Tuple[WorldState, Tuple[Action, ...]]]:
+        """Bounded breadth-first search: yields every state the first
+        time it is found, ``root`` first, with the path that found it,
+        and keeps ``result``'s counters.
+
+        Sleep sets skip the second side of a diamond.  Two deliver or
+        timer steps are independent when they act on different nodes
+        and neither handler read the clock: either order then reaches
+        the same world.  A successor's sleep set holds the steps already
+        taken (or asleep) at its parent that are independent of the step
+        that made it; a state found again before it is expanded keeps
+        only what every way in put to sleep.  An action asleep at a state
+        leads only to states found before that state is expanded, so the
+        search finds the same states in the same order as without sleep
+        sets — and reports the same violations with the same paths.
+        """
+        key = root.digest()
+        visited = {key}
+        # Sleep sets of found states that will be expanded, by digest:
+        # action key -> the node the action acts on.
+        asleep: Dict[str, Dict[Tuple, int]] = {key: {}}
+        memo: Dict[Tuple, Any] = {}
         result.states_explored = 1
-        for name in self.check(root):
-            result.violations.append(Violation(property_name=name, path=(), world=root))
-        frontier: deque = deque([(root, ())])
+        yield root, ()
+        frontier: deque = deque([(root, (), key)])
         while frontier:
-            world, path = frontier.popleft()
+            world, path, key = frontier.popleft()
+            sleep = asleep.pop(key, None)
             relative_depth = world.depth - root.depth
             result.max_depth = max(result.max_depth, relative_depth)
             if relative_depth >= max_depth:
                 continue
+            # Successors at the depth bound are never expanded.
+            expands = relative_depth + 1 < max_depth
+            # Clock-free deliver/timer steps taken here so far, plus the
+            # sleep set: what a successor may inherit.
+            taken = dict(sleep)
             for action in self.enabled_actions(world):
-                for successor in self.successors(world, action):
+                if sleep and action.key() in sleep:
+                    result.pruned += 1
+                    continue
+                successors, node = self._expand(world, action, memo, result)
+                inherited = None
+                for successor in successors:
                     result.transitions += 1
-                    key = successor.digest()
-                    if key in visited:
+                    found = successor.digest()
+                    if found in visited:
+                        pending = asleep.get(found)
+                        if pending:
+                            if inherited is None:
+                                inherited = _inherit(taken, node)
+                            asleep[found] = {k: n for k, n in pending.items() if k in inherited}
                         continue
                     if result.states_explored >= max_states:
                         result.truncated = True
-                        return result
-                    visited.add(key)
+                        return
+                    visited.add(found)
                     result.states_explored += 1
                     new_path = path + (action,)
-                    for name in self.check(successor):
-                        result.violations.append(
-                            Violation(property_name=name, path=new_path, world=successor)
-                        )
-                    frontier.append((successor, new_path))
-        return result
+                    yield successor, new_path
+                    if expands:
+                        if inherited is None:
+                            inherited = _inherit(taken, node)
+                        asleep[found] = inherited
+                    frontier.append((successor, new_path, found))
+                if node is not None:
+                    taken[action.key()] = node
+
+
+def _deliver(action: DeliverAction, service: Service) -> None:
+    specs = [s for s in service.applicable_handlers(action.src, action.msg)
+             if s.name == action.handler]
+    if not specs:
+        # Guard no longer passes after restoration drift; treat the
+        # delivery as a no-op rather than crashing exploration.
+        return
+    service.invoke_handler(specs[0], action.src, action.msg)
+
+
+def _fire(action: TimerAction, service: Service) -> None:
+    service.fire_timer(action.name, action.payload)
+
+
+def _effect_events(node_id: int, effects) -> Tuple[
+        List[InFlightMessage], List[Tuple[int, str]], List[PendingTimer]]:
+    """A handler run's effects as world events of ``node_id``: the
+    messages it sent, the timers it cancelled, the timers it armed."""
+    return (
+        [InFlightMessage(src=node_id, dst=dst, msg=msg) for dst, msg in effects.sent],
+        [(node_id, name) for name in effects.timers_cancelled],
+        [PendingTimer(node=node_id, name=name, payload=payload, delay=delay)
+         for name, delay, payload in effects.timers_set],
+    )
+
+
+def _inherit(taken: Dict[Tuple, int], node: Optional[int]) -> Dict[Tuple, int]:
+    """The sleep set a step at ``node`` hands its successors: the
+    actions of ``taken`` at other nodes (none after a dependent step)."""
+    if node is None:
+        return {}
+    return {key: other for key, other in taken.items() if other != node}
 
 
 def _message_key_counter(world: WorldState) -> Counter:

@@ -12,12 +12,11 @@ MaceMC terminology a potential dead state).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .actions import Action
-from .explorer import Explorer
+from .explorer import ExplorationResult, Explorer
 from .world import WorldState
 
 Predicate = Callable[[WorldState], bool]
@@ -58,43 +57,18 @@ class BoundedLivenessChecker:
         self.max_states = max_states
 
     def check(self, world: WorldState, prop: LivenessProperty) -> LivenessResult:
-        """Bounded BFS for a state satisfying ``prop``."""
-        if prop.predicate(world):
-            return LivenessResult(property_name=prop.name, reachable=True,
-                                  witness_world=world, states_explored=1)
-        visited = {world.digest()}
-        frontier: deque = deque([(world, ())])
-        states = 1
-        truncated = False
-        while frontier:
-            current, path = frontier.popleft()
-            if current.depth - world.depth >= self.max_depth:
-                continue
-            for action in self.explorer.enabled_actions(current):
-                for successor in self.explorer.successors(current, action):
-                    key = successor.digest()
-                    if key in visited:
-                        continue
-                    if states >= self.max_states:
-                        truncated = True
-                        frontier.clear()
-                        break
-                    visited.add(key)
-                    states += 1
-                    new_path = path + (action,)
-                    if prop.predicate(successor):
-                        return LivenessResult(
-                            property_name=prop.name, reachable=True,
-                            witness_path=new_path, witness_world=successor,
-                            states_explored=states,
-                        )
-                    frontier.append((successor, new_path))
-                else:
-                    continue
-                break
+        """The explorer's bounded BFS, stopped at the first state
+        satisfying ``prop``."""
+        search = ExplorationResult()
+        for current, path in self.explorer._search(world, self.max_depth, self.max_states, search):
+            if prop.predicate(current):
+                return LivenessResult(
+                    property_name=prop.name, reachable=True, witness_path=path,
+                    witness_world=current, states_explored=search.states_explored,
+                )
         return LivenessResult(
             property_name=prop.name, reachable=False,
-            states_explored=states, truncated=truncated,
+            states_explored=search.states_explored, truncated=search.truncated,
         )
 
     def check_all(self, world: WorldState, properties: List[LivenessProperty]) -> List[LivenessResult]:

@@ -39,9 +39,9 @@ def test_bfs_revisit_detection_pinned(monkeypatch):
         result = explorer.bfs(world.clone(), max_depth=3)
         return result.states_explored, result.transitions, result.truncated
 
-    assert explored() == (298, 844, False)
+    assert explored() == (298, 665, False)
     with legacy_digests(monkeypatch):
-        assert explored() == (298, 844, False)
+        assert explored() == (298, 665, False)
 
 
 def test_s1_report_keeps_its_seed_digest_under_the_legacy_world_digest(monkeypatch):

@@ -1,5 +1,7 @@
 """Explorer: enabled actions, successors, choice branching, BFS."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.mc import (
@@ -13,8 +15,10 @@ from repro.mc import (
     WorldState,
 )
 from repro.model import GenericNode, NetworkModel
+from repro.statemachine import Message, Service, msg_handler
 
 from .conftest import Token, TokenService
+from .legacy_bfs import legacy_bfs
 
 
 def world_with(factory, inflight=(), timers=(), down=(), n=3):
@@ -141,10 +145,104 @@ def test_bfs_dedups_states():
     )
     explorer = Explorer(factory)
     result = explorer.bfs(world, max_depth=3, max_states=5000)
-    # Diamond: root + 2 intermediates + 1 shared final = 4 states,
-    # but 4 transitions (the final state is reached twice).
+    # Diamond: root + 2 intermediates + 1 shared final = 4 states, and
+    # 3 transitions: the deliveries act on different nodes, so after
+    # B the already-taken A is asleep and the final state is built once.
     assert result.states_explored == 4
-    assert result.transitions == 4
+    assert result.transitions == 3
+    assert (result.pruned, result.reused) == (1, 1)
+
+
+@dataclass
+class Stamp(Message):
+    """A message whose handler may read the clock."""
+
+
+class StampService(Service):
+    """Counts stamps; nodes in ``clocked`` read the clock on each, and
+    keep the reading when ``keep``."""
+
+    state_fields = ("count", "stamped_at")
+
+    def __init__(self, node_id, clocked=(), keep=False):
+        super().__init__(node_id)
+        self.clocked = clocked
+        self.keep = keep
+        self.count = 0
+        self.stamped_at = None
+
+    @msg_handler(Stamp)
+    def on_stamp(self, src, msg):
+        self.count += 1
+        if self.node_id in self.clocked:
+            now = self.now()
+            if self.keep:
+                self.stamped_at = now
+
+
+def stamp_world(inflight, clocked=(), keep=False, n=3):
+    factory = lambda nid: StampService(nid, clocked=clocked, keep=keep)
+    return factory, world_with(factory, inflight=[InFlightMessage(src, dst, Stamp())
+                                                  for src, dst in inflight], n=n)
+
+
+def stamp_bfs(inflight, clocked=(), keep=False, n=3):
+    factory, world = stamp_world(inflight, clocked, keep, n)
+    return Explorer(factory).bfs(world, max_depth=3, max_states=5000)
+
+
+def test_bfs_keeps_both_orders_when_a_handler_reads_the_clock():
+    # The diamond of test_bfs_dedups_states, but node 1's handler calls
+    # now(): the steps are dependent, so nothing is asleep.
+    result = stamp_bfs([(0, 1), (0, 2)], clocked={1})
+    assert (result.states_explored, result.transitions, result.pruned) == (4, 4, 0)
+
+
+def test_bfs_keeps_both_orders_at_one_node():
+    result = stamp_bfs([(0, 1), (2, 1)])
+    assert (result.states_explored, result.transitions, result.pruned) == (4, 4, 0)
+
+
+def test_bfs_never_prunes_drops():
+    # Sleep sets skip deliveries here, and the reduced search still
+    # takes every drop the unreduced one takes.
+    factory, world = stamp_world([(0, 1), (0, 2)])
+    drops, results = [], []
+    for search in (legacy_bfs, Explorer.bfs):
+        explorer = Explorer(factory, include_drops=True)
+
+        def counting(w, action, successors=explorer.successors):
+            if isinstance(action, DropAction):
+                drops[-1] += 1
+            return successors(w, action)
+
+        explorer.successors = counting
+        drops.append(0)
+        results.append(search(explorer, world.clone(), 3, 5000))
+    oracle, reduced = results
+    assert reduced.pruned > 0
+    assert drops[0] == drops[1] > 0
+    assert reduced.states_explored == oracle.states_explored
+
+
+def test_memo_never_serves_a_clock_reading_handler():
+    # Node 1 keeps its clock reading: delivering to it at the root and
+    # after the delivery to node 2 starts from the same state dict at
+    # two world times, and must give two different final states.
+    result = stamp_bfs([(0, 1), (0, 2)], clocked={1}, keep=True)
+    assert (result.states_explored, result.transitions, result.pruned) == (5, 4, 0)
+    assert result.reused == 1   # node 2's clock-free step, after node 1's
+
+
+def test_state_found_again_keeps_only_what_every_way_in_put_to_sleep():
+    # Steps z (node 3), k (node 2, reads the clock) and a (node 1).  The
+    # world after k and a is found first from k's world, with z asleep
+    # (taken there before a), then from a's world through the
+    # clock-reading k, with nothing asleep.  Only what every way in put
+    # to sleep stays asleep, so z is taken at that world.
+    result = stamp_bfs([(0, 3), (0, 2), (0, 1)], clocked={2}, n=4)
+    assert (result.states_explored, result.transitions) == (8, 11)
+    assert result.pruned == 1   # z at a's world, asleep from the root
 
 
 def test_bfs_respects_state_budget(token_factory):
