@@ -8,7 +8,8 @@ studies and asserts what must never break:
 * RandTree stays structurally sane — no self-loops, bounded degree,
   no cycle among mutually-agreed parent/child edges — in every
   configuration, for Baseline and Choice-CrystalBall alike;
-* Paxos chooses at most one value per instance across all replicas;
+* Paxos chooses at most one value per instance across all replicas
+  and applies each command at most once (``repro.apps.paxos.SAFETY``);
 * the same ``(configuration, seed)`` yields byte-identical trace
   digests (chaos runs are replayable);
 * the at-least-once reliability layer recovers the loss-free E2 join
@@ -74,7 +75,7 @@ def test_a7_randtree_safety_under_chaos(benchmark, variant, plan_name):
 
 @pytest.mark.parametrize("plan_name", sorted(PAXOS_PLANS))
 def test_a7_paxos_single_decree_under_chaos(benchmark, plan_name):
-    """Single-decree agreement holds for every seed of every plan."""
+    """Agreement and at-most-once hold for every seed of every plan."""
     plan = PAXOS_PLANS[plan_name]
 
     def sweep():
@@ -86,17 +87,17 @@ def test_a7_paxos_single_decree_under_chaos(benchmark, plan_name):
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_table(
         f"A7: Paxos under {plan_name}",
-        ("seed", "committed", "faults", "agreement"),
+        ("seed", "committed", "faults", "agreement", "at-most-once"),
         [
             (
                 r.seed, f"{r.committed}/{r.expected}",
-                sum(r.chaos_stats.values()), r.agreement,
+                sum(r.chaos_stats.values()), r.agreement, r.at_most_once,
             )
             for r in results
         ],
     )
     for r in results:
-        assert r.safe, f"seed {r.seed}: agreement violated under {plan_name}"
+        assert r.safe, f"seed {r.seed}: {r.summary()}"
         assert r.committed > 0
 
 

@@ -30,9 +30,9 @@ import os
 
 from repro.apps.randtree import RandTreeConfig, make_exposed_factory, randtree_properties
 from repro.choice.resolvers import RandomResolver
-from repro.eval import trace_digest
 from repro.mc import ConsequencePredictor, Explorer, world_from_services
 from repro.runtime import install_crystalball
+from repro.sim.trace import trace_digest
 from repro.statemachine import Cluster
 
 from bench_p1_hotpath import (

@@ -30,9 +30,9 @@ import time
 from repro.apps.gossip import GossipConfig, make_exposed_gossip_factory
 from repro.choice.resolvers import RandomResolver
 from repro.eval import run_throughput_experiment
-from repro.eval.chaos_experiment import trace_digest
 from repro.obs import TelemetrySampler
 from repro.obs.stream import read_stream
+from repro.sim.trace import trace_digest
 from repro.statemachine import Cluster
 
 from conftest import REPO_ROOT, print_table, record_metrics

@@ -51,7 +51,7 @@ from repro.mc import (
     Violation,
     world_from_services,
 )
-from repro.apps.randtree.common import child_parent_consistent
+from repro.apps.randtree.common import child_parent_consistent, degree_bound, no_self_loop
 from repro.mc.properties import SafetyProperty
 from repro.mc.world import digest_of_frozen
 from repro.statemachine import Cluster
@@ -126,23 +126,15 @@ def seed_randtree_properties(config):
                     return False
         return True
 
-    def degree_bound(world):
-        return all(
-            len(world.state_of(nid).get("children", [])) <= config.max_children
-            for nid in world.live_nodes()
+    def full_scan(rule):
+        return lambda world: all(
+            rule(nid, world.state_of(nid)) for nid in world.live_nodes()
         )
-
-    def no_self_loops(world):
-        for nid in world.live_nodes():
-            state = world.state_of(nid)
-            if state.get("parent") == nid or nid in state.get("children", []):
-                return False
-        return True
 
     return [
         SafetyProperty(name="child-parent-consistency", predicate=pairwise_check),
-        SafetyProperty(name="degree-bound", predicate=degree_bound),
-        SafetyProperty(name="no-self-loops", predicate=no_self_loops),
+        SafetyProperty(name="degree-bound", predicate=full_scan(degree_bound(config))),
+        SafetyProperty(name="no-self-loops", predicate=full_scan(no_self_loop)),
     ]
 
 

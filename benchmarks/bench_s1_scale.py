@@ -56,14 +56,13 @@ from repro.apps.randtree import (
 )
 from repro.apps.randtree.common import child_parent_consistent, no_self_loop
 from repro.choice.resolvers import RandomResolver
-from repro.eval.chaos_experiment import trace_digest
 from repro.mc import ConsequencePredictor, Explorer, world_from_services
 from repro.net import Network, Topology, ViewConfig, full_mesh, transit_stub
 from repro.net.topology import Link
 from repro.runtime import CrystalBallRuntime, install_crystalball
 from repro.sim import LivenessRegistry, Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceLog, trace_digest
 from repro.statemachine import Cluster
 
 from conftest import print_table, record_metrics

@@ -13,28 +13,23 @@ protocol in the repo — Paxos under proposer contention:
    the contention takes to resolve.
 """
 
-from repro.apps.paxos import PaxosConfig, Prepare, make_ballot, make_paxos_factory
+from repro.apps.paxos import (
+    AGREEMENT,
+    PaxosConfig,
+    Prepare,
+    make_ballot,
+    make_paxos_factory,
+)
 from repro.mc import (
     BoundedLivenessChecker,
     Explorer,
     InFlightMessage,
     LivenessProperty,
     RandomWalkSimulator,
-    SafetyProperty,
     WorldState,
 )
 
 N = 3
-
-
-def agreement(world):
-    decided = {}
-    for node_id in world.node_ids:
-        for instance, value in world.state_of(node_id).get("chosen", {}).items():
-            if instance in decided and decided[instance] != tuple(value):
-                return False
-            decided[instance] = tuple(value)
-    return True
 
 
 def somebody_decided(world):
@@ -66,7 +61,7 @@ def main():
     print(__doc__)
     factory = make_paxos_factory("mencius", PaxosConfig(n=N, requests_per_node=0))
     world = contention_world(factory)
-    explorer = Explorer(factory, properties=[SafetyProperty("agreement", agreement)])
+    explorer = Explorer(factory, properties=[AGREEMENT])
 
     print("--- 1. safety: exhaustive bounded exploration ---")
     result = explorer.bfs(world, max_depth=6, max_states=4000)

@@ -14,7 +14,9 @@ from .common import (
     JoinReply,
     RandTreeConfig,
     STATE_FIELDS,
+    check_randtree_invariants,
     consistent_edges,
+    live_states,
     make_balance_objective,
     max_tree_depth,
     randtree_properties,
@@ -36,7 +38,9 @@ __all__ = [
     "JoinReply",
     "RandTreeConfig",
     "STATE_FIELDS",
+    "check_randtree_invariants",
     "consistent_edges",
+    "live_states",
     "make_balance_objective",
     "max_tree_depth",
     "randtree_properties",

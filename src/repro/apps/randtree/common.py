@@ -12,7 +12,7 @@ field names, so the same analysis and objectives apply to either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ...choice.objectives import Objective, PerformanceObjective, WeightedObjective
 from ...mc.properties import SafetyProperty, all_nodes, pairwise
@@ -189,7 +189,9 @@ def subtree_sizes(states: Dict[int, Dict[str, Any]], root: int) -> Dict[int, int
     return sizes
 
 
-def _world_states(world) -> Dict[int, Dict[str, Any]]:
+def live_states(world) -> Dict[int, Dict[str, Any]]:
+    """The states of a world's live nodes, by id: what every tree
+    analysis reads (a crashed node holds no authoritative beliefs)."""
     return {nid: world.state_of(nid) for nid in world.live_nodes()}
 
 
@@ -234,22 +236,22 @@ def make_balance_objective(config: RandTreeConfig) -> Objective:
     """
     root = config.root
     depth_term = PerformanceObjective(
-        "max-tree-depth", lambda world: float(max_tree_depth(_world_states(world), root)),
+        "max-tree-depth", lambda world: float(max_tree_depth(live_states(world), root)),
         minimize=True, weight=1.0,
     )
     path_term = PerformanceObjective(
         "total-path-length",
-        lambda world: float(total_path_length(_world_states(world), root)),
+        lambda world: float(total_path_length(live_states(world), root)),
         minimize=True, weight=0.05,
     )
     orphan_term = PerformanceObjective(
         "unattached-nodes",
-        lambda world: float(len(unattached_nodes(_world_states(world), root))),
+        lambda world: float(len(unattached_nodes(live_states(world), root))),
         minimize=True, weight=10.0,
     )
     pending_term = PerformanceObjective(
         "pending-forwards",
-        lambda world: pending_forward_penalty(_world_states(world), root),
+        lambda world: pending_forward_penalty(live_states(world), root),
         minimize=True, weight=0.05,
     )
     return WeightedObjective(
@@ -270,21 +272,90 @@ def no_self_loop(nid: int, state: Dict[str, Any]) -> bool:
     return state.get("parent") != nid and nid not in state.get("children", [])
 
 
+def degree_bound(config: RandTreeConfig) -> Callable[[int, Dict[str, Any]], bool]:
+    """The per-node degree rule: no node holds more than
+    ``config.max_children`` children."""
+
+    def within_degree(nid: int, state: Dict[str, Any]) -> bool:
+        return len(state.get("children", [])) <= config.max_children
+
+    return within_degree
+
+
 def randtree_properties(config: RandTreeConfig) -> List[SafetyProperty]:
     """Safety properties for RandTree worlds (CrystalBall-style).
 
     All three are built from the :mod:`repro.mc.properties` combinators
     so they evaluate incrementally on evolved worlds.
     """
-
-    def within_degree(nid: int, state: Dict[str, Any]) -> bool:
-        return len(state.get("children", [])) <= config.max_children
-
     return [
         pairwise(child_parent_consistent, name="child-parent-consistency"),
-        all_nodes(within_degree, name="degree-bound"),
+        all_nodes(degree_bound(config), name="degree-bound"),
         all_nodes(no_self_loop, name="no-self-loops"),
     ]
+
+
+def check_randtree_invariants(
+    states: Dict[int, Dict[str, Any]],
+    config: RandTreeConfig,
+) -> List[str]:
+    """Violations of RandTree's structural safety in ``states``.
+
+    ``states`` maps node id to state, live nodes only (see
+    :func:`live_states`).  The properties are exactly the ones the
+    protocol's guards enforce, so they must hold at *every* instant of
+    *any* chaos schedule:
+
+    * no node is its own parent or child (:func:`no_self_loop`);
+    * no node lists the same child twice;
+    * no node exceeds ``config.max_children`` (:func:`degree_bound`);
+    * the consistent-edge graph (parent lists child AND child agrees)
+      is acyclic.  One-sided stale beliefs are legitimate transients —
+      a swept child still pointing at its old parent — but a cycle of
+      mutually-agreed edges would be an unrecoverable safety bug.
+    """
+    within_degree = degree_bound(config)
+    violations: List[str] = []
+    for node_id, state in states.items():
+        children = state.get("children", [])
+        if not no_self_loop(node_id, state):
+            if state.get("parent") == node_id:
+                violations.append(f"node {node_id} is its own parent")
+            if node_id in children:
+                violations.append(f"node {node_id} is its own child")
+        if len(set(children)) != len(children):
+            violations.append(f"node {node_id} lists a child twice: {children}")
+        if not within_degree(node_id, state):
+            violations.append(
+                f"node {node_id} exceeds degree bound: "
+                f"{len(children)} > {config.max_children}"
+            )
+    adjacency = consistent_edges(states, config.root)
+    # Iterative three-colour DFS over the consistent-edge graph.
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = {nid: WHITE for nid in adjacency}
+    for start in sorted(adjacency):
+        if colour[start] != WHITE:
+            continue
+        stack: List[tuple] = [(start, iter(adjacency[start]))]
+        colour[start] = GREY
+        while stack:
+            node_id, children_iter = stack[-1]
+            advanced = False
+            for child in children_iter:
+                if colour.get(child, BLACK) == GREY:
+                    violations.append(
+                        f"cycle through consistent edge {node_id}->{child}"
+                    )
+                elif colour.get(child) == WHITE:
+                    colour[child] = GREY
+                    stack.append((child, iter(adjacency[child])))
+                    advanced = True
+                    break
+            if not advanced:
+                colour[node_id] = BLACK
+                stack.pop()
+    return violations
 
 
 __all__ = [
@@ -299,9 +370,12 @@ __all__ = [
     "max_tree_depth",
     "unattached_nodes",
     "subtree_sizes",
+    "live_states",
     "make_balance_objective",
     "pending_forward_penalty",
     "child_parent_consistent",
     "no_self_loop",
+    "degree_bound",
     "randtree_properties",
+    "check_randtree_invariants",
 ]

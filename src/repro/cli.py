@@ -114,7 +114,7 @@ def _cmd_e7(args) -> int:
 
     from .apps.randtree import RandTreeConfig, make_exposed_factory, randtree_properties
     from .choice.resolvers import RandomResolver
-    from .mc import ConsequencePredictor, Explorer, world_from_services
+    from .mc import ConsequencePredictor, Explorer, cluster_view
     from .statemachine import Cluster
 
     config = RandTreeConfig()
@@ -123,7 +123,7 @@ def _cmd_e7(args) -> int:
                       resolver_factory=lambda nid: RandomResolver(args.seeds[0]))
     cluster.start_all()
     cluster.run(until=20.0)
-    world = world_from_services(cluster.services, cluster.nodes, time=cluster.sim.now)
+    world = cluster_view(cluster)
     explorer = Explorer(factory, properties=randtree_properties(config))
     for depth in range(1, args.max_depth + 1):
         predictor = ConsequencePredictor(explorer, chain_depth=depth, budget=50_000)

@@ -5,12 +5,10 @@ from .chaos_experiment import (
     ChaosPaxosResult,
     ChaosTreeResult,
     ReliableJoinComparison,
-    check_randtree_invariants,
     run_chaos_paxos_experiment,
     run_chaos_tree_experiment,
     run_reliable_join_comparison,
     standard_plans,
-    trace_digest,
 )
 from .churn_experiment import ChurnResult, run_churn_experiment
 
@@ -34,8 +32,6 @@ from .paxos_experiment import (
     STEERING_MODES,
     PaxosResult,
     ThroughputResult,
-    agreement_holds,
-    at_most_once_holds,
     run_paxos_experiment,
     run_throughput_experiment,
     steering_mode,
@@ -60,12 +56,10 @@ __all__ = [
     "ChaosPaxosResult",
     "ChaosTreeResult",
     "ReliableJoinComparison",
-    "check_randtree_invariants",
     "run_chaos_paxos_experiment",
     "run_chaos_tree_experiment",
     "run_reliable_join_comparison",
     "standard_plans",
-    "trace_digest",
     "ChurnResult",
     "run_churn_experiment",
     "SETTINGS",
@@ -82,8 +76,6 @@ __all__ = [
     "PAXOS_VARIANTS",
     "PaxosResult",
     "ThroughputResult",
-    "agreement_holds",
-    "at_most_once_holds",
     "run_paxos_experiment",
     "run_throughput_experiment",
     "STEERING_MODES",

@@ -12,24 +12,26 @@ against the two protocols the paper studies and checks what must
   cycle among *consistent* parent/child edges (transient one-sided
   beliefs are allowed; a mutually-agreed cycle is not).
 * Paxos — at most one value is chosen per instance, across every
-  replica ("single decree").
+  replica ("single decree"), and no replica applies a command twice:
+  the property list :data:`repro.apps.paxos.SAFETY` that T1's live
+  probes check too.
 
-Each run also produces a trace digest: a SHA-256 over the canonical
-rendering of the full trace log.  Two runs of the same
-``(configuration, seed)`` must produce byte-identical digests — the
-determinism contract that makes a chaos failure replayable.
+Each run also produces a trace digest (:func:`repro.sim.trace.trace_digest`).
+Two runs of the same ``(configuration, seed)`` must produce
+byte-identical digests — the determinism contract that makes a chaos
+failure replayable.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..apps.paxos import SAFETY
 from ..apps.randtree import (
     RandTreeConfig,
-    consistent_edges,
+    check_randtree_invariants,
+    live_states,
     max_tree_depth,
     tree_depths,
 )
@@ -46,101 +48,14 @@ from ..chaos import (
     random_fault_plan,
     reliable_transport,
 )
+from ..mc import cluster_view
 from ..obs import collect_cluster_metrics
-from ..sim.trace import TraceLog, _jsonable
+from ..sim.trace import trace_digest
 from ..statemachine import Cluster
-from .paxos_experiment import agreement_holds, wan_topology
-from .tree_experiment import VARIANTS, _build_cluster, _live_states
+from .paxos_experiment import wan_topology
+from .tree_experiment import VARIANTS, _build_cluster
 
 CHAOS_TREE_VARIANTS = VARIANTS
-
-
-# ----------------------------------------------------------------------
-# Trace digests (the determinism contract)
-# ----------------------------------------------------------------------
-
-
-def trace_digest(trace: TraceLog) -> str:
-    """SHA-256 over the canonical rendering of every trace record.
-
-    Identical ``(configuration, seed)`` runs must produce identical
-    digests; any nondeterminism anywhere in the stack (an unnamed RNG,
-    wall-clock leakage, unordered iteration) shows up as a digest
-    mismatch long before it shows up as a flaky experiment.
-    """
-    h = hashlib.sha256()
-    for rec in trace:
-        row = {"t": rec.time, "c": rec.category, "n": rec.node,
-               "d": _jsonable(rec.data)}
-        h.update(json.dumps(row, sort_keys=True).encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
-
-
-# ----------------------------------------------------------------------
-# RandTree structural invariants
-# ----------------------------------------------------------------------
-
-
-def check_randtree_invariants(
-    states: Dict[int, Dict[str, Any]],
-    config: RandTreeConfig,
-) -> List[str]:
-    """Violations of RandTree's structural safety in ``states``.
-
-    ``states`` maps node id to a checkpoint dict (live nodes only —
-    crashed nodes hold no authoritative beliefs).  The properties are
-    exactly the ones the protocol's guards enforce, so they must hold
-    at *every* instant of *any* chaos schedule:
-
-    * no node is its own parent or child;
-    * no node lists the same child twice;
-    * no node exceeds ``config.max_children``;
-    * the consistent-edge graph (parent lists child AND child agrees)
-      is acyclic.  One-sided stale beliefs are legitimate transients —
-      a swept child still pointing at its old parent — but a cycle of
-      mutually-agreed edges would be an unrecoverable safety bug.
-    """
-    violations: List[str] = []
-    for node_id, state in states.items():
-        children = state.get("children", [])
-        if state.get("parent") == node_id:
-            violations.append(f"node {node_id} is its own parent")
-        if node_id in children:
-            violations.append(f"node {node_id} is its own child")
-        if len(set(children)) != len(children):
-            violations.append(f"node {node_id} lists a child twice: {children}")
-        if len(children) > config.max_children:
-            violations.append(
-                f"node {node_id} exceeds degree bound: "
-                f"{len(children)} > {config.max_children}"
-            )
-    adjacency = consistent_edges(states, config.root)
-    # Iterative three-colour DFS over the consistent-edge graph.
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {nid: WHITE for nid in adjacency}
-    for start in sorted(adjacency):
-        if colour[start] != WHITE:
-            continue
-        stack: List[tuple] = [(start, iter(adjacency[start]))]
-        colour[start] = GREY
-        while stack:
-            node_id, children_iter = stack[-1]
-            advanced = False
-            for child in children_iter:
-                if colour.get(child, BLACK) == GREY:
-                    violations.append(
-                        f"cycle through consistent edge {node_id}->{child}"
-                    )
-                elif colour.get(child) == WHITE:
-                    colour[child] = GREY
-                    stack.append((child, iter(adjacency[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node_id] = BLACK
-                stack.pop()
-    return violations
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +198,7 @@ def run_chaos_tree_experiment(
     horizon = max(plan.horizon, join_time) + settle
 
     def probe() -> None:
-        states = _live_states(cluster)
+        states = live_states(cluster_view(cluster))
         result.probes += 1
         for violation in check_randtree_invariants(states, cfg):
             result.violations.append(f"t={cluster.sim.now:g}: {violation}")
@@ -301,7 +216,7 @@ def run_chaos_tree_experiment(
     cluster.sim.schedule(probe_period, probe, tag="chaos.probe")
     cluster.run(until=horizon)
 
-    states = _live_states(cluster)
+    states = live_states(cluster_view(cluster))
     result.final_depth = max_tree_depth(states, cfg.root)
     result.joined = len(tree_depths(states, cfg.root))
     for violation in check_randtree_invariants(states, cfg):
@@ -326,20 +241,21 @@ class ChaosPaxosResult:
     variant: str
     seed: int
     plan_name: str
+    agreement: bool
+    at_most_once: bool
     committed: int = 0
     expected: int = 0
-    agreement: bool = True
     trace_digest: str = ""
     chaos_stats: Dict[str, int] = field(default_factory=dict)
     metrics: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def safe(self) -> bool:
-        """Single-decree agreement held across all replicas."""
-        return self.agreement
+        """Agreement and at-most-once held across all replicas."""
+        return self.agreement and self.at_most_once
 
     def summary(self) -> str:
-        status = "SAFE" if self.safe else "AGREEMENT VIOLATED"
+        status = "SAFE" if self.safe else "VIOLATED"
         return (
             f"{self.variant:>8}  seed={self.seed}  plan={self.plan_name:<16}"
             f"committed={self.committed}/{self.expected}  {status}"
@@ -361,8 +277,8 @@ def run_chaos_paxos_experiment(
     persist promises, so crashes recover from stable storage (the
     controller's no-checkpoint degradation).  What chaos attacks is
     everything else — message loss, duplication, reordering,
-    partitions, flapping links — and single-decree agreement must
-    survive all of it.
+    partitions, flapping links — and agreement and at-most-once
+    execution (:data:`repro.apps.paxos.SAFETY`) must survive all of it.
     """
     if plan is None:
         plan = random_fault_plan(
@@ -392,13 +308,16 @@ def run_chaos_paxos_experiment(
     cluster.run(until=max_time)
 
     committed = sum(len(s.commit_latencies()) for s in cluster.services)
+    world = cluster_view(cluster)
+    agreement, at_most_once = (prop.holds(world) for prop in SAFETY)
     return ChaosPaxosResult(
         variant=variant,
         seed=seed,
         plan_name=plan.name or "custom",
+        agreement=agreement,
+        at_most_once=at_most_once,
         committed=committed,
         expected=n * requests_per_node,
-        agreement=agreement_holds(cluster),
         trace_digest=trace_digest(cluster.sim.trace),
         chaos_stats=controller.stats(),
         metrics=collect_cluster_metrics(cluster),
@@ -486,10 +405,8 @@ __all__ = [
     "ChaosPaxosResult",
     "ChaosTreeResult",
     "ReliableJoinComparison",
-    "check_randtree_invariants",
     "run_chaos_paxos_experiment",
     "run_chaos_tree_experiment",
     "run_reliable_join_comparison",
     "standard_plans",
-    "trace_digest",
 ]

@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..apps.randtree import RandTreeConfig, max_tree_depth, tree_depths
+from ..apps.randtree import RandTreeConfig, live_states, max_tree_depth, tree_depths
+from ..mc import cluster_view
 from ..obs import collect_cluster_metrics
-from .tree_experiment import _build_cluster, _live_states
+from .tree_experiment import _build_cluster
 
 
 @dataclass
@@ -99,7 +100,7 @@ def run_churn_experiment(
     while clock < warmup + duration:
         cluster.run(until=clock + sample_period)
         clock += sample_period
-        states = _live_states(cluster)
+        states = live_states(cluster_view(cluster))
         live = len(states)
         depth = max_tree_depth(states, cfg.root)
         # Optimistic edges may reach crashed children that still appear

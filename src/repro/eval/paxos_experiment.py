@@ -20,7 +20,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..apps.paxos import PaxosConfig, make_paxos_factory, make_proposer_resolver
+from ..apps.paxos import PaxosConfig, SAFETY, make_paxos_factory, make_proposer_resolver
+from ..mc import cluster_view
 from ..obs import collect_cluster_metrics
 from ..net import Link, Topology
 from ..runtime import install_crystalball
@@ -364,8 +365,8 @@ def run_throughput_experiment(
 
     def probe() -> None:
         safety["probes"] += 1
-        agreement = agreement_holds(cluster)
-        at_most_once = at_most_once_holds(cluster)
+        world = cluster_view(cluster)
+        agreement, at_most_once = (prop.holds(world) for prop in SAFETY)
         safety["agreement"] = safety["agreement"] and agreement
         safety["at_most_once"] = safety["at_most_once"] and at_most_once
         if run_stream is not None:
@@ -441,32 +442,6 @@ def run_throughput_experiment(
     )
 
 
-def agreement_holds(cluster: Cluster) -> bool:
-    """Cross-replica agreement: no instance decided differently anywhere."""
-    decided: Dict[int, tuple] = {}
-    for service in cluster.services:
-        for instance, value in service.chosen.items():
-            if instance in decided and decided[instance] != value:
-                return False
-            decided[instance] = value
-    return True
-
-
-def at_most_once_holds(cluster: Cluster) -> bool:
-    """At-most-once execution: no replica applied a command twice.
-
-    A command can legitimately be *chosen* in two instances (recovery
-    re-proposes it while the original decision survives elsewhere), but
-    the replicated log must apply it exactly once — the dedup-on-apply
-    guarantee of ``PaxosReplica._value_chosen``.
-    """
-    for service in cluster.services:
-        if len(service.executed) != len(set(service.executed)):
-            return False
-    return True
-
-
 __all__ = ["PAXOS_VARIANTS", "STEERING_MODES", "DEFAULT_LOADS", "PaxosResult",
            "ThroughputResult", "steering_mode", "wan_topology",
-           "run_paxos_experiment", "run_throughput_experiment",
-           "agreement_holds", "at_most_once_holds"]
+           "run_paxos_experiment", "run_throughput_experiment"]

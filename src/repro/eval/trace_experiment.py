@@ -37,8 +37,9 @@ from ..obs import (
     explain_violation,
 )
 from ..runtime import install_crystalball
+from ..sim.trace import trace_digest
 from ..statemachine import Cluster
-from .chaos_experiment import standard_plans, trace_digest
+from .chaos_experiment import standard_plans
 from .paxos_experiment import wan_topology
 
 TRACE_EXPERIMENTS = ("e6", "a7")

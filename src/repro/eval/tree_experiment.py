@@ -22,6 +22,7 @@ from ..obs import collect_cluster_metrics
 
 from ..apps.randtree import (
     RandTreeConfig,
+    live_states,
     make_balance_objective,
     make_baseline_factory,
     make_exposed_factory,
@@ -30,6 +31,7 @@ from ..apps.randtree import (
     tree_depths,
 )
 from ..choice.resolvers import RandomResolver
+from ..mc import cluster_view
 from ..net import Topology, transit_stub
 from ..runtime import install_crystalball
 from ..statemachine import Cluster
@@ -69,14 +71,6 @@ def optimal_depth(n: int, fanout: int) -> int:
         capacity += level_width
         level_width *= fanout
     return depth
-
-
-def _live_states(cluster: Cluster) -> Dict[int, dict]:
-    return {
-        node.node_id: node.service.checkpoint()
-        for node in cluster.nodes
-        if node.is_up
-    }
 
 
 def _build_cluster(
@@ -129,7 +123,7 @@ def failed_subtree(cluster: Cluster, config: RandTreeConfig) -> List[int]:
     With fan-out 2 and a full tree this is about half the nodes,
     matching the paper's failure injection.
     """
-    states = _live_states(cluster)
+    states = live_states(cluster_view(cluster))
     root_children = states[config.root].get("children", [])
     if not root_children:
         return []
@@ -185,7 +179,7 @@ def run_tree_experiment(
         )
     join_measure_t = n * join_spacing + join_settle
     cluster.run(until=join_measure_t)
-    states = _live_states(cluster)
+    states = live_states(cluster_view(cluster))
     result.depth_after_join = max_tree_depth(states, cfg.root)
     result.joined_after_join = len(tree_depths(states, cfg.root))
 
@@ -205,7 +199,7 @@ def run_tree_experiment(
             tag=f"exp.restart:{node_id}",
         )
     cluster.run(until=rejoin_t + len(victims) * rejoin_spacing + rejoin_settle)
-    states = _live_states(cluster)
+    states = live_states(cluster_view(cluster))
     result.depth_after_rejoin = max_tree_depth(states, cfg.root)
     result.joined_after_rejoin = len(tree_depths(states, cfg.root))
     result.metrics = collect_cluster_metrics(cluster)

@@ -21,9 +21,7 @@ from .executor import (
     PaxosFuzzTarget,
     RandTreeFuzzTarget,
     TARGETS,
-    accepted_coherent,
     make_target,
-    paxos_agreement,
 )
 from .mutators import MUTATORS, crossover, mutate_plan, random_event
 from .shrink import ShrinkResult, Shrinker, shrink_counterexample
@@ -50,7 +48,6 @@ __all__ = [
     "ShrinkResult",
     "Shrinker",
     "TARGETS",
-    "accepted_coherent",
     "corpus_paths",
     "counterexample_dict",
     "crossover",
@@ -59,7 +56,6 @@ __all__ = [
     "make_target",
     "mutate_plan",
     "near_violation_score",
-    "paxos_agreement",
     "random_event",
     "replay_counterexample",
     "shrink_counterexample",

@@ -11,20 +11,21 @@ Two targets ship:
 * ``paxos`` — the 5-replica Mencius WAN workload.  Live safety is
   single-decree agreement, checked at every probe and at the end.
   The prediction probes also carry the ``near:accepted-coherent``
-  canary — "no accepted value conflicts with a chosen value elsewhere,
-  and no two replicas accept different values at one (instance,
-  ballot)" — a *precursor* property whose predicted violations sit one
+  canary — a *precursor* property whose predicted violations sit one
   or two actions from the current world, giving the search a gradient
   long before agreement itself (which needs a full gap-fill round
-  trip) can break.
+  trip) can break.  Every Paxos property is the one
+  :mod:`repro.apps.paxos` exports.
 * ``randtree`` — an 8-node RandTree join under chaos.  Live safety is
-  the structural invariant set (degree bound, no self-edges, no
-  consistent-edge cycle), probed twice a simulated second; prediction
-  probes use the protocol's own CrystalBall property set.
+  :func:`~repro.apps.randtree.check_randtree_invariants` (degree
+  bound, no self-edges, no consistent-edge cycle), swept twice a
+  simulated second; prediction probes use the protocol's own
+  CrystalBall property set.
 
-Executions are pure functions of ``(plan, seed)``: same inputs, same
-trace digest, same verdict — the property the shrinker and the corpus
-replay test rely on.
+Every check reads the running cluster through one zero-copy
+:func:`~repro.mc.cluster_view`.  Executions are pure functions of
+``(plan, seed)``: same inputs, same trace digest, same verdict — the
+property the shrinker and the corpus replay test rely on.
 """
 
 from __future__ import annotations
@@ -33,19 +34,26 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional
 
-from ..apps.paxos import PaxosConfig, make_paxos_factory
-from ..apps.randtree import RandTreeConfig, make_baseline_factory, randtree_properties
+from ..apps.paxos import (
+    ACCEPTED_COHERENT,
+    AGREEMENT,
+    AT_MOST_ONCE,
+    PaxosConfig,
+    SAFETY,
+    make_paxos_factory,
+)
+from ..apps.randtree import (
+    RandTreeConfig,
+    check_randtree_invariants,
+    live_states,
+    make_baseline_factory,
+    randtree_properties,
+)
 from ..chaos import ChaosController, FaultPlan
 from ..chaos.plan import CrashEvent, LinkFaultEvent, PartitionEvent, plan_rng
-from ..eval.chaos_experiment import check_randtree_invariants, trace_digest
-from ..eval.paxos_experiment import agreement_holds, at_most_once_holds, wan_topology
-from ..mc import (
-    ConsequencePredictor,
-    Explorer,
-    SafetyProperty,
-    WorldState,
-    world_from_services,
-)
+from ..eval.paxos_experiment import wan_topology
+from ..mc import ConsequencePredictor, Explorer, WorldState, cluster_view
+from ..sim.trace import trace_digest
 from ..statemachine import Cluster
 from .coverage import (
     chaos_features,
@@ -77,6 +85,13 @@ class ExecutionResult:
     def violated(self) -> bool:
         return bool(self.violations)
 
+    def note(self, now: float, violations: List[str]) -> None:
+        """Record each of ``violations`` seen at ``now`` not yet recorded."""
+        for violation in violations:
+            message = f"t={now:g}: {violation}"
+            if message not in self.violations:
+                self.violations.append(message)
+
 
 class FuzzTarget:
     """One app under adversarial scenario search."""
@@ -99,6 +114,11 @@ class FuzzTarget:
                 steering: bool = False) -> ExecutionResult:
         raise NotImplementedError
 
+    def live_violations(self, world: WorldState) -> List[str]:
+        """Violations of this target's live safety properties in
+        ``world`` (a :func:`~repro.mc.cluster_view` of its cluster)."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
     # Shared machinery
     # ------------------------------------------------------------------
@@ -110,6 +130,8 @@ class FuzzTarget:
         controller: ChaosController,
         keep_cluster: bool,
     ) -> ExecutionResult:
+        for violation in self.live_violations(cluster_view(cluster)):
+            result.violations.append(f"t=end: {violation}")
         result.trace_digest = trace_digest(cluster.sim.trace)
         result.chaos_stats = controller.stats()
         features = trace_features(cluster.sim.trace)
@@ -130,21 +152,17 @@ class FuzzTarget:
         cluster: Cluster,
         predictor: Optional[ConsequencePredictor],
         result: ExecutionResult,
-        live_check: Callable[[WorldState], List[str]],
+        live_check: Optional[Callable[[WorldState], List[str]]],
     ) -> None:
-        """Probe at the target's probe times: live property check plus
-        (when a predictor is given) a consequence-prediction pass whose
+        """Probe at the target's probe times: the live property check
+        (``None`` where the target sweeps more often on its own) plus,
+        when a predictor is given, a consequence-prediction pass whose
         near-violation counts feed the coverage score."""
 
         def probe() -> None:
-            down = [n.node_id for n in cluster.nodes if not n.is_up]
-            world = world_from_services(
-                cluster.services, cluster.nodes, down=down, time=cluster.sim.now,
-            )
-            for violation in live_check(world):
-                message = f"t={cluster.sim.now:g}: {violation}"
-                if message not in result.violations:
-                    result.violations.append(message)
+            world = cluster_view(cluster)
+            if live_check is not None:
+                result.note(cluster.sim.now, live_check(world))
             if predictor is not None:
                 report = predictor.predict(world)
                 for prop, count in report.near_violations().items():
@@ -167,42 +185,11 @@ class FuzzTarget:
 # ----------------------------------------------------------------------
 
 
-def paxos_agreement(world: WorldState) -> bool:
-    """Single-decree agreement over a world's ``chosen`` maps."""
-    decided: Dict[Any, tuple] = {}
-    for node_id in world.node_ids:
-        for instance, value in world.state_of(node_id).get("chosen", {}).items():
-            if instance in decided and decided[instance] != tuple(value):
-                return False
-            decided[instance] = tuple(value)
-    return True
-
-
-def accepted_coherent(world: WorldState) -> bool:
-    """The near-violation canary for Paxos.
-
-    Two precursor conditions of an agreement break: an acceptor holds
-    an accepted value conflicting with a value already chosen
-    elsewhere, or two acceptors hold different values for one
-    (instance, ballot).  Either means a quorum could be assembled for
-    the wrong value — detectable one delivery ahead of the break
-    itself.
-    """
-    chosen: Dict[int, tuple] = {}
-    for node_id in world.node_ids:
-        for instance, value in world.state_of(node_id).get("chosen", {}).items():
-            chosen[int(instance)] = tuple(value)
-    seen: Dict[tuple, tuple] = {}
-    for node_id in world.node_ids:
-        for instance, acc in world.state_of(node_id).get("accepted", {}).items():
-            instance = int(instance)
-            ballot, value = acc[0], tuple(acc[1])
-            if instance in chosen and value != chosen[instance]:
-                return False
-            if (instance, ballot) in seen and seen[(instance, ballot)] != value:
-                return False
-            seen[(instance, ballot)] = value
-    return True
+# How a broken live Paxos property reads in a violation message.
+_BROKEN = {
+    AGREEMENT.name: "two replicas chose different values",
+    AT_MOST_ONCE.name: "a replica applied a command twice",
+}
 
 
 class PaxosFuzzTarget(FuzzTarget):
@@ -220,14 +207,13 @@ class PaxosFuzzTarget(FuzzTarget):
     probe_times = (3.0, 5.0, 7.0)
     chain_depth = 3
     predict_budget = 160
+    # Checked live; the prediction probes add the accepted-coherent canary.
+    safety: tuple = (AGREEMENT,)
 
     def __init__(self) -> None:
         self.config = PaxosConfig(n=5, request_interval=0.5, requests_per_node=3)
         self.factory = make_paxos_factory("mencius", self.config)
-        self.properties = [
-            SafetyProperty("paxos-agreement", paxos_agreement),
-            SafetyProperty("near:accepted-coherent", accepted_coherent),
-        ]
+        self.properties = [*self.safety, ACCEPTED_COHERENT]
 
     def random_plan(self, rng: random.Random) -> FaultPlan:
         rng = plan_rng(rng, stream="fuzz.surface")
@@ -243,6 +229,10 @@ class PaxosFuzzTarget(FuzzTarget):
                 recover_at=at + rng.uniform(0.1, 2.5),
             ))
         return FaultPlan(events=events)
+
+    def live_violations(self, world: WorldState) -> List[str]:
+        return [f"{prop.name}: {_BROKEN[prop.name]}"
+                for prop in self.safety if not prop.holds(world)]
 
     def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
                 causal: bool = False, keep_cluster: bool = False,
@@ -272,31 +262,9 @@ class PaxosFuzzTarget(FuzzTarget):
                 budget=self.predict_budget,
             )
 
-        self._schedule_probes(cluster, predictor, result, self._live_violations)
+        self._schedule_probes(cluster, predictor, result, self.live_violations)
         cluster.run(until=self.horizon)
-        for violation in self._final_violations(cluster):
-            result.violations.append(f"t=end: {violation}")
         return self._finish(result, cluster, controller, keep_cluster)
-
-    def _live_violations(self, world: WorldState) -> List[str]:
-        if not paxos_agreement(world):
-            return ["paxos-agreement: two replicas chose different values"]
-        return []
-
-    def _final_violations(self, cluster: Cluster) -> List[str]:
-        if not agreement_holds(cluster):
-            return ["paxos-agreement: two replicas chose different values"]
-        return []
-
-
-def paxos_at_most_once(world: WorldState) -> bool:
-    """At-most-once execution over a world's replicated logs: no
-    replica's in-order execution sequence applies a command twice."""
-    for node_id in world.node_ids:
-        executed = [tuple(c) for c in world.state_of(node_id).get("executed", [])]
-        if len(executed) != len(set(executed)):
-            return False
-    return True
 
 
 class BatchedPaxosFuzzTarget(PaxosFuzzTarget):
@@ -312,6 +280,7 @@ class BatchedPaxosFuzzTarget(PaxosFuzzTarget):
     """
 
     name = "paxos-batched"
+    safety = SAFETY
 
     def __init__(self) -> None:
         self.config = PaxosConfig(
@@ -320,27 +289,7 @@ class BatchedPaxosFuzzTarget(PaxosFuzzTarget):
             retry_pacing_choices=(1.0, 2.0),
         )
         self.factory = make_paxos_factory("batched", self.config)
-        self.properties = [
-            SafetyProperty("paxos-agreement", paxos_agreement),
-            SafetyProperty("paxos-at-most-once", paxos_at_most_once),
-            SafetyProperty("near:accepted-coherent", accepted_coherent),
-        ]
-
-    def _live_violations(self, world: WorldState) -> List[str]:
-        violations = super()._live_violations(world)
-        if not paxos_at_most_once(world):
-            violations.append(
-                "paxos-at-most-once: a replica applied a command twice"
-            )
-        return violations
-
-    def _final_violations(self, cluster: Cluster) -> List[str]:
-        violations = super()._final_violations(cluster)
-        if not at_most_once_holds(cluster):
-            violations.append(
-                "paxos-at-most-once: a replica applied a command twice"
-            )
-        return violations
+        self.properties = [*self.safety, ACCEPTED_COHERENT]
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +344,9 @@ class RandTreeFuzzTarget(FuzzTarget):
             ))
         return FaultPlan(events=events)
 
+    def live_violations(self, world: WorldState) -> List[str]:
+        return check_randtree_invariants(live_states(world), self.config)
+
     def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
                 causal: bool = False, keep_cluster: bool = False,
                 steering: bool = False) -> ExecutionResult:
@@ -423,22 +375,12 @@ class RandTreeFuzzTarget(FuzzTarget):
                 explorer, chain_depth=self.chain_depth,
                 budget=self.predict_budget,
             )
+        # The sweep below fires at every probe time too, so the probes
+        # only predict.
+        self._schedule_probes(cluster, predictor, result, None)
 
-        def live_check(world: WorldState) -> List[str]:
-            states = {nid: world.state_of(nid) for nid in world.node_ids
-                      if nid not in world.down}
-            return check_randtree_invariants(states, self.config)
-
-        self._schedule_probes(cluster, predictor, result, live_check)
-
-        # The cheap high-frequency invariant sweep (live checks only).
         def invariant_probe() -> None:
-            states = {n.node_id: n.service.checkpoint()
-                      for n in cluster.nodes if n.is_up}
-            for violation in check_randtree_invariants(states, self.config):
-                message = f"t={cluster.sim.now:g}: {violation}"
-                if message not in result.violations:
-                    result.violations.append(message)
+            result.note(cluster.sim.now, self.live_violations(cluster_view(cluster)))
             if cluster.sim.now + self.invariant_period <= self.horizon:
                 cluster.sim.schedule(self.invariant_period, invariant_probe,
                                      tag="fuzz.invariant")
@@ -452,10 +394,6 @@ class RandTreeFuzzTarget(FuzzTarget):
         cluster.sim.schedule(self.invariant_period, invariant_probe,
                              tag="fuzz.invariant")
         cluster.run(until=self.horizon)
-        states = {n.node_id: n.service.checkpoint()
-                  for n in cluster.nodes if n.is_up}
-        for violation in check_randtree_invariants(states, self.config):
-            result.violations.append(f"t=end: {violation}")
         return self._finish(result, cluster, controller, keep_cluster)
 
 
@@ -483,8 +421,5 @@ __all__ = [
     "PaxosFuzzTarget",
     "RandTreeFuzzTarget",
     "TARGETS",
-    "accepted_coherent",
     "make_target",
-    "paxos_agreement",
-    "paxos_at_most_once",
 ]

@@ -35,7 +35,8 @@ from .explorer import (
     created_event_keys,
 )
 from .properties import SafetyProperty, all_nodes, pairwise, violated_properties
-from .world import InFlightMessage, PendingTimer, WorldState, world_from_services
+from .world import (InFlightMessage, PendingTimer, WorldState, cluster_view,
+                    world_from_services)
 
 __all__ = [
     "Action",
@@ -73,5 +74,6 @@ __all__ = [
     "InFlightMessage",
     "PendingTimer",
     "WorldState",
+    "cluster_view",
     "world_from_services",
 ]

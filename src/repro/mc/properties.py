@@ -43,7 +43,7 @@ def violated_properties(world: Any, properties: Iterable[SafetyProperty]) -> Lis
     return [prop.name for prop in properties if not prop.holds(world)]
 
 
-def _live_states(world: Any):
+def _live_pairs(world: Any):
     """``(node_id, state)`` pairs of the world's live nodes, hoisted
     out of the per-pair loops (one attribute walk per check, not per
     predicate call)."""
@@ -96,7 +96,7 @@ def all_nodes(predicate: Callable[[int, dict], bool], name: str) -> SafetyProper
                 if world.is_up(nid) and nid in world.node_states
             )
         else:
-            result = all(predicate(nid, s) for nid, s in _live_states(world))
+            result = all(predicate(nid, s) for nid, s in _live_pairs(world))
         if cache is not None:
             cache[name] = result
         return result
@@ -120,7 +120,7 @@ def pairwise(predicate: Callable[[int, dict, int, dict], bool], name: str) -> Sa
         changed, cache = _incremental_basis(world, name)
         if cache is not None and name in cache:
             return cache[name]
-        states = _live_states(world)
+        states = _live_pairs(world)
         result = True
         if changed is not None:
             for c in changed:

@@ -364,27 +364,41 @@ class WorldState:
         )
 
 
-def world_from_services(services, node_hosts=None, down: Iterable[int] = (), time: float = 0.0) -> WorldState:
-    """Build a world from live service instances (and optionally their
-    hosting nodes, to capture pending timers)."""
-    node_states = {service.node_id: service.checkpoint() for service in services}
+def world_from_services(services, node_hosts=None, time: float = 0.0) -> WorldState:
+    """A read-only view of live service instances as a world; given
+    their hosting nodes, also their pending timers and which are down.
+
+    Zero-copy: each state is :meth:`Service.live_state`, so the view is
+    valid until the simulation next advances.  Worlds never mutate
+    their states and the explorer restores from them by copying.  The
+    digest equals that of a world built from ``checkpoint()`` copies.
+    """
+    node_states = {service.node_id: service.live_state() for service in services}
     timers: List[PendingTimer] = []
-    if node_hosts is not None:
-        for host in node_hosts:
-            for name, deadline, payload in host.pending_timers():
-                timers.append(
-                    PendingTimer(node=host.node_id, name=name, payload=payload,
-                                 delay=max(0.0, deadline - time))
-                )
-    # checkpoint() already deep-copies, so the world can adopt the dicts.
+    down: List[int] = []
+    for host in node_hosts or ():
+        if not host.is_up:
+            down.append(host.node_id)
+        for name, deadline, payload in host.pending_timers():
+            timers.append(
+                PendingTimer(node=host.node_id, name=name, payload=payload,
+                             delay=max(0.0, deadline - time))
+            )
     return WorldState(node_states=node_states, timers=timers, down=down, time=time,
                       copy_states=False)
+
+
+def cluster_view(cluster) -> WorldState:
+    """:func:`world_from_services` over a running
+    :class:`~repro.statemachine.Cluster` at the simulator's clock."""
+    return world_from_services(cluster.services, cluster.nodes, time=cluster.sim.now)
 
 
 __all__ = [
     "InFlightMessage",
     "PendingTimer",
     "WorldState",
+    "cluster_view",
     "digest_of_frozen",
     "world_from_services",
 ]

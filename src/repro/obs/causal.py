@@ -130,11 +130,8 @@ class CausalTracer:
     :class:`HappensBeforeGraph`.
     """
 
-    def __init__(self, clock=None) -> None:
-        # ``clock`` is accepted for API compatibility; event times are
-        # taken from the trace records themselves, so the tracer never
-        # needs to consult it on the hot path.
-        self._clock = clock if clock is not None else (lambda: 0.0)
+    def __init__(self) -> None:
+        # No clock: event times are taken from the trace records.
         self._next_trace = 1
         self.lamport: Dict[int, int] = {}
         # Per-node vector clocks as dense lists indexed by node id —
@@ -388,7 +385,7 @@ def enable_causal_tracing(sim) -> CausalTracer:
     reliable layer) and ``sim.trace.tracer`` (so every record picks up
     its stamp).  Returns the tracer.
     """
-    tracer = CausalTracer(clock=lambda: sim.now)
+    tracer = CausalTracer()
     sim.causal = tracer
     sim.trace.tracer = tracer
     return tracer

@@ -14,6 +14,8 @@ byte-identical with tracing on or off.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -157,8 +159,6 @@ class TraceLog:
         fields is preserved under a ``data_`` prefix (``data_time``,
         ``data_node``, ...) instead of being dropped.
         """
-        import json
-
         records = self.select(category=category) if category else self._live_records()
         written = 0
         with open(path, "w", encoding="utf-8") as handle:
@@ -186,6 +186,24 @@ class TraceLog:
 
     def __repr__(self) -> str:
         return f"TraceLog(records={len(self)}, enabled={self.enabled})"
+
+
+def trace_digest(trace: TraceLog) -> str:
+    """SHA-256 over the canonical rendering of every trace record.
+
+    The determinism contract: identical ``(configuration, seed)`` runs
+    must produce identical digests; any nondeterminism anywhere in the
+    stack (an unnamed RNG, wall-clock leakage, unordered iteration)
+    shows up as a digest mismatch long before it shows up as a flaky
+    experiment.  Causal stamps are not part of the rendering.
+    """
+    h = hashlib.sha256()
+    for rec in trace:
+        row = {"t": rec.time, "c": rec.category, "n": rec.node,
+               "d": _jsonable(rec.data)}
+        h.update(json.dumps(row, sort_keys=True).encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 def _jsonable(value: Any) -> Any:
@@ -216,4 +234,4 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-__all__ = ["TraceRecord", "TraceLog"]
+__all__ = ["TraceRecord", "TraceLog", "trace_digest"]

@@ -24,17 +24,14 @@ from repro.apps.paxos import (
     ClientLoad,
     NOOP,
     PaxosConfig,
+    SAFETY,
     make_throughput_resolver,
     unpack_value,
 )
 from repro.chaos import ChaosController, FaultPlan
 from repro.chaos.plan import CrashEvent, PartitionEvent
-from repro.eval.paxos_experiment import (
-    DEFAULT_LOADS,
-    agreement_holds,
-    at_most_once_holds,
-    wan_topology,
-)
+from repro.eval.paxos_experiment import DEFAULT_LOADS, wan_topology
+from repro.mc import cluster_view, violated_properties
 from repro.statemachine import Cluster
 
 
@@ -90,8 +87,7 @@ def test_batched_commit_executes_every_command_once():
     _submit(cluster, 0.5, 0, commands)
     cluster.run(until=20.0)
 
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert violated_properties(cluster_view(cluster), SAFETY) == []
     reference = cluster.service(0)
     assert set(reference.executed) == set(commands)
     for service in cluster.services:
@@ -129,8 +125,7 @@ def test_ranged_prepare_reacquires_privilege_after_preemption():
     assert replica.range_round >= 4, (
         f"re-acquired round {replica.range_round} does not beat the floor"
     )
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert violated_properties(cluster_view(cluster), SAFETY) == []
     for service in cluster.services:
         assert set(commands) <= set(service.executed), "commands lost to preemption"
 
@@ -152,8 +147,7 @@ def test_learner_catchup_recovers_partitioned_replica():
     _submit(cluster, 9.0, 0, second)     # post-heal traffic reveals max_inst
     cluster.run(until=40.0)
 
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert violated_properties(cluster_view(cluster), SAFETY) == []
     majority, learner = cluster.service(0), cluster.service(2)
     assert set(first) <= set(majority.executed)
     assert learner.executed == majority.executed, (
@@ -178,8 +172,7 @@ def test_lost_batch_is_resequenced_after_amnesia():
     _submit(cluster, 4.0, 0, second)
     cluster.run(until=40.0)
 
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert violated_properties(cluster_view(cluster), SAFETY) == []
     replica = cluster.service(0)
     assert replica.batches_resequenced >= 1, (
         "the amnesia scenario never made a batch lose its instance"
@@ -210,8 +203,7 @@ def test_client_load_closed_loop_commits_offered_volume():
     cluster.run(until=40.0)
 
     assert load.offered() == 600
-    assert agreement_holds(cluster)
-    assert at_most_once_holds(cluster)
+    assert violated_properties(cluster_view(cluster), SAFETY) == []
     reference = cluster.service(0)
     assert len(reference.executed) == 600, (
         f"only {len(reference.executed)} of 600 offered commands executed"

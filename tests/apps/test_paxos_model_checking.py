@@ -7,22 +7,13 @@ different values for one instance") must hold across every explored
 interleaving of a two-proposer contention scenario.
 """
 
-from repro.apps.paxos import PaxosConfig, Prepare, make_ballot, make_paxos_factory
+from repro.apps.paxos import AGREEMENT, PaxosConfig, Prepare, make_ballot, make_paxos_factory
 from repro.mc import Explorer, InFlightMessage, SafetyProperty, WorldState
 
 
-def agreement(world: WorldState) -> bool:
-    decided = {}
-    for node_id in world.node_ids:
-        for instance, value in world.state_of(node_id).get("chosen", {}).items():
-            if instance in decided and decided[instance] != tuple(value):
-                return False
-            decided[instance] = tuple(value)
-    return True
-
-
 def accepted_monotone(world: WorldState) -> bool:
-    # An acceptor never holds an accepted ballot above its promise.
+    """The acceptor invariant: an acceptor never holds an accepted
+    ballot above its promise (shared with the churn property test)."""
     for node_id in world.node_ids:
         state = world.state_of(node_id)
         for instance, (ballot, _value) in state.get("accepted", {}).items():
@@ -62,7 +53,7 @@ def test_agreement_holds_across_explored_interleavings():
     explorer = Explorer(
         factory,
         properties=[
-            SafetyProperty("agreement", agreement),
+            AGREEMENT,
             SafetyProperty("accepted-monotone", accepted_monotone),
         ],
     )
@@ -77,7 +68,7 @@ def test_exploration_with_message_drops_stays_safe():
     world = make_contention_world(factory)
     explorer = Explorer(
         factory,
-        properties=[SafetyProperty("agreement", agreement)],
+        properties=[AGREEMENT],
         include_drops=True,
     )
     result = explorer.bfs(world, max_depth=4, max_states=3000)
@@ -90,9 +81,9 @@ def test_injected_bad_accept_is_caught():
     factory = make_paxos_factory("mencius", config)
     services = [factory(i) for i in range(3)]
     services[0].chosen[0] = (0, 1)
-    services[1].chosen[0] = (1, 2)  # conflicting decision
+    services[2].chosen[0] = (2, 2)  # conflicting decision, at the last replica
     states = {i: services[i].checkpoint() for i in range(3)}
     world = WorldState(node_states=states)
-    explorer = Explorer(factory, properties=[SafetyProperty("agreement", agreement)])
+    explorer = Explorer(factory, properties=[AGREEMENT])
     result = explorer.bfs(world, max_depth=1, max_states=10)
     assert result.found_violation

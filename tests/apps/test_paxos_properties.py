@@ -2,9 +2,11 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.paxos import PaxosConfig, make_paxos_factory
-from repro.eval.paxos_experiment import agreement_holds
+from repro.apps.paxos import AGREEMENT, PaxosConfig, make_paxos_factory
+from repro.mc import cluster_view
 from repro.statemachine import Cluster
+
+from .test_paxos_model_checking import accepted_monotone
 
 N = 3
 
@@ -35,12 +37,11 @@ def test_agreement_survives_churn(plan, seed):
             recover_at, lambda v=victim: cluster.node(v).restart(fresh_state=False),
         )
     cluster.run(until=40.0)
-    # Safety must hold regardless of the churn schedule.
-    assert agreement_holds(cluster)
-    # Acceptor invariant: accepted ballot never exceeds the promise.
-    for service in cluster.services:
-        for instance, (ballot, _value) in service.accepted.items():
-            assert ballot <= service.promised.get(instance, ballot)
+    # Safety must hold regardless of the churn schedule, and no
+    # acceptor holds an accepted ballot above its promise.
+    world = cluster_view(cluster)
+    assert AGREEMENT.holds(world)
+    assert accepted_monotone(world)
 
 
 @given(plan=churn_plans, seed=st.integers(0, 10))

@@ -14,6 +14,8 @@ Each test reproduces a bug that shipped in the pre-batching replica:
 from __future__ import annotations
 
 from repro.apps.paxos import (
+    AGREEMENT,
+    AT_MOST_ONCE,
     MenciusPaxos,
     NOOP,
     Nack,
@@ -23,7 +25,7 @@ from repro.apps.paxos import (
 )
 from repro.chaos import ChaosController, FaultPlan
 from repro.chaos.plan import CrashEvent, LinkFaultEvent, PartitionEvent
-from repro.eval.paxos_experiment import agreement_holds, at_most_once_holds
+from repro.mc import cluster_view
 from repro.statemachine import Cluster
 
 
@@ -66,7 +68,7 @@ def test_lost_noop_is_not_resequenced():
     cluster.start_all()
     cluster.run(until=20.0)
 
-    assert agreement_holds(cluster)
+    assert AGREEMENT.holds(cluster_view(cluster))
     # The recovered replica must have faced at least one losing
     # proposal (its re-proposed commands hit already-decided slots),
     # otherwise the scenario did not exercise the lost-value path.
@@ -91,7 +93,7 @@ def test_no_duplicate_execution_under_message_duplication():
     cluster.start_all()
     cluster.run(until=15.0)
 
-    assert agreement_holds(cluster)
+    assert AGREEMENT.holds(cluster_view(cluster))
     # The scenario must actually double-choose at least one command …
     for service in cluster.services:
         commands = [
@@ -104,7 +106,7 @@ def test_no_duplicate_execution_under_message_duplication():
         raise AssertionError("no command was chosen in two instances; "
                              "the scenario lost its teeth")
     # … and the log must still apply each command at most once.
-    assert at_most_once_holds(cluster), "a command was executed twice"
+    assert AT_MOST_ONCE.holds(cluster_view(cluster)), "a command was executed twice"
 
 
 def test_stale_nack_does_not_inflate_min_round():

@@ -4,6 +4,7 @@ from repro.apps.randtree import (
     RandTreeConfig,
     consistent_edges,
     make_balance_objective,
+    make_exposed_factory,
     max_tree_depth,
     randtree_properties,
     subtree_sizes,
@@ -11,7 +12,7 @@ from repro.apps.randtree import (
     unattached_nodes,
 )
 from repro.apps.randtree.common import total_path_length
-from repro.mc import WorldState
+from repro.mc import Explorer, WorldState
 
 
 def node_state(joined=True, parent=None, children=(), depth=0):
@@ -129,3 +130,15 @@ def test_no_self_loops_property():
     states[2]["parent"] = 2
     world = WorldState(node_states=states)
     assert not props["no-self-loops"].holds(world)
+
+
+def test_explorer_reports_the_degree_rule():
+    config = RandTreeConfig(max_children=2)
+    factory = make_exposed_factory(config)
+    services = [factory(i) for i in range(4)]
+    services[0].joined, services[0].children = True, [1, 2, 3]
+    for service in services[1:]:
+        service.joined, service.parent = True, 0
+    world = WorldState({s.node_id: s.checkpoint() for s in services})
+    result = Explorer(factory, properties=randtree_properties(config)).bfs(world, max_depth=1)
+    assert {v.property_name for v in result.violations} == {"degree-bound"}

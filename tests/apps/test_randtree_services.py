@@ -12,6 +12,7 @@ from repro.apps.randtree import (
     max_tree_depth,
     tree_depths,
 )
+from repro.apps.randtree.common import degree_bound
 from repro.choice import RandomResolver
 from repro.statemachine import Cluster
 
@@ -44,8 +45,9 @@ def test_all_nodes_join(factory_maker, resolver):
 def test_degree_bound_respected(factory_maker, resolver):
     config = RandTreeConfig(max_children=2)
     cluster = run_join_phase(factory_maker(config), resolver_factory=resolver)
+    within_degree = degree_bound(config)
     for service in cluster.services:
-        assert len(service.children) <= 2
+        assert within_degree(service.node_id, service.live_state())
 
 
 def test_root_is_joined_at_depth_one():

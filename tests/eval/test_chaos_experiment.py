@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.apps.randtree import RandTreeConfig
+from repro.apps.randtree import RandTreeConfig, check_randtree_invariants
 from repro.chaos import CrashEvent, FaultPlan, LinkFaultEvent
 from repro.eval import (
-    check_randtree_invariants,
     run_chaos_paxos_experiment,
     run_chaos_tree_experiment,
     run_reliable_join_comparison,
@@ -141,6 +140,29 @@ class TestChaosPaxosExperiment:
         )
         assert result.safe
         assert result.committed > 0
+
+    def test_at_most_once_checked_at_every_replica(self, monkeypatch):
+        from repro.eval import chaos_experiment
+
+        real = chaos_experiment.Cluster
+
+        def sabotaged(*args, **kwargs):
+            cluster = real(*args, **kwargs)
+            last = cluster.service(len(cluster.nodes) - 1)
+            cluster.sim.schedule_at(
+                14.0, lambda: last.executed.append(last.executed[0]),
+                tag="test:sabotage",
+            )
+            return cluster
+
+        monkeypatch.setattr(chaos_experiment, "Cluster", sabotaged)
+        result = run_chaos_paxos_experiment(
+            "mencius", seed=2, plan=FaultPlan(name="none"),
+            requests_per_node=3, max_time=15.0,
+        )
+        assert (result.agreement, result.at_most_once, result.safe) == (
+            True, False, False)
+        assert result.summary().endswith("VIOLATED")
 
 
 class TestReliableJoinComparison:

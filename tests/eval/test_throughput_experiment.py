@@ -78,3 +78,22 @@ def test_t1_replay_gives_one_digest_and_it_is_the_recorded_one():
     assert first.state_digest == second.state_digest
     recorded = json.loads((Path(__file__).resolve().parents[2] / "BENCH_T1.json").read_text())
     assert first.state_digest == recorded["metrics"]["repro_digest"]
+
+
+def test_probe_flags_a_conflicting_decision_at_the_last_replica(monkeypatch):
+    """The live probe reads every replica: a value only the last one
+    decided breaks agreement, and nothing else."""
+    from repro.eval import paxos_experiment
+
+    real = paxos_experiment.Cluster
+
+    def sabotaged(*args, **kwargs):
+        cluster = real(*args, **kwargs)
+        last = cluster.service(len(cluster.nodes) - 1)
+        cluster.sim.schedule_at(2.0, lambda: last.chosen.update({0: (99, 99)}),
+                                tag="test:sabotage")
+        return cluster
+
+    monkeypatch.setattr(paxos_experiment, "Cluster", sabotaged)
+    r = run_throughput_experiment("static", **SMALL)
+    assert (r.agreement, r.at_most_once, r.safe) == (False, True, False)

@@ -11,7 +11,7 @@ same paths and bounds, and take no more transitions.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.paxos import PaxosConfig, make_paxos_factory
+from repro.apps.paxos import AGREEMENT, PaxosConfig, make_paxos_factory
 from repro.apps.randtree import (Join, RandTreeConfig, make_exposed_factory,
                                  randtree_properties)
 from repro.choice.resolvers import RandomResolver
@@ -19,7 +19,7 @@ from repro.mc import (Explorer, InFlightMessage, SafetyProperty, all_nodes,
                       world_from_services)
 from repro.statemachine import Cluster
 
-from ..apps.test_paxos_model_checking import agreement, make_contention_world
+from ..apps.test_paxos_model_checking import make_contention_world
 from .legacy_bfs import legacy_bfs
 
 
@@ -86,7 +86,7 @@ def test_randtree_search_is_the_unreduced_one(n, seed, settle, joiner, max_depth
 def test_paxos_contention_search_is_the_unreduced_one(drops, max_depth, max_states):
     factory = make_paxos_factory("mencius", PaxosConfig(n=3, requests_per_node=0))
     properties = [
-        SafetyProperty("agreement", agreement),
+        AGREEMENT,
         all_nodes(lambda nid, state: not state.get("promised"), "nothing-promised"),
     ]
     assert_same_search(
@@ -97,7 +97,7 @@ def test_paxos_contention_search_is_the_unreduced_one(drops, max_depth, max_stat
 def test_paxos_contention_at_depth_eight_takes_fewer_transitions():
     factory = make_paxos_factory("mencius", PaxosConfig(n=3, requests_per_node=0))
     old, new = assert_same_search(
-        lambda: Explorer(factory, properties=[SafetyProperty("agreement", agreement)]),
+        lambda: Explorer(factory, properties=[AGREEMENT]),
         make_contention_world(factory), 8, 3000)
     assert new.transitions < old.transitions
     assert new.pruned > 0 and new.reused > 0

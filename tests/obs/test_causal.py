@@ -142,7 +142,7 @@ def test_timer_fire_parented_to_arming_event():
 
 
 def test_trace_digest_identical_with_and_without_causal():
-    from repro.eval import trace_digest
+    from repro.sim.trace import trace_digest
 
     on = run_relay(causal=True)
     off = run_relay(causal=False)

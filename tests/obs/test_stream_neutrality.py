@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.gossip import GossipConfig, make_exposed_gossip_factory
 from repro.choice.resolvers import RandomResolver
 from repro.cli import main
-from repro.eval.chaos_experiment import trace_digest
 from repro.obs import TelemetrySampler
 from repro.obs.stream import RunStream, parse_record, read_stream
 from repro.runtime import install_crystalball
+from repro.sim.trace import trace_digest
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
 
 # Cadences deliberately include sub-event-scale, co-periodic-with-app
