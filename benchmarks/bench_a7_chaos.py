@@ -80,7 +80,7 @@ def test_a7_paxos_single_decree_under_chaos(benchmark, plan_name):
 
     def sweep():
         return [
-            run_chaos_paxos_experiment("mencius", seed=seed, plan=plan)
+            run_chaos_paxos_experiment(seed=seed, plan=plan)
             for seed in SEEDS
         ]
 

@@ -59,7 +59,7 @@ def contention_world(factory, proposers=((1, 1), (2, 2))):
 
 def main():
     print(__doc__)
-    factory = make_paxos_factory("mencius", PaxosConfig(n=N, requests_per_node=0))
+    factory = make_paxos_factory(PaxosConfig(n=N, requests_per_node=0))
     world = contention_world(factory)
     explorer = Explorer(factory, properties=[AGREEMENT])
 

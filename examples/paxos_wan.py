@@ -1,17 +1,21 @@
 #!/usr/bin/env python
 """Consensus over a WAN: exposing the proposer choice (Section 3.1).
 
-Runs the same multi-instance Paxos code in three configurations over a
-three-region wide-area topology with CPU load on two replicas:
+Runs one Multi-Paxos replica class in three configurations over a
+three-region wide-area topology with CPU load on two replicas.  The
+replica exposes the proposer of every batch as a choice; each design is
+a resolver of that one choice:
 
-* fixed    — every command routes through replica 0 (classic leader);
-* mencius  — every origin proposes its own commands (round-robin slots);
-* choice   — the proposer is an exposed choice; the runtime's network
-             model picks the replica minimizing predicted commit
-             latency, routing around both loaded machines.
+* fixed    — ``leader_resolver(0)``: every command routes through
+             replica 0 (classic leader);
+* mencius  — the default first-candidate resolver: every origin
+             proposes its own commands (round-robin slots);
+* choice   — ``make_proposer_resolver()``: the runtime's network model
+             picks the replica minimizing predicted commit latency,
+             routing around both loaded machines.
 
-The protocol code is identical across all three; only the routing
-policy differs — and for ``choice`` the policy lives in the runtime.
+One mechanism, three policies: the protocol code is identical across
+all three, and for ``choice`` the policy lives in the runtime.
 """
 
 from repro.eval import DEFAULT_LOADS, PAXOS_VARIANTS, run_paxos_experiment

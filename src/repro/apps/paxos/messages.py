@@ -22,9 +22,9 @@ from ...statemachine import Message
 
 Command = Tuple[int, int]
 
-# A log value is either a single command (legacy single-decree mode) or
-# a batch: a tuple of commands decided in one instance.  ``unpack_value``
-# normalizes both shapes into the command sequence they carry.
+# A log value is a batch: a tuple of commands decided in one instance.
+# ``unpack_value`` also reads a bare command as a batch of one, so
+# hand-built worlds may decide single commands.
 Batch = Tuple[Command, ...]
 
 NO_BALLOT = -1
@@ -52,10 +52,10 @@ class PaxosConfig:
     retry_sweep_period: float = 0.5
     gapfill_period: float = 1.0
     processing_delays: Optional[Tuple[float, ...]] = None
-    # Batched Multi-Paxos (see apps.paxos.batched).  ``batch_size_choices``
-    # are the candidates of the exposed "batch-size" choice — the first
-    # entry is the static default a steering-off deployment gets, so the
-    # legacy single-command-per-instance behaviour is candidates[0] == 1.
+    # Multi-Paxos (see apps.paxos.replica).  ``batch_size_choices`` are
+    # the candidates of the exposed "batch-size" choice — the first entry
+    # is the static default a steering-off deployment gets, so one
+    # command per instance is candidates[0] == 1.
     # ``pipeline_depth`` bounds concurrent in-flight own-slot instances;
     # ``retry_pacing_choices`` scale ``retry_timeout`` (the exposed
     # "retry-pacing" choice); ``catchup_period``/``catchup_window``
@@ -90,13 +90,6 @@ def ballot_proposer(ballot: int, n: int) -> int:
 def slot_owner(instance: int, n: int) -> int:
     """The replica owning this instance's fast path."""
     return instance % n
-
-
-@dataclass
-class ClientRequest(Message):
-    """A command forwarded to the replica chosen as its proposer."""
-
-    command: Command
 
 
 @dataclass
@@ -258,7 +251,6 @@ __all__ = [
     "ballot_proposer",
     "slot_owner",
     "unpack_value",
-    "ClientRequest",
     "Prepare",
     "Promise",
     "Accept",

@@ -11,6 +11,11 @@ acceptors besides ``p`` itself have replied.  The resolver picks the
 proposer minimizing this estimate using the runtime's network model,
 which is the paper's "let the runtime pick the best proposer for
 high-performance across a range of deployment settings".
+
+E6's three designs are three resolvers of that one choice: the default
+first-candidate resolver (Mencius: the candidates start with the origin
+itself), :func:`leader_resolver` (fixed leader) and
+:func:`make_proposer_resolver` (the exposed choice).
 """
 
 from __future__ import annotations
@@ -81,9 +86,11 @@ def predicted_commit_latency(
 
 
 def proposer_score(candidate: int, point: ChoicePoint, node: Optional[Any]) -> float:
-    """Negated predicted commit latency (higher is better)."""
+    """Negated predicted commit latency (higher is better) of a
+    ``"proposer"`` candidate; every other choice scores 0, so the greedy
+    tie rule keeps its first candidate."""
     runtime = getattr(node, "crystalball", None) if node is not None else None
-    if runtime is None:
+    if runtime is None or point.label != "proposer":
         return 0.0
     config = node.service.config
     return -predicted_commit_latency(
@@ -93,8 +100,16 @@ def proposer_score(candidate: int, point: ChoicePoint, node: Optional[Any]) -> f
 
 
 def make_proposer_resolver() -> GreedyResolver:
-    """A greedy resolver minimizing predicted commit latency."""
+    """The exposed choice: the proposer minimizing predicted commit
+    latency."""
     return GreedyResolver(proposer_score)
+
+
+def leader_resolver(leader: int) -> GreedyResolver:
+    """The classic fixed-leader deployment: ``leader`` proposes every
+    batch, and every other choice keeps its first candidate."""
+    return GreedyResolver(
+        lambda candidate, point, node: float(point.label == "proposer" and candidate == leader))
 
 
 def make_throughput_resolver(topology, config) -> GreedyResolver:
@@ -103,8 +118,7 @@ def make_throughput_resolver(topology, config) -> GreedyResolver:
     Full consequence prediction is too expensive to run per-batch at
     10^5-request scale, so this resolver steers from the deployment
     model alone: topology round-trips and configured CPU loads,
-    precomputed once.  It scores the three choices the batched replica
-    exposes:
+    precomputed once.  It scores the three choices the replica exposes:
 
     * ``batch-size`` — pull as much of the queue as fits, backing off
       under observed conflict (big speculative batches lose whole
@@ -158,5 +172,6 @@ __all__ = [
     "predicted_commit_latency",
     "proposer_score",
     "make_proposer_resolver",
+    "leader_resolver",
     "make_throughput_resolver",
 ]

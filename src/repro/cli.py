@@ -356,14 +356,7 @@ def _cmd_fuzz(args) -> int:
         print("fuzz: an app is required unless --replay is given",
               file=sys.stderr)
         return 2
-    app = args.app
-    if getattr(args, "batched", False):
-        if app != "paxos":
-            print("fuzz: --batched only applies to the paxos target",
-                  file=sys.stderr)
-            return 2
-        app = "paxos-batched"
-    target = make_target(app)
+    target = make_target(args.app)
     campaign = FuzzCampaign(
         target, seed=args.seed, budget=args.budget, mode=args.mode,
         steering=args.steering == "on", stop_after=args.stop_after,
@@ -679,9 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("app", nargs="?", choices=("paxos", "randtree"),
                    help="fuzz target (omit with --replay)")
-    p.add_argument("--batched", action="store_true",
-                   help="with the paxos app: fuzz the batched Multi-Paxos "
-                        "replica (ranged prepares, pipelining, at-most-once)")
     p.add_argument("--budget", type=int, default=2000,
                    help="execution budget (default: 2000)")
     p.add_argument("--seed", type=int, default=1,

@@ -238,7 +238,6 @@ def run_chaos_tree_experiment(
 class ChaosPaxosResult:
     """One Paxos run under one fault plan."""
 
-    variant: str
     seed: int
     plan_name: str
     agreement: bool
@@ -257,13 +256,12 @@ class ChaosPaxosResult:
     def summary(self) -> str:
         status = "SAFE" if self.safe else "VIOLATED"
         return (
-            f"{self.variant:>8}  seed={self.seed}  plan={self.plan_name:<16}"
+            f"   paxos  seed={self.seed}  plan={self.plan_name:<16}"
             f"committed={self.committed}/{self.expected}  {status}"
         )
 
 
 def run_chaos_paxos_experiment(
-    variant: str = "mencius",
     seed: int = 0,
     plan: Optional[FaultPlan] = None,
     n: int = 5,
@@ -300,7 +298,7 @@ def run_chaos_paxos_experiment(
         n=n, request_interval=request_interval,
         requests_per_node=requests_per_node,
     )
-    factory = make_paxos_factory(variant, config)
+    factory = make_paxos_factory(config)
     cluster = Cluster(n, factory, topology=wan_topology(n), seed=seed)
     controller = ChaosController(cluster, plan)
     controller.arm()
@@ -311,7 +309,6 @@ def run_chaos_paxos_experiment(
     world = cluster_view(cluster)
     agreement, at_most_once = (prop.holds(world) for prop in SAFETY)
     return ChaosPaxosResult(
-        variant=variant,
         seed=seed,
         plan_name=plan.name or "custom",
         agreement=agreement,

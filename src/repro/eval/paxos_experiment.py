@@ -4,14 +4,17 @@ The Mencius observation the paper cites: a fixed single proposer
 "can suffer from reduced performance due to CPU overload or network
 congestion" and rotating proposers wins across wide-area networks.  We
 run five replicas over a three-region WAN with one poorly-connected
-edge replica and measure commit latency per originating node:
+edge replica and measure commit latency per originating node.  One
+replica class runs all three designs; each is a resolver of its
+``"proposer"`` choice:
 
-* ``fixed`` — every command routes through replica 0;
-* ``mencius`` — every origin proposes its own commands;
-* ``choice`` — the proposer is exposed; the runtime's network model
-  picks the proposer with the lowest predicted commit latency (for the
-  edge replica that is a well-connected *proxy*, beating both
-  hard-coded designs).
+* ``fixed`` — :func:`~repro.apps.paxos.leader_resolver` routes every
+  command through replica 0;
+* ``mencius`` — the default first-candidate resolver: every origin
+  proposes its own commands;
+* ``choice`` — the runtime's network model picks the proposer with the
+  lowest predicted commit latency (for the edge replica that is a
+  well-connected *proxy*, beating both hard-coded designs).
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..apps.paxos import PaxosConfig, SAFETY, make_paxos_factory, make_proposer_resolver
+from ..apps.paxos import (PaxosConfig, SAFETY, leader_resolver, make_paxos_factory,
+                          make_proposer_resolver)
 from ..mc import cluster_view
 from ..obs import collect_cluster_metrics
 from ..net import Link, Topology
@@ -123,11 +127,19 @@ def run_paxos_experiment(
     config = PaxosConfig(
         n=n, request_interval=request_interval, requests_per_node=requests_per_node,
         processing_delays=processing_delays,
+        # Room for every command at once: no proposer ever waits on its
+        # pipeline, so the CPU queue alone paces a loaded one.
+        pipeline_depth=n * requests_per_node,
     )
     if topology is None:
         topology = wan_topology(n)
-    factory = make_paxos_factory(variant, config)
-    cluster = Cluster(n, factory, topology=topology, seed=seed)
+    factory = make_paxos_factory(config)
+    resolver_factory = None
+    if variant == "fixed":
+        resolver = leader_resolver(0)
+        resolver_factory = lambda node_id: resolver
+    cluster = Cluster(n, factory, topology=topology, seed=seed,
+                      resolver_factory=resolver_factory)
     if variant == "choice":
         runtimes = install_crystalball(
             cluster, factory, set_resolver=False,
@@ -299,7 +311,7 @@ def run_throughput_experiment(
                 f"use amnesia=False in {plan.name!r}"
             )
     topology = wan_topology(n)
-    factory = make_paxos_factory("batched", config)
+    factory = make_paxos_factory(config)
     resolver_factory = None
     if mode == "static":
         resolver = make_throughput_resolver(topology, config)

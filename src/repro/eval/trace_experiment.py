@@ -5,8 +5,8 @@ choice Paxos workload with causal tracing on, let the CrystalBall
 runtime predict a violation of a *canary* property and steer away from
 it, then reconstruct — from the stamped trace alone — the minimal
 causal explanation of every steering decision: the chain from the
-resolved proposer choice, through the client request and the Accept it
-produced, to the delivery the runtime refused.
+resolved proposer choice, through the Accept it produced, to the
+delivery the runtime refused.
 
 Two named sessions:
 
@@ -129,8 +129,10 @@ def run_trace_session(
     config = PaxosConfig(
         n=n, request_interval=request_interval,
         requests_per_node=requests_per_node,
+        # Expose the proposer alone: every explanation roots there.
+        batch_size_choices=(1,), retry_pacing_choices=(1.0,),
     )
-    factory = make_paxos_factory("choice", config)
+    factory = make_paxos_factory(config)
     cluster = Cluster(
         n, factory, topology=wan_topology(n), seed=seed, causal=True,
     )

@@ -8,14 +8,14 @@ consequence prediction foresaw from probe snapshots mid-run.
 
 Two targets ship:
 
-* ``paxos`` — the 5-replica Mencius WAN workload.  Live safety is
-  single-decree agreement, checked at every probe and at the end.
-  The prediction probes also carry the ``near:accepted-coherent``
-  canary — a *precursor* property whose predicted violations sit one
-  or two actions from the current world, giving the search a gradient
-  long before agreement itself (which needs a full gap-fill round
-  trip) can break.  Every Paxos property is the one
-  :mod:`repro.apps.paxos` exports.
+* ``paxos`` — the 5-replica Multi-Paxos WAN workload.  Live safety is
+  agreement and at-most-once execution, checked at every probe and at
+  the end.  The prediction probes also carry the
+  ``near:accepted-coherent`` canary — a *precursor* property whose
+  predicted violations sit one or two actions from the current world,
+  giving the search a gradient long before agreement itself (which
+  needs a full gap-fill round trip) can break.  Every Paxos property is
+  the one :mod:`repro.apps.paxos` exports.
 * ``randtree`` — an 8-node RandTree join under chaos.  Live safety is
   :func:`~repro.apps.randtree.check_randtree_invariants` (degree
   bound, no self-edges, no consistent-edge cycle), swept twice a
@@ -193,12 +193,17 @@ _BROKEN = {
 
 
 class PaxosFuzzTarget(FuzzTarget):
-    """Mencius over the 5-site WAN, hunting agreement violations.
+    """Multi-Paxos over the 5-site WAN, hunting safety violations.
 
     The interesting adversary couples high message loss (so ``Learn``
     broadcasts miss a majority) with an amnesia crash (so a recovered
     replica gap-fills a slot it already decided) — exactly the surface
-    :meth:`random_plan` samples.
+    :meth:`random_plan` samples.  Whole batches lose instances at a
+    time (re-sequencing must not duplicate or drop commands), ranged
+    prepares can race point escalations, and learner catch-up replays
+    decided values into recovering replicas.  The choice sets are kept
+    small (batch sizes 1/4, pipeline depth 2) so the prediction probes'
+    choose-branching stays within the exploration budget.
     """
 
     name = "paxos"
@@ -207,13 +212,17 @@ class PaxosFuzzTarget(FuzzTarget):
     probe_times = (3.0, 5.0, 7.0)
     chain_depth = 3
     predict_budget = 160
-    # Checked live; the prediction probes add the accepted-coherent canary.
-    safety: tuple = (AGREEMENT,)
 
     def __init__(self) -> None:
-        self.config = PaxosConfig(n=5, request_interval=0.5, requests_per_node=3)
-        self.factory = make_paxos_factory("mencius", self.config)
-        self.properties = [*self.safety, ACCEPTED_COHERENT]
+        self.config = PaxosConfig(
+            n=5, request_interval=0.4, requests_per_node=4,
+            batch_size_choices=(1, 4), pipeline_depth=2,
+            retry_pacing_choices=(1.0, 2.0),
+        )
+        self.factory = make_paxos_factory(self.config)
+        # SAFETY is checked live; the prediction probes add the
+        # accepted-coherent canary.
+        self.properties = [*SAFETY, ACCEPTED_COHERENT]
 
     def random_plan(self, rng: random.Random) -> FaultPlan:
         rng = plan_rng(rng, stream="fuzz.surface")
@@ -232,7 +241,7 @@ class PaxosFuzzTarget(FuzzTarget):
 
     def live_violations(self, world: WorldState) -> List[str]:
         return [f"{prop.name}: {_BROKEN[prop.name]}"
-                for prop in self.safety if not prop.holds(world)]
+                for prop in SAFETY if not prop.holds(world)]
 
     def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
                 causal: bool = False, keep_cluster: bool = False,
@@ -265,31 +274,6 @@ class PaxosFuzzTarget(FuzzTarget):
         self._schedule_probes(cluster, predictor, result, self.live_violations)
         cluster.run(until=self.horizon)
         return self._finish(result, cluster, controller, keep_cluster)
-
-
-class BatchedPaxosFuzzTarget(PaxosFuzzTarget):
-    """Batched Multi-Paxos over the same WAN, same adversary surface.
-
-    The batched replica adds attack surface the single-decree target
-    lacks: whole batches lose instances at a time (re-sequencing must
-    not duplicate or drop commands), ranged prepares can race point
-    escalations, and learner catch-up replays decided values into
-    recovering replicas.  The choice sets are kept small
-    (batch sizes 1/4, pipeline depth 2) so the prediction probes'
-    choose-branching stays within the exploration budget.
-    """
-
-    name = "paxos-batched"
-    safety = SAFETY
-
-    def __init__(self) -> None:
-        self.config = PaxosConfig(
-            n=5, request_interval=0.4, requests_per_node=4,
-            batch_size_choices=(1, 4), pipeline_depth=2,
-            retry_pacing_choices=(1.0, 2.0),
-        )
-        self.factory = make_paxos_factory("batched", self.config)
-        self.properties = [*self.safety, ACCEPTED_COHERENT]
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +383,6 @@ class RandTreeFuzzTarget(FuzzTarget):
 
 TARGETS: Dict[str, Callable[[], FuzzTarget]] = {
     "paxos": PaxosFuzzTarget,
-    "paxos-batched": BatchedPaxosFuzzTarget,
     "randtree": RandTreeFuzzTarget,
 }
 
@@ -415,7 +398,6 @@ def make_target(name: str) -> FuzzTarget:
 
 
 __all__ = [
-    "BatchedPaxosFuzzTarget",
     "ExecutionResult",
     "FuzzTarget",
     "PaxosFuzzTarget",

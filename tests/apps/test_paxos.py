@@ -5,22 +5,37 @@ import pytest
 from repro.apps.paxos import (
     Accept,
     AGREEMENT,
+    NOOP,
     PaxosConfig,
     Prepare,
     ballot_proposer,
+    leader_resolver,
     make_ballot,
     make_paxos_factory,
+    make_proposer_resolver,
     slot_owner,
+    unpack_value,
 )
+from repro.choice.resolvers import FirstResolver, RandomResolver
 from repro.mc import cluster_view
 from repro.statemachine import Cluster
+
+# How each design resolves the one "proposer" choice.  "choice" draws
+# every choice at random: any resolution must commit everything.
+RESOLVERS = {
+    "fixed": lambda: leader_resolver(0),
+    "mencius": FirstResolver,
+    "choice": RandomResolver,
+}
 
 
 def run_paxos(variant="mencius", n=3, seed=1, requests=3, until=30.0, **config_kw):
     config = PaxosConfig(
         n=n, requests_per_node=requests, request_interval=0.5, **config_kw,
     )
-    cluster = Cluster(n, make_paxos_factory(variant, config), seed=seed)
+    resolver = RESOLVERS[variant]()
+    cluster = Cluster(n, make_paxos_factory(config), seed=seed,
+                      resolver_factory=lambda node_id: resolver)
     cluster.start_all()
     cluster.run(until=until)
     return cluster
@@ -59,29 +74,30 @@ def test_commit_latency_positive():
 
 
 def test_fixed_leader_proposes_everything():
-    from repro.apps.paxos import NOOP
-
     cluster = run_paxos("fixed")
     # All real commands live in the leader's slot partition; other
     # partitions' instances are gap-filling NOOPs only.
-    for instance, value in cluster.service(0).chosen.items():
+    chosen = cluster.service(0).chosen
+    for instance, value in chosen.items():
         if slot_owner(instance, 3) != 0:
             assert value == NOOP
         else:
             assert value != NOOP
+    assert sorted(c for v in chosen.values() for c in unpack_value(v)) == [
+        (origin, seq) for origin in range(3) for seq in range(3)]
 
 
 def test_mencius_instances_partitioned_by_origin():
     cluster = run_paxos("mencius")
     for instance, value in cluster.service(0).chosen.items():
-        origin = value[0]
-        assert slot_owner(instance, 3) == origin
+        for origin, _seq in unpack_value(value):
+            assert slot_owner(instance, 3) == origin
 
 
 def test_contention_resolved_safely():
     """Two proposers fight over one instance with full two-phase Paxos."""
     config = PaxosConfig(n=3, requests_per_node=0)
-    cluster = Cluster(3, make_paxos_factory("mencius", config), seed=2)
+    cluster = Cluster(3, make_paxos_factory(config), seed=2)
     cluster.start_all()
     # Both 1 and 2 propose different values for instance 0 (owned by 0)
     # using competing prepare rounds.
@@ -106,7 +122,7 @@ def test_contention_resolved_safely():
 def test_recovery_value_preserved():
     """A value accepted by a majority must survive a new prepare round."""
     config = PaxosConfig(n=3, requests_per_node=0)
-    cluster = Cluster(3, make_paxos_factory("mencius", config), seed=3)
+    cluster = Cluster(3, make_paxos_factory(config), seed=3)
     cluster.start_all()
     instance = 0
     old_ballot = make_ballot(0, 0, 3)
@@ -134,7 +150,7 @@ def test_recovery_value_preserved():
 
 def test_acceptor_nacks_lower_ballot():
     config = PaxosConfig(n=3, requests_per_node=0)
-    cluster = Cluster(3, make_paxos_factory("mencius", config), seed=4)
+    cluster = Cluster(3, make_paxos_factory(config), seed=4)
     cluster.start_all()
     acceptor = cluster.service(0)
     acceptor.promised[5] = make_ballot(9, 1, 3)
@@ -148,7 +164,7 @@ def test_acceptor_nacks_lower_ballot():
 def test_retry_after_lost_majority():
     """Proposer escalates when the accept round stalls (peers down)."""
     config = PaxosConfig(n=3, requests_per_node=1, retry_timeout=1.0)
-    cluster = Cluster(3, make_paxos_factory("mencius", config), seed=5)
+    cluster = Cluster(3, make_paxos_factory(config), seed=5)
     cluster.node(1).crash()
     cluster.node(2).crash()
     cluster.start_all()
@@ -172,3 +188,32 @@ def test_cpu_queue_serializes_proposals():
     loaded = cluster.service(0).commit_latencies()
     unloaded = cluster.service(1).commit_latencies()
     assert sum(loaded) / len(loaded) > sum(unloaded) / len(unloaded)
+
+
+def test_proposer_resolver_leaves_every_other_choice_at_its_first_candidate():
+    """``make_proposer_resolver`` scores ``"proposer"`` candidates only.
+
+    A batch size or a retry pacing is no node id: scoring one as a
+    proposer read a load that does not exist.  Every other label ties,
+    so the greedy resolver keeps its first candidate."""
+    from repro.choice.choicepoint import ChoicePoint
+    from repro.eval import DEFAULT_LOADS, wan_topology
+    from repro.runtime import install_crystalball
+
+    config = PaxosConfig(n=5, request_interval=0.5, requests_per_node=4,
+                         processing_delays=DEFAULT_LOADS)
+    topology = wan_topology(5)
+    factory = make_paxos_factory(config)
+    cluster = Cluster(5, factory, topology=topology, seed=1)
+    runtimes = install_crystalball(cluster, factory, set_resolver=False,
+                                   checkpoint_period=0.0, prediction_period=0.0)
+    for runtime, node in zip(runtimes, cluster.nodes):
+        runtime.network_model.bootstrap_from_topology(topology)
+        node.choice_resolver = make_proposer_resolver()
+    cluster.start_all()
+    cluster.run(until=20.0)
+    assert sum(len(s.committed) for s in cluster.services) == 20
+    for label, candidates in (("batch-size", [1, 8, 32, 128]),
+                              ("retry-pacing", [1.0, 2.0, 4.0])):
+        point = ChoicePoint(label=label, candidates=candidates, node_id=4, info={})
+        assert make_proposer_resolver().resolve(point, node=cluster.node(4)) == candidates[0]

@@ -1,4 +1,4 @@
-"""Integration tests for batched Multi-Paxos.
+"""Integration tests for Multi-Paxos batching, pipelining and recovery.
 
 Covers the paths the throughput benchmark cannot observe directly:
 
@@ -20,11 +20,12 @@ Covers the paths the throughput benchmark cannot observe directly:
 from __future__ import annotations
 
 from repro.apps.paxos import (
-    BatchedPaxosReplica,
     ClientLoad,
     NOOP,
     PaxosConfig,
+    PaxosReplica,
     SAFETY,
+    make_paxos_factory,
     make_throughput_resolver,
     unpack_value,
 )
@@ -35,9 +36,10 @@ from repro.mc import cluster_view, violated_properties
 from repro.statemachine import Cluster
 
 
-class InstrumentedReplica(BatchedPaxosReplica):
-    """Counts the plain-method hooks (handlers collect base-first, so
-    only non-handler methods can be instrumented by subclassing)."""
+class InstrumentedReplica(PaxosReplica):
+    """Counts ranged prepares and batches that lose their instance
+    (handlers collect base-first, so only non-handler methods can be
+    instrumented by subclassing)."""
 
     def __init__(self, node_id, config=None):
         super().__init__(node_id, config)
@@ -48,9 +50,11 @@ class InstrumentedReplica(BatchedPaxosReplica):
         self.ranges_acquired += 1
         super()._acquire_range(round_number)
 
-    def _resequence(self, lost_value):
-        self.batches_resequenced += 1
-        super()._resequence(lost_value)
+    def _value_chosen(self, instance, value):
+        proposal = self.proposals.get(instance)
+        if proposal is not None and tuple(proposal["value"]) not in (tuple(value), NOOP):
+            self.batches_resequenced += 1
+        super()._value_chosen(instance, value)
 
 
 def _cluster(n=3, seed=11, **config_kwargs):
@@ -192,7 +196,7 @@ def test_client_load_closed_loop_commits_offered_volume():
     topology = wan_topology(n)
     resolver = make_throughput_resolver(topology, config)
     cluster = Cluster(
-        n, lambda nid: BatchedPaxosReplica(nid, config),
+        n, make_paxos_factory(config),
         topology=topology, seed=3,
         resolver_factory=lambda nid: resolver,
     )
@@ -221,7 +225,7 @@ def test_value_normalization_keeps_canonical_batches_and_rebuilds_the_rest():
     # A batch that already is a tuple of tuples is the common case on
     # every Learn/Accepted; it must come back as the same object, and
     # every other shape must normalize exactly as before.
-    from repro.apps.paxos.batched import _plain_value
+    from repro.apps.paxos.replica import _plain_value
 
     batch = ((0, 1), (0, 2), (1, 1))
     assert unpack_value(batch) is batch

@@ -3,8 +3,8 @@
 ``PaxosReplica.state_fields`` mixes every container shape the
 serializer supports: Command-tuple-keyed dicts (``my_requests``,
 ``committed``, ``applied``), int-keyed dicts (``promised``, ``chosen``,
-``accepted``), a deque (``cpu_queue``), nested proposal dicts, and —
-for the batched replica — batch values (tuples of command tuples).
+``accepted``), deques (``cpu_queue``, ``pending``), nested proposal
+dicts, and batch values (tuples of command tuples).
 A checkpoint taken from any reachable-shaped state must restore to an
 identical state on a fresh replica: same digest, same container types,
 same key types.
@@ -14,12 +14,7 @@ from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.paxos import (
-    BatchedPaxosReplica,
-    MenciusPaxos,
-    NOOP,
-    PaxosConfig,
-)
+from repro.apps.paxos import NOOP, PaxosConfig, PaxosReplica
 
 N = 5
 
@@ -83,9 +78,9 @@ def _install(replica, state):
 @settings(max_examples=40, deadline=None)
 def test_checkpoint_roundtrip_base(state, seed):
     config = PaxosConfig(n=N)
-    original = MenciusPaxos(0, config)
+    original = PaxosReplica(0, config)
     _install(original, state)
-    fresh = MenciusPaxos(0, config)
+    fresh = PaxosReplica(0, config)
     fresh.restore(original.checkpoint())
     assert fresh.state_digest() == original.state_digest()
     # Container and key types survive the round trip.
@@ -107,7 +102,7 @@ def test_checkpoint_roundtrip_base(state, seed):
 @settings(max_examples=40, deadline=None)
 def test_checkpoint_roundtrip_batched(state, pending, range_state):
     config = PaxosConfig(n=N)
-    original = BatchedPaxosReplica(0, config)
+    original = PaxosReplica(0, config)
     _install(original, state)
     original.pending = deque(pending)
     original.range_round, original.range_from, original.phase1_ok = range_state
@@ -116,7 +111,7 @@ def test_checkpoint_roundtrip_batched(state, pending, range_state):
     original.range_promised = {2: [4, 12]}
     original.recent_conflicts = 1.5
     original.max_inst = 41
-    fresh = BatchedPaxosReplica(0, config)
+    fresh = PaxosReplica(0, config)
     fresh.restore(original.checkpoint())
     assert fresh.state_digest() == original.state_digest()
     assert isinstance(fresh.pending, deque)
@@ -128,7 +123,7 @@ def test_checkpoint_roundtrip_batched(state, pending, range_state):
 
 def test_checkpoint_is_a_deep_copy():
     """Mutating the live replica never leaks into a taken checkpoint."""
-    replica = BatchedPaxosReplica(0, PaxosConfig(n=N))
+    replica = PaxosReplica(0, PaxosConfig(n=N))
     replica.pending.append((0, 1))
     replica.chosen[3] = ((0, 1), (0, 2))
     replica.applied.add((0, 1))

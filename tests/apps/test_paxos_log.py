@@ -1,19 +1,12 @@
 """Replicated-log execution: gap filling and executable prefixes."""
 
-from repro.apps.paxos import NOOP, PaxosConfig, make_paxos_factory, slot_owner
-from repro.statemachine import Cluster
+from repro.apps.paxos import NOOP, slot_owner
 
-
-def run_cluster(variant="mencius", n=3, seed=1, requests=3, until=40.0):
-    config = PaxosConfig(n=n, requests_per_node=requests, request_interval=0.5)
-    cluster = Cluster(n, make_paxos_factory(variant, config), seed=seed)
-    cluster.start_all()
-    cluster.run(until=until)
-    return cluster
+from .test_paxos import run_paxos
 
 
 def test_execution_prefix_contiguous():
-    cluster = run_cluster()
+    cluster = run_paxos(until=40.0)
     for service in cluster.services:
         for instance in range(service.exec_upto):
             assert instance in service.chosen
@@ -22,7 +15,7 @@ def test_execution_prefix_contiguous():
 def test_executed_sequences_agree():
     """All replicas apply the same command sequence (up to the shorter
     of their executable prefixes)."""
-    cluster = run_cluster()
+    cluster = run_paxos(until=40.0)
     sequences = [s.executed for s in cluster.services]
     shortest = min(len(seq) for seq in sequences)
     assert shortest > 0
@@ -31,7 +24,7 @@ def test_executed_sequences_agree():
 
 
 def test_all_commands_eventually_executed():
-    cluster = run_cluster(until=60.0)
+    cluster = run_paxos(until=60.0)
     expected = {(origin, seq) for origin in range(3) for seq in range(3)}
     for service in cluster.services:
         # No phantom commands ever enter the executed sequence.
@@ -41,7 +34,7 @@ def test_all_commands_eventually_executed():
 
 
 def test_noops_fill_foreign_partitions_under_fixed_leader():
-    cluster = run_cluster(variant="fixed", until=60.0)
+    cluster = run_paxos("fixed", until=60.0)
     leader_log = cluster.service(0)
     noops = [
         inst for inst, value in leader_log.chosen.items()
@@ -55,7 +48,7 @@ def test_noops_fill_foreign_partitions_under_fixed_leader():
 
 
 def test_executed_preserves_per_origin_order():
-    cluster = run_cluster(until=60.0)
+    cluster = run_paxos(until=60.0)
     for service in cluster.services:
         per_origin = {}
         for origin, seq in service.executed:

@@ -29,7 +29,7 @@ churn_plans = st.lists(
 def test_agreement_survives_churn(plan, seed):
     config = PaxosConfig(n=N, requests_per_node=3, request_interval=0.7,
                          retry_timeout=1.5)
-    cluster = Cluster(N, make_paxos_factory("mencius", config), seed=seed)
+    cluster = Cluster(N, make_paxos_factory(config), seed=seed)
     cluster.start_all()
     for victim, crash_at, recover_at in plan:
         cluster.sim.schedule_at(crash_at, cluster.node(victim).crash)
@@ -53,7 +53,7 @@ def test_liveness_with_majority(plan, seed):
         return  # keep a strict majority up throughout
     config = PaxosConfig(n=N, requests_per_node=2, request_interval=0.7,
                          retry_timeout=1.5)
-    cluster = Cluster(N, make_paxos_factory("mencius", config), seed=seed)
+    cluster = Cluster(N, make_paxos_factory(config), seed=seed)
     cluster.start_all()
     crashed = set()
     for victim, crash_at, recover_at in plan:

@@ -1,13 +1,13 @@
-"""Regression tests for the replica.py correctness sweep.
+"""Regression tests for the replica's correctness sweep.
 
-Each test reproduces a bug that shipped in the pre-batching replica:
+Each test reproduces a bug that shipped in an earlier replica:
 
 * a *lost NOOP* being re-sequenced into a fresh self-owned slot
   (burning slots and fuelling gap-fill churn), provoked by a
   partition + amnesia-crash plan;
 * *duplicate execution* of a command chosen in two instances,
-  provoked by a chaos plan that duplicates every message (the leader
-  proposes a duplicated ClientRequest twice);
+  provoked by a chaos plan that duplicates every message (the fixed
+  leader proposes a duplicated forwarded batch twice);
 * a *stale Nack* from a superseded round inflating ``min_round``.
 """
 
@@ -16,12 +16,14 @@ from __future__ import annotations
 from repro.apps.paxos import (
     AGREEMENT,
     AT_MOST_ONCE,
-    MenciusPaxos,
     NOOP,
     Nack,
     PaxosConfig,
+    PaxosReplica,
+    leader_resolver,
     make_ballot,
     make_paxos_factory,
+    unpack_value,
 )
 from repro.chaos import ChaosController, FaultPlan
 from repro.chaos.plan import CrashEvent, LinkFaultEvent, PartitionEvent
@@ -29,8 +31,9 @@ from repro.mc import cluster_view
 from repro.statemachine import Cluster
 
 
-class NoopCountingPaxos(MenciusPaxos):
-    """Mencius replica that counts NOOPs entering the *propose* path.
+class NoopCountingPaxos(PaxosReplica):
+    """Counts gap-fill NOOPs that lose their instance, and NOOPs that
+    enter the *propose* path.
 
     Gap-fill coordinates NOOPs directly (legitimate); a NOOP going
     through ``propose`` means a lost filler was re-sequenced into a
@@ -40,11 +43,19 @@ class NoopCountingPaxos(MenciusPaxos):
     def __init__(self, node_id, config=None):
         super().__init__(node_id, config)
         self.noop_proposals = 0
+        self.lost_noops = 0
 
-    def propose(self, command):
-        if tuple(command) == NOOP:
+    def propose(self, value):
+        if tuple(value) == NOOP or NOOP in tuple(value):
             self.noop_proposals += 1
-        super().propose(command)
+        super().propose(value)
+
+    def _value_chosen(self, instance, value):
+        proposal = self.proposals.get(instance)
+        if (proposal is not None and tuple(proposal["value"]) == NOOP
+                and tuple(value) != NOOP):
+            self.lost_noops += 1
+        super()._value_chosen(instance, value)
 
 
 def test_lost_noop_is_not_resequenced():
@@ -55,7 +66,7 @@ def test_lost_noop_is_not_resequenced():
     it while the majority keeps deciding.  The recovered replica
     gap-fills NOOPs into its own slots that were in fact decided
     before the crash; peers answer with ``Learn`` of the real values,
-    so every one of those NOOPs loses its instance.
+    so those NOOPs lose their instances.
     """
     config = PaxosConfig(n=3, request_interval=0.5, requests_per_node=12)
     cluster = Cluster(3, lambda nid: NoopCountingPaxos(nid, config), seed=7)
@@ -69,10 +80,9 @@ def test_lost_noop_is_not_resequenced():
     cluster.run(until=20.0)
 
     assert AGREEMENT.holds(cluster_view(cluster))
-    # The recovered replica must have faced at least one losing
-    # proposal (its re-proposed commands hit already-decided slots),
-    # otherwise the scenario did not exercise the lost-value path.
-    assert any(s.chosen for s in cluster.services)
+    # The scenario must make at least one NOOP lose its instance,
+    # otherwise it did not exercise the lost-value path.
+    assert sum(s.lost_noops for s in cluster.services) >= 1
     burned = sum(s.noop_proposals for s in cluster.services)
     assert burned == 0, f"{burned} lost NOOP(s) were re-sequenced into fresh slots"
 
@@ -81,12 +91,14 @@ def test_no_duplicate_execution_under_message_duplication():
     """A command chosen in two instances must execute exactly once.
 
     Duplicating every message makes the fixed leader receive each
-    forwarded ClientRequest twice and sequence the same command into
-    two instances; both get chosen, and the replicated log must still
+    forwarded batch twice and sequence the same command into two
+    instances; both get chosen, and the replicated log must still
     apply the command once.
     """
     config = PaxosConfig(n=3, request_interval=0.5, requests_per_node=3)
-    cluster = Cluster(3, make_paxos_factory("fixed", config), seed=3)
+    resolver = leader_resolver(0)
+    cluster = Cluster(3, make_paxos_factory(config), seed=3,
+                      resolver_factory=lambda node_id: resolver)
     plan = FaultPlan(events=[LinkFaultEvent(at=0.0, duplicate=0.95)])
     controller = ChaosController(cluster, plan)
     controller.arm()
@@ -96,10 +108,7 @@ def test_no_duplicate_execution_under_message_duplication():
     assert AGREEMENT.holds(cluster_view(cluster))
     # The scenario must actually double-choose at least one command …
     for service in cluster.services:
-        commands = [
-            value for value in service.chosen.values()
-            if tuple(value) != NOOP
-        ]
+        commands = [c for value in service.chosen.values() for c in unpack_value(value)]
         if len(commands) > len(set(commands)):
             break
     else:
@@ -110,11 +119,15 @@ def test_no_duplicate_execution_under_message_duplication():
 
 
 def test_stale_nack_does_not_inflate_min_round():
-    """A Nack for a ballot we already abandoned must be ignored."""
+    """A Nack for a ballot we already abandoned must be ignored.
+
+    The proposal sits in replica 1's slot, so the Nack that counts
+    raises ``min_round`` without touching replica 0's own-slot
+    privilege."""
     config = PaxosConfig(n=3)
-    replica = MenciusPaxos(0, config)
+    replica = PaxosReplica(0, config)
     current = make_ballot(4, 0, 3)
-    replica.proposals[0] = {
+    replica.proposals[1] = {
         "ballot": current,
         "value": (0, 0),
         "proposing": (0, 0),
@@ -128,11 +141,13 @@ def test_stale_nack_does_not_inflate_min_round():
     }
     # A late Nack for our old round-1 attempt, carrying a competitor's
     # huge promise: it must not touch min_round.
-    stale = Nack(instance=0, promised=make_ballot(40, 1, 3),
+    stale = Nack(instance=1, promised=make_ballot(40, 1, 3),
                  ballot=make_ballot(1, 0, 3))
     replica.on_nack(1, stale)
-    assert replica.proposals[0]["min_round"] == 1
+    assert replica.proposals[1]["min_round"] == 1
+    assert replica.recent_conflicts == 0.0
     # The same promise on a Nack for the *current* ballot does count.
-    fresh = Nack(instance=0, promised=make_ballot(40, 1, 3), ballot=current)
+    fresh = Nack(instance=1, promised=make_ballot(40, 1, 3), ballot=current)
     replica.on_nack(1, fresh)
-    assert replica.proposals[0]["min_round"] == 41
+    assert replica.proposals[1]["min_round"] == 41
+    assert replica.recent_conflicts == 1.0

@@ -129,14 +129,14 @@ class TestChaosPaxosExperiment:
             CrashEvent(at=1.0, node=1, amnesia=True, recover_at=2.0),
         ])
         with pytest.raises(ValueError, match="amnesia"):
-            run_chaos_paxos_experiment("mencius", plan=plan)
+            run_chaos_paxos_experiment(plan=plan)
 
     def test_agreement_holds_under_chaos(self):
         plan = FaultPlan(name="msg", events=[
             LinkFaultEvent(at=0.0, drop=0.05, duplicate=0.05, reorder=0.1),
         ])
         result = run_chaos_paxos_experiment(
-            "mencius", seed=2, plan=plan, requests_per_node=3, max_time=15.0,
+            seed=2, plan=plan, requests_per_node=3, max_time=15.0,
         )
         assert result.safe
         assert result.committed > 0
@@ -157,7 +157,7 @@ class TestChaosPaxosExperiment:
 
         monkeypatch.setattr(chaos_experiment, "Cluster", sabotaged)
         result = run_chaos_paxos_experiment(
-            "mencius", seed=2, plan=FaultPlan(name="none"),
+            seed=2, plan=FaultPlan(name="none"),
             requests_per_node=3, max_time=15.0,
         )
         assert (result.agreement, result.at_most_once, result.safe) == (

@@ -6,16 +6,17 @@ from repro.chaos import CrashEvent, FaultPlan, LinkFaultEvent, SlowNodeEvent
 from repro.fuzz import make_target, shrink_counterexample
 from repro.fuzz.shrink import Shrinker
 
-# A known Paxos agreement violation discovered by the seed-1 campaign:
-# a lossy WAN plus one amnesia crash loses Learns, and the recovering
-# node's gap-fill NOOP overwrites a decided slot.  Cluster seed 6.
+# A known Paxos agreement violation discovered by the seed-1 campaign
+# (examples/corpus/paxos-seed1.json): a lossy WAN plus one amnesia crash
+# loses Learns, and the recovering node's gap-fill NOOP overwrites a
+# decided slot.  Cluster seed 0.
 VIOLATING_EVENTS = [
-    LinkFaultEvent(at=0.0, drop=0.34884797134928314,
-                   reorder=0.009532294143417353, reorder_jitter=0.2),
-    CrashEvent(at=1.7653531746583395, node=3, amnesia=True,
-               recover_at=2.152004545156926),
+    LinkFaultEvent(at=0.0, drop=0.06707331180341818,
+                   reorder=0.29838742338764623, reorder_jitter=0.2),
+    CrashEvent(at=2.0159579868413515, node=1, amnesia=True,
+               recover_at=2.4116837929608907),
 ]
-VIOLATING_SEED = 6
+VIOLATING_SEED = 0
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Fuzz targets check the protocols' own safety properties, live and at
 the end of every execution, with byte-stable violation messages."""
 
-from repro.apps.paxos import MenciusPaxos
+from repro.apps.paxos import PaxosReplica
 from repro.apps.randtree import RandTreeConfig
 from repro.chaos import FaultPlan
 from repro.fuzz import make_target
@@ -20,25 +20,21 @@ def _replicas(last_chosen, last_executed):
 
 
 def test_paxos_targets_name_each_broken_property():
-    clean = _replicas((0, 0), [(0, 0)])
-    split = _replicas((4, 0), [(4, 0)])
-    twice = _replicas((0, 0), [(0, 0), (0, 0)])
-    mencius, batched = make_target("paxos"), make_target("paxos-batched")
-    assert mencius.live_violations(clean) == batched.live_violations(clean) == []
-    assert mencius.live_violations(split) == [AGREEMENT_BROKEN]
-    # At-most-once is the batched target's alone.
-    assert mencius.live_violations(twice) == []
-    assert batched.live_violations(twice) == [AT_MOST_ONCE_BROKEN]
+    target = make_target("paxos")
+    assert target.live_violations(_replicas((0, 0), [(0, 0)])) == []
+    assert target.live_violations(_replicas((4, 0), [(4, 0)])) == [AGREEMENT_BROKEN]
+    assert target.live_violations(_replicas((0, 0), [(0, 0), (0, 0)])) == [
+        AT_MOST_ONCE_BROKEN]
     both = _replicas((4, 0), [(4, 0), (4, 0)])
-    assert batched.live_violations(both) == [AGREEMENT_BROKEN, AT_MOST_ONCE_BROKEN]
+    assert target.live_violations(both) == [AGREEMENT_BROKEN, AT_MOST_ONCE_BROKEN]
 
 
-class LastReplicaDecidesAlone(MenciusPaxos):
+class LastReplicaDecidesAlone(PaxosReplica):
     """The last replica learns a value for instance 0 no one proposed."""
 
     def _value_chosen(self, instance, value):
         if self.node_id == 4 and instance == 0:
-            value = (4, 99)
+            value = ((4, 99),)
         super()._value_chosen(instance, value)
 
 

@@ -84,7 +84,7 @@ def test_randtree_search_is_the_unreduced_one(n, seed, settle, joiner, max_depth
 @given(drops=st.booleans(), max_depth=st.integers(3, 6),
        max_states=st.sampled_from([40, 300, 1200]))
 def test_paxos_contention_search_is_the_unreduced_one(drops, max_depth, max_states):
-    factory = make_paxos_factory("mencius", PaxosConfig(n=3, requests_per_node=0))
+    factory = make_paxos_factory(PaxosConfig(n=3, requests_per_node=0))
     properties = [
         AGREEMENT,
         all_nodes(lambda nid, state: not state.get("promised"), "nothing-promised"),
@@ -95,7 +95,7 @@ def test_paxos_contention_search_is_the_unreduced_one(drops, max_depth, max_stat
 
 
 def test_paxos_contention_at_depth_eight_takes_fewer_transitions():
-    factory = make_paxos_factory("mencius", PaxosConfig(n=3, requests_per_node=0))
+    factory = make_paxos_factory(PaxosConfig(n=3, requests_per_node=0))
     old, new = assert_same_search(
         lambda: Explorer(factory, properties=[AGREEMENT]),
         make_contention_world(factory), 8, 3000)

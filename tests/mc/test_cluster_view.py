@@ -17,7 +17,7 @@ from repro.statemachine import Cluster, serialization
 
 
 def _paxos():
-    factory = make_paxos_factory("batched", PaxosConfig(
+    factory = make_paxos_factory(PaxosConfig(
         n=3, requests_per_node=4, request_interval=0.3))
     cluster = Cluster(3, factory, seed=2)
     cluster.start_all()

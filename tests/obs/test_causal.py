@@ -158,7 +158,7 @@ def test_choice_event_roots_downstream_sends():
     from repro.eval import wan_topology
 
     config = PaxosConfig(n=5, request_interval=1.0, requests_per_node=1)
-    cluster = Cluster(5, make_paxos_factory("choice", config),
+    cluster = Cluster(5, make_paxos_factory(config),
                       topology=wan_topology(5), seed=1, causal=True)
     cluster.start_all()
     cluster.run(until=4.0)
