@@ -4,10 +4,10 @@ Not a paper figure: the ROADMAP item-2 follow-through.  T1 showed that
 running full consequence prediction per exposed choice is hopeless at
 10^5 offered requests and fell back to a *static* deployment-model
 resolver.  T2 measures the amortized middle road: scored prediction
-rounds distill :class:`~repro.runtime.SteeringPolicy` rankings that are
-reused across every choice sharing a coarse scenario signature, with
-coalescing and a deterministic states-rate budget keeping prediction
-off the hot path.  Three modes over the same chaos plans:
+rounds distill candidate rankings that are reused across every choice
+sharing a coarse scenario signature, with coalescing and a
+deterministic states-rate budget keeping prediction off the hot path.
+Three modes over the same chaos plans:
 
 * ``off`` — first candidate everywhere (the legacy unbatched replica);
 * ``static`` — the T1 deployment-model resolver;
@@ -85,7 +85,7 @@ def test_t2_amortized_beats_off_and_holds_static(benchmark, plan_name):
     off, static, amortized = benchmark.pedantic(sweep, rounds=1, iterations=1)
     steering = amortized.metrics["steering"]
     counters = steering["counters"]
-    resolutions = sum(counters.values())
+    resolutions = steering["resolutions"]
     wall = _WALL[("amortized", plan_name, TOTAL, HORIZON, SEED)]
     score_wall = _score_wall(amortized)
     duty_cycle = score_wall / wall if wall else 0.0

@@ -11,23 +11,19 @@ Two extension mechanisms the paper sketches, demonstrated live:
 
 2. **Precomputed choice policies** — "removing complex mechanisms for
    making the choices from the critical path, using choices based on
-   previous similar scenarios as a fast alternative".  A
-   ``CachedResolver`` wraps the expensive predictive resolver; repeat
-   scenarios are answered from the policy cache.  The TTL implements
-   the paper's "updating the choices as more information becomes
-   available": a long TTL would freeze decisions made before the model
-   warmed up.
+   previous similar scenarios as a fast alternative".  The amortized
+   scheduler (``steering_policy=True``) runs a scored prediction round
+   only when no earlier round covers the scenario; repeat scenarios are
+   answered from the distilled ranking or a coalesced answer.  Rankings
+   age out, which is the paper's "updating the choices as more
+   information becomes available"; until a round can run, the
+   ``fallback`` resolver answers.
 """
 
 import time
 
-from repro.choice import PerformanceObjective
-from repro.runtime import (
-    CachedResolver,
-    PolicyCache,
-    PredictiveResolver,
-    install_crystalball,
-)
+from repro.choice import FirstResolver
+from repro.runtime import install_crystalball, merge_steering_snapshots
 from repro.statemachine import Cluster
 
 # Reuse the quickstart's load-balancer service.
@@ -61,36 +57,34 @@ def demo_model_sharing():
     print(f"model entries adopted across the cluster: {adopted}\n")
 
 
-def demo_policy_cache():
+def demo_amortized_policy():
     print("--- 2. precomputed choices off the critical path ---")
-    results = {}
-    for label, cached in (("predictive", False), ("predictive+cache", True)):
+    walls = {}
+    for label, amortized in (("per-choice", False), ("amortized", True)):
         cluster = Cluster(N, LoadBalancer, seed=7)
-        install_crystalball(
+        runtimes = install_crystalball(
             cluster, LoadBalancer, objective=make_objective(),
             checkpoint_period=0.5, chain_depth=3, budget=300,
-            set_resolver=False,
+            steering_policy=amortized, fallback=FirstResolver(),
         )
-        cache = PolicyCache(ttl=2.0)
-        for node in cluster.nodes:
-            resolver = PredictiveResolver()
-            node.choice_resolver = CachedResolver(resolver, cache=cache) if cached else resolver
         cluster.start_all()
         start = time.perf_counter()
         cluster.run(until=20.0)
-        elapsed = time.perf_counter() - start
+        walls[label] = time.perf_counter() - start
         total = sum(s.done for s in cluster.services)
-        results[label] = (elapsed, total, cache)
-        hit_note = f"  cache hit rate {cache.hit_rate:.0%}" if cached else ""
-        print(f"{label:>18}: wall {elapsed:.2f}s  work done {total}{hit_note}")
-    slow, fast = results["predictive"][0], results["predictive+cache"][0]
-    print(f"\nsame decisions, {slow / fast:.1f}x less wall-clock on the critical path")
+        print(f"{label:>18}: wall {walls[label]:.2f}s  work done {total}")
+        if amortized:
+            steering = merge_steering_snapshots(r.amortized.snapshot() for r in runtimes)
+            paths = "  ".join(f"{path} {n}" for path, n in steering["counters"].items())
+            print(f"{'':>18}  {steering['resolutions']} resolutions: {paths}")
+    slow, fast = walls["per-choice"], walls["amortized"]
+    print(f"\n{slow / fast:.1f}x less wall-clock on the critical path")
 
 
 def main():
     print(__doc__)
     demo_model_sharing()
-    demo_policy_cache()
+    demo_amortized_policy()
 
 
 if __name__ == "__main__":

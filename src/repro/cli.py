@@ -540,7 +540,7 @@ def _cmd_t1(args) -> int:
         counters = steering["counters"]
         print(
             f"steering: {counters.get('scored_rounds', 0)} scored rounds / "
-            f"{sum(counters.values())} resolutions, policy hit rate "
+            f"{steering['resolutions']} resolutions, policy hit rate "
             f"{steering['policy'].get('hit_rate', 0.0):.0%}"
         )
     if args.stream:

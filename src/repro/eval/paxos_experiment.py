@@ -227,13 +227,7 @@ def run_throughput_experiment(
     processing_delays: Optional[tuple] = DEFAULT_LOADS,
     config: Optional[PaxosConfig] = None,
     stream: Optional[Any] = None,
-    telemetry: bool = False,
     telemetry_cadence: float = 1.0,
-    coalesce_window: float = 0.25,
-    max_policy_age: float = 20.0,
-    policy_rate_budget: Optional[float] = 3_000.0,
-    policy_initial_allowance: Optional[float] = 30_000.0,
-    policy_budget: int = 240,
     checkpoint_period: float = 0.0,
 ) -> ThroughputResult:
     """T1: committed-ops throughput of batched Multi-Paxos under load.
@@ -252,16 +246,16 @@ def run_throughput_experiment(
     * ``"amortized"`` — prediction-driven steering through the
       :class:`~repro.runtime.AmortizedSteering` scheduler: a full
       CrystalBall runtime is installed per node, scored prediction
-      rounds distill :class:`~repro.runtime.SteeringPolicy` rankings
-      against a committed-work objective
-      (:class:`~repro.apps.paxos.ThroughputObjective`), and the hot path
-      answers from the coalescing cache / policy, degrading to the
-      ``static`` resolver when the policy is stale or the budget is
-      spent (``policy_initial_allowance`` weighted states up front plus
-      ``policy_rate_budget`` per sim-second; rounds whose projected
-      replay cost no longer fits the remaining allowance are denied
-      before any state is captured, concentrating prediction early
-      while the decided logs are small).
+      rounds distill candidate rankings against a committed-work
+      objective (:class:`~repro.apps.paxos.ThroughputObjective`), and
+      the hot path answers from coalesced answers / rankings, degrading
+      to the ``static`` resolver when the policy is stale or the budget
+      is spent.  The budget is the scheduler's default: 30,000 weighted
+      states up front plus 3,000 per sim-second, rankings live 20
+      sim-seconds, and rounds whose projected replay cost no longer
+      fits the remaining allowance are denied before any state is
+      captured, concentrating prediction early while the decided logs
+      are small.
       Cluster-wide scheduler counters land in ``metrics["steering"]``.
       Checkpoint gossip is off by default (``checkpoint_period=0``):
       the committed-work objective scores local queue drain, and at
@@ -281,12 +275,12 @@ def run_throughput_experiment(
     committed / conflict curves as ``sample`` records, every safety
     probe and chaos burst boundary as ``event`` records, and the
     headline result as the final ``summary`` (tail it live with
-    ``python -m repro.cli tail <path> --follow``).  ``telemetry=True``
-    keeps the sampled series in-memory only (returned under
-    ``metrics["telemetry"]``).  Sampling is digest-neutral: the sampler
-    rides the event queue on its own tag, reads state without touching
-    it, and draws no RNG, so ``state_digest`` is byte-identical with
-    streaming on or off (``benchmarks/bench_o3_stream.py`` asserts it).
+    ``python -m repro.cli tail <path> --follow``); the sampled series
+    is also returned under ``metrics["telemetry"]``.  Sampling is
+    digest-neutral: the sampler rides the event queue on its own tag,
+    reads state without touching it, and draws no RNG, so
+    ``state_digest`` is byte-identical with streaming on or off
+    (``benchmarks/bench_o3_stream.py`` asserts it).
     """
     from ..apps.paxos import ClientLoad, ThroughputObjective, make_throughput_resolver
     from ..chaos import ChaosController, CrashEvent
@@ -325,12 +319,7 @@ def run_throughput_experiment(
             checkpoint_period=checkpoint_period, prediction_period=0.0,
             objective=ThroughputObjective(),
             steering_policy=True,
-            policy_fallback=make_throughput_resolver(topology, config),
-            coalesce_window=coalesce_window,
-            max_policy_age=max_policy_age,
-            policy_rate_budget=policy_rate_budget,
-            policy_initial_allowance=policy_initial_allowance,
-            policy_budget=policy_budget,
+            fallback=make_throughput_resolver(topology, config),
         )
         for runtime in runtimes:
             runtime.network_model.bootstrap_from_topology(topology)
@@ -351,7 +340,7 @@ def run_throughput_experiment(
     # runs) keeps its lifecycle: we emit events but not the summary.
     owns_stream = run_stream is not None and run_stream is not stream
     sampler: Optional[TelemetrySampler] = None
-    if run_stream is not None or telemetry:
+    if run_stream is not None:
         sampler = TelemetrySampler(
             cluster.sim, cadence=telemetry_cadence, stream=run_stream,
         )

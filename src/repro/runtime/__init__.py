@@ -16,18 +16,15 @@ from .checkpoints import (
 from .controller import CrystalBallRuntime
 from .policy import (
     AmortizedSteering,
-    SteeringPolicy,
     identity_key,
     merge_steering_snapshots,
     scenario_signature,
 )
-from .policy_cache import CachedResolver, PolicyCache, scenario_key
 from .resolver import PredictiveResolver, install_crystalball
 from .steering import EventFilter, SteeringModule
 
 __all__ = [
     "AmortizedSteering",
-    "SteeringPolicy",
     "identity_key",
     "merge_steering_snapshots",
     "scenario_signature",
@@ -38,9 +35,6 @@ __all__ = [
     "ProbeReplyMsg",
     "is_runtime_message",
     "CrystalBallRuntime",
-    "CachedResolver",
-    "PolicyCache",
-    "scenario_key",
     "PredictiveResolver",
     "install_crystalball",
     "EventFilter",

@@ -46,8 +46,10 @@ from .steering import EventFilter, SteeringModule
 # more unscripted choice, so this bounds the choices a handler may make.
 _MAX_REPLAY_FILLS = 32
 # Capacity of the chain memo behind the amortized policy's scored
-# rounds: the value BENCH_T2.json's numbers were recorded with.
+# rounds, and the per-candidate state budget of one such round: the
+# values BENCH_T2.json's numbers were recorded with.
 _POLICY_MEMO_ENTRIES = 128
+_POLICY_BUDGET = 240
 
 
 class _ZeroObjective(Objective):
@@ -94,16 +96,10 @@ class CrystalBallRuntime(InboundInterposer):
         model_share_period: float = 0.0,
         generic_node: Optional[object] = None,
         max_snapshot_age: Optional[float] = None,
-        stale_fallback: Optional[object] = None,
+        fallback: Optional[object] = None,
         metrics: Optional[MetricsRegistry] = None,
         flight_recorder: Optional[Any] = None,
         steering_policy: bool = False,
-        policy_fallback: Optional[object] = None,
-        coalesce_window: float = 0.25,
-        max_policy_age: float = 5.0,
-        policy_rate_budget: Optional[float] = 1200.0,
-        policy_initial_allowance: Optional[float] = None,
-        policy_budget: int = 240,
     ) -> None:
         self.node = node
         self.service_factory = service_factory
@@ -161,11 +157,12 @@ class CrystalBallRuntime(InboundInterposer):
         self.last_prediction_summary: Optional[Dict[str, Any]] = None
         self.model_share_period = model_share_period
         self.generic_node = generic_node
-        # Confidence gating (Section 3.3.2): when the snapshot is too
-        # stale to trust, fall back to a cheap resolver instead of
-        # predicting from fiction.
+        # The cheap resolver prediction degrades to: per choice, when
+        # the snapshot is older than max_snapshot_age (confidence
+        # gating, Section 3.3.2 — no predicting from fiction); amortized,
+        # on every choice no policy answers.
         self.max_snapshot_age = max_snapshot_age
-        self.stale_fallback = stale_fallback
+        self.fallback = fallback
         self._last_state_digest: Optional[str] = None
         self._last_broadcast_at = float("-inf")
         # Reused across prediction passes: the explorer's service pool
@@ -221,17 +218,12 @@ class CrystalBallRuntime(InboundInterposer):
         # mid-run.
         self.amortized: Optional[AmortizedSteering] = None
         self._policy_memo: Optional[ChainMemo] = None
-        self.policy_budget = policy_budget
         if steering_policy:
             self._policy_memo = ChainMemo(max_entries=_POLICY_MEMO_ENTRIES)
             self.amortized = AmortizedSteering(
-                fallback=policy_fallback,
+                fallback=fallback,
                 score_fn=self._policy_score,
                 cost_fn=self._policy_cost,
-                coalesce_window=coalesce_window,
-                max_policy_age=max_policy_age,
-                rate_budget=policy_rate_budget,
-                initial_allowance=policy_initial_allowance,
             )
 
         node.inbound_interposers.append(self)
@@ -689,12 +681,6 @@ class CrystalBallRuntime(InboundInterposer):
         self.stats["predictions"] += 1
         self.stats["states_explored"] += report.total_states
         self.last_prediction_summary = report.summary()
-        if self.amortized is not None:
-            # Each full prediction round refreshes the policy's
-            # freshness horizon (entries still age out individually).
-            now = self.node.sim.now
-            if now > self.amortized.policy.refreshed_at:
-                self.amortized.policy.refreshed_at = now
         if self.steering_enabled:
             self._apply_steering(report, world)
         return report
@@ -815,8 +801,8 @@ class CrystalBallRuntime(InboundInterposer):
             # Confidence gating: the model is too old to predict from;
             # degrade to the cheap fallback instead of guessing.
             self.stats["choices_fallback"] += 1
-            if self.stale_fallback is not None:
-                return self.stale_fallback.resolve(point, node)
+            if self.fallback is not None:
+                return self.fallback.resolve(point, node)
             return point.candidates[0]
         best = point.candidates[0]
         best_score = float("-inf")
@@ -852,7 +838,7 @@ class CrystalBallRuntime(InboundInterposer):
         """One scored prediction round for the amortized policy.
 
         Scores every candidate by sandbox replay + consequence
-        prediction (bounded by the smaller ``policy_budget`` and riding
+        prediction (bounded by the smaller ``_POLICY_BUDGET`` and riding
         the dedicated policy chain memo for cross-round reuse) and
         returns ``(ranking, states_explored)`` — or ``None`` when the
         current dispatch was not captured, in which case the scheduler
@@ -868,7 +854,7 @@ class CrystalBallRuntime(InboundInterposer):
             for candidate in point.candidates:
                 score = self._score_candidate(
                     dispatch, candidate,
-                    budget=self.policy_budget, memo=self._policy_memo,
+                    budget=_POLICY_BUDGET, memo=self._policy_memo,
                 )
                 scored.append((candidate, score))
         # Stable sort: candidates tied on score keep application order,

@@ -1,30 +1,30 @@
 """Amortized prediction-driven steering: one prediction round, many choices.
 
-ROADMAP item 2 left explicit headroom: at T1's event rate (10^5 offered
-requests) running full consequence prediction per exposed choice is far
-too slow, so the batched Paxos workload steered off a *static*
-deployment-model resolver.  This module closes that gap with three
-cooperating mechanisms:
+Section 3.4: "A useful design decision is removing complex mechanisms
+for making the choices from the critical path, using choices based on
+previous similar scenarios as a fast alternative, and updating the
+choices as more information becomes available."
 
-* :class:`SteeringPolicy` — the distilled artifact of a prediction
-  round: per choice-point-kind candidate *rankings* keyed by a coarse
+At T1's event rate (10^5 offered requests) running full consequence
+prediction per exposed choice is far too slow.  :class:`AmortizedSteering`
+puts prediction off the critical path with two tables:
+
+* **Rankings** — the distilled artifact of a scored prediction round:
+  candidates ranked best first, keyed by a coarse
   :func:`scenario_signature` (queue-depth bucket, conflict-signal
-  bucket, liveness fingerprint).  Stored in a
-  :class:`~repro.runtime.policy_cache.PolicyCache`, so entries age out
-  after ``max_age`` and per-scenario-key hit/miss/stale counters come
-  for free.
-* **Choice coalescing** — identical :class:`ChoicePoint`\\ s arriving
+  bucket, liveness fingerprint).  Entries age out after
+  ``max_policy_age``.
+* **Coalesced answers** — identical :class:`ChoicePoint`\\ s arriving
   within ``coalesce_window`` sim-seconds share one resolution (one
   score pass, N answers), deduplicated by :func:`identity_key`.
-* :class:`AmortizedSteering` — the scheduler gluing both to the hot
-  path: answer from the coalescing cache, then from the policy, and
-  only when both miss (and the deterministic prediction budget allows
-  it) run one scored prediction round whose ranking is installed for
-  every later choice in the same scenario.  A policy older than
-  ``max_age``, or invalidated by steering installs / liveness flips /
-  topology changes, degrades gracefully to the static fallback
-  resolver — it never answers stale-silently and never blocks the hot
-  path.
+
+A choice is answered from the coalesced answers, then from a ranking,
+and only when both miss (and the deterministic prediction budget allows
+it) by one scored prediction round whose ranking is installed for every
+later choice in the same scenario.  A ranking older than
+``max_policy_age``, or invalidated by steering installs / liveness flips
+/ topology changes, degrades gracefully to the static fallback resolver
+— it never answers stale-silently and never blocks the hot path.
 
 The prediction budget is deliberately expressed in *predicted states
 per simulated second*, not wall time: a wall-clock duty cycle would
@@ -36,11 +36,11 @@ states-rate budget is the deterministic proxy that keeps it low.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..choice.choicepoint import ChoicePoint, ConfigurationError
 from ..statemachine.serialization import freeze
-from .policy_cache import PolicyCache
 
 #: A ranking is the distilled output of one scored prediction round:
 #: candidates with their predicted-objective scores, best first.
@@ -50,6 +50,13 @@ Ranking = Tuple[Tuple[Any, float], ...]
 #: states_explored)`` or ``None`` when scoring is impossible right now
 #: (typically: the current dispatch was not captured for replay).
 ScoreFn = Callable[[ChoicePoint, Optional[object]], Optional[Tuple[Ranking, int]]]
+
+# LRU bounds of the two tables.
+_ANSWER_ENTRIES = 4096
+_RANKING_ENTRIES = 512
+
+# The paths that answer a choice; every resolution takes exactly one.
+_RESOLVED_BY = ("coalesced", "policy_hits", "scored_rounds", "fallbacks")
 
 
 def identity_key(point: ChoicePoint) -> Tuple:
@@ -81,15 +88,13 @@ def _liveness_fingerprint(node: Optional[object]) -> Tuple[int, ...]:
 
 
 def scenario_signature(point: ChoicePoint, node: Optional[object] = None) -> Tuple:
-    """Coarse scenario identity for policy entries.
+    """Coarse scenario identity for ranking entries.
 
-    Deliberately much coarser than
-    :func:`~repro.runtime.policy_cache.scenario_key` (which includes
-    the full state digest): queue depth is bucketed logarithmically,
-    the conflict signal is clamped to small integers, and the liveness
-    fingerprint captures which peers are down.  One prediction round's
-    ranking then serves every choice the scenario produces until it
-    ages out.
+    Deliberately much coarser than :func:`identity_key`: queue depth is
+    bucketed logarithmically, the conflict signal is clamped to small
+    integers, and the liveness fingerprint captures which peers are
+    down.  One prediction round's ranking then serves every choice the
+    scenario produces until it ages out.
     """
     parts: List[Any] = [point.label, freeze(list(point.candidates))]
     info = point.info
@@ -103,90 +108,43 @@ def scenario_signature(point: ChoicePoint, node: Optional[object] = None) -> Tup
     return tuple(parts)
 
 
-class SteeringPolicy:
-    """Per-scenario candidate rankings distilled from prediction rounds.
+def _live(table: "OrderedDict", key: Tuple, now: float, ttl: float) -> Optional[Tuple]:
+    """The ``(value, stored_at)`` entry under ``key`` if live, else None.
 
-    Entries live in a :class:`PolicyCache` with ``ttl=max_age``, so
-    staleness is enforced on lookup (an entry installed at ``t`` stops
-    answering after ``t + max_age``) and per-scenario-key counters are
-    exposed through :meth:`snapshot`.  :meth:`invalidate` drops
-    everything at once — the hook for steering installs, liveness
-    flips, and topology changes, whose effects a signature cannot see.
+    An entry is live while ``stored_at >= now - ttl``: one stored at
+    exactly ``now - ttl`` still hits (comparing the timestamps directly
+    rather than subtracting twice avoids the floating-point drift of
+    ``now - stored_at > ttl``).  A live hit moves to the LRU end; an
+    expired entry is deleted.
     """
-
-    def __init__(self, max_age: float = 5.0, max_entries: int = 512) -> None:
-        if max_age is not None and max_age <= 0:
-            raise ConfigurationError(
-                f"SteeringPolicy max_age must be positive, got {max_age!r}"
-            )
-        self.max_age = max_age
-        self.cache = PolicyCache(ttl=max_age, max_entries=max_entries)
-        self.refreshed_at = float("-inf")
-        self.installs = 0
-        self.invalidations: Dict[str, int] = {}
-
-    def fresh(self, now: float) -> bool:
-        """Whether *any* prediction round refreshed us within max_age."""
-        if self.max_age is None:
-            return self.refreshed_at > float("-inf")
-        return now - self.refreshed_at <= self.max_age
-
-    def install(self, signature: Tuple, ranking: Iterable[Tuple[Any, float]],
-                now: float) -> None:
-        """Distill one scored round into a policy entry."""
-        self.cache.put(signature, tuple(ranking), now)
-        self.installs += 1
-        if now > self.refreshed_at:
-            self.refreshed_at = now
-
-    def ranking(self, signature: Tuple, now: float) -> Optional[Ranking]:
-        """The live ranking for a scenario, or None (missing/aged out)."""
-        hit = self.cache.get(signature, now)
-        return hit[1] if hit is not None else None
-
-    def lookup(self, signature: Tuple, point: ChoicePoint, now: float) -> Optional[Any]:
-        """Best ranked candidate still offered by ``point``, or None.
-
-        A live entry none of whose candidates are currently offered is
-        reclassified as a stale miss (the cache's per-key counters
-        record it) and the caller falls through to scoring/fallback.
-        """
-        ranking = self.ranking(signature, now)
-        if ranking is None:
-            return None
-        for candidate, _score in ranking:
-            if candidate in point.candidates:
-                return candidate
-        self.cache.mark_stale()
+    entry = table.get(key)
+    if entry is None:
         return None
+    if entry[1] < now - ttl:
+        del table[key]
+        return None
+    table.move_to_end(key)
+    return entry
 
-    def invalidate(self, reason: str = "external") -> None:
-        """Drop every entry and forget freshness (world changed)."""
-        self.cache.invalidate()
-        self.refreshed_at = float("-inf")
-        self.invalidations[reason] = self.invalidations.get(reason, 0) + 1
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "max_age": self.max_age,
-            "installs": self.installs,
-            "refreshed_at": (
-                None if self.refreshed_at == float("-inf") else self.refreshed_at
-            ),
-            "invalidations": dict(self.invalidations),
-            "cache": self.cache.snapshot(),
-        }
+def _store(table: "OrderedDict", key: Tuple, value: Any, now: float, bound: int) -> None:
+    """Store ``value`` at ``now``, evicting the least recently used entry."""
+    table[key] = (value, now)
+    table.move_to_end(key)
+    if len(table) > bound:
+        table.popitem(last=False)
 
 
 class AmortizedSteering:
-    """The amortization scheduler: coalesce, consult policy, else score.
+    """The amortization scheduler: coalesce, consult rankings, else score.
 
     Resolution order for one choice point at sim-time ``now``:
 
     1. **Coalesce** — an identical point resolved within
        ``coalesce_window`` returns the same answer (no score pass).
-    2. **Policy** — a live :class:`SteeringPolicy` entry for the
-       point's :func:`scenario_signature` answers from the ranking.
+    2. **Policy** — a live ranking for the point's
+       :func:`scenario_signature` answers with its best candidate still
+       offered.
     3. **Score** — if the states-rate budget allows and ``score_fn``
        can run (a captured dispatch is available to replay), one
        prediction round ranks the candidates and installs the ranking
@@ -206,15 +164,19 @@ class AmortizedSteering:
         score_fn: Optional[ScoreFn] = None,
         cost_fn: Optional[Any] = None,
         coalesce_window: float = 0.25,
-        max_policy_age: float = 5.0,
-        rate_budget: Optional[float] = 1200.0,
-        initial_allowance: Optional[float] = None,
+        max_policy_age: float = 20.0,
+        rate_budget: Optional[float] = 3_000.0,
+        initial_allowance: float = 30_000.0,
     ) -> None:
         if fallback is None or not callable(getattr(fallback, "resolve", None)):
             raise ConfigurationError(
                 "amortized steering requires a fallback resolver with a "
                 f".resolve(point, node) method, got {fallback!r}; a stale or "
                 "invalidated policy must have something to degrade to"
+            )
+        if max_policy_age <= 0:
+            raise ConfigurationError(
+                f"max_policy_age must be positive, got {max_policy_age!r}"
             )
         self.fallback = fallback
         self.score_fn = score_fn
@@ -226,18 +188,21 @@ class AmortizedSteering:
         # concentrated where it is cheap.
         self.cost_fn = cost_fn
         self.coalesce_window = coalesce_window
-        self.policy = SteeringPolicy(max_age=max_policy_age)
-        self.coalesce = PolicyCache(ttl=coalesce_window)
+        self.max_policy_age = max_policy_age
+        # identity_key -> (answer, stored_at)
+        self.answers: "OrderedDict[Tuple, Tuple[Any, float]]" = OrderedDict()
+        # scenario_signature -> (ranking, stored_at)
+        self.rankings: "OrderedDict[Tuple, Tuple[Ranking, float]]" = OrderedDict()
+        self.installs = 0
+        self.invalidations: Dict[str, int] = {}
+        self.policy_lookups = {"hits": 0, "misses": 0, "stale": 0}
+        self.coalesce_lookups = {"hits": 0, "misses": 0}
         # Prediction budget: at most rate_budget predicted states per
-        # simulated second (plus one sim-second's allowance up front so
-        # scoring can start at t=0).  None disables the cap.
+        # simulated second, plus initial_allowance up front so scoring
+        # can start at t=0.  None disables the cap.
         self.rate_budget = rate_budget
-        self.initial_allowance = (
-            initial_allowance if initial_allowance is not None
-            else (rate_budget if rate_budget is not None else 0.0)
-        )
+        self.initial_allowance = initial_allowance
         self.spent_states = 0
-        self.capture_wanted = False
         # Dispatch kinds observed to carry choices: while capture is
         # armed, only these checkpoint (see Node.capture_kinds) — the
         # rest of the event stream stays snapshot-free.
@@ -261,6 +226,29 @@ class AmortizedSteering:
         """Whether the deterministic states-rate budget allows scoring."""
         return self.spent_states < self.allowance(now)
 
+    def install(self, signature: Tuple, ranking: Iterable[Tuple[Any, float]],
+                now: float) -> None:
+        """Distill one scored round into a ranking for its scenario."""
+        _store(self.rankings, signature, tuple(ranking), now, _RANKING_ENTRIES)
+        self.installs += 1
+
+    def lookup(self, signature: Tuple, point: ChoicePoint, now: float) -> Optional[Any]:
+        """Best ranked candidate still offered by ``point``, or None.
+
+        A live ranking none of whose candidates are currently offered is
+        counted as a stale miss, and the caller falls through to
+        scoring/fallback.
+        """
+        entry = _live(self.rankings, signature, now, self.max_policy_age)
+        if entry is not None:
+            for candidate, _score in entry[0]:
+                if candidate in point.candidates:
+                    self.policy_lookups["hits"] += 1
+                    return candidate
+            self.policy_lookups["stale"] += 1
+        self.policy_lookups["misses"] += 1
+        return None
+
     def resolve(self, point: ChoicePoint, node: Optional[object] = None,
                 now: Optional[float] = None) -> Any:
         return self.resolve_explain(point, node, now=now)[0]
@@ -273,15 +261,17 @@ class AmortizedSteering:
         if now is None:
             now = node.sim.now if node is not None else 0.0
         key = identity_key(point)
-        hit = self.coalesce.get(key, now)
-        if hit is not None:
+        entry = _live(self.answers, key, now, self.coalesce_window)
+        if entry is not None:
+            self.coalesce_lookups["hits"] += 1
             self.counters["coalesced"] += 1
-            return hit[1], "coalesced"
+            return entry[0], "coalesced"
+        self.coalesce_lookups["misses"] += 1
         signature = scenario_signature(point, node)
-        value = self.policy.lookup(signature, point, now)
+        value = self.lookup(signature, point, now)
         if value is not None:
             self.counters["policy_hits"] += 1
-            self.coalesce.put(key, value, now)
+            _store(self.answers, key, value, now, _ANSWER_ENTRIES)
             return value, "policy"
         if self.score_fn is not None and self.budget_ok(now):
             projected = (
@@ -302,11 +292,11 @@ class AmortizedSteering:
                     ranking, cost = scored
                     self.spent_states += max(int(cost), 0)
                     self.counters["scored_rounds"] += 1
-                    self.policy.install(signature, ranking, now)
+                    self.install(signature, ranking, now)
                     self._disarm(node)
-                    value = self.policy.lookup(signature, point, now)
+                    value = self.lookup(signature, point, now)
                     if value is not None:
-                        self.coalesce.put(key, value, now)
+                        _store(self.answers, key, value, now, _ANSWER_ENTRIES)
                         return value, "scored"
                 else:
                     # Scoring wanted but impossible (no captured
@@ -317,11 +307,10 @@ class AmortizedSteering:
                     self._arm(node)
         value = self.fallback.resolve(point, node)
         self.counters["fallbacks"] += 1
-        self.coalesce.put(key, value, now)
+        _store(self.answers, key, value, now, _ANSWER_ENTRIES)
         return value, "fallback"
 
     def _arm(self, node: Optional[object]) -> None:
-        self.capture_wanted = True
         if node is not None:
             # A deferral happens *inside* the choice-bearing dispatch,
             # so its kind is exactly what future captures should cover.
@@ -332,72 +321,78 @@ class AmortizedSteering:
             node.capture_dispatch = True
 
     def _disarm(self, node: Optional[object]) -> None:
-        self.capture_wanted = False
         if node is not None:
             node.capture_dispatch = False
 
     def invalidate(self, reason: str = "external") -> None:
-        """World changed: drop policy entries and coalesced answers."""
-        self.policy.invalidate(reason)
-        self.coalesce.invalidate()
+        """World changed: drop rankings and coalesced answers."""
+        self.rankings.clear()
+        self.answers.clear()
+        self.invalidations[reason] = self.invalidations.get(reason, 0) + 1
 
     def snapshot(self) -> Dict[str, Any]:
+        """Path counters, budget spent, and both tables' lookup tallies.
+
+        ``resolutions`` counts every answered choice once: a denied or
+        deferred resolution also ends as a fallback, so the sum of all
+        ``counters`` would count it twice.
+        """
+        policy: Dict[str, Any] = {
+            "installs": self.installs,
+            "invalidations": dict(self.invalidations),
+            **self.policy_lookups,
+        }
+        policy["hit_rate"] = _hit_rate(policy)
         return {
             "counters": dict(self.counters),
+            "resolutions": sum(self.counters[path] for path in _RESOLVED_BY),
             "spent_states": self.spent_states,
-            "rate_budget": self.rate_budget,
-            "coalesce_window": self.coalesce_window,
-            "coalesce": self.coalesce.snapshot(),
-            "policy": self.policy.snapshot(),
+            "policy": policy,
+            "coalesce": dict(self.coalesce_lookups),
         }
+
+
+def _hit_rate(tally: Dict[str, Any]) -> float:
+    lookups = tally["hits"] + tally["misses"]
+    return tally["hits"] / lookups if lookups else 0.0
+
+
+def _add(into: Dict[str, int], counts: Dict[str, int]) -> None:
+    for name, count in counts.items():
+        into[name] = into.get(name, 0) + count
 
 
 def merge_steering_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate per-node :meth:`AmortizedSteering.snapshot` dicts.
 
-    Sums the scheduler counters and the policy/coalesce cache tallies
-    (including per-scenario-key counters) so experiment metrics can
-    report one cluster-wide ``steering`` section.
+    Sums every count and recomputes the policy hit rate, so experiment
+    metrics can report one cluster-wide ``steering`` section of the same
+    shape.
     """
     merged: Dict[str, Any] = {
         "counters": {},
+        "resolutions": 0,
         "spent_states": 0,
         "policy": {"installs": 0, "invalidations": {},
-                   "hits": 0, "misses": 0, "stale": 0, "keys": {}},
+                   "hits": 0, "misses": 0, "stale": 0},
         "coalesce": {"hits": 0, "misses": 0},
     }
     for snap in snapshots:
-        for name, count in snap.get("counters", {}).items():
-            merged["counters"][name] = merged["counters"].get(name, 0) + count
-        merged["spent_states"] += snap.get("spent_states", 0)
-        policy = snap.get("policy", {})
-        merged["policy"]["installs"] += policy.get("installs", 0)
-        for reason, count in policy.get("invalidations", {}).items():
-            inv = merged["policy"]["invalidations"]
-            inv[reason] = inv.get(reason, 0) + count
-        cache = policy.get("cache", {})
-        for field in ("hits", "misses", "stale"):
-            merged["policy"][field] += cache.get(field, 0)
-        for label, stat in cache.get("keys", {}).items():
-            slot = merged["policy"]["keys"].setdefault(
-                label, {"hits": 0, "misses": 0, "stale": 0}
-            )
-            for field in ("hits", "misses", "stale"):
-                slot[field] += stat.get(field, 0)
-        coalesce = snap.get("coalesce", {})
-        for field in ("hits", "misses"):
-            merged["coalesce"][field] += coalesce.get(field, 0)
-    lookups = merged["policy"]["hits"] + merged["policy"]["misses"]
-    merged["policy"]["hit_rate"] = (
-        merged["policy"]["hits"] / lookups if lookups else 0.0
-    )
+        _add(merged["counters"], snap["counters"])
+        merged["resolutions"] += snap["resolutions"]
+        merged["spent_states"] += snap["spent_states"]
+        policy = snap["policy"]
+        for field in ("installs", "hits", "misses", "stale"):
+            merged["policy"][field] += policy[field]
+        _add(merged["policy"]["invalidations"], policy["invalidations"])
+        _add(merged["coalesce"], snap["coalesce"])
+    merged["policy"]["hit_rate"] = _hit_rate(merged["policy"])
     return merged
 
 
 __all__ = [
     "AmortizedSteering",
     "Ranking",
-    "SteeringPolicy",
     "identity_key",
     "merge_steering_snapshots",
     "scenario_signature",

@@ -35,7 +35,7 @@ def test_amortized_mode_runs_safely_and_reports_steering_metrics():
     assert r.committed > 0
     steering = r.metrics["steering"]
     # The whole point: far fewer scored rounds than resolved choices.
-    resolved = sum(steering["counters"].values())
+    resolved = steering["resolutions"]
     assert steering["counters"]["scored_rounds"] >= 1
     assert steering["counters"]["scored_rounds"] < resolved
     assert steering["policy"]["installs"] >= 1

@@ -7,6 +7,7 @@ import pytest
 from repro.choice.resolvers import FirstResolver
 from repro.mc import ConsequencePredictor, DeliverAction, SafetyProperty
 from repro.runtime import CheckpointMsg, CrystalBallRuntime, install_crystalball
+from repro.runtime.controller import _POLICY_BUDGET
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
 
 
@@ -182,7 +183,7 @@ def stores(runtime):
     if amortized is None:
         return [runtime._chain_memo]
     return [runtime._chain_memo, runtime._policy_memo,
-            amortized.policy.cache, amortized.coalesce]
+            amortized.rankings, amortized.answers]
 
 
 def warm(runtime):
@@ -191,10 +192,10 @@ def warm(runtime):
         now = runtime.node.sim.now
         ConsequencePredictor(
             runtime.make_explorer(), chain_depth=runtime.chain_depth,
-            budget=runtime.policy_budget, memo=runtime._policy_memo,
+            budget=_POLICY_BUDGET, memo=runtime._policy_memo,
         ).predict(runtime.current_world())
-        runtime.amortized.policy.install(("scenario",), ((1, 1.0),), now)
-        runtime.amortized.coalesce.put(("point",), 1, now)
+        runtime.amortized.install(("scenario",), ((1, 1.0),), now)
+        runtime.amortized.answers[("point",)] = (1, now)
     assert all(len(store) > 0 for store in stores(runtime))
 
 
@@ -232,26 +233,26 @@ FLUSH_TRIGGERS = [
 
 @pytest.mark.parametrize("reason, policy_reason, fire", FLUSH_TRIGGERS)
 def test_world_change_flushes_every_prediction_store(reason, policy_reason, fire):
-    cluster, runtime = warm_runtime(steering_policy=True, policy_fallback=FirstResolver())
+    cluster, runtime = warm_runtime(steering_policy=True, fallback=FirstResolver())
     fire(cluster)
     assert not any(len(store) for store in stores(runtime))
     assert runtime._chain_memo.invalidation_reasons == {reason: 1}
     assert runtime._policy_memo.invalidation_reasons == {reason: 1}
-    assert runtime.amortized.policy.invalidations == {policy_reason: 1}
+    assert runtime.amortized.invalidations == {policy_reason: 1}
 
 
 def test_filters_installed_not_inflated_by_ttl_refresh():
     # Regression: re-predicting the same violation refreshes the
     # existing filter's TTL; the installation counter must not grow,
     # and nothing is flushed for a filter that was already there.
-    cluster, runtime = warm_runtime(steering_policy=True, policy_fallback=FirstResolver())
+    cluster, runtime = warm_runtime(steering_policy=True, fallback=FirstResolver())
     install_filter(cluster)
     warm(runtime)
     install_filter(cluster)
     assert runtime.stats["filters_installed"] == 1
     assert len(runtime.steering) == 1
     assert all(len(store) > 0 for store in stores(runtime))
-    assert runtime.amortized.policy.invalidations == {"steering": 1}
+    assert runtime.amortized.invalidations == {"steering": 1}
 
 
 def test_per_choice_runtime_takes_every_flush_trigger():

@@ -96,7 +96,7 @@ def test_stale_snapshot_falls_back():
     cluster = Cluster(3, factory, seed=3)
     runtimes = install_crystalball(
         cluster, factory, checkpoint_period=0.0,  # never exchange
-        max_snapshot_age=1.0, stale_fallback=FixedResolver(0),
+        max_snapshot_age=1.0, fallback=FixedResolver(0),
     )
     del runtimes
     # Replace the service with one that makes a choice.
@@ -105,7 +105,7 @@ def test_stale_snapshot_falls_back():
     cluster = Cluster(3, giver_factory, seed=3)
     runtimes = install_crystalball(
         cluster, giver_factory, checkpoint_period=0.0,
-        max_snapshot_age=1.0, stale_fallback=FixedResolver(0),
+        max_snapshot_age=1.0, fallback=FixedResolver(0),
     )
     cluster.start_all()
     cluster.run(until=3.5)

@@ -1,4 +1,4 @@
-"""Amortized prediction-driven steering: policy, coalescing, scheduler.
+"""Amortized prediction-driven steering: rankings, coalescing, scheduler.
 
 The hypothesis properties at the bottom pin the two contracts the T2
 bench relies on:
@@ -19,7 +19,6 @@ from repro.choice import ChoicePoint, ConfigurationError
 from repro.choice.resolvers import FirstResolver
 from repro.runtime import (
     AmortizedSteering,
-    SteeringPolicy,
     identity_key,
     merge_steering_snapshots,
     scenario_signature,
@@ -61,6 +60,7 @@ def scored_by(scores):
 def test_identity_key_distinguishes_info():
     assert identity_key(point(queue=3)) != identity_key(point(queue=4))
     assert identity_key(point(queue=3)) == identity_key(point(queue=3))
+    assert identity_key(point(label="a")) != identity_key(point(label="b"))
 
 
 def test_scenario_signature_buckets_queue_depth():
@@ -80,56 +80,58 @@ def test_scenario_signature_separates_labels_and_candidates():
 
 
 # ----------------------------------------------------------------------
-# SteeringPolicy
+# Rankings (policy); the rules both tables share are in test_policy_cache
 # ----------------------------------------------------------------------
 
 def test_policy_install_and_lookup():
-    policy = SteeringPolicy(max_age=5.0)
+    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=5.0)
     p = point()
     sig = scenario_signature(p)
-    policy.install(sig, ((2, 1.0), (1, 0.5), (3, 0.1)), now=0.0)
-    assert policy.lookup(sig, p, now=1.0) == 2
+    assert sched.lookup(sig, p, now=0.0) is None
+    sched.install(sig, ((2, 1.0), (1, 0.5), (3, 0.1)), now=0.0)
+    assert sched.lookup(sig, p, now=1.0) == 2
+    assert sched.resolve_explain(p, now=1.0) == (2, "policy")
+    assert sched.policy_lookups == {"hits": 2, "misses": 1, "stale": 0}
 
 
 def test_policy_entry_ages_out():
-    policy = SteeringPolicy(max_age=2.0)
+    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=2.0)
     p = point()
     sig = scenario_signature(p)
-    policy.install(sig, ((2, 1.0),), now=0.0)
-    assert policy.lookup(sig, p, now=2.0) == 2
-    assert policy.lookup(sig, p, now=2.1) is None
+    sched.install(sig, ((2, 1.0),), now=0.0)
+    assert sched.lookup(sig, p, now=2.0) == 2
+    assert sched.lookup(sig, p, now=2.1) is None
 
 
 def test_policy_skips_candidates_no_longer_offered():
-    policy = SteeringPolicy(max_age=5.0)
+    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=5.0)
     sig = ("s",)
-    policy.install(sig, ((9, 1.0), (2, 0.5)), now=0.0)
-    assert policy.lookup(sig, point((1, 2, 3)), now=0.0) == 2
+    sched.install(sig, ((9, 1.0), (2, 0.5)), now=0.0)
+    assert sched.lookup(sig, point((1, 2, 3)), now=0.0) == 2
 
 
 def test_policy_all_candidates_gone_is_a_stale_miss():
-    policy = SteeringPolicy(max_age=5.0)
+    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=5.0)
     sig = ("s",)
-    policy.install(sig, ((9, 1.0),), now=0.0)
-    assert policy.lookup(sig, point((1, 2)), now=0.0) is None
-    assert policy.cache.stale == 1
+    sched.install(sig, ((9, 1.0),), now=0.0)
+    assert sched.lookup(sig, point((1, 2)), now=0.0) is None
+    assert sched.policy_lookups == {"hits": 0, "misses": 1, "stale": 1}
 
 
 def test_policy_invalidate_counts_reasons():
-    policy = SteeringPolicy(max_age=5.0)
-    policy.install(("s",), ((1, 1.0),), now=0.0)
-    policy.invalidate("liveness")
-    policy.invalidate("liveness")
-    policy.invalidate("topology:link")
-    assert policy.lookup(("s",), point(), now=0.0) is None
-    snap = policy.snapshot()
-    assert snap["invalidations"] == {"liveness": 2, "topology:link": 1}
-    assert snap["refreshed_at"] is None
+    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=5.0)
+    sched.install(("s",), ((1, 1.0),), now=0.0)
+    sched.invalidate("liveness")
+    sched.invalidate("liveness")
+    sched.invalidate("topology:link")
+    assert sched.lookup(("s",), point(), now=0.0) is None
+    snap = sched.snapshot()
+    assert snap["policy"]["invalidations"] == {"liveness": 2, "topology:link": 1}
 
 
 def test_policy_rejects_nonpositive_max_age():
     with pytest.raises(ConfigurationError):
-        SteeringPolicy(max_age=0.0)
+        AmortizedSteering(fallback=LastResolver(), max_policy_age=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -255,19 +257,25 @@ def test_invalidate_drops_policy_and_coalesced_answers():
     # Budget spent and caches cleared: only the fallback remains.
     value, source = sched.resolve_explain(point(), now=0.1)
     assert (value, source) == (3, "fallback")
-    assert sched.policy.snapshot()["invalidations"] == {"liveness": 1}
+    assert sched.invalidations == {"liveness": 1}
+    assert not sched.rankings
 
 
 def test_merge_steering_snapshots_aggregates():
-    a = AmortizedSteering(fallback=FirstResolver(), score_fn=scored_by({2: 1.0}))
+    a = AmortizedSteering(fallback=FirstResolver(), score_fn=scored_by({2: 1.0}),
+                          max_policy_age=5.0)
     b = AmortizedSteering(fallback=FirstResolver(), score_fn=scored_by({2: 1.0}))
     a.resolve_explain(point(queue=4), now=0.0)
     a.resolve_explain(point(queue=4), now=10.0)  # policy aged out: rescored
     b.resolve_explain(point(queue=4), now=0.0)
+    b.resolve_explain(point(queue=4), now=0.1)  # coalesced
     merged = merge_steering_snapshots([a.snapshot(), b.snapshot()])
     assert merged["counters"]["scored_rounds"] == 3
+    assert merged["counters"]["coalesced"] == 1
+    assert merged["resolutions"] == 4
     assert merged["policy"]["installs"] == 3
     assert merged["spent_states"] == a.spent_states + b.spent_states
+    assert merged["coalesce"] == {"hits": 1, "misses": 3}
     assert 0.0 <= merged["policy"]["hit_rate"] <= 1.0
 
 

@@ -153,6 +153,24 @@ def test_t1_quick_streams_run(tmp_path, capsys):
     assert types.count("sample") == 15  # one per second over the horizon
 
 
+def test_t1_reports_each_resolution_once(capsys):
+    """A denied or deferred resolution also ends as a fallback: the
+    reported total is what the runtimes resolved, not the sum of every
+    path counter."""
+    from repro.eval import run_throughput_experiment
+
+    result = run_throughput_experiment(
+        "amortized", seed=3, total_requests=300, horizon=6.0)
+    steering = result.metrics["steering"]
+    resolved = sum(
+        node["runtime"]["choices_resolved"] for node in result.metrics["nodes"].values())
+    assert steering["counters"]["deferred"] > 0
+    assert steering["resolutions"] == resolved
+    assert main(["t1", "--steering", "amortized", "--seed", "3",
+                 "--requests", "300", "--horizon", "6"]) == 0
+    assert f" / {resolved} resolutions," in capsys.readouterr().out
+
+
 def test_t1_parser_defaults():
     args = build_parser().parse_args(["t1"])
     assert args.steering == "on"

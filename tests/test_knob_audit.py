@@ -1,5 +1,6 @@
-"""No dead knobs: every defaulted constructor keyword of the prediction
-stack is passed by name by some call outside the module that defines it.
+"""No dead knobs: every defaulted keyword of the prediction stack's
+constructors, and of the T1/T2 experiment entry point, is passed by name
+by some call outside the module that defines it.
 
 A keyword nobody passes is a constant with a signature: it documents a
 choice nobody makes and adds a configuration nobody tests.
@@ -9,11 +10,14 @@ import ast
 import inspect
 from pathlib import Path
 
+from repro.eval.paxos_experiment import run_throughput_experiment
 from repro.mc import ChainMemo, ConsequencePredictor
 from repro.runtime import AmortizedSteering, CrystalBallRuntime
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CALLER_TREES = ("src", "tests", "benchmarks", "examples", "perf")
+AUDITED = (CrystalBallRuntime, ConsequencePredictor, ChainMemo, AmortizedSteering,
+           run_throughput_experiment)
 
 
 def keywords_passed_by_file():
@@ -33,10 +37,12 @@ def keywords_passed_by_file():
 def test_every_defaulted_keyword_has_a_caller():
     by_file = keywords_passed_by_file()
     dead = {}
-    for cls in (CrystalBallRuntime, ConsequencePredictor, ChainMemo, AmortizedSteering):
-        home = Path(inspect.getsourcefile(cls)).resolve()
+    for audited in AUDITED:
+        home = Path(inspect.getsourcefile(audited)).resolve()
         passed = set().union(*(names for path, names in by_file.items() if path != home))
-        for name, param in inspect.signature(cls.__init__).parameters.items():
+        signature = inspect.signature(
+            audited.__init__ if inspect.isclass(audited) else audited)
+        for name, param in signature.parameters.items():
             if param.default is not param.empty and name not in passed:
-                dead.setdefault(cls.__name__, []).append(name)
+                dead.setdefault(audited.__name__, []).append(name)
     assert dead == {}
