@@ -1,197 +1,23 @@
-"""P2 — cross-round incremental prediction and delta checkpoints.
+"""P2 — ack-anchored delta checkpoints.
 
-The steady-state cost the paper's deployment model implies: the
-controller re-predicts every ``prediction_period`` from a world that is
-usually *almost identical* to the previous round's.  The
-:class:`~repro.mc.ChainMemo` caches each initial action's explored
-chain keyed by its causal footprint, so unchanged chains are rebased
-instead of re-explored; :class:`~repro.runtime.CrystalBallRuntime`
-pairs it with ack-anchored delta checkpoints so the state model keeps
-fresh without re-shipping full state every period.
-
-Three measurements:
-
-* steady state — N identical-content rounds on the P1 16-node world;
-  memo-on must produce byte-identical ``PredictionReport``s (equal
-  ``report.digest()``) to memo-off every round and be >= 2x faster per
-  round once warm;
-* churn — the world mutates between rounds (a rotating in-flight
-  message swap, periodic liveness flips): byte-identity must hold
-  through partial hits and full invalidations alike;
-* delta checkpoints — a big-blob service cluster with
-  ``checkpoint_deltas`` on vs off: bytes on the wire must shrink.
+:class:`~repro.runtime.CrystalBallRuntime` with ``checkpoint_deltas``
+diffs each broadcast against the last full checkpoint the peer
+acknowledged, so the state model keeps fresh without re-shipping full
+state every period.  One measurement: a big-blob service cluster with
+``checkpoint_deltas`` on vs off — the models must converge identically
+and the bytes on the wire must shrink.
 
 Results land in ``BENCH_P2.json``.
 """
 
 import os
-import statistics
-import time
 
-from repro.apps.randtree import Join, randtree_properties
-from repro.mc import (
-    ChainMemo,
-    ConsequencePredictor,
-    Explorer,
-    InFlightMessage,
-    PendingTimer,
-    WorldState,
-)
 from repro.runtime import install_crystalball
 from repro.statemachine import Cluster, Service, timer_handler
-from repro.statemachine.serialization import snapshot_value
 
-from bench_p1_hotpath import CHAIN_DEPTH, N_NODES, build_snapshot
 from conftest import print_table, record_metrics
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-BUDGET = 50_000
-ROUNDS = 6 if QUICK else 12
-MIN_STEADY_SPEEDUP = 2.0
-
-
-def fresh_world(template):
-    """A brand-new :class:`WorldState` with the template's content.
-
-    Fresh state dicts and fresh message/timer objects, exactly as
-    ``world_from_services`` would hand the controller each round: no
-    digest or footprint caches survive from previous rounds, so the
-    memo must prove reuse from content alone.
-    """
-    return WorldState(
-        node_states={nid: snapshot_value(s) for nid, s in template.node_states.items()},
-        inflight=[InFlightMessage(m.src, m.dst, m.msg) for m in template.inflight],
-        timers=[
-            PendingTimer(t.node, t.name, t.payload, t.delay) for t in template.timers
-        ],
-        down=set(template.down),
-        time=template.time,
-        depth=template.depth,
-        copy_states=False,
-    )
-
-
-def make_predictor(factory, config, memo):
-    explorer = Explorer(factory, properties=randtree_properties(config))
-    return ConsequencePredictor(
-        explorer, chain_depth=CHAIN_DEPTH, budget=BUDGET, memo=memo,
-    )
-
-
-def test_p2_steady_state_speedup():
-    """Identical worlds round after round: warm rounds are all hits."""
-    factory, template, config = build_snapshot()
-    memo = ChainMemo()
-    on = make_predictor(factory, config, memo)
-    off = make_predictor(factory, config, None)
-
-    on_times, off_times = [], []
-    hits = misses = 0
-    for _ in range(ROUNDS):
-        world_off = fresh_world(template)
-        start = time.perf_counter()
-        report_off = off.predict(world_off)
-        off_times.append(time.perf_counter() - start)
-
-        world_on = fresh_world(template)
-        start = time.perf_counter()
-        report_on = on.predict(world_on)
-        on_times.append(time.perf_counter() - start)
-
-        assert report_on.digest() == report_off.digest()
-        hits += report_on.memo_hits
-        misses += report_on.memo_misses
-
-    # Round 0 is the warmup (all misses, plus store overhead); the
-    # steady state is every round after it.
-    warm_on = statistics.median(on_times[1:])
-    warm_off = statistics.median(off_times[1:])
-    speedup = warm_off / warm_on
-    actions = len(report_on.outcomes)
-    # After warmup every chain is a hit.
-    assert report_on.memo_hits == actions
-    assert report_on.memo_misses == 0
-    assert memo.snapshot()["rebase_errors"] == 0
-
-    print_table(
-        f"P2: steady-state prediction, {N_NODES}-node world x {ROUNDS} rounds "
-        f"({report_on.total_states} states, {actions} chains/round)",
-        ("mode", "warm s/round", "speedup", "hit rate"),
-        [
-            ("memo off", f"{warm_off:.4f}", "1.0x", "-"),
-            ("memo on", f"{warm_on:.4f}", f"{speedup:.1f}x",
-             f"{hits}/{hits + misses}"),
-        ],
-    )
-    record_metrics(
-        "P2",
-        nodes=N_NODES,
-        chain_depth=CHAIN_DEPTH,
-        rounds=ROUNDS,
-        states_per_round=report_on.total_states,
-        chains_per_round=actions,
-        steady_off_seconds=round(warm_off, 5),
-        steady_on_seconds=round(warm_on, 5),
-        steady_speedup=round(speedup, 2),
-        steady_hit_rate=round(hits / (hits + misses), 4),
-        reports_identical=True,
-        quick_mode=QUICK,
-    )
-    assert speedup >= MIN_STEADY_SPEEDUP, (
-        f"steady-state speedup {speedup:.2f}x below the "
-        f"{MIN_STEADY_SPEEDUP}x floor"
-    )
-
-
-def test_p2_churn_rounds_stay_byte_identical():
-    """Mutating worlds between rounds: hits where footprints allow,
-    re-exploration where they don't, identical reports either way."""
-    factory, template, config = build_snapshot()
-    heartbeats = [
-        i for i, m in enumerate(template.inflight)
-        if type(m.msg).__name__ == "Heartbeat"
-    ]
-    memo = ChainMemo()
-    on = make_predictor(factory, config, memo)
-    off = make_predictor(factory, config, None)
-
-    per_round = []
-    for r in range(ROUNDS):
-        world = fresh_world(template)
-        # Rotating message churn: one heartbeat becomes a Join from the
-        # same sender — that chain re-explores, the rest can hit.
-        idx = heartbeats[r % len(heartbeats)]
-        old = world.inflight[idx]
-        world.inflight[idx] = InFlightMessage(old.src, old.dst, Join(joiner=old.src))
-        # Periodic liveness flip: ``down`` is in every footprint value,
-        # so these rounds are full re-explorations.
-        if r % 4 == 2:
-            world.down = {max(world.node_ids)}
-
-        report_off = off.predict(fresh_world(world))
-        report_on = on.predict(fresh_world(world))
-        assert report_on.digest() == report_off.digest()
-        total = report_on.memo_hits + report_on.memo_misses
-        per_round.append((r, report_on.memo_hits, total))
-
-    warm = per_round[1:]
-    hit_rate = sum(h for _, h, _ in warm) / sum(t for _, _, t in warm)
-    print_table(
-        f"P2: churn rounds (rotating message swap, liveness flips)",
-        ("round", "hits", "chains"),
-        [(r, h, t) for r, h, t in per_round],
-    )
-    record_metrics(
-        "P2",
-        churn_rounds=ROUNDS,
-        churn_hit_rate=round(hit_rate, 4),
-        churn_reports_identical=True,
-        memo=memo.snapshot(),
-    )
-    # Partial reuse actually happened (not all-hit, not all-miss).
-    assert 0.0 < hit_rate < 1.0
-    assert memo.snapshot()["rebase_errors"] == 0
 
 
 class BigStateService(Service):

@@ -46,7 +46,7 @@ KNOWN_BENCH_IDS: Dict[str, str] = {
     "O2": "causal tracing overhead",
     "O3": "streaming telemetry overhead (sampler + RunStream)",
     "P1": "prediction hot path (digests, pooling)",
-    "P2": "cross-round incremental prediction + delta checkpoints",
+    "P2": "ack-anchored delta checkpoints",
     "R1": "adversarial scenario search (fuzz vs random)",
     "S1": "simulator scale (hot loop, sparse topologies, partial views)",
     "T1": "batched Multi-Paxos throughput under chaos (steering on/off)",

@@ -14,7 +14,6 @@ from .actions import (
     TimerAction,
     action_key,
 )
-from .chain_memo import ChainMemo, ChainRecorder, Footprint
 from .consequence import (
     ActionOutcome,
     ConsequencePredictor,
@@ -45,9 +44,6 @@ __all__ = [
     "InjectAction",
     "TimerAction",
     "action_key",
-    "ChainMemo",
-    "ChainRecorder",
-    "Footprint",
     "ActionOutcome",
     "ConsequencePredictor",
     "PredictionReport",

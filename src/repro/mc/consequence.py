@@ -21,7 +21,6 @@ from ..choice.objectives import Objective, SAFETY_PENALTY
 from ..obs import MetricsRegistry
 from ..statemachine.serialization import digest_of_frozen
 from .actions import Action
-from .chain_memo import ChainMemo, ChainRecorder
 from .explorer import (
     Explorer,
     Violation,
@@ -53,10 +52,6 @@ class PredictionReport:
     outcomes: List[ActionOutcome] = field(default_factory=list)
     total_states: int = 0
     budget_exhausted: bool = False
-    # Memo accounting for this prediction pass; excluded from equality
-    # so memo-on and memo-off reports compare equal.
-    memo_hits: int = field(default=0, compare=False)
-    memo_misses: int = field(default=0, compare=False)
     _index: Optional[Dict[Tuple, ActionOutcome]] = field(
         default=None, repr=False, compare=False
     )
@@ -72,8 +67,8 @@ class PredictionReport:
         Includes everything steering and choice resolution consume —
         initial action keys in order, per-outcome state counts,
         violations (name, path, world digest) and leaf-world digests in
-        exploration order — and excludes memo accounting.  Two
-        prediction passes are byte-identical iff their dumps are equal.
+        exploration order.  Two prediction passes are byte-identical iff
+        their dumps are equal.
         """
         return (
             self.total_states,
@@ -133,8 +128,6 @@ class PredictionReport:
             "near_violations": self.near_violations(),
             "min_violation_depth": self.min_violation_depth(),
             "budget_exhausted": self.budget_exhausted,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
         }
 
     def outcome_for(self, action_key: Tuple) -> Optional[ActionOutcome]:
@@ -158,7 +151,6 @@ class ConsequencePredictor:
         chain_depth: int = 4,
         budget: int = 2_000,
         metrics: Optional[MetricsRegistry] = None,
-        memo: Optional[ChainMemo] = None,
     ) -> None:
         if chain_depth < 1:
             raise ValueError(f"chain_depth must be >= 1, got {chain_depth}")
@@ -168,20 +160,6 @@ class ConsequencePredictor:
         # None means fully uninstrumented (not even counters) — the
         # predictor is the hot path, so the baseline stays untouched.
         self.metrics = metrics
-        # Cross-round chain memo (owned by the caller, typically the
-        # controller, so it survives predictor instances).  Bound to
-        # this exploration configuration: a memo reused across a config
-        # change flushes instead of serving stale chains.
-        self.memo = memo
-        if memo is not None:
-            memo.bind((
-                chain_depth,
-                explorer.rng_seed,
-                explorer.max_choice_variants,
-                explorer.include_drops,
-                tuple((p.name, getattr(p, "scope", "world"))
-                      for p in explorer.properties),
-            ))
 
     def predict(self, world: WorldState) -> PredictionReport:
         """Explore the causal chains of every enabled action."""
@@ -200,7 +178,7 @@ class ConsequencePredictor:
             if remaining <= 0:
                 report.budget_exhausted = True
                 break
-            outcome = self._explore_chain_memo(world, action, remaining, report)
+            outcome = self._explore_chain(world, action, remaining)
             report.outcomes.append(outcome)
             report.total_states += outcome.states
         if metrics is not None:
@@ -215,11 +193,6 @@ class ConsequencePredictor:
             pool = self.explorer.pool
             if pool is not None:
                 metrics.gauge("mc.pool.hit_rate").set(pool.hit_rate)
-            if self.memo is not None:
-                metrics.counter("mc.memo.hits").inc(report.memo_hits)
-                metrics.counter("mc.memo.misses").inc(report.memo_misses)
-                metrics.gauge("mc.memo.entries").set(len(self.memo))
-                metrics.gauge("mc.memo.hit_rate").set(self.memo.hit_rate)
         if timed:
             elapsed = perf_counter() - started
             metrics.histogram("mc.predict.seconds").observe(elapsed)
@@ -228,43 +201,10 @@ class ConsequencePredictor:
                 metrics.gauge("mc.states_per_sec").set(report.total_states / elapsed)
         return report
 
-    def _explore_chain_memo(
-        self,
-        root: WorldState,
-        action: Action,
-        budget: int,
-        report: PredictionReport,
-    ) -> ActionOutcome:
-        """Memo-aware chain exploration: serve a cached chain rebased
-        onto ``root`` when its footprint matches, else explore fresh
-        under a recorder and store the result."""
-        memo = self.memo
-        if memo is None:
-            return self._explore_chain(root, action, budget)
-        explorer = self.explorer
-        cached = memo.lookup(root, action, budget, explorer)
-        if cached is not None:
-            report.memo_hits += 1
-            states, violations, leaves = cached
-            return ActionOutcome(
-                action=action, violations=violations,
-                leaf_worlds=leaves, states=states,
-            )
-        report.memo_misses += 1
-        recorder = ChainRecorder()
-        explorer.recorder = recorder
-        try:
-            outcome = self._explore_chain(root, action, budget)
-        finally:
-            explorer.recorder = None
-        memo.store(root, action, budget, outcome, recorder, explorer)
-        return outcome
-
     def _explore_chain(
         self, root: WorldState, action: Action, budget: int
     ) -> ActionOutcome:
         explorer = self.explorer
-        recorder = explorer.recorder
         outcome = ActionOutcome(action=action)
         # Stack entries: (world, causal frontier of event keys, path, depth).
         stack: List[Tuple[WorldState, Set[Tuple], Tuple[Action, ...], int]] = []
@@ -275,20 +215,9 @@ class ConsequencePredictor:
                 outcome.violations.append(
                     Violation(property_name=name, path=path, world=successor)
                 )
-            frontier = created_event_keys(root, successor)
-            if recorder is not None:
-                recorder.events |= frontier
-            stack.append((successor, frontier, path, 1))
-        if recorder is not None:
-            consumed0 = consumed_event_key(action)
-            if consumed0 is not None:
-                recorder.events.add(consumed0)
+            stack.append((successor, created_event_keys(root, successor), path, 1))
         while stack:
-            if recorder is not None and outcome.states > recorder.max_pending:
-                recorder.max_pending = outcome.states
             if outcome.states >= budget:
-                if recorder is not None:
-                    recorder.truncated = True
                 break
             world, frontier, path, depth = stack.pop()
             if depth >= self.chain_depth or not frontier:
@@ -314,8 +243,6 @@ class ConsequencePredictor:
                             Violation(property_name=name, path=new_path, world=successor)
                         )
                     new_frontier = (frontier - {consumed}) | created_event_keys(world, successor)
-                    if recorder is not None:
-                        recorder.events |= new_frontier
                     stack.append((successor, new_frontier, new_path, depth + 1))
         return outcome
 

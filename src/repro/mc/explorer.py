@@ -165,10 +165,6 @@ class Explorer:
         self.pool: Optional[ServicePool] = (
             ServicePool(service_factory) if service_pooling else None
         )
-        # Chain-memo footprint recorder; installed per chain by the
-        # predictor's memoized path, None on every other code path so
-        # the hot path pays one attribute check.
-        self.recorder = None
 
     # ------------------------------------------------------------------
     # Materialization
@@ -178,8 +174,6 @@ class Explorer:
         self, world: WorldState, node_id: int, readonly: bool = False
     ) -> Service:
         """Instantiate the node's service from its checkpoint in ``world``."""
-        if self.recorder is not None:
-            self.recorder.nodes.add(node_id)
         if self.pool is not None:
             return self.pool.acquire(world, node_id, readonly=readonly)
         service = self.service_factory(node_id)
@@ -205,7 +199,6 @@ class Explorer:
         """
         actions: List[Action] = []
         seen_messages = set()
-        recorder = self.recorder
         # Message and timer keys are structurally disjoint (a message
         # key is (src, dst:int, payload); a timer key is (node,
         # name:str, payload)), so the filter splits once and whole
@@ -225,11 +218,6 @@ class Explorer:
                 seen_messages.add(key)
                 if msg_filter is not None and key not in msg_filter:
                     continue
-                if recorder is not None:
-                    # The up/known checks below read this destination's
-                    # membership, so it is part of the footprint even if
-                    # it never materializes.
-                    recorder.nodes.add(message.dst)
                 if not world.is_up(message.dst) or message.dst not in world.node_states:
                     continue
                 service = materialized.get(message.dst)
@@ -245,8 +233,6 @@ class Explorer:
             for timer in world.timers:
                 if timer_filter is not None and timer.key() not in timer_filter:
                     continue
-                if recorder is not None:
-                    recorder.nodes.add(timer.node)
                 if world.is_up(timer.node) and timer.node in world.node_states:
                     actions.append(TimerAction(node=timer.node, name=timer.name, payload=timer.payload))
         if self.include_drops and (msg_filter is None or msg_filter):
@@ -295,10 +281,7 @@ class Explorer:
         if self.network_model is None:
             return DEFAULT_STEP_TIME
         size = msg.wire_size() if hasattr(msg, "wire_size") else 1024
-        delay = self.network_model.transfer_time(src, dst, size)
-        if self.recorder is not None:
-            self.recorder.delays.append((src, dst, size, delay))
-        return delay
+        return self.network_model.transfer_time(src, dst, size)
 
     def _consumed(self, world: WorldState, action: Action) -> Tuple[
             Optional[InFlightMessage], Tuple[Tuple[int, str], ...], float]:
@@ -397,7 +380,6 @@ class Explorer:
         stack: List[List[Any]] = [[]]
         expansions = 0
         time_read = False
-        recorder = self.recorder
         while stack:
             script = stack.pop()
             service = self.materialize(world, node_id)
@@ -416,10 +398,7 @@ class Explorer:
                 if expansions <= self.max_choice_variants:
                     for candidate in reversed(request.point.candidates):
                         stack.append(list(request.consumed) + [candidate])
-            if ctx.time_read:
-                time_read = True
-                if recorder is not None:
-                    recorder.time_read = True
+            time_read = time_read or ctx.time_read
             if not branched:
                 results.append((service.checkpoint(), ctx.effects))
         return results, time_read
@@ -436,12 +415,6 @@ class Explorer:
     ) -> WorldState:
         add_inflight, remove_timers, add_timers = _effect_events(node_id, effects)
         remove_timers.extend(remove_timers_extra)
-        if self.recorder is not None:
-            # Every (node, name) this step cancels, fires, or re-arms:
-            # evolve() removes matching *root* timers wholesale, so the
-            # memo must pin their (key, delay) sequence in the root.
-            self.recorder.rearms.update(remove_timers)
-            self.recorder.rearms.update((t.node, t.name) for t in add_timers)
         # checkpoint comes from Service.checkpoint(), already a fresh
         # deep copy nothing else aliases, so the world adopts it as-is.
         return world.evolve(

@@ -17,21 +17,10 @@ Predicate = Callable[[Any], bool]
 
 @dataclass(frozen=True)
 class SafetyProperty:
-    """A predicate that must hold in every reachable state.
-
-    ``scope`` declares what the predicate may read, so the chain memo
-    can bound a property's footprint without instrumenting it:
-
-    * ``"nodes"`` — per-node predicate over live nodes (``all_nodes``);
-    * ``"states"`` — reads live node states and the down set
-      (``pairwise``, or any whole-membrane predicate);
-    * ``"world"`` — may read anything, including time (the conservative
-      default for hand-rolled properties).
-    """
+    """A predicate that must hold in every reachable state."""
 
     name: str
     predicate: Predicate
-    scope: str = "world"
 
     def holds(self, world: Any) -> bool:
         """Whether the property holds in ``world``."""
@@ -101,7 +90,7 @@ def all_nodes(predicate: Callable[[int, dict], bool], name: str) -> SafetyProper
             cache[name] = result
         return result
 
-    return SafetyProperty(name=name, predicate=check, scope="nodes")
+    return SafetyProperty(name=name, predicate=check)
 
 
 def pairwise(predicate: Callable[[int, dict, int, dict], bool], name: str) -> SafetyProperty:
@@ -149,7 +138,7 @@ def pairwise(predicate: Callable[[int, dict, int, dict], bool], name: str) -> Sa
             cache[name] = result
         return result
 
-    return SafetyProperty(name=name, predicate=check, scope="states")
+    return SafetyProperty(name=name, predicate=check)
 
 
 __all__ = ["SafetyProperty", "violated_properties", "all_nodes", "pairwise"]

@@ -183,13 +183,11 @@ class WorldState:
         timers: List[PendingTimer],
         left: Iterable[Any] = (),
         arrived: Iterable[Any] = (),
-        cells: Optional[Dict[int, List[Optional[int]]]] = None,
     ) -> "WorldState":
         """A world that differs from this one by the given delta.
 
-        ``replaced`` maps node ids to their new state dicts (``cells``
-        brings their memo cells along, if any), ``inflight`` and
-        ``timers`` are the new event lists, ``left``/``arrived`` the
+        ``replaced`` maps node ids to their new state dicts, ``inflight``
+        and ``timers`` are the new event lists, ``left``/``arrived`` the
         events in only one of the two worlds.  The digest sum follows
         the delta: parts that left are subtracted, parts that arrived
         added, the replaced nodes owed until :meth:`digest` is called.
@@ -214,7 +212,7 @@ class WorldState:
             successor.node_states.update(replaced)
             table = dict(table)
             for nid in replaced:
-                table[nid] = [None] if cells is None else cells[nid]
+                table[nid] = [None]
         successor._cells = table
         successor._sum = summed
         successor._prop_parent = self

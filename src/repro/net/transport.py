@@ -106,9 +106,9 @@ class Network:
         # on top of the benign link loss model below.
         self._fault_interposers: List[Any] = []
         # Topology listeners: called with a kind string ("partition",
-        # "heal", "break") whenever connectivity changes.  CrystalBall
-        # runtimes subscribe to invalidate their prediction memos —
-        # connectivity is an input every cached chain implicitly read.
+        # "heal", "break") whenever connectivity changes.  Amortized
+        # CrystalBall runtimes subscribe to flush their policy rankings —
+        # connectivity is an input every cached ranking implicitly read.
         self.topology_listeners: List[Any] = []
         # Traffic counters live in the metrics registry (a private one
         # unless a shared registry is passed in); the historical

@@ -28,7 +28,7 @@ class SpanStats:
     """Accumulated measurements for one ``(name, labels)`` span key."""
 
     __slots__ = ("name", "labels", "count", "total_s", "min_s", "max_s",
-                 "last_s", "first_sim", "last_sim", "total_sim_s", "attrs")
+                 "last_s", "first_sim", "last_sim", "total_sim_s")
 
     def __init__(self, name: str, labels: Tuple = ()) -> None:
         self.name = name
@@ -41,7 +41,6 @@ class SpanStats:
         self.first_sim: Optional[float] = None
         self.last_sim: Optional[float] = None
         self.total_sim_s = 0.0
-        self.attrs: Dict[str, Any] = {}
 
     def record(self, elapsed_s: float, sim_enter: Optional[float],
                sim_exit: Optional[float]) -> None:
@@ -74,8 +73,6 @@ class SpanStats:
         if self.first_sim is not None:
             out["sim_window"] = [self.first_sim, self.last_sim]
             out["total_sim_s"] = self.total_sim_s
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
         return out
 
     def __repr__(self) -> str:
@@ -104,12 +101,6 @@ class Span:
         self._stats.record(elapsed, self._sim0, sim_exit)
         return False
 
-    def annotate(self, **attrs: Any) -> None:
-        """Attach last-value attributes (e.g. memo hit counts) to the
-        span's accumulated stats; they appear under ``attrs`` in
-        :meth:`SpanStats.summary`."""
-        self._stats.attrs.update(attrs)
-
     @property
     def stats(self) -> SpanStats:
         return self._stats
@@ -125,9 +116,6 @@ class _NullSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
-
-    def annotate(self, **attrs: Any) -> None:
-        return None
 
     @property
     def stats(self) -> None:

@@ -17,13 +17,15 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from ..choice.choicepoint import ChoicePoint
 from ..choice.objectives import Objective
 from ..mc import (
-    ChainMemo,
     ConsequencePredictor,
     DeliverAction,
     Explorer,
+    InFlightMessage,
+    PendingTimer,
     PredictionReport,
     WorldState,
     score_report,
+    violated_properties,
 )
 from ..model import NetworkModel, StateModel
 from ..obs import MetricsRegistry, stats_view
@@ -45,10 +47,8 @@ from .steering import EventFilter, SteeringModule
 # Sandbox replays of one dispatch before giving up: each replay fills one
 # more unscripted choice, so this bounds the choices a handler may make.
 _MAX_REPLAY_FILLS = 32
-# Capacity of the chain memo behind the amortized policy's scored
-# rounds, and the per-candidate state budget of one such round: the
-# values BENCH_T2.json's numbers were recorded with.
-_POLICY_MEMO_ENTRIES = 128
+# Per-candidate state budget of one amortized scored round: the value
+# BENCH_T2.json's numbers were recorded with.
 _POLICY_BUDGET = 240
 
 
@@ -150,10 +150,6 @@ class CrystalBallRuntime(InboundInterposer):
         self._delta_baseline_epoch = -1
         self._deltas_since_full = 0
         self._peer_acked: Dict[int, int] = {}
-        # Cross-round chain memo for run_prediction (not used for
-        # hypothetical choice-scoring worlds, which differ per
-        # candidate and would only churn the cache).
-        self._chain_memo = ChainMemo()
         self.last_prediction_summary: Optional[Dict[str, Any]] = None
         self.model_share_period = model_share_period
         self.generic_node = generic_node
@@ -217,14 +213,20 @@ class CrystalBallRuntime(InboundInterposer):
         # when the required fallback is missing — at install time, not
         # mid-run.
         self.amortized: Optional[AmortizedSteering] = None
-        self._policy_memo: Optional[ChainMemo] = None
         if steering_policy:
-            self._policy_memo = ChainMemo(max_entries=_POLICY_MEMO_ENTRIES)
-            self.amortized = AmortizedSteering(
+            amortized = self.amortized = AmortizedSteering(
                 fallback=fallback,
                 score_fn=self._policy_score,
                 cost_fn=self._policy_cost,
             )
+            # Policy rankings and coalesced answers implicitly read
+            # connectivity and liveness (which destinations are
+            # reachable/up); neither is part of the scenario signature's
+            # bucketed hints, so changes flush both.
+            node.network.topology_listeners.append(
+                lambda kind: amortized.invalidate(f"topology:{kind}"))
+            node.network.liveness.subscribe(
+                lambda node_id, is_up: amortized.invalidate("liveness"))
 
         node.inbound_interposers.append(self)
         node.crystalball = self
@@ -232,26 +234,6 @@ class CrystalBallRuntime(InboundInterposer):
         # cost at high event rates, so capture starts disarmed and the
         # scheduler arms it only while it is hungry for a scoring round.
         node.capture_dispatch = self.amortized is None
-        # Cached chains and policy rankings implicitly read connectivity
-        # and liveness (which destinations are reachable/up); neither is
-        # part of the recorded footprint or the scenario signature's
-        # bucketed hints, so changes flush both.
-        node.network.topology_listeners.append(self._on_topology_change)
-        node.network.liveness.subscribe(self._on_liveness_change)
-
-    def _invalidate_predictions(self, reason: str, policy_reason: Optional[str] = None) -> None:
-        """Flush the chain memos and, in amortized mode, the policy and
-        coalesced answers."""
-        self._chain_memo.invalidate(reason)
-        if self.amortized is not None:
-            self._policy_memo.invalidate(reason)
-            self.amortized.invalidate(policy_reason or reason)
-
-    def _on_topology_change(self, kind: str) -> None:
-        self._invalidate_predictions(kind, f"topology:{kind}")
-
-    def _on_liveness_change(self, node_id: int, is_up: bool) -> None:
-        self._invalidate_predictions("liveness")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -621,7 +603,8 @@ class CrystalBallRuntime(InboundInterposer):
             if nid in down:
                 continue
             for name, delay, payload in self.state_model.timers_of(nid):
-                timers.append(_pending_timer(nid, name, delay, payload))
+                timers.append(PendingTimer(node=nid, name=name, payload=payload,
+                                           delay=max(0.0, delay)))
         # latest_states() shares the model's stored checkpoints, which
         # nothing mutates; the world adopts them under the same contract.
         return WorldState(
@@ -650,19 +633,14 @@ class CrystalBallRuntime(InboundInterposer):
         """One consequence-prediction pass over the current snapshot."""
         predictor = ConsequencePredictor(
             self.make_explorer(), chain_depth=self.chain_depth, budget=self.budget,
-            metrics=self.metrics, memo=self._chain_memo,
+            metrics=self.metrics,
         )
         try:
             with self.metrics.span(
                 "runtime.predict", clock=self._sim_clock, node=self.node.node_id,
-            ) as span:
+            ):
                 world = self.current_world()
                 report = predictor.predict(world)
-                span.annotate(
-                    memo_hits=self._chain_memo.hits,
-                    memo_misses=self._chain_memo.misses,
-                    memo_entries=len(self._chain_memo),
-                )
         except Exception as exc:
             # The postmortem moment: dump the telemetry ring before the
             # exception propagates, so the last N seconds of samples and
@@ -695,8 +673,6 @@ class CrystalBallRuntime(InboundInterposer):
         # steering is safe exactly when the present state already
         # satisfies every property — then holding position cannot
         # introduce a new inconsistency.
-        from ..mc.properties import violated_properties
-
         violated = violated_properties(world, self.properties)
         if violated:
             self.node.sim.trace.record(
@@ -746,9 +722,10 @@ class CrystalBallRuntime(InboundInterposer):
                 if newly_installed:
                     self.stats["filters_installed"] += 1
                     # A new filter changes what future deliveries reach
-                    # the service: chains predicted and rankings
-                    # distilled without it are no longer trustworthy.
-                    self._invalidate_predictions("steering")
+                    # the service: rankings distilled without it are no
+                    # longer trustworthy.
+                    if self.amortized is not None:
+                        self.amortized.invalidate("steering")
                 self.node.sim.trace.record(
                     now, "runtime.filter_installed", node=self.node.node_id,
                     src=action.src, msg=type(action.msg).__name__,
@@ -838,8 +815,7 @@ class CrystalBallRuntime(InboundInterposer):
         """One scored prediction round for the amortized policy.
 
         Scores every candidate by sandbox replay + consequence
-        prediction (bounded by the smaller ``_POLICY_BUDGET`` and riding
-        the dedicated policy chain memo for cross-round reuse) and
+        prediction (bounded by the smaller ``_POLICY_BUDGET``) and
         returns ``(ranking, states_explored)`` — or ``None`` when the
         current dispatch was not captured, in which case the scheduler
         arms capture and falls back for now.
@@ -852,10 +828,7 @@ class CrystalBallRuntime(InboundInterposer):
         weight = self._checkpoint_weight(dispatch)
         with self.metrics.span("runtime.policy_score", node=self.node.node_id):
             for candidate in point.candidates:
-                score = self._score_candidate(
-                    dispatch, candidate,
-                    budget=_POLICY_BUDGET, memo=self._policy_memo,
-                )
+                score = self._score_candidate(dispatch, candidate, budget=_POLICY_BUDGET)
                 scored.append((candidate, score))
         # Stable sort: candidates tied on score keep application order,
         # matching the per-choice path's strict-improvement rule.
@@ -906,8 +879,7 @@ class CrystalBallRuntime(InboundInterposer):
         return weight * len(point.candidates)
 
     def _score_candidate(
-        self, dispatch, candidate: Any,
-        budget: Optional[int] = None, memo: Optional[ChainMemo] = None,
+        self, dispatch, candidate: Any, budget: Optional[int] = None,
     ) -> float:
         effects, checkpoint = self._replay(dispatch, candidate)
         if effects is None:
@@ -915,8 +887,6 @@ class CrystalBallRuntime(InboundInterposer):
         states = self.state_model.latest_states()
         states[self.node.node_id] = checkpoint
         down = {nid for nid in states if not self.node.network.liveness.is_up(nid)}
-        from ..mc.world import InFlightMessage, PendingTimer
-
         world = WorldState(
             node_states=states,
             inflight=[
@@ -934,7 +904,7 @@ class CrystalBallRuntime(InboundInterposer):
         predictor = ConsequencePredictor(
             self.make_explorer(), chain_depth=self.chain_depth,
             budget=self.budget if budget is None else budget,
-            metrics=self.metrics, memo=memo,
+            metrics=self.metrics,
         )
         report = predictor.predict(world)
         self.stats["states_explored"] += report.total_states
@@ -966,12 +936,6 @@ class CrystalBallRuntime(InboundInterposer):
                 continue
             return ctx.effects, service.checkpoint()
         return None, None
-
-
-def _pending_timer(node_id: int, name: str, delay: float, payload: Any):
-    from ..mc.world import PendingTimer
-
-    return PendingTimer(node=node_id, name=name, payload=payload, delay=max(0.0, delay))
 
 
 __all__ = ["CrystalBallRuntime"]

@@ -63,8 +63,7 @@ def identity_key(point: ChoicePoint) -> Tuple:
     """Exact identity of a choice point (the coalescing dedup key).
 
     Two points share a coalesced resolution only when label, candidates,
-    and every application hint match — the same memoized-action-key
-    discipline the chain memo uses for deliveries.
+    and every application hint match.
     """
     return (
         point.label,

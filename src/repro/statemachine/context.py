@@ -165,8 +165,8 @@ class SandboxContext(Context):
         self._script = list(choice_script or [])
         self._consumed: List[Any] = []
         self._rng_seed = rng_seed
-        # Whether the handler observed the clock; the chain memo uses
-        # this to decide if a cached chain depends on the world's time.
+        # Whether the handler observed the clock; the explorer's search
+        # memo and sleep sets only trust clock-free handler runs.
         self.time_read = False
 
     def now(self) -> float:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.chaos import FaultPlan
 from repro.eval import run_trace_session
+from repro.fuzz.executor import RandTreeFuzzTarget
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +115,37 @@ def test_a7_violation_explanation_contains_chaos_touched_message(a7):
     for event in graph.by_category("net.drop"):
         chaos_touched.add(event.data.get("kind"))
     assert kinds_on_chain & chaos_touched
+
+
+RANDTREE_PLAN = ("at 1.294743149668302 crash 2 recover 3.1842125565677577\n"
+                 "at 5.43493664748466 partition 1,2,4,7 | 0,3,5,6 heal 8.997576713193752")
+
+
+def _canary_prediction(states):
+    return {
+        "actions": 15, "total_states": states, "unsafe_actions": 15,
+        "violations": states, "near_violations": {"canary-quiet-acceptor-4": states},
+        "min_violation_depth": 1, "budget_exhausted": False,
+    }
+
+
+def test_periodic_prediction_runs_are_pinned(e6, a7):
+    """Runs that steer from periodic predictions, pinned across commits
+    (the other tests here only check that two runs agree)."""
+    assert e6.trace_digest == (
+        "c28631bf89c34587946fbe995831cfc48349b607e3b0462acc09a8f85ac5e6df")
+    assert e6.prediction == _canary_prediction(15)
+    assert a7.trace_digest == (
+        "30ea4b6aab7d81cfb9f549792a7b23b69c96f3f78716f4d0689e3a05d026d70e")
+    assert a7.prediction == _canary_prediction(19)
+    steered = RandTreeFuzzTarget().execute(
+        FaultPlan.parse(RANDTREE_PLAN), seed=1, steering=True)
+    assert steered.trace_digest == (
+        "e15a47ad64ed78580696729573655c547391de96bae25235bfe769c98e9a1ff8")
+    assert steered.violations == [
+        f"t={t}: cycle through consistent edge 2->1"
+        for t in ("7.5", "8", "8.5", "9", "9.5", "10", "end")
+    ]
 
 
 def test_sessions_are_deterministic():

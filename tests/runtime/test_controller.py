@@ -5,9 +5,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.choice.resolvers import FirstResolver
-from repro.mc import ConsequencePredictor, DeliverAction, SafetyProperty
+from repro.mc import DeliverAction, SafetyProperty
 from repro.runtime import CheckpointMsg, CrystalBallRuntime, install_crystalball
-from repro.runtime.controller import _POLICY_BUDGET
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
 
 
@@ -175,25 +174,20 @@ def test_broadcast_checkpoints_service_exactly_once():
     assert runtimes[0].stats["checkpoints_sent"] == 2
 
 
-# World changes that no footprint or scenario signature records flush
-# every prediction store the runtime owns.
+# World changes that no scenario signature records flush every
+# prediction store the runtime owns: the amortized scheduler's two tables.
 
 def stores(runtime):
     amortized = runtime.amortized
     if amortized is None:
-        return [runtime._chain_memo]
-    return [runtime._chain_memo, runtime._policy_memo,
-            amortized.rankings, amortized.answers]
+        return []
+    return [amortized.rankings, amortized.answers]
 
 
 def warm(runtime):
     runtime.run_prediction()
     if runtime.amortized is not None:
         now = runtime.node.sim.now
-        ConsequencePredictor(
-            runtime.make_explorer(), chain_depth=runtime.chain_depth,
-            budget=_POLICY_BUDGET, memo=runtime._policy_memo,
-        ).predict(runtime.current_world())
         runtime.amortized.install(("scenario",), ((1, 1.0),), now)
         runtime.amortized.answers[("point",)] = (1, now)
     assert all(len(store) > 0 for store in stores(runtime))
@@ -236,8 +230,6 @@ def test_world_change_flushes_every_prediction_store(reason, policy_reason, fire
     cluster, runtime = warm_runtime(steering_policy=True, fallback=FirstResolver())
     fire(cluster)
     assert not any(len(store) for store in stores(runtime))
-    assert runtime._chain_memo.invalidation_reasons == {reason: 1}
-    assert runtime._policy_memo.invalidation_reasons == {reason: 1}
     assert runtime.amortized.invalidations == {policy_reason: 1}
 
 
@@ -256,16 +248,17 @@ def test_filters_installed_not_inflated_by_ttl_refresh():
 
 
 def test_per_choice_runtime_takes_every_flush_trigger():
-    # Network and liveness observers are isolated (a raising one is
-    # traced, not propagated), so "no error" is read off the record.
+    # A per-choice runtime keeps no prediction store, so it subscribes
+    # to neither observer.  Network and liveness observers are isolated
+    # (a raising one is traced, not propagated), so "no error" is read
+    # off the record.
     cluster, runtime = warm_runtime()
     assert runtime.amortized is None
+    assert cluster.network.topology_listeners == []
     for _reason, _policy_reason, fire in FLUSH_TRIGGERS:
         fire(cluster)
     assert cluster.sim.trace.count("net.topology_listener_error") == 0
     assert cluster.network.liveness.notify_errors == 0
-    assert len(runtime._chain_memo) == 0
-    assert runtime._chain_memo.invalidation_reasons == {"partition": 1}
 
 
 def test_runtime_metrics_registry_backs_stats():

@@ -11,12 +11,12 @@ import inspect
 from pathlib import Path
 
 from repro.eval.paxos_experiment import run_throughput_experiment
-from repro.mc import ChainMemo, ConsequencePredictor
+from repro.mc import ConsequencePredictor, Explorer
 from repro.runtime import AmortizedSteering, CrystalBallRuntime
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CALLER_TREES = ("src", "tests", "benchmarks", "examples", "perf")
-AUDITED = (CrystalBallRuntime, ConsequencePredictor, ChainMemo, AmortizedSteering,
+AUDITED = (CrystalBallRuntime, ConsequencePredictor, Explorer, AmortizedSteering,
            run_throughput_experiment)
 
 
