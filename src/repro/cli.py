@@ -135,7 +135,6 @@ def _cmd_e7(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import json
     import os
     import subprocess
     from pathlib import Path
@@ -147,17 +146,6 @@ def _cmd_bench(args) -> int:
         print(f"no benchmark module matches benchmarks/bench_{bench_id}*.py",
               file=sys.stderr)
         return 2
-    baseline = None
-    if args.compare:
-        # Read the baseline up front: comparing against a copy of the
-        # very file this run is about to overwrite must see the *old*
-        # numbers, and a missing baseline should fail before the run.
-        try:
-            with open(args.compare, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except OSError as err:
-            print(f"cannot read baseline {args.compare}: {err}", file=sys.stderr)
-            return 2
     env = dict(os.environ)
     src = str(repo_root / "src")
     env["PYTHONPATH"] = src + (
@@ -171,19 +159,6 @@ def _cmd_bench(args) -> int:
     json_path = repo_root / f"BENCH_{bench_id.upper()}.json"
     if json_path.exists():
         print(f"results: {json_path}")
-    if baseline is not None:
-        from .metrics import compare_bench
-
-        if not json_path.exists():
-            print(f"--compare: no {json_path.name} produced to compare",
-                  file=sys.stderr)
-            return status or 1
-        with open(json_path, "r", encoding="utf-8") as fh:
-            current = json.load(fh)
-        comparison = compare_bench(baseline, current, tolerance=args.tolerance)
-        print(comparison.summary())
-        if not comparison.ok:
-            return status or 1
     return status
 
 
@@ -628,13 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "benchmarks/bench_<id>*.py)")
     p.add_argument("--quick", action="store_true",
                    help="reduced iterations (sets REPRO_BENCH_QUICK=1)")
-    p.add_argument("--compare", default=None, metavar="BASELINE.json",
-                   help="after the run, diff BENCH_<ID>.json against this "
-                        "baseline and fail on metric regressions beyond "
-                        "--tolerance (digests must match exactly)")
-    p.add_argument("--tolerance", type=float, default=0.10,
-                   help="relative regression tolerance for --compare "
-                        "(default: 0.10)")
     p = sub.add_parser(
         "report",
         help="run one experiment and emit its per-node metrics report",

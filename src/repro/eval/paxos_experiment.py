@@ -213,27 +213,24 @@ class ThroughputResult:
         )
 
 
+# Sim-seconds between the throughput run's in-flight safety probes.
+_PROBE_PERIOD = 5.0
+
+
 def run_throughput_experiment(
     steering: Any,
     seed: int = 0,
     total_requests: int = 100_000,
     horizon: float = 60.0,
     plan: Optional[Any] = None,
-    n: int = 5,
-    window: int = 4096,
-    burst: int = 512,
-    tick: float = 0.05,
-    probe_period: float = 5.0,
-    processing_delays: Optional[tuple] = DEFAULT_LOADS,
-    config: Optional[PaxosConfig] = None,
     stream: Optional[Any] = None,
     telemetry_cadence: float = 1.0,
-    checkpoint_period: float = 0.0,
 ) -> ThroughputResult:
     """T1: committed-ops throughput of batched Multi-Paxos under load.
 
     A :class:`~repro.apps.paxos.ClientLoad` generator offers
-    ``total_requests`` commands closed-loop over the reference WAN while
+    ``total_requests`` commands closed-loop to five replicas, loaded
+    with :data:`DEFAULT_LOADS`, over the reference WAN while
     an A7 chaos plan (default: ``message-chaos``; amnesia is rejected,
     as in :func:`~repro.eval.chaos_experiment.run_chaos_paxos_experiment`)
     runs against the cluster.  ``steering`` picks how the exposed
@@ -257,13 +254,13 @@ def run_throughput_experiment(
       captured, concentrating prediction early while the decided logs
       are small.
       Cluster-wide scheduler counters land in ``metrics["steering"]``.
-      Checkpoint gossip is off by default (``checkpoint_period=0``):
+      Checkpoint gossip is off (``checkpoint_period=0``):
       the committed-work objective scores local queue drain, and at
       10^5-request scale periodically snapshotting ever-growing decided
       logs would dominate the run — prediction rounds replay from the
       local captured dispatch only.
 
-    Safety is probed every ``probe_period`` seconds *during* the run and
+    Safety is probed every 5 sim-seconds *during* the run and
     once at the end: cross-replica agreement and at-most-once execution
     must hold throughout.  Tracing is disabled (10^5-request runs would
     swamp it); reproducibility is asserted over ``state_digest``, a
@@ -290,10 +287,8 @@ def run_throughput_experiment(
 
     mode = steering_mode(steering)
     steering = mode != "off"
-    if config is None:
-        config = PaxosConfig(
-            n=n, requests_per_node=0, processing_delays=processing_delays,
-        )
+    n = 5
+    config = PaxosConfig(n=n, requests_per_node=0, processing_delays=DEFAULT_LOADS)
     if plan is None:
         from .chaos_experiment import standard_plans
 
@@ -316,7 +311,7 @@ def run_throughput_experiment(
     if mode == "amortized":
         runtimes = install_crystalball(
             cluster, factory, set_resolver=True,
-            checkpoint_period=checkpoint_period, prediction_period=0.0,
+            checkpoint_period=0.0, prediction_period=0.0,
             objective=ThroughputObjective(),
             steering_policy=True,
             fallback=make_throughput_resolver(topology, config),
@@ -326,7 +321,7 @@ def run_throughput_experiment(
     cluster.sim.trace.enabled = False
     controller = ChaosController(cluster, plan)
     controller.arm()
-    load = ClientLoad(cluster, total_requests, window=window, burst=burst, tick=tick)
+    load = ClientLoad(cluster, total_requests)
 
     run_stream = as_stream(
         stream, kind="t1", clock=lambda: cluster.sim.now,
@@ -376,12 +371,12 @@ def run_throughput_experiment(
                 probe=safety["probes"], agreement=agreement,
                 at_most_once=at_most_once,
             )
-        if cluster.sim.now + probe_period <= horizon:
-            cluster.sim.schedule(probe_period, probe, tag="throughput.probe")
+        if cluster.sim.now + _PROBE_PERIOD <= horizon:
+            cluster.sim.schedule(_PROBE_PERIOD, probe, tag="throughput.probe")
 
     cluster.start_all()
     load.arm()
-    cluster.sim.schedule(probe_period, probe, tag="throughput.probe")
+    cluster.sim.schedule(_PROBE_PERIOD, probe, tag="throughput.probe")
     if sampler is not None:
         sampler.start(until=horizon)
     cluster.run(until=horizon)

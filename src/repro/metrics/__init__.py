@@ -1,13 +1,5 @@
-"""Code metrics used by the Section 4 development-effort comparison,
-plus benchmark regression comparison for ``cli bench --compare``."""
+"""Code metrics used by the Section 4 development-effort comparison."""
 
-from .benchdiff import (
-    BenchComparison,
-    MetricDelta,
-    compare_bench,
-    compare_bench_files,
-    metric_direction,
-)
 from .compare import (
     ComparisonReport,
     ImplementationMetrics,
@@ -25,11 +17,6 @@ from .complexity import (
 from .loc import logical_loc, logical_loc_of_file
 
 __all__ = [
-    "BenchComparison",
-    "MetricDelta",
-    "compare_bench",
-    "compare_bench_files",
-    "metric_direction",
     "ComparisonReport",
     "ImplementationMetrics",
     "compare_files",

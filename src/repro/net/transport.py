@@ -364,7 +364,7 @@ class Network:
         tracer = self.sim.causal
         ctx = None
         if tracer is not None:
-            ctx = tracer.send_event(src, dst, type(payload).__name__)
+            ctx = tracer.send_event()
         trace = self.sim.trace
         if trace.enabled:
             trace.record(now, "net.send", node=src, dst=dst, size=size_bytes,
@@ -491,16 +491,14 @@ class Network:
         trace = self.sim.trace
         for dst, payload, epoch, ctx in batch:
             if epoch is not None and epochs and epochs.get(_pair(src, dst), 0) != epoch:
-                self._drop(src, dst, payload, "connection-broken", ctx,
-                           at_dst=True)
+                self._drop(src, dst, payload, "connection-broken", ctx)
                 continue
             if not is_up(dst):
-                self._drop(src, dst, payload, "destination-down", ctx,
-                           at_dst=True)
+                self._drop(src, dst, payload, "destination-down", ctx)
                 continue
             endpoint = endpoints_get(dst)
             if endpoint is None:
-                self._drop(src, dst, payload, "detached", ctx, at_dst=True)
+                self._drop(src, dst, payload, "detached", ctx)
                 continue
             delivered.value += 1
             if trace.enabled:
@@ -520,14 +518,14 @@ class Network:
         # until then every in-flight epoch is the default 0.
         epochs = self._conn_epoch
         if epoch is not None and epochs and epochs.get(_pair(src, dst), 0) != epoch:
-            self._drop(src, dst, payload, "connection-broken", ctx, at_dst=True)
+            self._drop(src, dst, payload, "connection-broken", ctx)
             return
         if not self.liveness.is_up(dst):
-            self._drop(src, dst, payload, "destination-down", ctx, at_dst=True)
+            self._drop(src, dst, payload, "destination-down", ctx)
             return
         endpoint = self._endpoints.get(dst)
         if endpoint is None:
-            self._drop(src, dst, payload, "detached", ctx, at_dst=True)
+            self._drop(src, dst, payload, "detached", ctx)
             return
         self._messages_delivered.value += 1
         tracer = self.sim.causal
@@ -537,7 +535,7 @@ class Network:
                 trace.record(self.sim.now, "net.deliver", node=dst, src=src)
             endpoint.on_message(src, dst, payload)
             return
-        event = tracer.deliver_event(ctx, dst, dup=dup)
+        event = tracer.deliver_event(ctx, dup)
         self.sim.trace.record(self.sim.now, "net.deliver", node=dst, src=src)
         # Inlined tracer.executing(event) — one scope per delivery makes
         # even the context-manager protocol measurable.
@@ -556,12 +554,11 @@ class Network:
         payload: Any,
         reason: str,
         ctx: Optional[Any] = None,
-        at_dst: bool = False,
     ) -> None:
         self._messages_dropped.value += 1
         tracer = self.sim.causal
         if tracer is not None:
-            tracer.drop_event(dst if at_dst else src, ctx)
+            tracer.drop_event(ctx)
         trace = self.sim.trace
         if trace.enabled:
             trace.record(

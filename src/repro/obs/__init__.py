@@ -14,21 +14,19 @@
   per-node run report every experiment emits and
   ``python -m repro.cli report`` renders;
 * :mod:`repro.obs.causal` / :mod:`repro.obs.forensics` — opt-in causal
-  tracing (trace ids, Lamport/vector clocks, happens-before graphs) and
-  the forensics engine that turns stamped traces into minimal causal
-  explanations of steering decisions (``python -m repro.cli trace``);
+  tracing (trace ids and cause links on trace records, rebuilt into a
+  happens-before graph) and the forensics engine that turns stamped
+  traces into minimal causal explanations of steering decisions
+  (``python -m repro.cli trace``);
 * :mod:`repro.obs.timeseries` / :mod:`repro.obs.stream` — streaming
   telemetry: :class:`~repro.obs.timeseries.TelemetrySampler` reads
-  instruments on a sim-time cadence into bounded downsampling
-  :class:`~repro.obs.timeseries.Series` rings, a
+  probes on a sim-time cadence into bounded downsampling
+  :class:`~repro.obs.timeseries.Series` rings, and a
   :class:`~repro.obs.stream.RunStream` JSONL file exposes an in-flight
-  run to concurrent tails (``python -m repro.cli tail`` / ``top``), and
-  a :class:`~repro.obs.timeseries.FlightRecorder` keeps the last N
-  seconds for crash postmortems.
+  run to concurrent tails (``python -m repro.cli tail`` / ``top``).
 
-A process-wide default registry is available through :func:`registry`
-for ad-hoc instrumentation; components default to private registries so
-unit tests and determinism comparisons stay isolated.
+Components default to private registries, so unit tests and
+determinism comparisons stay isolated.
 """
 
 from .causal import (
@@ -42,7 +40,6 @@ from .forensics import (
     CausalExplanation,
     ExplanationStep,
     explain_chain,
-    explain_filter,
     explain_steering,
     explain_violation,
 )
@@ -68,22 +65,7 @@ from .stream import (
     read_stream,
     stream_series,
 )
-from .timeseries import FlightRecorder, Series, TelemetrySampler
-
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _GLOBAL_REGISTRY
-
-
-def set_registry(new_registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry (returns the previous one)."""
-    global _GLOBAL_REGISTRY
-    previous = _GLOBAL_REGISTRY
-    _GLOBAL_REGISTRY = new_registry
-    return previous
+from .timeseries import Series, TelemetrySampler
 
 
 __all__ = [
@@ -101,8 +83,6 @@ __all__ = [
     "collect_cluster_metrics",
     "node_metrics",
     "run_report",
-    "registry",
-    "set_registry",
     "CausalContext",
     "CausalTracer",
     "HappensBeforeGraph",
@@ -111,7 +91,6 @@ __all__ = [
     "CausalExplanation",
     "ExplanationStep",
     "explain_chain",
-    "explain_filter",
     "explain_steering",
     "explain_violation",
     "RunStream",
@@ -125,5 +104,4 @@ __all__ = [
     "stream_series",
     "Series",
     "TelemetrySampler",
-    "FlightRecorder",
 ]

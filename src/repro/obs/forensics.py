@@ -3,8 +3,7 @@
 "When CrystalBall steers an execution away from a predicted
 inconsistency, the operator's first question is *why*" — this module
 answers it.  Given a causally-stamped trace (see :mod:`repro.obs.causal`)
-and either a predicted :class:`~repro.mc.Violation`, an installed
-:class:`~repro.runtime.steering.EventFilter`, or the
+and either a predicted :class:`~repro.mc.Violation` or the
 ``runtime.steer.explain`` records the runtime emits at steer time, it
 reconstructs the *minimal causal explanation*: the chain of sends,
 deliveries, timer fires, and choice resolutions leading from the
@@ -307,34 +306,10 @@ def explain_violation(
     )
 
 
-def explain_filter(
-    trace,
-    event_filter,
-    graph: Optional[HappensBeforeGraph] = None,
-) -> CausalExplanation:
-    """The causal explanation of one installed :class:`EventFilter`:
-    rooted at the latest live send the filter would match."""
-    if graph is None:
-        graph = HappensBeforeGraph.from_trace(trace)
-    anchor = graph.latest_send(event_filter.src, None, event_filter.msg_type)
-    if anchor is None:
-        return CausalExplanation(
-            reason=event_filter.reason,
-            trace_id=0,
-            predicted=list(event_filter.predicted_path),
-        )
-    return explain_chain(
-        graph, anchor.id,
-        reason=event_filter.reason,
-        predicted=event_filter.predicted_path,
-    )
-
-
 __all__ = [
     "ExplanationStep",
     "CausalExplanation",
     "explain_chain",
     "explain_steering",
     "explain_violation",
-    "explain_filter",
 ]

@@ -90,15 +90,12 @@ class Gauge:
 
 
 class Histogram:
-    """Summary statistics (count/sum/min/max) plus optional buckets.
+    """Summary statistics (count/sum/min/max) plus streaming quantiles.
 
-    ``buckets`` are upper bounds; each observation lands in the first
-    bucket whose bound is >= the value (an implicit +inf bucket catches
-    the rest).  Observations are gated by the owning registry's
-    ``enabled`` flag.
+    Observations are gated by the owning registry's ``enabled`` flag.
 
-    Every histogram also keeps *streaming quantile estimates* over fixed
-    log-spaced bucket edges: positive values land in sparse bucket
+    Quantiles are *streaming estimates* over fixed log-spaced bucket
+    edges: positive values land in sparse bucket
     ``floor(16·log10(v))`` (16 buckets per decade, ~15% relative width),
     zeros/negatives in a dedicated underflow bucket.  :meth:`quantile`
     reads p50/p95/p99 off the cumulative bucket counts without storing
@@ -109,21 +106,17 @@ class Histogram:
     QUANTILE_BUCKETS_PER_DECADE = 16
     DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
 
-    __slots__ = ("name", "labels", "buckets", "bucket_counts",
-                 "count", "total", "min", "max", "_registry",
-                 "_qcounts", "_under_count")
+    __slots__ = ("name", "labels", "count", "total", "min", "max",
+                 "_registry", "_qcounts", "_under_count")
 
     def __init__(
         self,
         name: str,
         labels: LabelSet = (),
-        buckets: Optional[Tuple[float, ...]] = None,
         registry: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.name = name
         self.labels = labels
-        self.buckets = tuple(sorted(buckets)) if buckets else ()
-        self.bucket_counts = [0] * (len(self.buckets) + 1) if self.buckets else []
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
@@ -147,13 +140,6 @@ class Histogram:
             self._qcounts[index] = self._qcounts.get(index, 0) + 1
         else:
             self._under_count += 1
-        if self.buckets:
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.bucket_counts[index] += 1
-                    break
-            else:
-                self.bucket_counts[-1] += 1
 
     @property
     def mean(self) -> float:
@@ -198,12 +184,6 @@ class Histogram:
         }
         if self.count:
             out.update(self.quantiles())
-        if self.buckets:
-            out["buckets"] = {
-                str(bound): self.bucket_counts[i]
-                for i, bound in enumerate(self.buckets)
-            }
-            out["buckets"]["+inf"] = self.bucket_counts[-1]
         return out
 
     def __repr__(self) -> str:
@@ -247,18 +227,11 @@ class MetricsRegistry:
             instrument = self._gauges[key] = Gauge(name, key[1])
         return instrument
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Tuple[float, ...]] = None,
-        **labels: Any,
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         key = (name, _labelset(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = self._histograms[key] = Histogram(
-                name, key[1], buckets=buckets, registry=self,
-            )
+            instrument = self._histograms[key] = Histogram(name, key[1], registry=self)
         return instrument
 
     def span(self, name: str, clock=None, **labels: Any):
@@ -314,7 +287,7 @@ class MetricsRegistry:
             gauge.value = 0.0
         # Zeroed means as constructed, so the constructors are run again.
         for hist in self._histograms.values():
-            hist.__init__(hist.name, hist.labels, buckets=hist.buckets or None, registry=self)
+            hist.__init__(hist.name, hist.labels, registry=self)
         for stats in self._spans.values():
             stats.__init__(stats.name, stats.labels)
 

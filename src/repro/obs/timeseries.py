@@ -1,14 +1,13 @@
-"""Time-series telemetry: cadenced sampling of registry instruments.
+"""Time-series telemetry: cadenced sampling of probes.
 
 The :class:`~repro.obs.registry.MetricsRegistry` holds *cumulative*
 instruments — a 60-second throughput run ends with one committed-ops
 total and no idea whether commits flowed steadily or stalled for 40
 seconds under a partition.  A :class:`TelemetrySampler` closes that gap:
-it reads selected instruments (or arbitrary probe callables) on a fixed
-*simulated-time* cadence, keeps each as a bounded in-memory
-:class:`Series` ring with automatic downsampling, and optionally
-forwards every tick to a :class:`~repro.obs.stream.RunStream` for live
-tailing and to a :class:`FlightRecorder` for postmortems.
+it reads probe callables on a fixed *simulated-time* cadence, keeps
+each as a bounded in-memory :class:`Series` ring with automatic
+downsampling, and optionally forwards every tick to a
+:class:`~repro.obs.stream.RunStream` for live tailing.
 
 Digest neutrality is the design constraint everything here obeys:
 
@@ -27,12 +26,7 @@ digests either way.
 
 from __future__ import annotations
 
-import json
-import time
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from .registry import Gauge, Histogram, MetricsRegistry, render_key
 
 
 class Series:
@@ -112,13 +106,12 @@ class Series:
 
 
 class TelemetrySampler:
-    """Cadenced sampling of instruments over a simulator's virtual clock.
+    """Cadenced sampling of probes over a simulator's virtual clock.
 
-    Probes are zero-argument callables registered under a series name;
-    convenience registrars wrap registry instruments.  :meth:`start`
-    schedules the first tick; every tick reads all probes once, appends
-    to the in-memory series, and forwards one consolidated reading to
-    the attached stream and flight recorder.
+    Probes are zero-argument callables registered under a series name.
+    :meth:`start` schedules the first tick; every tick reads all probes
+    once, appends to the in-memory series, and forwards one
+    consolidated reading to the attached stream.
 
     ``until`` bounds rescheduling so a sampler never keeps an otherwise
     drained event queue alive past the experiment horizon.
@@ -131,16 +124,12 @@ class TelemetrySampler:
         sim: Any,
         cadence: float = 1.0,
         stream: Optional[Any] = None,
-        recorder: Optional["FlightRecorder"] = None,
-        max_points: int = 512,
     ) -> None:
         if cadence <= 0:
             raise ValueError(f"cadence must be positive, got {cadence!r}")
         self.sim = sim
         self.cadence = cadence
         self.stream = stream
-        self.recorder = recorder
-        self.max_points = max_points
         self.series: Dict[str, Series] = {}
         self._probes: List[Tuple[str, Callable[[], float]]] = []
         self.samples_taken = 0
@@ -155,45 +144,10 @@ class TelemetrySampler:
         """Register a probe callable under ``name``; returns its series."""
         if name in self.series:
             raise ValueError(f"series {name!r} already registered")
-        series = Series(name, max_points=self.max_points, agg=agg)
+        series = Series(name, agg=agg)
         self.series[name] = series
         self._probes.append((name, probe))
         return series
-
-    def watch_counter(self, counter: Any) -> Series:
-        """Sample a registry counter's cumulative value."""
-        return self.watch(render_key(counter.name, counter.labels),
-                          lambda: counter.value, agg="last")
-
-    def watch_gauge(self, gauge: Gauge) -> Series:
-        """Sample a gauge (mean-aggregated when downsampled)."""
-        return self.watch(render_key(gauge.name, gauge.labels),
-                          lambda: gauge.value, agg="mean")
-
-    def watch_histogram(self, hist: Histogram) -> List[Series]:
-        """Sample a histogram's count and streaming p95."""
-        key = render_key(hist.name, hist.labels)
-        return [
-            self.watch(f"{key}.count", lambda: hist.count, agg="last"),
-            self.watch(f"{key}.p95",
-                       lambda: hist.quantile(0.95) or 0.0, agg="mean"),
-        ]
-
-    def watch_registry(self, registry: MetricsRegistry, prefix: str = "") -> int:
-        """Watch every *current* counter and gauge matching ``prefix``;
-        returns how many series were registered."""
-        added = 0
-        for counter in registry._counters.values():
-            key = render_key(counter.name, counter.labels)
-            if key.startswith(prefix) and key not in self.series:
-                self.watch_counter(counter)
-                added += 1
-        for gauge in registry._gauges.values():
-            key = render_key(gauge.name, gauge.labels)
-            if key.startswith(prefix) and key not in self.series:
-                self.watch_gauge(gauge)
-                added += 1
-        return added
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -232,8 +186,6 @@ class TelemetrySampler:
         self.samples_taken += 1
         if self.stream is not None:
             self.stream.write_sample(values, t=now)
-        if self.recorder is not None:
-            self.recorder.note_sample(now, values)
         return values
 
     def snapshot(self) -> Dict[str, Any]:
@@ -253,91 +205,4 @@ class TelemetrySampler:
                 f"running={self._running})")
 
 
-class FlightRecorder:
-    """A crash-safe ring of the last ``window`` seconds of telemetry.
-
-    The production-postmortem shape: samples and causal-stamped events
-    accumulate in bounded deques, older entries evict as simulated time
-    advances, and :meth:`dump` writes the whole ring as JSON the moment
-    something goes wrong — a live safety violation, a steering decision
-    storm, or an exception out of the prediction loop.  The dump is the
-    "what were the last N seconds like" artifact a one-shot final report
-    cannot reconstruct.
-    """
-
-    def __init__(
-        self,
-        window: float = 30.0,
-        dump_path: Optional[str] = None,
-        max_entries: int = 4096,
-    ) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
-        self.window = window
-        self.dump_path = dump_path
-        self.samples: deque = deque(maxlen=max_entries)
-        self.events: deque = deque(maxlen=max_entries)
-        self.dumps_written = 0
-        self.last_dump: Optional[Dict[str, Any]] = None
-
-    def _evict(self, now: float) -> None:
-        horizon = now - self.window
-        while self.samples and self.samples[0]["t"] < horizon:
-            self.samples.popleft()
-        while self.events and self.events[0]["t"] < horizon:
-            self.events.popleft()
-
-    def note_sample(self, t: float, values: Dict[str, float]) -> None:
-        self.samples.append({"t": round(t, 6), "v": dict(values)})
-        self._evict(t)
-
-    def note_event(self, t: float, kind: str,
-                   data: Optional[Dict[str, Any]] = None,
-                   causal: Optional[Any] = None) -> None:
-        entry: Dict[str, Any] = {"t": round(t, 6), "event": kind,
-                                 "data": data or {}}
-        if causal is not None:
-            entry["causal"] = causal
-        self.events.append(entry)
-        self._evict(t)
-
-    def snapshot(self, reason: str = "", now: Optional[float] = None) -> Dict[str, Any]:
-        """The ring as one JSON-able postmortem document."""
-        return {
-            "flight_recorder": {
-                "reason": reason,
-                "now": now,
-                "window_s": self.window,
-                "host_unix": time.time(),
-                "samples": list(self.samples),
-                "events": list(self.events),
-            }
-        }
-
-    def dump(self, reason: str, now: Optional[float] = None,
-             path: Optional[str] = None) -> Optional[str]:
-        """Write the ring to ``path`` (or the configured ``dump_path``).
-
-        Returns the path written, or ``None`` when no path is
-        configured — the snapshot is still retained on ``last_dump``
-        so in-process consumers (tests, a future job daemon) get the
-        postmortem either way.
-        """
-        snapshot = self.snapshot(reason=reason, now=now)
-        self.last_dump = snapshot
-        self.dumps_written += 1
-        target = path or self.dump_path
-        if target is None:
-            return None
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, default=str)
-            handle.write("\n")
-        return target
-
-    def __repr__(self) -> str:
-        return (f"FlightRecorder(window={self.window}, "
-                f"samples={len(self.samples)}, events={len(self.events)}, "
-                f"dumps={self.dumps_written})")
-
-
-__all__ = ["Series", "TelemetrySampler", "FlightRecorder"]
+__all__ = ["Series", "TelemetrySampler"]

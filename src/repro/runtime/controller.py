@@ -80,7 +80,6 @@ class CrystalBallRuntime(InboundInterposer):
         neighbors_fn: Optional[Callable[[Node], Iterable[int]]] = None,
         properties: Iterable[Any] = (),
         objective: Optional[Objective] = None,
-        network_model: Optional[NetworkModel] = None,
         checkpoint_period: float = 1.0,
         prediction_period: float = 0.0,
         chain_depth: int = 3,
@@ -97,8 +96,6 @@ class CrystalBallRuntime(InboundInterposer):
         generic_node: Optional[object] = None,
         max_snapshot_age: Optional[float] = None,
         fallback: Optional[object] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        flight_recorder: Optional[Any] = None,
         steering_policy: bool = False,
     ) -> None:
         self.node = node
@@ -106,7 +103,7 @@ class CrystalBallRuntime(InboundInterposer):
         self.neighbors_fn = neighbors_fn
         self.properties = list(properties)
         self.objective = objective if objective is not None else _ZeroObjective()
-        self.network_model = network_model if network_model is not None else NetworkModel()
+        self.network_model = NetworkModel()
         self.checkpoint_period = checkpoint_period
         self.prediction_period = prediction_period
         self.chain_depth = chain_depth
@@ -167,19 +164,10 @@ class CrystalBallRuntime(InboundInterposer):
         self._explorer: Optional[Explorer] = None
         self._replay_service: Optional[Any] = None
 
-        # Optional crash-safe telemetry ring (repro.obs.timeseries
-        # .FlightRecorder): steering decisions, filter installs, and
-        # predicted/live violations are noted with causal stamps, and
-        # the ring is dumped on a live violation or a prediction-loop
-        # exception.  Pure observation — nothing here feeds back into
-        # execution, so digests are unchanged recorder on/off.
-        self.flight_recorder = flight_recorder
-
         self.state_model = StateModel(node.node_id)
-        # All counters live in the metrics registry (a private one per
-        # runtime unless a shared, per-cluster registry is passed in);
+        # All counters live in the runtime's own metrics registry;
         # ``stats`` remains the historical dict-shaped view over them.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.steering = SteeringModule(metrics=self.metrics, node=node.node_id)
         self.epoch = 0
         self.stats = stats_view(
@@ -364,20 +352,6 @@ class CrystalBallRuntime(InboundInterposer):
                 msg=type(msg).__name__, reason=matched.reason,
                 predicted=list(matched.predicted_path),
             )
-            if self.flight_recorder is not None:
-                causal = (
-                    tracer.chain_ids(tracer.current_event_id())
-                    if tracer is not None else None
-                )
-                self.flight_recorder.note_event(
-                    now, "runtime.steer",
-                    data={
-                        "node": node.node_id, "src": src,
-                        "msg": type(msg).__name__, "reason": matched.reason,
-                        "predicted": list(matched.predicted_path),
-                    },
-                    causal=causal,
-                )
             node.network.break_connection(node.node_id, src)
             return False
         return True
@@ -436,6 +410,9 @@ class CrystalBallRuntime(InboundInterposer):
                 )
                 peers = self.neighbors()
                 size = message.wire_size()
+                # Batched fan-out: one queue insertion per distinct
+                # arrival time instead of one per peer (see
+                # Network.send_many).
                 # NOTE: on a forwarding wrapper (ReliableLayer) this
                 # instance lookup finds the RAW network's send_many, so
                 # full checkpoints bypass the at-least-once layer.
@@ -443,20 +420,9 @@ class CrystalBallRuntime(InboundInterposer):
                 # this one is left as is on purpose, because routing
                 # checkpoints through the wrapper changes A7's
                 # reliable-variant traffic and its recorded numbers.
-                send_many = getattr(self.node.network, "send_many", None)
-                if send_many is not None:
-                    # Batched fan-out: one queue insertion per distinct
-                    # arrival time instead of one per peer.  Trace- and
-                    # order-equivalent to the per-peer loop (see
-                    # Network.send_many), so digests are unchanged.
-                    send_many(self.node.node_id, peers, message, size_bytes=size)
-                    self.stats["checkpoints_sent"] += len(peers)
-                    self.stats["checkpoint_bytes_sent"] += size * len(peers)
-                else:
-                    # Wrapped/instrumented transports without send_many
-                    # keep the historical per-peer path.
-                    for peer in peers:
-                        self._send_checkpoint(peer, message)
+                self.node.network.send_many(self.node.node_id, peers, message, size_bytes=size)
+                self.stats["checkpoints_sent"] += len(peers)
+                self.stats["checkpoint_bytes_sent"] += size * len(peers)
                 return
             rotate = (
                 self._delta_baseline_state is None
@@ -635,27 +601,11 @@ class CrystalBallRuntime(InboundInterposer):
             self.make_explorer(), chain_depth=self.chain_depth, budget=self.budget,
             metrics=self.metrics,
         )
-        try:
-            with self.metrics.span(
-                "runtime.predict", clock=self._sim_clock, node=self.node.node_id,
-            ):
-                world = self.current_world()
-                report = predictor.predict(world)
-        except Exception as exc:
-            # The postmortem moment: dump the telemetry ring before the
-            # exception propagates, so the last N seconds of samples and
-            # steering events survive the crash.
-            if self.flight_recorder is not None:
-                now = self.node.sim.now
-                self.flight_recorder.note_event(
-                    now, "runtime.prediction_exception",
-                    data={"node": self.node.node_id, "error": repr(exc)},
-                )
-                self.flight_recorder.dump(
-                    f"prediction exception at node {self.node.node_id}: {exc!r}",
-                    now=now,
-                )
-            raise
+        with self.metrics.span(
+            "runtime.predict", clock=self._sim_clock, node=self.node.node_id,
+        ):
+            world = self.current_world()
+            report = predictor.predict(world)
         self.stats["predictions"] += 1
         self.stats["states_explored"] += report.total_states
         self.last_prediction_summary = report.summary()
@@ -679,19 +629,6 @@ class CrystalBallRuntime(InboundInterposer):
                 self.node.sim.now, "runtime.steer_impossible", node=self.node.node_id,
                 unsafe=len(unsafe),
             )
-            if self.flight_recorder is not None:
-                now = self.node.sim.now
-                self.flight_recorder.note_event(
-                    now, "runtime.violation_live",
-                    data={
-                        "node": self.node.node_id, "unsafe": len(unsafe),
-                        "properties": violated,
-                    },
-                )
-                self.flight_recorder.dump(
-                    f"live violation at node {self.node.node_id}: {violated}",
-                    now=now,
-                )
             return
         now = self.node.sim.now
         for outcome in unsafe:
@@ -731,16 +668,6 @@ class CrystalBallRuntime(InboundInterposer):
                     src=action.src, msg=type(action.msg).__name__,
                     reason=violation.property_name,
                 )
-                if self.flight_recorder is not None and newly_installed:
-                    self.flight_recorder.note_event(
-                        now, "runtime.filter_installed",
-                        data={
-                            "node": self.node.node_id, "src": action.src,
-                            "msg": type(action.msg).__name__,
-                            "reason": violation.property_name,
-                            "predicted": [a.describe() for a in violation.path],
-                        },
-                    )
 
     # ------------------------------------------------------------------
     # Predictive choice resolution

@@ -6,8 +6,8 @@ is appended to a :class:`TraceLog` as a :class:`TraceRecord`.  Tests and
 benchmarks assert against the trace instead of scraping stdout.
 
 When causal tracing is enabled (see :mod:`repro.obs.causal`), each
-record additionally carries a ``causal`` stamp — event id, trace id,
-cause link, and logical clocks.  The stamp lives *outside* ``data`` so
+record additionally carries a ``causal`` stamp — event id, trace id
+and cause link.  The stamp lives *outside* ``data`` so
 trace digests (computed over time/category/node/data only) are
 byte-identical with tracing on or off.
 """
@@ -42,26 +42,16 @@ class TraceRecord:
 class TraceLog:
     """An append-only in-memory log of :class:`TraceRecord` objects.
 
-    ``max_records`` turns the log into a ring buffer: once more than
-    that many records are retained, the oldest are dropped (counted in
-    ``dropped_records``).  Category counts stay cumulative over the
-    whole run — counters always record, only the record bodies age out.
+    Every record of the run is kept, so :func:`trace_digest` always
+    covers the whole run.
     """
 
-    def __init__(self, enabled: bool = True, max_records: Optional[int] = None) -> None:
-        if max_records is not None and max_records <= 0:
-            raise ValueError(f"max_records must be positive, got {max_records!r}")
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_records = max_records
-        self.dropped_records = 0
         # When causal tracing is on, the tracer supplies a stamp for
         # each appended record (see repro.obs.causal.CausalTracer).
         self.tracer: Optional[Any] = None
         self._records: List[TraceRecord] = []
-        # Ring-buffer head: index of the first live record.  Dropping
-        # advances the head; the list is compacted once the dead prefix
-        # reaches max_records, keeping appends amortized O(1).
-        self._start = 0
         self._counts: Counter = Counter()
 
     def record(
@@ -78,9 +68,9 @@ class TraceLog:
         if tracer is None:
             causal = None
         else:
-            # Inlined tracer.take_stamp(): this runs once per record on
-            # the simulator hot path, and the method call + ambient-dict
-            # construction are measurable at that frequency.
+            # The stamp the tracer staged for this record, else a link
+            # to the executing event.  Inlined, not a tracer method: it
+            # runs once per record on the simulator hot path.
             causal = tracer._pending
             if causal is not None:
                 tracer._pending = None
@@ -88,21 +78,12 @@ class TraceLog:
                 current = tracer._current
                 if current:
                     last = current[-1]
-                    causal = {"trace": tracer._trace_ids[last - 1], "in": last}
+                    causal = {"trace": tracer._events[last - 1][0], "in": last}
         self._records.append(
             TraceRecord(time=time, category=category, node=node, data=data,
                         causal=causal)
         )
         self._counts[category] += 1
-        if (
-            self.max_records is not None
-            and len(self._records) - self._start > self.max_records
-        ):
-            self._start += 1
-            self.dropped_records += 1
-            if self._start >= self.max_records:
-                del self._records[: self._start]
-                self._start = 0
 
     def select(
         self,
@@ -118,9 +99,9 @@ class TraceLog:
         clock never runs backwards), so ``since`` binary-searches to its
         start position instead of scanning from the head.
         """
-        lo = self._start
+        lo = 0
         if since > 0.0:
-            lo = bisect_left(self._records, since, lo=lo, key=lambda r: r.time)
+            lo = bisect_left(self._records, since, key=lambda r: r.time)
         out = []
         for index in range(lo, len(self._records)):
             rec = self._records[index]
@@ -133,8 +114,7 @@ class TraceLog:
         return out
 
     def count(self, category: str) -> int:
-        """Number of records with exactly this category (cumulative —
-        ring-buffer eviction does not decrement)."""
+        """Number of records with exactly this category."""
         return self._counts[category]
 
     def category_counts(self) -> Dict[str, int]:
@@ -144,8 +124,6 @@ class TraceLog:
     def clear(self) -> None:
         """Discard all records."""
         self._records.clear()
-        self._start = 0
-        self.dropped_records = 0
         self._counts.clear()
 
     def dump_jsonl(self, path: str, category: Optional[str] = None) -> int:
@@ -159,7 +137,7 @@ class TraceLog:
         fields is preserved under a ``data_`` prefix (``data_time``,
         ``data_node``, ...) instead of being dropped.
         """
-        records = self.select(category=category) if category else self._live_records()
+        records = self.select(category=category) if category else self._records
         written = 0
         with open(path, "w", encoding="utf-8") as handle:
             for record in records:
@@ -175,14 +153,11 @@ class TraceLog:
                 written += 1
         return written
 
-    def _live_records(self) -> List[TraceRecord]:
-        return self._records[self._start:] if self._start else self._records
-
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._live_records())
+        return iter(self._records)
 
     def __len__(self) -> int:
-        return len(self._records) - self._start
+        return len(self._records)
 
     def __repr__(self) -> str:
         return f"TraceLog(records={len(self)}, enabled={self.enabled})"

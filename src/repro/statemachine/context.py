@@ -110,7 +110,7 @@ class LiveContext(Context):
         # so forensics can root explanation chains at choice points.
         tracer = self.node.sim.causal
         if tracer is not None:
-            tracer.choice_event(self.node.node_id, point.label)
+            tracer.choice_event()
         self.record("choice.resolve", label=point.label, value=_compact(value),
                     n_candidates=len(point.candidates))
         return value
@@ -125,7 +125,7 @@ class LiveContext(Context):
         spec = self.node.resolve_choice(point)
         tracer = self.node.sim.causal
         if tracer is not None:
-            tracer.choice_event(self.node.node_id, point.label)
+            tracer.choice_event()
         self.record("choice.handler", label=point.label, value=spec.name)
         return spec
 

@@ -143,7 +143,7 @@ class Node:
             self.sim.trace.record(self.sim.now, "node.start", node=self.node_id)
             self.service.on_init()
             return
-        event = tracer.local_event(self.node_id, "start", root=True)
+        event = tracer.local_event()
         self.sim.trace.record(self.sim.now, "node.start", node=self.node_id)
         with tracer.executing(event):
             self.service.on_init()
@@ -183,7 +183,7 @@ class Node:
             self.sim.trace.record(self.sim.now, "node.restart", node=self.node_id)
             self.service.on_init()
             return
-        event = tracer.local_event(self.node_id, "restart", root=True)
+        event = tracer.local_event()
         self.sim.trace.record(self.sim.now, "node.restart", node=self.node_id)
         with tracer.executing(event):
             self.service.on_init()
@@ -322,9 +322,7 @@ class Node:
             self.sim.trace.record(self.sim.now, "node.timer", node=self.node_id, name=name)
             self._dispatch_timer(name, payload)
             return
-        event = tracer.timer_event(
-            self.node_id, name, self._timer_causes.pop(name, None),
-        )
+        event = tracer.timer_event(self._timer_causes.pop(name, None))
         self.sim.trace.record(self.sim.now, "node.timer", node=self.node_id, name=name)
         # Inlined tracer.executing(event) — see transport._deliver.
         scopes = tracer._current

@@ -172,7 +172,7 @@ def make_causal_layer(n=2, seed=9, profile=None, config=None):
 def send_in_dispatch(sim, layer, tracer, src, dst, payload):
     """Send from inside an (artificial) dispatch scope, the way a
     service handler would — so the pending send has a causal cause."""
-    root = tracer.local_event(src, "app.op", root=True)
+    root = tracer.local_event()
     sim.trace.record(sim.now, "app.op", node=src)
     with tracer.executing(root):
         layer.send(src, dst, payload)

@@ -1,5 +1,7 @@
 """E6/A7 causal-forensics sessions: end-to-end steering explanations."""
 
+import hashlib
+
 import pytest
 
 from repro.chaos import FaultPlan
@@ -9,12 +11,12 @@ from repro.fuzz.executor import RandTreeFuzzTarget
 
 @pytest.fixture(scope="module")
 def e6():
-    return run_trace_session("e6", seed=1)
+    return run_trace_session("e6", seed=1, keep_cluster=True)
 
 
 @pytest.fixture(scope="module")
 def a7():
-    return run_trace_session("a7", seed=1)
+    return run_trace_session("a7", seed=1, keep_cluster=True)
 
 
 def test_unknown_experiment_rejected():
@@ -154,3 +156,63 @@ def test_sessions_are_deterministic():
     assert first.trace_digest == second.trace_digest
     assert len(first.steering) == len(second.steering)
     assert first.summary() == second.summary()
+
+
+def _pin(explanations):
+    return hashlib.sha256(
+        "\n".join(e.to_json() for e in explanations).encode()).hexdigest()
+
+
+def test_explanations_are_pinned(e6, a7):
+    """Every steering and violation explanation, byte for byte, pinned
+    across commits: what forensics reads of a stamped trace must not
+    move when the tracer changes."""
+    assert e6.steering[0].to_dict() == {
+        "reason": "canary-quiet-acceptor-4",
+        "trace_id": 1,
+        "predicted": [
+            "timer client at 0",
+            "deliver Accept 0->0 via on_accept",
+            "deliver Accept 0->4 via on_accept",
+        ],
+        "steps": [
+            {"category": "choice.resolve", "event": 295,
+             "label": "choice proposer=0", "node": 0, "time": 1.5},
+            {"category": "net.send", "event": 296,
+             "label": "send Accept\u2192n0", "node": 0, "time": 1.5},
+            {"category": "net.deliver", "event": 354,
+             "label": "deliver from n0", "node": 0, "time": 1.5},
+            {"category": "runtime.steer", "event": None,
+             "label": "steer: drop Accept from n0, break connection",
+             "node": 0, "time": 1.5},
+        ],
+    }
+    pins = {
+        ("e6", "steering"): "f2daeeb5af725eb30d081f54725c6e0d13d7c2f767c54b92f4b86b0a2f0b519a",
+        ("e6", "violations"): "0c451df82bf4e85506581489c598d369f5ee290b97f6ab2fabdc714ffaedc80a",
+        ("a7", "steering"): "543f4f14cfa6965bb8ab7b12f41984c02f5fd32be0fbc2f05a4ce6709b7a9662",
+        ("a7", "violations"): "4409323d1dd56224f354b0a134ac6ba77b32d67f4a23d71e7c7726754b11518a",
+    }
+    for session in (e6, a7):
+        for kind in ("steering", "violations"):
+            explanations = getattr(session, kind)
+            assert len(explanations) == 5
+            assert _pin(explanations) == pins[(session.experiment, kind)]
+
+
+EVENT_STAMP = {"ev", "trace", "cause", "attempt", "dup"}
+LINK_STAMP = {"trace", "in", "chain"}
+
+
+def test_stamps_carry_cause_links_only(e6, a7):
+    # A stamp either opens an event (its id, trace and cause, plus the
+    # retransmission attempt or duplicate flag) or links a record to
+    # the executing event (plus a steering explanation's chain).
+    seen = set()
+    for session in (e6, a7):
+        for rec in session.cluster.sim.trace:
+            keys = set(rec.causal or ())
+            assert keys <= EVENT_STAMP or keys <= LINK_STAMP, (rec.category, keys)
+            seen |= keys
+    # No retransmissions here (no reliable layer), so no ``attempt``.
+    assert seen == (EVENT_STAMP | LINK_STAMP) - {"attempt"}

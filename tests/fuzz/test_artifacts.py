@@ -1,5 +1,6 @@
 """Artifacts: round-trips, forensics, and the curated corpus replay."""
 
+import json
 import os
 
 import pytest
@@ -108,6 +109,21 @@ def test_corpus_entry_replays(path):
     execution, reproduces = replay_counterexample(artifact)
     assert execution.violated, f"{path}: violation no longer reproduces"
     assert reproduces, f"{path}: trace digest drifted"
+
+
+@pytest.mark.parametrize(
+    "path", corpus_paths(CORPUS_DIR),
+    ids=[os.path.basename(p) for p in corpus_paths(CORPUS_DIR)],
+)
+def test_corpus_forensics_regenerate(path):
+    """Each curated artifact's forensics dict is exactly what a fresh
+    causal re-run of its (target, plan, seed) explains today."""
+    artifact = load_counterexample(path)
+    explanation = forensics_for(
+        make_target(artifact["target"]), FaultPlan.from_dict(artifact["plan"]),
+        artifact["seed"])
+    assert json.dumps(explanation.to_dict(), sort_keys=True) == \
+        json.dumps(artifact["forensics"], sort_keys=True)
 
 
 def test_corpus_paths_on_missing_directory():

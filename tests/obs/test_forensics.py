@@ -10,7 +10,6 @@ from repro.obs import (
     ExplanationStep,
     HappensBeforeGraph,
     explain_chain,
-    explain_filter,
     explain_steering,
 )
 from repro.runtime import install_crystalball
@@ -74,32 +73,19 @@ def test_explanation_renderings(steered_cluster):
     assert "steer" in ascii_art
 
 
-def test_explain_filter_anchors_at_live_send(steered_cluster):
-    runtime_filters = [
-        f for node in steered_cluster.nodes
-        if getattr(node, "crystalball", None) is not None
-        for f in node.crystalball.steering.active_filters
-    ]
-    assert runtime_filters
-    explanation = explain_filter(steered_cluster.sim.trace, runtime_filters[0])
-    assert explanation.reason == "node0-low"
-    assert explanation.steps
-    assert explanation.steps[-1].category == "net.send"
-
-
 def test_explain_chain_trims_at_nearest_choice():
     # Build a synthetic stamped trace: start -> choice -> choice -> send.
     from repro.sim.trace import TraceLog, TraceRecord
 
     log = TraceLog()
     stamps = [
-        (0.0, "node.start", 0, {}, {"ev": 1, "trace": 1, "cause": None, "lc": 1}),
+        (0.0, "node.start", 0, {}, {"ev": 1, "trace": 1, "cause": None}),
         (0.1, "choice.resolve", 0, {"label": "a"},
-         {"ev": 2, "trace": 1, "cause": 1, "lc": 2}),
+         {"ev": 2, "trace": 1, "cause": 1}),
         (0.2, "choice.resolve", 0, {"label": "b"},
-         {"ev": 3, "trace": 1, "cause": 2, "lc": 3}),
+         {"ev": 3, "trace": 1, "cause": 2}),
         (0.3, "net.send", 0, {"dst": 1, "kind": "X"},
-         {"ev": 4, "trace": 1, "cause": 3, "lc": 4}),
+         {"ev": 4, "trace": 1, "cause": 3}),
     ]
     for time, cat, node, data, causal in stamps:
         log._records.append(TraceRecord(
@@ -117,12 +103,12 @@ def test_compression_elides_repetitive_timer_runs():
     log = TraceLog()
     log._records.append(TraceRecord(
         time=0.0, category="node.start", node=0, data={},
-        causal={"ev": 1, "trace": 1, "cause": None, "lc": 1}))
+        causal={"ev": 1, "trace": 1, "cause": None}))
     for i in range(8):
         log._records.append(TraceRecord(
             time=0.5 * (i + 1), category="node.timer", node=0,
             data={"name": "sweep"},
-            causal={"ev": i + 2, "trace": 1, "cause": i + 1, "lc": i + 2}))
+            causal={"ev": i + 2, "trace": 1, "cause": i + 1}))
     graph = HappensBeforeGraph.from_trace(log)
     explanation = explain_chain(graph, 9, reason="r")
     labels = [s.label for s in explanation.steps]

@@ -41,13 +41,16 @@ def test_gauge_set_inc_dec():
 
 def test_histogram_summary_and_buckets():
     registry = MetricsRegistry()
-    hist = registry.histogram("lat", buckets=(0.1, 1.0))
+    hist = registry.histogram("lat")
     for value in (0.05, 0.5, 5.0):
         hist.observe(value)
     summary = hist.summary()
     assert summary["count"] == 3
     assert summary["min"] == 0.05 and summary["max"] == 5.0
-    assert summary["buckets"] == {"0.1": 1, "1.0": 1, "+inf": 1}
+    assert summary["mean"] == summary["sum"] / 3
+    # The median lands in 0.5's log bucket (16 per decade): its
+    # geometric midpoint, within half a bucket of the observation.
+    assert abs(summary["p50"] - 0.5) / 0.5 < 0.08
 
 
 def test_disabled_registry_gates_histograms_not_counters():
@@ -117,7 +120,7 @@ def test_snapshot_and_reset():
 
 def test_reset_zeroes_in_place_so_held_handles_keep_recording():
     registry = MetricsRegistry()
-    hist = registry.histogram("h", buckets=(1.0, 10.0), node=1)
+    hist = registry.histogram("h", node=1)
     span = registry.span("s", clock=lambda: 5.0)
     hist.observe(0.5)
     with span:
@@ -125,15 +128,15 @@ def test_reset_zeroes_in_place_so_held_handles_keep_recording():
     registry.reset()
     assert registry.histogram("h", node=1) is hist
     assert registry.span_stats("s") is span.stats
-    assert (hist.count, hist.total, hist.bucket_counts, hist.quantile(0.5)) == (0, 0.0, [0, 0, 0], None)
-    assert hist.summary()["min"] is None and hist.buckets == (1.0, 10.0)
+    assert (hist.count, hist.total, hist.quantile(0.5)) == (0, 0.0, None)
+    assert hist.summary()["min"] is None
     assert registry.snapshot()["histograms"] == registry.snapshot()["spans"] == {}
     hist.observe(2.0)
     with span:
         pass
     snap = registry.snapshot()
     assert snap["histograms"]["h{node=1}"]["count"] == 1
-    assert snap["histograms"]["h{node=1}"]["buckets"] == {"1.0": 0, "10.0": 1, "+inf": 0}
+    assert snap["histograms"]["h{node=1}"]["p50"] == 2.0
     assert snap["spans"]["s"]["count"] == 1
     assert snap["spans"]["s"]["sim_window"] == [5.0, 5.0]
     # A disabled registry still gates the handle after a reset.

@@ -1,8 +1,8 @@
-"""Series downsampling, TelemetrySampler cadence, FlightRecorder ring."""
+"""Series downsampling, TelemetrySampler cadence."""
 
 import pytest
 
-from repro.obs import FlightRecorder, MetricsRegistry, Series, TelemetrySampler
+from repro.obs import Series, TelemetrySampler
 from repro.obs.stream import RunStream, read_stream
 from repro.sim import Simulator
 
@@ -110,45 +110,17 @@ class TestTelemetrySampler:
         sim.run(until=10.0)
         assert sampler.samples_taken == 2
 
-    def test_watch_registry_instruments(self):
-        sim = Simulator(seed=1)
-        registry = MetricsRegistry()
-        counter = registry.counter("app.ops", node=1)
-        gauge = registry.gauge("app.depth", node=1)
-        sampler = TelemetrySampler(sim, cadence=1.0)
-        added = sampler.watch_registry(registry, prefix="app.")
-        assert added == 2
-        counter.inc(5)
-        gauge.set(2.0)
-        values = sampler.sample_now()
-        assert values["app.ops{node=1}"] == 5
-        assert values["app.depth{node=1}"] == 2.0
-
-    def test_watch_histogram_streams_p95(self):
-        sim = Simulator(seed=1)
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat")
-        sampler = TelemetrySampler(sim, cadence=1.0)
-        sampler.watch_histogram(hist)
-        for v in (1.0, 2.0, 10.0):
-            hist.observe(v)
-        values = sampler.sample_now()
-        assert values["lat.count"] == 3
-        assert values["lat.p95"] > 0
-
     def test_duplicate_series_rejected(self):
         sampler = TelemetrySampler(Simulator(seed=1), cadence=1.0)
         sampler.watch("x", lambda: 0)
         with pytest.raises(ValueError):
             sampler.watch("x", lambda: 1)
 
-    def test_feeds_stream_and_recorder(self, tmp_path):
+    def test_feeds_stream(self, tmp_path):
         sim = Simulator(seed=1)
         path = str(tmp_path / "run.jsonl")
         stream = RunStream(path, kind="demo", clock=lambda: sim.now)
-        recorder = FlightRecorder(window=100.0)
-        sampler = TelemetrySampler(sim, cadence=1.0, stream=stream,
-                                   recorder=recorder)
+        sampler = TelemetrySampler(sim, cadence=1.0, stream=stream)
         sampler.watch("now", lambda: sim.now)
         sampler.start(until=3.0)
         sim.run(until=3.0)
@@ -156,60 +128,8 @@ class TestTelemetrySampler:
         samples = [r for r in read_stream(path) if r["type"] == "sample"]
         assert len(samples) == 3
         assert samples[0]["v"] == {"now": 1.0}
-        assert len(recorder.samples) == 3
 
     def test_rejects_bad_cadence(self):
         with pytest.raises(ValueError):
             TelemetrySampler(Simulator(seed=1), cadence=0.0)
 
-
-class TestFlightRecorder:
-    def test_window_evicts_old_entries(self):
-        recorder = FlightRecorder(window=5.0)
-        for t in range(10):
-            recorder.note_sample(float(t), {"v": t})
-        times = [entry["t"] for entry in recorder.samples]
-        assert min(times) >= 9.0 - 5.0
-        assert max(times) == 9.0
-
-    def test_events_keep_causal_stamps(self):
-        recorder = FlightRecorder(window=10.0)
-        recorder.note_event(1.0, "steer", data={"src": 2}, causal=[5, 7])
-        entry = recorder.events[0]
-        assert entry["event"] == "steer"
-        assert entry["causal"] == [5, 7]
-        recorder.note_event(2.0, "plain")
-        assert "causal" not in recorder.events[1]
-
-    def test_dump_writes_json(self, tmp_path):
-        import json
-
-        path = str(tmp_path / "postmortem.json")
-        recorder = FlightRecorder(window=10.0, dump_path=path)
-        recorder.note_sample(1.0, {"x": 1})
-        recorder.note_event(2.0, "violation", data={"prop": "agreement"})
-        written = recorder.dump("test violation", now=2.0)
-        assert written == path
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-        ring = doc["flight_recorder"]
-        assert ring["reason"] == "test violation"
-        assert ring["samples"] == [{"t": 1.0, "v": {"x": 1}}]
-        assert ring["events"][0]["event"] == "violation"
-        assert recorder.dumps_written == 1
-
-    def test_dump_without_path_keeps_snapshot(self):
-        recorder = FlightRecorder(window=10.0)
-        recorder.note_sample(1.0, {"x": 1})
-        assert recorder.dump("no path") is None
-        assert recorder.last_dump["flight_recorder"]["reason"] == "no path"
-
-    def test_explicit_path_overrides_default(self, tmp_path):
-        recorder = FlightRecorder(window=10.0,
-                                  dump_path=str(tmp_path / "a.json"))
-        override = str(tmp_path / "b.json")
-        assert recorder.dump("x", path=override) == override
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(window=0.0)

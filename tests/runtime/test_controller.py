@@ -125,7 +125,56 @@ def test_steering_installs_filter_and_breaks_connection():
     assert runtime.stats["steered_messages"] > 0
     assert cluster.service(0).value == 0  # steering kept the property
     assert cluster.network.connection_epoch(0, 2) > 0  # connection broken
-    assert cluster.sim.trace.count("runtime.steer") > 0
+    # Each steered message and each filter install is one trace record.
+    trace = cluster.sim.trace
+    steers = [r for r in trace.select("runtime.steer") if r.category == "runtime.steer"]
+    assert len(steers) == runtime.stats["steered_messages"]
+    assert {(r.data["msg"], r.data["reason"]) for r in steers} == {("Bump", "node0-low")}
+    installed = trace.select("runtime.filter_installed", node=0)
+    assert installed and all(r.data["reason"] == "node0-low" for r in installed)
+
+
+def test_live_violation_is_traced_not_steered():
+    # A world that already violates the property cannot be steered away
+    # from: the runtime records runtime.steer_impossible and installs
+    # no filter.
+    from repro.mc import ActionOutcome, PredictionReport, Violation
+
+    cluster, runtimes = make_cluster(
+        properties=[SafetyProperty("always-bad", lambda w: False)],
+        checkpoint_period=0.0,
+    )
+    cluster.start_all()
+    cluster.run(until=0.5)
+    runtime = runtimes[0]
+    world = runtime.current_world()
+    action = DeliverAction(src=1, dst=0, msg=Bump(amount=1), handler="on_bump")
+    report = PredictionReport(
+        outcomes=[ActionOutcome(
+            action=action,
+            violations=[Violation(property_name="always-bad", path=(action,), world=world)],
+        )],
+        total_states=1,
+    )
+    runtime._apply_steering(report, world)
+    records = cluster.sim.trace.select("runtime.steer_impossible")
+    assert [(r.node, r.data["unsafe"]) for r in records] == [(0, 1)]
+    assert runtime.stats["filters_installed"] == 0
+
+
+def test_prediction_exception_propagates():
+    cluster, runtimes = make_cluster(checkpoint_period=0.0)
+    cluster.start_all()
+    cluster.run(until=0.5)
+    runtime = runtimes[0]
+
+    def boom():
+        raise RuntimeError("checkpoint decode failed")
+
+    runtime.current_world = boom
+    with pytest.raises(RuntimeError, match="checkpoint decode failed"):
+        runtime.run_prediction()
+    assert runtime.stats["predictions"] == 0
 
 
 def test_no_steering_when_everything_safe():

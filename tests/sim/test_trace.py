@@ -62,53 +62,6 @@ def test_iteration_in_order():
     assert times == sorted(times)
 
 
-# ----------------------------------------------------------------------
-# Bounded logs (max_records ring buffer)
-# ----------------------------------------------------------------------
-
-
-def test_max_records_validated():
-    import pytest
-
-    with pytest.raises(ValueError):
-        TraceLog(max_records=0)
-
-
-def test_ring_buffer_keeps_newest():
-    log = TraceLog(max_records=3)
-    for i in range(10):
-        log.record(float(i), "tick", seq=i)
-    assert len(log) == 3
-    assert [r.data["seq"] for r in log] == [7, 8, 9]
-    assert log.dropped_records == 7
-
-
-def test_ring_buffer_counts_stay_cumulative():
-    log = TraceLog(max_records=2)
-    for i in range(5):
-        log.record(float(i), "tick")
-    assert log.count("tick") == 5  # eviction never decrements
-
-
-def test_ring_buffer_select_sees_live_records_only():
-    log = TraceLog(max_records=4)
-    for i in range(10):
-        log.record(float(i), "tick", seq=i)
-    assert [r.data["seq"] for r in log.select("tick")] == [6, 7, 8, 9]
-    assert [r.data["seq"] for r in log.select(since=8.0)] == [8, 9]
-
-
-def test_ring_buffer_dump_and_clear(tmp_path):
-    log = TraceLog(max_records=3)
-    for i in range(7):
-        log.record(float(i), "tick", seq=i)
-    path = tmp_path / "ring.jsonl"
-    assert log.dump_jsonl(str(path)) == 3
-    log.clear()
-    assert len(log) == 0
-    assert log.dropped_records == 0
-
-
 def test_select_since_uses_binary_search_boundaries():
     log = TraceLog()
     for i in range(100):
