@@ -1,36 +1,26 @@
-"""P1 — the prediction hot path: incremental digests and service pooling.
+"""P1 — the prediction hot path: a pinned report and incremental digests.
 
 The paper's pitch is that consequence prediction "is fast enough to
 look several levels of state space into the future fairly quickly"
-(Section 2).  This bench measures the end-to-end prediction pipeline
+(Section 2).  This bench runs the end-to-end prediction pipeline
 (depth-4 consequence prediction over a 16-node snapshot, then digesting
-every leaf world for visited-state/steering dedup) against a faithful
-re-creation of the seed implementation:
+every leaf world for visited-state/steering dedup) and pins what it
+finds: the state count, the violation count, and a sha256 each of the
+violation signature and of the sorted leaf digests.  The pins were
+recorded while a re-creation of the seed pipeline (no service pool, a
+full scan per enumeration, seed properties and digests) still ran next
+to it and produced the identical report, so they stand in for that
+equality check; the pipeline's wall time is recorded, not gated.
 
-* ``SeedExplorer`` — no service pool, one ``factory() + restore()``
-  per in-flight message in ``enabled_actions``, every enumeration a
-  full scan (no causal-frontier filter), every checkpoint snapshotted
-  into its successor world;
-* ``SeedPredictor`` — the seed chain exploration, re-freezing message
-  and timer payloads on every causal-frontier operation;
-* ``seed_randtree_properties`` — the seed property set: full O(n^2)
-  pairwise and O(n) per-node rescans in every visited state;
-* ``seed_digest`` — the seed world digest: a full ``freeze`` of every
-  node state on every call, events sorted by ``repr``.
-
-The baseline is *conservative*: it still rides the memoized
-``InFlightMessage.key()`` inside ``evolve()``'s removal scan, so the
-true seed was slower than what we compare against.
-
-Asserts the optimized predictor produces a report byte-identical to
-the seed's (violations, states, leaf-world digests) and that the
-optimized pipeline is >= 3x faster (>= 2x in quick mode, for noisy CI
-runners).  Results land in ``BENCH_P1.json``.
+``seed_digest`` — the seed world digest, a full ``freeze`` of every node
+state on every call with events sorted by ``repr`` — stays as the
+reference the incremental digest is checked against and timed with.
+Results land in ``BENCH_P1.json``.
 """
 
+import hashlib
 import os
 import time
-from collections import Counter
 
 from repro.apps.randtree import (
     Heartbeat,
@@ -40,22 +30,10 @@ from repro.apps.randtree import (
     randtree_properties,
 )
 from repro.choice.resolvers import RandomResolver
-from repro.mc import (
-    ConsequencePredictor,
-    DeliverAction,
-    DropAction,
-    Explorer,
-    InFlightMessage,
-    InjectAction,
-    TimerAction,
-    Violation,
-    world_from_services,
-)
-from repro.apps.randtree.common import child_parent_consistent, degree_bound, no_self_loop
-from repro.mc.properties import SafetyProperty
+from repro.mc import ConsequencePredictor, Explorer, InFlightMessage, world_from_services
 from repro.mc.world import digest_of_frozen
 from repro.statemachine import Cluster
-from repro.statemachine.serialization import freeze, snapshot_value
+from repro.statemachine.serialization import freeze
 
 from conftest import print_table, record_metrics
 
@@ -66,19 +44,13 @@ CHAIN_DEPTH = 4
 BUDGET = 50_000
 N_JOINERS = 5
 REPEATS = 3 if QUICK else 5
-MIN_SPEEDUP = 2.0 if QUICK else 3.0
 
-
-# ----------------------------------------------------------------------
-# Seed (pre-PR) implementation, re-created for an honest baseline
-# ----------------------------------------------------------------------
-
-def _seed_message_key(message):
-    return (message.src, message.dst, freeze(message.msg))
-
-
-def _seed_timer_key(timer):
-    return (timer.node, timer.name, freeze(timer.payload))
+# The report of the pipeline below, recorded where the seed pipeline
+# still asserted equality with it.
+PINNED_STATES = 161
+PINNED_VIOLATIONS = 22
+PINNED_VIOLATION_SHA256 = "38b54de7c6ac6fad6374e648e87fa4628df42b5cfff1b14d22ec8de7654223ee"
+PINNED_LEAVES_SHA256 = "2a2b93fb984f9a815d6062cf9349cb44759c9d34ca59dbdba6565bd894486712"
 
 
 def seed_digest(world) -> str:
@@ -86,173 +58,11 @@ def seed_digest(world) -> str:
     states = tuple(
         (nid, freeze(world.node_states[nid])) for nid in sorted(world.node_states)
     )
-    messages = tuple(sorted((_seed_message_key(m) for m in world.inflight), key=repr))
-    timers = tuple(sorted((_seed_timer_key(t) for t in world.timers), key=repr))
+    messages = tuple(sorted(
+        ((m.src, m.dst, freeze(m.msg)) for m in world.inflight), key=repr))
+    timers = tuple(sorted(
+        ((t.node, t.name, freeze(t.payload)) for t in world.timers), key=repr))
     return digest_of_frozen((states, messages, timers, tuple(sorted(world.down))))
-
-
-def _seed_created_event_keys(before, after):
-    before_msgs = Counter(_seed_message_key(m) for m in before.inflight)
-    after_msgs = Counter(_seed_message_key(m) for m in after.inflight)
-    created = set((after_msgs - before_msgs).keys())
-    before_timers = {_seed_timer_key(t) for t in before.timers}
-    for timer in after.timers:
-        if _seed_timer_key(timer) not in before_timers:
-            created.add(_seed_timer_key(timer))
-    return created
-
-
-def _seed_consumed_event_key(action):
-    if isinstance(action, (DeliverAction, DropAction)):
-        return (action.src, action.dst, freeze(action.msg))
-    if isinstance(action, TimerAction):
-        return (action.node, action.name, freeze(action.payload))
-    return None
-
-
-def seed_randtree_properties(config):
-    """The pre-PR RandTree property set: a full O(n^2) pairwise rescan
-    and full per-node scans in every visited state, no verdict caching."""
-
-    def pairwise_check(world):
-        live = world.live_nodes()
-        for a in live:
-            for b in live:
-                if a == b:
-                    continue
-                if not child_parent_consistent(
-                    a, world.state_of(a), b, world.state_of(b)
-                ):
-                    return False
-        return True
-
-    def full_scan(rule):
-        return lambda world: all(
-            rule(nid, world.state_of(nid)) for nid in world.live_nodes()
-        )
-
-    return [
-        SafetyProperty(name="child-parent-consistency", predicate=pairwise_check),
-        SafetyProperty(name="degree-bound", predicate=full_scan(degree_bound(config))),
-        SafetyProperty(name="no-self-loops", predicate=full_scan(no_self_loop)),
-    ]
-
-
-class SeedExplorer(Explorer):
-    """Seed materialization: factory + restore once per message."""
-
-    def __init__(self, *args, **kwargs):
-        kwargs["service_pooling"] = False
-        super().__init__(*args, **kwargs)
-
-    def _build_successor(self, world, node_id, checkpoint, effects, **kwargs):
-        # The seed snapshotted the checkpoint into the successor world
-        # (one more deep copy than the optimized adopt-as-is path).
-        return super()._build_successor(
-            world, node_id, snapshot_value(checkpoint), effects, **kwargs
-        )
-
-    def enabled_actions(self, world):
-        actions = []
-        seen_messages = set()
-        for message in world.inflight:
-            key = _seed_message_key(message)
-            if key in seen_messages:
-                continue
-            seen_messages.add(key)
-            if not world.is_up(message.dst) or message.dst not in world.node_states:
-                continue
-            service = self.materialize(world, message.dst)
-            for spec in service.applicable_handlers(message.src, message.msg):
-                actions.append(
-                    DeliverAction(src=message.src, dst=message.dst,
-                                  msg=message.msg, handler=spec.name)
-                )
-        for timer in world.timers:
-            if world.is_up(timer.node) and timer.node in world.node_states:
-                actions.append(
-                    TimerAction(node=timer.node, name=timer.name, payload=timer.payload)
-                )
-        if self.include_drops:
-            seen_messages.clear()
-            for message in world.inflight:
-                key = _seed_message_key(message)
-                if key in seen_messages:
-                    continue
-                seen_messages.add(key)
-                actions.append(
-                    DropAction(src=message.src, dst=message.dst, msg=message.msg)
-                )
-        if self.generic_node is not None:
-            for src, dst, msg in self.generic_node.possible_messages(world.live_nodes()):
-                actions.append(InjectAction(src=src, dst=dst, msg=msg))
-        return actions
-
-
-class SeedPredictor:
-    """The seed ConsequencePredictor, verbatim control flow."""
-
-    def __init__(self, explorer, chain_depth=4, budget=2_000):
-        self.explorer = explorer
-        self.chain_depth = chain_depth
-        self.budget = budget
-
-    def predict(self, world):
-        from repro.mc import PredictionReport
-
-        report = PredictionReport()
-        for action in self.explorer.enabled_actions(world):
-            remaining = self.budget - report.total_states
-            if remaining <= 0:
-                report.budget_exhausted = True
-                break
-            outcome = self._explore_chain(world, action, remaining)
-            report.outcomes.append(outcome)
-            report.total_states += outcome.states
-        return report
-
-    def _explore_chain(self, root, action, budget):
-        from repro.mc import ActionOutcome
-
-        outcome = ActionOutcome(action=action)
-        stack = []
-        for successor in self.explorer.successors(root, action):
-            outcome.states += 1
-            path = (action,)
-            for name in self.explorer.check(successor):
-                outcome.violations.append(
-                    Violation(property_name=name, path=path, world=successor)
-                )
-            frontier = _seed_created_event_keys(root, successor)
-            stack.append((successor, frontier, path, 1))
-        while stack:
-            if outcome.states >= budget:
-                break
-            world, frontier, path, depth = stack.pop()
-            if depth >= self.chain_depth or not frontier:
-                outcome.leaf_worlds.append(world)
-                continue
-            causal_actions = [
-                a for a in self.explorer.enabled_actions(world)
-                if _seed_consumed_event_key(a) in frontier
-            ]
-            if not causal_actions:
-                outcome.leaf_worlds.append(world)
-                continue
-            for causal in causal_actions:
-                consumed = _seed_consumed_event_key(causal)
-                for successor in self.explorer.successors(world, causal):
-                    outcome.states += 1
-                    new_path = path + (causal,)
-                    for name in self.explorer.check(successor):
-                        outcome.violations.append(
-                            Violation(property_name=name, path=new_path, world=successor)
-                        )
-                    new_frontier = (frontier - {consumed}) | _seed_created_event_keys(
-                        world, successor
-                    )
-                    stack.append((successor, new_frontier, new_path, depth + 1))
-        return outcome
 
 
 # ----------------------------------------------------------------------
@@ -302,61 +112,44 @@ def _timed(fn, repeats=REPEATS):
     return best, result
 
 
-def test_p1_prediction_pipeline_speedup():
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_p1_prediction_pipeline_pins():
     factory, world, config = build_snapshot()
-    properties = randtree_properties(config)
 
-    def seed_pipeline():
-        explorer = SeedExplorer(factory, properties=seed_randtree_properties(config))
-        predictor = SeedPredictor(explorer, chain_depth=CHAIN_DEPTH, budget=BUDGET)
-        report = predictor.predict(world)
-        digests = sorted(
-            seed_digest(w) for o in report.outcomes for w in o.leaf_worlds
-        )
-        return report, digests
-
-    def fast_pipeline():
-        explorer = Explorer(factory, properties=properties)
+    def pipeline():
+        explorer = Explorer(factory, properties=randtree_properties(config))
         predictor = ConsequencePredictor(
             explorer, chain_depth=CHAIN_DEPTH, budget=BUDGET,
         )
         world.digest()  # warm the root's per-node digest cache
         report = predictor.predict(world)
-        digests = _leaf_digests(report)
-        return report, digests
+        return report, _leaf_digests(report)
 
-    seed_time, (seed_report, _) = _timed(seed_pipeline)
-    serial_time, (serial_report, serial_digests) = _timed(fast_pipeline)
+    seconds, (report, digests) = _timed(pipeline)
+    signature = _violation_signature(report)
 
-    # Identical exploration results across both implementations.
-    assert seed_report.total_states == serial_report.total_states
-    assert _violation_signature(seed_report) == _violation_signature(serial_report)
-    assert _leaf_digests(seed_report) == serial_digests
-
-    speedup = seed_time / serial_time
     print_table(
         f"P1: depth-{CHAIN_DEPTH} prediction pipeline, {N_NODES}-node world "
-        f"({serial_report.total_states} states)",
-        ("implementation", "seconds", "speedup"),
-        [
-            ("seed (pre-PR)", f"{seed_time:.3f}", "1.0x"),
-            ("incremental+pooled", f"{serial_time:.3f}", f"{speedup:.1f}x"),
-        ],
+        f"({report.total_states} states)",
+        ("implementation", "seconds", "violations"),
+        [("incremental+pooled", f"{seconds:.3f}", str(len(signature)))],
     )
     record_metrics(
         "P1",
         nodes=N_NODES,
         chain_depth=CHAIN_DEPTH,
-        states=serial_report.total_states,
-        violations=len(_violation_signature(serial_report)),
-        seed_seconds=round(seed_time, 4),
-        serial_seconds=round(serial_time, 4),
-        speedup=round(speedup, 2),
+        states=report.total_states,
+        violations=len(signature),
+        serial_seconds=round(seconds, 4),
         quick_mode=QUICK,
     )
-    assert speedup >= MIN_SPEEDUP, (
-        f"hot-path speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor"
-    )
+    assert report.total_states == PINNED_STATES
+    assert len(signature) == PINNED_VIOLATIONS
+    assert _sha256(signature) == PINNED_VIOLATION_SHA256
+    assert _sha256(digests) == PINNED_LEAVES_SHA256
 
 
 def test_p1_incremental_digest_matches_and_wins():

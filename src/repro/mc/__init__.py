@@ -12,7 +12,6 @@ from .actions import (
     DropAction,
     InjectAction,
     TimerAction,
-    action_key,
 )
 from .consequence import (
     ActionOutcome,
@@ -43,7 +42,6 @@ __all__ = [
     "DropAction",
     "InjectAction",
     "TimerAction",
-    "action_key",
     "ActionOutcome",
     "ConsequencePredictor",
     "PredictionReport",

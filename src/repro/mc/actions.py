@@ -1,10 +1,12 @@
 """Actions the explorer can take from a world state.
 
 Enabled actions mirror what can happen next in the real deployment:
-delivering an in-flight message to one of its applicable handlers,
-firing a pending timer, dropping a message (universally possible under
-the fault model, and exactly what execution steering exploits), or a
-generic-node injection (Section 3.3.2's under-specified environment).
+delivering an in-flight message to one of its applicable handlers or
+firing a pending timer (the events a live node dispatches, defined in
+:mod:`repro.statemachine.events`), dropping a message (universally
+possible under the fault model, and exactly what execution steering
+exploits), or a generic-node injection (Section 3.3.2's under-specified
+environment).
 """
 
 from __future__ import annotations
@@ -12,57 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Tuple
 
+from ..statemachine.events import DeliverAction, TimerAction, _memoized_key
 from ..statemachine.serialization import freeze
-
-
-def _memoized_key(action: Any, build) -> Tuple:
-    """Cache an action's key on the (frozen) instance.
-
-    Keys are consulted repeatedly on the prediction hot path (causal
-    frontiers, report indexing, steering dedup); the payload ``freeze``
-    should run once per action object, not once per consultation.
-    """
-    key = getattr(action, "_key", None)
-    if key is None:
-        key = build()
-        object.__setattr__(action, "_key", key)
-    return key
-
-
-@dataclass(frozen=True)
-class DeliverAction:
-    """Deliver an in-flight message to a specific handler of ``dst``."""
-
-    src: int
-    dst: int
-    msg: Any
-    handler: str
-
-    def key(self) -> Tuple:
-        """Stable identity (used by steering filters and dedup)."""
-        return _memoized_key(
-            self, lambda: ("deliver", self.src, self.dst, freeze(self.msg), self.handler)
-        )
-
-    def describe(self) -> str:
-        return f"deliver {type(self.msg).__name__} {self.src}->{self.dst} via {self.handler}"
-
-
-@dataclass(frozen=True)
-class TimerAction:
-    """Fire a pending timer at ``node``."""
-
-    node: int
-    name: str
-    payload: Any = None
-
-    def key(self) -> Tuple:
-        return _memoized_key(
-            self, lambda: ("timer", self.node, self.name, freeze(self.payload))
-        )
-
-    def describe(self) -> str:
-        return f"timer {self.name} at {self.node}"
 
 
 @dataclass(frozen=True)
@@ -102,16 +55,10 @@ class InjectAction:
 Action = Any  # union of the dataclasses above
 
 
-def action_key(action: Action) -> Tuple:
-    """Canonical identity of any action."""
-    return action.key()
-
-
 __all__ = [
     "DeliverAction",
     "TimerAction",
     "DropAction",
     "InjectAction",
     "Action",
-    "action_key",
 ]

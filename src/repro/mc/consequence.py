@@ -190,9 +190,7 @@ class ConsequencePredictor:
                 min_depth = report.min_violation_depth()
                 if min_depth is not None:
                     metrics.gauge("mc.min_violation_depth").set(min_depth)
-            pool = self.explorer.pool
-            if pool is not None:
-                metrics.gauge("mc.pool.hit_rate").set(pool.hit_rate)
+            metrics.gauge("mc.pool.hit_rate").set(self.explorer.pool.hit_rate)
         if timed:
             elapsed = perf_counter() - started
             metrics.histogram("mc.predict.seconds").observe(elapsed)

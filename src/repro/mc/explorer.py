@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..statemachine.context import ChoiceRequested, SandboxContext
+from ..statemachine.context import ChoiceRequested, Effects, SandboxContext
 from ..statemachine.service import Service
 from .actions import Action, DeliverAction, DropAction, InjectAction, TimerAction
 from .properties import SafetyProperty, violated_properties
@@ -30,6 +29,9 @@ from .world import InFlightMessage, PendingTimer, WorldState
 ServiceFactory = Callable[[int], Service]
 
 DEFAULT_STEP_TIME = 0.05
+# Choice-script expansions one handler step may make before the rest of
+# its branch families are dropped (see Explorer._invoke_variants).
+MAX_CHOICE_VARIANTS = 64
 
 
 class ExplorationError(Exception):
@@ -81,10 +83,8 @@ class ExplorationResult:
 class ServicePool:
     """Per-node service instances reused across materializations.
 
-    The seed hot path re-ran the factory (plus a full ``restore``) once
-    per in-flight message just to list applicable handlers.  The pool
-    runs the factory once per node and re-installs checkpoints via
-    ``restore()`` on every use.  Aliasing rule: ``restore_state``
+    The pool runs the factory once per node and re-installs checkpoints
+    via ``restore()`` on every use.  Aliasing rule: ``restore_state``
     deep-copies, so a pooled instance never holds references into world
     state dicts — it is exactly as isolated as a fresh instance, as
     long as services keep all dispatch-mutable state in
@@ -101,8 +101,8 @@ class ServicePool:
         self.restores = 0
         self.restores_skipped = 0
 
-    def acquire(self, world: WorldState, node_id: int, readonly: bool = False) -> Service:
-        """A service for ``node_id`` restored to its state in ``world``.
+    def acquire(self, node_id: int, state: Dict[str, Any], readonly: bool = False) -> Service:
+        """A service for ``node_id`` restored to ``state``.
 
         ``readonly`` promises the caller only *reads* the service (e.g.
         listing applicable handlers — guards must not mutate state, the
@@ -116,7 +116,6 @@ class ServicePool:
             self._instances[node_id] = service
             self.factory_calls += 1
         service.ctx = None
-        state = world.state_of(node_id)
         if self._clean.get(node_id) is state:
             self.restores_skipped += 1
         else:
@@ -131,15 +130,6 @@ class ServicePool:
         total = self.restores + self.restores_skipped
         return self.restores_skipped / total if total else 0.0
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Pool effectiveness counters, JSON-able."""
-        return {
-            "factory_calls": self.factory_calls,
-            "restores": self.restores,
-            "restores_skipped": self.restores_skipped,
-            "hit_rate": self.hit_rate,
-        }
-
 
 class Explorer:
     """Enumerates and applies enabled actions over world states."""
@@ -152,8 +142,6 @@ class Explorer:
         include_drops: bool = False,
         generic_node: Optional[object] = None,
         rng_seed: int = 0,
-        max_choice_variants: int = 64,
-        service_pooling: bool = True,
     ) -> None:
         self.service_factory = service_factory
         self.properties = list(properties)
@@ -161,24 +149,38 @@ class Explorer:
         self.include_drops = include_drops
         self.generic_node = generic_node
         self.rng_seed = rng_seed
-        self.max_choice_variants = max_choice_variants
-        self.pool: Optional[ServicePool] = (
-            ServicePool(service_factory) if service_pooling else None
-        )
+        self.pool = ServicePool(service_factory)
 
     # ------------------------------------------------------------------
-    # Materialization
+    # Materialization and the sandbox step
     # ------------------------------------------------------------------
 
     def materialize(
-        self, world: WorldState, node_id: int, readonly: bool = False
+        self, node_id: int, state: Dict[str, Any], readonly: bool = False
     ) -> Service:
-        """Instantiate the node's service from its checkpoint in ``world``."""
-        if self.pool is not None:
-            return self.pool.acquire(world, node_id, readonly=readonly)
-        service = self.service_factory(node_id)
-        service.restore(world.state_of(node_id))
-        return service
+        """The node's service, restored to the checkpoint ``state``."""
+        return self.pool.acquire(node_id, state, readonly)
+
+    def sandbox_step(
+        self,
+        node_id: int,
+        state: Dict[str, Any],
+        event: Action,
+        now: float,
+        script: List[Any],
+    ) -> Tuple[Dict[str, Any], Effects, bool]:
+        """One sandboxed run of a deliver or timer ``event`` at
+        ``node_id`` from the checkpoint ``state``, entering the service
+        as a live node does, with the clock at ``now`` and choices
+        answered from ``script``.  Returns ``(checkpoint, effects,
+        whether the handler read the clock)``, or raises
+        :class:`ChoiceRequested` at the first choice past ``script``.
+        """
+        service = self.materialize(node_id, state)
+        ctx = service.ctx = SandboxContext(
+            node_id, now=now, choice_script=script, rng_seed=self.rng_seed)
+        event.dispatch(service)
+        return service.checkpoint(), ctx.effects, ctx.time_read
 
     # ------------------------------------------------------------------
     # Enabled actions
@@ -222,7 +224,8 @@ class Explorer:
                     continue
                 service = materialized.get(message.dst)
                 if service is None:
-                    service = self.materialize(world, message.dst, readonly=True)
+                    service = self.materialize(
+                        message.dst, world.state_of(message.dst), readonly=True)
                     materialized[message.dst] = service
                 for spec in service.applicable_handlers(message.src, message.msg):
                     actions.append(
@@ -257,24 +260,14 @@ class Explorer:
     def successors(self, world: WorldState, action: Action) -> List[WorldState]:
         """All successor worlds of applying ``action`` (one per inner
         choice-script variant)."""
-        if isinstance(action, DeliverAction):
-            return self._apply_handler(world, action, action.dst, _deliver)
-        if isinstance(action, TimerAction):
-            return self._apply_handler(world, action, action.node, _fire)
+        if isinstance(action, (DeliverAction, TimerAction)):
+            return self._expand(world, action, None, None)[0]
         if isinstance(action, DropAction):
-            return [
-                world.evolve(
-                    remove_inflight=InFlightMessage(action.src, action.dst, action.msg),
-                    time_delta=0.0,
-                )
-            ]
+            message = InFlightMessage(action.src, action.dst, action.msg)
+            return [world.evolve(remove_inflight=message)]
         if isinstance(action, InjectAction):
-            return [
-                world.evolve(
-                    add_inflight=[InFlightMessage(action.src, action.dst, action.msg)],
-                    time_delta=0.0,
-                )
-            ]
+            message = InFlightMessage(action.src, action.dst, action.msg)
+            return [world.evolve(add_inflight=[message])]
         raise ExplorationError(f"unknown action type {type(action).__name__}")
 
     def _delivery_delay(self, src: int, dst: int, msg: Any) -> float:
@@ -283,71 +276,55 @@ class Explorer:
         size = msg.wire_size() if hasattr(msg, "wire_size") else 1024
         return self.network_model.transfer_time(src, dst, size)
 
-    def _consumed(self, world: WorldState, action: Action) -> Tuple[
-            Optional[InFlightMessage], Tuple[Tuple[int, str], ...], float]:
-        """What a deliver or timer step takes out of ``world`` besides
-        its handler's own effects — ``(message, fired timers)`` — and
-        the time it advances."""
-        if isinstance(action, DeliverAction):
-            removed = InFlightMessage(action.src, action.dst, action.msg)
-            return removed, (), self._delivery_delay(action.src, action.dst, action.msg)
-        timer = _first_timers(world).get((action.node, action.name))
-        if timer is None:
-            raise ExplorationError(f"timer not pending: {action!r}")
-        return None, ((timer.node, timer.name),), max(timer.delay, 0.0) or DEFAULT_STEP_TIME
-
-    def _apply_handler(
-        self,
-        world: WorldState,
-        action: Action,
-        node_id: int,
-        run: Callable[[Action, Service], None],
-    ) -> List[WorldState]:
-        removed, fired, delay = self._consumed(world, action)
-        variants, _ = self._invoke_variants(world, node_id, partial(run, action))
-        return [
-            self._build_successor(world, node_id, checkpoint, effects,
-                                  remove_inflight=removed, remove_timers_extra=fired,
-                                  time_delta=delay)
-            for checkpoint, effects in variants
-        ]
-
     def _expand(
         self,
         world: WorldState,
         action: Action,
-        memo: Dict[Tuple, Any],
-        result: ExplorationResult,
+        memo: Optional[Dict[Tuple, Any]],
+        result: Optional[ExplorationResult],
     ) -> Tuple[List[WorldState], Optional[int]]:
-        """``successors(world, action)`` for :meth:`_search`, and the node
-        the step acted on — ``None`` for a step dependent with every
-        action: a drop, an injection, or a handler that read the clock.
+        """``successors(world, action)``, and the node the step acted on
+        — ``None`` for a step dependent with every action: a drop, an
+        injection, or a handler that read the clock.  The one builder of
+        deliver and timer successors, for :meth:`successors` and
+        :meth:`_search` alike.
 
-        ``memo`` maps ``(node, id(node's state dict), action key)`` to
+        The search passes a ``memo`` (and the ``result`` that counts its
+        hits); it maps ``(node, id(node's state dict), action key)`` to
         ``(that state dict, steps)``: a handler is a function of its
         node's state and its message unless it reads the clock, so a
         clock-free run's checkpoints, their digest cells and the events
         they create serve every later world holding the same state dict.
         The entry keeps the dict alive, so its id is not reused.
         """
+        # What the step takes out of the world besides its handler's own
+        # effects (the message, or the fired timer), and the time it takes.
         if isinstance(action, DeliverAction):
-            node_id, run = action.dst, _deliver
+            node_id, fired = action.dst, ()
+            removed = InFlightMessage(action.src, action.dst, action.msg)
+            delay = self._delivery_delay(action.src, action.dst, action.msg)
         elif isinstance(action, TimerAction):
-            node_id, run = action.node, _fire
+            node_id, removed = action.node, None
+            timer = _first_timers(world).get((action.node, action.name))
+            if timer is None:
+                raise ExplorationError(f"timer not pending: {action!r}")
+            fired = ((timer.node, timer.name),)
+            delay = max(timer.delay, 0.0) or DEFAULT_STEP_TIME
         else:
             return self.successors(world, action), None
-        removed, fired, delay = self._consumed(world, action)
         state = world.state_of(node_id)
-        key = (node_id, id(state), action.key())
-        entry = memo.get(key)
+        key = entry = None
+        if memo is not None:
+            key = (node_id, id(state), action.key())
+            entry = memo.get(key)
         if entry is not None:
             result.reused += 1
             steps, time_read = entry[1], False
         else:
-            variants, time_read = self._invoke_variants(world, node_id, partial(run, action))
-            steps = [(checkpoint, [None]) + _effect_events(node_id, effects)
+            variants, time_read = self._invoke_variants(node_id, state, action, world.time)
+            steps = [(checkpoint, [None]) + effect_events(node_id, effects)
                      for checkpoint, effects in variants]
-            if not time_read:
+            if key is not None and not time_read:
                 memo[key] = (state, steps)
         successors = []
         for checkpoint, cell, sent, cancelled, armed in steps:
@@ -365,68 +342,37 @@ class Explorer:
 
     def _invoke_variants(
         self,
-        world: WorldState,
         node_id: int,
-        invoke: Callable[[Service], None],
-    ) -> Tuple[List[Tuple[Dict[str, Any], Any]], bool]:
-        """Run a handler under every inner choice-script variant.
+        state: Dict[str, Any],
+        event: Action,
+        now: float,
+    ) -> Tuple[List[Tuple[Dict[str, Any], Effects]], bool]:
+        """Run a handler step under every inner choice-script variant.
 
         Each exposed choice reached inside the handler multiplies the
-        branches (bounded by ``max_choice_variants``).  Returns a list
-        of ``(new_checkpoint, effects)`` and whether any run read the
-        clock.
+        branches (bounded by :data:`MAX_CHOICE_VARIANTS`).  Returns a
+        list of ``(new_checkpoint, effects)`` and whether any run read
+        the clock.
         """
-        results: List[Tuple[Dict[str, Any], Any]] = []
+        results: List[Tuple[Dict[str, Any], Effects]] = []
         stack: List[List[Any]] = [[]]
         expansions = 0
         time_read = False
         while stack:
-            script = stack.pop()
-            service = self.materialize(world, node_id)
-            ctx = SandboxContext(
-                node_id, now=world.time, choice_script=list(script),
-                rng_seed=self.rng_seed,
-            )
-            service.ctx = ctx
-            branched = False
             try:
-                invoke(service)
+                checkpoint, effects, read = self.sandbox_step(
+                    node_id, state, event, now, stack.pop())
             except ChoiceRequested as request:
-                branched = True
                 expansions += 1
                 # Past the bound, the branch family is dropped entirely.
-                if expansions <= self.max_choice_variants:
+                if expansions <= MAX_CHOICE_VARIANTS:
                     for candidate in reversed(request.point.candidates):
                         stack.append(list(request.consumed) + [candidate])
-            time_read = time_read or ctx.time_read
-            if not branched:
-                results.append((service.checkpoint(), ctx.effects))
+                time_read = time_read or request.time_read
+                continue
+            time_read = time_read or read
+            results.append((checkpoint, effects))
         return results, time_read
-
-    def _build_successor(
-        self,
-        world: WorldState,
-        node_id: int,
-        checkpoint: Dict[str, Any],
-        effects,
-        remove_inflight: Optional[InFlightMessage] = None,
-        remove_timers_extra: Iterable[Tuple[int, str]] = (),
-        time_delta: float = DEFAULT_STEP_TIME,
-    ) -> WorldState:
-        add_inflight, remove_timers, add_timers = _effect_events(node_id, effects)
-        remove_timers.extend(remove_timers_extra)
-        # checkpoint comes from Service.checkpoint(), already a fresh
-        # deep copy nothing else aliases, so the world adopts it as-is.
-        return world.evolve(
-            node_id=node_id,
-            new_state=checkpoint,
-            remove_inflight=remove_inflight,
-            add_inflight=add_inflight,
-            remove_timers=remove_timers,
-            add_timers=add_timers,
-            time_delta=time_delta,
-            copy_state=False,
-        )
 
     # ------------------------------------------------------------------
     # Property checking and search
@@ -534,21 +480,7 @@ class Explorer:
                     taken[action.key()] = node
 
 
-def _deliver(action: DeliverAction, service: Service) -> None:
-    specs = [s for s in service.applicable_handlers(action.src, action.msg)
-             if s.name == action.handler]
-    if not specs:
-        # Guard no longer passes after restoration drift; treat the
-        # delivery as a no-op rather than crashing exploration.
-        return
-    service.invoke_handler(specs[0], action.src, action.msg)
-
-
-def _fire(action: TimerAction, service: Service) -> None:
-    service.fire_timer(action.name, action.payload)
-
-
-def _effect_events(node_id: int, effects) -> Tuple[
+def effect_events(node_id: int, effects: Effects) -> Tuple[
         List[InFlightMessage], List[Tuple[int, str]], List[PendingTimer]]:
     """A handler run's effects as world events of ``node_id``: the
     messages it sent, the timers it cancelled, the timers it armed."""
@@ -620,5 +552,7 @@ __all__ = [
     "ServiceFactory",
     "created_event_keys",
     "consumed_event_key",
+    "effect_events",
     "DEFAULT_STEP_TIME",
+    "MAX_CHOICE_VARIANTS",
 ]

@@ -20,16 +20,16 @@ from ..mc import (
     ConsequencePredictor,
     DeliverAction,
     Explorer,
-    InFlightMessage,
     PendingTimer,
     PredictionReport,
     WorldState,
     score_report,
     violated_properties,
 )
+from ..mc.explorer import effect_events
 from ..model import NetworkModel, StateModel
 from ..obs import MetricsRegistry, stats_view
-from ..statemachine import ChoiceRequested, InboundInterposer, SandboxContext
+from ..statemachine import ChoiceRequested, InboundInterposer
 from ..statemachine.node import Node
 from ..statemachine.serialization import freeze
 from .checkpoints import (
@@ -158,11 +158,9 @@ class CrystalBallRuntime(InboundInterposer):
         self.fallback = fallback
         self._last_state_digest: Optional[str] = None
         self._last_broadcast_at = float("-inf")
-        # Reused across prediction passes: the explorer's service pool
-        # amortizes factory runs, and the replay service amortizes the
-        # per-candidate factory in resolve_choice.
+        # Reused across prediction passes and dispatch replays: the
+        # explorer's service pool amortizes factory runs.
         self._explorer: Optional[Explorer] = None
-        self._replay_service: Optional[Any] = None
 
         self.state_model = StateModel(node.node_id)
         # All counters live in the runtime's own metrics registry;
@@ -581,9 +579,9 @@ class CrystalBallRuntime(InboundInterposer):
     def make_explorer(self) -> Explorer:
         """The explorer configured with this runtime's model and properties.
 
-        One instance is reused across prediction passes so its service
-        pool stays warm (the model/property references it holds are
-        live and track runtime updates).
+        One instance is reused across prediction passes and dispatch
+        replays so its service pool stays warm (the model/property
+        references it holds are live and track runtime updates).
         """
         if self._explorer is None:
             self._explorer = Explorer(
@@ -752,7 +750,7 @@ class CrystalBallRuntime(InboundInterposer):
             return None
         before = self.stats["states_explored"]
         scored = []
-        weight = self._checkpoint_weight(dispatch)
+        weight = _state_weight(dispatch.checkpoint.values())
         with self.metrics.span("runtime.policy_score", node=self.node.node_id):
             for candidate in point.candidates:
                 score = self._score_candidate(dispatch, candidate, budget=_POLICY_BUDGET)
@@ -777,11 +775,6 @@ class CrystalBallRuntime(InboundInterposer):
         )
         return tuple(scored), cost
 
-    @staticmethod
-    def _checkpoint_weight(dispatch) -> int:
-        """Size proxy for one captured state: container lengths summed."""
-        return _state_weight(dispatch.checkpoint.values())
-
     def _policy_cost(self, point: ChoicePoint, node: Node) -> Optional[int]:
         """Projected cost of scoring ``point`` now, for budget admission.
 
@@ -796,7 +789,7 @@ class CrystalBallRuntime(InboundInterposer):
         """
         dispatch = node.current_dispatch
         if dispatch is not None:
-            weight = self._checkpoint_weight(dispatch)
+            weight = _state_weight(dispatch.checkpoint.values())
         else:
             service = getattr(node, "service", None)
             fields = getattr(service, "state_fields", None)
@@ -808,24 +801,19 @@ class CrystalBallRuntime(InboundInterposer):
     def _score_candidate(
         self, dispatch, candidate: Any, budget: Optional[int] = None,
     ) -> float:
-        effects, checkpoint = self._replay(dispatch, candidate)
-        if effects is None:
+        replayed = self._replay(dispatch, candidate)
+        if replayed is None:
             return float("-inf")
+        checkpoint, effects, _ = replayed
         states = self.state_model.latest_states()
         states[self.node.node_id] = checkpoint
         down = {nid for nid in states if not self.node.network.liveness.is_up(nid)}
+        # The replay's sends and armed timers are the world's only
+        # events; the timers it cancelled were never in it.
+        sent, _, armed = effect_events(self.node.node_id, effects)
         world = WorldState(
-            node_states=states,
-            inflight=[
-                InFlightMessage(self.node.node_id, dst, msg) for dst, msg in effects.sent
-            ],
-            timers=[
-                PendingTimer(self.node.node_id, name, payload, delay)
-                for name, delay, payload in effects.timers_set
-            ],
-            down=down,
-            time=self.node.sim.now,
-            copy_states=False,
+            node_states=states, inflight=sent, timers=armed, down=down,
+            time=self.node.sim.now, copy_states=False,
         )
         immediate = self.objective.score(world)
         predictor = ConsequencePredictor(
@@ -840,29 +828,20 @@ class CrystalBallRuntime(InboundInterposer):
 
     def _replay(self, dispatch, candidate: Any):
         """Re-run the captured dispatch with ``candidate`` at the pending
-        choice; later unscripted choices are filled first-candidate."""
+        choice through the explorer's sandbox step, filling later
+        unscripted choices with their first candidate: ``(checkpoint,
+        effects, time_read)``, or None when the fills run out."""
+        explorer = self.make_explorer()
         script = list(dispatch.choices) + [candidate]
         for _ in range(_MAX_REPLAY_FILLS):
-            service = self._replay_service
-            if service is None:
-                service = self.service_factory(self.node.node_id)
-                self._replay_service = service
-            service.restore(dispatch.checkpoint)
-            ctx = SandboxContext(
-                self.node.node_id, now=self.node.sim.now,
-                choice_script=list(script), rng_seed=self.node.sim.rng.root_seed,
-            )
-            service.ctx = ctx
             try:
-                if dispatch.kind == "deliver":
-                    service.deliver(dispatch.src, dispatch.msg)
-                else:
-                    service.fire_timer(dispatch.timer_name, dispatch.payload)
+                return explorer.sandbox_step(
+                    self.node.node_id, dispatch.checkpoint, dispatch.event,
+                    self.node.sim.now, script,
+                )
             except ChoiceRequested as request:
                 script = list(request.consumed) + [request.point.candidates[0]]
-                continue
-            return ctx.effects, service.checkpoint()
-        return None, None
+        return None
 
 
 __all__ = ["CrystalBallRuntime"]

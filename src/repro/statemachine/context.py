@@ -31,13 +31,17 @@ class ChoiceRequested(Exception):
     """A sandboxed handler reached an unscripted choice.
 
     Carries the choice point and the script consumed so far; the
-    explorer extends the script with each candidate and re-runs.
+    explorer extends the script with each candidate and re-runs.  It
+    also carries whether the run had read the clock: the explorer trusts
+    only clock-free steps, and a branch family past its variant bound is
+    never re-run to find out.
     """
 
-    def __init__(self, point: ChoicePoint, consumed: List[Any]) -> None:
+    def __init__(self, point: ChoicePoint, consumed: List[Any], time_read: bool) -> None:
         super().__init__(f"unscripted choice {point.label!r} at node {point.node_id}")
         self.point = point
         self.consumed = consumed
+        self.time_read = time_read
 
 
 @dataclass
@@ -47,7 +51,6 @@ class Effects:
     sent: List[Tuple[int, Any]] = field(default_factory=list)
     timers_set: List[Tuple[str, float, Any]] = field(default_factory=list)
     timers_cancelled: List[str] = field(default_factory=list)
-    choices_made: List[Tuple[str, Any]] = field(default_factory=list)
 
 
 class Context:
@@ -190,9 +193,8 @@ class SandboxContext(Context):
                     f"scripted value {value!r} not among candidates of {point.label!r}"
                 )
             self._consumed.append(value)
-            self.effects.choices_made.append((point.label, value))
             return value
-        raise ChoiceRequested(point, list(self._consumed))
+        raise ChoiceRequested(point, list(self._consumed), self.time_read)
 
     def choose_handler(self, src: int, msg: Any, specs: List[HandlerSpec]) -> HandlerSpec:
         point = ChoicePoint(

@@ -14,12 +14,13 @@ topology for experiments and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..choice.choicepoint import ChoicePoint
 from ..net import Network, Topology, full_mesh
 from ..sim import LivenessRegistry, Simulator
 from .context import LiveContext
+from .events import DeliverAction, TimerAction
 from .service import Service
 
 
@@ -54,15 +55,13 @@ class DispatchRecord:
     Captured (when ``Node.capture_dispatch`` is set) so a predictive
     resolver can *replay* the running handler in a sandbox from the
     pre-dispatch checkpoint, substituting each candidate at the pending
-    choice point.  ``choices`` holds the values of choices already
-    resolved earlier in this same dispatch, in order.
+    choice point.  ``event`` is the dispatch as the explorer steps it (a
+    delivery names no handler: the context resolves it, as live);
+    ``choices`` holds the values of choices already resolved earlier in
+    this same dispatch, in order.
     """
 
-    kind: str  # "deliver" or "timer"
-    src: Optional[int]
-    msg: Any
-    timer_name: Optional[str]
-    payload: Any
+    event: Union[DeliverAction, TimerAction]
     checkpoint: Dict[str, Any]
     choices: List[Any] = field(default_factory=list)
 
@@ -260,9 +259,7 @@ class Node:
             or self.current_dispatch_kind in self.capture_kinds
         ):
             self.current_dispatch = DispatchRecord(
-                kind="deliver", src=src, msg=payload, timer_name=None,
-                payload=None, checkpoint=self.service.checkpoint(),
-            )
+                DeliverAction(src, self.node_id, payload), self.service.checkpoint())
         try:
             self.service.deliver(src, payload)
         finally:
@@ -340,9 +337,7 @@ class Node:
             or self.current_dispatch_kind in self.capture_kinds
         ):
             self.current_dispatch = DispatchRecord(
-                kind="timer", src=None, msg=None, timer_name=name,
-                payload=payload, checkpoint=self.service.checkpoint(),
-            )
+                TimerAction(self.node_id, name, payload), self.service.checkpoint())
         try:
             self.service.fire_timer(name, payload)
         finally:

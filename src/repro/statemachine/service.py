@@ -113,7 +113,7 @@ class Service:
         self.ctx.record(category, **data)
 
     # ------------------------------------------------------------------
-    # Dispatch (called by the host / explorer)
+    # Dispatch (called by the host node and the explorer's sandbox step)
     # ------------------------------------------------------------------
 
     def applicable_handlers(self, src: int, msg: Any) -> List[HandlerSpec]:
@@ -121,17 +121,20 @@ class Service:
         specs = self._msg_handlers.get(type(msg), [])
         return [spec for spec in specs if spec.applicable(self, src, msg)]
 
-    def deliver(self, src: int, msg: Any) -> bool:
-        """Dispatch an inbound message.
+    def deliver(self, src: int, msg: Any, handler: Optional[str] = None) -> bool:
+        """Dispatch an inbound message: the one way into a message
+        handler, live and in the explorer.
 
-        With several applicable handlers (NFA mode) the context resolves
-        which one runs.  Returns ``False`` for messages with no
-        applicable handler (they are traced and ignored, matching
-        transport semantics of unhandled messages).
+        Only the applicable handler named ``handler`` may run; without a
+        name, several applicable handlers (NFA mode) are resolved by the
+        context.  With none applicable the message is traced as
+        ``service.unhandled`` and ignored (returns ``False``).
         """
         spec = self._sole_handlers.get(type(msg))
-        if spec is None:
+        if spec is None or (handler is not None and handler != spec.name):
             specs = self.applicable_handlers(src, msg)
+            if handler is not None:
+                specs = [s for s in specs if s.name == handler]
             if not specs:
                 self.record("service.unhandled", msg=type(msg).__name__, src=src)
                 return False
@@ -143,7 +146,7 @@ class Service:
         return True
 
     def invoke_handler(self, spec: HandlerSpec, src: int, msg: Any) -> None:
-        """Run one specific handler (used directly by the explorer)."""
+        """Run one specific handler (the leaf call of :meth:`deliver`)."""
         spec.fn(self, src, msg)
 
     def fire_timer(self, name: str, payload: Any = None) -> None:

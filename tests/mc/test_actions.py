@@ -5,7 +5,6 @@ from repro.mc import (
     DropAction,
     InjectAction,
     TimerAction,
-    action_key,
 )
 
 from .conftest import Token
@@ -14,27 +13,27 @@ from .conftest import Token
 def test_deliver_key_includes_handler():
     a = DeliverAction(src=0, dst=1, msg=Token(value=1), handler="h1")
     b = DeliverAction(src=0, dst=1, msg=Token(value=1), handler="h2")
-    assert action_key(a) != action_key(b)
+    assert a.key() != b.key()
 
 
 def test_deliver_key_payload_sensitive():
     a = DeliverAction(src=0, dst=1, msg=Token(value=1), handler="h")
     b = DeliverAction(src=0, dst=1, msg=Token(value=2), handler="h")
-    assert action_key(a) != action_key(b)
+    assert a.key() != b.key()
 
 
 def test_keys_distinguish_action_types():
     deliver = DeliverAction(src=0, dst=1, msg=Token(value=1), handler="h")
     drop = DropAction(src=0, dst=1, msg=Token(value=1))
-    assert action_key(deliver)[0] == "deliver"
-    assert action_key(drop)[0] == "drop"
-    assert action_key(deliver) != action_key(drop)
+    assert deliver.key()[0] == "deliver"
+    assert drop.key()[0] == "drop"
+    assert deliver.key() != drop.key()
 
 
 def test_timer_key_includes_payload():
     a = TimerAction(node=1, name="t", payload="x")
     b = TimerAction(node=1, name="t", payload="y")
-    assert action_key(a) != action_key(b)
+    assert a.key() != b.key()
 
 
 def test_describe_is_readable():
@@ -47,4 +46,4 @@ def test_describe_is_readable():
 def test_keys_are_stable_across_instances():
     a = DeliverAction(src=0, dst=1, msg=Token(value=1), handler="h")
     b = DeliverAction(src=0, dst=1, msg=Token(value=1), handler="h")
-    assert action_key(a) == action_key(b)
+    assert a.key() == b.key()

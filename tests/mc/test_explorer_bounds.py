@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 from repro.mc import Explorer, InFlightMessage, WorldState
+from repro.mc import explorer as explorer_module
 from repro.statemachine import Message, Service, msg_handler
 
 
@@ -41,9 +42,10 @@ def test_variants_enumerate_fully_when_small():
     assert picks == {(0,), (1,), (2,), (3,)}
 
 
-def test_variant_cap_bounds_blowup():
+def test_variant_cap_bounds_blowup(monkeypatch):
     # 3 sequential 4-way choices = 64 full variants; cap at 10 expansions.
-    explorer = Explorer(WideChooser, max_choice_variants=10)
+    monkeypatch.setattr(explorer_module, "MAX_CHOICE_VARIANTS", 10)
+    explorer = Explorer(WideChooser)
     world = make_world(WideChooser, Fanout(rounds=3))
     action = explorer.enabled_actions(world)[0]
     successors = explorer.successors(world, action)

@@ -33,7 +33,6 @@ def test_scripted_choice_consumed_in_order():
     point = ChoicePoint(label="l", candidates=["a", "b"], node_id=1)
     assert ctx.choose(point) == "b"
     assert ctx.choose(point) == "a"
-    assert ctx.effects.choices_made == [("l", "b"), ("l", "a")]
 
 
 def test_script_exhaustion_raises_choice_requested():

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from repro.choice import ScriptedResolver
-from repro.statemachine import Cluster, Message, Service, msg_handler
+from repro.statemachine import Cluster, Message, SandboxContext, Service, msg_handler
 
 
 @dataclass
@@ -64,3 +64,16 @@ def test_handler_choice_traced():
     records = cluster.sim.trace.select("choice.handler")
     assert len(records) == 2
     assert records[0].data["label"] == "handler:Event"
+
+
+class NoHandlerChoice(SandboxContext):
+    def choose_handler(self, src, msg, specs):
+        raise AssertionError("a named delivery must not choose a handler")
+
+
+def test_named_delivery_runs_that_handler_without_a_choice():
+    service = TwoWays(1)
+    service.ctx = NoHandlerChoice(1)
+    assert set(specs_by_name(service, Event(n=1))) == {"way_a", "way_b"}
+    assert service.deliver(0, Event(n=1), handler="way_b")
+    assert service.path == [("b", 1)]

@@ -11,6 +11,7 @@ from repro.statemachine import (
     msg_handler,
     timer_handler,
 )
+from repro.statemachine.events import DeliverAction
 
 from ..conftest import EchoService, Ping, TickService
 
@@ -135,8 +136,9 @@ def test_dispatch_capture_records_checkpoint():
     cluster.start_all()
     cluster.run(until=2)
     dispatch = seen["dispatch"]
-    assert dispatch.kind == "deliver"
-    assert dispatch.src == 0
+    event = dispatch.event
+    assert isinstance(event, DeliverAction) and isinstance(event.msg, Ping)
+    assert (event.src, event.dst, event.handler) == (0, 1, None)
     assert dispatch.checkpoint["received"] == 0
     assert node.current_dispatch is None  # cleared after dispatch
 
