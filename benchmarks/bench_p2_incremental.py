@@ -46,7 +46,7 @@ def test_p2_delta_checkpoints_cut_bytes():
         cluster = Cluster(4, BigStateService, seed=5)
         runtimes = install_crystalball(
             cluster, BigStateService, checkpoint_period=0.5,
-            checkpoint_deltas=deltas, full_checkpoint_every=5,
+            checkpoint_deltas=deltas,
         )
         cluster.start_all()
         cluster.run(until=horizon)

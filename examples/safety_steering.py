@@ -74,7 +74,6 @@ def run(steering: bool):
         prediction_period=0.4 if steering else 0.0,
         chain_depth=2, budget=300,
         filter_ttl=60.0,
-        steering_enabled=steering,
     )
     cluster.start_all()
     cluster.run(until=15.0)

@@ -6,8 +6,9 @@ instead of hard-coding resolution policy.  A :class:`ChoicePoint`
 packages one such decision: where it arose, the candidate values, and
 application-provided scoring context.
 
-Resolvers (``repro.choice.resolvers`` and the predictive resolver in
-``repro.runtime``) turn a choice point into a concrete value.
+Resolvers (``repro.choice.resolvers``, and the CrystalBall runtime in
+``repro.runtime``, which predicts) turn a choice point into a concrete
+value.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ class ChoiceError(Exception):
 class ConfigurationError(ChoiceError):
     """Raised at install/construction time for invalid resolver wiring.
 
-    Misconfiguration (a missing or non-resolver fallback, an amortized
-    policy without a degradation target) should fail where the wiring
-    happens, not thousands of dispatches later inside ``resolve()``.
+    Misconfiguration (a runtime fallback without a ``resolve`` method, a
+    non-positive policy age) should fail where the wiring happens, not
+    thousands of dispatches later inside ``resolve()``.
     """
 
 

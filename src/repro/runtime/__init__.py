@@ -13,14 +13,13 @@ from .checkpoints import (
     ProbeReplyMsg,
     is_runtime_message,
 )
-from .controller import CrystalBallRuntime
+from .controller import DEGRADE_REASONS, CrystalBallRuntime, install_crystalball
 from .policy import (
     AmortizedSteering,
     identity_key,
     merge_steering_snapshots,
     scenario_signature,
 )
-from .resolver import PredictiveResolver, install_crystalball
 from .steering import EventFilter, SteeringModule
 
 __all__ = [
@@ -35,7 +34,7 @@ __all__ = [
     "ProbeReplyMsg",
     "is_runtime_message",
     "CrystalBallRuntime",
-    "PredictiveResolver",
+    "DEGRADE_REASONS",
     "install_crystalball",
     "EventFilter",
     "SteeringModule",

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..choice.choicepoint import ChoicePoint
+from ..choice.choicepoint import ChoicePoint, ConfigurationError
 from ..choice.objectives import Objective
+from ..choice.resolvers import FirstResolver
 from ..mc import (
     ConsequencePredictor,
     DeliverAction,
@@ -30,7 +31,7 @@ from ..mc.explorer import effect_events
 from ..model import NetworkModel, StateModel
 from ..obs import MetricsRegistry, stats_view
 from ..statemachine import ChoiceRequested, InboundInterposer
-from ..statemachine.node import Node
+from ..statemachine.node import Cluster, Node
 from ..statemachine.serialization import freeze
 from .checkpoints import (
     CheckpointAckMsg,
@@ -50,6 +51,19 @@ _MAX_REPLAY_FILLS = 32
 # Per-candidate state budget of one amortized scored round: the value
 # BENCH_T2.json's numbers were recorded with.
 _POLICY_BUDGET = 240
+# With checkpoint deltas, a full checkpoint (the new baseline) goes out
+# after this many deltas.
+_FULL_CHECKPOINT_EVERY = 5
+# Why a choice was answered by the fallback instead of a prediction, one
+# counter each (``runtime.degraded.<reason>``).  Per choice: no captured
+# dispatch to replay, a snapshot older than max_snapshot_age, every
+# candidate's replay exhausted, or the prediction raised.  Amortized:
+# the scheduler's reasons (see AmortizedSteering).  A
+# periodic prediction round that raised is skipped, not answered.
+DEGRADE_REASONS = (
+    "no_dispatch", "stale_snapshot", "replay_exhausted", "prediction_error",
+    "denied", "deferred", "budget", "unranked", "round_skipped",
+)
 
 
 class _ZeroObjective(Objective):
@@ -77,7 +91,6 @@ class CrystalBallRuntime(InboundInterposer):
         self,
         node: Node,
         service_factory: Callable[[int], Any],
-        neighbors_fn: Optional[Callable[[Node], Iterable[int]]] = None,
         properties: Iterable[Any] = (),
         objective: Optional[Objective] = None,
         checkpoint_period: float = 1.0,
@@ -85,22 +98,19 @@ class CrystalBallRuntime(InboundInterposer):
         chain_depth: int = 3,
         budget: int = 1_500,
         filter_ttl: float = 10.0,
-        steering_enabled: bool = True,
         passive_measurement: bool = True,
         prediction_scope: str = "global",
         broadcast_on_change: bool = False,
         min_broadcast_interval: float = 0.05,
         checkpoint_deltas: bool = False,
-        full_checkpoint_every: int = 5,
         model_share_period: float = 0.0,
         generic_node: Optional[object] = None,
         max_snapshot_age: Optional[float] = None,
-        fallback: Optional[object] = None,
+        fallback: Any = FirstResolver(),
         steering_policy: bool = False,
     ) -> None:
         self.node = node
         self.service_factory = service_factory
-        self.neighbors_fn = neighbors_fn
         self.properties = list(properties)
         self.objective = objective if objective is not None else _ZeroObjective()
         self.network_model = NetworkModel()
@@ -109,7 +119,6 @@ class CrystalBallRuntime(InboundInterposer):
         self.chain_depth = chain_depth
         self.budget = budget
         self.filter_ttl = filter_ttl
-        self.steering_enabled = steering_enabled
         # Passive measurement: fold message timestamps into the network
         # model (disable to freeze the model after bootstrap — the A4
         # ablation of model freshness under changing conditions).
@@ -122,8 +131,7 @@ class CrystalBallRuntime(InboundInterposer):
         # of O(n).  With partial-view membership the two mostly agree
         # anyway (only neighbors send us checkpoints), but the slice
         # also sheds checkpoints lingering from ex-neighbors after
-        # shuffles and caps the world when a full-mesh service runs
-        # with an explicit neighbors_fn.
+        # shuffles.
         if prediction_scope not in ("global", "neighborhood"):
             raise ValueError(
                 f"prediction_scope must be 'global' or 'neighborhood', got {prediction_scope!r}"
@@ -141,7 +149,6 @@ class CrystalBallRuntime(InboundInterposer):
         # resync fallback), so a delta is never diffed against state the
         # receiver provably lacks.
         self.checkpoint_deltas = checkpoint_deltas
-        self.full_checkpoint_every = max(1, full_checkpoint_every)
         self._delta_baseline_state: Optional[Dict[str, Any]] = None
         self._delta_baseline_frozen: Dict[str, Any] = {}
         self._delta_baseline_epoch = -1
@@ -150,11 +157,19 @@ class CrystalBallRuntime(InboundInterposer):
         self.last_prediction_summary: Optional[Dict[str, Any]] = None
         self.model_share_period = model_share_period
         self.generic_node = generic_node
-        # The cheap resolver prediction degrades to: per choice, when
-        # the snapshot is older than max_snapshot_age (confidence
-        # gating, Section 3.3.2 — no predicting from fiction); amortized,
-        # on every choice no policy answers.
+        # Confidence gating (Section 3.3.2): no predicting from a
+        # snapshot older than this.
         self.max_snapshot_age = max_snapshot_age
+        # The one resolver every choice prediction cannot answer degrades
+        # to (see _degrade), checked here rather than at the first miss.
+        # FirstResolver keeps no state, so one default instance serves
+        # every runtime.
+        if not callable(getattr(fallback, "resolve", None)):
+            raise ConfigurationError(
+                "CrystalBallRuntime requires a fallback resolver with a "
+                f".resolve(point, node) method, got {fallback!r}; omit the "
+                "argument to use FirstResolver"
+            )
         self.fallback = fallback
         self._last_state_digest: Optional[str] = None
         self._last_broadcast_at = float("-inf")
@@ -187,7 +202,7 @@ class CrystalBallRuntime(InboundInterposer):
                 "deltas_ignored",
                 "model_shares_sent",
                 "model_entries_adopted",
-                "choices_fallback",
+                *(f"degraded.{reason}" for reason in DEGRADE_REASONS),
             ),
             node=node.node_id,
         )
@@ -195,13 +210,11 @@ class CrystalBallRuntime(InboundInterposer):
         # Amortized prediction-driven steering (ROADMAP item 2): one
         # scored prediction round's ranking serves every choice sharing
         # its coarse scenario signature until it ages out or the world
-        # changes.  AmortizedSteering itself raises ConfigurationError
-        # when the required fallback is missing — at install time, not
-        # mid-run.
+        # changes.  Its misses degrade through this runtime's fallback.
         self.amortized: Optional[AmortizedSteering] = None
         if steering_policy:
             amortized = self.amortized = AmortizedSteering(
-                fallback=fallback,
+                degrade=self._degrade,
                 score_fn=self._policy_score,
                 cost_fn=self._policy_cost,
             )
@@ -249,13 +262,10 @@ class CrystalBallRuntime(InboundInterposer):
     def neighbors(self) -> List[int]:
         """The neighborhood to exchange checkpoints with.
 
-        Order of preference: an explicit ``neighbors_fn``, the
-        service's own ``neighbors()`` method (protocol knowledge,
+        The service's own ``neighbors()`` method (protocol knowledge,
         typically O(log n) in scalable systems), else every other node
         in the topology (the paper's full-global-knowledge mode).
         """
-        if self.neighbors_fn is not None:
-            return [p for p in self.neighbors_fn(self.node) if p != self.node.node_id]
         service_neighbors = getattr(self.node.service, "neighbors", None)
         if callable(service_neighbors):
             return [p for p in service_neighbors() if p != self.node.node_id]
@@ -424,7 +434,7 @@ class CrystalBallRuntime(InboundInterposer):
                 return
             rotate = (
                 self._delta_baseline_state is None
-                or self._deltas_since_full >= self.full_checkpoint_every
+                or self._deltas_since_full >= _FULL_CHECKPOINT_EVERY
             )
             if rotate:
                 # This broadcast is the new baseline every peer must
@@ -593,8 +603,13 @@ class CrystalBallRuntime(InboundInterposer):
             )
         return self._explorer
 
-    def run_prediction(self) -> PredictionReport:
-        """One consequence-prediction pass over the current snapshot."""
+    def run_prediction(self) -> Optional[PredictionReport]:
+        """One consequence-prediction pass over the current snapshot.
+
+        A pass whose prediction raises is skipped: no steering comes
+        from it, it is counted as ``degraded.round_skipped``, and None
+        is returned.
+        """
         predictor = ConsequencePredictor(
             self.make_explorer(), chain_depth=self.chain_depth, budget=self.budget,
             metrics=self.metrics,
@@ -602,13 +617,18 @@ class CrystalBallRuntime(InboundInterposer):
         with self.metrics.span(
             "runtime.predict", clock=self._sim_clock, node=self.node.node_id,
         ):
-            world = self.current_world()
-            report = predictor.predict(world)
+            try:
+                world = self.current_world()
+                report = predictor.predict(world)
+            except ChoiceRequested:
+                raise
+            except Exception:
+                self.stats["degraded.round_skipped"] += 1
+                return None
         self.stats["predictions"] += 1
         self.stats["states_explored"] += report.total_states
         self.last_prediction_summary = report.summary()
-        if self.steering_enabled:
-            self._apply_steering(report, world)
+        self._apply_steering(report, world)
         return report
 
     def _apply_steering(self, report: PredictionReport, world: WorldState) -> None:
@@ -671,6 +691,16 @@ class CrystalBallRuntime(InboundInterposer):
     # Predictive choice resolution
     # ------------------------------------------------------------------
 
+    def resolve(self, point: ChoicePoint, node: Node) -> Any:
+        """The node's choice resolver (``install_crystalball`` sets it).
+
+        A per-choice runtime with no captured dispatch has nothing to
+        replay, so the choice degrades before any prediction starts.
+        """
+        if self.amortized is None and node.current_dispatch is None:
+            return self._degrade("no_dispatch", point, node)
+        return self.resolve_choice(point, node)
+
     def resolve_choice(self, point: ChoicePoint, node: Node) -> Any:
         """Pick the candidate whose predicted future scores best.
 
@@ -678,6 +708,8 @@ class CrystalBallRuntime(InboundInterposer):
         pre-dispatch checkpoint, substituting each candidate at the
         pending choice, then runs consequence prediction on the
         resulting world and scores it with the installed objective.
+        :meth:`resolve` has checked that a dispatch was captured.  A
+        choice prediction cannot answer degrades (see ``_degrade``).
 
         With ``steering_policy`` enabled the amortized scheduler runs
         instead: most choices answer from the coalescing cache or a
@@ -689,38 +721,39 @@ class CrystalBallRuntime(InboundInterposer):
             with self.metrics.span(
                 "runtime.choice", clock=self._sim_clock, node=self.node.node_id,
             ):
-                value, source = self.amortized.resolve_explain(point, node)
+                value = self.amortized.resolve(point, node)
             self.stats["choices_resolved"] += 1
-            if source == "fallback":
-                self.stats["choices_fallback"] += 1
             return value
         dispatch = node.current_dispatch
-        if dispatch is None:
-            # No dispatch to replay (e.g. choice made in on_init), so
-            # nothing distinguishes the candidates.
-            return point.candidates[0]
         if self._snapshot_too_stale():
-            # Confidence gating: the model is too old to predict from;
-            # degrade to the cheap fallback instead of guessing.
-            self.stats["choices_fallback"] += 1
-            if self.fallback is not None:
-                return self.fallback.resolve(point, node)
-            return point.candidates[0]
-        best = point.candidates[0]
-        best_score = float("-inf")
+            return self._degrade("stale_snapshot", point, node)
+        self.stats["choices_resolved"] += 1
+        best, best_score = None, float("-inf")
         with self.metrics.span(
             "runtime.choice", clock=self._sim_clock, node=self.node.node_id,
         ):
-            for candidate in point.candidates:
-                score = self._score_candidate(dispatch, candidate)
-                node.sim.trace.record(
-                    node.sim.now, "runtime.choice_score", node=node.node_id,
-                    label=point.label, score=round(score, 6),
-                )
-                if score > best_score:
-                    best, best_score = candidate, score
-        self.stats["choices_resolved"] += 1
+            try:
+                for candidate in point.candidates:
+                    score = self._score_candidate(dispatch, candidate)
+                    node.sim.trace.record(
+                        node.sim.now, "runtime.choice_score", node=node.node_id,
+                        label=point.label, score=round(score, 6),
+                    )
+                    if score > best_score:
+                        best, best_score = candidate, score
+            except ChoiceRequested:
+                raise
+            except Exception:
+                return self._degrade("prediction_error", point, node)
+        if best_score == float("-inf"):
+            return self._degrade("replay_exhausted", point, node)
         return best
+
+    def _degrade(self, reason: str, point: ChoicePoint, node: Optional[Node]) -> Any:
+        """The one exit for a choice prediction cannot answer: count it
+        as ``degraded.<reason>`` and let the fallback resolve it."""
+        self.stats[f"degraded.{reason}"] += 1
+        return self.fallback.resolve(point, node)
 
     def _snapshot_too_stale(self) -> bool:
         if self.max_snapshot_age is None:
@@ -844,4 +877,32 @@ class CrystalBallRuntime(InboundInterposer):
         return None
 
 
-__all__ = ["CrystalBallRuntime"]
+def install_crystalball(
+    cluster: Cluster,
+    service_factory: Callable[[int], Any],
+    set_resolver: bool = True,
+    start: bool = True,
+    **runtime_kwargs: Any,
+) -> List[CrystalBallRuntime]:
+    """Install a CrystalBall runtime on every node of a cluster.
+
+    ``service_factory`` must build services identical in configuration
+    to the live ones (it is used to materialize checkpoints during
+    exploration).  With ``set_resolver`` each node's runtime becomes its
+    choice resolver: choices are predicted, and every choice prediction
+    cannot answer goes to the runtime's ``fallback`` and is counted
+    under ``runtime.degraded.<reason>``.  Extra keyword arguments are
+    passed to every :class:`CrystalBallRuntime`.
+    """
+    runtimes = []
+    for node in cluster.nodes:
+        runtime = CrystalBallRuntime(node, service_factory, **runtime_kwargs)
+        if set_resolver:
+            node.choice_resolver = runtime
+        if start:
+            runtime.start()
+        runtimes.append(runtime)
+    return runtimes
+
+
+__all__ = ["CrystalBallRuntime", "DEGRADE_REASONS", "install_crystalball"]

@@ -23,8 +23,9 @@ and only when both miss (and the deterministic prediction budget allows
 it) by one scored prediction round whose ranking is installed for every
 later choice in the same scenario.  A ranking older than
 ``max_policy_age``, or invalidated by steering installs / liveness flips
-/ topology changes, degrades gracefully to the static fallback resolver
-— it never answers stale-silently and never blocks the hot path.
+/ topology changes, degrades gracefully to the runtime's fallback
+resolver — it never answers stale-silently and never blocks the hot
+path.
 
 The prediction budget is deliberately expressed in *predicted states
 per simulated second*, not wall time: a wall-clock duty cycle would
@@ -40,6 +41,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..choice.choicepoint import ChoicePoint, ConfigurationError
+from ..statemachine.context import ChoiceRequested
 from ..statemachine.serialization import freeze
 
 #: A ranking is the distilled output of one scored prediction round:
@@ -50,6 +52,9 @@ Ranking = Tuple[Tuple[Any, float], ...]
 #: states_explored)`` or ``None`` when scoring is impossible right now
 #: (typically: the current dispatch was not captured for replay).
 ScoreFn = Callable[[ChoicePoint, Optional[object]], Optional[Tuple[Ranking, int]]]
+
+#: Answers a choice no ranking answered: ``degrade(reason, point, node)``.
+DegradeFn = Callable[[str, ChoicePoint, Optional[object]], Any]
 
 # LRU bounds of the two tables.
 _ANSWER_ENTRIES = 4096
@@ -148,10 +153,14 @@ class AmortizedSteering:
        can run (a captured dispatch is available to replay), one
        prediction round ranks the candidates and installs the ranking
        for the whole scenario.
-    4. **Fallback** — otherwise the static resolver answers; when the
-       only blocker was a missing dispatch capture, capture is armed so
-       an upcoming dispatch carries the checkpoint a scoring round
-       needs.
+    4. **Fallback** — otherwise ``degrade(reason, point, node)``
+       answers, with the reason no prediction did: ``budget`` (the
+       states-rate budget is spent), ``denied`` (admission control: the
+       round would not fit), ``deferred`` (no captured dispatch; capture
+       is armed so an upcoming dispatch carries the checkpoint a
+       scoring round needs), ``prediction_error`` (``score_fn`` raised)
+       or ``unranked`` (no ``score_fn``, or its ranking offers none of
+       the candidates).
 
     Every step is a pure function of simulation state, so same-seed
     runs resolve identically (the T2 bench asserts digest identity).
@@ -159,7 +168,7 @@ class AmortizedSteering:
 
     def __init__(
         self,
-        fallback: Any,
+        degrade: DegradeFn,
         score_fn: Optional[ScoreFn] = None,
         cost_fn: Optional[Any] = None,
         coalesce_window: float = 0.25,
@@ -167,17 +176,11 @@ class AmortizedSteering:
         rate_budget: Optional[float] = 3_000.0,
         initial_allowance: float = 30_000.0,
     ) -> None:
-        if fallback is None or not callable(getattr(fallback, "resolve", None)):
-            raise ConfigurationError(
-                "amortized steering requires a fallback resolver with a "
-                f".resolve(point, node) method, got {fallback!r}; a stale or "
-                "invalidated policy must have something to degrade to"
-            )
         if max_policy_age <= 0:
             raise ConfigurationError(
                 f"max_policy_age must be positive, got {max_policy_age!r}"
             )
-        self.fallback = fallback
+        self.degrade = degrade
         self.score_fn = score_fn
         # Optional admission estimate: projected cost of scoring this
         # point *now* (None = unknown, admit).  Replay cost grows with
@@ -272,42 +275,55 @@ class AmortizedSteering:
             self.counters["policy_hits"] += 1
             _store(self.answers, key, value, now, _ANSWER_ENTRIES)
             return value, "policy"
-        if self.score_fn is not None and self.budget_ok(now):
-            projected = (
-                self.cost_fn(point, node) if self.cost_fn is not None else None
-            )
-            if projected is not None and \
-                    self.spent_states + projected > self.allowance(now):
-                # Admission control: this round's replay no longer fits
-                # the remaining allowance (the decided log has grown).
-                # Disarm capture too — stop snapshotting dispatches for
-                # rounds we cannot afford; the fallback answers until
-                # the accruing allowance can admit a round again.
-                self.counters["denied"] += 1
-                self._disarm(node)
-            else:
-                scored = self.score_fn(point, node)
-                if scored is not None:
-                    ranking, cost = scored
-                    self.spent_states += max(int(cost), 0)
-                    self.counters["scored_rounds"] += 1
-                    self.install(signature, ranking, now)
-                    self._disarm(node)
-                    value = self.lookup(signature, point, now)
-                    if value is not None:
-                        _store(self.answers, key, value, now, _ANSWER_ENTRIES)
-                        return value, "scored"
-                else:
-                    # Scoring wanted but impossible (no captured
-                    # dispatch): arm capture so an upcoming dispatch
-                    # checkpoints its pre-state and the next miss in
-                    # this scenario scores.
-                    self.counters["deferred"] += 1
-                    self._arm(node)
-        value = self.fallback.resolve(point, node)
+        reason = self._score(signature, point, node, now)
+        if reason is None:
+            value = self.lookup(signature, point, now)
+            if value is not None:
+                _store(self.answers, key, value, now, _ANSWER_ENTRIES)
+                return value, "scored"
+            reason = "unranked"
+        value = self.degrade(reason, point, node)
         self.counters["fallbacks"] += 1
         _store(self.answers, key, value, now, _ANSWER_ENTRIES)
         return value, "fallback"
+
+    def _score(self, signature: Tuple, point: ChoicePoint,
+               node: Optional[object], now: float) -> Optional[str]:
+        """Run one scored round and install its ranking: None, or the
+        reason no round ran."""
+        if self.score_fn is None:
+            return "unranked"
+        if not self.budget_ok(now):
+            return "budget"
+        projected = self.cost_fn(point, node) if self.cost_fn is not None else None
+        if projected is not None and self.spent_states + projected > self.allowance(now):
+            # Admission control: this round's replay no longer fits the
+            # remaining allowance (the decided log has grown).  Disarm
+            # capture too — stop snapshotting dispatches for rounds we
+            # cannot afford; the fallback answers until the accruing
+            # allowance can admit a round again.
+            self.counters["denied"] += 1
+            self._disarm(node)
+            return "denied"
+        try:
+            scored = self.score_fn(point, node)
+        except ChoiceRequested:
+            raise
+        except Exception:
+            return "prediction_error"
+        if scored is None:
+            # Scoring wanted but impossible (no captured dispatch): arm
+            # capture so an upcoming dispatch checkpoints its pre-state
+            # and the next miss in this scenario scores.
+            self.counters["deferred"] += 1
+            self._arm(node)
+            return "deferred"
+        ranking, cost = scored
+        self.spent_states += max(int(cost), 0)
+        self.counters["scored_rounds"] += 1
+        self.install(signature, ranking, now)
+        self._disarm(node)
+        return None
 
     def _arm(self, node: Optional[object]) -> None:
         if node is not None:

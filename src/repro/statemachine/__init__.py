@@ -8,7 +8,7 @@ side effects routed through a swappable context (live vs sandboxed).
 from .context import ChoiceRequested, Context, Effects, LiveContext, SandboxContext
 from .handlers import HandlerSpec, msg_handler, timer_handler
 from .messages import Message
-from .node import Cluster, DispatchRecord, InboundInterposer, Node, OutboundInterposer
+from .node import Cluster, DispatchRecord, InboundInterposer, Node
 from .serialization import (
     SerializationError,
     checkpoint_state,
@@ -34,7 +34,6 @@ __all__ = [
     "DispatchRecord",
     "InboundInterposer",
     "Node",
-    "OutboundInterposer",
     "SerializationError",
     "checkpoint_state",
     "digest",

@@ -2,10 +2,10 @@
 
 Figure 1 of the paper shows the CrystalBall runtime *interposing*
 between the network and the state machine.  :class:`Node` implements
-that interposition point: inbound and outbound interposers (the
-CrystalBall runtime registers itself as one) can observe, filter, or
-piggyback on every message, and the node owns live timers and the
-choice resolver in use.
+that interposition point: inbound interposers (the CrystalBall runtime
+registers itself as one) can observe, filter, or piggyback on every
+arriving message, and the node owns live timers and the choice
+resolver in use.
 
 :class:`Cluster` is a convenience that wires ``n`` nodes over a
 topology for experiments and tests.
@@ -39,13 +39,6 @@ class InboundInterposer:
 
     def after_dispatch(self, node: "Node") -> None:
         return None
-
-
-class OutboundInterposer:
-    """Observer/filter for messages a node is about to send."""
-
-    def on_outbound(self, node: "Node", dst: int, msg: Any) -> bool:
-        return True
 
 
 @dataclass
@@ -92,7 +85,6 @@ class Node:
         self.service = service
         self.choice_resolver = choice_resolver or _FirstCandidateResolver()
         self.inbound_interposers: List[InboundInterposer] = []
-        self.outbound_interposers: List[OutboundInterposer] = []
         self._timers: Dict[str, int] = {}
         self._timer_payloads: Dict[str, Any] = {}
         self._timer_deadlines: Dict[str, float] = {}
@@ -192,56 +184,30 @@ class Node:
     # ------------------------------------------------------------------
 
     def send_out(self, dst: int, msg: Any) -> bool:
-        """Outbound path: interposers, then the network."""
-        for interposer in self.outbound_interposers:
-            if not interposer.on_outbound(self, dst, msg):
-                self.sim.trace.record(
-                    self.sim.now, "node.filtered_out", node=self.node_id,
-                    dst=dst, msg=type(msg).__name__,
-                )
-                return False
+        """Outbound path: one message to the network."""
         size = msg.wire_size() if hasattr(msg, "wire_size") else 1024
         return self.network.send(self.node_id, dst, msg, size_bytes=size)
 
     def broadcast_out(self, dsts, msg: Any) -> List[bool]:
         """Batched outbound fan-out of one message to many peers.
 
-        Interposers run per destination (a chaos interposer may pass
-        some peers and filter others); the surviving destinations go
-        through the transport's ``send_many`` fast path when the
+        Goes through the transport's ``send_many`` fast path when the
         attached transport has one, else an equivalent send loop.
         """
-        results: List[bool] = []
-        passed: List[int] = []
-        for dst in dsts:
-            ok = True
-            for interposer in self.outbound_interposers:
-                if not interposer.on_outbound(self, dst, msg):
-                    self.sim.trace.record(
-                        self.sim.now, "node.filtered_out", node=self.node_id,
-                        dst=dst, msg=type(msg).__name__,
-                    )
-                    ok = False
-                    break
-            results.append(ok)
-            if ok:
-                passed.append(dst)
-        if not passed:
-            return results
+        dsts = list(dsts)
+        if not dsts:
+            return []
         size = msg.wire_size() if hasattr(msg, "wire_size") else 1024
         # Asked of the transport's class, not the instance: a wrapper
         # that forwards unknown attributes (ReliableLayer) would hand
         # back the raw network's send_many and the fan-out would bypass
         # the wrapper's own send.
         if hasattr(type(self.network), "send_many"):
-            accepted = self.network.send_many(self.node_id, passed, msg, size_bytes=size)
-        else:
-            accepted = [
-                self.network.send(self.node_id, dst, msg, size_bytes=size)
-                for dst in passed
-            ]
-        it = iter(accepted)
-        return [bool(flag and next(it)) for flag in results]
+            return self.network.send_many(self.node_id, dsts, msg, size_bytes=size)
+        return [
+            self.network.send(self.node_id, dst, msg, size_bytes=size)
+            for dst in dsts
+        ]
 
     def _on_message(self, src: int, dst: int, payload: Any) -> None:
         if not self.network.liveness.is_up(self.node_id):
@@ -444,5 +410,4 @@ __all__ = [
     "Cluster",
     "DispatchRecord",
     "InboundInterposer",
-    "OutboundInterposer",
 ]

@@ -6,11 +6,10 @@ from repro.statemachine import Cluster
 from .test_controller import CounterService, factory
 
 
-def make_cluster(deltas: bool, **kwargs):
+def make_cluster(deltas: bool):
     cluster = Cluster(3, factory, seed=5)
     runtimes = install_crystalball(
-        cluster, factory, checkpoint_period=0.5,
-        checkpoint_deltas=deltas, **kwargs,
+        cluster, factory, checkpoint_period=0.5, checkpoint_deltas=deltas,
     )
     cluster.start_all()
     return cluster, runtimes
@@ -43,12 +42,13 @@ def test_delta_patched_states_correct():
 
 
 def test_full_checkpoint_cadence():
-    cluster, runtimes = make_cluster(deltas=True, full_checkpoint_every=3)
+    cluster, runtimes = make_cluster(deltas=True)
     cluster.run(until=10.0)
     runtime = runtimes[0]
     fulls = runtime.stats["full_checkpoints_sent"]
     deltas = runtime.stats["delta_checkpoints_sent"]
-    assert fulls >= deltas / 3  # at least one full per 3 deltas
+    # At least one full per _FULL_CHECKPOINT_EVERY (5) deltas.
+    assert fulls >= deltas / 5
 
 
 def test_deltas_save_bytes():
@@ -92,7 +92,7 @@ def test_deltas_save_bytes():
 
 
 def test_missed_base_resyncs_at_next_full():
-    cluster, runtimes = make_cluster(deltas=True, full_checkpoint_every=2)
+    cluster, runtimes = make_cluster(deltas=True)
     cluster.run(until=2.2)
     # Partition node 2 away so it misses some broadcasts (deltas with
     # unseen bases).
@@ -108,7 +108,7 @@ def test_missed_base_resyncs_at_next_full():
 
 
 def test_deltas_ignored_counted_when_base_missing():
-    cluster, runtimes = make_cluster(deltas=True, full_checkpoint_every=10)
+    cluster, runtimes = make_cluster(deltas=True)
     # Node 2 misses the start: wipe its state model mid-run to force
     # base mismatches.
     cluster.run(until=1.2)

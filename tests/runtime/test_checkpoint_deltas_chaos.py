@@ -64,7 +64,7 @@ def run_cluster(plan, deltas, seed=7):
     cluster = Cluster(3, PhasedCounter, seed=seed)
     runtimes = install_crystalball(
         cluster, PhasedCounter, checkpoint_period=0.5,
-        checkpoint_deltas=deltas, full_checkpoint_every=4,
+        checkpoint_deltas=deltas,
     )
     ChaosController(cluster, plan).arm()
     cluster.start_all()

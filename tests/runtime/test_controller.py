@@ -162,19 +162,39 @@ def test_live_violation_is_traced_not_steered():
     assert runtime.stats["filters_installed"] == 0
 
 
-def test_prediction_exception_propagates():
-    cluster, runtimes = make_cluster(checkpoint_period=0.0)
-    cluster.start_all()
-    cluster.run(until=0.5)
-    runtime = runtimes[0]
+def test_prediction_exception_degrades(monkeypatch):
+    """A periodic round whose predictor raises is skipped and counted;
+    the run goes on."""
+    from repro.mc import ConsequencePredictor
 
-    def boom():
+    def boom(self, world):
         raise RuntimeError("checkpoint decode failed")
 
-    runtime.current_world = boom
-    with pytest.raises(RuntimeError, match="checkpoint decode failed"):
-        runtime.run_prediction()
+    monkeypatch.setattr(ConsequencePredictor, "predict", boom)
+    cluster, runtimes = make_cluster(checkpoint_period=0.0, prediction_period=1.0)
+    cluster.start_all()
+    cluster.run(until=1.5)
+    runtime = runtimes[0]
     assert runtime.stats["predictions"] == 0
+    assert runtime.stats["degraded.round_skipped"] == 1
+    assert runtime.stats["filters_installed"] == 0
+    assert cluster.service(0).value == 1  # handlers kept running
+
+
+def test_choice_requested_from_prediction_propagates():
+    from repro.choice import ChoicePoint
+    from repro.statemachine import ChoiceRequested
+
+    cluster, runtimes = make_cluster(checkpoint_period=0.0)
+    runtime = runtimes[0]
+
+    def requesting():
+        raise ChoiceRequested(ChoicePoint("c", [1], node_id=0), [], False)
+
+    runtime.current_world = requesting
+    with pytest.raises(ChoiceRequested):
+        runtime.run_prediction()
+    assert runtime.stats["degraded.round_skipped"] == 0
 
 
 def test_no_steering_when_everything_safe():
@@ -191,12 +211,30 @@ def test_neighbors_default_all_topology_nodes():
     assert runtimes[0].neighbors() == [1, 2]
 
 
-def test_neighbors_fn_override():
+def test_missing_fallback_is_a_configuration_error():
+    """The runtime's fallback is checked when the runtime is built, not
+    at the first choice prediction cannot answer."""
+    from repro.choice import ConfigurationError
+
     cluster = Cluster(3, factory, seed=3)
-    runtime = CrystalBallRuntime(
-        cluster.node(0), factory, neighbors_fn=lambda node: [2],
-    )
-    assert runtime.neighbors() == [2]
+    with pytest.raises(ConfigurationError) as err:
+        CrystalBallRuntime(cluster.node(0), factory, fallback=object())  # no .resolve
+    assert "fallback" in str(err.value)
+    # Omitting the argument means FirstResolver.
+    runtime = CrystalBallRuntime(cluster.node(1), factory)
+    assert isinstance(runtime.fallback, FirstResolver)
+
+
+def test_missing_fallback_raises_at_install_time():
+    from repro.choice import ConfigurationError
+
+    for steering_policy in (False, True):
+        cluster = Cluster(3, factory, seed=3)
+        with pytest.raises(ConfigurationError):
+            install_crystalball(
+                cluster, factory, fallback=None, steering_policy=steering_policy,
+            )
+        assert cluster.node(0).crystalball is None
 
 
 def test_broadcast_checkpoints_service_exactly_once():

@@ -111,7 +111,8 @@ def test_stale_snapshot_falls_back():
     cluster.run(until=3.5)
     # No checkpoints ever collected -> every predictive resolution
     # degrades to the fallback (index 0 => candidate node 1).
-    assert runtimes[0].stats["choices_fallback"] == 3
+    assert runtimes[0].stats["degraded.stale_snapshot"] == 3
+    assert runtimes[0].stats["choices_resolved"] == 0
     assert cluster.service(1).wealth == 3
 
 
@@ -125,5 +126,5 @@ def test_fresh_snapshot_no_fallback():
     )
     cluster.start_all()
     cluster.run(until=3.5)
-    assert runtimes[0].stats["choices_fallback"] == 0
+    assert runtimes[0].stats["degraded.stale_snapshot"] == 0
     assert runtimes[0].stats["choices_resolved"] == 3

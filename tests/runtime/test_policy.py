@@ -8,15 +8,14 @@ bench relies on:
   have picked (the best-ranked candidate still offered), for any
   candidate set and scores.
 * **Never stale-silently** — once a policy entry has aged past
-  ``max_age`` (or was invalidated), resolution comes from the static
-  fallback, never from the dead ranking.
+  ``max_age`` (or was invalidated), resolution comes from the
+  degrade function, never from the dead ranking.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.choice import ChoicePoint, ConfigurationError
-from repro.choice.resolvers import FirstResolver
 from repro.runtime import (
     AmortizedSteering,
     identity_key,
@@ -29,15 +28,20 @@ def point(candidates=(1, 2, 3), label="l", **info):
     return ChoicePoint(label=label, candidates=list(candidates), node_id=0, info=info)
 
 
-class LastResolver:
-    """Distinguishable from FirstResolver: picks the last candidate."""
+class DegradeToLast:
+    """A degrade function distinguishable from first-candidate: answers
+    with the last candidate and records each reason it was given."""
 
     def __init__(self):
-        self.calls = 0
+        self.reasons = []
 
-    def resolve(self, p, node=None):
-        self.calls += 1
+    def __call__(self, reason, p, node):
+        self.reasons.append(reason)
         return p.candidates[-1]
+
+
+def degrade_to_first(reason, p, node):
+    return p.candidates[0]
 
 
 def scored_by(scores):
@@ -84,7 +88,7 @@ def test_scenario_signature_separates_labels_and_candidates():
 # ----------------------------------------------------------------------
 
 def test_policy_install_and_lookup():
-    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
     p = point()
     sig = scenario_signature(p)
     assert sched.lookup(sig, p, now=0.0) is None
@@ -95,7 +99,7 @@ def test_policy_install_and_lookup():
 
 
 def test_policy_entry_ages_out():
-    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=2.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=2.0)
     p = point()
     sig = scenario_signature(p)
     sched.install(sig, ((2, 1.0),), now=0.0)
@@ -104,14 +108,14 @@ def test_policy_entry_ages_out():
 
 
 def test_policy_skips_candidates_no_longer_offered():
-    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
     sig = ("s",)
     sched.install(sig, ((9, 1.0), (2, 0.5)), now=0.0)
     assert sched.lookup(sig, point((1, 2, 3)), now=0.0) == 2
 
 
 def test_policy_all_candidates_gone_is_a_stale_miss():
-    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
     sig = ("s",)
     sched.install(sig, ((9, 1.0),), now=0.0)
     assert sched.lookup(sig, point((1, 2)), now=0.0) is None
@@ -119,7 +123,7 @@ def test_policy_all_candidates_gone_is_a_stale_miss():
 
 
 def test_policy_invalidate_counts_reasons():
-    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
     sched.install(("s",), ((1, 1.0),), now=0.0)
     sched.invalidate("liveness")
     sched.invalidate("liveness")
@@ -131,23 +135,40 @@ def test_policy_invalidate_counts_reasons():
 
 def test_policy_rejects_nonpositive_max_age():
     with pytest.raises(ConfigurationError):
-        AmortizedSteering(fallback=LastResolver(), max_policy_age=0.0)
+        AmortizedSteering(degrade=DegradeToLast(), max_policy_age=0.0)
 
 
 # ----------------------------------------------------------------------
 # AmortizedSteering
 # ----------------------------------------------------------------------
 
-def test_missing_fallback_raises_at_install_time():
-    with pytest.raises(ConfigurationError):
-        AmortizedSteering(fallback=None)
-    with pytest.raises(ConfigurationError):
-        AmortizedSteering(fallback=object())  # no .resolve
+def test_raising_score_fn_degrades_the_choice():
+    """A failing prediction round answers through degrade and charges
+    nothing; a ChoiceRequested keeps its control-flow meaning."""
+    from repro.statemachine import ChoiceRequested
+
+    def failing(p, n):
+        raise RuntimeError("predictor failed")
+
+    degrade = DegradeToLast()
+    sched = AmortizedSteering(degrade=degrade, score_fn=failing, coalesce_window=0.0)
+    assert sched.resolve_explain(point(), now=0.0) == (3, "fallback")
+    assert degrade.reasons == ["prediction_error"]
+    assert sched.spent_states == 0
+    assert sched.counters["scored_rounds"] == 0
+    assert sched.counters["fallbacks"] == 1
+
+    def requesting(p, n):
+        raise ChoiceRequested(p, [], False)
+
+    sched.score_fn = requesting
+    with pytest.raises(ChoiceRequested):
+        sched.resolve_explain(point(label="other"), now=1.0)
 
 
 def test_scored_round_installs_policy_for_scenario():
     sched = AmortizedSteering(
-        fallback=FirstResolver(), score_fn=scored_by({1: 0.0, 2: 1.0, 3: 0.5}),
+        degrade=degrade_to_first, score_fn=scored_by({1: 0.0, 2: 1.0, 3: 0.5}),
         coalesce_window=0.0,
     )
     value, source = sched.resolve_explain(point(queue=4), now=0.0)
@@ -161,7 +182,7 @@ def test_scored_round_installs_policy_for_scenario():
 
 def test_coalescing_shares_one_resolution():
     sched = AmortizedSteering(
-        fallback=FirstResolver(), score_fn=scored_by({3: 1.0}),
+        degrade=degrade_to_first, score_fn=scored_by({3: 1.0}),
         coalesce_window=0.25,
     )
     assert sched.resolve_explain(point(queue=4), now=0.0) == (3, "scored")
@@ -171,9 +192,9 @@ def test_coalescing_shares_one_resolution():
 
 
 def test_budget_exhaustion_defers_to_fallback():
-    fallback = LastResolver()
+    fallback = DegradeToLast()
     sched = AmortizedSteering(
-        fallback=fallback, score_fn=scored_by({1: 1.0}),
+        degrade=fallback, score_fn=scored_by({1: 1.0}),
         coalesce_window=0.0, rate_budget=1.0, initial_allowance=3.0,
     )
     # First round costs 3 states (three candidates) and exhausts the
@@ -181,7 +202,7 @@ def test_budget_exhaustion_defers_to_fallback():
     assert sched.resolve_explain(point(queue=1), now=0.0)[1] == "scored"
     value, source = sched.resolve_explain(point(queue=100), now=0.0)
     assert (value, source) == (3, "fallback")
-    assert fallback.calls == 1
+    assert fallback.reasons == ["budget"]
     # Sim time passing replenishes the rate budget deterministically.
     assert sched.resolve_explain(point(queue=100), now=10.0)[1] == "scored"
 
@@ -199,8 +220,9 @@ def test_admission_denies_unaffordable_rounds_and_disarms_capture():
         calls.append(p)
         return inner(p, n)
 
+    fallback = DegradeToLast()
     sched = AmortizedSteering(
-        fallback=LastResolver(), score_fn=counting_score,
+        degrade=fallback, score_fn=counting_score,
         cost_fn=lambda p, n: 1_000, coalesce_window=0.0,
         rate_budget=1.0, initial_allowance=10.0,
     )
@@ -211,6 +233,7 @@ def test_admission_denies_unaffordable_rounds_and_disarms_capture():
     assert (value, source) == (3, "fallback")
     assert calls == []
     assert sched.counters["denied"] == 1
+    assert fallback.reasons == ["denied"]
     assert node.capture_dispatch is False
     # Once the accruing allowance covers the projection, scoring resumes.
     assert sched.resolve_explain(point(), node=node, now=2_000.0)[1] == "scored"
@@ -219,7 +242,7 @@ def test_admission_denies_unaffordable_rounds_and_disarms_capture():
 
 def test_unknown_cost_admits_scoring():
     sched = AmortizedSteering(
-        fallback=LastResolver(), score_fn=scored_by({2: 1.0}),
+        degrade=DegradeToLast(), score_fn=scored_by({2: 1.0}),
         cost_fn=lambda p, n: None, coalesce_window=0.0,
         rate_budget=1.0, initial_allowance=3.0,
     )
@@ -234,12 +257,13 @@ def test_deferred_scoring_arms_capture():
         network = None
 
     node = FakeNode()
+    fallback = DegradeToLast()
     sched = AmortizedSteering(
-        fallback=FirstResolver(), score_fn=lambda p, n: None,
-        coalesce_window=0.0,
+        degrade=fallback, score_fn=lambda p, n: None, coalesce_window=0.0,
     )
     value, source = sched.resolve_explain(point(), node=node, now=0.0)
     assert source == "fallback"
+    assert fallback.reasons == ["deferred"]
     assert node.capture_dispatch is True  # hungry for a checkpoint
     assert sched.counters["deferred"] == 1
     sched.score_fn = scored_by({2: 1.0})
@@ -249,7 +273,7 @@ def test_deferred_scoring_arms_capture():
 
 def test_invalidate_drops_policy_and_coalesced_answers():
     sched = AmortizedSteering(
-        fallback=LastResolver(), score_fn=scored_by({1: 1.0}),
+        degrade=DegradeToLast(), score_fn=scored_by({1: 1.0}),
         coalesce_window=10.0, rate_budget=0.0, initial_allowance=3.0,
     )
     assert sched.resolve_explain(point(), now=0.0)[1] == "scored"
@@ -262,9 +286,9 @@ def test_invalidate_drops_policy_and_coalesced_answers():
 
 
 def test_merge_steering_snapshots_aggregates():
-    a = AmortizedSteering(fallback=FirstResolver(), score_fn=scored_by({2: 1.0}),
+    a = AmortizedSteering(degrade=degrade_to_first, score_fn=scored_by({2: 1.0}),
                           max_policy_age=5.0)
-    b = AmortizedSteering(fallback=FirstResolver(), score_fn=scored_by({2: 1.0}))
+    b = AmortizedSteering(degrade=degrade_to_first, score_fn=scored_by({2: 1.0}))
     a.resolve_explain(point(queue=4), now=0.0)
     a.resolve_explain(point(queue=4), now=10.0)  # policy aged out: rescored
     b.resolve_explain(point(queue=4), now=0.0)
@@ -309,7 +333,7 @@ def test_fresh_policy_equals_per_choice_prediction(candidates, scores, queue):
     best = max(candidates, key=lambda c: (scores.get(c, 0.0), -candidates.index(c)))
 
     sched = AmortizedSteering(
-        fallback=LastResolver(), score_fn=score_fn,
+        degrade=DegradeToLast(), score_fn=score_fn,
         coalesce_window=0.0, rate_budget=None,
     )
     value, source = sched.resolve_explain(p, now=0.0)
@@ -333,9 +357,9 @@ def test_stale_policy_always_falls_back_never_stale_silently(
     """Past max_age a policy entry never answers: the resolution is the
     fallback's (or a fresh scored round's), not the dead ranking's."""
     p = point(tuple(candidates))
-    fallback = LastResolver()
+    fallback = DegradeToLast()
     sched = AmortizedSteering(
-        fallback=fallback, score_fn=scored_by(scores),
+        degrade=fallback, score_fn=scored_by(scores),
         coalesce_window=0.0, max_policy_age=max_age,
         rate_budget=1.0, initial_allowance=float(len(candidates)),
     )
@@ -351,16 +375,16 @@ def test_stale_policy_always_falls_back_never_stale_silently(
         assert source in ("scored", "fallback")
         if source == "fallback":
             assert value == p.candidates[-1]
-            assert fallback.calls >= 1
+            assert fallback.reasons
 
 
 @settings(max_examples=60, deadline=None)
 @given(candidates=candidate_sets, scores=score_tables)
 def test_invalidated_policy_never_answers(candidates, scores):
     p = point(tuple(candidates))
-    fallback = LastResolver()
+    fallback = DegradeToLast()
     sched = AmortizedSteering(
-        fallback=fallback, score_fn=scored_by(scores),
+        degrade=fallback, score_fn=scored_by(scores),
         coalesce_window=0.0, rate_budget=1.0,
         initial_allowance=float(len(candidates)),
     )

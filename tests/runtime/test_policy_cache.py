@@ -19,7 +19,7 @@ from repro.runtime import (
 )
 from repro.runtime.policy import _ANSWER_ENTRIES, _RANKING_ENTRIES
 
-from .test_policy import LastResolver, point, scored_by
+from .test_policy import DegradeToLast, degrade_to_first, point, scored_by
 
 
 class CountingScore:
@@ -60,7 +60,7 @@ def giver_cluster():
 # ----------------------------------------------------------------------
 
 def test_cache_put_get():
-    sched = AmortizedSteering(fallback=LastResolver(), coalesce_window=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), coalesce_window=5.0)
     p = point()
     assert sched.resolve_explain(p, now=1.0) == (3, "fallback")
     assert sched.answers[identity_key(p)] == (3, 1.0)
@@ -69,7 +69,7 @@ def test_cache_put_get():
 
 
 def test_cache_miss():
-    sched = AmortizedSteering(fallback=LastResolver())
+    sched = AmortizedSteering(degrade=DegradeToLast())
     assert sched.lookup(("nope",), point(), now=0.0) is None
     assert sched.policy_lookups == {"hits": 0, "misses": 1, "stale": 0}
     # A never-seen point misses both tables before the fallback answers.
@@ -79,13 +79,13 @@ def test_cache_miss():
 
 
 def test_ttl_expiry():
-    fallback = LastResolver()
-    sched = AmortizedSteering(fallback=fallback, coalesce_window=1.0)
+    fallback = DegradeToLast()
+    sched = AmortizedSteering(degrade=fallback, coalesce_window=1.0)
     p = point()
     sched.resolve(p, now=0.0)
     assert sched.resolve_explain(p, now=0.5)[1] == "coalesced"
     assert sched.resolve_explain(p, now=2.0)[1] == "fallback"
-    assert fallback.calls == 2
+    assert fallback.reasons == ["unranked", "unranked"]
 
 
 def test_ttl_boundary_entry_still_hits():
@@ -95,7 +95,7 @@ def test_ttl_boundary_entry_still_hits():
     the double-subtraction form ``now - stored_at > ttl`` drifts under
     floating point (e.g. 0.3 - 0.2 > 0.1) and evicted live entries."""
     sched = AmortizedSteering(
-        fallback=LastResolver(), coalesce_window=0.1, max_policy_age=0.1,
+        degrade=DegradeToLast(), coalesce_window=0.1, max_policy_age=0.1,
     )
     p = point()
     sig = scenario_signature(p)
@@ -110,7 +110,7 @@ def test_ttl_boundary_entry_still_hits():
 
 
 def test_expired_entry_deleted_without_lru_bookkeeping():
-    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=1.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=1.0)
     sched.install(("old",), ((1, 1.0),), now=0.0)
     sched.install(("new",), ((2, 1.0),), now=5.0)
     assert sched.lookup(("old",), point(), now=5.0) is None
@@ -122,7 +122,7 @@ def test_lru_eviction():
     """Each table drops its least recently used entry past its bound; a
     live hit refreshes an entry's place."""
     sched = AmortizedSteering(
-        fallback=LastResolver(), coalesce_window=10.0, max_policy_age=10.0,
+        degrade=DegradeToLast(), coalesce_window=10.0, max_policy_age=10.0,
     )
     for i in range(_RANKING_ENTRIES):
         sched.install((i,), ((1, 1.0),), now=0.0)
@@ -143,7 +143,7 @@ def test_lru_eviction():
 
 
 def test_invalidate():
-    sched = AmortizedSteering(fallback=LastResolver(), coalesce_window=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), coalesce_window=5.0)
     sched.resolve(point(), now=0.0)
     sched.install(("s",), ((1, 1.0),), now=0.0)
     sched.invalidate()
@@ -159,7 +159,7 @@ def test_invalidate():
 def test_stale_candidate_counts_as_miss_not_hit():
     """A live ranking with none of its candidates offered did not answer;
     counting it as a hit would inflate ``hit_rate``."""
-    sched = AmortizedSteering(fallback=LastResolver(), max_policy_age=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
     sched.install(("s",), ((3, 1.0),), now=0.0)
     assert sched.lookup(("s",), point((1, 2)), now=0.0) is None
     policy = sched.snapshot()["policy"]
@@ -172,7 +172,7 @@ def test_stale_candidate_counts_as_miss_not_hit():
 
 
 def test_hit_rate():
-    sched = AmortizedSteering(fallback=LastResolver())
+    sched = AmortizedSteering(degrade=DegradeToLast())
     sched.install(("k",), ((1, 1.0),), now=0.0)
     sched.lookup(("k",), point(), now=0.0)
     sched.lookup(("x",), point(), now=0.0)
@@ -184,7 +184,7 @@ def test_snapshot_reports_counters():
     """One answer per path, and ``resolutions`` counts each once: a
     denied or deferred resolution also ends as a fallback."""
     sched = AmortizedSteering(
-        fallback=LastResolver(), score_fn=lambda p, n: None,
+        degrade=DegradeToLast(), score_fn=lambda p, n: None,
         coalesce_window=0.5,
     )
     assert sched.resolve_explain(point(), now=0.0) == (3, "fallback")  # deferred
@@ -214,7 +214,7 @@ def test_snapshot_reports_counters():
 def test_cached_resolver_avoids_recompute():
     score = CountingScore({3: 1.0})
     sched = AmortizedSteering(
-        fallback=FirstResolver(), score_fn=score, coalesce_window=1.0,
+        degrade=degrade_to_first, score_fn=score, coalesce_window=1.0,
     )
     assert sched.resolve_explain(point(queue=4), now=0.0) == (3, "scored")
     assert sched.resolve_explain(point(queue=4), now=0.5) == (3, "coalesced")
@@ -225,7 +225,7 @@ def test_cached_resolver_avoids_recompute():
 def test_cached_resolver_distinguishes_labels():
     score = CountingScore({3: 1.0})
     sched = AmortizedSteering(
-        fallback=FirstResolver(), score_fn=score, coalesce_window=1.0,
+        degrade=degrade_to_first, score_fn=score, coalesce_window=1.0,
     )
     sched.resolve(point(label="a"), now=0.0)
     assert sched.resolve_explain(point(label="b"), now=0.0)[1] == "scored"
@@ -234,7 +234,7 @@ def test_cached_resolver_distinguishes_labels():
 
 def test_cached_value_no_longer_candidate_recomputes():
     score = CountingScore({2: 1.0})
-    sched = AmortizedSteering(fallback=LastResolver(), score_fn=score)
+    sched = AmortizedSteering(degrade=DegradeToLast(), score_fn=score)
     p = point((1, 2))
     # The scenario's ranking names only 3, which is no longer offered:
     # the stale miss must score again, not answer from the ranking.

@@ -2,8 +2,8 @@
 
 from dataclasses import dataclass
 
-from repro.choice import FirstResolver, PerformanceObjective
-from repro.runtime import PredictiveResolver, install_crystalball
+from repro.choice import PerformanceObjective
+from repro.runtime import DEGRADE_REASONS, install_crystalball
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
 
 
@@ -65,17 +65,6 @@ def test_predictive_resolver_maximizes_objective():
     assert cluster.service(1).wealth == 0
 
 
-def test_fallback_used_without_runtime():
-    cluster = Cluster(3, factory, seed=1)
-    for node in cluster.nodes:
-        node.choice_resolver = PredictiveResolver(fallback=FirstResolver())
-    cluster.start_all()
-    cluster.run(until=3.5)
-    # First candidate is node 1.
-    assert cluster.service(1).wealth == 3
-    assert cluster.service(2).wealth == 0
-
-
 def test_choice_scores_traced():
     cluster = Cluster(3, factory, seed=1)
     install_crystalball(
@@ -90,22 +79,6 @@ def test_choice_scores_traced():
     assert records[0].data["label"] == "gift-target"
 
 
-def test_missing_fallback_is_a_configuration_error():
-    """fallback=None used to blow up mid-run at the first runtime-less
-    resolve(); now the wiring itself refuses."""
-    import pytest
-
-    from repro.choice import ConfigurationError
-
-    with pytest.raises(ConfigurationError) as err:
-        PredictiveResolver(fallback=None)
-    assert "fallback" in str(err.value)
-    with pytest.raises(ConfigurationError):
-        PredictiveResolver(fallback=object())  # no .resolve method
-    # Omitting the argument still means FirstResolver.
-    assert isinstance(PredictiveResolver().fallback, FirstResolver)
-
-
 def test_choices_resolved_counted():
     cluster = Cluster(3, factory, seed=1)
     runtimes = install_crystalball(
@@ -116,3 +89,5 @@ def test_choices_resolved_counted():
     cluster.start_all()
     cluster.run(until=3.5)
     assert runtimes[0].stats["choices_resolved"] == 3
+    # Every choice was predicted: no reason counter moved.
+    assert not any(runtimes[0].stats[f"degraded.{r}"] for r in DEGRADE_REASONS)

@@ -6,7 +6,6 @@ from repro.statemachine import (
     Cluster,
     InboundInterposer,
     Message,
-    OutboundInterposer,
     Service,
     msg_handler,
     timer_handler,
@@ -86,11 +85,6 @@ class DropAll(InboundInterposer):
         return False
 
 
-class BlockOut(OutboundInterposer):
-    def on_outbound(self, node, dst, msg):
-        return False
-
-
 def test_inbound_interposer_filters():
     cluster = Cluster(2, lambda nid: EchoService(nid), seed=1)
     cluster.node(1).inbound_interposers.append(DropAll())
@@ -98,15 +92,6 @@ def test_inbound_interposer_filters():
     cluster.run(until=5)
     assert cluster.service(1).received == 0
     assert cluster.sim.trace.count("node.filtered_in") == 1
-
-
-def test_outbound_interposer_blocks_send():
-    cluster = Cluster(2, lambda nid: EchoService(nid), seed=1)
-    cluster.node(0).outbound_interposers.append(BlockOut())
-    cluster.start_all()
-    cluster.run(until=5)
-    assert cluster.service(1).received == 0
-    assert cluster.network.messages_sent == 0
 
 
 def test_dispatch_capture_records_checkpoint():
