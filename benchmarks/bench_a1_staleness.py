@@ -39,7 +39,7 @@ def run_all():
         ("cb periodic 0.1s", dict(checkpoint_period=0.1)),
         ("cb on-change", dict(
             checkpoint_period=0.5,
-            runtime_kwargs=dict(broadcast_on_change=True, min_broadcast_interval=0.0),
+            runtime_kwargs=dict(broadcast_on_change=True),
         )),
     ):
         results[label] = [

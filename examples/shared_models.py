@@ -45,7 +45,7 @@ def demo_model_sharing():
     )
     # Only node 0 measures anything.
     for peer in range(1, N):
-        runtimes[0].probe(peer)
+        runtimes[0].exchange.probe(peer)
     cluster.run(until=0.5)
     before = runtimes[2].network_model.confidence(0, 1, now=cluster.sim.now)
     cluster.run(until=3.0)

@@ -4,9 +4,9 @@ Section 3.3: "Every node also maintains some amount of local state, and
 collects information about other participants.  We refer to this
 information as the state model."  The CrystalBall controller
 "periodically collects a consistent set of checkpoints from each of the
-node's neighbors" (Section 2); :class:`StateModel` stores those
-checkpoints with their epochs and ages and can assemble the most recent
-consistent cut.
+node's neighbors" (Section 2); :class:`StateModel` stores the latest of
+those checkpoints per node with its epoch and age.  Predictions read the
+latest checkpoint of every node; no epoch cut is taken.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class StateModel:
     def __init__(self, owner_id: int) -> None:
         self.owner_id = owner_id
         self._checkpoints: Dict[int, NeighborCheckpoint] = {}
-        # Delta baselines: the last full checkpoint per sender that
-        # deltas may be patched against.  Kept here (not in the
-        # controller) so forgetting a node drops its baseline too.
-        self._baselines: Dict[int, NeighborCheckpoint] = {}
 
     def update(
         self,
@@ -81,33 +77,9 @@ class StateModel:
         """Latest checkpoint for ``node_id`` (or ``None``)."""
         return self._checkpoints.get(node_id)
 
-    def set_baseline(self, node_id: int, epoch: int) -> Optional[NeighborCheckpoint]:
-        """Adopt the stored checkpoint for ``node_id`` as the delta
-        baseline, if it is exactly ``epoch`` (i.e. the full checkpoint
-        just folded in was not dropped as stale).  Returns the adopted
-        baseline, or ``None`` if none was installed.
-
-        The baseline aliases the stored :class:`NeighborCheckpoint`
-        object, which is never mutated — ``update`` replaces entries
-        wholesale — so no extra copy is needed.
-        """
-        cp = self._checkpoints.get(node_id)
-        if cp is None or cp.epoch != epoch:
-            return None
-        current = self._baselines.get(node_id)
-        if current is not None and current.epoch > epoch:
-            return None
-        self._baselines[node_id] = cp
-        return cp
-
-    def baseline(self, node_id: int) -> Optional[NeighborCheckpoint]:
-        """The delta baseline held for ``node_id`` (or ``None``)."""
-        return self._baselines.get(node_id)
-
     def forget(self, node_id: int) -> None:
         """Drop what we know about ``node_id`` (e.g. it crashed)."""
         self._checkpoints.pop(node_id, None)
-        self._baselines.pop(node_id, None)
 
     def known_nodes(self) -> List[int]:
         """Node ids with a stored checkpoint, ascending."""
@@ -120,37 +92,8 @@ class StateModel:
             return None
         return now - cp.taken_at
 
-    def consistent_cut(self, now: float, max_age: Optional[float] = None) -> Dict[int, Dict[str, Any]]:
-        """States of all known nodes, restricted to the common epoch.
-
-        The cut contains only checkpoints from the *highest epoch that
-        every known node has reached* — a simple consistency rule
-        matching CrystalBall's epoch-stamped snapshot collection —
-        optionally dropping checkpoints older than ``max_age``.
-
-        Only the latest checkpoint per node is stored, so a node whose
-        checkpoint is already past the cut epoch has no snapshot *from*
-        that epoch and is omitted rather than mixed in inconsistently.
-
-        The returned mapping is new; the state dicts in it are the
-        stored checkpoints themselves, shared and immutable under the
-        same contract as :meth:`latest_states`.
-        """
-        candidates = [
-            cp for cp in self._checkpoints.values()
-            if max_age is None or (now - cp.taken_at) <= max_age
-        ]
-        if not candidates:
-            return {}
-        cut_epoch = min(cp.epoch for cp in candidates)
-        return {
-            cp.node_id: cp.state
-            for cp in candidates
-            if cp.epoch == cut_epoch
-        }
-
     def latest_states(self) -> Dict[int, Dict[str, Any]]:
-        """Most recent state per node, ignoring epoch consistency.
+        """Most recent state per node, whatever its epoch.
 
         The returned mapping is new (callers add and drop entries); the
         state dicts in it are the stored checkpoints themselves, copied

@@ -55,7 +55,7 @@ def node_metrics(node) -> Dict[str, Any]:
     if runtime is None:
         return section
     section["runtime"] = dict(runtime.stats)
-    section["epoch"] = runtime.epoch
+    section["epoch"] = runtime.exchange.epoch
     section["steering"] = runtime.steering.snapshot()
     amortized = getattr(runtime, "amortized", None)
     if amortized is not None:

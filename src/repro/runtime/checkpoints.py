@@ -1,20 +1,27 @@
-"""Checkpoint and measurement exchange messages.
+"""The runtime's checkpoint protocol: its messages and the one class
+that sends and consumes them.
 
 The CrystalBall controller "periodically collects a consistent set of
 checkpoints from each of the node's neighbors" (Section 2).  In this
-reproduction each runtime instance broadcasts epoch-stamped checkpoints
-of its service state to its neighborhood; receiving runtimes consume
-them (they never reach the application) and fold them into their state
-models.  Checkpoint and probe messages double as passive latency
-measurements via their ``sent_at`` stamps.
+reproduction each node's :class:`CheckpointExchange` broadcasts
+epoch-stamped checkpoints of its service state to its neighborhood;
+receiving exchanges consume them (they never reach the application) and
+fold them into their state models.  Checkpoint and probe messages double
+as passive latency measurements via their ``sent_at`` stamps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Callable, Dict, List, Optional
 
+from ..model import NeighborCheckpoint, NetworkModel, StateModel
 from ..statemachine import Message
+from ..statemachine.serialization import freeze
+
+# With checkpoint deltas, a full checkpoint (the new baseline) goes out
+# after this many deltas.
+_FULL_CHECKPOINT_EVERY = 5
 
 
 def deep_size(value: Any) -> int:
@@ -138,7 +145,339 @@ def is_runtime_message(msg: Any) -> bool:
     return isinstance(msg, RUNTIME_MESSAGE_TYPES)
 
 
+def schedule_every(node: Any, period: float, action: Callable[[], None], tag: str) -> None:
+    """Run ``action`` every ``period`` sim-seconds while ``node`` is up."""
+
+    def tick() -> None:
+        if node.is_up:
+            action()
+        node.sim.schedule(period, tick, tag=tag)
+
+    node.sim.schedule(period, tick, tag=tag)
+
+
+class CheckpointExchange:
+    """One node's side of the checkpoint protocol (Figure 1's checkpoint
+    exchange box), and the only code that builds or reads the messages
+    above.
+
+    Sending: every ``checkpoint_period`` — and with ``on_change`` after
+    every dispatch that moved the service's state digest — ``trigger``
+    runs, and it calls :meth:`broadcast`: one checkpoint, stamped with
+    the next epoch, goes into the state model and out to every neighbor.
+    Every ``model_share_period`` the network model's estimates go out
+    too (the iPlane pattern).  Receiving: checkpoints go into the state
+    model, shared estimates into the network model, probes are answered,
+    and with ``passive_measurement`` every ``sent_at`` stamp becomes a
+    latency sample (disable it to freeze the model after bootstrap — the
+    A4 ablation).
+
+    With ``deltas`` (Section 3.3.2's communication-overhead limit) each
+    broadcast is diffed against the last full checkpoint each peer
+    *acknowledged*, and every ``_FULL_CHECKPOINT_EVERY`` deltas a full
+    goes out as the new baseline.  A peer whose ack is outstanding keeps
+    receiving fulls (the resync fallback), so a delta is never diffed
+    against state the receiver provably lacks; a receiver that lacks a
+    delta's base ignores it (``deltas_ignored``).
+
+    The runtime builds the exchange and shares its models and ``stats``
+    with it; ``trigger`` is the runtime's ``broadcast_checkpoint``, so
+    every broadcast enters through the runtime.  The exchange keeps the
+    counters the runtime reports under the same names.
+    """
+
+    def __init__(
+        self,
+        node: Any,
+        state_model: StateModel,
+        network_model: NetworkModel,
+        stats: Any,
+        trigger: Callable[[], None],
+        checkpoint_period: float,
+        model_share_period: float,
+        passive_measurement: bool,
+        deltas: bool,
+        on_change: bool,
+    ) -> None:
+        self.node = node
+        self.state_model = state_model
+        self.network_model = network_model
+        self.stats = stats
+        self.trigger = trigger
+        self.checkpoint_period = checkpoint_period
+        self.model_share_period = model_share_period
+        self.passive_measurement = passive_measurement
+        self.deltas = deltas
+        self.on_change = on_change
+        self.epoch = 0
+        # Sender side of the delta protocol: the current baseline's
+        # epoch (-1 before the first) and frozen fields, and the epoch
+        # of the baseline each peer last acked.
+        self._base_epoch = -1
+        self._base_frozen: Dict[str, Any] = {}
+        self._deltas_since_full = 0
+        self._peer_acked: Dict[int, int] = {}
+        # Receiver side: the last acked full per sender, which its
+        # deltas patch.  It aliases the state model's stored checkpoint,
+        # which is never mutated (``update`` replaces entries wholesale).
+        self._baselines: Dict[int, NeighborCheckpoint] = {}
+        self._last_digest: Optional[str] = None
+        self._receivers = {
+            CheckpointMsg: self._on_full,
+            CheckpointDeltaMsg: self._on_delta,
+            CheckpointAckMsg: self._on_ack,
+            ModelShareMsg: self._on_model_share,
+            ProbeMsg: self._on_probe,
+            ProbeReplyMsg: self._on_probe_reply,
+        }
+
+    def start(self) -> None:
+        """Record the initial checkpoint and begin the periodic tasks."""
+        node = self.node
+        self.record_own_checkpoint()
+        if self.checkpoint_period > 0:
+            schedule_every(node, self.checkpoint_period, self.trigger,
+                           f"cb.checkpoint:{node.node_id}")
+        if self.model_share_period > 0:
+            schedule_every(node, self.model_share_period, self.share_model,
+                           f"cb.modelshare:{node.node_id}")
+        if self.on_change:
+            self._last_digest = node.service.state_digest()
+
+    def neighbors(self) -> List[int]:
+        """The neighborhood to exchange checkpoints with.
+
+        The service's own ``neighbors()`` method (protocol knowledge,
+        typically O(log n) in scalable systems), else every other node
+        in the topology (the paper's full-global-knowledge mode).
+        """
+        me = self.node.node_id
+        service_neighbors = getattr(self.node.service, "neighbors", None)
+        if callable(service_neighbors):
+            return [p for p in service_neighbors() if p != me]
+        return [p for p in self.node.network.topology.node_ids if p != me]
+
+    def own_timers(self) -> list:
+        now = self.node.sim.now
+        return [
+            (name, max(0.0, deadline - now), payload)
+            for name, deadline, payload in self.node.pending_timers()
+        ]
+
+    def record_own_checkpoint(self) -> None:
+        """Store the live local state under the current epoch."""
+        node = self.node
+        # The model copies what it stores, so it is handed the live
+        # fields; a checkpoint() here would be a second copy.
+        self.state_model.update(
+            node.node_id, self.epoch, node.sim.now, node.service.live_state(),
+            timers=self.own_timers(),
+        )
+
+    # ------------------------------------------------------------------
+    # Sending
+    # ------------------------------------------------------------------
+
+    def broadcast(self) -> None:
+        """Take a checkpoint and send it (full or delta) to every neighbor."""
+        node = self.node
+        now = node.sim.now
+        self.epoch += 1
+        # Snapshot the service exactly once per broadcast: the same
+        # state feeds the local state model (which deep-copies on
+        # update) and the outbound messages.
+        state = node.service.checkpoint()
+        timers = self.own_timers()
+        self.state_model.update(node.node_id, self.epoch, now, state, timers=timers)
+        if self.deltas:
+            self._send_deltas(now, state, timers)
+            return
+        message = CheckpointMsg(
+            sender=node.node_id, epoch=self.epoch,
+            taken_at=now, sent_at=now, state=state, timers=timers,
+        )
+        peers = self.neighbors()
+        size = message.wire_size()
+        # Batched fan-out: one queue insertion per distinct arrival time
+        # instead of one per peer (see Network.send_many).
+        # NOTE: on a forwarding wrapper (ReliableLayer) this instance
+        # lookup finds the RAW network's send_many, so full checkpoints
+        # bypass the at-least-once layer.  Node.broadcast_out asks the
+        # transport's class instead; this one is left as is on purpose,
+        # because routing checkpoints through the wrapper changes A7's
+        # reliable-variant traffic and its recorded numbers.
+        node.network.send_many(node.node_id, peers, message, size_bytes=size)
+        self.stats["checkpoints_sent"] += len(peers)
+        self.stats["checkpoint_bytes_sent"] += size * len(peers)
+
+    def _send_deltas(self, now: float, state: Dict[str, Any], timers: list) -> None:
+        rotate = self._base_epoch < 0 or self._deltas_since_full >= _FULL_CHECKPOINT_EVERY
+        if rotate:
+            # This broadcast is the new baseline every peer must ack
+            # before it can receive deltas again.
+            self._base_frozen = {key: freeze(value) for key, value in state.items()}
+            self._base_epoch = self.epoch
+            self._deltas_since_full = 0
+            changed = None
+        else:
+            self._deltas_since_full += 1
+            frozen_base = self._base_frozen
+            changed = {
+                key: value for key, value in state.items()
+                if freeze(value) != frozen_base.get(key)
+            }
+        me = self.node.node_id
+        full = delta = None
+        for peer in self.neighbors():
+            if rotate or self._peer_acked.get(peer) != self._base_epoch:
+                # The peer has not acked the current baseline (or a
+                # rotation just happened): it gets a full and is asked
+                # to adopt it.  Off-rotation fulls are the resync
+                # fallback for missed baselines.
+                if full is None:
+                    full = CheckpointMsg(
+                        sender=me, epoch=self.epoch, taken_at=now, sent_at=now,
+                        state=state, timers=timers, ack_requested=True,
+                    )
+                self._send_checkpoint(peer, full)
+                self.stats["full_checkpoints_sent"] += 1
+                if not rotate:
+                    self.stats["resync_fulls_sent"] += 1
+            else:
+                if delta is None:
+                    delta = CheckpointDeltaMsg(
+                        sender=me, epoch=self.epoch, base_epoch=self._base_epoch,
+                        taken_at=now, sent_at=now, changed=changed, timers=timers,
+                    )
+                self._send_checkpoint(peer, delta)
+                self.stats["delta_checkpoints_sent"] += 1
+        if rotate:
+            # A peer's ack from a *previous* baseline epoch must not
+            # qualify it for deltas against this one; fulls just went
+            # out, so acks will refresh the map.
+            self._peer_acked = {
+                peer: epoch for peer, epoch in self._peer_acked.items()
+                if epoch == self._base_epoch
+            }
+
+    def _send_checkpoint(self, peer: int, message: Any) -> None:
+        size = message.wire_size()
+        self.node.network.send(self.node.node_id, peer, message, size_bytes=size)
+        self.stats["checkpoints_sent"] += 1
+        self.stats["checkpoint_bytes_sent"] += size
+
+    def after_dispatch(self) -> None:
+        """With ``on_change``, broadcast when a dispatch moved the local
+        state.  This closes most of the staleness window that periodic
+        exchange leaves open — ``bench_a1_staleness`` measures it."""
+        if not self.on_change or not self.node.is_up:
+            return
+        digest_now = self.node.service.state_digest()
+        if digest_now == self._last_digest:
+            return
+        self._last_digest = digest_now
+        self.stats["change_broadcasts"] += 1
+        self.trigger()
+
+    def share_model(self) -> None:
+        """Send this node's network-model estimates to every neighbor."""
+        entries = self.network_model.export_entries()
+        if not entries:
+            return
+        me = self.node.node_id
+        for peer in self.neighbors():
+            msg = ModelShareMsg(sender=me, entries=entries)
+            self.node.network.send(me, peer, msg, size_bytes=msg.wire_size())
+            self.stats["model_shares_sent"] += 1
+
+    def probe(self, peer: int) -> None:
+        """Send an active RTT probe to ``peer``."""
+        me = self.node.node_id
+        self.node.network.send(
+            me, peer, ProbeMsg(sender=me, sent_at=self.node.sim.now), size_bytes=64,
+        )
+
+    # ------------------------------------------------------------------
+    # Receiving
+    # ------------------------------------------------------------------
+
+    def receive(self, src: int, msg: Any) -> None:
+        """Consume one of the runtime's messages."""
+        self._receivers[type(msg)](src, msg)
+
+    def baseline(self, sender: int) -> Optional[NeighborCheckpoint]:
+        """The full checkpoint ``sender``'s deltas patch (or ``None``)."""
+        return self._baselines.get(sender)
+
+    def _observe(self, src: int, sent_at: float) -> None:
+        if self.passive_measurement:
+            now = self.node.sim.now
+            self.network_model.observe_latency(
+                src, self.node.node_id, max(0.0, now - sent_at), now,
+            )
+
+    def _on_full(self, src: int, msg: CheckpointMsg) -> None:
+        self.stats["checkpoints_received"] += 1
+        self._observe(src, msg.sent_at)
+        self.state_model.update(
+            msg.sender, msg.epoch, msg.taken_at, msg.state, timers=msg.timers,
+        )
+        if not msg.ack_requested:
+            return
+        # Adopt this full as the sender's delta baseline and acknowledge
+        # it — only if it actually stuck: a reordered stale full is
+        # neither adopted nor acked, and a baseline never moves back.
+        stored = self.state_model.get(msg.sender)
+        current = self._baselines.get(msg.sender)
+        if stored.epoch != msg.epoch or (current is not None and current.epoch > msg.epoch):
+            return
+        self._baselines[msg.sender] = stored
+        me = self.node.node_id
+        self.node.network.send(
+            me, src, CheckpointAckMsg(sender=me, epoch=msg.epoch), size_bytes=64,
+        )
+        self.stats["checkpoint_acks_sent"] += 1
+
+    def _on_delta(self, src: int, msg: CheckpointDeltaMsg) -> None:
+        self.stats["checkpoints_received"] += 1
+        self._observe(src, msg.sent_at)
+        base = self._baselines.get(msg.sender)
+        # A sender the state model forgot has no baseline either.
+        if (base is None or base.epoch != msg.base_epoch
+                or self.state_model.get(msg.sender) is None):
+            # We lack the delta's base: skip; the sender keeps sending
+            # fulls until our baseline ack reaches it.
+            self.stats["deltas_ignored"] += 1
+            return
+        patched = dict(base.state)
+        patched.update(msg.changed)
+        self.state_model.update(
+            msg.sender, msg.epoch, msg.taken_at, patched, timers=msg.timers,
+        )
+
+    def _on_ack(self, src: int, msg: CheckpointAckMsg) -> None:
+        if msg.epoch > self._peer_acked.get(msg.sender, -1):
+            self._peer_acked[msg.sender] = msg.epoch
+
+    def _on_model_share(self, src: int, msg: ModelShareMsg) -> None:
+        self.stats["model_entries_adopted"] += self.network_model.import_entries(msg.entries)
+
+    def _on_probe(self, src: int, msg: ProbeMsg) -> None:
+        me = self.node.node_id
+        self.node.network.send(
+            me, src, ProbeReplyMsg(sender=me, orig_sent_at=msg.sent_at), size_bytes=64,
+        )
+
+    def _on_probe_reply(self, src: int, msg: ProbeReplyMsg) -> None:
+        if self.passive_measurement:
+            now = self.node.sim.now
+            self.network_model.observe_rtt(
+                self.node.node_id, src, max(0.0, now - msg.orig_sent_at), now,
+            )
+
+
 __all__ = [
+    "CheckpointExchange",
     "CheckpointMsg",
     "CheckpointDeltaMsg",
     "CheckpointAckMsg",

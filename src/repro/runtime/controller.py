@@ -1,13 +1,12 @@
 """The CrystalBall runtime controller.
 
 One :class:`CrystalBallRuntime` instance interposes on each node
-(Figure 1): it periodically checkpoints the local service and gossips
-the checkpoint to the neighborhood, folds received checkpoints and
-latency measurements into the predictive model, periodically runs
-consequence prediction over the assembled snapshot, installs event
-filters to steer execution away from predicted violations, and resolves
-exposed choices by sandbox replay + lookahead scoring against the
-installed objective.
+(Figure 1).  Its :class:`~repro.runtime.checkpoints.CheckpointExchange`
+gossips checkpoints with the neighborhood and folds what arrives into
+the predictive model; the runtime itself periodically runs consequence
+prediction over the latest checkpoints, installs event filters to steer
+execution away from predicted violations, and resolves exposed choices
+by sandbox replay + lookahead scoring against the installed objective.
 """
 
 from __future__ import annotations
@@ -33,14 +32,7 @@ from ..obs import MetricsRegistry, stats_view
 from ..statemachine import ChoiceRequested, InboundInterposer
 from ..statemachine.node import Cluster, Node
 from ..statemachine.serialization import freeze
-from .checkpoints import (
-    CheckpointAckMsg,
-    CheckpointDeltaMsg,
-    CheckpointMsg,
-    ModelShareMsg,
-    ProbeMsg,
-    ProbeReplyMsg,
-)
+from .checkpoints import RUNTIME_MESSAGE_TYPES, CheckpointExchange, schedule_every
 from .policy import AmortizedSteering
 from .steering import EventFilter, SteeringModule
 
@@ -51,9 +43,6 @@ _MAX_REPLAY_FILLS = 32
 # Per-candidate state budget of one amortized scored round: the value
 # BENCH_T2.json's numbers were recorded with.
 _POLICY_BUDGET = 240
-# With checkpoint deltas, a full checkpoint (the new baseline) goes out
-# after this many deltas.
-_FULL_CHECKPOINT_EVERY = 5
 # Why a choice was answered by the fallback instead of a prediction, one
 # counter each (``runtime.degraded.<reason>``).  Per choice: no captured
 # dispatch to replay, a snapshot older than max_snapshot_age, every
@@ -101,7 +90,6 @@ class CrystalBallRuntime(InboundInterposer):
         passive_measurement: bool = True,
         prediction_scope: str = "global",
         broadcast_on_change: bool = False,
-        min_broadcast_interval: float = 0.05,
         checkpoint_deltas: bool = False,
         model_share_period: float = 0.0,
         generic_node: Optional[object] = None,
@@ -114,15 +102,10 @@ class CrystalBallRuntime(InboundInterposer):
         self.properties = list(properties)
         self.objective = objective if objective is not None else _ZeroObjective()
         self.network_model = NetworkModel()
-        self.checkpoint_period = checkpoint_period
         self.prediction_period = prediction_period
         self.chain_depth = chain_depth
         self.budget = budget
         self.filter_ttl = filter_ttl
-        # Passive measurement: fold message timestamps into the network
-        # model (disable to freeze the model after bootstrap — the A4
-        # ablation of model freshness under changing conditions).
-        self.passive_measurement = passive_measurement
         # Prediction scope: "global" assembles every collected
         # checkpoint into the snapshot world (the paper's mode, fine at
         # tens of nodes); "neighborhood" restricts it to this node plus
@@ -137,25 +120,7 @@ class CrystalBallRuntime(InboundInterposer):
                 f"prediction_scope must be 'global' or 'neighborhood', got {prediction_scope!r}"
             )
         self.prediction_scope = prediction_scope
-        # Checkpoint-on-change (Figure 1's checkpoints accompanying
-        # outbound messages): broadcast immediately when local state
-        # moves, rate-limited to min_broadcast_interval.
-        self.broadcast_on_change = broadcast_on_change
-        self.min_broadcast_interval = min_broadcast_interval
-        # Delta encoding (Section 3.3.2's communication-overhead limit):
-        # deltas are diffed against the last full checkpoint each peer
-        # *acknowledged*, with a periodic full as the rotation anchor.
-        # A peer whose ack is outstanding keeps receiving fulls (the
-        # resync fallback), so a delta is never diffed against state the
-        # receiver provably lacks.
-        self.checkpoint_deltas = checkpoint_deltas
-        self._delta_baseline_state: Optional[Dict[str, Any]] = None
-        self._delta_baseline_frozen: Dict[str, Any] = {}
-        self._delta_baseline_epoch = -1
-        self._deltas_since_full = 0
-        self._peer_acked: Dict[int, int] = {}
         self.last_prediction_summary: Optional[Dict[str, Any]] = None
-        self.model_share_period = model_share_period
         self.generic_node = generic_node
         # Confidence gating (Section 3.3.2): no predicting from a
         # snapshot older than this.
@@ -171,8 +136,6 @@ class CrystalBallRuntime(InboundInterposer):
                 "argument to use FirstResolver"
             )
         self.fallback = fallback
-        self._last_state_digest: Optional[str] = None
-        self._last_broadcast_at = float("-inf")
         # Reused across prediction passes and dispatch replays: the
         # explorer's service pool amortizes factory runs.
         self._explorer: Optional[Explorer] = None
@@ -182,7 +145,6 @@ class CrystalBallRuntime(InboundInterposer):
         # ``stats`` remains the historical dict-shaped view over them.
         self.metrics = MetricsRegistry()
         self.steering = SteeringModule(metrics=self.metrics, node=node.node_id)
-        self.epoch = 0
         self.stats = stats_view(
             self.metrics, "runtime",
             (
@@ -205,6 +167,18 @@ class CrystalBallRuntime(InboundInterposer):
                 *(f"degraded.{reason}" for reason in DEGRADE_REASONS),
             ),
             node=node.node_id,
+        )
+        # Checkpoint exchange (Figure 1's first box): every runtime
+        # message goes there.  Checkpoint-on-change stands for Figure
+        # 1's checkpoints accompanying outbound messages.
+        self.exchange = CheckpointExchange(
+            node, self.state_model, self.network_model, self.stats,
+            trigger=self.broadcast_checkpoint,
+            checkpoint_period=checkpoint_period,
+            model_share_period=model_share_period,
+            passive_measurement=passive_measurement,
+            deltas=checkpoint_deltas,
+            on_change=broadcast_on_change,
         )
 
         # Amortized prediction-driven steering (ROADMAP item 2): one
@@ -234,321 +208,59 @@ class CrystalBallRuntime(InboundInterposer):
         # scheduler arms it only while it is hungry for a scoring round.
         node.capture_dispatch = self.amortized is None
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
     def start(self) -> None:
-        """Record the initial checkpoint and begin the periodic tasks."""
-        self._record_own_checkpoint()
-        if self.checkpoint_period > 0:
-            self.node.sim.schedule(
-                self.checkpoint_period, self._checkpoint_tick,
-                tag=f"cb.checkpoint:{self.node.node_id}",
-            )
+        """Start the checkpoint exchange and the periodic prediction."""
+        self.exchange.start()
         if self.prediction_period > 0:
-            self.node.sim.schedule(
-                self.prediction_period, self._prediction_tick,
-                tag=f"cb.predict:{self.node.node_id}",
-            )
-        if self.model_share_period > 0:
-            self.node.sim.schedule(
-                self.model_share_period, self._model_share_tick,
-                tag=f"cb.modelshare:{self.node.node_id}",
-            )
-        if self.broadcast_on_change:
-            self._last_state_digest = self.node.service.state_digest()
-
-    def neighbors(self) -> List[int]:
-        """The neighborhood to exchange checkpoints with.
-
-        The service's own ``neighbors()`` method (protocol knowledge,
-        typically O(log n) in scalable systems), else every other node
-        in the topology (the paper's full-global-knowledge mode).
-        """
-        service_neighbors = getattr(self.node.service, "neighbors", None)
-        if callable(service_neighbors):
-            return [p for p in service_neighbors() if p != self.node.node_id]
-        return [p for p in self.node.network.topology.node_ids if p != self.node.node_id]
+            schedule_every(self.node, self.prediction_period, self.run_prediction,
+                           f"cb.predict:{self.node.node_id}")
 
     # ------------------------------------------------------------------
     # Interposition (Figure 1: runtime sits between network and service)
     # ------------------------------------------------------------------
 
     def on_inbound(self, node: Node, src: int, msg: Any) -> bool:
+        if isinstance(msg, RUNTIME_MESSAGE_TYPES):
+            self.exchange.receive(src, msg)
+            return False
         now = node.sim.now
-        if isinstance(msg, CheckpointMsg):
-            self.stats["checkpoints_received"] += 1
-            if self.passive_measurement:
-                self.network_model.observe_latency(
-                    src, node.node_id, max(0.0, now - msg.sent_at), now,
-                )
-            self.state_model.update(
-                msg.sender, msg.epoch, msg.taken_at, msg.state, timers=msg.timers,
-            )
-            if msg.ack_requested:
-                # Adopt this full as the sender's delta baseline and
-                # acknowledge it — only if it actually stuck (a
-                # reordered stale full must not be acked).
-                adopted = self.state_model.set_baseline(msg.sender, msg.epoch)
-                if adopted is not None:
-                    node.network.send(
-                        node.node_id, src,
-                        CheckpointAckMsg(sender=node.node_id, epoch=msg.epoch),
-                        size_bytes=64,
-                    )
-                    self.stats["checkpoint_acks_sent"] += 1
-            return False
-        if isinstance(msg, CheckpointDeltaMsg):
-            self.stats["checkpoints_received"] += 1
-            if self.passive_measurement:
-                self.network_model.observe_latency(
-                    src, node.node_id, max(0.0, now - msg.sent_at), now,
-                )
-            base = self.state_model.baseline(msg.sender)
-            if base is None or base.epoch != msg.base_epoch:
-                # We lack the delta's base: skip; the sender keeps
-                # sending fulls until our baseline ack reaches it.
-                self.stats["deltas_ignored"] += 1
-                return False
-            patched = dict(base.state)
-            patched.update(msg.changed)
-            self.state_model.update(
-                msg.sender, msg.epoch, msg.taken_at, patched, timers=msg.timers,
-            )
-            return False
-        if isinstance(msg, CheckpointAckMsg):
-            current = self._peer_acked.get(msg.sender, -1)
-            if msg.epoch > current:
-                self._peer_acked[msg.sender] = msg.epoch
-            return False
-        if isinstance(msg, ModelShareMsg):
-            adopted = self.network_model.import_entries(msg.entries)
-            self.stats["model_entries_adopted"] += adopted
-            return False
-        if isinstance(msg, ProbeMsg):
-            node.network.send(
-                node.node_id, src,
-                ProbeReplyMsg(sender=node.node_id, orig_sent_at=msg.sent_at),
-                size_bytes=64,
-            )
-            return False
-        if isinstance(msg, ProbeReplyMsg):
-            if self.passive_measurement:
-                self.network_model.observe_rtt(
-                    node.node_id, src, max(0.0, now - msg.orig_sent_at), now,
-                )
-            return False
         matched = self.steering.matches(src, msg, now)
-        if matched is not None:
-            self.stats["steered_messages"] += 1
-            node.sim.trace.record(
-                now, "runtime.steer", node=node.node_id, src=src,
-                msg=type(msg).__name__, reason=matched.reason,
-            )
-            # The explanation record is emitted with identical data in
-            # both tracing modes (trace digests must not depend on the
-            # causal flag); the happens-before chain of the offending
-            # message rides in the causal stamp only.
-            tracer = node.sim.causal
-            if tracer is not None:
-                tracer.annotate_next(
-                    chain=tracer.chain_ids(tracer.current_event_id()),
-                )
-            node.sim.trace.record(
-                now, "runtime.steer.explain", node=node.node_id, src=src,
-                msg=type(msg).__name__, reason=matched.reason,
-                predicted=list(matched.predicted_path),
-            )
-            node.network.break_connection(node.node_id, src)
-            return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Periodic tasks
-    # ------------------------------------------------------------------
-
-    def _sim_clock(self) -> float:
-        return self.node.sim.now
-
-    def _own_timers(self) -> list:
-        now = self.node.sim.now
-        return [
-            (name, max(0.0, deadline - now), payload)
-            for name, deadline, payload in self.node.pending_timers()
-        ]
-
-    def _record_own_checkpoint(self) -> None:
-        now = self.node.sim.now
-        # The model copies what it stores, so it is handed the live
-        # fields; a checkpoint() here would be a second copy.
-        self.state_model.update(
-            self.node.node_id, self.epoch, now, self.node.service.live_state(),
-            timers=self._own_timers(),
+        if matched is None:
+            return True
+        self.stats["steered_messages"] += 1
+        node.sim.trace.record(
+            now, "runtime.steer", node=node.node_id, src=src,
+            msg=type(msg).__name__, reason=matched.reason,
         )
-
-    def _checkpoint_tick(self) -> None:
-        if self.node.is_up:
-            self.broadcast_checkpoint()
-        self.node.sim.schedule(
-            self.checkpoint_period, self._checkpoint_tick,
-            tag=f"cb.checkpoint:{self.node.node_id}",
+        # The explanation record is emitted with identical data in both
+        # tracing modes (trace digests must not depend on the causal
+        # flag); the happens-before chain of the offending message rides
+        # in the causal stamp only.
+        tracer = node.sim.causal
+        if tracer is not None:
+            tracer.annotate_next(chain=tracer.chain_ids(tracer.current_event_id()))
+        node.sim.trace.record(
+            now, "runtime.steer.explain", node=node.node_id, src=src,
+            msg=type(msg).__name__, reason=matched.reason,
+            predicted=list(matched.predicted_path),
         )
+        node.network.break_connection(node.node_id, src)
+        return False
+
+    def after_dispatch(self, node: Node) -> None:
+        self.exchange.after_dispatch()
 
     def broadcast_checkpoint(self) -> None:
-        """Take a checkpoint and send it (full or delta) to every neighbor."""
-        now = self.node.sim.now
-        self.epoch += 1
+        """Take a checkpoint and send it to every neighbor (the entry
+        point of every broadcast: see :class:`CheckpointExchange`)."""
         with self.metrics.span(
             "runtime.checkpoint_broadcast", clock=self._sim_clock,
             node=self.node.node_id,
         ):
-            # Snapshot the service exactly once per broadcast: the same
-            # state feeds the local state model (which deep-copies on
-            # update) and the outbound messages.
-            state = self.node.service.checkpoint()
-            timers = self._own_timers()
-            self.state_model.update(
-                self.node.node_id, self.epoch, now, state, timers=timers,
-            )
-            if not self.checkpoint_deltas:
-                message = CheckpointMsg(
-                    sender=self.node.node_id, epoch=self.epoch,
-                    taken_at=now, sent_at=now, state=state, timers=timers,
-                )
-                peers = self.neighbors()
-                size = message.wire_size()
-                # Batched fan-out: one queue insertion per distinct
-                # arrival time instead of one per peer (see
-                # Network.send_many).
-                # NOTE: on a forwarding wrapper (ReliableLayer) this
-                # instance lookup finds the RAW network's send_many, so
-                # full checkpoints bypass the at-least-once layer.
-                # Node.broadcast_out asks the transport's class instead;
-                # this one is left as is on purpose, because routing
-                # checkpoints through the wrapper changes A7's
-                # reliable-variant traffic and its recorded numbers.
-                self.node.network.send_many(self.node.node_id, peers, message, size_bytes=size)
-                self.stats["checkpoints_sent"] += len(peers)
-                self.stats["checkpoint_bytes_sent"] += size * len(peers)
-                return
-            rotate = (
-                self._delta_baseline_state is None
-                or self._deltas_since_full >= _FULL_CHECKPOINT_EVERY
-            )
-            if rotate:
-                # This broadcast is the new baseline every peer must
-                # ack before it can receive deltas again.
-                self._delta_baseline_state = state
-                self._delta_baseline_frozen = {
-                    key: freeze(value) for key, value in state.items()
-                }
-                self._delta_baseline_epoch = self.epoch
-                self._deltas_since_full = 0
-                changed = None
-            else:
-                self._deltas_since_full += 1
-                frozen_base = self._delta_baseline_frozen
-                changed = {
-                    key: value for key, value in state.items()
-                    if freeze(value) != frozen_base.get(key)
-                }
-            full = delta = None
-            for peer in self.neighbors():
-                if rotate or self._peer_acked.get(peer) != self._delta_baseline_epoch:
-                    # The peer has not acked the current baseline (or a
-                    # rotation just happened): it gets a full and is
-                    # asked to adopt it.  Off-rotation fulls are the
-                    # resync fallback for missed baselines.
-                    if full is None:
-                        full = CheckpointMsg(
-                            sender=self.node.node_id, epoch=self.epoch,
-                            taken_at=now, sent_at=now, state=state,
-                            timers=timers, ack_requested=True,
-                        )
-                    self._send_checkpoint(peer, full)
-                    self.stats["full_checkpoints_sent"] += 1
-                    if not rotate:
-                        self.stats["resync_fulls_sent"] += 1
-                else:
-                    if delta is None:
-                        delta = CheckpointDeltaMsg(
-                            sender=self.node.node_id, epoch=self.epoch,
-                            base_epoch=self._delta_baseline_epoch,
-                            taken_at=now, sent_at=now, changed=changed,
-                            timers=timers,
-                        )
-                    self._send_checkpoint(peer, delta)
-                    self.stats["delta_checkpoints_sent"] += 1
-            if rotate:
-                # A peer's ack from a *previous* baseline epoch must not
-                # qualify it for deltas against this one; fulls just went
-                # out, so acks will refresh the map.
-                self._peer_acked = {
-                    peer: epoch for peer, epoch in self._peer_acked.items()
-                    if epoch == self._delta_baseline_epoch
-                }
+            self.exchange.broadcast()
 
-    def _send_checkpoint(self, peer: int, message: Any) -> None:
-        size = message.wire_size()
-        self.node.network.send(self.node.node_id, peer, message, size_bytes=size)
-        self.stats["checkpoints_sent"] += 1
-        self.stats["checkpoint_bytes_sent"] += size
-
-    def after_dispatch(self, node: Node) -> None:
-        """Broadcast a fresh checkpoint when local state changed.
-
-        Called by the node after every dispatch (InboundInterposer
-        hook).  This closes most of the staleness window that periodic
-        exchange leaves open — the ablation bench ``bench_a1_staleness``
-        measures the difference.
-        """
-        if not self.broadcast_on_change or not node.is_up:
-            return
-        now = node.sim.now
-        if now - self._last_broadcast_at < self.min_broadcast_interval:
-            return
-        digest_now = node.service.state_digest()
-        if digest_now == self._last_state_digest:
-            return
-        self._last_state_digest = digest_now
-        self._last_broadcast_at = now
-        self.stats["change_broadcasts"] += 1
-        self.broadcast_checkpoint()
-
-    def _model_share_tick(self) -> None:
-        if self.node.is_up:
-            self.share_model()
-        self.node.sim.schedule(
-            self.model_share_period, self._model_share_tick,
-            tag=f"cb.modelshare:{self.node.node_id}",
-        )
-
-    def share_model(self) -> None:
-        """Send this node's network-model estimates to every neighbor."""
-        entries = self.network_model.export_entries()
-        if not entries:
-            return
-        for peer in self.neighbors():
-            msg = ModelShareMsg(sender=self.node.node_id, entries=entries)
-            self.node.network.send(self.node.node_id, peer, msg, size_bytes=msg.wire_size())
-            self.stats["model_shares_sent"] += 1
-
-    def probe(self, peer: int) -> None:
-        """Send an active RTT probe to ``peer``."""
-        now = self.node.sim.now
-        self.node.network.send(
-            self.node.node_id, peer, ProbeMsg(sender=self.node.node_id, sent_at=now),
-            size_bytes=64,
-        )
-
-    def _prediction_tick(self) -> None:
-        if self.node.is_up:
-            self.run_prediction()
-        self.node.sim.schedule(
-            self.prediction_period, self._prediction_tick,
-            tag=f"cb.predict:{self.node.node_id}",
-        )
+    def _sim_clock(self) -> float:
+        return self.node.sim.now
 
     # ------------------------------------------------------------------
     # Consequence prediction + steering
@@ -562,10 +274,10 @@ class CrystalBallRuntime(InboundInterposer):
         the liveness registry, a simulation convenience) believes down
         are marked down in the world.
         """
-        self._record_own_checkpoint()
+        self.exchange.record_own_checkpoint()
         states = self.state_model.latest_states()
         if self.prediction_scope == "neighborhood":
-            keep = set(self.neighbors())
+            keep = set(self.exchange.neighbors())
             keep.add(self.node.node_id)
             states = {nid: st for nid, st in states.items() if nid in keep}
         down = {nid for nid in states if not self.node.network.liveness.is_up(nid)}

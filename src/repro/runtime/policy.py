@@ -13,16 +13,16 @@ puts prediction off the critical path with two tables:
   candidates ranked best first, keyed by a coarse
   :func:`scenario_signature` (queue-depth bucket, conflict-signal
   bucket, liveness fingerprint).  Entries age out after
-  ``max_policy_age``.
+  ``MAX_POLICY_AGE``.
 * **Coalesced answers** — identical :class:`ChoicePoint`\\ s arriving
-  within ``coalesce_window`` sim-seconds share one resolution (one
+  within ``COALESCE_WINDOW`` sim-seconds share one resolution (one
   score pass, N answers), deduplicated by :func:`identity_key`.
 
 A choice is answered from the coalesced answers, then from a ranking,
 and only when both miss (and the deterministic prediction budget allows
 it) by one scored prediction round whose ranking is installed for every
 later choice in the same scenario.  A ranking older than
-``max_policy_age``, or invalidated by steering installs / liveness flips
+``MAX_POLICY_AGE``, or invalidated by steering installs / liveness flips
 / topology changes, degrades gracefully to the runtime's fallback
 resolver — it never answers stale-silently and never blocks the hot
 path.
@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..choice.choicepoint import ChoicePoint, ConfigurationError
+from ..choice.choicepoint import ChoicePoint
 from ..statemachine.context import ChoiceRequested
 from ..statemachine.serialization import freeze
 
@@ -59,6 +59,15 @@ DegradeFn = Callable[[str, ChoicePoint, Optional[object]], Any]
 # LRU bounds of the two tables.
 _ANSWER_ENTRIES = 4096
 _RANKING_ENTRIES = 512
+# Sim-seconds an identical choice point reuses a coalesced answer.
+COALESCE_WINDOW = 0.25
+# Sim-seconds a ranking answers its scenario.
+MAX_POLICY_AGE = 20.0
+# The prediction budget: at most RATE_BUDGET predicted states per
+# simulated second, plus INITIAL_ALLOWANCE up front so scoring can
+# start at t=0 (the values BENCH_T2.json was recorded with).
+RATE_BUDGET = 3_000.0
+INITIAL_ALLOWANCE = 30_000.0
 
 # The paths that answer a choice; every resolution takes exactly one.
 _RESOLVED_BY = ("coalesced", "policy_hits", "scored_rounds", "fallbacks")
@@ -145,7 +154,7 @@ class AmortizedSteering:
     Resolution order for one choice point at sim-time ``now``:
 
     1. **Coalesce** — an identical point resolved within
-       ``coalesce_window`` returns the same answer (no score pass).
+       ``COALESCE_WINDOW`` returns the same answer (no score pass).
     2. **Policy** — a live ranking for the point's
        :func:`scenario_signature` answers with its best candidate still
        offered.
@@ -171,15 +180,7 @@ class AmortizedSteering:
         degrade: DegradeFn,
         score_fn: Optional[ScoreFn] = None,
         cost_fn: Optional[Any] = None,
-        coalesce_window: float = 0.25,
-        max_policy_age: float = 20.0,
-        rate_budget: Optional[float] = 3_000.0,
-        initial_allowance: float = 30_000.0,
     ) -> None:
-        if max_policy_age <= 0:
-            raise ConfigurationError(
-                f"max_policy_age must be positive, got {max_policy_age!r}"
-            )
         self.degrade = degrade
         self.score_fn = score_fn
         # Optional admission estimate: projected cost of scoring this
@@ -189,8 +190,6 @@ class AmortizedSteering:
         # no longer fit the remaining allowance keeps scoring
         # concentrated where it is cheap.
         self.cost_fn = cost_fn
-        self.coalesce_window = coalesce_window
-        self.max_policy_age = max_policy_age
         # identity_key -> (answer, stored_at)
         self.answers: "OrderedDict[Tuple, Tuple[Any, float]]" = OrderedDict()
         # scenario_signature -> (ranking, stored_at)
@@ -199,11 +198,6 @@ class AmortizedSteering:
         self.invalidations: Dict[str, int] = {}
         self.policy_lookups = {"hits": 0, "misses": 0, "stale": 0}
         self.coalesce_lookups = {"hits": 0, "misses": 0}
-        # Prediction budget: at most rate_budget predicted states per
-        # simulated second, plus initial_allowance up front so scoring
-        # can start at t=0.  None disables the cap.
-        self.rate_budget = rate_budget
-        self.initial_allowance = initial_allowance
         self.spent_states = 0
         # Dispatch kinds observed to carry choices: while capture is
         # armed, only these checkpoint (see Node.capture_kinds) — the
@@ -220,9 +214,7 @@ class AmortizedSteering:
 
     def allowance(self, now: float) -> float:
         """States the budget permits having spent by simulated ``now``."""
-        if self.rate_budget is None:
-            return float("inf")
-        return self.initial_allowance + self.rate_budget * max(now, 0.0)
+        return INITIAL_ALLOWANCE + RATE_BUDGET * max(now, 0.0)
 
     def budget_ok(self, now: float) -> bool:
         """Whether the deterministic states-rate budget allows scoring."""
@@ -241,7 +233,7 @@ class AmortizedSteering:
         counted as a stale miss, and the caller falls through to
         scoring/fallback.
         """
-        entry = _live(self.rankings, signature, now, self.max_policy_age)
+        entry = _live(self.rankings, signature, now, MAX_POLICY_AGE)
         if entry is not None:
             for candidate, _score in entry[0]:
                 if candidate in point.candidates:
@@ -263,7 +255,7 @@ class AmortizedSteering:
         if now is None:
             now = node.sim.now if node is not None else 0.0
         key = identity_key(point)
-        entry = _live(self.answers, key, now, self.coalesce_window)
+        entry = _live(self.answers, key, now, COALESCE_WINDOW)
         if entry is not None:
             self.coalesce_lookups["hits"] += 1
             self.counters["coalesced"] += 1

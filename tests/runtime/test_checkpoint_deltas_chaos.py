@@ -125,12 +125,12 @@ def test_partition_resync_converges():
 
 def test_duplicated_and_reordered_acks_never_regress_baseline():
     """Duplicate/reordered acks must not let a *stale* full be adopted
-    as baseline (epoch monotonicity in ``_peer_acked`` and
-    ``set_baseline``)."""
+    as baseline (epoch monotonicity of the exchange's peer acks and
+    receiver baselines)."""
     _, runtimes = run_cluster(lossy_link_plan(), deltas=True)
     for r in runtimes:
         for peer in r.state_model.known_nodes():
-            base = r.state_model.baseline(peer)
+            base = r.exchange.baseline(peer)
             latest = r.state_model.get(peer)
             if base is not None and latest is not None:
                 assert base.epoch <= latest.epoch

@@ -1,0 +1,137 @@
+"""CheckpointExchange on its own: no runtime, explorer or predictor.
+
+Each node gets an exchange, its own state and network models, a plain
+counter dict for stats, and a minimal interposer that hands it the
+runtime's messages — the part of ``CrystalBallRuntime`` the exchange
+needs.
+"""
+
+from collections import Counter
+
+from repro.model import NetworkModel, StateModel
+from repro.runtime.checkpoints import (
+    RUNTIME_MESSAGE_TYPES,
+    CheckpointAckMsg,
+    CheckpointDeltaMsg,
+    CheckpointExchange,
+)
+from repro.statemachine import Cluster, InboundInterposer
+
+from .test_controller import factory
+
+
+class ExchangeOnly(InboundInterposer):
+    """Routes a node's runtime messages and dispatches to its exchange."""
+
+    def __init__(self, exchange, drop_acks_from=()):
+        self.exchange = exchange
+        self.drop_acks_from = set(drop_acks_from)
+
+    def on_inbound(self, node, src, msg):
+        if isinstance(msg, CheckpointAckMsg) and src in self.drop_acks_from:
+            return False  # the ack is lost on the way
+        if isinstance(msg, RUNTIME_MESSAGE_TYPES):
+            self.exchange.receive(src, msg)
+            return False
+        return True
+
+    def after_dispatch(self, node):
+        self.exchange.after_dispatch()
+
+
+def attach(node, deltas, on_change, drop_acks_from=()):
+    exchange = CheckpointExchange(
+        node, StateModel(node.node_id), NetworkModel(), Counter(),
+        trigger=lambda: exchange.broadcast(),
+        checkpoint_period=0.0, model_share_period=0.0,
+        passive_measurement=True, deltas=deltas, on_change=on_change,
+    )
+    node.inbound_interposers.append(ExchangeOnly(exchange, drop_acks_from))
+    return exchange
+
+
+def exchanges(deltas=False, on_change=False, drop_acks=None):
+    """A started 3-node cluster with one exchange per node; no periodic
+    broadcasts, so each test drives them.  ``drop_acks`` maps a node to
+    the peers whose acks it never receives."""
+    cluster = Cluster(3, factory, seed=3)
+    drop_acks = drop_acks or {}
+    attached = [
+        attach(node, deltas, on_change, drop_acks.get(node.node_id, ()))
+        for node in cluster.nodes
+    ]
+    cluster.start_all()
+    for exchange in attached:
+        exchange.start()
+    return cluster, attached
+
+
+def test_full_checkpoint_reaches_peer_state_model():
+    cluster, ex = exchanges()
+    cluster.run(until=1.5)  # node 0 received a Bump at ~1.05: value 1
+    ex[0].broadcast()
+    cluster.run(until=2.0)
+    for peer in (1, 2):
+        stored = ex[peer].state_model.get(0)
+        assert (stored.epoch, stored.state) == (1, {"value": 1})
+        assert ex[peer].stats["checkpoints_received"] == 1
+    assert ex[0].stats["checkpoints_sent"] == 2
+    # The stamp became a latency sample (the full-mesh default is 0.05 s).
+    assert 0.01 < ex[1].network_model.latency(0, 1) < 0.2
+
+
+def test_delta_sent_once_the_ack_has_arrived():
+    cluster, ex = exchanges(deltas=True)
+    ex[0].broadcast()  # rotation: a full each, acks requested
+    assert ex[0].stats["full_checkpoints_sent"] == 2
+    cluster.run(until=1.5)
+    assert ex[1].stats["checkpoint_acks_sent"] == 1
+    assert ex[1].baseline(0).epoch == 1
+    ex[0].broadcast()
+    assert ex[0].stats["delta_checkpoints_sent"] == 2
+    assert ex[0].stats["resync_fulls_sent"] == 0
+    cluster.run(until=2.0)
+    patched = ex[1].state_model.get(0)
+    assert (patched.epoch, patched.state) == (2, {"value": 1})
+
+
+def test_dropped_ack_leads_to_a_resync_full():
+    cluster, ex = exchanges(deltas=True, drop_acks={0: {2}})
+    ex[0].broadcast()
+    cluster.run(until=0.5)
+    assert ex[2].stats["checkpoint_acks_sent"] == 1  # sent, never received
+    ex[0].broadcast()
+    # Peer 1 acked and gets a delta; peer 2 gets the full again.
+    assert ex[0].stats["delta_checkpoints_sent"] == 1
+    assert ex[0].stats["resync_fulls_sent"] == 1
+    assert ex[0].stats["full_checkpoints_sent"] == 3
+    cluster.run(until=1.0)
+    assert ex[2].state_model.get(0).epoch == 2
+    assert ex[2].baseline(0).epoch == 2
+
+
+def test_delta_against_a_missing_base_is_ignored():
+    cluster, ex = exchanges(deltas=True)
+    ex[0].broadcast()
+    cluster.run(until=0.5)
+    stale = CheckpointDeltaMsg(sender=0, epoch=3, base_epoch=2, taken_at=0.5,
+                               sent_at=0.5, changed={"value": 9})
+    unknown = CheckpointDeltaMsg(sender=2, epoch=1, base_epoch=0, taken_at=0.5,
+                                 sent_at=0.5, changed={"value": 9})
+    ex[1].receive(0, stale)
+    ex[1].receive(2, unknown)
+    assert ex[1].stats["deltas_ignored"] == 2
+    assert ex[1].state_model.get(0).epoch == 1
+    assert ex[1].state_model.get(2) is None
+
+
+def test_state_change_triggers_a_broadcast():
+    cluster, ex = exchanges(on_change=True)
+    cluster.run(until=0.5)  # no Bump delivered yet: nothing changed
+    assert all(e.stats["change_broadcasts"] == 0 for e in ex)
+    cluster.run(until=1.5)  # each node received one Bump
+    for e in ex:
+        assert e.stats["change_broadcasts"] == 1
+        assert e.epoch == 1
+    # Node 1's new value reached its peers with no periodic exchange.
+    assert ex[2].state_model.get(1).state == {"value": 1}

@@ -75,7 +75,7 @@ def test_passive_latency_measurement():
 def test_probe_measures_rtt():
     cluster, runtimes = make_cluster(checkpoint_period=0.0)
     cluster.start_all()
-    runtimes[0].probe(1)
+    runtimes[0].exchange.probe(1)
     cluster.run(until=1.0)
     assert 0.05 < runtimes[0].network_model.rtt(0, 1) < 0.3
 
@@ -208,7 +208,7 @@ def test_no_steering_when_everything_safe():
 
 def test_neighbors_default_all_topology_nodes():
     cluster, runtimes = make_cluster(checkpoint_period=0.0)
-    assert runtimes[0].neighbors() == [1, 2]
+    assert runtimes[0].exchange.neighbors() == [1, 2]
 
 
 def test_missing_fallback_is_a_configuration_error():
@@ -257,7 +257,7 @@ def test_broadcast_checkpoints_service_exactly_once():
     assert len(calls) == 1
     # The snapshot still reached both consumers: the state model holds
     # the new epoch and the neighbors got a checkpoint message.
-    assert runtimes[0].state_model.get(0).epoch == runtimes[0].epoch
+    assert runtimes[0].state_model.get(0).epoch == runtimes[0].exchange.epoch
     assert runtimes[0].stats["checkpoints_sent"] == 2
 
 

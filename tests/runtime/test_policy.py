@@ -8,20 +8,30 @@ bench relies on:
   have picked (the best-ranked candidate still offered), for any
   candidate set and scores.
 * **Never stale-silently** — once a policy entry has aged past
-  ``max_age`` (or was invalidated), resolution comes from the
+  ``MAX_POLICY_AGE`` (or was invalidated), resolution comes from the
   degrade function, never from the dead ranking.
+
+The scheduler's windows and budget are module constants; tests
+monkeypatch them.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.choice import ChoicePoint, ConfigurationError
+from repro.choice import ChoicePoint
+from repro.runtime import policy as policy_module
 from repro.runtime import (
     AmortizedSteering,
     identity_key,
     merge_steering_snapshots,
     scenario_signature,
 )
+
+
+def set_knobs(monkeypatch, **values):
+    """Patch AmortizedSteering's module constants, e.g. MAX_POLICY_AGE=5.0."""
+    for name, value in values.items():
+        monkeypatch.setattr(policy_module, name, value)
 
 
 def point(candidates=(1, 2, 3), label="l", **info):
@@ -87,8 +97,9 @@ def test_scenario_signature_separates_labels_and_candidates():
 # Rankings (policy); the rules both tables share are in test_policy_cache
 # ----------------------------------------------------------------------
 
-def test_policy_install_and_lookup():
-    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
+def test_policy_install_and_lookup(monkeypatch):
+    set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     p = point()
     sig = scenario_signature(p)
     assert sched.lookup(sig, p, now=0.0) is None
@@ -98,8 +109,9 @@ def test_policy_install_and_lookup():
     assert sched.policy_lookups == {"hits": 2, "misses": 1, "stale": 0}
 
 
-def test_policy_entry_ages_out():
-    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=2.0)
+def test_policy_entry_ages_out(monkeypatch):
+    set_knobs(monkeypatch, MAX_POLICY_AGE=2.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     p = point()
     sig = scenario_signature(p)
     sched.install(sig, ((2, 1.0),), now=0.0)
@@ -107,23 +119,26 @@ def test_policy_entry_ages_out():
     assert sched.lookup(sig, p, now=2.1) is None
 
 
-def test_policy_skips_candidates_no_longer_offered():
-    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
+def test_policy_skips_candidates_no_longer_offered(monkeypatch):
+    set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     sig = ("s",)
     sched.install(sig, ((9, 1.0), (2, 0.5)), now=0.0)
     assert sched.lookup(sig, point((1, 2, 3)), now=0.0) == 2
 
 
-def test_policy_all_candidates_gone_is_a_stale_miss():
-    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
+def test_policy_all_candidates_gone_is_a_stale_miss(monkeypatch):
+    set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     sig = ("s",)
     sched.install(sig, ((9, 1.0),), now=0.0)
     assert sched.lookup(sig, point((1, 2)), now=0.0) is None
     assert sched.policy_lookups == {"hits": 0, "misses": 1, "stale": 1}
 
 
-def test_policy_invalidate_counts_reasons():
-    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
+def test_policy_invalidate_counts_reasons(monkeypatch):
+    set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     sched.install(("s",), ((1, 1.0),), now=0.0)
     sched.invalidate("liveness")
     sched.invalidate("liveness")
@@ -133,16 +148,11 @@ def test_policy_invalidate_counts_reasons():
     assert snap["policy"]["invalidations"] == {"liveness": 2, "topology:link": 1}
 
 
-def test_policy_rejects_nonpositive_max_age():
-    with pytest.raises(ConfigurationError):
-        AmortizedSteering(degrade=DegradeToLast(), max_policy_age=0.0)
-
-
 # ----------------------------------------------------------------------
 # AmortizedSteering
 # ----------------------------------------------------------------------
 
-def test_raising_score_fn_degrades_the_choice():
+def test_raising_score_fn_degrades_the_choice(monkeypatch):
     """A failing prediction round answers through degrade and charges
     nothing; a ChoiceRequested keeps its control-flow meaning."""
     from repro.statemachine import ChoiceRequested
@@ -150,8 +160,9 @@ def test_raising_score_fn_degrades_the_choice():
     def failing(p, n):
         raise RuntimeError("predictor failed")
 
+    set_knobs(monkeypatch, COALESCE_WINDOW=0.0)
     degrade = DegradeToLast()
-    sched = AmortizedSteering(degrade=degrade, score_fn=failing, coalesce_window=0.0)
+    sched = AmortizedSteering(degrade=degrade, score_fn=failing)
     assert sched.resolve_explain(point(), now=0.0) == (3, "fallback")
     assert degrade.reasons == ["prediction_error"]
     assert sched.spent_states == 0
@@ -166,10 +177,10 @@ def test_raising_score_fn_degrades_the_choice():
         sched.resolve_explain(point(label="other"), now=1.0)
 
 
-def test_scored_round_installs_policy_for_scenario():
+def test_scored_round_installs_policy_for_scenario(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=0.0)
     sched = AmortizedSteering(
         degrade=degrade_to_first, score_fn=scored_by({1: 0.0, 2: 1.0, 3: 0.5}),
-        coalesce_window=0.0,
     )
     value, source = sched.resolve_explain(point(queue=4), now=0.0)
     assert (value, source) == (2, "scored")
@@ -180,23 +191,19 @@ def test_scored_round_installs_policy_for_scenario():
     assert sched.counters["policy_hits"] == 1
 
 
-def test_coalescing_shares_one_resolution():
-    sched = AmortizedSteering(
-        degrade=degrade_to_first, score_fn=scored_by({3: 1.0}),
-        coalesce_window=0.25,
-    )
+def test_coalescing_shares_one_resolution(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=0.25)
+    sched = AmortizedSteering(degrade=degrade_to_first, score_fn=scored_by({3: 1.0}))
     assert sched.resolve_explain(point(queue=4), now=0.0) == (3, "scored")
     assert sched.resolve_explain(point(queue=4), now=0.2) == (3, "coalesced")
     # Outside the window the coalesced answer is gone (policy answers).
     assert sched.resolve_explain(point(queue=4), now=1.0) == (3, "policy")
 
 
-def test_budget_exhaustion_defers_to_fallback():
+def test_budget_exhaustion_defers_to_fallback(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=0.0, RATE_BUDGET=1.0, INITIAL_ALLOWANCE=3.0)
     fallback = DegradeToLast()
-    sched = AmortizedSteering(
-        degrade=fallback, score_fn=scored_by({1: 1.0}),
-        coalesce_window=0.0, rate_budget=1.0, initial_allowance=3.0,
-    )
+    sched = AmortizedSteering(degrade=fallback, score_fn=scored_by({1: 1.0}))
     # First round costs 3 states (three candidates) and exhausts the
     # t=0 allowance; a different scenario at t=0 must not score.
     assert sched.resolve_explain(point(queue=1), now=0.0)[1] == "scored"
@@ -207,7 +214,7 @@ def test_budget_exhaustion_defers_to_fallback():
     assert sched.resolve_explain(point(queue=100), now=10.0)[1] == "scored"
 
 
-def test_admission_denies_unaffordable_rounds_and_disarms_capture():
+def test_admission_denies_unaffordable_rounds_and_disarms_capture(monkeypatch):
     class FakeNode:
         capture_dispatch = True
         network = None
@@ -220,11 +227,10 @@ def test_admission_denies_unaffordable_rounds_and_disarms_capture():
         calls.append(p)
         return inner(p, n)
 
+    set_knobs(monkeypatch, COALESCE_WINDOW=0.0, RATE_BUDGET=1.0, INITIAL_ALLOWANCE=10.0)
     fallback = DegradeToLast()
     sched = AmortizedSteering(
-        degrade=fallback, score_fn=counting_score,
-        cost_fn=lambda p, n: 1_000, coalesce_window=0.0,
-        rate_budget=1.0, initial_allowance=10.0,
+        degrade=fallback, score_fn=counting_score, cost_fn=lambda p, n: 1_000,
     )
     # Projected cost (1000) exceeds the allowance: the round is denied
     # *before* score_fn runs, and capture is disarmed so the node stops
@@ -240,27 +246,25 @@ def test_admission_denies_unaffordable_rounds_and_disarms_capture():
     assert len(calls) == 1
 
 
-def test_unknown_cost_admits_scoring():
+def test_unknown_cost_admits_scoring(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=0.0, RATE_BUDGET=1.0, INITIAL_ALLOWANCE=3.0)
     sched = AmortizedSteering(
-        degrade=DegradeToLast(), score_fn=scored_by({2: 1.0}),
-        cost_fn=lambda p, n: None, coalesce_window=0.0,
-        rate_budget=1.0, initial_allowance=3.0,
+        degrade=DegradeToLast(), score_fn=scored_by({2: 1.0}), cost_fn=lambda p, n: None,
     )
     # cost_fn returning None (no captured dispatch to size) admits.
     assert sched.resolve_explain(point(), now=0.0)[1] == "scored"
     assert sched.counters["denied"] == 0
 
 
-def test_deferred_scoring_arms_capture():
+def test_deferred_scoring_arms_capture(monkeypatch):
     class FakeNode:
         capture_dispatch = False
         network = None
 
     node = FakeNode()
+    set_knobs(monkeypatch, COALESCE_WINDOW=0.0)
     fallback = DegradeToLast()
-    sched = AmortizedSteering(
-        degrade=fallback, score_fn=lambda p, n: None, coalesce_window=0.0,
-    )
+    sched = AmortizedSteering(degrade=fallback, score_fn=lambda p, n: None)
     value, source = sched.resolve_explain(point(), node=node, now=0.0)
     assert source == "fallback"
     assert fallback.reasons == ["deferred"]
@@ -271,11 +275,9 @@ def test_deferred_scoring_arms_capture():
     assert node.capture_dispatch is False  # fed, disarmed
 
 
-def test_invalidate_drops_policy_and_coalesced_answers():
-    sched = AmortizedSteering(
-        degrade=DegradeToLast(), score_fn=scored_by({1: 1.0}),
-        coalesce_window=10.0, rate_budget=0.0, initial_allowance=3.0,
-    )
+def test_invalidate_drops_policy_and_coalesced_answers(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=10.0, RATE_BUDGET=0.0, INITIAL_ALLOWANCE=3.0)
+    sched = AmortizedSteering(degrade=DegradeToLast(), score_fn=scored_by({1: 1.0}))
     assert sched.resolve_explain(point(), now=0.0)[1] == "scored"
     sched.invalidate("liveness")
     # Budget spent and caches cleared: only the fallback remains.
@@ -285,9 +287,9 @@ def test_invalidate_drops_policy_and_coalesced_answers():
     assert not sched.rankings
 
 
-def test_merge_steering_snapshots_aggregates():
-    a = AmortizedSteering(degrade=degrade_to_first, score_fn=scored_by({2: 1.0}),
-                          max_policy_age=5.0)
+def test_merge_steering_snapshots_aggregates(monkeypatch):
+    set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
+    a = AmortizedSteering(degrade=degrade_to_first, score_fn=scored_by({2: 1.0}))
     b = AmortizedSteering(degrade=degrade_to_first, score_fn=scored_by({2: 1.0}))
     a.resolve_explain(point(queue=4), now=0.0)
     a.resolve_explain(point(queue=4), now=10.0)  # policy aged out: rescored
@@ -332,16 +334,15 @@ def test_fresh_policy_equals_per_choice_prediction(candidates, scores, queue):
     # Reference: what a per-choice prediction round would return.
     best = max(candidates, key=lambda c: (scores.get(c, 0.0), -candidates.index(c)))
 
-    sched = AmortizedSteering(
-        degrade=DegradeToLast(), score_fn=score_fn,
-        coalesce_window=0.0, rate_budget=None,
-    )
-    value, source = sched.resolve_explain(p, now=0.0)
-    assert source == "scored"
-    assert value == best
-    # And every policy answer within max_age agrees with the round.
-    value, source = sched.resolve_explain(p, now=1.0)
-    assert (value, source) == (best, "policy")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        set_knobs(monkeypatch, COALESCE_WINDOW=0.0, INITIAL_ALLOWANCE=float("inf"))
+        sched = AmortizedSteering(degrade=DegradeToLast(), score_fn=score_fn)
+        value, source = sched.resolve_explain(p, now=0.0)
+        assert source == "scored"
+        assert value == best
+        # And every policy answer within MAX_POLICY_AGE agrees with the round.
+        value, source = sched.resolve_explain(p, now=1.0)
+        assert (value, source) == (best, "policy")
 
 
 @settings(max_examples=120, deadline=None)
@@ -358,13 +359,12 @@ def test_stale_policy_always_falls_back_never_stale_silently(
     fallback's (or a fresh scored round's), not the dead ranking's."""
     p = point(tuple(candidates))
     fallback = DegradeToLast()
-    sched = AmortizedSteering(
-        degrade=fallback, score_fn=scored_by(scores),
-        coalesce_window=0.0, max_policy_age=max_age,
-        rate_budget=1.0, initial_allowance=float(len(candidates)),
-    )
-    assert sched.resolve_explain(p, now=0.0)[1] == "scored"
-    value, source = sched.resolve_explain(p, now=age)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        set_knobs(monkeypatch, COALESCE_WINDOW=0.0, MAX_POLICY_AGE=max_age,
+                  RATE_BUDGET=1.0, INITIAL_ALLOWANCE=float(len(candidates)))
+        sched = AmortizedSteering(degrade=fallback, score_fn=scored_by(scores))
+        assert sched.resolve_explain(p, now=0.0)[1] == "scored"
+        value, source = sched.resolve_explain(p, now=age)
     if age <= max_age:
         # age == 0.0 can re-hit the zero-width coalesce entry instead.
         assert source in ("policy", "coalesced")
@@ -383,12 +383,11 @@ def test_stale_policy_always_falls_back_never_stale_silently(
 def test_invalidated_policy_never_answers(candidates, scores):
     p = point(tuple(candidates))
     fallback = DegradeToLast()
-    sched = AmortizedSteering(
-        degrade=fallback, score_fn=scored_by(scores),
-        coalesce_window=0.0, rate_budget=1.0,
-        initial_allowance=float(len(candidates)),
-    )
-    assert sched.resolve_explain(p, now=0.0)[1] == "scored"
-    sched.invalidate("steering")
-    value, source = sched.resolve_explain(p, now=0.0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        set_knobs(monkeypatch, COALESCE_WINDOW=0.0, RATE_BUDGET=1.0,
+                  INITIAL_ALLOWANCE=float(len(candidates)))
+        sched = AmortizedSteering(degrade=fallback, score_fn=scored_by(scores))
+        assert sched.resolve_explain(p, now=0.0)[1] == "scored"
+        sched.invalidate("steering")
+        value, source = sched.resolve_explain(p, now=0.0)
     assert (value, source) == (p.candidates[-1], "fallback")

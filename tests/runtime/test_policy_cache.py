@@ -1,7 +1,7 @@
 """The policy cache: AmortizedSteering's two keyed-TTL tables.
 
-Coalesced answers (keyed by ``identity_key``, TTL ``coalesce_window``)
-and rankings (keyed by ``scenario_signature``, TTL ``max_policy_age``)
+Coalesced answers (keyed by ``identity_key``, TTL ``COALESCE_WINDOW``)
+and rankings (keyed by ``scenario_signature``, TTL ``MAX_POLICY_AGE``)
 share one set of rules: an entry stored at exactly ``now - ttl`` still
 hits, a live hit moves to the LRU end, an expired entry is deleted on
 lookup, and a ranking none of whose candidates is still offered is a
@@ -19,7 +19,7 @@ from repro.runtime import (
 )
 from repro.runtime.policy import _ANSWER_ENTRIES, _RANKING_ENTRIES
 
-from .test_policy import DegradeToLast, degrade_to_first, point, scored_by
+from .test_policy import DegradeToLast, degrade_to_first, point, scored_by, set_knobs
 
 
 class CountingScore:
@@ -59,8 +59,9 @@ def giver_cluster():
 # Table mechanics
 # ----------------------------------------------------------------------
 
-def test_cache_put_get():
-    sched = AmortizedSteering(degrade=DegradeToLast(), coalesce_window=5.0)
+def test_cache_put_get(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     p = point()
     assert sched.resolve_explain(p, now=1.0) == (3, "fallback")
     assert sched.answers[identity_key(p)] == (3, 1.0)
@@ -78,9 +79,10 @@ def test_cache_miss():
     assert sched.policy_lookups["misses"] == 2
 
 
-def test_ttl_expiry():
+def test_ttl_expiry(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=1.0)
     fallback = DegradeToLast()
-    sched = AmortizedSteering(degrade=fallback, coalesce_window=1.0)
+    sched = AmortizedSteering(degrade=fallback)
     p = point()
     sched.resolve(p, now=0.0)
     assert sched.resolve_explain(p, now=0.5)[1] == "coalesced"
@@ -88,15 +90,14 @@ def test_ttl_expiry():
     assert fallback.reasons == ["unranked", "unranked"]
 
 
-def test_ttl_boundary_entry_still_hits():
+def test_ttl_boundary_entry_still_hits(monkeypatch):
     """An entry stored at exactly ``now - ttl`` is a hit, in both tables.
 
     The timestamps are compared directly (``stored_at < now - ttl``):
     the double-subtraction form ``now - stored_at > ttl`` drifts under
     floating point (e.g. 0.3 - 0.2 > 0.1) and evicted live entries."""
-    sched = AmortizedSteering(
-        degrade=DegradeToLast(), coalesce_window=0.1, max_policy_age=0.1,
-    )
+    set_knobs(monkeypatch, COALESCE_WINDOW=0.1, MAX_POLICY_AGE=0.1)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     p = point()
     sig = scenario_signature(p)
     sched.install(sig, ((2, 1.0),), now=0.2)
@@ -109,8 +110,9 @@ def test_ttl_boundary_entry_still_hits():
     assert sched.resolve_explain(point(label="other"), now=later) == (3, "fallback")
 
 
-def test_expired_entry_deleted_without_lru_bookkeeping():
-    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=1.0)
+def test_expired_entry_deleted_without_lru_bookkeeping(monkeypatch):
+    set_knobs(monkeypatch, MAX_POLICY_AGE=1.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     sched.install(("old",), ((1, 1.0),), now=0.0)
     sched.install(("new",), ((2, 1.0),), now=5.0)
     assert sched.lookup(("old",), point(), now=5.0) is None
@@ -118,12 +120,11 @@ def test_expired_entry_deleted_without_lru_bookkeeping():
     assert sched.policy_lookups == {"hits": 0, "misses": 1, "stale": 0}
 
 
-def test_lru_eviction():
+def test_lru_eviction(monkeypatch):
     """Each table drops its least recently used entry past its bound; a
     live hit refreshes an entry's place."""
-    sched = AmortizedSteering(
-        degrade=DegradeToLast(), coalesce_window=10.0, max_policy_age=10.0,
-    )
+    set_knobs(monkeypatch, COALESCE_WINDOW=10.0, MAX_POLICY_AGE=10.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     for i in range(_RANKING_ENTRIES):
         sched.install((i,), ((1, 1.0),), now=0.0)
     assert sched.lookup((0,), point(), now=0.0) == 1  # refresh 0
@@ -142,8 +143,9 @@ def test_lru_eviction():
     assert identity_key(point(label=0)) in sched.answers
 
 
-def test_invalidate():
-    sched = AmortizedSteering(degrade=DegradeToLast(), coalesce_window=5.0)
+def test_invalidate(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     sched.resolve(point(), now=0.0)
     sched.install(("s",), ((1, 1.0),), now=0.0)
     sched.invalidate()
@@ -156,10 +158,11 @@ def test_invalidate():
 # Counting: stale reclassification, hit rate, snapshot
 # ----------------------------------------------------------------------
 
-def test_stale_candidate_counts_as_miss_not_hit():
+def test_stale_candidate_counts_as_miss_not_hit(monkeypatch):
     """A live ranking with none of its candidates offered did not answer;
     counting it as a hit would inflate ``hit_rate``."""
-    sched = AmortizedSteering(degrade=DegradeToLast(), max_policy_age=5.0)
+    set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
+    sched = AmortizedSteering(degrade=DegradeToLast())
     sched.install(("s",), ((3, 1.0),), now=0.0)
     assert sched.lookup(("s",), point((1, 2)), now=0.0) is None
     policy = sched.snapshot()["policy"]
@@ -180,13 +183,11 @@ def test_hit_rate():
     assert merge_steering_snapshots([sched.snapshot()])["policy"]["hit_rate"] == 0.5
 
 
-def test_snapshot_reports_counters():
+def test_snapshot_reports_counters(monkeypatch):
     """One answer per path, and ``resolutions`` counts each once: a
     denied or deferred resolution also ends as a fallback."""
-    sched = AmortizedSteering(
-        degrade=DegradeToLast(), score_fn=lambda p, n: None,
-        coalesce_window=0.5,
-    )
+    set_knobs(monkeypatch, COALESCE_WINDOW=0.5)
+    sched = AmortizedSteering(degrade=DegradeToLast(), score_fn=lambda p, n: None)
     assert sched.resolve_explain(point(), now=0.0) == (3, "fallback")  # deferred
     assert sched.resolve_explain(point(), now=0.1) == (3, "coalesced")
     sched.score_fn = scored_by({2: 1.0})
@@ -211,22 +212,20 @@ def test_snapshot_reports_counters():
 # The scheduler as a cached resolver over prediction
 # ----------------------------------------------------------------------
 
-def test_cached_resolver_avoids_recompute():
+def test_cached_resolver_avoids_recompute(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=1.0)
     score = CountingScore({3: 1.0})
-    sched = AmortizedSteering(
-        degrade=degrade_to_first, score_fn=score, coalesce_window=1.0,
-    )
+    sched = AmortizedSteering(degrade=degrade_to_first, score_fn=score)
     assert sched.resolve_explain(point(queue=4), now=0.0) == (3, "scored")
     assert sched.resolve_explain(point(queue=4), now=0.5) == (3, "coalesced")
     assert sched.resolve_explain(point(queue=6), now=0.5) == (3, "policy")
     assert score.calls == 1
 
 
-def test_cached_resolver_distinguishes_labels():
+def test_cached_resolver_distinguishes_labels(monkeypatch):
+    set_knobs(monkeypatch, COALESCE_WINDOW=1.0)
     score = CountingScore({3: 1.0})
-    sched = AmortizedSteering(
-        degrade=degrade_to_first, score_fn=score, coalesce_window=1.0,
-    )
+    sched = AmortizedSteering(degrade=degrade_to_first, score_fn=score)
     sched.resolve(point(label="a"), now=0.0)
     assert sched.resolve_explain(point(label="b"), now=0.0)[1] == "scored"
     assert score.calls == 2

@@ -34,7 +34,7 @@ def test_neighborhood_world_is_a_slice():
     cluster.run(until=10.0)
     runtime = runtimes[0]
     world = runtime.current_world()
-    expected = set(runtime.neighbors()) | {0}
+    expected = set(runtime.exchange.neighbors()) | {0}
     assert set(world.node_states) <= expected
     assert 0 in world.node_states
     # The slice is strictly smaller than the full membership.
