@@ -11,22 +11,34 @@ from repro.eval.dissemination_experiment import setting_config
 from repro.eval.gossip_experiment import heterogeneous_topology
 
 
-def test_gossip_runner_small():
+# (mean delivery latency, coverage, app messages) of a small run per variant.
+GOSSIP = {
+    "baseline-random": (0.5248707521824629, 1.0, 78),
+    "baseline-bar": (0.6677738005755469, 1.0, 76),
+    "choice-random": (0.6771311562706217, 1.0, 107),
+    "choice-model": (0.5606905847757013, 1.0, 65),
+}
+
+
+def check_gossip_small(variant):
     result = run_gossip_experiment(
-        "baseline-random", n=8, seed=1, rumor_count=4,
+        variant, n=8, seed=1, rumor_count=4,
         round_period=0.2, publish_interval=0.3, max_time=30.0,
     )
-    assert result.coverage == 1.0
-    assert result.mean_latency is not None and result.mean_latency > 0
-    assert result.app_messages > 0
+    assert (result.mean_latency, result.coverage, result.app_messages) == GOSSIP[variant]
+
+
+def test_gossip_runner_small():
+    check_gossip_small("baseline-random")
 
 
 def test_gossip_choice_model_small():
-    result = run_gossip_experiment(
-        "choice-model", n=8, seed=1, rumor_count=4,
-        round_period=0.2, publish_interval=0.3, max_time=30.0,
-    )
-    assert result.coverage == 1.0
+    check_gossip_small("choice-model")
+
+
+@pytest.mark.parametrize("variant", ["baseline-bar", "choice-random"])
+def test_gossip_other_variants_small(variant):
+    check_gossip_small(variant)
 
 
 def test_gossip_unknown_variant():
@@ -41,13 +53,34 @@ def test_heterogeneous_topology_has_slow_links():
     assert min(latencies) < 0.05
 
 
-def test_swarm_runner_small():
+# (mean completion, last completion, finished leechers) of a small
+# scarce-setting run per variant.
+SWARM = {
+    "baseline-random": (4.048002485671343, 4.357815919241988, 5),
+    "baseline-rarest": (3.81908718346736, 4.095415919241988, 5),
+    "choice-random": (4.087522843125126, 4.489015919241988, 5),
+    "choice-rarest": (3.436416119458529, 3.8144418680908436, 5),
+    "choice-adaptive": (3.531016380811823, 3.8121673175163933, 5),
+}
+
+
+def check_swarm_small(variant):
     result = run_swarm_experiment(
-        "baseline-rarest", setting="scarce", n=6, seed=1,
+        variant, setting="scarce", n=6, seed=1,
         block_count=12, max_time=120.0,
     )
     assert result.finished == result.leechers
-    assert result.mean_completion is not None
+    assert (result.mean_completion, result.last_completion,
+            result.finished) == SWARM[variant]
+
+
+def test_swarm_runner_small():
+    check_swarm_small("baseline-rarest")
+
+
+@pytest.mark.parametrize("variant", sorted(set(SWARM) - {"baseline-rarest"}))
+def test_swarm_other_variants_small(variant):
+    check_swarm_small(variant)
 
 
 def test_swarm_settings():
