@@ -34,17 +34,16 @@ def run_all():
         run_tree_experiment("choice-random", seed=s, **FLASH).depth_after_rejoin
         for s in SEEDS
     ]
-    for label, kwargs in (
-        ("cb periodic 0.5s", dict(checkpoint_period=0.5)),
-        ("cb periodic 0.1s", dict(checkpoint_period=0.1)),
-        ("cb on-change", dict(
-            checkpoint_period=0.5,
-            runtime_kwargs=dict(broadcast_on_change=True),
-        )),
+    for label, period, on_change in (
+        ("cb periodic 0.5s", 0.5, False),
+        ("cb periodic 0.1s", 0.1, False),
+        ("cb on-change", 0.5, True),
     ):
         results[label] = [
-            run_tree_experiment("choice-crystalball", seed=s, **FLASH, **kwargs)
-            .depth_after_rejoin
+            run_tree_experiment(
+                "choice-crystalball", seed=s, **FLASH, checkpoint_period=period,
+                runtime_kwargs=dict(broadcast_on_change=on_change),
+            ).depth_after_rejoin
             for s in SEEDS
         ]
     return results

@@ -63,49 +63,42 @@ def _cmd_e1(_args) -> int:
     return 0
 
 
-def _cmd_tree(args, phase: str) -> int:
-    from .eval import VARIANTS, run_tree_experiment
+#: Experiments that are one runner call per (variant, seed): id -> (the
+#: runner in :mod:`repro.eval`, its variants, the variant ``report`` runs
+#: unless told otherwise).  Names, so ``repro.eval`` loads on first use.
+RUNS = {
+    "e2": ("run_tree_experiment", "VARIANTS", "choice-crystalball"),
+    "e3": ("run_tree_experiment", "VARIANTS", "choice-crystalball"),
+    "e4": ("run_gossip_experiment", "GOSSIP_VARIANTS", "choice-model"),
+    "e5": ("run_swarm_experiment", "SWARM_VARIANTS", "choice-adaptive"),
+    "e6": ("run_paxos_experiment", "PAXOS_VARIANTS", "choice"),
+    "a7": ("run_chaos_tree_experiment", "CHAOS_TREE_VARIANTS", "baseline"),
+}
+# e2 and e3 print one line per variant: the tree depth after this phase.
+TREE_PHASES = {"e2": "join", "e3": "rejoin"}
 
-    variants = [args.variant] if args.variant else list(VARIANTS)
-    for variant in variants:
-        depths = []
-        for seed in args.seeds:
-            result = run_tree_experiment(variant, seed=seed)
-            depths.append(
-                result.depth_after_join if phase == "join" else result.depth_after_rejoin
-            )
+
+def _run_entry(exp_id: str):
+    """``(runner, variants, report default)`` of one :data:`RUNS` entry."""
+    from . import eval as experiments
+
+    runner, variants, default = RUNS[exp_id]
+    return getattr(experiments, runner), getattr(experiments, variants), default
+
+
+def _cmd_run(args) -> int:
+    runner, variants, _default = _run_entry(args.command)
+    extra = {"setting": args.setting} if args.command == "e5" else {}
+    phase = TREE_PHASES.get(args.command)
+    for variant in [args.variant] if args.variant else list(variants):
+        results = [runner(variant, seed=seed, **extra) for seed in args.seeds]
+        if phase is None:
+            for result in results:
+                print(result.summary())
+            continue
+        depths = [getattr(result, f"depth_after_{phase}") for result in results]
         print(f"{variant:>20}: depth after {phase} = "
               f"{statistics.mean(depths):.2f}  per-seed {depths}")
-    return 0
-
-
-def _cmd_e4(args) -> int:
-    from .eval import GOSSIP_VARIANTS, run_gossip_experiment
-
-    variants = [args.variant] if args.variant else list(GOSSIP_VARIANTS)
-    for variant in variants:
-        for seed in args.seeds:
-            print(run_gossip_experiment(variant, seed=seed).summary())
-    return 0
-
-
-def _cmd_e5(args) -> int:
-    from .eval import SWARM_VARIANTS, run_swarm_experiment
-
-    variants = [args.variant] if args.variant else list(SWARM_VARIANTS)
-    for variant in variants:
-        for seed in args.seeds:
-            print(run_swarm_experiment(variant, setting=args.setting, seed=seed).summary())
-    return 0
-
-
-def _cmd_e6(args) -> int:
-    from .eval import PAXOS_VARIANTS, run_paxos_experiment
-
-    variants = [args.variant] if args.variant else list(PAXOS_VARIANTS)
-    for variant in variants:
-        for seed in args.seeds:
-            print(run_paxos_experiment(variant, seed=seed).summary())
     return 0
 
 
@@ -119,8 +112,8 @@ def _cmd_e7(args) -> int:
 
     config = RandTreeConfig()
     factory = make_exposed_factory(config)
-    cluster = Cluster(31, factory, seed=args.seeds[0],
-                      resolver_factory=lambda nid: RandomResolver(args.seeds[0]))
+    cluster = Cluster(31, factory, seed=args.seed,
+                      resolver_factory=lambda nid: RandomResolver(args.seed))
     cluster.start_all()
     cluster.run(until=20.0)
     world = cluster_view(cluster)
@@ -162,39 +155,6 @@ def _cmd_bench(args) -> int:
     return status
 
 
-REPORTABLE = ("e2", "e3", "e4", "e5", "e6", "a7")
-
-
-def _report_result(experiment: str, args):
-    """Run one experiment configuration and return its result object."""
-    if experiment in ("e2", "e3"):
-        from .eval import run_tree_experiment
-
-        variant = args.variant or "choice-crystalball"
-        return variant, run_tree_experiment(variant, seed=args.seed)
-    if experiment == "e4":
-        from .eval import run_gossip_experiment
-
-        variant = args.variant or "choice-model"
-        return variant, run_gossip_experiment(variant, seed=args.seed)
-    if experiment == "e5":
-        from .eval import run_swarm_experiment
-
-        variant = args.variant or "choice-adaptive"
-        return variant, run_swarm_experiment(variant, seed=args.seed)
-    if experiment == "e6":
-        from .eval import run_paxos_experiment
-
-        variant = args.variant or "choice"
-        return variant, run_paxos_experiment(variant, seed=args.seed)
-    if experiment == "a7":
-        from .eval import run_chaos_tree_experiment
-
-        variant = args.variant or "baseline"
-        return variant, run_chaos_tree_experiment(variant, seed=args.seed)
-    raise ValueError(f"unreportable experiment {experiment!r}")
-
-
 def _near_violation_totals(metrics) -> dict:
     """Aggregate per-node predicted near-violation counts for a report."""
     totals: dict = {}
@@ -205,28 +165,12 @@ def _near_violation_totals(metrics) -> dict:
     return totals
 
 
-def _steering_policy_totals(metrics) -> dict:
-    """Aggregate per-node amortized-steering snapshots for a report."""
-    from .runtime import merge_steering_snapshots
-
-    snapshots = [
-        section["steering"]["amortized"]
-        for section in metrics.get("nodes", {}).values()
-        if section.get("steering", {}).get("amortized")
-    ]
-    # A cluster-level steering section (T1/T2 experiment results carry
-    # one pre-merged) wins over re-deriving it from nodes.
-    if metrics.get("steering"):
-        return metrics["steering"]
-    if not snapshots:
-        return {}
-    return merge_steering_snapshots(snapshots)
-
-
 def _cmd_report(args) -> int:
     from .obs import RunReport
 
-    variant, result = _report_result(args.experiment, args)
+    runner, _variants, default = _run_entry(args.experiment)
+    variant = args.variant or default
+    result = runner(variant, seed=args.seed)
     context = {
         "experiment": args.experiment,
         "variant": variant,
@@ -237,19 +181,6 @@ def _cmd_report(args) -> int:
     if near:
         context["near_violations"] = near
         print(f"near-violations predicted: {near}")
-    steering = _steering_policy_totals(result.metrics)
-    if steering:
-        context["steering"] = steering
-        counters = steering.get("counters", {})
-        policy = steering.get("policy", {})
-        print(
-            "amortized steering: "
-            f"{counters.get('scored_rounds', 0)} scored rounds, "
-            f"{counters.get('policy_hits', 0)} policy hits "
-            f"(hit rate {policy.get('hit_rate', 0.0):.0%}), "
-            f"{counters.get('coalesced', 0)} coalesced, "
-            f"{counters.get('fallbacks', 0)} fallbacks"
-        )
     report = RunReport(
         title=f"{args.experiment}/{variant}",
         metrics=result.metrics,
@@ -266,14 +197,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_a7(args) -> int:
-    from .eval import (
-        CHAOS_TREE_VARIANTS,
-        run_chaos_paxos_experiment,
-        run_chaos_tree_experiment,
-        standard_plans,
-    )
+    from .eval import run_chaos_paxos_experiment, standard_plans
 
-    variants = [args.variant] if args.variant else list(CHAOS_TREE_VARIANTS)
+    run_chaos_tree_experiment, variants, _default = _run_entry("a7")
+    variants = [args.variant] if args.variant else list(variants)
     plans = standard_plans(args.nodes, args.horizon)
     if args.plan:
         known = {p.name: p for p in plans}
@@ -582,18 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", type=int, nargs="+", default=[1],
                        help="seeds to run (default: 1)")
 
-    for exp_id in ("e2", "e3"):
+    for exp_id in ("e2", "e3", "e4", "e5", "e6"):
         p = sub.add_parser(exp_id, help=EXPERIMENTS[exp_id])
         add_common(p)
-    p = sub.add_parser("e4", help=EXPERIMENTS["e4"])
-    add_common(p)
-    p = sub.add_parser("e5", help=EXPERIMENTS["e5"])
-    add_common(p)
-    p.add_argument("--setting", choices=("scarce", "abundant"), default="scarce")
-    p = sub.add_parser("e6", help=EXPERIMENTS["e6"])
-    add_common(p)
+        if exp_id == "e5":
+            p.add_argument("--setting", choices=("scarce", "abundant"), default="scarce")
     p = sub.add_parser("e7", help=EXPERIMENTS["e7"])
-    p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-depth", type=int, default=6)
     p = sub.add_parser(
         "bench",
@@ -607,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="run one experiment and emit its per-node metrics report",
     )
-    p.add_argument("experiment", choices=REPORTABLE,
+    p.add_argument("experiment", choices=tuple(RUNS),
                    help="experiment id to run and report on")
     p.add_argument("--variant", default=None,
                    help="variant (default: the CrystalBall-enabled one)")
@@ -722,11 +644,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "list": _cmd_list,
         "e1": _cmd_e1,
-        "e2": lambda a: _cmd_tree(a, "join"),
-        "e3": lambda a: _cmd_tree(a, "rejoin"),
-        "e4": _cmd_e4,
-        "e5": _cmd_e5,
-        "e6": _cmd_e6,
+        **dict.fromkeys(("e2", "e3", "e4", "e5", "e6"), _cmd_run),
         "e7": _cmd_e7,
         "a7": _cmd_a7,
         "trace": _cmd_trace,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..apps.paxos import SAFETY
+from ..apps.paxos import SAFETY, PaxosConfig
 from ..apps.randtree import (
     RandTreeConfig,
     check_randtree_invariants,
@@ -51,9 +51,8 @@ from ..chaos import (
 from ..mc import cluster_view
 from ..obs import collect_cluster_metrics
 from ..sim.trace import trace_digest
-from ..statemachine import Cluster
-from .paxos_experiment import wan_topology
-from .tree_experiment import VARIANTS, _build_cluster
+from .paxos_experiment import build_paxos_cluster
+from .tree_experiment import VARIANTS, build_tree_cluster, join_staggered
 
 CHAOS_TREE_VARIANTS = VARIANTS
 
@@ -151,31 +150,30 @@ class ChaosTreeResult:
         )
 
 
+# A chaos-tree run's join spacing, and the sim-seconds between two
+# structural-invariant probes and between the controller's checkpoints.
+JOIN_SPACING, PROBE_PERIOD, CHAOS_CHECKPOINT_PERIOD = 0.2, 0.5, 1.0
+
+
 def run_chaos_tree_experiment(
     variant: str,
     seed: int = 0,
     n: int = 15,
     plan: Optional[FaultPlan] = None,
     reliability: Optional[ReliabilityConfig] = None,
-    config: Optional[RandTreeConfig] = None,
-    join_spacing: float = 0.2,
     settle: float = 8.0,
-    probe_period: float = 0.5,
-    checkpoint_period: float = 1.0,
-    chain_depth: int = 6,
-    budget: int = 250,
 ) -> ChaosTreeResult:
     """Join a RandTree while a fault plan runs against it.
 
-    Nodes join staggered by ``join_spacing``; the plan (default: a
+    Nodes join staggered by :data:`JOIN_SPACING`; the plan (default: a
     randomized plan drawn from the run's seed) is armed from t=0; a
-    probe checks the structural invariants every ``probe_period``
+    probe checks the structural invariants every :data:`PROBE_PERIOD`
     simulated seconds; the run lasts until every plan event has healed
     plus ``settle``.  Pass a :class:`ReliabilityConfig` to wrap the
     transport in the at-least-once layer.
     """
-    cfg = config if config is not None else RandTreeConfig()
-    join_time = n * join_spacing
+    cfg = RandTreeConfig()
+    join_time = n * JOIN_SPACING
     if plan is None:
         # Named-stream derivation (chaos.plan), so plan draws stay
         # stable no matter what other consumers the run adds.
@@ -184,11 +182,8 @@ def run_chaos_tree_experiment(
             protect=(cfg.root,),
         )
     wrapper = reliable_transport(reliability) if reliability is not None else None
-    cluster = _build_cluster(
-        variant, n, seed, None, cfg, chain_depth, budget,
-        checkpoint_period=0.5, transport_wrapper=wrapper,
-    )
-    controller = ChaosController(cluster, plan, checkpoint_period=checkpoint_period)
+    cluster = build_tree_cluster(variant, n, seed, cfg, transport_wrapper=wrapper)
+    controller = ChaosController(cluster, plan, checkpoint_period=CHAOS_CHECKPOINT_PERIOD)
     controller.arm()
 
     result = ChaosTreeResult(
@@ -202,18 +197,9 @@ def run_chaos_tree_experiment(
         result.probes += 1
         for violation in check_randtree_invariants(states, cfg):
             result.violations.append(f"t={cluster.sim.now:g}: {violation}")
-        if cluster.sim.now + probe_period <= horizon:
-            cluster.sim.schedule(probe_period, probe, tag="chaos.probe")
 
-    cluster.node(cfg.root).start()
-    others = [nid for nid in range(n) if nid != cfg.root]
-    for index, node_id in enumerate(others):
-        cluster.sim.schedule_at(
-            (index + 1) * join_spacing,
-            cluster.node(node_id).start,
-            tag=f"chaos.start:{node_id}",
-        )
-    cluster.sim.schedule(probe_period, probe, tag="chaos.probe")
+    join_staggered(cluster, cfg.root, JOIN_SPACING, "chaos.start")
+    cluster.sim.every(PROBE_PERIOD, probe, horizon, "chaos.probe")
     cluster.run(until=horizon)
 
     states = live_states(cluster_view(cluster))
@@ -264,9 +250,7 @@ class ChaosPaxosResult:
 def run_chaos_paxos_experiment(
     seed: int = 0,
     plan: Optional[FaultPlan] = None,
-    n: int = 5,
     requests_per_node: int = 6,
-    request_interval: float = 0.5,
     max_time: float = 30.0,
 ) -> ChaosPaxosResult:
     """Run the WAN Paxos workload with a fault plan armed against it.
@@ -278,30 +262,14 @@ def run_chaos_paxos_experiment(
     partitions, flapping links — and agreement and at-most-once
     execution (:data:`repro.apps.paxos.SAFETY`) must survive all of it.
     """
+    n = 5
     if plan is None:
         plan = random_fault_plan(
             seed, n, duration=0.7 * max_time,
             amnesia_prob=0.0, crashes=1, name="random-paxos",
         )
-    for event in plan.events:
-        if isinstance(event, CrashEvent) and event.amnesia:
-            raise ValueError(
-                "amnesia crashes forfeit Paxos safety assumptions; "
-                f"use amnesia=False in {plan.name!r}"
-            )
-
-    # Rebuild the reference experiment inline so the chaos controller
-    # can be armed before the workload starts.
-    from ..apps.paxos import PaxosConfig, make_paxos_factory
-
-    config = PaxosConfig(
-        n=n, request_interval=request_interval,
-        requests_per_node=requests_per_node,
-    )
-    factory = make_paxos_factory(config)
-    cluster = Cluster(n, factory, topology=wan_topology(n), seed=seed)
-    controller = ChaosController(cluster, plan)
-    controller.arm()
+    config = PaxosConfig(n=n, request_interval=0.5, requests_per_node=requests_per_node)
+    cluster, controller = build_paxos_cluster(config, seed, None, plan=plan)
     cluster.start_all()
     cluster.run(until=max_time)
 
@@ -362,31 +330,25 @@ def run_reliable_join_comparison(
     seed: int = 0,
     n: int = 15,
     loss: float = 0.10,
-    variant: str = "baseline",
-    reliability: Optional[ReliabilityConfig] = None,
-    join_spacing: float = 0.2,
     settle: float = 10.0,
 ) -> ReliableJoinComparison:
     """E2 join with and without chaos loss, reliability layer on.
 
     The claim under test: at-least-once delivery masks adversarial
     message loss — with ``loss`` injected on every link and the
-    reliability layer enabled, the tree converges to the same final
-    depth and membership as the loss-free run of the identical
+    reliability layer enabled, the baseline tree converges to the same
+    final depth and membership as the loss-free run of the identical
     configuration and seed.
     """
-    cfg = ReliabilityConfig(timeout=0.15, backoff=1.6, max_retries=8) \
-        if reliability is None else reliability
     clean = run_chaos_tree_experiment(
-        variant, seed=seed, n=n, plan=FaultPlan(name="loss-free"),
-        join_spacing=join_spacing, settle=settle,
+        "baseline", seed=seed, n=n, plan=FaultPlan(name="loss-free"), settle=settle,
     )
     lossy_plan = FaultPlan(name=f"loss-{loss:.0%}", events=[
         LinkFaultEvent(at=0.0, drop=loss),
     ])
+    reliability = ReliabilityConfig(timeout=0.15, backoff=1.6, max_retries=8)
     masked = run_chaos_tree_experiment(
-        variant, seed=seed, n=n, plan=lossy_plan, reliability=cfg,
-        join_spacing=join_spacing, settle=settle,
+        "baseline", seed=seed, n=n, plan=lossy_plan, reliability=reliability, settle=settle,
     )
     return ReliableJoinComparison(
         seed=seed, n=n, loss=loss,

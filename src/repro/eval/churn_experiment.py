@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..apps.randtree import RandTreeConfig, live_states, max_tree_depth, tree_depths
 from ..mc import cluster_view
 from ..obs import collect_cluster_metrics
-from .tree_experiment import _build_cluster
+from .tree_experiment import build_tree_cluster, join_staggered
 
 
 @dataclass
@@ -42,39 +42,36 @@ class ChurnResult:
         )
 
 
+# Sim-seconds between two samples of tree quality.
+SAMPLE_PERIOD = 1.0
+
+
 def run_churn_experiment(
     variant: str,
     n: int = 21,
     seed: int = 0,
-    config: Optional[RandTreeConfig] = None,
     warmup: float = 12.0,
     duration: float = 40.0,
     churn_period: float = 2.5,
     downtime: float = 4.0,
-    sample_period: float = 1.0,
     chain_depth: int = 6,
     budget: int = 200,
-    checkpoint_period: float = 0.5,
 ) -> ChurnResult:
     """Run one continuous-churn scenario.
 
     After a staggered warm-up join phase, every ``churn_period`` a
     random live non-root node crashes and restarts ``downtime`` seconds
     later with fresh state.  Tree depth and attached fraction are
-    sampled every ``sample_period`` over the churn window.
+    sampled every :data:`SAMPLE_PERIOD` over the churn window.
     """
-    cfg = config if config is not None else RandTreeConfig()
-    cluster = _build_cluster(
-        variant, n, seed, None, cfg, chain_depth, budget, checkpoint_period,
+    cfg = RandTreeConfig()
+    cluster = build_tree_cluster(
+        variant, n, seed, cfg, runtime_kwargs=dict(chain_depth=chain_depth, budget=budget),
     )
     result = ChurnResult(variant=variant, seed=seed, n=n)
     churn_rng = random.Random(seed ^ 0xC0FFEE)
 
-    cluster.node(cfg.root).start()
-    for index, node_id in enumerate(nid for nid in range(n) if nid != cfg.root):
-        cluster.sim.schedule_at(
-            (index + 1) * 0.3, cluster.node(node_id).start, tag=f"churn.start:{node_id}",
-        )
+    join_staggered(cluster, cfg.root, 0.3, "churn.start")
     cluster.run(until=warmup)
 
     # Schedule the churn process.
@@ -98,8 +95,8 @@ def run_churn_experiment(
     attached_sum = 0.0
     clock = warmup
     while clock < warmup + duration:
-        cluster.run(until=clock + sample_period)
-        clock += sample_period
+        cluster.run(until=clock + SAMPLE_PERIOD)
+        clock += SAMPLE_PERIOD
         states = live_states(cluster_view(cluster))
         live = len(states)
         depth = max_tree_depth(states, cfg.root)

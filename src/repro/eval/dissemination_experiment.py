@@ -87,50 +87,46 @@ def setting_config(setting: str, n: int, block_count: int) -> DisseminationConfi
     return DisseminationConfig(n=n, block_count=block_count, seeds=seeds)
 
 
+# Every node's uplink (bits/s), seeds and leechers alike, and the
+# sim-seconds between two checks of whether every leecher is done.
+UPLINK, POLL_INTERVAL = 4e6, 0.5
+
+
 def run_swarm_experiment(
     variant: str,
     setting: str = "scarce",
     n: int = 17,
     seed: int = 0,
     block_count: int = 96,
-    seed_uplink: float = 4e6,
-    leecher_uplink: float = 4e6,
     max_time: float = 300.0,
-    poll_interval: float = 0.5,
 ) -> SwarmResult:
     """Run one swarm download and report completion statistics."""
     config = setting_config(setting, n, block_count)
     views = make_views(n, config.view_size, seed)
     topology = swarm_topology(n, seed)
 
-    if variant == "baseline-random":
-        factory = make_baseline_swarm_factory(config, views, "random")
-        cluster = Cluster(n, factory, topology=topology, seed=seed)
-    elif variant == "baseline-rarest":
-        factory = make_baseline_swarm_factory(config, views, "rarest")
-        cluster = Cluster(n, factory, topology=topology, seed=seed)
-    elif variant == "choice-random":
-        factory = make_exposed_swarm_factory(config, views)
-        cluster = Cluster(n, factory, topology=topology, seed=seed,
-                          resolver_factory=lambda nid: RandomResolver(seed))
-    elif variant == "choice-rarest":
-        factory = make_exposed_swarm_factory(config, views)
-        cluster = Cluster(n, factory, topology=topology, seed=seed,
-                          resolver_factory=lambda nid: RarestBlockResolver())
-    elif variant == "choice-adaptive":
-        factory = make_exposed_swarm_factory(config, views)
-        cluster = Cluster(n, factory, topology=topology, seed=seed,
-                          resolver_factory=lambda nid: AdaptiveBlockResolver())
-    else:
+    if variant not in SWARM_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {SWARM_VARIANTS}")
+    kind, policy = variant.split("-")
+    resolver_factory = None
+    if kind == "baseline":
+        factory = make_baseline_swarm_factory(config, views, policy)
+    else:
+        factory = make_exposed_swarm_factory(config, views)
+        resolver_factory = {
+            "random": lambda nid: RandomResolver(seed),
+            "rarest": lambda nid: RarestBlockResolver(),
+            "adaptive": lambda nid: AdaptiveBlockResolver(),
+        }[policy]
+    cluster = Cluster(n, factory, topology=topology, seed=seed,
+                      resolver_factory=resolver_factory)
 
     for node_id in range(n):
-        uplink = seed_uplink if node_id in config.seeds else leecher_uplink
-        cluster.network.set_uplink(node_id, uplink)
+        cluster.network.set_uplink(node_id, UPLINK)
 
     cluster.start_all()
     while cluster.sim.now < max_time:
-        cluster.run(until=min(max_time, cluster.sim.now + poll_interval))
+        cluster.run(until=min(max_time, cluster.sim.now + POLL_INTERVAL))
         if all_complete(cluster.services):
             break
 

@@ -25,7 +25,7 @@ from ..apps.gossip import (
     mean_delivery_latency,
 )
 from ..choice.resolvers import RandomResolver
-from ..net import Link, LinkDynamics, Topology
+from ..net import Link, Topology
 from ..obs import collect_cluster_metrics
 from ..runtime import install_crystalball
 from ..statemachine import Cluster
@@ -60,22 +60,19 @@ def heterogeneous_topology(
     seed: int,
     slow_fraction: float = 0.25,
     slow_latency: float = 0.4,
-    fast_latency_range=(0.01, 0.04),
-    fast_bandwidth: float = 50e6,
-    slow_bandwidth: float = 2e6,
 ) -> Topology:
-    """Mostly-fast cluster with a fraction of nodes behind slow links."""
+    """Mostly-fast cluster (10-40 ms, 50 Mbit/s links) with a fraction of
+    nodes behind slow links (``slow_latency`` more, 2 Mbit/s)."""
     rng = random.Random(seed)
     slow = set(rng.sample(range(n), max(1, int(n * slow_fraction))))
-    lo, hi = fast_latency_range
     topo = Topology(n)
     for i in range(n):
         for j in range(i + 1, n):
-            latency = rng.uniform(lo, hi)
-            bandwidth = fast_bandwidth
+            latency = rng.uniform(0.01, 0.04)
+            bandwidth = 50e6
             if i in slow or j in slow:
                 latency += slow_latency
-                bandwidth = slow_bandwidth
+                bandwidth = 2e6
             topo.set_symmetric(i, j, Link(latency=latency, bandwidth=bandwidth))
     return topo
 
@@ -88,6 +85,10 @@ def _count_app_messages(cluster: Cluster) -> int:
     )
 
 
+# Sim-seconds between two checks of whether every rumor reached every node.
+POLL_INTERVAL = 0.1
+
+
 def run_gossip_experiment(
     variant: str,
     n: int = 32,
@@ -96,57 +97,36 @@ def run_gossip_experiment(
     round_period: float = 0.5,
     publish_interval: float = 1.0,
     max_time: float = 120.0,
-    topology: Optional[Topology] = None,
-    poll_interval: float = 0.1,
-    congestion: bool = False,
-    model_updates: bool = True,
 ) -> GossipResult:
-    """Run one streaming dissemination scenario.
-
-    With ``congestion`` the topology suffers random transient slowdown
-    episodes (``repro.net.LinkDynamics``).  ``model_updates=False``
-    freezes the choice-model variant's network model after its oracle
-    bootstrap — the A4 ablation of adaptation.
-    """
+    """Run one streaming dissemination scenario on
+    :func:`heterogeneous_topology`; the run stops once every rumor has
+    reached every node, or at ``max_time``."""
     config = GossipConfig(
         n=n, round_period=round_period, rumor_count=rumor_count,
         publish_interval=publish_interval,
     )
-    if topology is None:
-        topology = heterogeneous_topology(n, seed)
+    topology = heterogeneous_topology(n, seed)
 
-    if variant == "baseline-random":
-        cluster = Cluster(n, make_baseline_gossip_factory(config, "random"),
-                          topology=topology, seed=seed)
-    elif variant == "baseline-bar":
-        cluster = Cluster(n, make_baseline_gossip_factory(config, "bar"),
-                          topology=topology, seed=seed)
-    elif variant == "choice-random":
-        cluster = Cluster(n, make_exposed_gossip_factory(config), topology=topology,
-                          seed=seed, resolver_factory=lambda nid: RandomResolver(seed))
-    elif variant == "choice-model":
-        factory = make_exposed_gossip_factory(config)
-        cluster = Cluster(n, factory, topology=topology, seed=seed)
-        runtimes = install_crystalball(
-            cluster, factory, set_resolver=False,
-            checkpoint_period=round_period, prediction_period=0.0,
-            passive_measurement=model_updates,
-        )
-        for runtime, node in zip(runtimes, cluster.nodes):
-            runtime.network_model.bootstrap_from_topology(topology)
-            node.choice_resolver = make_model_gossip_resolver()
-    else:
+    if variant not in GOSSIP_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {GOSSIP_VARIANTS}")
+    kind, policy = variant.split("-")
+    if kind == "baseline":
+        factory = make_baseline_gossip_factory(config, policy)
+    else:
+        factory = make_exposed_gossip_factory(config)
+    resolvers = {"choice-random": lambda nid: RandomResolver(seed),
+                 "choice-model": lambda nid: make_model_gossip_resolver()}
+    cluster = Cluster(n, factory, topology=topology, seed=seed,
+                      resolver_factory=resolvers.get(variant))
+    if variant == "choice-model":
+        for runtime in install_crystalball(cluster, factory, set_resolver=False,
+                                           checkpoint_period=round_period,
+                                           prediction_period=0.0):
+            runtime.network_model.bootstrap_from_topology(topology)
 
-    if congestion:
-        dynamics = LinkDynamics(
-            cluster.sim, topology, period=1.0, episode_duration=5.0,
-            latency_factor=8.0, bandwidth_factor=0.2, episode_probability=0.8,
-        )
-        dynamics.start()
     cluster.start_all()
     while cluster.sim.now < max_time:
-        cluster.run(until=min(max_time, cluster.sim.now + poll_interval))
+        cluster.run(until=min(max_time, cluster.sim.now + POLL_INTERVAL))
         if all_delivered(cluster.services, rumor_count):
             break
     return GossipResult(

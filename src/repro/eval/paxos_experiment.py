@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..apps.paxos import (PaxosConfig, SAFETY, leader_resolver, make_paxos_factory,
                           make_proposer_resolver)
@@ -80,16 +80,17 @@ class PaxosResult:
         )
 
 
-def wan_topology(n: int = 5, edge_penalty: float = 0.25) -> Topology:
+def wan_topology(n: int) -> Topology:
     """Three-region WAN with one poorly-connected edge replica.
 
     Replicas 0-1 in region A, 2-3 in region B, 4 at the edge.  Intra-
     region links are 10 ms; A<->B is 80 ms; the edge node reaches B in
-    ``edge_penalty`` seconds and A in roughly twice that, so its own
-    consensus rounds are slow but a region-B proxy is close.
+    250 ms and A in twice that, so its own consensus rounds are slow
+    but a region-B proxy is close.
     """
     if n != 5:
         raise ValueError("the reference WAN scenario is defined for n=5")
+    edge_penalty = 0.25
     topo = Topology(n)
     lat = {
         (0, 1): 0.010,
@@ -106,48 +107,83 @@ def wan_topology(n: int = 5, edge_penalty: float = 0.25) -> Topology:
 DEFAULT_LOADS = (0.15, 0.0, 0.0, 0.0, 0.25)
 
 
+def build_paxos_cluster(
+    config: PaxosConfig,
+    seed: int,
+    resolver_factory: Optional[Callable[[int], Any]],
+    runtime_kwargs: Optional[dict] = None,
+    plan: Optional[Any] = None,
+    causal: bool = False,
+    factory: Optional[Callable[[int], Any]] = None,
+) -> Tuple[Cluster, Optional[Any]]:
+    """The one Paxos world: ``config.n`` replicas on :func:`wan_topology`,
+    built by ``factory`` (default: :func:`make_paxos_factory` of ``config``;
+    a fuzz target passes its own ``factory`` attribute) and resolving
+    their choices through ``resolver_factory`` (``None``: the first
+    candidate).
+
+    ``runtime_kwargs`` installs a CrystalBall runtime per node with
+    those settings, its network model bootstrapped from the topology.
+    ``plan`` is armed on a chaos controller, returned beside the
+    cluster (``None`` without a plan); a plan with an amnesia crash is
+    refused, because Paxos safety assumes acceptors keep their promises.
+    """
+    if plan is not None:
+        from ..chaos import ChaosController, CrashEvent
+
+        for event in plan.events:
+            if isinstance(event, CrashEvent) and event.amnesia:
+                raise ValueError(
+                    "amnesia crashes forfeit Paxos safety assumptions; "
+                    f"use amnesia=False in {plan.name!r}"
+                )
+    topology = wan_topology(config.n)
+    if factory is None:
+        factory = make_paxos_factory(config)
+    cluster = Cluster(config.n, factory, topology=topology, seed=seed,
+                      resolver_factory=resolver_factory, causal=causal)
+    if runtime_kwargs is not None:
+        for runtime in install_crystalball(cluster, factory, **runtime_kwargs):
+            runtime.network_model.bootstrap_from_topology(topology)
+    controller = None
+    if plan is not None:
+        controller = ChaosController(cluster, plan)
+        controller.arm()
+    return cluster, controller
+
+
 def run_paxos_experiment(
     variant: str,
     seed: int = 0,
-    n: int = 5,
     requests_per_node: int = 10,
-    request_interval: float = 0.5,
-    processing_delays: Optional[tuple] = DEFAULT_LOADS,
-    topology: Optional[Topology] = None,
     max_time: float = 60.0,
 ) -> PaxosResult:
     """Run one replicated-state-machine workload and collect latencies.
 
-    The default load model puts CPU load on replica 0 (hurting the
-    fixed-leader design) and on the edge replica 4 (hurting Mencius for
-    node 4's own commands); the exposed choice routes around both.
+    The load model (:data:`DEFAULT_LOADS`) puts CPU load on replica 0
+    (hurting the fixed-leader design) and on the edge replica 4
+    (hurting Mencius for node 4's own commands); the exposed choice
+    routes around both.
     """
     if variant not in PAXOS_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {PAXOS_VARIANTS}")
+    n = 5
     config = PaxosConfig(
-        n=n, request_interval=request_interval, requests_per_node=requests_per_node,
-        processing_delays=processing_delays,
+        n=n, request_interval=0.5, requests_per_node=requests_per_node,
+        processing_delays=DEFAULT_LOADS,
         # Room for every command at once: no proposer ever waits on its
         # pipeline, so the CPU queue alone paces a loaded one.
         pipeline_depth=n * requests_per_node,
     )
-    if topology is None:
-        topology = wan_topology(n)
-    factory = make_paxos_factory(config)
-    resolver_factory = None
+    resolver_factory = runtime_kwargs = None
     if variant == "fixed":
         resolver = leader_resolver(0)
         resolver_factory = lambda node_id: resolver
-    cluster = Cluster(n, factory, topology=topology, seed=seed,
-                      resolver_factory=resolver_factory)
-    if variant == "choice":
-        runtimes = install_crystalball(
-            cluster, factory, set_resolver=False,
-            checkpoint_period=0.0, prediction_period=0.0,
-        )
-        for runtime, node in zip(runtimes, cluster.nodes):
-            runtime.network_model.bootstrap_from_topology(topology)
-            node.choice_resolver = make_proposer_resolver()
+    elif variant == "choice":
+        resolver_factory = lambda node_id: make_proposer_resolver()
+        runtime_kwargs = dict(set_resolver=False, checkpoint_period=0.0,
+                              prediction_period=0.0)
+    cluster, _ = build_paxos_cluster(config, seed, resolver_factory, runtime_kwargs)
     cluster.start_all()
     cluster.run(until=max_time)
 
@@ -230,11 +266,11 @@ def run_throughput_experiment(
 
     A :class:`~repro.apps.paxos.ClientLoad` generator offers
     ``total_requests`` commands closed-loop to five replicas, loaded
-    with :data:`DEFAULT_LOADS`, over the reference WAN while
-    an A7 chaos plan (default: ``message-chaos``; amnesia is rejected,
-    as in :func:`~repro.eval.chaos_experiment.run_chaos_paxos_experiment`)
-    runs against the cluster.  ``steering`` picks how the exposed
-    batch-size / proposer / retry-pacing choices resolve:
+    with :data:`DEFAULT_LOADS`, over the reference WAN while an A7
+    chaos plan (default: ``message-chaos``; amnesia is rejected, see
+    :func:`build_paxos_cluster`) runs against the cluster.  ``steering``
+    picks how the exposed batch-size / proposer / retry-pacing choices
+    resolve:
 
     * ``"off"`` (or ``False``) — the static default (first candidate:
       batch size 1, local proposer), the legacy unbatched behaviour;
@@ -246,13 +282,8 @@ def run_throughput_experiment(
       rounds distill candidate rankings against a committed-work
       objective (:class:`~repro.apps.paxos.ThroughputObjective`), and
       the hot path answers from coalesced answers / rankings, degrading
-      to the ``static`` resolver when the policy is stale or the budget
-      is spent.  The budget is the scheduler's default: 30,000 weighted
-      states up front plus 3,000 per sim-second, rankings live 20
-      sim-seconds, and rounds whose projected replay cost no longer
-      fits the remaining allowance are denied before any state is
-      captured, concentrating prediction early while the decided logs
-      are small.
+      to the ``static`` resolver when the policy is stale or the
+      scheduler's default budget is spent.
       Cluster-wide scheduler counters land in ``metrics["steering"]``.
       Checkpoint gossip is off (``checkpoint_period=0``):
       the committed-work objective scores local queue drain, and at
@@ -280,7 +311,6 @@ def run_throughput_experiment(
     (``benchmarks/bench_o3_stream.py`` asserts it).
     """
     from ..apps.paxos import ClientLoad, ThroughputObjective, make_throughput_resolver
-    from ..chaos import ChaosController, CrashEvent
     from ..obs import TelemetrySampler, as_stream
     from ..runtime import merge_steering_snapshots
     from ..statemachine.serialization import digest
@@ -293,34 +323,19 @@ def run_throughput_experiment(
         from .chaos_experiment import standard_plans
 
         plan = standard_plans(n, horizon, amnesia=False)[0]
-    for event in plan.events:
-        if isinstance(event, CrashEvent) and event.amnesia:
-            raise ValueError(
-                "amnesia crashes forfeit Paxos safety assumptions; "
-                f"use amnesia=False in {plan.name!r}"
-            )
-    topology = wan_topology(n)
-    factory = make_paxos_factory(config)
-    resolver_factory = None
+    resolver_factory = runtime_kwargs = None
     if mode == "static":
-        resolver = make_throughput_resolver(topology, config)
+        resolver = make_throughput_resolver(wan_topology(n), config)
         resolver_factory = lambda node_id: resolver
-    cluster = Cluster(n, factory, topology=topology, seed=seed,
-                      resolver_factory=resolver_factory)
-    runtimes: List[Any] = []
-    if mode == "amortized":
-        runtimes = install_crystalball(
-            cluster, factory, set_resolver=True,
-            checkpoint_period=0.0, prediction_period=0.0,
-            objective=ThroughputObjective(),
-            steering_policy=True,
-            fallback=make_throughput_resolver(topology, config),
+    elif mode == "amortized":
+        runtime_kwargs = dict(
+            set_resolver=True, checkpoint_period=0.0, prediction_period=0.0,
+            objective=ThroughputObjective(), steering_policy=True,
+            fallback=make_throughput_resolver(wan_topology(n), config),
         )
-        for runtime in runtimes:
-            runtime.network_model.bootstrap_from_topology(topology)
+    cluster, controller = build_paxos_cluster(
+        config, seed, resolver_factory, runtime_kwargs=runtime_kwargs, plan=plan)
     cluster.sim.trace.enabled = False
-    controller = ChaosController(cluster, plan)
-    controller.arm()
     load = ClientLoad(cluster, total_requests)
 
     run_stream = as_stream(
@@ -371,12 +386,10 @@ def run_throughput_experiment(
                 probe=safety["probes"], agreement=agreement,
                 at_most_once=at_most_once,
             )
-        if cluster.sim.now + _PROBE_PERIOD <= horizon:
-            cluster.sim.schedule(_PROBE_PERIOD, probe, tag="throughput.probe")
 
     cluster.start_all()
     load.arm()
-    cluster.sim.schedule(_PROBE_PERIOD, probe, tag="throughput.probe")
+    cluster.sim.every(_PROBE_PERIOD, probe, horizon, "throughput.probe")
     if sampler is not None:
         sampler.start(until=horizon)
     cluster.run(until=horizon)
@@ -397,10 +410,9 @@ def run_throughput_experiment(
         for s in cluster.services
     })
     metrics = collect_cluster_metrics(cluster)
-    if runtimes:
+    if mode == "amortized":
         metrics["steering"] = merge_steering_snapshots(
-            r.amortized.snapshot() for r in runtimes if r.amortized is not None
-        )
+            node.crystalball.amortized.snapshot() for node in cluster.nodes)
     if sampler is not None:
         sampler.stop()
         metrics["telemetry"] = sampler.snapshot()

@@ -61,12 +61,11 @@ def e1_section() -> ReportSection:
 
 
 def tree_sections(n: int, seeds: Sequence[int]) -> List[ReportSection]:
-    from .tree_experiment import run_tree_experiment
+    from .tree_experiment import VARIANTS, run_tree_experiment
 
-    variants = ("baseline", "choice-random", "choice-crystalball")
     join_rows = []
     rejoin_rows = []
-    for variant in variants:
+    for variant in VARIANTS:
         joins, rejoins = [], []
         for seed in seeds:
             result = run_tree_experiment(variant, n=n, seed=seed)

@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from ..apps.paxos import PaxosConfig, make_paxos_factory
-from ..chaos import ChaosController
+from ..apps.paxos import PaxosConfig
 from ..mc import SafetyProperty
 from ..obs import (
     CausalExplanation,
@@ -36,11 +35,9 @@ from ..obs import (
     explain_steering,
     explain_violation,
 )
-from ..runtime import install_crystalball
 from ..sim.trace import trace_digest
-from ..statemachine import Cluster
 from .chaos_experiment import standard_plans
-from .paxos_experiment import wan_topology
+from .paxos_experiment import build_paxos_cluster
 
 TRACE_EXPERIMENTS = ("e6", "a7")
 
@@ -98,23 +95,19 @@ class TraceSession:
         )
 
 
+# Explanations kept per kind (steering decisions, predicted violations).
+MAX_EXPLAINED = 5
+
+
 def run_trace_session(
-    experiment: str = "e6",
+    experiment: str,
     seed: int = 1,
-    n: int = 5,
-    max_time: float = 8.0,
-    requests_per_node: int = 2,
-    request_interval: float = 1.5,
-    checkpoint_period: float = 0.25,
-    prediction_period: float = 0.6,
-    chain_depth: int = 3,
-    budget: int = 900,
-    max_explained: int = 5,
     keep_cluster: bool = False,
 ) -> TraceSession:
     """Run one causal-forensics session and explain what was steered.
 
-    The exposed-choice Paxos cluster runs with ``causal=True`` and a
+    The exposed-choice Paxos cluster (five replicas, two requests each
+    1.5 s apart, 8 simulated seconds) runs with ``causal=True`` and a
     CrystalBall runtime per node guarding the canary property; ``a7``
     additionally arms the A7 ``message-chaos`` fault plan.  After the
     run, one final prediction on the canary node supplies predicted
@@ -125,44 +118,37 @@ def run_trace_session(
         raise ValueError(
             f"unknown trace experiment {experiment!r}; pick from {TRACE_EXPERIMENTS}"
         )
+    n, max_time = 5, 8.0
     canary = n - 1
     config = PaxosConfig(
-        n=n, request_interval=request_interval,
-        requests_per_node=requests_per_node,
+        n=n, request_interval=1.5, requests_per_node=2,
         # Expose the proposer alone: every explanation roots there.
         batch_size_choices=(1,), retry_pacing_choices=(1.0,),
     )
-    factory = make_paxos_factory(config)
-    cluster = Cluster(
-        n, factory, topology=wan_topology(n), seed=seed, causal=True,
+    plan = standard_plans(n, max_time)[0] if experiment == "a7" else None  # message-chaos
+    cluster, _ = build_paxos_cluster(
+        config, seed, None,
+        runtime_kwargs=dict(
+            set_resolver=False,  # live choices use the plain first-candidate
+            # resolver: deterministic, cheap, and still recorded as
+            # choice.resolve events for forensics to root chains at.
+            properties=[canary_property(canary)],
+            checkpoint_period=0.25, prediction_period=0.6, chain_depth=3, budget=900,
+        ),
+        plan=plan, causal=True,
     )
-    runtimes = install_crystalball(
-        cluster, factory,
-        set_resolver=False,  # live choices use the plain first-candidate
-        # resolver: deterministic, cheap, and still recorded as
-        # choice.resolve events for forensics to root chains at.
-        properties=[canary_property(canary)],
-        checkpoint_period=checkpoint_period,
-        prediction_period=prediction_period,
-        chain_depth=chain_depth,
-        budget=budget,
-    )
-    plan_name = "clean"
-    if experiment == "a7":
-        plan = standard_plans(n, max_time)[0]  # message-chaos
-        ChaosController(cluster, plan).arm()
-        plan_name = plan.name or "message-chaos"
+    plan_name = plan.name if plan is not None else "clean"
     cluster.start_all()
     cluster.run(until=max_time)
 
     # One last prediction from the canary node's current world: its
     # violations feed the violation-forensics path (steering already
     # happened inline during the run).
-    report = runtimes[canary].run_prediction()
+    report = cluster.nodes[canary].crystalball.run_prediction()
 
     trace = cluster.sim.trace
     graph = HappensBeforeGraph.from_trace(trace)
-    steering = explain_steering(trace, graph)[:max_explained]
+    steering = explain_steering(trace, graph)[:MAX_EXPLAINED]
     # Prefer violations whose predicted path involves messages: their
     # deliveries anchor to live sends, which gives the explanation a
     # non-empty causal prefix (timer-only paths are pure hypotheticals).
@@ -175,7 +161,7 @@ def run_trace_session(
     )
     violations = [
         explain_violation(trace, violation, graph)
-        for violation in predicted[:max_explained]
+        for violation in predicted[:MAX_EXPLAINED]
     ]
 
     session = TraceSession(
@@ -184,7 +170,7 @@ def run_trace_session(
         n=n,
         plan_name=plan_name,
         canary=canary,
-        filtered=sum(r.steering.filtered_count for r in runtimes),
+        filtered=sum(node.crystalball.steering.filtered_count for node in cluster.nodes),
         canary_safe=not cluster.services[canary].accepted,
         events=len(graph),
         duplicate_deliveries=sum(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import collect_cluster_metrics
 
@@ -32,7 +32,7 @@ from ..apps.randtree import (
 )
 from ..choice.resolvers import RandomResolver
 from ..mc import cluster_view
-from ..net import Topology, transit_stub
+from ..net import transit_stub
 from ..runtime import install_crystalball
 from ..statemachine import Cluster
 
@@ -73,48 +73,62 @@ def optimal_depth(n: int, fanout: int) -> int:
     return depth
 
 
-def _build_cluster(
+# Runtime settings of the ``choice-crystalball`` variant; a world's
+# ``runtime_kwargs`` override them.  Steering is studied separately, so
+# no periodic prediction runs: choices are predicted when they are made.
+_RUNTIME = dict(checkpoint_period=0.5, chain_depth=6, budget=250, prediction_period=0.0)
+
+
+def build_tree_cluster(
     variant: str,
     n: int,
     seed: int,
-    topology: Optional[Topology],
     config: RandTreeConfig,
-    chain_depth: int,
-    budget: int,
-    checkpoint_period: float,
     runtime_kwargs: Optional[dict] = None,
     transport_wrapper=None,
+    causal: bool = False,
+    factory: Optional[Callable[[int], Any]] = None,
 ) -> Cluster:
-    if topology is None:
-        topology = transit_stub(n, random.Random(seed))
-    if variant == "baseline":
-        factory = make_baseline_factory(config)
-        return Cluster(n, factory, topology=topology, seed=seed,
-                       transport_wrapper=transport_wrapper)
-    factory = make_exposed_factory(config)
+    """The one RandTree world: ``n`` nodes of ``variant`` on a transit-stub
+    topology drawn from ``seed``, none started yet (see
+    :func:`join_staggered`).
+
+    ``baseline`` runs the hand-coded tree; the two exposed variants
+    resolve its choices at random or through a CrystalBall runtime on
+    every node.  ``factory`` replaces the variant's service factory: a
+    fuzz target builds its world from its own ``factory`` attribute.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    topology = transit_stub(n, random.Random(seed))
+    if factory is None:
+        factory = (make_baseline_factory if variant == "baseline"
+                   else make_exposed_factory)(config)
+    resolver_factory = None
     if variant == "choice-random":
-        cluster = Cluster(
-            n, factory, topology=topology, seed=seed,
-            resolver_factory=lambda nid: RandomResolver(seed),
-            transport_wrapper=transport_wrapper,
-        )
-        return cluster
+        resolver_factory = lambda nid: RandomResolver(seed)
+    cluster = Cluster(n, factory, topology=topology, seed=seed,
+                      resolver_factory=resolver_factory,
+                      transport_wrapper=transport_wrapper, causal=causal)
     if variant == "choice-crystalball":
-        cluster = Cluster(n, factory, topology=topology, seed=seed,
-                          transport_wrapper=transport_wrapper)
         install_crystalball(
-            cluster,
-            factory,
+            cluster, factory,
             objective=make_balance_objective(config),
             properties=randtree_properties(config),
-            checkpoint_period=checkpoint_period,
-            chain_depth=chain_depth,
-            budget=budget,
-            prediction_period=0.0,  # steering studied separately
-            **(runtime_kwargs or {}),
+            **{**_RUNTIME, **(runtime_kwargs or {})},
         )
-        return cluster
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return cluster
+
+
+def join_staggered(cluster: Cluster, root: int, spacing: float, tag: str) -> None:
+    """Start ``root`` now and every other node ``spacing`` seconds after
+    the one before it, in id order."""
+    cluster.node(root).start()
+    others = [nid for nid in range(len(cluster.nodes)) if nid != root]
+    for index, node_id in enumerate(others):
+        cluster.sim.schedule_at(
+            (index + 1) * spacing, cluster.node(node_id).start, tag=f"{tag}:{node_id}",
+        )
 
 
 def failed_subtree(cluster: Cluster, config: RandTreeConfig) -> List[int]:
@@ -137,15 +151,21 @@ def failed_subtree(cluster: Cluster, config: RandTreeConfig) -> List[int]:
     return sorted(members)
 
 
+def _tree_shape(cluster: Cluster, root: int) -> Tuple[int, int]:
+    """(maximum depth, nodes attached) of the live tree under ``root``."""
+    states = live_states(cluster_view(cluster))
+    return max_tree_depth(states, root), len(tree_depths(states, root))
+
+
+# The scenario's timeline (seconds): join spacing, and how long the tree
+# settles after the joins and after the failure.
+JOIN_SPACING, JOIN_SETTLE, FAILURE_SETTLE = 0.3, 8.0, 6.0
+
+
 def run_tree_experiment(
     variant: str,
     n: int = 31,
     seed: int = 0,
-    topology: Optional[Topology] = None,
-    config: Optional[RandTreeConfig] = None,
-    join_spacing: float = 0.3,
-    join_settle: float = 8.0,
-    failure_settle: float = 6.0,
     rejoin_spacing: float = 0.3,
     rejoin_settle: float = 12.0,
     chain_depth: int = 6,
@@ -155,43 +175,35 @@ def run_tree_experiment(
 ) -> TreeExperimentResult:
     """Run one full join / fail-subtree / rejoin scenario.
 
-    Nodes join staggered by ``join_spacing`` seconds; once the tree
+    Nodes join staggered by :data:`JOIN_SPACING` seconds; once the tree
     settles the depth is measured (E2); the subtree under the root's
     first child is crash-stopped; after failure detection settles the
-    failed nodes restart with fresh state, staggered, and the final
-    depth is measured (E3).
+    failed nodes restart with fresh state, ``rejoin_spacing`` apart, and
+    the final depth is measured (E3).
     """
-    cfg = config if config is not None else RandTreeConfig()
-    cluster = _build_cluster(
-        variant, n, seed, topology, cfg, chain_depth, budget, checkpoint_period,
-        runtime_kwargs,
+    cfg = RandTreeConfig()
+    cluster = build_tree_cluster(
+        variant, n, seed, cfg,
+        runtime_kwargs=dict(checkpoint_period=checkpoint_period, chain_depth=chain_depth,
+                            budget=budget, **(runtime_kwargs or {})),
     )
     result = TreeExperimentResult(variant=variant, seed=seed, n=n)
 
     # Phase 1: staggered joins.
-    cluster.node(cfg.root).start()
-    others = [nid for nid in range(n) if nid != cfg.root]
-    for index, node_id in enumerate(others):
-        cluster.sim.schedule_at(
-            (index + 1) * join_spacing,
-            cluster.node(node_id).start,
-            tag=f"exp.start:{node_id}",
-        )
-    join_measure_t = n * join_spacing + join_settle
+    join_staggered(cluster, cfg.root, JOIN_SPACING, "exp.start")
+    join_measure_t = n * JOIN_SPACING + JOIN_SETTLE
     cluster.run(until=join_measure_t)
-    states = live_states(cluster_view(cluster))
-    result.depth_after_join = max_tree_depth(states, cfg.root)
-    result.joined_after_join = len(tree_depths(states, cfg.root))
+    result.depth_after_join, result.joined_after_join = _tree_shape(cluster, cfg.root)
 
     # Phase 2: fail the subtree under the root's first child.
     victims = failed_subtree(cluster, cfg)
     result.failed_nodes = victims
     for node_id in victims:
         cluster.node(node_id).crash()
-    cluster.run(until=join_measure_t + failure_settle)
+    rejoin_t = join_measure_t + FAILURE_SETTLE
+    cluster.run(until=rejoin_t)
 
     # Phase 3: staggered rejoin with fresh state.
-    rejoin_t = join_measure_t + failure_settle
     for index, node_id in enumerate(victims):
         cluster.sim.schedule_at(
             rejoin_t + index * rejoin_spacing,
@@ -199,9 +211,7 @@ def run_tree_experiment(
             tag=f"exp.restart:{node_id}",
         )
     cluster.run(until=rejoin_t + len(victims) * rejoin_spacing + rejoin_settle)
-    states = live_states(cluster_view(cluster))
-    result.depth_after_rejoin = max_tree_depth(states, cfg.root)
-    result.joined_after_rejoin = len(tree_depths(states, cfg.root))
+    result.depth_after_rejoin, result.joined_after_rejoin = _tree_shape(cluster, cfg.root)
     result.metrics = collect_cluster_metrics(cluster)
     return result
 
@@ -209,6 +219,8 @@ def run_tree_experiment(
 __all__ = [
     "VARIANTS",
     "TreeExperimentResult",
+    "build_tree_cluster",
+    "join_staggered",
     "run_tree_experiment",
     "failed_subtree",
     "optimal_depth",

@@ -51,7 +51,8 @@ from ..apps.randtree import (
 )
 from ..chaos import ChaosController, FaultPlan
 from ..chaos.plan import CrashEvent, LinkFaultEvent, PartitionEvent, plan_rng
-from ..eval.paxos_experiment import wan_topology
+from ..eval.paxos_experiment import build_paxos_cluster
+from ..eval.tree_experiment import build_tree_cluster, join_staggered
 from ..mc import ConsequencePredictor, Explorer, WorldState, cluster_view
 from ..sim.trace import trace_digest
 from ..statemachine import Cluster
@@ -103,21 +104,66 @@ class FuzzTarget:
     probe_times: tuple = ()
     chain_depth = 3
     predict_budget = 160
+    # Sim-seconds between the chaos controller's checkpoints, which an
+    # amnesia-free crash recovers from (0: none, so such a crash resumes
+    # from its crash-time state, the stable storage Paxos assumes).
+    chaos_checkpoint_period = 0.0
 
     def random_plan(self, rng: random.Random) -> FaultPlan:
         """Draw a plan from this target's random surface (the baseline
         the guided campaign is benchmarked against)."""
         raise NotImplementedError
 
-    def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
-                causal: bool = False, keep_cluster: bool = False,
-                steering: bool = False) -> ExecutionResult:
+    def build(self, seed: int, causal: bool) -> Cluster:
+        """This target's world, built by the experiment layer."""
+        raise NotImplementedError
+
+    def drive(self, cluster: Cluster, predictor: Optional[ConsequencePredictor],
+              result: ExecutionResult) -> None:
+        """Start the world and schedule its probes; :meth:`execute` then
+        runs it to the horizon."""
         raise NotImplementedError
 
     def live_violations(self, world: WorldState) -> List[str]:
         """Violations of this target's live safety properties in
         ``world`` (a :func:`~repro.mc.cluster_view` of its cluster)."""
         raise NotImplementedError
+
+    def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
+                causal: bool = False, keep_cluster: bool = False,
+                steering: bool = False) -> ExecutionResult:
+        """Run ``plan`` against a world built from ``seed``.
+
+        With ``steering`` every node runs a CrystalBall runtime that
+        predicts once a simulated second against the target's
+        properties; with ``probes`` a consequence predictor also runs
+        at the target's probe times and feeds the coverage score.
+        """
+        cluster = self.build(seed, causal)
+        controller = ChaosController(cluster, plan,
+                                     checkpoint_period=self.chaos_checkpoint_period)
+        controller.arm()
+        if steering:
+            from ..runtime import install_crystalball
+
+            install_crystalball(
+                cluster, self.factory, set_resolver=False,
+                properties=self.properties, checkpoint_period=1.0,
+                prediction_period=1.0, chain_depth=self.chain_depth,
+                budget=self.predict_budget,
+            )
+        result = ExecutionResult(target=self.name, seed=seed,
+                                 plan_digest=plan.digest())
+        predictor = None
+        if probes:
+            explorer = Explorer(self.factory, properties=self.properties)
+            predictor = ConsequencePredictor(
+                explorer, chain_depth=self.chain_depth,
+                budget=self.predict_budget,
+            )
+        self.drive(cluster, predictor, result)
+        cluster.run(until=self.horizon)
+        return self._finish(result, cluster, controller, keep_cluster)
 
     # ------------------------------------------------------------------
     # Shared machinery
@@ -243,37 +289,14 @@ class PaxosFuzzTarget(FuzzTarget):
         return [f"{prop.name}: {_BROKEN[prop.name]}"
                 for prop in SAFETY if not prop.holds(world)]
 
-    def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
-                causal: bool = False, keep_cluster: bool = False,
-                steering: bool = False) -> ExecutionResult:
-        cluster = Cluster(self.n_nodes, self.factory,
-                          topology=wan_topology(self.n_nodes), seed=seed,
-                          causal=causal)
-        controller = ChaosController(cluster, plan)
-        controller.arm()
-        if steering:
-            from ..runtime import install_crystalball
+    def build(self, seed: int, causal: bool) -> Cluster:
+        return build_paxos_cluster(self.config, seed, None, causal=causal,
+                                   factory=self.factory)[0]
 
-            install_crystalball(
-                cluster, self.factory, set_resolver=False,
-                properties=self.properties, checkpoint_period=1.0,
-                prediction_period=1.0, chain_depth=self.chain_depth,
-                budget=self.predict_budget,
-            )
+    def drive(self, cluster: Cluster, predictor: Optional[ConsequencePredictor],
+              result: ExecutionResult) -> None:
         cluster.start_all()
-        result = ExecutionResult(target=self.name, seed=seed,
-                                 plan_digest=plan.digest())
-        predictor = None
-        if probes:
-            explorer = Explorer(self.factory, properties=self.properties)
-            predictor = ConsequencePredictor(
-                explorer, chain_depth=self.chain_depth,
-                budget=self.predict_budget,
-            )
-
         self._schedule_probes(cluster, predictor, result, self.live_violations)
-        cluster.run(until=self.horizon)
-        return self._finish(result, cluster, controller, keep_cluster)
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +320,7 @@ class RandTreeFuzzTarget(FuzzTarget):
     predict_budget = 80
     join_spacing = 0.2
     invariant_period = 0.5
+    chaos_checkpoint_period = 1.0
 
     def __init__(self) -> None:
         self.config = RandTreeConfig()
@@ -331,54 +355,21 @@ class RandTreeFuzzTarget(FuzzTarget):
     def live_violations(self, world: WorldState) -> List[str]:
         return check_randtree_invariants(live_states(world), self.config)
 
-    def execute(self, plan: FaultPlan, seed: int, *, probes: bool = True,
-                causal: bool = False, keep_cluster: bool = False,
-                steering: bool = False) -> ExecutionResult:
-        from ..net import transit_stub
+    def build(self, seed: int, causal: bool) -> Cluster:
+        return build_tree_cluster("baseline", self.n_nodes, seed, self.config,
+                                  causal=causal, factory=self.factory)
 
-        topology = transit_stub(self.n_nodes, random.Random(seed))
-        cluster = Cluster(self.n_nodes, self.factory, topology=topology,
-                          seed=seed, causal=causal)
-        controller = ChaosController(cluster, plan, checkpoint_period=1.0)
-        controller.arm()
-        if steering:
-            from ..runtime import install_crystalball
-
-            install_crystalball(
-                cluster, self.factory, set_resolver=False,
-                properties=self.properties, checkpoint_period=1.0,
-                prediction_period=1.0, chain_depth=self.chain_depth,
-                budget=self.predict_budget,
-            )
-        result = ExecutionResult(target=self.name, seed=seed,
-                                 plan_digest=plan.digest())
-        predictor = None
-        if probes:
-            explorer = Explorer(self.factory, properties=self.properties)
-            predictor = ConsequencePredictor(
-                explorer, chain_depth=self.chain_depth,
-                budget=self.predict_budget,
-            )
+    def drive(self, cluster: Cluster, predictor: Optional[ConsequencePredictor],
+              result: ExecutionResult) -> None:
         # The sweep below fires at every probe time too, so the probes
         # only predict.
         self._schedule_probes(cluster, predictor, result, None)
+        join_staggered(cluster, self.config.root, self.join_spacing, "fuzz.start")
 
-        def invariant_probe() -> None:
+        def sweep() -> None:
             result.note(cluster.sim.now, self.live_violations(cluster_view(cluster)))
-            if cluster.sim.now + self.invariant_period <= self.horizon:
-                cluster.sim.schedule(self.invariant_period, invariant_probe,
-                                     tag="fuzz.invariant")
 
-        cluster.node(self.config.root).start()
-        for index, node_id in enumerate(
-                nid for nid in range(self.n_nodes) if nid != self.config.root):
-            cluster.sim.schedule_at((index + 1) * self.join_spacing,
-                                    cluster.node(node_id).start,
-                                    tag=f"fuzz.start:{node_id}")
-        cluster.sim.schedule(self.invariant_period, invariant_probe,
-                             tag="fuzz.invariant")
-        cluster.run(until=self.horizon)
-        return self._finish(result, cluster, controller, keep_cluster)
+        cluster.sim.every(self.invariant_period, sweep, self.horizon, "fuzz.invariant")
 
 
 TARGETS: Dict[str, Callable[[], FuzzTarget]] = {

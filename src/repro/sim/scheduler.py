@@ -61,6 +61,18 @@ class Simulator:
             )
         return self.queue.push(time, callback, tag)
 
+    def every(self, period: float, action: Callable[[], None], until: float,
+              tag: str) -> None:
+        """Run ``action`` ``period`` seconds from now and then every
+        ``period`` seconds while the next run falls no later than ``until``."""
+
+        def tick() -> None:
+            action()
+            if self.clock._now + period <= until:
+                self.schedule(period, tick, tag)
+
+        self.schedule(period, tick, tag)
+
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a scheduled event; returns whether it was still live."""
         return self.queue.cancel(handle)

@@ -143,9 +143,9 @@ class TestChaosPaxosExperiment:
             "7aa6a5b8be581664a63654db123078bf356afdae8df61c8bbc35bccab1940647", 15)
 
     def test_at_most_once_checked_at_every_replica(self, monkeypatch):
-        from repro.eval import chaos_experiment
+        from repro.eval import paxos_experiment
 
-        real = chaos_experiment.Cluster
+        real = paxos_experiment.Cluster
 
         def sabotaged(*args, **kwargs):
             cluster = real(*args, **kwargs)
@@ -156,7 +156,7 @@ class TestChaosPaxosExperiment:
             )
             return cluster
 
-        monkeypatch.setattr(chaos_experiment, "Cluster", sabotaged)
+        monkeypatch.setattr(paxos_experiment, "Cluster", sabotaged)
         result = run_chaos_paxos_experiment(
             seed=2, plan=FaultPlan(name="none"),
             requests_per_node=3, max_time=15.0,

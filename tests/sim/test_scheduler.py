@@ -45,6 +45,15 @@ def test_events_scheduled_during_dispatch_run():
     assert sim.now == 2.0
 
 
+def test_every_runs_each_period_through_until_and_stops():
+    sim = Simulator()
+    fired = []
+    sim.every(0.5, lambda: fired.append(sim.now), until=2.0, tag="probe")
+    sim.run()
+    assert fired == [0.5, 1.0, 1.5, 2.0]
+    assert len(sim.queue) == 0
+
+
 def test_max_events_bounds_dispatch():
     sim = Simulator()
     for i in range(10):

@@ -42,6 +42,54 @@ def test_parser_defaults():
     assert args.variant is None
 
 
+@pytest.mark.parametrize("exp_id", ["e2", "e3", "e4", "e5", "e6"])
+def test_every_seed_and_the_variant_reach_the_runner(exp_id, monkeypatch, capsys):
+    import repro.eval
+    from repro.cli import RUNS
+
+    calls = []
+
+    class Result:
+        depth_after_join = depth_after_rejoin = 3
+
+        def summary(self):
+            return "ran"
+
+    def runner(variant, seed, **extra):
+        calls.append((variant, seed, extra))
+        return Result()
+
+    runner_name, variants_name, _default = RUNS[exp_id]
+    monkeypatch.setattr(repro.eval, runner_name, runner)
+    variant = getattr(repro.eval, variants_name)[-1]
+    argv = [exp_id, "--variant", variant, "--seeds", "1", "2"]
+    extra = {}
+    if exp_id == "e5":
+        argv += ["--setting", "abundant"]
+        extra = {"setting": "abundant"}
+    assert main(argv) == 0
+    assert calls == [(variant, 1, extra), (variant, 2, extra)]
+
+
+def test_e7_runs_the_one_seed_it_accepts(monkeypatch):
+    """e7 sweeps one world: several seeds are refused, not cut to the first."""
+    import repro.statemachine
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["e7", "--seeds", "1", "2"])
+
+    class Built(Exception):
+        pass
+
+    def cluster(n, factory, seed, resolver_factory):
+        raise Built(seed)
+
+    monkeypatch.setattr(repro.statemachine, "Cluster", cluster)
+    with pytest.raises(Built) as built:
+        main(["e7", "--seed", "7", "--max-depth", "1"])
+    assert built.value.args == (7,)
+
+
 def test_trace_requires_known_experiment():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["trace", "e2"])

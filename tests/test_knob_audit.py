@@ -1,7 +1,9 @@
 """No dead knobs: every defaulted keyword of the prediction stack's
-constructors, of the trace and telemetry recorders, and of the T1/T2
-experiment entry point is passed by name to that callable (or to one of
-its forwarders) by some call outside the module that defines it.
+constructors, of the trace and telemetry recorders, of every experiment
+entry point and world builder, and of a fuzz execution is passed by name
+to that callable (or to one of its forwarders) by some call outside the
+module that defines it, or inside it for a callable in
+``HOME_CALLERS``.
 
 A keyword nobody passes is a constant with a signature: it documents a
 choice nobody makes and adds a configuration nobody tests.  Keywords
@@ -13,7 +15,11 @@ import ast
 import inspect
 from pathlib import Path
 
-from repro.eval.paxos_experiment import run_throughput_experiment
+import repro.eval
+from repro.eval.chaos_experiment import standard_plans
+from repro.eval.paxos_experiment import build_paxos_cluster
+from repro.eval.tree_experiment import build_tree_cluster
+from repro.fuzz import FuzzTarget
 from repro.mc import ConsequencePredictor, Explorer
 from repro.obs import TelemetrySampler
 from repro.runtime import AmortizedSteering, CrystalBallRuntime
@@ -21,12 +27,18 @@ from repro.sim.trace import TraceLog
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CALLER_TREES = ("src", "tests", "benchmarks", "examples", "perf")
+EXPERIMENT_RUNNERS = tuple(getattr(repro.eval, name) for name in repro.eval.__all__
+                           if name.startswith("run_"))
 AUDITED = (CrystalBallRuntime, ConsequencePredictor, Explorer, AmortizedSteering,
-           TelemetrySampler, TraceLog, run_throughput_experiment)
+           TelemetrySampler, TraceLog, *EXPERIMENT_RUNNERS, standard_plans,
+           build_tree_cluster, build_paxos_cluster, FuzzTarget.execute)
 # Calls whose keywords reach an audited callable unchanged.
 FORWARDERS = {
     "CrystalBallRuntime": ("install_crystalball", "runtime_kwargs=dict(...)"),
 }
+# Audited callables whose home module also calls them: the reliable-join
+# comparison runs the chaos tree with ``reliability`` set.
+HOME_CALLERS = {"run_chaos_tree_experiment"}
 
 
 def _callee(call):
@@ -38,27 +50,44 @@ def _callee(call):
     return None
 
 
+def _dict_keywords(value):
+    """The keyword names of a ``dict(k=...)`` call, else ``None``."""
+    if isinstance(value, ast.Call) and _callee(value) == "dict":
+        return {keyword.arg for keyword in value.keywords if keyword.arg}
+    return None
+
+
 def keywords_passed_by_file():
     """path -> {callee -> every keyword name some call to it passes}.
 
-    A ``name=dict(k=...)`` argument also credits ``k`` to the callee
-    ``"name=dict(...)"``.
+    A ``**NAME`` argument credits the keywords of the ``NAME = dict(...)``
+    bound in the same file.  A ``name=dict(k=...)`` argument also credits
+    ``k`` to the callee ``"name=dict(...)"``.
     """
     passed = {}
     for tree in CALLER_TREES:
         for path in sorted((REPO_ROOT / tree).rglob("*.py")):
             by_callee = passed[path] = {}
-            for node in ast.walk(ast.parse(path.read_text())):
+            module = ast.parse(path.read_text())
+            bound = {
+                target.id: _dict_keywords(node.value)
+                for node in ast.walk(module) if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Name) and _dict_keywords(node.value) is not None
+            }
+            for node in ast.walk(module):
                 if not isinstance(node, ast.Call):
                     continue
                 for keyword in node.keywords:
                     if not keyword.arg:
+                        if isinstance(keyword.value, ast.Name):
+                            by_callee.setdefault(_callee(node), set()).update(
+                                bound.get(keyword.value.id, ()))
                         continue
                     by_callee.setdefault(_callee(node), set()).add(keyword.arg)
-                    value = keyword.value
-                    if isinstance(value, ast.Call) and _callee(value) == "dict":
-                        by_callee.setdefault(f"{keyword.arg}=dict(...)", set()).update(
-                            inner.arg for inner in value.keywords if inner.arg)
+                    inner = _dict_keywords(keyword.value)
+                    if inner is not None:
+                        by_callee.setdefault(f"{keyword.arg}=dict(...)", set()).update(inner)
     return passed
 
 
@@ -71,7 +100,8 @@ def test_every_defaulted_keyword_has_a_caller():
         callees = (name, *FORWARDERS.get(name, ()))
         passed = set().union(*(
             by_callee.get(callee, set())
-            for path, by_callee in by_file.items() if path != home
+            for path, by_callee in by_file.items()
+            if path != home or name in HOME_CALLERS
             for callee in callees
         ))
         signature = inspect.signature(
