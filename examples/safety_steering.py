@@ -73,7 +73,6 @@ def run(steering: bool):
         checkpoint_period=0.3,
         prediction_period=0.4 if steering else 0.0,
         chain_depth=2, budget=300,
-        filter_ttl=60.0,
     )
     cluster.start_all()
     cluster.run(until=15.0)

@@ -12,8 +12,6 @@ from .topology import (
     Topology,
     TopologyError,
     full_mesh,
-    random_uniform,
-    star,
     transit_stub,
 )
 from .transport import DEFAULT_MESSAGE_BYTES, Network, TransportError
@@ -43,8 +41,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "full_mesh",
-    "random_uniform",
-    "star",
     "transit_stub",
     "DEFAULT_MESSAGE_BYTES",
     "Network",

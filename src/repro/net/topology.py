@@ -2,9 +2,8 @@
 
 A :class:`Topology` maps ordered node pairs to :class:`~repro.net.link.Link`
 parameters.  Builders cover the deployments the paper's examples run on:
-uniform clusters (full mesh), client/server stars, random wide-area
-latency mixes, and a transit-stub *Internet-like* topology matching the
-ModelNet setup of the case study (Section 4).
+uniform clusters (full mesh) and a transit-stub *Internet-like*
+topology matching the ModelNet setup of the case study (Section 4).
 
 Large worlds need sparse representations: a 4,096-node mesh has ~16.7M
 ordered pairs, so materializing a Link per pair is untenable.  Three
@@ -13,7 +12,7 @@ mechanisms keep big topologies cheap:
 * ``default`` — one shared Link for every unlisted pair (full meshes);
 * ``link_fn`` — a function ``(src, dst) -> Link | None`` consulted for
   pairs with no explicit link, with results cached on first use, so
-  structured topologies (star, transit-stub) are O(touched pairs) in
+  structured topologies (grouped transit-stub) are O(touched pairs) in
   memory instead of O(n²);
 * ``node_ids`` is a ``range`` view, not a fresh list per call.
 """
@@ -156,68 +155,6 @@ def full_mesh(n: int, latency: float = 0.05, bandwidth: float = 10e6, loss: floa
     return Topology(n, default=Link(latency=latency, bandwidth=bandwidth, loss=loss))
 
 
-def star(
-    n: int,
-    center: int = 0,
-    spoke_latency: float = 0.02,
-    bandwidth: float = 10e6,
-    loss: float = 0.0,
-) -> Topology:
-    """Star topology: spokes reach each other through the center.
-
-    Spoke-to-spoke latency is the sum of the two spoke latencies.
-    Sparse: only two Link values exist (spoke↔center and spoke↔spoke),
-    derived on demand instead of installing O(n²) explicit links.
-    """
-    spoke = Link(latency=spoke_latency, bandwidth=bandwidth, loss=loss)
-    through = Link(latency=spoke_latency * 2, bandwidth=bandwidth, loss=loss)
-
-    def link_fn(i: int, j: int) -> Link:
-        return spoke if (i == center or j == center) else through
-
-    return Topology(n, link_fn=link_fn)
-
-
-def random_uniform(
-    n: int,
-    rng: random.Random,
-    latency_range: Tuple[float, float] = (0.01, 0.1),
-    bandwidth_range: Tuple[float, float] = (5e6, 50e6),
-    loss: float = 0.0,
-    lazy: bool = False,
-) -> Topology:
-    """Random symmetric topology with uniform latency/bandwidth draws.
-
-    With ``lazy=True`` no pairwise draws happen up front: each unordered
-    pair's parameters come from a per-pair RNG derived from one base
-    seed drawn from ``rng``, so construction is O(1) and only touched
-    pairs are ever materialized.  (Draw *values* differ from the eager
-    mode — lazy is a different, but equally deterministic, world.)
-    """
-    lo, hi = latency_range
-    blo, bhi = bandwidth_range
-    if lazy:
-        base_seed = rng.getrandbits(64)
-
-        def derive(i: int, j: int) -> Link:
-            pr = _pair_rng(base_seed, i, j)
-            return Link(latency=pr.uniform(lo, hi),
-                        bandwidth=pr.uniform(blo, bhi), loss=loss)
-
-        return Topology(n, link_fn=_per_unordered_pair(derive))
-
-    topo = Topology(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            link = Link(
-                latency=rng.uniform(lo, hi),
-                bandwidth=rng.uniform(blo, bhi),
-                loss=loss,
-            )
-            topo.set_symmetric(i, j, link)
-    return topo
-
-
 def transit_stub(
     n: Optional[int] = None,
     rng: Optional[random.Random] = None,
@@ -229,7 +166,6 @@ def transit_stub(
     loss: float = 0.0,
     n_stubs: Optional[int] = None,
     stub_size: Optional[int] = None,
-    lazy: bool = False,
 ) -> Topology:
     """Internet-like transit-stub topology (the ModelNet setup of §4).
 
@@ -241,10 +177,8 @@ def transit_stub(
 
     Two construction modes:
 
-    * ``transit_stub(n, rng)`` — the legacy per-node-stub mode.  With
-      ``lazy=False`` (default) it draws pairwise bandwidths eagerly and
-      is byte-compatible with earlier releases; ``lazy=True`` skips the
-      O(n²) pairwise draws and derives bandwidth per pair on demand.
+    * ``transit_stub(n, rng)`` — one stub per node, with every pairwise
+      bandwidth drawn up front.
     * ``transit_stub(rng=rng, n_stubs=S, stub_size=K)`` — the scalable
       grouped mode (``n = S·K``): node ``i`` lives in stub ``i // K``,
       structural draws are O(S + n), and links are always derived
@@ -309,20 +243,6 @@ def transit_stub(
     stub_uplink = [rng.uniform(slo, shi) for _ in range(n)]
     access = [rng.uniform(alo, ahi) for _ in range(n)]
 
-    if lazy:
-        base_seed = rng.getrandbits(64)
-
-        def derive(i: int, j: int) -> Link:
-            # i < j: the same summation order as the eager path below.
-            ti, tj = transit_of[i], transit_of[j]
-            core = 0.0 if ti == tj else backbone[(ti, tj)]
-            lat = access[i] + stub_uplink[i] + core + stub_uplink[j] + access[j]
-            return Link(latency=lat,
-                        bandwidth=_pair_rng(base_seed, i, j).uniform(blo, bhi),
-                        loss=loss)
-
-        return Topology(n, link_fn=_per_unordered_pair(derive))
-
     topo = Topology(n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -338,7 +258,5 @@ __all__ = [
     "Topology",
     "TopologyError",
     "full_mesh",
-    "star",
-    "random_uniform",
     "transit_stub",
 ]

@@ -11,15 +11,15 @@ from .checkpoints import (
     ModelShareMsg,
     ProbeMsg,
     ProbeReplyMsg,
-    is_runtime_message,
 )
-from .controller import DEGRADE_REASONS, CrystalBallRuntime, install_crystalball
+from .controller import CrystalBallRuntime, install_crystalball
 from .policy import (
     AmortizedSteering,
     identity_key,
     merge_steering_snapshots,
     scenario_signature,
 )
+from .resolution import DEGRADE_REASONS
 from .steering import EventFilter, SteeringModule
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "ModelShareMsg",
     "ProbeMsg",
     "ProbeReplyMsg",
-    "is_runtime_message",
     "CrystalBallRuntime",
     "DEGRADE_REASONS",
     "install_crystalball",

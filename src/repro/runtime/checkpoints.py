@@ -140,11 +140,6 @@ RUNTIME_MESSAGE_TYPES = (
 )
 
 
-def is_runtime_message(msg: Any) -> bool:
-    """Whether ``msg`` belongs to the runtime (never shown to services)."""
-    return isinstance(msg, RUNTIME_MESSAGE_TYPES)
-
-
 def schedule_every(node: Any, period: float, action: Callable[[], None], tag: str) -> None:
     """Run ``action`` every ``period`` sim-seconds while ``node`` is up."""
 
@@ -485,5 +480,4 @@ __all__ = [
     "ProbeMsg",
     "ProbeReplyMsg",
     "RUNTIME_MESSAGE_TYPES",
-    "is_runtime_message",
 ]

@@ -18,20 +18,16 @@ puts prediction off the critical path with two tables:
   within ``COALESCE_WINDOW`` sim-seconds share one resolution (one
   score pass, N answers), deduplicated by :func:`identity_key`.
 
-A choice is answered from the coalesced answers, then from a ranking,
-and only when both miss (and the deterministic prediction budget allows
-it) by one scored prediction round whose ranking is installed for every
-later choice in the same scenario.  A ranking older than
-``MAX_POLICY_AGE``, or invalidated by steering installs / liveness flips
-/ topology changes, degrades gracefully to the runtime's fallback
-resolver — it never answers stale-silently and never blocks the hot
-path.
+A miss in both, when the budget allows, pays for one scored prediction
+round whose ranking serves every later choice in the same scenario;
+otherwise it degrades through ``degrade``, the runtime's one exit (see
+:mod:`~repro.runtime.resolution`): never stale-silently, never blocking.
 
 The prediction budget is deliberately expressed in *predicted states
 per simulated second*, not wall time: a wall-clock duty cycle would
 make resolutions depend on host speed and break same-seed digest
-identity.  Wall duty cycle is still measured (the runtime's
-``runtime.choice_score`` span) and reported by the T2 bench — the
+identity.  Wall duty cycle is still measured (the resolver's
+``runtime.policy_score`` span) and reported by the T2 bench — the
 states-rate budget is the deterministic proxy that keeps it low.
 """
 
@@ -47,14 +43,6 @@ from ..statemachine.serialization import freeze
 #: A ranking is the distilled output of one scored prediction round:
 #: candidates with their predicted-objective scores, best first.
 Ranking = Tuple[Tuple[Any, float], ...]
-
-#: Scores one choice point by prediction.  Returns ``(ranking,
-#: states_explored)`` or ``None`` when scoring is impossible right now
-#: (typically: the current dispatch was not captured for replay).
-ScoreFn = Callable[[ChoicePoint, Optional[object]], Optional[Tuple[Ranking, int]]]
-
-#: Answers a choice no ranking answered: ``degrade(reason, point, node)``.
-DegradeFn = Callable[[str, ChoicePoint, Optional[object]], Any]
 
 # LRU bounds of the two tables.
 _ANSWER_ENTRIES = 4096
@@ -158,10 +146,11 @@ class AmortizedSteering:
     2. **Policy** — a live ranking for the point's
        :func:`scenario_signature` answers with its best candidate still
        offered.
-    3. **Score** — if the states-rate budget allows and ``score_fn``
-       can run (a captured dispatch is available to replay), one
-       prediction round ranks the candidates and installs the ranking
-       for the whole scenario.
+    3. **Score** — if the states-rate budget allows and
+       ``score_fn(point, node)`` can run (a captured dispatch is
+       available to replay: else it returns None), one prediction round
+       returns ``(ranking, states)`` and installs the ranking for the
+       whole scenario.
     4. **Fallback** — otherwise ``degrade(reason, point, node)``
        answers, with the reason no prediction did: ``budget`` (the
        states-rate budget is spent), ``denied`` (admission control: the
@@ -177,18 +166,15 @@ class AmortizedSteering:
 
     def __init__(
         self,
-        degrade: DegradeFn,
-        score_fn: Optional[ScoreFn] = None,
-        cost_fn: Optional[Any] = None,
+        degrade: Callable[[str, ChoicePoint, Optional[object]], Any],
+        score_fn: Optional[Callable[..., Optional[Tuple[Ranking, int]]]] = None,
+        cost_fn: Optional[Callable[..., Optional[int]]] = None,
     ) -> None:
         self.degrade = degrade
         self.score_fn = score_fn
         # Optional admission estimate: projected cost of scoring this
-        # point *now* (None = unknown, admit).  Replay cost grows with
-        # the decided log, so charging only after the fact would let a
-        # single late round blow minutes of wall; denying rounds that
-        # no longer fit the remaining allowance keeps scoring
-        # concentrated where it is cheap.
+        # point *now* (None = unknown, admit); see the resolver's
+        # ``_policy_cost`` for why rounds are denied up front.
         self.cost_fn = cost_fn
         # identity_key -> (answer, stored_at)
         self.answers: "OrderedDict[Tuple, Tuple[Any, float]]" = OrderedDict()
@@ -215,10 +201,6 @@ class AmortizedSteering:
     def allowance(self, now: float) -> float:
         """States the budget permits having spent by simulated ``now``."""
         return INITIAL_ALLOWANCE + RATE_BUDGET * max(now, 0.0)
-
-    def budget_ok(self, now: float) -> bool:
-        """Whether the deterministic states-rate budget allows scoring."""
-        return self.spent_states < self.allowance(now)
 
     def install(self, signature: Tuple, ranking: Iterable[Tuple[Any, float]],
                 now: float) -> None:
@@ -285,7 +267,7 @@ class AmortizedSteering:
         reason no round ran."""
         if self.score_fn is None:
             return "unranked"
-        if not self.budget_ok(now):
+        if self.spent_states >= self.allowance(now):
             return "budget"
         projected = self.cost_fn(point, node) if self.cost_fn is not None else None
         if projected is not None and self.spent_states + projected > self.allowance(now):

@@ -4,8 +4,9 @@
 execution steering, the controller installs an event filter into the
 runtime.  In case of messages, the event filter works by dropping the
 offending message and breaking the connection with the message sender"
-(Section 2).  :class:`SteeringModule` holds the installed filters; the
-runtime consults it on every inbound message.
+(Section 2).  :func:`steer` is the one place a predicted violation
+becomes a filter; :class:`SteeringModule` holds the installed filters,
+and the runtime consults it on every inbound message.
 """
 
 from __future__ import annotations
@@ -13,23 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
+from ..mc import DeliverAction, PredictionReport, WorldState, violated_properties
 from ..obs import MetricsRegistry
 from ..statemachine.serialization import freeze
+
+# Sim-seconds a filter stays live after the prediction that installed
+# or last refreshed it.
+FILTER_TTL = 10.0
 
 
 @dataclass
 class EventFilter:
-    """Drop inbound messages matching ``(src, frozen message)``.
-
-    ``match_any_payload`` filters *all* messages of ``msg_type`` from
-    ``src`` (a coarser filter used when the predicted-bad message
-    carries volatile fields).
-    """
+    """Drop inbound messages from ``src`` whose frozen form is ``msg_key``."""
 
     src: int
-    msg_key: Optional[Tuple]
-    msg_type: Optional[str]
-    installed_at: float
+    msg_key: Tuple
     expires_at: float
     reason: str = ""
     # The predicted violation path (action descriptions) that caused
@@ -37,22 +36,13 @@ class EventFilter:
     # continuation of a steering explanation.
     predicted_path: Tuple[str, ...] = ()
 
-    def matches(self, src: int, msg: Any, now: float) -> bool:
-        """Whether this live filter matches an inbound message."""
-        if now >= self.expires_at or src != self.src:
-            return False
-        if self.msg_key is not None:
-            return freeze(msg) == self.msg_key
-        return type(msg).__name__ == self.msg_type
-
 
 class SteeringModule:
     """Holds and evaluates the node's installed event filters.
 
     Counters live in a :class:`~repro.obs.MetricsRegistry` (a private
     one by default; pass a shared registry plus ``node`` label to
-    aggregate per cluster); ``filtered_count`` stays available as the
-    historical attribute.
+    aggregate per cluster).
     """
 
     def __init__(
@@ -72,10 +62,6 @@ class SteeringModule:
         """Messages dropped by a live filter so far."""
         return self._filtered.value
 
-    @filtered_count.setter
-    def filtered_count(self, value: int) -> None:
-        self._filtered.value = value
-
     def install(self, event_filter: EventFilter) -> bool:
         """Install one filter (duplicates by (src, key) are refreshed).
 
@@ -84,9 +70,7 @@ class SteeringModule:
         counting installations must not count refreshes.
         """
         for existing in self._filters:
-            if (existing.src, existing.msg_key, existing.msg_type) == (
-                event_filter.src, event_filter.msg_key, event_filter.msg_type,
-            ):
+            if (existing.src, existing.msg_key) == (event_filter.src, event_filter.msg_key):
                 existing.expires_at = max(existing.expires_at, event_filter.expires_at)
                 existing.reason = event_filter.reason
                 if event_filter.predicted_path:
@@ -101,7 +85,7 @@ class SteeringModule:
         """The first live filter matching this inbound message, if any."""
         self.prune(now)
         for event_filter in self._filters:
-            if event_filter.matches(src, msg, now):
+            if event_filter.src == src and freeze(msg) == event_filter.msg_key:
                 self._filtered.inc()
                 return event_filter
         return None
@@ -129,4 +113,55 @@ class SteeringModule:
         return len(self._filters)
 
 
-__all__ = ["EventFilter", "SteeringModule"]
+def steer(runtime: Any, report: PredictionReport, world: WorldState) -> None:
+    """Turn one prediction round's predicted violations into filters.
+
+    ``runtime`` supplies the node, ``properties``, ``steering`` (its
+    :class:`SteeringModule`), ``stats`` and ``resolver``.  CrystalBall
+    "checks whether it is safe to steer execution away from the possible
+    inconsistency": dropping a message and breaking a connection only
+    *remove* behaviours, so steering is safe exactly when the present
+    state satisfies every property; otherwise it traces
+    ``runtime.steer_impossible``.
+    """
+    unsafe = [o for o in report.outcomes if not o.is_safe]
+    if not unsafe:
+        return
+    node = runtime.node
+    now = node.sim.now
+    if violated_properties(world, runtime.properties):
+        node.sim.trace.record(
+            now, "runtime.steer_impossible", node=node.node_id, unsafe=len(unsafe),
+        )
+        return
+    for outcome in unsafe:
+        for violation in outcome.violations:
+            # We can only prevent events at this node: filter the last
+            # inbound delivery to us on the violating path.
+            action = next((
+                a for a in reversed(violation.path)
+                if isinstance(a, DeliverAction) and a.dst == node.node_id
+            ), None)
+            if action is None:
+                continue
+            newly_installed = runtime.steering.install(EventFilter(
+                src=action.src,
+                msg_key=freeze(action.msg),
+                expires_at=now + FILTER_TTL,
+                reason=violation.property_name,
+                predicted_path=tuple(a.describe() for a in violation.path),
+            ))
+            # A repeated prediction only refreshes the filter's TTL.  A
+            # new filter changes what deliveries reach the service, so
+            # rankings distilled without it are no longer trustworthy.
+            if newly_installed:
+                runtime.stats["filters_installed"] += 1
+                runtime.resolver.invalidate("steering")
+            node.sim.trace.record(
+                now, "runtime.filter_installed", node=node.node_id,
+                src=action.src, msg=type(action.msg).__name__,
+                reason=violation.property_name,
+            )
+
+
+__all__ = ["EventFilter", "FILTER_TTL", "SteeringModule", "steer"]

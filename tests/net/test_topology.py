@@ -9,8 +9,6 @@ from repro.net import (
     Topology,
     TopologyError,
     full_mesh,
-    random_uniform,
-    star,
     transit_stub,
 )
 
@@ -58,27 +56,6 @@ def test_full_mesh_uniform():
             assert topo.latency(i, j) == expected
 
 
-def test_star_spoke_to_spoke_doubles():
-    topo = star(4, center=0, spoke_latency=0.02)
-    assert topo.latency(0, 1) == pytest.approx(0.02)
-    assert topo.latency(1, 2) == pytest.approx(0.04)
-
-
-def test_random_uniform_within_bounds():
-    topo = random_uniform(6, random.Random(1), latency_range=(0.01, 0.02))
-    for i in range(6):
-        for j in range(6):
-            if i != j:
-                assert 0.01 <= topo.latency(i, j) <= 0.02
-
-
-def test_random_uniform_symmetric():
-    topo = random_uniform(5, random.Random(2))
-    for i in range(5):
-        for j in range(5):
-            assert topo.latency(i, j) == topo.latency(j, i)
-
-
 def test_transit_stub_deterministic_per_seed():
     a = transit_stub(8, random.Random(3))
     b = transit_stub(8, random.Random(3))
@@ -118,41 +95,6 @@ def test_node_ids_is_cached_range_view():
     assert list(ids[:3]) == [0, 1, 2]
 
 
-def test_star_materializes_no_explicit_links():
-    topo = star(1000, center=0, spoke_latency=0.02)
-    assert len(list(topo.pairs())) == 0    # all structure is computed
-    assert topo.latency(0, 999) == pytest.approx(0.02)
-    assert topo.latency(500, 999) == pytest.approx(0.04)
-    assert topo.latency(7, 7) == 0.0
-
-
-def test_random_uniform_lazy_matches_bounds_and_symmetry():
-    topo = random_uniform(64, random.Random(5), latency_range=(0.01, 0.05),
-                          lazy=True)
-    assert len(list(topo.pairs())) == 0
-    for i, j in [(0, 1), (3, 60), (63, 0), (17, 42)]:
-        lat = topo.latency(i, j)
-        assert 0.01 <= lat <= 0.05
-        assert lat == topo.latency(j, i)
-        assert topo.link(i, j) is topo.link(j, i)      # one derivation per pair
-
-
-def test_random_uniform_lazy_deterministic_per_seed():
-    a = random_uniform(64, random.Random(9), lazy=True)
-    b = random_uniform(64, random.Random(9), lazy=True)
-    for i, j in [(0, 1), (10, 50), (63, 62)]:
-        assert a.latency(i, j) == b.latency(i, j)
-
-
-def test_random_uniform_eager_path_unchanged_by_lazy_flag_default():
-    # lazy=False must keep the historical draw sequence byte-for-byte.
-    a = random_uniform(6, random.Random(2))
-    b = random_uniform(6, random.Random(2), lazy=False)
-    for i in range(6):
-        for j in range(6):
-            assert a.latency(i, j) == b.latency(i, j)
-
-
 def test_transit_stub_grouped_mode_scales_sparse():
     topo = transit_stub(rng=random.Random(7), n_stubs=32, stub_size=32)
     assert topo.n == 1024
@@ -186,17 +128,8 @@ def test_transit_stub_grouped_mode_argument_validation():
         transit_stub(12, random.Random(0), n_stubs=4, stub_size=4)  # 16 != 12
 
 
-def test_transit_stub_legacy_lazy_keeps_structure():
-    eager = transit_stub(16, random.Random(6), n_transit=2)
-    lazy = transit_stub(16, random.Random(6), n_transit=2, lazy=True)
-    for i in range(16):
-        for j in range(16):
-            assert eager.latency(i, j) == lazy.latency(i, j)
-            assert lazy.link(i, j) is lazy.link(j, i)
-
-
 def test_set_link_still_overrides_computed_topology():
-    topo = star(100, center=0, spoke_latency=0.02)
+    topo = Topology(100, link_fn=lambda i, j: Link(latency=0.02 * abs(i - j)))
     topo.set_link(3, 4, Link(latency=0.5))
     assert topo.latency(3, 4) == 0.5
-    assert topo.latency(4, 3) == pytest.approx(0.04)   # computed fallback
+    assert topo.latency(4, 3) == pytest.approx(0.02)   # computed fallback

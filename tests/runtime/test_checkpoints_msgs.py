@@ -5,8 +5,8 @@ from repro.runtime import (
     ModelShareMsg,
     ProbeMsg,
     ProbeReplyMsg,
-    is_runtime_message,
 )
+from repro.runtime.checkpoints import RUNTIME_MESSAGE_TYPES
 from repro.statemachine import Message
 from dataclasses import dataclass
 
@@ -17,16 +17,18 @@ class AppMsg(Message):
 
 
 def test_runtime_messages_classified():
-    assert is_runtime_message(CheckpointMsg(sender=0, epoch=1, taken_at=0.0,
-                                            sent_at=0.0, state={}))
-    assert is_runtime_message(ProbeMsg(sender=0, sent_at=0.0))
-    assert is_runtime_message(ProbeReplyMsg(sender=0, orig_sent_at=0.0))
-    assert is_runtime_message(ModelShareMsg(sender=0))
+    for msg in (
+        CheckpointMsg(sender=0, epoch=1, taken_at=0.0, sent_at=0.0, state={}),
+        ProbeMsg(sender=0, sent_at=0.0),
+        ProbeReplyMsg(sender=0, orig_sent_at=0.0),
+        ModelShareMsg(sender=0),
+    ):
+        assert isinstance(msg, RUNTIME_MESSAGE_TYPES)
 
 
 def test_app_messages_not_runtime():
-    assert not is_runtime_message(AppMsg(x=1))
-    assert not is_runtime_message("just a string")
+    assert not isinstance(AppMsg(x=1), RUNTIME_MESSAGE_TYPES)
+    assert not isinstance("just a string", RUNTIME_MESSAGE_TYPES)
 
 
 def test_checkpoint_size_grows_with_state():

@@ -7,6 +7,7 @@ import pytest
 from repro.choice.resolvers import FirstResolver
 from repro.mc import DeliverAction, SafetyProperty
 from repro.runtime import CheckpointMsg, CrystalBallRuntime, install_crystalball
+from repro.runtime.steering import steer
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
 
 
@@ -156,7 +157,7 @@ def test_live_violation_is_traced_not_steered():
         )],
         total_states=1,
     )
-    runtime._apply_steering(report, world)
+    steer(runtime, report, world)
     records = cluster.sim.trace.select("runtime.steer_impossible")
     assert [(r.node, r.data["unsafe"]) for r in records] == [(0, 1)]
     assert runtime.stats["filters_installed"] == 0
@@ -222,7 +223,7 @@ def test_missing_fallback_is_a_configuration_error():
     assert "fallback" in str(err.value)
     # Omitting the argument means FirstResolver.
     runtime = CrystalBallRuntime(cluster.node(1), factory)
-    assert isinstance(runtime.fallback, FirstResolver)
+    assert isinstance(runtime.resolver.fallback, FirstResolver)
 
 
 def test_missing_fallback_raises_at_install_time():
@@ -300,7 +301,7 @@ def install_filter(cluster):
         violations=[Violation(property_name="p", path=(action,), world=world)],
     )
     report = PredictionReport(outcomes=[outcome], total_states=1)
-    runtime._apply_steering(report, world)
+    steer(runtime, report, world)
 
 
 FLUSH_TRIGGERS = [

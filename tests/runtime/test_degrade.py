@@ -6,6 +6,8 @@ Each reason is injected through a seam the per-layer tracer also wraps:
 or the amortized scheduler's ``score_fn``/``cost_fn``.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.choice import FixedResolver, PerformanceObjective
@@ -80,7 +82,35 @@ def test_choice_without_dispatch_degrades_no_dispatch():
     cluster.start_all()
     assert [service.first for service in cluster.services] == [2, 2, 2]
     assert [degraded(r) for r in runtimes] == [{"no_dispatch": 1}] * 3
-    assert all(r.stats["choices_resolved"] == 0 for r in runtimes)
+    assert all(r.stats["choices_resolved"] == 1 for r in runtimes)
+
+
+@pytest.mark.parametrize("steering_policy", [False, True])
+def test_choices_resolved_counts_every_answered_choice(monkeypatch, steering_policy):
+    """One identity in both modes: ``choices_resolved`` is the number of
+    choices the runtime answered, degraded ones included."""
+    calls = Counter()
+    resolve = CrystalBallRuntime.resolve
+
+    def counted(runtime, point, node):
+        calls[node.node_id] += 1
+        return resolve(runtime, point, node)
+
+    monkeypatch.setattr(CrystalBallRuntime, "resolve", counted)
+    cluster = Cluster(3, InitChooser, seed=1)
+    runtimes = install_crystalball(
+        cluster, InitChooser, checkpoint_period=0.5, fallback=FixedResolver(1),
+        steering_policy=steering_policy,
+    )
+    cluster.start_all()
+    cluster.run(until=3.5)
+    assert [r.stats["choices_resolved"] for r in runtimes] == [calls[n] for n in range(3)]
+    assert calls[0] == 4  # one choice in on_init, one per give at t=1, 2, 3
+    for runtime in runtimes:
+        assert sum(degraded(runtime).values()) <= runtime.stats["choices_resolved"]
+    if not steering_policy:
+        # The on_init choices had no dispatch to replay; every give scored.
+        assert [degraded(r) for r in runtimes] == [{"no_dispatch": 1}] * 3
 
 
 def test_exhausted_replays_degrade_replay_exhausted(monkeypatch):

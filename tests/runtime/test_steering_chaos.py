@@ -71,16 +71,16 @@ def make_cluster():
     return cluster, runtimes
 
 
-def install_type_filter(runtime, src=1, msg_type="Evil", ttl=100.0):
+def install_evil_filter(runtime, ttl=100.0):
+    """Filter node 1's ``Evil(n=1)``, the message each test sends."""
     runtime.steering.install(EventFilter(
-        src=src, msg_key=None, msg_type=msg_type,
-        installed_at=0.0, expires_at=ttl, reason="test",
+        src=1, msg_key=freeze(Evil(n=1)), expires_at=ttl, reason="test",
     ))
 
 
 def test_all_duplicated_copies_dropped():
     cluster, runtimes = make_cluster()
-    install_type_filter(runtimes[0])
+    install_evil_filter(runtimes[0])
     cluster.network.add_fault_interposer(DuplicateEverything())
     cluster.network.send(1, 0, Evil(n=1), reliable=False)
     cluster.run(until=2.0)
@@ -94,8 +94,7 @@ def test_exact_match_filter_drops_duplicates_of_same_payload():
     cluster, runtimes = make_cluster()
     evil = Evil(n=7)
     runtimes[0].steering.install(EventFilter(
-        src=1, msg_key=freeze(evil), msg_type=None,
-        installed_at=0.0, expires_at=100.0, reason="exact",
+        src=1, msg_key=freeze(evil), expires_at=100.0, reason="exact",
     ))
     cluster.network.add_fault_interposer(DuplicateEverything())
     cluster.network.send(1, 0, Evil(n=7), reliable=False)
@@ -107,7 +106,7 @@ def test_exact_match_filter_drops_duplicates_of_same_payload():
 
 def test_reordered_copy_still_filtered():
     cluster, runtimes = make_cluster()
-    install_type_filter(runtimes[0])
+    install_evil_filter(runtimes[0])
     cluster.network.add_fault_interposer(DisplaceFirst())
     cluster.network.send(1, 0, Evil(n=1), reliable=False)    # displaced +0.5s
     cluster.network.send(1, 0, Benign(n=2), reliable=False)  # overtakes it
@@ -127,7 +126,7 @@ def test_break_connection_kills_inflight_reliable_duplicates():
     # so later in-flight duplicates die by epoch instead of by filter —
     # either way the service never sees a single copy.
     cluster, runtimes = make_cluster()
-    install_type_filter(runtimes[0])
+    install_evil_filter(runtimes[0])
     cluster.network.add_fault_interposer(DuplicateEverything())
     epoch_before = cluster.network.connection_epoch(0, 1)
     cluster.network.send(1, 0, Evil(n=1), reliable=True)
@@ -140,7 +139,7 @@ def test_break_connection_kills_inflight_reliable_duplicates():
 
 def test_expired_filter_lets_copies_through():
     cluster, runtimes = make_cluster()
-    install_type_filter(runtimes[0], ttl=0.01)
+    install_evil_filter(runtimes[0], ttl=0.01)
     cluster.network.add_fault_interposer(DuplicateEverything())
     cluster.sim.schedule_at(
         1.0, lambda: cluster.network.send(1, 0, Evil(n=1), reliable=False),
