@@ -209,7 +209,13 @@ class PaxosReplica(Service):
 
     def _pump(self) -> None:
         """Pull pending commands into batched, pipelined instances, each
-        batch proposed by the replica the ``"proposer"`` choice names."""
+        batch proposed by the replica the ``"proposer"`` choice names.
+
+        Pipeline depth counts own-slot ``proposals`` only.  On a loaded
+        replica (``processing_delays``) a batch waiting in ``cpu_queue``
+        is not a proposal yet, so every pump with commands pending, a
+        re-learn's included, may move up to ``pipeline_depth`` more
+        batches in behind it."""
         if not self.phase1_ok:
             return  # re-pumped once the ranged prepare completes
         n = self.config.n
@@ -559,8 +565,19 @@ class PaxosReplica(Service):
         self._value_chosen(msg.instance, msg.value)
 
     def _value_chosen(self, instance: int, value) -> None:
-        value = tuple(value)
         self.max_inst = max(self.max_inst, instance)
+        if instance in self.chosen and instance not in self.proposals:
+            # Re-learning a decided instance (a duplicate Learn, an
+            # overlapping catch-up page) is one lookup: ``chosen`` keeps
+            # its first value, the first learn committed every command
+            # requested by then, and ``exec_upto`` moves only when
+            # ``chosen`` grows.  A command requested again after a
+            # restart commits when its re-proposal is decided.  Only the
+            # pump can do work here, as at the end of the full path.
+            if self.pending:
+                self._pump()
+            return
+        value = tuple(value)
         if instance not in self.chosen:
             self.chosen[instance] = value
             self.record("paxos.chosen", instance=instance)
@@ -637,8 +654,12 @@ class PaxosReplica(Service):
     @msg_handler(CatchupResponse)
     def on_catchup_response(self, src: int, msg: CatchupResponse) -> None:
         self.max_inst = max(self.max_inst, msg.max_inst)
-        for instance in sorted(msg.entries):
-            self._value_chosen(int(instance), _plain_value(msg.entries[instance]))
+        for key in sorted(msg.entries):
+            instance = int(key)
+            value = msg.entries[key]
+            if instance not in self.chosen or instance in self.proposals:
+                value = _plain_value(value)  # only the full path reads it
+            self._value_chosen(instance, value)
 
     # ------------------------------------------------------------------
     # Metrics
