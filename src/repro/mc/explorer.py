@@ -83,12 +83,17 @@ class ExplorationResult:
 class ServicePool:
     """Per-node service instances reused across materializations.
 
-    The pool runs the factory once per node and re-installs checkpoints
-    via ``restore()`` on every use.  Aliasing rule: ``restore_state``
-    deep-copies, so a pooled instance never holds references into world
-    state dicts — it is exactly as isolated as a fresh instance, as
-    long as services keep all dispatch-mutable state in
-    ``state_fields`` (the same contract checkpointing already demands).
+    The pool runs the factory once per node, makes the instance a
+    sandbox instance (``defer_copies()``) and re-installs checkpoints
+    via ``restore()`` on every use but a read-only re-acquire of the
+    same state dict.  Aliasing rule: a pooled instance holds a world's
+    state values only until it first reads a field, which copies that
+    field, so it never writes to a world state dict — it is exactly as
+    isolated as a fresh instance, as long as services keep all
+    dispatch-mutable state in ``state_fields`` (the same contract
+    checkpointing already demands).  A sandbox step hands its copies
+    over as the new checkpoint; the next acquire restores the instance
+    before it runs again.
     """
 
     def __init__(self, factory: ServiceFactory) -> None:
@@ -113,6 +118,7 @@ class ServicePool:
         service = self._instances.get(node_id)
         if service is None:
             service = self.factory(node_id)
+            service.defer_copies()
             self._instances[node_id] = service
             self.factory_calls += 1
         service.ctx = None
@@ -175,12 +181,18 @@ class Explorer:
         answered from ``script``.  Returns ``(checkpoint, effects,
         whether the handler read the clock)``, or raises
         :class:`ChoiceRequested` at the first choice past ``script``.
+
+        The checkpoint is the service's ``live_state()``, not a copy:
+        the fields the handler touched are its own copies (see
+        :meth:`Service.defer_copies`), the rest are ``state``'s values.
+        The pool restores the instance before its next use, so it never
+        writes to what it handed over.
         """
         service = self.materialize(node_id, state)
         ctx = service.ctx = SandboxContext(
             node_id, now=now, choice_script=script, rng_seed=self.rng_seed)
         event.dispatch(service)
-        return service.checkpoint(), ctx.effects, ctx.time_read
+        return service.live_state(), ctx.effects, ctx.time_read
 
     # ------------------------------------------------------------------
     # Enabled actions

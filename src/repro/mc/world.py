@@ -103,11 +103,11 @@ class WorldState:
         copy_states: bool = True,
     ) -> None:
         # State dicts inside a world are treated as immutable: services
-        # are always *restored* from them (which copies) and never hold
-        # references into them.  ``copy_states=False`` lets internal
-        # paths (clone/evolve, checkpoints that are already copies)
-        # share them, keeping successor generation O(changed node)
-        # instead of O(all nodes).
+        # are *restored* from them and copy a field before they first
+        # read it, so nothing writes to them.  ``copy_states=False``
+        # lets internal paths (clone/evolve, checkpoints) share them,
+        # keeping successor generation O(changed node) instead of
+        # O(all nodes).
         if copy_states:
             self.node_states = {
                 nid: snapshot_value(state) for nid, state in node_states.items()
@@ -241,8 +241,10 @@ class WorldState:
         timer supersedes its predecessor, matching live semantics).
 
         ``copy_state=False`` adopts ``new_state`` without snapshotting;
-        only pass it for dicts that are already fresh copies nothing
-        else aliases (e.g. a ``Service.checkpoint()`` result).
+        only pass it for a checkpoint, a dict nothing will mutate: a
+        ``Service.checkpoint()`` result, or a sandbox step's hand-over
+        (``Explorer.sandbox_step``), whose untouched fields are shared
+        with the world it stepped from.
         """
         left: List[Any] = []
         inflight = self.inflight
@@ -366,10 +368,12 @@ def world_from_services(services, node_hosts=None, time: float = 0.0) -> WorldSt
     """A read-only view of live service instances as a world; given
     their hosting nodes, also their pending timers and which are down.
 
-    Zero-copy: each state is :meth:`Service.live_state`, so the view is
-    valid until the simulation next advances.  Worlds never mutate
-    their states and the explorer restores from them by copying.  The
-    digest equals that of a world built from ``checkpoint()`` copies.
+    Zero-copy: each state is :meth:`Service.live_state`, so the view —
+    and every world explored from it, since a step shares the fields
+    its handler does not touch — is valid until the simulation next
+    advances.  Worlds never mutate their states, and a service restored
+    from one copies a field before it first reads it.  The digest
+    equals that of a world built from ``checkpoint()`` copies.
     """
     node_states = {service.node_id: service.live_state() for service in services}
     timers: List[PendingTimer] = []

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..statemachine.serialization import snapshot_value
-
 
 @dataclass
 class NeighborCheckpoint:
@@ -51,7 +49,10 @@ class StateModel:
         """Store a checkpoint if it is newer than what we hold.
 
         Newer means a higher epoch, or the same epoch taken later.
-        Returns whether the model changed.
+        Returns whether the model changed.  ``state`` is stored as it
+        is, not copied: it must be a checkpoint, a value nothing
+        mutates (a ``Service.checkpoint()`` or a received
+        ``CheckpointMsg.state``), never live service fields.
         """
         current = self._checkpoints.get(node_id)
         if current is not None:
@@ -61,7 +62,7 @@ class StateModel:
             node_id=node_id,
             epoch=epoch,
             taken_at=taken_at,
-            state=snapshot_value(state),
+            state=state,
             timers=[tuple(t) for t in (timers or [])],
         )
         return True
@@ -96,11 +97,12 @@ class StateModel:
         """Most recent state per node, whatever its epoch.
 
         The returned mapping is new (callers add and drop entries); the
-        state dicts in it are the stored checkpoints themselves, copied
-        once on :meth:`update` and never mutated afterwards.  They are
-        shared with every caller and immutable by the ``WorldState``
-        contract: hand them to ``WorldState(copy_states=False)`` or
-        read them, and ``snapshot_value`` one before changing it.
+        state dicts in it are the stored checkpoints themselves, as
+        :meth:`update` was handed them and never mutated afterwards.
+        They are shared with every caller, and with the messages that
+        carried them, and immutable by the ``WorldState`` contract:
+        hand them to ``WorldState(copy_states=False)`` or read them,
+        and ``snapshot_value`` one before changing it.
         """
         return {nid: cp.state for nid, cp in self._checkpoints.items()}
 

@@ -262,10 +262,10 @@ class CheckpointExchange:
     def record_own_checkpoint(self) -> None:
         """Store the live local state under the current epoch."""
         node = self.node
-        # The model copies what it stores, so it is handed the live
-        # fields; a checkpoint() here would be a second copy.
+        # The model stores what it is handed, so this checkpoint() is
+        # the one copy of the live state.
         self.state_model.update(
-            node.node_id, self.epoch, node.sim.now, node.service.live_state(),
+            node.node_id, self.epoch, node.sim.now, node.service.checkpoint(),
             timers=self.own_timers(),
         )
 
@@ -279,8 +279,8 @@ class CheckpointExchange:
         now = node.sim.now
         self.epoch += 1
         # Snapshot the service exactly once per broadcast: the same
-        # state feeds the local state model (which deep-copies on
-        # update) and the outbound messages.
+        # checkpoint is stored in the local state model and carried by
+        # every outbound message, and every receiver stores it as is.
         state = node.service.checkpoint()
         timers = self.own_timers()
         self.state_model.update(node.node_id, self.epoch, now, state, timers=timers)

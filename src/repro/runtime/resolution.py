@@ -187,13 +187,14 @@ class AmortizedResolver(_Resolver):
         # Stable sort: candidates tied on score keep application order,
         # matching the per-choice path's strict-improvement rule.
         scored.sort(key=lambda pair: pair[1], reverse=True)
-        # Charge what a round actually costs: predicted states PLUS the
-        # checkpoint weight per replayed candidate.  Sandbox replay
-        # copies the whole captured state twice per candidate, so on
-        # services whose state grows with committed work (decided logs)
-        # the real cost is O(state), not O(states explored) — weighing
-        # it in makes the rate budget self-concentrate scoring early,
-        # when state is small, and throttle it as the log grows.
+        # Charge a round its predicted states PLUS the checkpoint
+        # weight per replayed candidate.  The weight stands for copying
+        # the captured state, which replay no longer does in full (a
+        # step copies only the fields its handler touches); it is kept
+        # on purpose until ROADMAP item 13(b) replaces it, so no
+        # admission decision moves.  It makes the rate budget
+        # concentrate scoring early, when state is small, and throttle
+        # it as a decided log grows.
         cost = runtime.stats["states_explored"] - before + self._policy_cost(point, node)
         node.sim.trace.record(
             node.sim.now, "runtime.policy_distilled", node=node.node_id,
@@ -204,11 +205,12 @@ class AmortizedResolver(_Resolver):
     def _policy_cost(self, point: ChoicePoint, node: Any) -> Optional[int]:
         """Projected cost of scoring ``point`` now, for budget admission.
 
-        The weight term dominates a round's bill once the service's
+        The weight term (``_state_weight``, the size proxy kept until
+        ROADMAP item 13(b)) dominates a round's bill once the service's
         state has grown, and it is knowable *before* capturing or
-        replaying anything: with no dispatch captured yet, the *live*
-        state fields give the same size proxy for free.  Denying up
-        front matters twice over — an unaffordable round is never
+        replaying anything: with no dispatch captured yet, the service's
+        ``live_state()`` gives the same proxy without a copy.  Denying
+        up front matters twice over — an unaffordable round is never
         replayed, and (because denial precedes the defer-and-arm path)
         capture is never armed for it, so the node does not pay the
         O(state) pre-dispatch snapshot either.
@@ -218,10 +220,9 @@ class AmortizedResolver(_Resolver):
             weight = _state_weight(dispatch.checkpoint.values())
         else:
             service = getattr(node, "service", None)
-            fields = getattr(service, "state_fields", None)
-            if not fields:
+            if not getattr(service, "state_fields", None):
                 return None
-            weight = _state_weight(getattr(service, name) for name in fields)
+            weight = _state_weight(service.live_state().values())
         return weight * len(point.candidates)
 
 

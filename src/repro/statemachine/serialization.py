@@ -1,9 +1,13 @@
 """Checkpoint serialization and canonical state freezing.
 
-Services declare plain-data ``state_fields``; checkpoints are deep
-copies of those fields.  The model checker needs to recognize states it
-has already visited, so :func:`freeze` converts any plain-data value to
-a canonical hashable form and :func:`digest` produces a stable hash.
+Services declare plain-data ``state_fields``; a checkpoint holds
+those fields and is never mutated, and :func:`snapshot_value` makes the
+copies where live state and a checkpoint meet (a sandbox service
+copies a field when a handler first reads it, see
+``Service.defer_copies``).  The model checker needs to recognize
+states it has already visited, so :func:`freeze` converts any
+plain-data value to a canonical hashable form and :func:`digest`
+produces a stable hash.
 
 Plain data means: ``None``, ``bool``, ``int``, ``float``, ``str``,
 ``bytes``, and ``dict``/``list``/``tuple``/``set``/``frozenset``/

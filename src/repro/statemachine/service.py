@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..choice.choicepoint import ChoiceError, ChoicePoint
 from .context import Context
 from .handlers import HandlerSpec, collect_handlers
-from .serialization import checkpoint_state, digest, restore_state
+from .serialization import _SCALARS, checkpoint_state, digest, restore_state, snapshot_value
 
 
 class DispatchError(Exception):
@@ -169,8 +169,24 @@ class Service:
         return checkpoint_state(self, self.state_fields)
 
     def restore(self, checkpoint: Dict[str, Any]) -> None:
-        """Install a checkpoint produced by :meth:`checkpoint`."""
+        """Install a checkpoint produced by :meth:`checkpoint`, copying
+        every container: the state becomes live, mutable state.  A
+        sandbox instance restores lazily instead (:meth:`defer_copies`).
+        """
         restore_state(self, checkpoint)
+
+    def defer_copies(self) -> None:
+        """Make this a sandbox instance, whose every step starts with a
+        :meth:`restore` and ends with a hand-over of ``live_state()``:
+        restore then copies a container only when a handler first reads
+        its field, and ``live_state()`` is the handler's copies plus the
+        untouched values of the checkpoint restored.
+
+        The first read is caught by a ``__getattr__`` on a subclass made
+        for the purpose, since a class with one makes every attribute
+        read of its instances slower: live services keep their class.
+        """
+        self.__class__ = _deferring_class(type(self))
 
     def live_state(self) -> Dict[str, Any]:
         """The declared state fields by name, *not* copied: the shape of
@@ -187,6 +203,78 @@ class Service:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(node_id={self.node_id})"
+
+
+class _DeferredCopies:
+    """What :meth:`Service.defer_copies` adds to a service class.
+
+    A checkpoint is never written, so restore may hand the service the
+    checkpoint's own containers as long as the service copies one
+    before it can write to it, that is, at the first read of its field.
+    """
+
+    # Checkpoint values restore() installed that no handler has read
+    # yet, by field name.  Empty and never written at class level;
+    # restore gives an instance its own.
+    _deferred: Dict[str, Any] = {}
+    # State fields that are also class attributes: copied by restore,
+    # since lookup would find the class attribute, not __getattr__,
+    # once the instance attribute is gone.
+    _shadowed: frozenset = frozenset()
+
+    def restore(self, checkpoint: Dict[str, Any]) -> None:
+        """Assign scalars; defer each container until its field is read
+        (copied then) or assigned (superseded then)."""
+        live = self.__dict__
+        deferred = live.get("_deferred")
+        if deferred is None:
+            deferred = live["_deferred"] = {}
+        shadowed = self._shadowed
+        for name, value in checkpoint.items():
+            if name in shadowed:
+                setattr(self, name, snapshot_value(value))
+            elif type(value) in _SCALARS:
+                live[name] = value
+                deferred.pop(name, None)
+            else:
+                live.pop(name, None)
+                deferred[name] = value
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails: the first read of a
+        # deferred field copies it into the instance.
+        try:
+            value = self.__dict__["_deferred"].pop(name)
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        value = self.__dict__[name] = snapshot_value(value)
+        return value
+
+    def live_state(self) -> Dict[str, Any]:
+        """The fields a handler read or assigned, as it left them, and
+        the untouched rest of the checkpoint restored: no copy."""
+        deferred = self._deferred
+        live = self.__dict__
+        return {
+            name: deferred[name] if name in deferred and name not in live
+            else getattr(self, name)
+            for name in self.state_fields
+        }
+
+
+# Service class -> its subclass with deferred copies (and that subclass
+# -> itself), made on first use.
+_DEFERRING: Dict[type, type] = {}
+
+
+def _deferring_class(cls: type) -> type:
+    deferring = _DEFERRING.get(cls)
+    if deferring is None:
+        shadowed = frozenset(name for name in cls.state_fields if hasattr(cls, name))
+        deferring = type(cls.__name__, (_DeferredCopies, cls), {"_shadowed": shadowed})
+        _DEFERRING[cls] = _DEFERRING[deferring] = deferring
+    return deferring
 
 
 __all__ = ["Service", "DispatchError"]

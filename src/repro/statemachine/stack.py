@@ -162,6 +162,12 @@ class ServiceStack(Service):
     # Checkpoints (aggregate of all layers)
     # ------------------------------------------------------------------
 
+    def defer_copies(self) -> None:
+        # Each layer restores, copies on first read and hands over its
+        # own fields; the stack holds none.
+        for name in self._order:
+            self.layers[name].defer_copies()
+
     def checkpoint(self) -> Dict[str, Any]:
         return {name: self.layers[name].checkpoint() for name in self._order}
 

@@ -24,14 +24,6 @@ def test_same_epoch_later_time_accepted():
     assert model.update(1, epoch=1, taken_at=2.0, state={"x": 2})
 
 
-def test_stored_state_is_copied():
-    model = StateModel(0)
-    state = {"list": [1]}
-    model.update(1, epoch=1, taken_at=0.0, state=state)
-    state["list"].append(2)
-    assert model.get(1).state == {"list": [1]}
-
-
 def test_age_and_unknown():
     model = StateModel(0)
     model.update(1, epoch=1, taken_at=3.0, state={})
@@ -68,8 +60,8 @@ def test_neighbor_checkpoint_default_timers_is_fresh_list():
 
 
 def test_latest_states_shares_stored_checkpoints_in_a_new_mapping():
-    # The model copied the state once on update(); readers get that copy
-    # (immutable by the WorldState contract), not a copy of the copy.
+    # The model stores the checkpoint it is handed; readers get that
+    # checkpoint (immutable by the WorldState contract), not a copy.
     model = StateModel(0)
     model.update(1, epoch=1, taken_at=0.0, state={"x": [1]})
     states = model.latest_states()

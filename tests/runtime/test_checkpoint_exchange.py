@@ -14,8 +14,9 @@ from repro.runtime.checkpoints import (
     CheckpointAckMsg,
     CheckpointDeltaMsg,
     CheckpointExchange,
+    CheckpointMsg,
 )
-from repro.statemachine import Cluster, InboundInterposer
+from repro.statemachine import Cluster, InboundInterposer, Service
 
 from .test_controller import factory
 
@@ -135,3 +136,41 @@ def test_state_change_triggers_a_broadcast():
         assert e.epoch == 1
     # Node 1's new value reached its peers with no periodic exchange.
     assert ex[2].state_model.get(1).state == {"value": 1}
+
+
+class Appender(Service):
+    """State held in a mutable container, which a stored copy must not
+    follow."""
+
+    state_fields = ("log",)
+
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.log = []
+
+
+def test_model_stores_one_copy_of_live_state_and_received_states_as_sent():
+    # The state model stores what it is handed.  The exchange hands it a
+    # checkpoint of the live service (the one copy), and a receiver the
+    # checkpoint a message carried, the same object.
+    cluster = Cluster(2, Appender, seed=3)
+    ex = [attach(node, deltas=False, on_change=False) for node in cluster.nodes]
+    cluster.start_all()
+    for exchange in ex:
+        exchange.start()
+    cluster.run(until=0.5)  # past the checkpoint start() recorded
+    live = cluster.service(0)
+    live.log.append(1)
+    ex[0].record_own_checkpoint()
+    recorded = ex[0].state_model.get(0).state
+    live.log.append(2)
+    assert recorded == {"log": [1]}
+    ex[0].broadcast()
+    sent = ex[0].state_model.get(0).state
+    live.log.append(3)
+    assert sent == {"log": [1, 2]} and recorded == {"log": [1]}
+    cluster.run(until=1.5)
+    assert ex[1].state_model.get(0).state is sent
+    message = CheckpointMsg(sender=0, epoch=9, taken_at=2.0, sent_at=2.0, state={"log": [4]})
+    ex[1].receive(0, message)
+    assert ex[1].state_model.get(0).state is message.state
