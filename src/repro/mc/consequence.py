@@ -183,7 +183,6 @@ class ConsequencePredictor:
             report.total_states += outcome.states
         if metrics is not None:
             metrics.counter("mc.predictions").inc()
-            metrics.counter("mc.states").inc(report.total_states)
             predicted = sum(len(o.violations) for o in report.outcomes)
             if predicted:
                 metrics.counter("mc.near_violations").inc(predicted)

@@ -1,8 +1,8 @@
 """The predictive system model kept in the runtime (Section 3.3).
 
-Network model (per-pair latency/bandwidth/loss estimates with
-confidence), state model (neighbor checkpoints and consistent cuts),
-and generic nodes for the unknown remainder of the system.
+Network model (per-pair latency/bandwidth estimates with confidence),
+state model (neighbor checkpoints and consistent cuts), and generic
+nodes for the unknown remainder of the system.
 """
 
 from .confidence import (

@@ -4,20 +4,23 @@ Section 3.3: distributed systems "collect some information about the
 network and, often implicitly, build a network model to predict network
 performance ... we argue that the network and the system model should
 be exported and kept in the runtime".  :class:`NetworkModel` is that
-exported model: per-pair EWMA estimates of latency, bandwidth, and loss
-fed by passive observation or active probing, with age/sample
-confidence, mergeable across nodes (the iPlane-style shared information
-plane), and bootstrappable from ground truth for oracle experiments.
+exported model: per-pair EWMA estimates of latency and bandwidth, fed
+by passive observation of checkpoint stamps, with age/sample
+confidence, and bootstrappable from ground truth for oracle
+experiments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .confidence import DEFAULT_HALF_LIFE, combined_confidence
 
 EWMA_ALPHA = 0.3
+# What the model predicts for a link it has no sample of.
+DEFAULT_LATENCY = 0.05
+DEFAULT_BANDWIDTH = 10e6
 
 
 @dataclass
@@ -31,19 +34,16 @@ class LinkEstimate:
 
     latency: float = 0.0
     bandwidth: float = 0.0
-    loss: float = 0.0
     updated_at: float = 0.0
     samples: int = 0
     latency_samples: int = 0
     bandwidth_samples: int = 0
-    loss_samples: int = 0
 
     def observe(
         self,
         now: float,
         latency: Optional[float] = None,
         bandwidth: Optional[float] = None,
-        loss: Optional[float] = None,
         alpha: float = EWMA_ALPHA,
     ) -> None:
         """Fold one measurement into the estimate."""
@@ -59,12 +59,6 @@ class LinkEstimate:
             else:
                 self.bandwidth += alpha * (bandwidth - self.bandwidth)
             self.bandwidth_samples += 1
-        if loss is not None:
-            if self.loss_samples == 0:
-                self.loss = loss
-            else:
-                self.loss += alpha * (loss - self.loss)
-            self.loss_samples += 1
         self.samples += 1
         self.updated_at = now
 
@@ -76,15 +70,7 @@ class LinkEstimate:
 class NetworkModel:
     """Per-pair network performance estimates kept in the runtime."""
 
-    def __init__(
-        self,
-        default_latency: float = 0.05,
-        default_bandwidth: float = 10e6,
-        default_loss: float = 0.0,
-    ) -> None:
-        self.default_latency = default_latency
-        self.default_bandwidth = default_bandwidth
-        self.default_loss = default_loss
+    def __init__(self) -> None:
         self._links: Dict[Tuple[int, int], LinkEstimate] = {}
 
     # ------------------------------------------------------------------
@@ -102,19 +88,9 @@ class NetworkModel:
         """Record one one-way latency measurement."""
         self._estimate(src, dst).observe(now, latency=latency)
 
-    def observe_rtt(self, src: int, dst: int, rtt: float, now: float) -> None:
-        """Record a round-trip measurement (split symmetrically)."""
-        half = rtt / 2.0
-        self._estimate(src, dst).observe(now, latency=half)
-        self._estimate(dst, src).observe(now, latency=half)
-
     def observe_bandwidth(self, src: int, dst: int, bandwidth: float, now: float) -> None:
         """Record one bandwidth measurement in bits/s."""
         self._estimate(src, dst).observe(now, bandwidth=bandwidth)
-
-    def observe_loss(self, src: int, dst: int, loss: float, now: float) -> None:
-        """Record one loss-rate measurement in [0, 1)."""
-        self._estimate(src, dst).observe(now, loss=loss)
 
     def bootstrap_from_topology(self, topology, now: float = 0.0) -> None:
         """Load ground truth from a topology (oracle / iPlane mode).
@@ -128,39 +104,27 @@ class NetworkModel:
                 if i == j:
                     continue
                 link = topology.link(i, j)
-                est = self._estimate(i, j)
-                est.observe(now, latency=link.latency, bandwidth=link.bandwidth, loss=link.loss)
+                self._estimate(i, j).observe(now, latency=link.latency, bandwidth=link.bandwidth)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def known_pairs(self) -> Iterable[Tuple[int, int]]:
-        """Directed pairs with at least one observation."""
-        return self._links.keys()
 
     def latency(self, src: int, dst: int) -> float:
         """Estimated one-way latency (default when unknown)."""
         if src == dst:
             return 0.0
         est = self._links.get((src, dst))
-        if est is None or est.samples == 0:
-            return self.default_latency
+        if est is None or est.latency_samples == 0:
+            return DEFAULT_LATENCY
         return est.latency
 
     def bandwidth(self, src: int, dst: int) -> float:
         """Estimated bandwidth in bits/s (default when unknown)."""
         est = self._links.get((src, dst))
         if est is None or est.samples == 0 or est.bandwidth <= 0:
-            return self.default_bandwidth
+            return DEFAULT_BANDWIDTH
         return est.bandwidth
-
-    def loss(self, src: int, dst: int) -> float:
-        """Estimated loss rate (default when unknown)."""
-        est = self._links.get((src, dst))
-        if est is None or est.samples == 0:
-            return self.default_loss
-        return est.loss
 
     def rtt(self, a: int, b: int) -> float:
         """Estimated round-trip time between ``a`` and ``b``."""
@@ -176,62 +140,6 @@ class NetworkModel:
         if est is None:
             return 0.0
         return est.confidence(now, half_life)
-
-    # ------------------------------------------------------------------
-    # Sharing
-    # ------------------------------------------------------------------
-
-    def merge(self, other: "NetworkModel") -> None:
-        """Adopt the fresher estimate per pair from ``other``.
-
-        This is how runtime instances share their models, "enabling
-        cost and overhead reductions when building a network
-        performance model" across applications and nodes.
-        """
-        for pair, theirs in other._links.items():
-            mine = self._links.get(pair)
-            if mine is None or theirs.updated_at > mine.updated_at:
-                self._links[pair] = LinkEstimate(
-                    latency=theirs.latency,
-                    bandwidth=theirs.bandwidth,
-                    loss=theirs.loss,
-                    updated_at=theirs.updated_at,
-                    samples=theirs.samples,
-                    latency_samples=theirs.latency_samples,
-                    bandwidth_samples=theirs.bandwidth_samples,
-                    loss_samples=theirs.loss_samples,
-                )
-
-    def export_entries(self) -> list:
-        """Serialize all estimates as plain tuples (for ModelShareMsg)."""
-        return [
-            (src, dst, est.latency, est.bandwidth, est.loss, est.updated_at, est.samples)
-            for (src, dst), est in sorted(self._links.items())
-        ]
-
-    def import_entries(self, entries) -> int:
-        """Adopt shared estimates, keeping the fresher one per pair.
-
-        Returns how many pairs were updated.  Imported estimates carry
-        their original timestamps, so confidence decay stays honest.
-        """
-        updated = 0
-        for src, dst, latency, bandwidth, loss, updated_at, samples in entries:
-            mine = self._links.get((src, dst))
-            if mine is not None and mine.updated_at >= updated_at:
-                continue
-            self._links[(src, dst)] = LinkEstimate(
-                latency=latency,
-                bandwidth=bandwidth,
-                loss=loss,
-                updated_at=updated_at,
-                samples=samples,
-                latency_samples=samples,
-                bandwidth_samples=samples if bandwidth > 0 else 0,
-                loss_samples=samples,
-            )
-            updated += 1
-        return updated
 
     def __repr__(self) -> str:
         return f"NetworkModel(pairs={len(self._links)})"

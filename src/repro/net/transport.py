@@ -112,7 +112,7 @@ class Network:
         self.topology_listeners: List[Any] = []
         # Traffic counters live in the metrics registry (a private one
         # unless a shared registry is passed in); the historical
-        # ``messages_sent``/... attributes remain as live properties.
+        # ``messages_sent``/... attributes remain as read-only properties.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._messages_sent = self.metrics.counter("net.messages_sent")
         self._messages_delivered = self.metrics.counter("net.messages_delivered")
@@ -128,41 +128,21 @@ class Network:
     def messages_sent(self) -> int:
         return self._messages_sent.value
 
-    @messages_sent.setter
-    def messages_sent(self, value: int) -> None:
-        self._messages_sent.value = value
-
     @property
     def messages_delivered(self) -> int:
         return self._messages_delivered.value
-
-    @messages_delivered.setter
-    def messages_delivered(self, value: int) -> None:
-        self._messages_delivered.value = value
 
     @property
     def messages_dropped(self) -> int:
         return self._messages_dropped.value
 
-    @messages_dropped.setter
-    def messages_dropped(self, value: int) -> None:
-        self._messages_dropped.value = value
-
     @property
     def messages_duplicated(self) -> int:
         return self._messages_duplicated.value
 
-    @messages_duplicated.setter
-    def messages_duplicated(self, value: int) -> None:
-        self._messages_duplicated.value = value
-
     @property
     def bytes_sent(self) -> int:
         return self._bytes_sent.value
-
-    @bytes_sent.setter
-    def bytes_sent(self, value: int) -> None:
-        self._bytes_sent.value = value
 
     # ------------------------------------------------------------------
     # Endpoint management

@@ -5,13 +5,7 @@ prediction, execution steering via event filters, and predictive
 resolution of exposed choices.
 """
 
-from .checkpoints import (
-    CheckpointDeltaMsg,
-    CheckpointMsg,
-    ModelShareMsg,
-    ProbeMsg,
-    ProbeReplyMsg,
-)
+from .checkpoints import CheckpointDeltaMsg, CheckpointMsg
 from .controller import CrystalBallRuntime, install_crystalball
 from .policy import (
     AmortizedSteering,
@@ -29,9 +23,6 @@ __all__ = [
     "scenario_signature",
     "CheckpointDeltaMsg",
     "CheckpointMsg",
-    "ModelShareMsg",
-    "ProbeMsg",
-    "ProbeReplyMsg",
     "CrystalBallRuntime",
     "DEGRADE_REASONS",
     "install_crystalball",

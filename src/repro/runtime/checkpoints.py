@@ -6,8 +6,8 @@ checkpoints from each of the node's neighbors" (Section 2).  In this
 reproduction each node's :class:`CheckpointExchange` broadcasts
 epoch-stamped checkpoints of its service state to its neighborhood;
 receiving exchanges consume them (they never reach the application) and
-fold them into their state models.  Checkpoint and probe messages double
-as passive latency measurements via their ``sent_at`` stamps.
+fold them into their state models.  Checkpoint messages double as
+passive latency measurements via their ``sent_at`` stamps.
 """
 
 from __future__ import annotations
@@ -100,44 +100,7 @@ class CheckpointAckMsg(Message):
         return 64
 
 
-@dataclass
-class ModelShareMsg(Message):
-    """A slice of a node's network model, shared iPlane-style.
-
-    "iPlane proposes to build an information plane which makes the
-    network measurements and predictions available to all applications"
-    (Section 3.3.1); runtimes periodically exchange their estimates so
-    each node's model covers pairs it never measured itself.  Entries
-    are ``(src, dst, latency, bandwidth, loss, updated_at, samples)``.
-    """
-
-    sender: int
-    entries: list = field(default_factory=list)
-
-    def wire_size(self) -> int:
-        return 64 + 48 * max(1, len(self.entries))
-
-
-@dataclass
-class ProbeMsg(Message):
-    """Active network probe (RTT measurement request)."""
-
-    sender: int
-    sent_at: float
-
-
-@dataclass
-class ProbeReplyMsg(Message):
-    """Reply to a :class:`ProbeMsg`, echoing the original send time."""
-
-    sender: int
-    orig_sent_at: float
-
-
-RUNTIME_MESSAGE_TYPES = (
-    CheckpointMsg, CheckpointDeltaMsg, CheckpointAckMsg, ModelShareMsg,
-    ProbeMsg, ProbeReplyMsg,
-)
+RUNTIME_MESSAGE_TYPES = (CheckpointMsg, CheckpointDeltaMsg, CheckpointAckMsg)
 
 
 def schedule_every(node: Any, period: float, action: Callable[[], None], tag: str) -> None:
@@ -160,12 +123,10 @@ class CheckpointExchange:
     every dispatch that moved the service's state digest — ``trigger``
     runs, and it calls :meth:`broadcast`: one checkpoint, stamped with
     the next epoch, goes into the state model and out to every neighbor.
-    Every ``model_share_period`` the network model's estimates go out
-    too (the iPlane pattern).  Receiving: checkpoints go into the state
-    model, shared estimates into the network model, probes are answered,
-    and with ``passive_measurement`` every ``sent_at`` stamp becomes a
-    latency sample (disable it to freeze the model after bootstrap — the
-    A4 ablation).
+    Receiving: checkpoints go into the state model, and with
+    ``passive_measurement`` every ``sent_at`` stamp becomes a latency
+    sample in the network model (disable it to freeze the model after
+    bootstrap — the A4 ablation).
 
     With ``deltas`` (Section 3.3.2's communication-overhead limit) each
     broadcast is diffed against the last full checkpoint each peer
@@ -189,7 +150,6 @@ class CheckpointExchange:
         stats: Any,
         trigger: Callable[[], None],
         checkpoint_period: float,
-        model_share_period: float,
         passive_measurement: bool,
         deltas: bool,
         on_change: bool,
@@ -200,7 +160,6 @@ class CheckpointExchange:
         self.stats = stats
         self.trigger = trigger
         self.checkpoint_period = checkpoint_period
-        self.model_share_period = model_share_period
         self.passive_measurement = passive_measurement
         self.deltas = deltas
         self.on_change = on_change
@@ -221,9 +180,6 @@ class CheckpointExchange:
             CheckpointMsg: self._on_full,
             CheckpointDeltaMsg: self._on_delta,
             CheckpointAckMsg: self._on_ack,
-            ModelShareMsg: self._on_model_share,
-            ProbeMsg: self._on_probe,
-            ProbeReplyMsg: self._on_probe_reply,
         }
 
     def start(self) -> None:
@@ -233,9 +189,6 @@ class CheckpointExchange:
         if self.checkpoint_period > 0:
             schedule_every(node, self.checkpoint_period, self.trigger,
                            f"cb.checkpoint:{node.node_id}")
-        if self.model_share_period > 0:
-            schedule_every(node, self.model_share_period, self.share_model,
-                           f"cb.modelshare:{node.node_id}")
         if self.on_change:
             self._last_digest = node.service.state_digest()
 
@@ -374,24 +327,6 @@ class CheckpointExchange:
         self.stats["change_broadcasts"] += 1
         self.trigger()
 
-    def share_model(self) -> None:
-        """Send this node's network-model estimates to every neighbor."""
-        entries = self.network_model.export_entries()
-        if not entries:
-            return
-        me = self.node.node_id
-        for peer in self.neighbors():
-            msg = ModelShareMsg(sender=me, entries=entries)
-            self.node.network.send(me, peer, msg, size_bytes=msg.wire_size())
-            self.stats["model_shares_sent"] += 1
-
-    def probe(self, peer: int) -> None:
-        """Send an active RTT probe to ``peer``."""
-        me = self.node.node_id
-        self.node.network.send(
-            me, peer, ProbeMsg(sender=me, sent_at=self.node.sim.now), size_bytes=64,
-        )
-
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
@@ -454,30 +389,11 @@ class CheckpointExchange:
         if msg.epoch > self._peer_acked.get(msg.sender, -1):
             self._peer_acked[msg.sender] = msg.epoch
 
-    def _on_model_share(self, src: int, msg: ModelShareMsg) -> None:
-        self.stats["model_entries_adopted"] += self.network_model.import_entries(msg.entries)
-
-    def _on_probe(self, src: int, msg: ProbeMsg) -> None:
-        me = self.node.node_id
-        self.node.network.send(
-            me, src, ProbeReplyMsg(sender=me, orig_sent_at=msg.sent_at), size_bytes=64,
-        )
-
-    def _on_probe_reply(self, src: int, msg: ProbeReplyMsg) -> None:
-        if self.passive_measurement:
-            now = self.node.sim.now
-            self.network_model.observe_rtt(
-                self.node.node_id, src, max(0.0, now - msg.orig_sent_at), now,
-            )
-
 
 __all__ = [
     "CheckpointExchange",
     "CheckpointMsg",
     "CheckpointDeltaMsg",
     "CheckpointAckMsg",
-    "ModelShareMsg",
-    "ProbeMsg",
-    "ProbeReplyMsg",
     "RUNTIME_MESSAGE_TYPES",
 ]

@@ -63,7 +63,6 @@ class CrystalBallRuntime(InboundInterposer):
         prediction_scope: str = "global",
         broadcast_on_change: bool = False,
         checkpoint_deltas: bool = False,
-        model_share_period: float = 0.0,
         generic_node: Optional[object] = None,
         max_snapshot_age: Optional[float] = None,
         fallback: Any = FirstResolver(),
@@ -118,8 +117,6 @@ class CrystalBallRuntime(InboundInterposer):
                 "checkpoint_acks_sent",
                 "resync_fulls_sent",
                 "deltas_ignored",
-                "model_shares_sent",
-                "model_entries_adopted",
                 *(f"degraded.{reason}" for reason in DEGRADE_REASONS),
             ),
             node=node.node_id,
@@ -131,7 +128,6 @@ class CrystalBallRuntime(InboundInterposer):
             node, self.state_model, self.network_model, self.stats,
             trigger=self.broadcast_checkpoint,
             checkpoint_period=checkpoint_period,
-            model_share_period=model_share_period,
             passive_measurement=passive_measurement,
             deltas=checkpoint_deltas,
             on_change=broadcast_on_change,
@@ -167,7 +163,6 @@ class CrystalBallRuntime(InboundInterposer):
         matched = self.steering.matches(src, msg, now)
         if matched is None:
             return True
-        self.stats["steered_messages"] += 1
         node.sim.trace.record(
             now, "runtime.steer", node=node.node_id, src=src,
             msg=type(msg).__name__, reason=matched.reason,

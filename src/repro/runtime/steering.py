@@ -42,7 +42,10 @@ class SteeringModule:
 
     Counters live in a :class:`~repro.obs.MetricsRegistry` (a private
     one by default; pass a shared registry plus ``node`` label to
-    aggregate per cluster).
+    aggregate per cluster).  A filtered message and a new filter are
+    counted once, as ``runtime.steered_messages`` and
+    ``runtime.filters_installed``: the runtime's ``stats`` reads the
+    same counters.
     """
 
     def __init__(
@@ -53,8 +56,8 @@ class SteeringModule:
         self._filters: List[EventFilter] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         labels = {} if node is None else {"node": node}
-        self._filtered = self.metrics.counter("steering.filtered", **labels)
-        self._installed = self.metrics.counter("steering.installed", **labels)
+        self._filtered = self.metrics.counter("runtime.steered_messages", **labels)
+        self._installed = self.metrics.counter("runtime.filters_installed", **labels)
         self._refreshed = self.metrics.counter("steering.refreshed", **labels)
 
     @property
@@ -117,12 +120,12 @@ def steer(runtime: Any, report: PredictionReport, world: WorldState) -> None:
     """Turn one prediction round's predicted violations into filters.
 
     ``runtime`` supplies the node, ``properties``, ``steering`` (its
-    :class:`SteeringModule`), ``stats`` and ``resolver``.  CrystalBall
-    "checks whether it is safe to steer execution away from the possible
-    inconsistency": dropping a message and breaking a connection only
-    *remove* behaviours, so steering is safe exactly when the present
-    state satisfies every property; otherwise it traces
-    ``runtime.steer_impossible``.
+    :class:`SteeringModule`, which counts new filters) and
+    ``resolver``.  CrystalBall "checks whether it is safe to steer
+    execution away from the possible inconsistency": dropping a message
+    and breaking a connection only *remove* behaviours, so steering is
+    safe exactly when the present state satisfies every property;
+    otherwise it traces ``runtime.steer_impossible``.
     """
     unsafe = [o for o in report.outcomes if not o.is_safe]
     if not unsafe:
@@ -155,7 +158,6 @@ def steer(runtime: Any, report: PredictionReport, world: WorldState) -> None:
             # new filter changes what deliveries reach the service, so
             # rankings distilled without it are no longer trustworthy.
             if newly_installed:
-                runtime.stats["filters_installed"] += 1
                 runtime.resolver.invalidate("steering")
             node.sim.trace.record(
                 now, "runtime.filter_installed", node=node.node_id,

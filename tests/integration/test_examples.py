@@ -13,7 +13,7 @@ def run_example(name: str) -> None:
     path = os.path.abspath(os.path.join(EXAMPLES_DIR, f"{name}.py"))
     spec = importlib.util.spec_from_file_location(f"example_{name}", path)
     module = importlib.util.module_from_spec(spec)
-    # Examples import each other (shared_models reuses quickstart).
+    # Examples import each other (amortized_policy reuses quickstart).
     sys.path.insert(0, os.path.abspath(EXAMPLES_DIR))
     try:
         spec.loader.exec_module(module)
@@ -48,5 +48,5 @@ def test_paxos_wan_example():
 
 
 @pytest.mark.slow
-def test_shared_models_example():
-    run_example("shared_models")
+def test_amortized_policy_example():
+    run_example("amortized_policy")

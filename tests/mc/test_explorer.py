@@ -107,7 +107,7 @@ def test_timer_successor_consumes_timer(token_factory):
 
 
 def test_network_model_weights_time(token_factory):
-    model = NetworkModel(default_latency=0.0)
+    model = NetworkModel()
     model.observe_latency(0, 1, 2.5, now=0.0)
     model.observe_bandwidth(0, 1, 1e12, now=0.0)
     explorer = Explorer(token_factory, network_model=model)

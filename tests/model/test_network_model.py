@@ -1,16 +1,16 @@
-"""Predictive network model: observation, queries, merging."""
+"""Predictive network model: observation and queries."""
 
 import pytest
 
 from repro.model import NetworkModel
+from repro.model.network_model import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
 from repro.net import full_mesh
 
 
 def test_defaults_when_unknown():
-    model = NetworkModel(default_latency=0.1, default_bandwidth=1e6, default_loss=0.01)
-    assert model.latency(0, 1) == 0.1
-    assert model.bandwidth(0, 1) == 1e6
-    assert model.loss(0, 1) == 0.01
+    model = NetworkModel()
+    assert model.latency(0, 1) == DEFAULT_LATENCY
+    assert model.bandwidth(0, 1) == DEFAULT_BANDWIDTH
 
 
 def test_self_latency_zero():
@@ -37,18 +37,18 @@ def test_rtt_sums_both_directions():
     assert model.rtt(0, 1) == pytest.approx(0.4)
 
 
-def test_observe_rtt_splits_symmetrically():
-    model = NetworkModel()
-    model.observe_rtt(0, 1, 0.4, now=0.0)
-    assert model.latency(0, 1) == pytest.approx(0.2)
-    assert model.latency(1, 0) == pytest.approx(0.2)
-
-
 def test_transfer_time_uses_bandwidth():
     model = NetworkModel()
     model.observe_latency(0, 1, 0.1, now=0.0)
     model.observe_bandwidth(0, 1, 8e6, now=0.0)
     assert model.transfer_time(0, 1, 1000) == pytest.approx(0.101)
+
+
+def test_bandwidth_sample_alone_keeps_default_latency():
+    model = NetworkModel()
+    model.observe_bandwidth(0, 1, 8e6, now=0.0)
+    assert model.latency(0, 1) == DEFAULT_LATENCY
+    assert model.transfer_time(0, 1, 1000) == pytest.approx(DEFAULT_LATENCY + 0.001)
 
 
 def test_confidence_zero_when_never_observed():
@@ -69,32 +69,3 @@ def test_bootstrap_from_topology_matches_ground_truth():
     model.bootstrap_from_topology(topo)
     assert model.latency(0, 2) == pytest.approx(0.07)
     assert model.bandwidth(1, 2) == pytest.approx(5e6)
-
-
-def test_merge_adopts_fresher_estimates():
-    mine = NetworkModel()
-    theirs = NetworkModel()
-    mine.observe_latency(0, 1, 0.1, now=1.0)
-    theirs.observe_latency(0, 1, 0.9, now=5.0)
-    theirs.observe_latency(2, 3, 0.2, now=2.0)
-    mine.merge(theirs)
-    assert mine.latency(0, 1) == 0.9  # theirs was fresher
-    assert mine.latency(2, 3) == 0.2  # new pair adopted
-
-
-def test_merge_keeps_fresher_local():
-    mine = NetworkModel()
-    theirs = NetworkModel()
-    mine.observe_latency(0, 1, 0.1, now=9.0)
-    theirs.observe_latency(0, 1, 0.9, now=5.0)
-    mine.merge(theirs)
-    assert mine.latency(0, 1) == 0.1
-
-
-def test_merge_copies_do_not_alias():
-    mine = NetworkModel()
-    theirs = NetworkModel()
-    theirs.observe_latency(0, 1, 0.5, now=1.0)
-    mine.merge(theirs)
-    theirs.observe_latency(0, 1, 0.9, now=2.0)
-    assert mine.latency(0, 1) == 0.5

@@ -8,7 +8,10 @@ needs.
 
 from collections import Counter
 
+import pytest
+
 from repro.model import NetworkModel, StateModel
+from repro.net import full_mesh
 from repro.runtime.checkpoints import (
     RUNTIME_MESSAGE_TYPES,
     CheckpointAckMsg,
@@ -40,25 +43,25 @@ class ExchangeOnly(InboundInterposer):
         self.exchange.after_dispatch()
 
 
-def attach(node, deltas, on_change, drop_acks_from=()):
+def attach(node, deltas, on_change, drop_acks_from=(), passive=True):
     exchange = CheckpointExchange(
         node, StateModel(node.node_id), NetworkModel(), Counter(),
         trigger=lambda: exchange.broadcast(),
-        checkpoint_period=0.0, model_share_period=0.0,
-        passive_measurement=True, deltas=deltas, on_change=on_change,
+        checkpoint_period=0.0, passive_measurement=passive,
+        deltas=deltas, on_change=on_change,
     )
     node.inbound_interposers.append(ExchangeOnly(exchange, drop_acks_from))
     return exchange
 
 
-def exchanges(deltas=False, on_change=False, drop_acks=None):
+def exchanges(deltas=False, on_change=False, drop_acks=None, passive=True):
     """A started 3-node cluster with one exchange per node; no periodic
     broadcasts, so each test drives them.  ``drop_acks`` maps a node to
     the peers whose acks it never receives."""
     cluster = Cluster(3, factory, seed=3)
     drop_acks = drop_acks or {}
     attached = [
-        attach(node, deltas, on_change, drop_acks.get(node.node_id, ()))
+        attach(node, deltas, on_change, drop_acks.get(node.node_id, ()), passive)
         for node in cluster.nodes
     ]
     cluster.start_all()
@@ -79,6 +82,29 @@ def test_full_checkpoint_reaches_peer_state_model():
     assert ex[0].stats["checkpoints_sent"] == 2
     # The stamp became a latency sample (the full-mesh default is 0.05 s).
     assert 0.01 < ex[1].network_model.latency(0, 1) < 0.2
+
+
+@pytest.mark.parametrize("deltas", [False, True])
+@pytest.mark.parametrize("passive", [True, False])
+def test_checkpoint_stamps_feed_latency_only_with_passive_measurement(deltas, passive):
+    # The model starts from 1 s links; the network delivers in ~0.05 s.
+    # Each received stamp, a delta's as much as a full's, pulls the
+    # estimate down.  With passive measurement off (the A4 ablation) the
+    # bootstrapped model stays as it was.
+    cluster, ex = exchanges(deltas=deltas, passive=passive)
+    model = ex[1].network_model
+    model.bootstrap_from_topology(full_mesh(3, latency=1.0))
+    estimates = [model.latency(0, 1)]
+    for until in (0.5, 1.0):
+        ex[0].broadcast()
+        cluster.run(until=until)
+        estimates.append(model.latency(0, 1))
+    assert ex[0].stats["delta_checkpoints_sent"] == (2 if deltas else 0)
+    assert ex[1].stats["checkpoints_received"] == 2
+    if passive:
+        assert estimates[0] > estimates[1] > estimates[2]
+    else:
+        assert estimates == [1.0, 1.0, 1.0]
 
 
 def test_delta_sent_once_the_ack_has_arrived():

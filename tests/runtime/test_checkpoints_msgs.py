@@ -1,12 +1,7 @@
 """Runtime wire messages: classification and sizes."""
 
-from repro.runtime import (
-    CheckpointMsg,
-    ModelShareMsg,
-    ProbeMsg,
-    ProbeReplyMsg,
-)
-from repro.runtime.checkpoints import RUNTIME_MESSAGE_TYPES
+from repro.runtime import CheckpointDeltaMsg, CheckpointMsg
+from repro.runtime.checkpoints import RUNTIME_MESSAGE_TYPES, CheckpointAckMsg
 from repro.statemachine import Message
 from dataclasses import dataclass
 
@@ -19,9 +14,8 @@ class AppMsg(Message):
 def test_runtime_messages_classified():
     for msg in (
         CheckpointMsg(sender=0, epoch=1, taken_at=0.0, sent_at=0.0, state={}),
-        ProbeMsg(sender=0, sent_at=0.0),
-        ProbeReplyMsg(sender=0, orig_sent_at=0.0),
-        ModelShareMsg(sender=0),
+        CheckpointDeltaMsg(sender=0, epoch=2, base_epoch=1, taken_at=0.0, sent_at=0.0),
+        CheckpointAckMsg(sender=0, epoch=1),
     ):
         assert isinstance(msg, RUNTIME_MESSAGE_TYPES)
 
@@ -37,12 +31,6 @@ def test_checkpoint_size_grows_with_state():
     big = CheckpointMsg(sender=0, epoch=1, taken_at=0.0, sent_at=0.0,
                         state={f"k{i}": list(range(10)) for i in range(20)})
     assert big.wire_size() > small.wire_size()
-
-
-def test_model_share_size_scales_with_entries():
-    empty = ModelShareMsg(sender=0, entries=[])
-    full = ModelShareMsg(sender=0, entries=[(0, 1, 0.1, 1e6, 0.0, 0.0, 3)] * 50)
-    assert full.wire_size() >= empty.wire_size() + 49 * 48
 
 
 def test_checkpoint_carries_timers():

@@ -73,14 +73,6 @@ def test_passive_latency_measurement():
     assert 0.01 < model.latency(0, 1) < 0.2
 
 
-def test_probe_measures_rtt():
-    cluster, runtimes = make_cluster(checkpoint_period=0.0)
-    cluster.start_all()
-    runtimes[0].exchange.probe(1)
-    cluster.run(until=1.0)
-    assert 0.05 < runtimes[0].network_model.rtt(0, 1) < 0.3
-
-
 def test_current_world_includes_fresh_self():
     cluster, runtimes = make_cluster(checkpoint_period=0.5)
     cluster.start_all()
@@ -124,6 +116,11 @@ def test_steering_installs_filter_and_breaks_connection():
     runtime = runtimes[0]
     assert runtime.stats["filters_installed"] > 0
     assert runtime.stats["steered_messages"] > 0
+    # The steering module reads the same counters as ``stats``.
+    snapshot = runtime.steering.snapshot()
+    assert (snapshot["installed"], snapshot["filtered"], runtime.steering.filtered_count) == (
+        runtime.stats["filters_installed"], runtime.stats["steered_messages"],
+        runtime.stats["steered_messages"])
     assert cluster.service(0).value == 0  # steering kept the property
     assert cluster.network.connection_epoch(0, 2) > 0  # connection broken
     # Each steered message and each filter install is one trace record.

@@ -1,5 +1,5 @@
-"""Runtime extensions: change-triggered checkpoints, model sharing,
-generic-node exploration, staleness gating."""
+"""Runtime extensions: change-triggered checkpoints, generic-node
+exploration, staleness gating."""
 
 from repro.choice import FixedResolver
 from repro.model import GenericNode
@@ -34,35 +34,6 @@ def test_no_change_no_broadcast():
     cluster.start_all()
     cluster.run(until=0.5)  # before any Bump arrives anywhere
     assert all(r.stats["change_broadcasts"] == 0 for r in runtimes)
-
-
-def test_model_sharing_propagates_estimates():
-    cluster = Cluster(3, factory, seed=3)
-    runtimes = install_crystalball(
-        cluster, factory, checkpoint_period=0.0, model_share_period=1.0,
-    )
-    # Only node 0 has a measurement for the (1, 2) pair.
-    runtimes[0].network_model.observe_latency(1, 2, 0.123, now=0.0)
-    cluster.start_all()
-    cluster.run(until=3.0)
-    assert runtimes[1].network_model.latency(1, 2) == 0.123
-    assert runtimes[2].network_model.latency(1, 2) == 0.123
-    assert runtimes[0].stats["model_shares_sent"] > 0
-    assert runtimes[1].stats["model_entries_adopted"] > 0
-
-
-def test_model_sharing_keeps_fresher_local_estimate():
-    cluster = Cluster(3, factory, seed=3)
-    runtimes = install_crystalball(
-        cluster, factory, checkpoint_period=0.0, model_share_period=1.0,
-    )
-    runtimes[0].network_model.observe_latency(1, 2, 0.9, now=0.0)
-    cluster.start_all()
-    cluster.run(until=0.5)
-    # Node 1 measures the same pair *later* than node 0 did.
-    runtimes[1].network_model.observe_latency(1, 2, 0.1, now=cluster.sim.now)
-    cluster.run(until=4.0)
-    assert runtimes[1].network_model.latency(1, 2) == 0.1
 
 
 def test_generic_node_included_in_prediction():

@@ -1,7 +1,6 @@
 """Event filters, the steering module, and the one step that turns a
 predicted violation into a filter."""
 
-from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -86,7 +85,7 @@ def test_install_reports_new_vs_refresh():
     assert module.install(exact_filter(expires=9.0)) is False
     assert len(module) == 1
     assert module.active_filters[0].expires_at == 9.0
-    assert module.metrics.counter("steering.installed").value == 1
+    assert module.metrics.counter("runtime.filters_installed").value == 1
     assert module.metrics.counter("steering.refreshed").value == 1
 
 
@@ -95,7 +94,7 @@ def test_filtered_count_backed_by_registry():
     module.install(exact_filter())
     assert module.matches(1, Evil(n=1), now=1.0) is not None
     assert module.filtered_count == 1
-    assert module.metrics.counter("steering.filtered").value == 1
+    assert module.metrics.counter("runtime.steered_messages").value == 1
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +117,6 @@ def steering_runtime(holds=True):
         node=SimpleNamespace(node_id=0, sim=Simulator(seed=1)),
         properties=[SafetyProperty("evil-free", lambda world: holds)],
         steering=SteeringModule(),
-        stats=Counter(),
         resolver=RecordingResolver(),
     )
 
@@ -137,7 +135,7 @@ def predicted_violation():
 def test_predicted_violation_installs_one_filter():
     runtime = steering_runtime()
     steer(runtime, *predicted_violation())
-    assert runtime.stats == Counter(filters_installed=1)
+    assert runtime.steering.snapshot()["installed"] == 1
     assert runtime.resolver.invalidations == ["steering"]
     (installed,) = runtime.steering.active_filters
     assert (installed.src, installed.expires_at, installed.reason) == (1, FILTER_TTL, "evil-free")
@@ -151,7 +149,7 @@ def test_repeated_prediction_only_refreshes_the_filter():
     steer(runtime, *predicted_violation())
     runtime.node.sim.run(until=4.0)
     steer(runtime, *predicted_violation())
-    assert runtime.stats == Counter(filters_installed=1)
+    assert runtime.steering.snapshot()["installed"] == 1
     assert runtime.resolver.invalidations == ["steering"]
     assert len(runtime.steering) == 1
     assert runtime.steering.active_filters[0].expires_at == 4.0 + FILTER_TTL
@@ -165,4 +163,4 @@ def test_world_already_violating_steers_nothing():
     records = runtime.node.sim.trace.select("runtime.steer_impossible")
     assert [(r.node, r.data["unsafe"]) for r in records] == [(0, 1)]
     assert len(runtime.steering) == 0
-    assert not runtime.stats and not runtime.resolver.invalidations
+    assert not runtime.resolver.invalidations
