@@ -39,13 +39,8 @@ def magnitude(count: int) -> int:
 
 def trace_features(trace) -> Set[Feature]:
     """Behavior features of one trace log: category presence + volume."""
-    counts: Dict[str, int] = {}
-    for record in trace:
-        counts[record.category] = counts.get(record.category, 0) + 1
-    features: Set[Feature] = set()
-    for category, count in counts.items():
-        features.add(("cat", category, magnitude(count)))
-    return features
+    return {("cat", category, magnitude(count))
+            for category, count in trace.category_counts().items()}
 
 
 def chaos_features(stats: Dict[str, int]) -> Set[Feature]:

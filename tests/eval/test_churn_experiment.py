@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.eval import run_churn_experiment
+from repro.eval import run_churn_experiment, tree_experiment
+from repro.sim.trace import trace_digest
 
 
 def run_small(variant, seed=1):
@@ -35,7 +36,13 @@ def test_churn_deterministic():
     assert a.mean_attached_fraction == b.mean_attached_fraction
 
 
-def test_churn_crystalball_variant_runs():
+def test_churn_crystalball_variant_runs(monkeypatch):
+    # The experiment returns a summary, not its world: keep the cluster
+    # it builds to pin the full trace digest of the run as well.
+    built = []
+    real = tree_experiment.Cluster
+    monkeypatch.setattr(tree_experiment, "Cluster",
+                        lambda *args, **kwargs: built.append(real(*args, **kwargs)) or built[-1])
     result = run_churn_experiment(
         "choice-crystalball", n=9, seed=1, warmup=6.0, duration=10.0,
         churn_period=3.0, downtime=3.0, chain_depth=4, budget=100,
@@ -43,3 +50,5 @@ def test_churn_crystalball_variant_runs():
     assert result.samples == 10
     assert (result.mean_depth, result.max_depth, result.mean_attached_fraction,
             result.churn_events) == (4.0, 4, 0.9263888888888889, 3)
+    assert (len(built[0].sim.trace), trace_digest(built[0].sim.trace)) == (
+        7486, "768c86c464294873e7e5131e5631ef380694f001ecef0c5931635ccfdfbf1beb")

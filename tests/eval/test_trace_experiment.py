@@ -150,6 +150,16 @@ def test_periodic_prediction_runs_are_pinned(e6, a7):
     ]
 
 
+def test_a7_trace_dump_is_pinned(a7, tmp_path):
+    """The JSONL dump of the stamped A7 trace, byte for byte, pinned
+    across commits: how the log stores a record must not move how it
+    renders one, causal stamp included."""
+    path = tmp_path / "a7.jsonl"
+    assert a7.cluster.sim.trace.dump_jsonl(str(path)) == 3712
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "d071d26617aab2207022f0d2016fd9f37e44462f743a40aa48ac8612b932c187")
+
+
 def test_sessions_are_deterministic():
     first = run_trace_session("e6", seed=2)
     second = run_trace_session("e6", seed=2)

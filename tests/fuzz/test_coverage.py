@@ -1,11 +1,18 @@
 """Coverage signals: magnitude buckets, feature novelty, climb score."""
 
+import random
+from collections import Counter
+
+import pytest
+
+from repro.fuzz import make_target
 from repro.fuzz.coverage import (
     CoverageMap,
     chaos_features,
     magnitude,
     near_violation_score,
     prediction_features,
+    trace_features,
 )
 
 
@@ -63,3 +70,16 @@ def test_near_violation_score_gradient():
     two = near_violation_score({"agreement": 2, "coherence": 2},
                                min_depth=2, chain_depth=3)
     assert two > one
+
+
+@pytest.mark.parametrize("target_name", ["randtree", "paxos"])
+def test_trace_features_read_counts_like_a_full_scan(target_name):
+    # The features come from the log's category counts; they must be the
+    # ones a scan over every record finds.
+    target = make_target(target_name)
+    plan = target.random_plan(random.Random(3))
+    trace = target.execute(plan, 3, probes=False, keep_cluster=True).cluster.sim.trace
+    scanned = Counter(record.category for record in trace)
+    assert len(scanned) > 3
+    assert trace_features(trace) == {("cat", category, magnitude(count))
+                                     for category, count in scanned.items()}

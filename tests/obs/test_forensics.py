@@ -88,7 +88,7 @@ def test_explain_chain_trims_at_nearest_choice():
          {"ev": 4, "trace": 1, "cause": 3}),
     ]
     for time, cat, node, data, causal in stamps:
-        log._records.append(TraceRecord(
+        log.append(TraceRecord(
             time=time, category=cat, node=node, data=data, causal=causal))
     graph = HappensBeforeGraph.from_trace(log)
     trimmed = explain_chain(graph, 4, reason="r")
@@ -101,11 +101,11 @@ def test_compression_elides_repetitive_timer_runs():
     from repro.sim.trace import TraceLog, TraceRecord
 
     log = TraceLog()
-    log._records.append(TraceRecord(
+    log.append(TraceRecord(
         time=0.0, category="node.start", node=0, data={},
         causal={"ev": 1, "trace": 1, "cause": None}))
     for i in range(8):
-        log._records.append(TraceRecord(
+        log.append(TraceRecord(
             time=0.5 * (i + 1), category="node.timer", node=0,
             data={"name": "sweep"},
             causal={"ev": i + 2, "trace": 1, "cause": i + 1}))

@@ -39,7 +39,7 @@ def test_dump_preserves_colliding_data_fields(tmp_path):
     # depending on insertion order.  They must survive under a
     # ``data_`` prefix with the envelope untouched.
     log = TraceLog()
-    log._records.append(TraceRecord(
+    log.append(TraceRecord(
         time=1.5, category="app.event", node=7,
         data={"time": 99.0, "category": "inner", "node_count": 3},
     ))
@@ -104,7 +104,7 @@ def test_dump_message_field_name_collision_is_preserved(tmp_path):
 
 def test_dump_includes_causal_stamp(tmp_path):
     log = TraceLog()
-    log._records.append(TraceRecord(
+    log.append(TraceRecord(
         time=0.25, category="net.send", node=1, data={"dst": 2},
         causal={"ev": 4, "trace": 1, "cause": 3, "lc": 2, "vc": {1: 2}},
     ))
@@ -113,3 +113,18 @@ def test_dump_includes_causal_stamp(tmp_path):
     row = json.loads(path.read_text())
     assert row["causal"]["ev"] == 4
     assert row["causal"]["vc"] == {"1": 2}  # json keys become strings
+
+
+def test_sets_of_mixed_types_render_in_a_fixed_order(tmp_path):
+    # Regression: a set whose elements do not compare with each other
+    # (None and an int) made trace_digest and dump_jsonl raise TypeError.
+    # Such a set sorts by type name, then by rendered value.
+    from repro.sim.trace import trace_digest
+
+    log, other = TraceLog(), TraceLog()
+    log.record(0.0, "x", node=1, peers={None, 1})
+    other.record(0.0, "x", node=1, peers={1, None})
+    assert trace_digest(log) == trace_digest(other)
+    path = tmp_path / "mixed.jsonl"
+    log.dump_jsonl(str(path))
+    assert json.loads(path.read_text())["peers"] == [None, 1]
