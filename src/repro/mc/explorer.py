@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..statemachine.context import ChoiceRequested, Effects, SandboxContext
+from ..statemachine.serialization import unchanged
 from ..statemachine.service import Service
 from .actions import Action, DeliverAction, DropAction, InjectAction, TimerAction
 from .properties import SafetyProperty, violated_properties
@@ -186,13 +187,19 @@ class Explorer:
         the fields the handler touched are its own copies (see
         :meth:`Service.defer_copies`), the rest are ``state``'s values.
         The pool restores the instance before its next use, so it never
-        writes to what it handed over.
+        writes to what it handed over.  A step that leaves the state as
+        it found it (see :func:`~repro.statemachine.serialization.unchanged`)
+        returns the same dict, ``state`` itself, so a world evolved with
+        it keeps the node's state and digest part.
         """
         service = self.materialize(node_id, state)
         ctx = service.ctx = SandboxContext(
             node_id, now=now, choice_script=script, rng_seed=self.rng_seed)
         event.dispatch(service)
-        return service.live_state(), ctx.effects, ctx.time_read
+        checkpoint = service.live_state()
+        if unchanged(checkpoint, state):
+            checkpoint = state
+        return checkpoint, ctx.effects, ctx.time_read
 
     # ------------------------------------------------------------------
     # Enabled actions
@@ -272,6 +279,8 @@ class Explorer:
     def successors(self, world: WorldState, action: Action) -> List[WorldState]:
         """All successor worlds of applying ``action`` (one per inner
         choice-script variant)."""
+        if isinstance(action, (DeliverAction, DropAction)):
+            _require_inflight(world, action)
         if isinstance(action, (DeliverAction, TimerAction)):
             return self._expand(world, action, None, None)[0]
         if isinstance(action, DropAction):
@@ -308,6 +317,10 @@ class Explorer:
         clock-free run's checkpoints, their digest cells and the events
         they create serve every later world holding the same state dict.
         The entry keeps the dict alive, so its id is not reused.
+
+        A step that hands back ``state`` itself (it changed nothing, see
+        :meth:`sandbox_step`) keeps the parent's digest cell: the
+        successor's digest is the parent's adjusted by its events only.
         """
         # What the step takes out of the world besides its handler's own
         # effects (the message, or the fired timer), and the time it takes.
@@ -347,8 +360,10 @@ class Explorer:
             )
             # The checkpoint's digest cell goes with it (see
             # WorldState._cells): the first of these worlds to be
-            # digested hashes the state for all of them.
-            successor._cells[node_id] = cell
+            # digested hashes the state for all of them.  An unchanged
+            # state kept its cell, in a table the successor shares.
+            if checkpoint is not state:
+                successor._cells[node_id] = cell
             successors.append(successor)
         return successors, None if time_read else node_id
 
@@ -516,6 +531,13 @@ def _message_key_counter(world: WorldState) -> Counter:
     """Multiset of in-flight message keys, once per world: ``after`` for
     one edge and ``before`` for every outgoing edge of that successor."""
     return world.memo("_msg_key_counter", lambda w: Counter(m.key() for m in w.inflight))
+
+
+def _require_inflight(world: WorldState, action: Action) -> None:
+    """Reject a deliver or drop of a message ``world`` does not hold,
+    before any handler runs."""
+    if not _message_key_counter(world)[consumed_event_key(action)]:
+        raise ExplorationError(f"message not in flight: {action!r}")
 
 
 def _timer_key_set(world: WorldState) -> set:

@@ -245,6 +245,11 @@ class WorldState:
         ``Service.checkpoint()`` result, or a sandbox step's hand-over
         (``Explorer.sandbox_step``), whose untouched fields are shared
         with the world it stepped from.
+
+        A ``new_state`` that *is* the node's current dict (what a sandbox
+        step hands back when it changed nothing) replaces nothing: the
+        node owes no digest part, keeps its cell and is not among the
+        changed nodes incremental property checks revisit.
         """
         left: List[Any] = []
         inflight = self.inflight
@@ -278,7 +283,8 @@ class WorldState:
             timers += added
             arrived += added
         replaced = {}
-        if node_id is not None and new_state is not None:
+        if (node_id is not None and new_state is not None
+                and new_state is not self.node_states.get(node_id)):
             replaced[node_id] = snapshot_value(new_state) if copy_state else new_state
         successor = self._derive(replaced, inflight, timers, left, arrived)
         successor._changed_nodes.update(replaced)

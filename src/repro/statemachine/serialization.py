@@ -38,6 +38,10 @@ shape, count, sha256hex)`` over the packed run instead of one tagged
 tuple per element (see ``_run_leaf``).  Which form a value takes
 depends on the value alone, and the two cannot collide: a spelled-out
 container is a 2-tuple whose second item is a tuple.
+
+:func:`unchanged` tells, without freezing anything, that a handler's
+hand-over holds its checkpoint's state, so the model checker can keep
+the checkpoint (and the digest already known for it) instead.
 """
 
 from __future__ import annotations
@@ -365,6 +369,50 @@ def digest(value: Any) -> str:
     return digest_of_frozen(freeze(value))
 
 
+# Exact types whose equal values freeze alike, so a field may come back
+# as a new but equal object of one (``1 == 1.0 == True`` and
+# ``0.0 == -0.0`` all freeze differently, so no other scalar may) ...
+_EQUAL_SCALARS = frozenset((int, str, bytes))
+# ... and the containers a field may come back as a copy of: the same
+# exact type holding the same element objects in the same order.
+_FLAT_CONTAINERS = frozenset((list, tuple, set, frozenset, deque, dict))
+
+
+def unchanged(checkpoint: Dict[str, Any], original: Dict[str, Any]) -> bool:
+    """Whether ``checkpoint`` provably holds the state ``original`` does.
+
+    Conservative and one level deep: each field must be the original's
+    object, an equal exact ``int``/``str``/``bytes``, or a flat container
+    of the original's exact type (a deque with its ``maxlen``) whose
+    elements — keys and values of a dict — are the original's objects in
+    its order.  A copy :func:`snapshot_value` made of a flat container
+    passes; equal floats, bools, nested containers and subclasses count
+    as changed.  When it returns True, ``digest(checkpoint) ==
+    digest(original)``.
+    """
+    if checkpoint.keys() != original.keys():
+        return False
+    for name, value in checkpoint.items():
+        before = original[name]
+        if value is before:
+            continue
+        kind = type(value)
+        if kind is not type(before):
+            return False
+        if kind in _EQUAL_SCALARS:
+            if value != before:
+                return False
+        elif kind not in _FLAT_CONTAINERS:
+            return False
+        elif len(value) != len(before) or not all(map(is_, value, before)):
+            return False
+        elif kind is dict and not all(map(is_, value.values(), before.values())):
+            return False
+        elif kind is deque and value.maxlen != before.maxlen:
+            return False
+    return True
+
+
 def checkpoint_state(obj: Any, field_names) -> Dict[str, Any]:
     """Snapshot the named attributes of ``obj`` into a checkpoint dict."""
     return {name: snapshot_value(getattr(obj, name)) for name in field_names}
@@ -384,6 +432,7 @@ __all__ = [
     "encode_frozen",
     "digest_of_frozen",
     "digest",
+    "unchanged",
     "checkpoint_state",
     "restore_state",
 ]

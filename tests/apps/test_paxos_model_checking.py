@@ -86,7 +86,7 @@ def test_truncated_exploration_counts_are_pinned():
         make_contention_world(factory), max_depth=8, max_states=3000)
     assert result.truncated
     assert (result.states_explored, result.transitions,
-            result.pruned, result.reused) == (3000, 4085, 2849, 3551)
+            result.pruned, result.reused) == (3000, 4085, 2849, 3594)
 
 
 def test_decision_witness_is_eight_actions():

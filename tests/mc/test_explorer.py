@@ -7,6 +7,7 @@ import pytest
 from repro.mc import (
     DeliverAction,
     DropAction,
+    ExplorationError,
     Explorer,
     InFlightMessage,
     PendingTimer,
@@ -15,7 +16,7 @@ from repro.mc import (
     WorldState,
 )
 from repro.model import GenericNode, NetworkModel
-from repro.statemachine import Message, Service, msg_handler
+from repro.statemachine import Message, Service, msg_handler, timer_handler
 
 from .conftest import Token, TokenService
 from .legacy_bfs import legacy_bfs
@@ -104,6 +105,77 @@ def test_timer_successor_consumes_timer(token_factory):
     for successor in successors:
         assert successor.timers == []
         assert len(successor.inflight) == 1
+
+
+@pytest.mark.parametrize("action", [
+    DeliverAction(0, 1, Token(value=1), "on_token"),
+    DropAction(0, 1, Token(value=1)),
+    TimerAction(0, "kick"),
+], ids=["deliver", "drop", "timer"])
+def test_a_stale_action_is_rejected_before_any_handler_runs(token_factory, action):
+    # The world holds a token for node 2 and no timer: nothing the
+    # actions consume.
+    world = world_with(token_factory, inflight=[InFlightMessage(0, 2, Token(value=1))])
+    explorer = Explorer(token_factory, include_drops=True)
+    ran = []
+    explorer.sandbox_step = lambda *args: ran.append(args)
+    with pytest.raises(ExplorationError, match="not in flight|not pending"):
+        explorer.successors(world, action)
+    assert ran == []
+
+
+class Rewriter(Service):
+    """Timers that rewrite a field as an equal value that freezes
+    differently, and one that reads every field and writes none."""
+
+    state_fields = ("count", "level", "items")
+
+    def __init__(self, node_id: int) -> None:
+        super().__init__(node_id)
+        self.count = 1
+        self.level = 0.0
+        self.items = [1, 2]
+
+    @timer_handler("as-float")
+    def on_as_float(self, payload) -> None:
+        self.count = float(self.count)
+
+    @timer_handler("negate")
+    def on_negate(self, payload) -> None:
+        self.level = -self.level
+
+    @timer_handler("read")
+    def on_read(self, payload) -> None:
+        self.send(0, Token(value=self.count + int(self.level) + sum(self.items)))
+
+
+def _rewriter_step(name):
+    world = WorldState({0: Rewriter(0).checkpoint(), 1: Rewriter(1).checkpoint()},
+                       timers=[PendingTimer(0, name, None, 1.0)])
+    world.digest()
+    (successor,) = Explorer(Rewriter).successors(world, TimerAction(0, name))
+    assert successor.digest() == successor.recompute_digest()
+    return world, successor
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("as-float", "count", 1.0), ("negate", "level", -0.0),
+])
+def test_an_equal_rewrite_that_freezes_differently_is_a_new_state(name, field, value):
+    world, successor = _rewriter_step(name)
+    state = successor.state_of(0)
+    assert state is not world.state_of(0)
+    assert repr(state[field]) == repr(value)
+    assert successor._cells[0] is not world._cells[0]
+    assert successor._changed_nodes == {0}
+
+
+def test_a_step_that_writes_nothing_keeps_the_parents_state_and_cell():
+    world, successor = _rewriter_step("read")
+    assert successor.inflight[0].msg == Token(value=4)
+    assert successor.state_of(0) is world.state_of(0)
+    assert successor._cells[0] is world._cells[0]
+    assert successor._changed_nodes == set()
 
 
 def test_network_model_weights_time(token_factory):

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.mc.world as world_module
-from repro.mc import ConsequencePredictor, Explorer, InFlightMessage, PendingTimer, WorldState
+from repro.mc import (
+    ConsequencePredictor, Explorer, InFlightMessage, PendingTimer, TimerAction, WorldState,
+)
 
 from .conftest import Token
 from .legacy_world_digest import legacy_world_digest
@@ -204,19 +206,27 @@ def test_bfs_successor_freezes_only_its_changed_node(token_factory, state_freeze
     root = _token_world(token_factory)
     root.digest()
     assert len(state_freezes) == 3
-    transitions = 0
+    transitions = unchanged_steps = 0
     for action in explorer.enabled_actions(root):
         for successor in explorer.successors(root, action):
             before = len(state_freezes)
             assert successor.digest() == successor.recompute_digest()
             # recompute_digest() freezes all three again; digest() froze
-            # the one state the action changed.
-            assert len(state_freezes) - before == 1 + 3
-            (changed,) = [nid for nid in root.node_states
-                          if successor.state_of(nid) is not root.state_of(nid)]
-            assert state_freezes[before] is successor.state_of(changed)
+            # the one state the action changed, or none when the step
+            # changed nothing and the successor shares the parent's dict.
+            changed = [nid for nid in root.node_states
+                       if successor.state_of(nid) is not root.state_of(nid)]
+            assert len(state_freezes) - before == len(changed) + 3
+            assert len(changed) <= 1
+            if changed:
+                assert state_freezes[before] is successor.state_of(changed[0])
+            else:
+                # The kick timer reads no state field: its step is the
+                # identity on its node.
+                assert isinstance(action, TimerAction)
+                unchanged_steps += 1
             transitions += 1
-    assert transitions > 3
+    assert transitions > 3 and unchanged_steps > 0
     del state_freezes[:]
     result = explorer.bfs(root, max_depth=3)
     assert result.transitions >= len(state_freezes) > 0

@@ -5,10 +5,11 @@ from dataclasses import dataclass
 import pytest
 
 from repro.choice.resolvers import FirstResolver
-from repro.mc import DeliverAction, SafetyProperty
+from repro.mc import DeliverAction, SafetyProperty, TimerAction
 from repro.runtime import CheckpointMsg, CrystalBallRuntime, install_crystalball
 from repro.runtime.steering import steer
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
+from repro.statemachine.node import DispatchRecord
 
 
 @dataclass
@@ -97,6 +98,20 @@ def test_run_prediction_counts_states():
     report = runtimes[0].run_prediction()
     assert runtimes[0].stats["predictions"] == 1
     assert runtimes[0].stats["states_explored"] >= report.total_states
+
+
+def test_replay_of_a_dispatch_that_writes_nothing_returns_its_checkpoint():
+    cluster, runtimes = make_cluster()
+    checkpoint = cluster.services[0].checkpoint()
+    # The bump timer sends and re-arms but writes no state field; a Bump
+    # delivery writes ``value``.
+    idle = runtimes[0]._replay(DispatchRecord(TimerAction(0, "bump"), checkpoint), None)
+    assert idle[0] is checkpoint
+    assert [dst for dst, _ in idle[1].sent] == [1]
+    bumped = runtimes[0]._replay(
+        DispatchRecord(DeliverAction(2, 0, Bump(amount=1)), checkpoint), None)
+    assert bumped[0] is not checkpoint and bumped[0] == {"value": 1}
+    assert checkpoint == {"value": 0}
 
 
 def test_steering_installs_filter_and_breaks_connection():
