@@ -10,7 +10,6 @@ from .actions import (
     Action,
     DeliverAction,
     DropAction,
-    InjectAction,
     TimerAction,
 )
 from .consequence import (
@@ -40,7 +39,6 @@ __all__ = [
     "Action",
     "DeliverAction",
     "DropAction",
-    "InjectAction",
     "TimerAction",
     "ActionOutcome",
     "ConsequencePredictor",

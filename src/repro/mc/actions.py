@@ -3,10 +3,9 @@
 Enabled actions mirror what can happen next in the real deployment:
 delivering an in-flight message to one of its applicable handlers or
 firing a pending timer (the events a live node dispatches, defined in
-:mod:`repro.statemachine.events`), dropping a message (universally
+:mod:`repro.statemachine.events`), or dropping a message (universally
 possible under the fault model, and exactly what execution steering
-exploits), or a generic-node injection (Section 3.3.2's under-specified
-environment).
+exploits).
 """
 
 from __future__ import annotations
@@ -35,23 +34,6 @@ class DropAction:
         return f"drop {type(self.msg).__name__} {self.src}->{self.dst}"
 
 
-@dataclass(frozen=True)
-class InjectAction:
-    """A generic (dummy) node sends a havoc message to ``dst``."""
-
-    src: int
-    dst: int
-    msg: Any
-
-    def key(self) -> Tuple:
-        return _memoized_key(
-            self, lambda: ("inject", self.src, self.dst, freeze(self.msg))
-        )
-
-    def describe(self) -> str:
-        return f"inject {type(self.msg).__name__} {self.src}->{self.dst}"
-
-
 Action = Any  # union of the dataclasses above
 
 
@@ -59,6 +41,5 @@ __all__ = [
     "DeliverAction",
     "TimerAction",
     "DropAction",
-    "InjectAction",
     "Action",
 ]

@@ -1,12 +1,12 @@
 """Explicit-state exploration of world states.
 
 The :class:`Explorer` enumerates what can happen next from a world
-(deliveries per applicable handler, timer firings, optional drops and
-generic-node injections), computes successor worlds by running the real
-handler code in a sandbox, and performs bounded BFS with visited-state
-hashing.  Exposed choices inside handlers are *branching points*: every
-candidate value yields its own successor (Section 3.1's
-non-deterministic automaton semantics).
+(deliveries per applicable handler, timer firings and optional drops),
+computes successor worlds by running the real handler code in a
+sandbox, and performs bounded BFS with visited-state hashing.  Exposed
+choices inside handlers are *branching points*: every candidate value
+yields its own successor (Section 3.1's non-deterministic automaton
+semantics).
 
 Given a :class:`~repro.model.NetworkModel`, successor worlds advance
 their time estimate by predicted delivery delays — "integrating this
@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 from ..statemachine.context import ChoiceRequested, Effects, SandboxContext
 from ..statemachine.serialization import unchanged
 from ..statemachine.service import Service
-from .actions import Action, DeliverAction, DropAction, InjectAction, TimerAction
+from .actions import Action, DeliverAction, DropAction, TimerAction
 from .properties import SafetyProperty, violated_properties
 from .world import InFlightMessage, PendingTimer, WorldState
 
@@ -147,14 +147,12 @@ class Explorer:
         properties: Iterable[SafetyProperty] = (),
         network_model: Optional[object] = None,
         include_drops: bool = False,
-        generic_node: Optional[object] = None,
         rng_seed: int = 0,
     ) -> None:
         self.service_factory = service_factory
         self.properties = list(properties)
         self.network_model = network_model
         self.include_drops = include_drops
-        self.generic_node = generic_node
         self.rng_seed = rng_seed
         self.pool = ServicePool(service_factory)
 
@@ -215,8 +213,7 @@ class Explorer:
         ``only_event_keys`` restricts enumeration to actions consuming
         one of the given event keys (message/timer ``key()`` tuples).
         Consequence prediction passes its causal frontier here so
-        non-frontier destinations never materialize; generic-node
-        injections consume no event and are skipped under a filter.
+        non-frontier destinations never materialize.
         """
         actions: List[Action] = []
         seen_messages = set()
@@ -267,9 +264,6 @@ class Explorer:
                 if msg_filter is not None and key not in msg_filter:
                     continue
                 actions.append(DropAction(src=message.src, dst=message.dst, msg=message.msg))
-        if self.generic_node is not None and only_event_keys is None:
-            for src, dst, msg in self.generic_node.possible_messages(world.live_nodes()):
-                actions.append(InjectAction(src=src, dst=dst, msg=msg))
         return actions
 
     # ------------------------------------------------------------------
@@ -286,9 +280,6 @@ class Explorer:
         if isinstance(action, DropAction):
             message = InFlightMessage(action.src, action.dst, action.msg)
             return [world.evolve(remove_inflight=message)]
-        if isinstance(action, InjectAction):
-            message = InFlightMessage(action.src, action.dst, action.msg)
-            return [world.evolve(add_inflight=[message])]
         raise ExplorationError(f"unknown action type {type(action).__name__}")
 
     def _delivery_delay(self, src: int, dst: int, msg: Any) -> float:
@@ -305,8 +296,8 @@ class Explorer:
         result: Optional[ExplorationResult],
     ) -> Tuple[List[WorldState], Optional[int]]:
         """``successors(world, action)``, and the node the step acted on
-        — ``None`` for a step dependent with every action: a drop, an
-        injection, or a handler that read the clock.  The one builder of
+        — ``None`` for a step dependent with every action: a drop or a
+        handler that read the clock.  The one builder of
         deliver and timer successors, for :meth:`successors` and
         :meth:`_search` alike.
 
@@ -563,8 +554,9 @@ def created_event_keys(before: WorldState, after: WorldState) -> set:
     return created
 
 
-def consumed_event_key(action: Action) -> Optional[Tuple]:
-    """The event key an action consumes (``None`` for injections).
+def consumed_event_key(action: Action) -> Tuple:
+    """The event key an action consumes: the in-flight message of a
+    deliver or drop, the pending timer of a timer firing.
 
     Derived from the action's memoized ``key()`` (whose last payload
     component is the frozen message/timer payload), so the payload is
@@ -572,9 +564,7 @@ def consumed_event_key(action: Action) -> Optional[Tuple]:
     """
     if isinstance(action, (DeliverAction, DropAction)):
         return (action.src, action.dst, action.key()[3])
-    if isinstance(action, TimerAction):
-        return (action.node, action.name, action.key()[3])
-    return None
+    return (action.node, action.name, action.key()[3])
 
 
 __all__ = [

@@ -5,8 +5,8 @@ network and, often implicitly, build a network model to predict network
 performance ... we argue that the network and the system model should
 be exported and kept in the runtime".  :class:`NetworkModel` is that
 exported model: per-pair EWMA estimates of latency and bandwidth, fed
-by passive observation of checkpoint stamps, with age/sample
-confidence, and bootstrappable from ground truth for oracle
+by passive observation of checkpoint stamps (latency) and
+bootstrappable from ground truth (latency and bandwidth) for oracle
 experiments.
 """
 
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-
-from .confidence import DEFAULT_HALF_LIFE, combined_confidence
 
 EWMA_ALPHA = 0.3
 # What the model predicts for a link it has no sample of.
@@ -34,14 +32,11 @@ class LinkEstimate:
 
     latency: float = 0.0
     bandwidth: float = 0.0
-    updated_at: float = 0.0
-    samples: int = 0
     latency_samples: int = 0
     bandwidth_samples: int = 0
 
     def observe(
         self,
-        now: float,
         latency: Optional[float] = None,
         bandwidth: Optional[float] = None,
         alpha: float = EWMA_ALPHA,
@@ -59,12 +54,6 @@ class LinkEstimate:
             else:
                 self.bandwidth += alpha * (bandwidth - self.bandwidth)
             self.bandwidth_samples += 1
-        self.samples += 1
-        self.updated_at = now
-
-    def confidence(self, now: float, half_life: float = DEFAULT_HALF_LIFE) -> float:
-        """Confidence in this estimate at time ``now``."""
-        return combined_confidence(now - self.updated_at, self.samples, half_life)
 
 
 class NetworkModel:
@@ -84,15 +73,11 @@ class NetworkModel:
             self._links[(src, dst)] = est
         return est
 
-    def observe_latency(self, src: int, dst: int, latency: float, now: float) -> None:
+    def observe_latency(self, src: int, dst: int, latency: float) -> None:
         """Record one one-way latency measurement."""
-        self._estimate(src, dst).observe(now, latency=latency)
+        self._estimate(src, dst).observe(latency=latency)
 
-    def observe_bandwidth(self, src: int, dst: int, bandwidth: float, now: float) -> None:
-        """Record one bandwidth measurement in bits/s."""
-        self._estimate(src, dst).observe(now, bandwidth=bandwidth)
-
-    def bootstrap_from_topology(self, topology, now: float = 0.0) -> None:
+    def bootstrap_from_topology(self, topology) -> None:
         """Load ground truth from a topology (oracle / iPlane mode).
 
         Experiments that are not about model convergence use this to
@@ -104,7 +89,7 @@ class NetworkModel:
                 if i == j:
                     continue
                 link = topology.link(i, j)
-                self._estimate(i, j).observe(now, latency=link.latency, bandwidth=link.bandwidth)
+                self._estimate(i, j).observe(latency=link.latency, bandwidth=link.bandwidth)
 
     # ------------------------------------------------------------------
     # Queries
@@ -122,7 +107,7 @@ class NetworkModel:
     def bandwidth(self, src: int, dst: int) -> float:
         """Estimated bandwidth in bits/s (default when unknown)."""
         est = self._links.get((src, dst))
-        if est is None or est.samples == 0 or est.bandwidth <= 0:
+        if est is None or est.bandwidth_samples == 0 or est.bandwidth <= 0:
             return DEFAULT_BANDWIDTH
         return est.bandwidth
 
@@ -133,13 +118,6 @@ class NetworkModel:
     def transfer_time(self, src: int, dst: int, size_bytes: int) -> float:
         """Predicted one-way delivery time for ``size_bytes``."""
         return self.latency(src, dst) + (size_bytes * 8.0) / self.bandwidth(src, dst)
-
-    def confidence(self, src: int, dst: int, now: float, half_life: float = DEFAULT_HALF_LIFE) -> float:
-        """Confidence in the (src, dst) estimate; 0 when never observed."""
-        est = self._links.get((src, dst))
-        if est is None:
-            return 0.0
-        return est.confidence(now, half_life)
 
     def __repr__(self) -> str:
         return f"NetworkModel(pairs={len(self._links)})"

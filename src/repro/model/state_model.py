@@ -5,8 +5,9 @@ collects information about other participants.  We refer to this
 information as the state model."  The CrystalBall controller
 "periodically collects a consistent set of checkpoints from each of the
 node's neighbors" (Section 2); :class:`StateModel` stores the latest of
-those checkpoints per node with its epoch and age.  Predictions read the
-latest checkpoint of every node; no epoch cut is taken.
+those checkpoints per node with its epoch and the time it was taken.
+Predictions read the latest checkpoint of every node; no epoch cut is
+taken.
 """
 
 from __future__ import annotations
@@ -85,13 +86,6 @@ class StateModel:
     def known_nodes(self) -> List[int]:
         """Node ids with a stored checkpoint, ascending."""
         return sorted(self._checkpoints)
-
-    def age(self, node_id: int, now: float) -> Optional[float]:
-        """Age in seconds of the checkpoint for ``node_id``."""
-        cp = self._checkpoints.get(node_id)
-        if cp is None:
-            return None
-        return now - cp.taken_at
 
     def latest_states(self) -> Dict[int, Dict[str, Any]]:
         """Most recent state per node, whatever its epoch.

@@ -254,9 +254,9 @@ def _anchor_action(graph: HappensBeforeGraph, action: Any) -> Optional[HBEvent]:
     """The live send event a predicted action corresponds to, if any.
 
     Deliver/drop actions concern an in-flight message: the best live
-    anchor is the latest matching ``net.send``.  Timer and inject
-    actions are hypothetical (they exist only inside the explored
-    world), so they anchor nowhere and survive only in ``predicted``.
+    anchor is the latest matching ``net.send``.  Timer actions are
+    hypothetical (they exist only inside the explored world), so they
+    anchor nowhere and survive only in ``predicted``.
     """
     msg = getattr(action, "msg", None)
     if msg is None:

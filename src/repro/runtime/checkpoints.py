@@ -341,9 +341,8 @@ class CheckpointExchange:
 
     def _observe(self, src: int, sent_at: float) -> None:
         if self.passive_measurement:
-            now = self.node.sim.now
             self.network_model.observe_latency(
-                src, self.node.node_id, max(0.0, now - sent_at), now,
+                src, self.node.node_id, max(0.0, self.node.sim.now - sent_at),
             )
 
     def _on_full(self, src: int, msg: CheckpointMsg) -> None:

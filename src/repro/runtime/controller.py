@@ -63,8 +63,6 @@ class CrystalBallRuntime(InboundInterposer):
         prediction_scope: str = "global",
         broadcast_on_change: bool = False,
         checkpoint_deltas: bool = False,
-        generic_node: Optional[object] = None,
-        max_snapshot_age: Optional[float] = None,
         fallback: Any = FirstResolver(),
         steering_policy: bool = False,
     ) -> None:
@@ -84,15 +82,15 @@ class CrystalBallRuntime(InboundInterposer):
         # of O(n).  With partial-view membership the two mostly agree
         # anyway (only neighbors send us checkpoints), but the slice
         # also sheds checkpoints lingering from ex-neighbors after
-        # shuffles.
+        # shuffles.  The slice assumes that nobody outside it sends
+        # anything: the predicted world holds no node, message or timer
+        # beyond it, so no outside message reaches it.
         if prediction_scope not in ("global", "neighborhood"):
             raise ValueError(
                 f"prediction_scope must be 'global' or 'neighborhood', got {prediction_scope!r}"
             )
         self.prediction_scope = prediction_scope
         self.last_prediction_summary: Optional[Dict[str, Any]] = None
-        self.generic_node = generic_node
-        self.max_snapshot_age = max_snapshot_age
         self._explorer: Optional[Explorer] = None
 
         self.state_model = StateModel(node.node_id)
@@ -245,7 +243,6 @@ class CrystalBallRuntime(InboundInterposer):
                 self.service_factory,
                 properties=self.properties,
                 network_model=self.network_model,
-                generic_node=self.generic_node,
                 rng_seed=self.node.sim.rng.root_seed,
             )
         return self._explorer

@@ -26,7 +26,7 @@ _POLICY_BUDGET = 240
 # the amortized scheduler's (see AmortizedSteering), and a periodic
 # prediction round that raised, which is skipped rather than answered.
 DEGRADE_REASONS = (
-    "no_dispatch", "stale_snapshot", "replay_exhausted", "prediction_error",
+    "no_dispatch", "replay_exhausted", "prediction_error",
     "denied", "deferred", "budget", "unranked", "round_skipped",
 )
 
@@ -71,8 +71,7 @@ class _Resolver:
 
 
 class PerChoiceResolver(_Resolver):
-    """Score every candidate of every choice by sandbox replay, gated on
-    the runtime's ``max_snapshot_age``."""
+    """Score every candidate of every choice by sandbox replay."""
 
     #: Every choice replays the dispatch that made it, so the node
     #: captures every dispatch, and a choice made outside one degrades
@@ -89,8 +88,6 @@ class PerChoiceResolver(_Resolver):
         first of equally scored ones): each is replayed in the captured
         dispatch and its resulting world predicted and scored."""
         runtime = self.runtime
-        if self._snapshot_too_stale():
-            return self.degrade("stale_snapshot", point, node)
         dispatch = node.current_dispatch
         best, best_score = None, float("-inf")
         with runtime.metrics.span(
@@ -112,22 +109,6 @@ class PerChoiceResolver(_Resolver):
         if best_score == float("-inf"):
             return self.degrade("replay_exhausted", point, node)
         return best
-
-    def _snapshot_too_stale(self) -> bool:
-        """Confidence gating (Section 3.3.2): no predicting from a
-        snapshot older than ``max_snapshot_age``."""
-        runtime = self.runtime
-        if runtime.max_snapshot_age is None:
-            return False
-        me = runtime.node
-        ages = [
-            runtime.state_model.age(nid, me.sim.now)
-            for nid in runtime.state_model.known_nodes()
-            if nid != me.node_id and me.network.liveness.is_up(nid)
-        ]
-        if not ages:
-            return True  # nothing collected yet: no basis to predict
-        return max(ages) > runtime.max_snapshot_age
 
 
 class AmortizedResolver(_Resolver):

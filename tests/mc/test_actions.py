@@ -1,11 +1,6 @@
 """Action identity and description coverage."""
 
-from repro.mc import (
-    DeliverAction,
-    DropAction,
-    InjectAction,
-    TimerAction,
-)
+from repro.mc import DeliverAction, DropAction, TimerAction
 
 from .conftest import Token
 
@@ -40,7 +35,6 @@ def test_describe_is_readable():
     assert "Token 0->1" in DeliverAction(0, 1, Token(value=1), "on_token").describe()
     assert "timer t at 2" == TimerAction(2, "t").describe()
     assert "drop" in DropAction(0, 1, Token(value=1)).describe()
-    assert "inject" in InjectAction(-1, 1, Token(value=1)).describe()
 
 
 def test_keys_are_stable_across_instances():

@@ -15,7 +15,8 @@ from repro.mc import (
     TimerAction,
     WorldState,
 )
-from repro.model import GenericNode, NetworkModel
+from repro.model import NetworkModel
+from repro.net import full_mesh
 from repro.statemachine import Message, Service, msg_handler, timer_handler
 
 from .conftest import Token, TokenService
@@ -61,15 +62,6 @@ def test_drops_included_when_enabled(token_factory):
     explorer = Explorer(token_factory, include_drops=True)
     actions = explorer.enabled_actions(world)
     assert any(isinstance(a, DropAction) for a in actions)
-
-
-def test_generic_node_injections(token_factory):
-    generic = GenericNode()
-    generic.add_template(lambda target: Token(value=7))
-    explorer = Explorer(token_factory, generic_node=generic)
-    world = world_with(token_factory)
-    actions = explorer.enabled_actions(world)
-    assert len(actions) == 3  # one injection per live node
 
 
 def test_successor_applies_handler_effects(token_factory):
@@ -180,8 +172,7 @@ def test_a_step_that_writes_nothing_keeps_the_parents_state_and_cell():
 
 def test_network_model_weights_time(token_factory):
     model = NetworkModel()
-    model.observe_latency(0, 1, 2.5, now=0.0)
-    model.observe_bandwidth(0, 1, 1e12, now=0.0)
+    model.bootstrap_from_topology(full_mesh(3, latency=2.5, bandwidth=1e12))
     explorer = Explorer(token_factory, network_model=model)
     message = InFlightMessage(0, 1, Token(value=1))
     world = world_with(token_factory, inflight=[message])

@@ -19,48 +19,38 @@ def test_self_latency_zero():
 
 def test_first_observation_taken_verbatim():
     model = NetworkModel()
-    model.observe_latency(0, 1, 0.2, now=1.0)
+    model.observe_latency(0, 1, 0.2)
     assert model.latency(0, 1) == 0.2
 
 
 def test_ewma_moves_toward_new_samples():
     model = NetworkModel()
-    model.observe_latency(0, 1, 0.1, now=1.0)
-    model.observe_latency(0, 1, 0.3, now=2.0)
+    model.observe_latency(0, 1, 0.1)
+    model.observe_latency(0, 1, 0.3)
     assert 0.1 < model.latency(0, 1) < 0.3
 
 
 def test_rtt_sums_both_directions():
     model = NetworkModel()
-    model.observe_latency(0, 1, 0.1, now=0.0)
-    model.observe_latency(1, 0, 0.3, now=0.0)
+    model.observe_latency(0, 1, 0.1)
+    model.observe_latency(1, 0, 0.3)
     assert model.rtt(0, 1) == pytest.approx(0.4)
 
 
 def test_transfer_time_uses_bandwidth():
     model = NetworkModel()
-    model.observe_latency(0, 1, 0.1, now=0.0)
-    model.observe_bandwidth(0, 1, 8e6, now=0.0)
+    model.bootstrap_from_topology(full_mesh(2, latency=0.1, bandwidth=8e6))
     assert model.transfer_time(0, 1, 1000) == pytest.approx(0.101)
 
 
-def test_bandwidth_sample_alone_keeps_default_latency():
+def test_latency_sample_alone_keeps_default_bandwidth():
+    # Passive measurement observes latency only: the link's bandwidth
+    # stays the default until a bandwidth sample arrives.
     model = NetworkModel()
-    model.observe_bandwidth(0, 1, 8e6, now=0.0)
-    assert model.latency(0, 1) == DEFAULT_LATENCY
-    assert model.transfer_time(0, 1, 1000) == pytest.approx(DEFAULT_LATENCY + 0.001)
-
-
-def test_confidence_zero_when_never_observed():
-    assert NetworkModel().confidence(0, 1, now=5.0) == 0.0
-
-
-def test_confidence_decays_with_age():
-    model = NetworkModel()
-    model.observe_latency(0, 1, 0.1, now=0.0)
-    fresh = model.confidence(0, 1, now=0.0)
-    stale = model.confidence(0, 1, now=100.0)
-    assert stale < fresh
+    model.observe_latency(0, 1, 0.1)
+    assert model.bandwidth(0, 1) == DEFAULT_BANDWIDTH
+    assert model.transfer_time(0, 1, 1000) == pytest.approx(
+        0.1 + 1000 * 8.0 / DEFAULT_BANDWIDTH)
 
 
 def test_bootstrap_from_topology_matches_ground_truth():

@@ -1,4 +1,4 @@
-"""State model: checkpoint storage and ages."""
+"""State model: checkpoint storage."""
 
 from repro.model import StateModel
 
@@ -22,13 +22,6 @@ def test_same_epoch_later_time_accepted():
     model = StateModel(0)
     model.update(1, epoch=1, taken_at=1.0, state={"x": 1})
     assert model.update(1, epoch=1, taken_at=2.0, state={"x": 2})
-
-
-def test_age_and_unknown():
-    model = StateModel(0)
-    model.update(1, epoch=1, taken_at=3.0, state={})
-    assert model.age(1, now=5.0) == 2.0
-    assert model.age(9, now=5.0) is None
 
 
 def test_forget():

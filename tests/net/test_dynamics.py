@@ -96,7 +96,7 @@ def test_network_model_tracks_dynamics():
     model = NetworkModel()
 
     def observe():
-        model.observe_latency(0, 1, topo.latency(0, 1), now=sim.now)
+        model.observe_latency(0, 1, topo.latency(0, 1))
         sim.schedule(0.5, observe)
 
     sim.schedule(0.5, observe)

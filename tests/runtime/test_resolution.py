@@ -28,7 +28,6 @@ class ScriptedRuntime:
         )
         self.metrics = MetricsRegistry()
         self.stats = Counter()
-        self.max_snapshot_age = None
         self.scores = scores
         self.scored = []
 

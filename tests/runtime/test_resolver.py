@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 from repro.choice import PerformanceObjective
+from repro.mc import DeliverAction, TimerAction
 from repro.runtime import DEGRADE_REASONS, install_crystalball
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
 
@@ -91,3 +92,49 @@ def test_choices_resolved_counted():
     assert runtimes[0].stats["choices_resolved"] == 3
     # Every choice was predicted: no reason counter moved.
     assert not any(runtimes[0].stats[f"degraded.{r}"] for r in DEGRADE_REASONS)
+
+
+class TickingGiver(GiverService):
+    """A giver whose peers also keep a timer pending."""
+
+    def on_init(self) -> None:
+        super().on_init()
+        if self.node_id != 0:
+            self.set_timer("tick", 0.4)
+
+    @timer_handler("tick")
+    def on_tick(self, payload) -> None:
+        self.set_timer("tick", 0.4)
+
+
+def test_per_choice_scoring_predicts_a_crashed_neighbour_down():
+    # Node 2 checkpoints, then crashes: every world the next resolution
+    # scores holds it down, so the gift replayed towards it stays in
+    # flight and none of its timers fires.
+    def ticking(node_id):
+        return TickingGiver(node_id, 3)
+
+    scored = []
+
+    def record(world):
+        scored.append(world)
+        return weighted_wealth(world)
+
+    cluster = Cluster(3, ticking, seed=1)
+    runtimes = install_crystalball(
+        cluster, ticking, objective=PerformanceObjective("wealth", record),
+        checkpoint_period=0.3, chain_depth=2, budget=200,
+    )
+    cluster.start_all()
+    cluster.run(until=0.9)
+    assert runtimes[0].state_model.timers_of(2)
+    cluster.node(2).crash()
+    cluster.run(until=1.5)
+    assert runtimes[0].stats["choices_resolved"] == 1
+    assert scored and all(2 in world.down for world in scored)
+    assert any(m.dst == 2 for world in scored for m in world.inflight)
+    explorer = runtimes[0].make_explorer()
+    for world in scored:
+        for action in explorer.enabled_actions(world):
+            target = action.dst if isinstance(action, DeliverAction) else action.node
+            assert isinstance(action, (DeliverAction, TimerAction)) and target != 2

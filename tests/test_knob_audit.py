@@ -9,11 +9,16 @@ A keyword nobody passes is a constant with a signature: it documents a
 choice nobody makes and adds a configuration nobody tests.  Keywords
 are credited per callee, so a same-named keyword of another callable
 (``Series(max_points=...)`` for ``TelemetrySampler``) keeps no knob alive.
+
+A prediction-stack keyword must be passed outside ``tests/`` as well: a
+test that sets a knob no run sets tests a configuration nobody runs.
 """
 
 import ast
 import inspect
 from pathlib import Path
+
+import pytest
 
 import repro.eval
 from repro.eval.chaos_experiment import standard_plans
@@ -32,6 +37,8 @@ EXPERIMENT_RUNNERS = tuple(getattr(repro.eval, name) for name in repro.eval.__al
 AUDITED = (CrystalBallRuntime, ConsequencePredictor, Explorer, AmortizedSteering,
            TelemetrySampler, TraceLog, *EXPERIMENT_RUNNERS, standard_plans,
            build_tree_cluster, build_paxos_cluster, FuzzTarget.execute)
+# Audited again with callers under ``tests/`` left out.
+PREDICTION_STACK = (CrystalBallRuntime, ConsequencePredictor, AmortizedSteering)
 # Calls whose keywords reach an audited callable unchanged.
 FORWARDERS = {
     "CrystalBallRuntime": ("install_crystalball", "runtime_kwargs=dict(...)"),
@@ -91,10 +98,15 @@ def keywords_passed_by_file():
     return passed
 
 
-def test_every_defaulted_keyword_has_a_caller():
-    by_file = keywords_passed_by_file()
+@pytest.fixture(scope="module")
+def by_file():
+    return keywords_passed_by_file()
+
+
+def dead_keywords(audited_callables, by_file):
+    """name -> the defaulted keywords no call in ``by_file`` passes."""
     dead = {}
-    for audited in AUDITED:
+    for audited in audited_callables:
         name = audited.__name__
         home = Path(inspect.getsourcefile(audited)).resolve()
         callees = (name, *FORWARDERS.get(name, ()))
@@ -109,4 +121,15 @@ def test_every_defaulted_keyword_has_a_caller():
         for param_name, param in signature.parameters.items():
             if param.default is not param.empty and param_name not in passed:
                 dead.setdefault(name, []).append(param_name)
-    assert dead == {}
+    return dead
+
+
+def test_every_defaulted_keyword_has_a_caller(by_file):
+    assert dead_keywords(AUDITED, by_file) == {}
+
+
+def test_prediction_stack_keywords_have_a_caller_outside_tests(by_file):
+    tests = REPO_ROOT / "tests"
+    outside = {path: by_callee for path, by_callee in by_file.items()
+               if tests not in path.parents}
+    assert dead_keywords(PREDICTION_STACK, outside) == {}
