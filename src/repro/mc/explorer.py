@@ -66,6 +66,10 @@ class ExplorationResult:
     the deliver/timer steps whose successors were built from the
     search's memo instead of running the handler: together they say why
     ``transitions`` is below an unreduced search's.
+
+    ``max_depth`` is the deepest level, relative to the root, that the
+    search dequeued for expansion, or the depth bound itself when a
+    complete (untruncated) search found a state at the bound.
     """
 
     states_explored: int = 0
@@ -453,7 +457,10 @@ class Explorer:
         memo: Dict[Tuple, Any] = {}
         result.states_explored = 1
         yield root, ()
+        # Only states that will be expanded are queued: one at the depth
+        # bound is yielded (checked) when found, then dropped.
         frontier: deque = deque([(root, (), key)])
+        reached_bound = False
         while frontier:
             world, path, key = frontier.popleft()
             sleep = asleep.pop(key, None)
@@ -489,13 +496,19 @@ class Explorer:
                     result.states_explored += 1
                     new_path = path + (action,)
                     yield successor, new_path
-                    if expands:
-                        if inherited is None:
-                            inherited = _inherit(taken, node)
-                        asleep[found] = inherited
+                    if not expands:
+                        reached_bound = True
+                        continue
+                    if inherited is None:
+                        inherited = _inherit(taken, node)
+                    asleep[found] = inherited
                     frontier.append((successor, new_path, found))
                 if node is not None:
                     taken[action.key()] = node
+        # The bound level was checked as found and never queued; an
+        # unreduced search would dequeue it last, after everything above.
+        if reached_bound:
+            result.max_depth = max_depth
 
 
 def effect_events(node_id: int, effects: Effects) -> Tuple[

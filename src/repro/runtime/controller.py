@@ -208,11 +208,7 @@ class CrystalBallRuntime(InboundInterposer):
         are marked down in the world.
         """
         self.exchange.record_own_checkpoint()
-        states = self.state_model.latest_states()
-        if self.prediction_scope == "neighborhood":
-            keep = set(self.exchange.neighbors())
-            keep.add(self.node.node_id)
-            states = {nid: st for nid, st in states.items() if nid in keep}
+        states = self._scoped_states()
         down = {nid for nid in states if not self.node.network.liveness.is_up(nid)}
         # Every known node's pending timers: our own are live; neighbors'
         # come from their collected checkpoints (possibly stale, like the
@@ -230,6 +226,17 @@ class CrystalBallRuntime(InboundInterposer):
             node_states=states, timers=timers, down=down, time=self.node.sim.now,
             copy_states=False,
         )
+
+    def _scoped_states(self) -> Dict[int, Dict[str, Any]]:
+        """The latest collected state of every node a prediction covers:
+        all of them, or under ``"neighborhood"`` scope this node and its
+        neighbours only.  The outer mapping is the caller's own."""
+        states = self.state_model.latest_states()
+        if self.prediction_scope == "neighborhood":
+            keep = set(self.exchange.neighbors())
+            keep.add(self.node.node_id)
+            states = {nid: st for nid, st in states.items() if nid in keep}
+        return states
 
     def make_explorer(self) -> Explorer:
         """The explorer configured with this runtime's model and properties.
@@ -307,7 +314,7 @@ class CrystalBallRuntime(InboundInterposer):
         if replayed is None:
             return float("-inf")
         checkpoint, effects, _ = replayed
-        states = self.state_model.latest_states()
+        states = self._scoped_states()
         states[self.node.node_id] = checkpoint
         down = {nid for nid in states if not self.node.network.liveness.is_up(nid)}
         # The replay's sends and armed timers are the world's only

@@ -15,11 +15,12 @@ from repro.apps.paxos import AGREEMENT, PaxosConfig, make_paxos_factory
 from repro.apps.randtree import (Join, RandTreeConfig, make_exposed_factory,
                                  randtree_properties)
 from repro.choice.resolvers import RandomResolver
-from repro.mc import (Explorer, InFlightMessage, SafetyProperty, all_nodes,
-                      world_from_services)
+from repro.mc import (Explorer, InFlightMessage, SafetyProperty, WorldState,
+                      all_nodes, world_from_services)
 from repro.statemachine import Cluster
 
 from ..apps.test_paxos_model_checking import make_contention_world
+from .conftest import Token, TokenService
 from .legacy_bfs import legacy_bfs
 
 
@@ -101,3 +102,43 @@ def test_paxos_contention_at_depth_eight_takes_fewer_transitions():
         make_contention_world(factory), 8, 3000)
     assert new.transitions < old.transitions
     assert new.pruned > 0 and new.reused > 0
+
+
+# ``max_depth`` at fixed inputs.  The reduced search never queues a state
+# at the bound, so the bound enters ``max_depth`` only once a complete
+# search found such a state: the unreduced search dequeues that level
+# last, and a truncated one returns before it.
+
+def settled_join_world(n=9):
+    """A settled RandTree (levels 1 / 10 / 65 / 417 to depth 3 at n=9)
+    with one join in flight, and its explorer factory."""
+    config = RandTreeConfig()
+    factory = make_exposed_factory(config)
+    cluster = Cluster(n, factory, seed=1,
+                      resolver_factory=lambda nid: RandomResolver(1))
+    cluster.start_all()
+    cluster.run(until=20.0)
+    root = world_from_services(cluster.services, cluster.nodes, time=cluster.sim.now)
+    root.inflight.append(InFlightMessage(5, 0, Join(joiner=5)))
+    return root, lambda: Explorer(factory, properties=randtree_properties(config))
+
+
+def test_budget_spent_while_finding_the_bound_level():
+    root, make_explorer = settled_join_world()
+    _, new = assert_same_search(make_explorer, root, 3, 200)
+    assert (new.states_explored, new.max_depth, new.truncated) == (200, 2, True)
+
+
+def test_complete_search_whose_deepest_level_is_the_bound():
+    root, make_explorer = settled_join_world()
+    _, new = assert_same_search(make_explorer, root, 3, 1500)
+    assert (new.states_explored, new.max_depth, new.truncated) == (493, 3, False)
+
+
+def test_complete_search_that_never_reaches_the_bound():
+    # One token, two forwards per node: the space ends at depth 7.
+    factory = lambda node_id: TokenService(node_id, n=3)
+    states = {i: factory(i).checkpoint() for i in range(3)}
+    root = WorldState(node_states=states, inflight=[InFlightMessage(0, 1, Token(value=1))])
+    _, new = assert_same_search(lambda: Explorer(factory), root, 8, 10_000)
+    assert (new.states_explored, new.max_depth, new.truncated) == (63, 7, False)

@@ -1,10 +1,15 @@
-"""Explorer bounding behaviour: choice-variant caps, unknown targets."""
+"""Explorer bounding behaviour: choice-variant caps, unknown targets,
+the worlds a depth-bounded search holds."""
 
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.mc import Explorer, InFlightMessage, WorldState
 from repro.mc import explorer as explorer_module
 from repro.statemachine import Message, Service, msg_handler
+
+from .test_bfs_reduction import settled_join_world
 
 
 @dataclass
@@ -69,3 +74,35 @@ def test_successors_do_not_mutate_input_world():
     explorer.successors(world, explorer.enabled_actions(world)[0])
     assert world.digest() == digest
     assert len(world.inflight) == 1
+
+
+def test_bfs_holds_no_world_at_the_depth_bound(monkeypatch):
+    # A settled 15-node tree with one join in flight: most states sit at
+    # the bound (1 / 16 / 152 / 1,326 by depth).  They are checked when
+    # found and then dropped, so the worlds alive at once stay below the
+    # count of states above the bound.
+    root, make_explorer = settled_join_world(n=15)
+    live = weakref.WeakSet()
+    high_water = [0]
+    init = WorldState.__init__
+
+    def tracking(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+        high_water[0] = max(high_water[0], len(live))
+
+    monkeypatch.setattr(WorldState, "__init__", tracking)
+    explorer = make_explorer()
+    depths = Counter()
+    check = explorer.check
+
+    def counting(world):
+        depths[world.depth - root.depth] += 1
+        return check(world)
+
+    explorer.check = counting
+    result = explorer.bfs(root, max_depth=3, max_states=20_000)
+    assert not result.truncated and result.max_depth == 3
+    above = sum(count for depth, count in depths.items() if depth < 3)
+    assert depths[3] > above
+    assert high_water[0] < above + 8, (high_water[0], dict(depths))

@@ -75,6 +75,19 @@ def test_deeper_progress_needs_depth(token_factory):
     assert deep.check(world, prop).reachable
 
 
+def test_progress_only_at_the_bound_is_witnessed(token_factory):
+    # Node 2 is first reached two hops in, exactly at max_depth=2: a
+    # state at the bound is never expanded, but it is still seen.
+    world = world_with(token_factory, inflight=[InFlightMessage(0, 1, Token(value=1))])
+    checker = BoundedLivenessChecker(Explorer(token_factory), max_depth=2)
+    result = checker.check(world, LivenessProperty("node2", node2_received))
+    assert result.reachable and not result.truncated
+    assert [a.describe() for a in result.witness_path] == [
+        "deliver Token 0->1 via on_token", "deliver Token 1->2 via on_token"]
+    assert result.witness_world.depth == 2
+    assert result.states_explored == 6
+
+
 def test_check_all_runs_each_property(token_factory):
     world = world_with(token_factory, inflight=[InFlightMessage(0, 1, Token(value=1))])
     checker = BoundedLivenessChecker(Explorer(token_factory), max_depth=3)

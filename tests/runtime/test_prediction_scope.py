@@ -3,10 +3,13 @@
 import pytest
 
 from repro.apps.gossip import GossipConfig, make_view_gossip_factory
-from repro.choice import RandomResolver
+from repro.choice import PerformanceObjective, RandomResolver
+from repro.mc import ConsequencePredictor
 from repro.net import ViewConfig
 from repro.runtime import CrystalBallRuntime, install_crystalball
 from repro.statemachine import Cluster
+
+from .test_resolver import GiverService, weighted_wealth
 
 
 def _view_cluster(n=24, seed=6):
@@ -76,3 +79,35 @@ def test_neighborhood_scope_bounds_world_size_at_scale():
     world = runtime.current_world()
     assert len(world.node_states) <= ViewConfig().active_size + 1
     assert len(world.node_states) < 96 // 4
+
+
+class ScopedGiver(GiverService):
+    """Node 0 gives to node 1 or 2 and lists only them as neighbours;
+    node 3 lists node 0, so node 0 still collects node 3's checkpoints."""
+
+    def neighbors(self):
+        return [1, 2] if self.node_id == 0 else [0]
+
+
+def test_per_choice_scoring_predicts_over_the_neighborhood_slice(monkeypatch):
+    scored = []
+    predict = ConsequencePredictor.predict
+
+    def recording(predictor, world):
+        scored.append(set(world.node_states))
+        return predict(predictor, world)
+
+    monkeypatch.setattr(ConsequencePredictor, "predict", recording)
+    factory = lambda node_id: ScopedGiver(node_id, 3)
+    cluster = Cluster(4, factory, seed=1)
+    runtimes = install_crystalball(
+        cluster, factory, objective=PerformanceObjective("wealth", weighted_wealth),
+        checkpoint_period=0.5, chain_depth=2, budget=200,
+        prediction_scope="neighborhood",
+    )
+    cluster.start_all()
+    cluster.run(until=3.5)
+    assert 3 in runtimes[0].state_model.latest_states()
+    # Every scored world (two candidates per give) is self plus neighbours.
+    assert len(scored) == 6
+    assert all(nodes == {0, 1, 2} for nodes in scored), scored
