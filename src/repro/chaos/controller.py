@@ -182,7 +182,7 @@ class ChaosController:
 
     def stats(self) -> Dict[str, int]:
         """Aggregate chaos statistics (link faults injected so far)."""
-        return dict(self.link_chaos.stats)
+        return self.link_chaos.stats
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import NULL_SPAN, MetricsRegistry, Span, stats_view
+from ..obs import NULL_SPAN, MetricsRegistry, Span
 
 
 class ChaosError(ValueError):
@@ -162,10 +162,15 @@ class LinkChaos:
         # The one re-enterable "chaos.apply" span, held from the first
         # interposition that finds the registry enabled.
         self._span: Optional[Span] = None
-        self.stats = stats_view(
-            self.metrics, "chaos",
-            ("dropped", "duplicated", "reordered", "corrupted", "flap_dropped"),
-        )
+        self._counts = {
+            key: self.metrics.counter(f"chaos.{key}")
+            for key in ("dropped", "duplicated", "reordered", "corrupted", "flap_dropped")
+        }
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Faults injected so far, by kind (the ``chaos.<kind>`` counters)."""
+        return {key: counter.value for key, counter in self._counts.items()}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -226,7 +231,7 @@ class LinkChaos:
     def _apply(self, src: int, dst: int, payload: Any, now: float) -> Optional[FaultDecision]:
         for flap in self._flaps:
             if _pair(src, dst) == _pair(flap.a, flap.b) and flap.is_down(now):
-                self.stats["flap_dropped"] += 1
+                self._counts["flap_dropped"].inc()
                 self.sim.trace.record(now, "chaos.flap", node=src, dst=dst)
                 return FaultDecision(drop=True, reason="chaos-flap")
 
@@ -236,7 +241,7 @@ class LinkChaos:
         decision: Optional[FaultDecision] = None
         if not profile.is_null:
             if profile.drop and self._drop_rng.random() < profile.drop:
-                self.stats["dropped"] += 1
+                self._counts["dropped"].inc()
                 self.sim.trace.record(now, "chaos.drop", node=src, dst=dst,
                                       kind=type(payload).__name__)
                 return FaultDecision(drop=True, reason="chaos-drop")
@@ -245,19 +250,19 @@ class LinkChaos:
                 decision.duplicates = 1
                 decision.duplicate_delays = (
                     self._duplicate_rng.uniform(0.0, profile.reorder_jitter),)
-                self.stats["duplicated"] += 1
+                self._counts["duplicated"].inc()
                 self.sim.trace.record(now, "chaos.duplicate", node=src, dst=dst,
                                       kind=type(payload).__name__)
             if profile.reorder and self._reorder_rng.random() < profile.reorder:
                 extra_delay += self._reorder_rng.uniform(0.0, profile.reorder_jitter)
-                self.stats["reordered"] += 1
+                self._counts["reordered"].inc()
                 self.sim.trace.record(now, "chaos.reorder", node=src, dst=dst,
                                       kind=type(payload).__name__)
             if profile.corrupt and self._corrupt_rng.random() < profile.corrupt:
                 decision.replace = CorruptedPayload(
                     original_type=type(payload).__name__, src=src, dst=dst,
                 )
-                self.stats["corrupted"] += 1
+                self._counts["corrupted"].inc()
                 self.sim.trace.record(now, "chaos.corrupt", node=src, dst=dst,
                                       kind=type(payload).__name__)
         if slow > 0.0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..net.transport import DEFAULT_MESSAGE_BYTES
-from ..obs import MetricsRegistry, stats_view
+from ..obs import MetricsRegistry
 
 ENVELOPE_OVERHEAD_BYTES = 40
 ACK_SIZE_BYTES = 64
@@ -99,11 +99,15 @@ class ReliableLayer:
         self._pending: Dict[Tuple[int, int, int], _Pending] = {}
         self._seen: Dict[int, Set[Tuple[int, int]]] = {}
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.stats = stats_view(
-            self.metrics, "reliable",
-            ("sent", "acked", "retransmissions", "duplicates_suppressed",
-             "gave_up"),
-        )
+        self._counts = {
+            key: self.metrics.counter(f"reliable.{key}")
+            for key in ("sent", "acked", "retransmissions", "duplicates_suppressed", "gave_up")
+        }
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """The protocol's counts so far (the ``reliable.<key>`` counters)."""
+        return {key: counter.value for key, counter in self._counts.items()}
 
     def __getattr__(self, name: str) -> Any:
         # Everything not overridden (liveness, topology, sim, partitions,
@@ -156,7 +160,7 @@ class ReliableLayer:
         if tracer is not None:
             pending.cause = tracer.current_event_id()
         self._pending[key] = pending
-        self.stats["sent"] += 1
+        self._counts["sent"].inc()
         self._transmit(key)
         return True
 
@@ -175,7 +179,7 @@ class ReliableLayer:
             return
         pending.attempts += 1
         if pending.attempts > 1:
-            self.stats["retransmissions"] += 1
+            self._counts["retransmissions"].inc()
         tracer = self._network.sim.causal
         if tracer is None:
             self._transmit_wire(key, pending)
@@ -220,7 +224,7 @@ class ReliableLayer:
         if self._pending.pop(key, None) is None:
             return
         src, dst, seq = key
-        self.stats["gave_up"] += 1
+        self._counts["gave_up"].inc()
         self._network.sim.trace.record(
             self._network.sim.now, "reliable.give_up", node=src, dst=dst, seq=seq,
         )
@@ -239,7 +243,7 @@ class ReliableLayer:
         if isinstance(payload, AckEnvelope):
             acked = self._pending.pop((dst, src, payload.seq), None)
             if acked is not None:
-                self.stats["acked"] += 1
+                self._counts["acked"].inc()
                 if acked.timer is not None:
                     # Without this cancel, every acked send leaves one
                     # dead retry event in the simulator queue.
@@ -253,7 +257,7 @@ class ReliableLayer:
             dedup_key = (src, payload.seq)
             seen = self._seen.setdefault(dst, set())
             if dedup_key in seen:
-                self.stats["duplicates_suppressed"] += 1
+                self._counts["duplicates_suppressed"].inc()
                 self._network.sim.trace.record(
                     self._network.sim.now, "reliable.dup_suppressed", node=dst,
                     src=src, seq=payload.seq,

@@ -210,7 +210,7 @@ def run_chaos_tree_experiment(
     result.trace_digest = trace_digest(cluster.sim.trace)
     result.chaos_stats = controller.stats()
     if reliability is not None:
-        result.reliable_stats = dict(cluster.transport.stats)
+        result.reliable_stats = cluster.transport.stats
     result.metrics = collect_cluster_metrics(cluster)
     return result
 

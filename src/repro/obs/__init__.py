@@ -8,8 +8,6 @@
   model);
 * :class:`~repro.obs.spans.Span` — host-clock timing of runtime
   operations correlated with simulated time;
-* :class:`StatsView` — the dict-shaped compatibility views components
-  expose as their historical ``stats`` attributes;
 * :class:`RunReport` / :func:`collect_cluster_metrics` — the uniform
   per-node run report every experiment emits and
   ``python -m repro.cli report`` renders;
@@ -48,9 +46,7 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    StatsView,
     render_key,
-    stats_view,
 )
 from .report import RunReport, collect_cluster_metrics, node_metrics, run_report
 from .spans import NULL_SPAN, Span, SpanStats
@@ -73,8 +69,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "StatsView",
-    "stats_view",
     "render_key",
     "Span",
     "SpanStats",

@@ -1,18 +1,17 @@
 """The metrics registry: counters, gauges, histograms with label sets.
 
-The runtime's evidence used to live in ad-hoc ``stats`` dicts scattered
-across the controller, the steering module, the reliability layer, and
-the chaos interposer.  :class:`MetricsRegistry` is the one substrate
-they all record into now: named instruments with optional label sets,
-introspectable as a single :meth:`MetricsRegistry.snapshot`, and cheap
-enough to leave on in production runs.
+:class:`MetricsRegistry` is the one substrate the runtime, the steering
+module, the reliability layer and the chaos interposer count into: named
+instruments with optional label sets, introspectable as a single
+:meth:`MetricsRegistry.snapshot`, and cheap enough to leave on in
+production runs.  Each count is one :class:`Counter` whose writer holds
+a handle to it; a component's ``stats`` is a plain dict read off those
+counters.
 
 Cost model:
 
 * :class:`Counter` and :class:`Gauge` are *always on* — an increment is
-  one attribute add, the same cost as the dict updates they replaced,
-  so the stats views components expose for tests keep counting whatever
-  the enabled flag says;
+  one attribute add, so they count whatever the enabled flag says;
 * :class:`Histogram` observations and spans (see :mod:`repro.obs.spans`)
   are the *timed* instruments and are gated by ``registry.enabled`` —
   with the registry disabled they are no-ops that never touch the host
@@ -29,8 +28,7 @@ folds them back together either way.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, MutableMapping
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .spans import NULL_SPAN, Span, SpanStats
 
@@ -50,7 +48,7 @@ def render_key(name: str, labels: LabelSet) -> str:
 
 
 class Counter:
-    """A monotonically-growing count (settable for view compatibility)."""
+    """A monotonically-growing count."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -297,62 +295,10 @@ class MetricsRegistry:
                 f"histograms={len(self._histograms)}, spans={len(self._spans)})")
 
 
-class StatsView(MutableMapping):
-    """A dict-shaped view over registry counters.
-
-    Components that historically exposed ``self.stats`` dicts keep the
-    attribute as one of these: reads return the live counter values,
-    ``view[key] += 1`` routes the increment into the registry, and the
-    view compares equal to (and converts into) a plain dict — existing
-    tests and callers see no difference.
-    """
-
-    __slots__ = ("_instruments",)
-
-    def __init__(self, instruments: Dict[str, Counter]) -> None:
-        self._instruments = instruments
-
-    def __getitem__(self, key: str) -> int:
-        return self._instruments[key].value
-
-    def __setitem__(self, key: str, value: int) -> None:
-        self._instruments[key].value = value
-
-    def __delitem__(self, key: str) -> None:
-        raise TypeError("StatsView keys are fixed by the owning component")
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._instruments)
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, Mapping):
-            return dict(self) == dict(other)
-        return NotImplemented
-
-    def __ne__(self, other: Any) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
-def stats_view(registry: MetricsRegistry, prefix: str, keys, **labels: Any) -> StatsView:
-    """A :class:`StatsView` over ``<prefix>.<key>`` counters in ``registry``."""
-    return StatsView({
-        key: registry.counter(f"{prefix}.{key}", **labels) for key in keys
-    })
-
-
 __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",
-    "StatsView",
-    "stats_view",
     "render_key",
 ]

@@ -36,11 +36,11 @@ def _network_section(network, transport=None) -> Dict[str, Any]:
         "messages_duplicated": network.messages_duplicated,
         "bytes_sent": network.bytes_sent,
     }
-    # A ReliableLayer (or any transport wrapper with its own stats dict)
+    # A ReliableLayer (or any transport wrapper with its own stats)
     # reports its protocol counters alongside the raw transport's.
     if transport is not None and transport is not network:
-        stats = transport.__dict__.get("stats")
-        if stats is not None and not callable(stats):
+        stats = getattr(transport, "stats", None)
+        if stats is not None:
             section["reliable"] = dict(stats)
             pending = getattr(transport, "pending_count", None)
             if pending is not None:
@@ -54,7 +54,7 @@ def node_metrics(node) -> Dict[str, Any]:
     runtime = getattr(node, "crystalball", None)
     if runtime is None:
         return section
-    section["runtime"] = dict(runtime.stats)
+    section["runtime"] = runtime.stats
     section["epoch"] = runtime.exchange.epoch
     section["steering"] = runtime.steering.snapshot()
     amortized = getattr(runtime, "amortized", None)

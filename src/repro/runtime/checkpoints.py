@@ -12,10 +12,12 @@ passive latency measurements via their ``sent_at`` stamps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..model import NeighborCheckpoint, NetworkModel, StateModel
+from ..obs import MetricsRegistry
 from ..statemachine import Message
 from ..statemachine.serialization import freeze
 
@@ -101,17 +103,12 @@ class CheckpointAckMsg(Message):
 
 
 RUNTIME_MESSAGE_TYPES = (CheckpointMsg, CheckpointDeltaMsg, CheckpointAckMsg)
-
-
-def schedule_every(node: Any, period: float, action: Callable[[], None], tag: str) -> None:
-    """Run ``action`` every ``period`` sim-seconds while ``node`` is up."""
-
-    def tick() -> None:
-        if node.is_up:
-            action()
-        node.sim.schedule(period, tick, tag=tag)
-
-    node.sim.schedule(period, tick, tag=tag)
+# The exchange's counters, ``runtime.<key>{node=<id>}`` in the registry.
+_COUNTS = (
+    "checkpoints_sent", "checkpoints_received", "checkpoint_bytes_sent",
+    "change_broadcasts", "full_checkpoints_sent", "delta_checkpoints_sent",
+    "resync_fulls_sent", "checkpoint_acks_sent", "deltas_ignored",
+)
 
 
 class CheckpointExchange:
@@ -136,10 +133,10 @@ class CheckpointExchange:
     against state the receiver provably lacks; a receiver that lacks a
     delta's base ignores it (``deltas_ignored``).
 
-    The runtime builds the exchange and shares its models and ``stats``
-    with it; ``trigger`` is the runtime's ``broadcast_checkpoint``, so
-    every broadcast enters through the runtime.  The exchange keeps the
-    counters the runtime reports under the same names.
+    The runtime builds the exchange and shares its models and metrics
+    registry with it; ``trigger`` is the runtime's ``broadcast_checkpoint``,
+    so every broadcast enters through the runtime.  The exchange writes
+    the ``_COUNTS`` counters, which the runtime's ``stats`` reads.
     """
 
     def __init__(
@@ -147,7 +144,7 @@ class CheckpointExchange:
         node: Any,
         state_model: StateModel,
         network_model: NetworkModel,
-        stats: Any,
+        metrics: MetricsRegistry,
         trigger: Callable[[], None],
         checkpoint_period: float,
         passive_measurement: bool,
@@ -157,7 +154,9 @@ class CheckpointExchange:
         self.node = node
         self.state_model = state_model
         self.network_model = network_model
-        self.stats = stats
+        self.metrics = metrics
+        self._counts = {key: metrics.counter(f"runtime.{key}", node=node.node_id)
+                        for key in _COUNTS}
         self.trigger = trigger
         self.checkpoint_period = checkpoint_period
         self.passive_measurement = passive_measurement
@@ -187,8 +186,9 @@ class CheckpointExchange:
         node = self.node
         self.record_own_checkpoint()
         if self.checkpoint_period > 0:
-            schedule_every(node, self.checkpoint_period, self.trigger,
-                           f"cb.checkpoint:{node.node_id}")
+            node.sim.every(self.checkpoint_period,
+                           lambda: self.trigger() if node.is_up else None,
+                           math.inf, f"cb.checkpoint:{node.node_id}")
         if self.on_change:
             self._last_digest = node.service.state_digest()
 
@@ -255,8 +255,8 @@ class CheckpointExchange:
         # because routing checkpoints through the wrapper changes A7's
         # reliable-variant traffic and its recorded numbers.
         node.network.send_many(node.node_id, peers, message, size_bytes=size)
-        self.stats["checkpoints_sent"] += len(peers)
-        self.stats["checkpoint_bytes_sent"] += size * len(peers)
+        self._counts["checkpoints_sent"].inc(len(peers))
+        self._counts["checkpoint_bytes_sent"].inc(size * len(peers))
 
     def _send_deltas(self, now: float, state: Dict[str, Any], timers: list) -> None:
         rotate = self._base_epoch < 0 or self._deltas_since_full >= _FULL_CHECKPOINT_EVERY
@@ -288,9 +288,9 @@ class CheckpointExchange:
                         state=state, timers=timers, ack_requested=True,
                     )
                 self._send_checkpoint(peer, full)
-                self.stats["full_checkpoints_sent"] += 1
+                self._counts["full_checkpoints_sent"].inc()
                 if not rotate:
-                    self.stats["resync_fulls_sent"] += 1
+                    self._counts["resync_fulls_sent"].inc()
             else:
                 if delta is None:
                     delta = CheckpointDeltaMsg(
@@ -298,7 +298,7 @@ class CheckpointExchange:
                         taken_at=now, sent_at=now, changed=changed, timers=timers,
                     )
                 self._send_checkpoint(peer, delta)
-                self.stats["delta_checkpoints_sent"] += 1
+                self._counts["delta_checkpoints_sent"].inc()
         if rotate:
             # A peer's ack from a *previous* baseline epoch must not
             # qualify it for deltas against this one; fulls just went
@@ -311,8 +311,8 @@ class CheckpointExchange:
     def _send_checkpoint(self, peer: int, message: Any) -> None:
         size = message.wire_size()
         self.node.network.send(self.node.node_id, peer, message, size_bytes=size)
-        self.stats["checkpoints_sent"] += 1
-        self.stats["checkpoint_bytes_sent"] += size
+        self._counts["checkpoints_sent"].inc()
+        self._counts["checkpoint_bytes_sent"].inc(size)
 
     def after_dispatch(self) -> None:
         """With ``on_change``, broadcast when a dispatch moved the local
@@ -324,7 +324,7 @@ class CheckpointExchange:
         if digest_now == self._last_digest:
             return
         self._last_digest = digest_now
-        self.stats["change_broadcasts"] += 1
+        self._counts["change_broadcasts"].inc()
         self.trigger()
 
     # ------------------------------------------------------------------
@@ -346,7 +346,7 @@ class CheckpointExchange:
             )
 
     def _on_full(self, src: int, msg: CheckpointMsg) -> None:
-        self.stats["checkpoints_received"] += 1
+        self._counts["checkpoints_received"].inc()
         self._observe(src, msg.sent_at)
         self.state_model.update(
             msg.sender, msg.epoch, msg.taken_at, msg.state, timers=msg.timers,
@@ -365,10 +365,10 @@ class CheckpointExchange:
         self.node.network.send(
             me, src, CheckpointAckMsg(sender=me, epoch=msg.epoch), size_bytes=64,
         )
-        self.stats["checkpoint_acks_sent"] += 1
+        self._counts["checkpoint_acks_sent"].inc()
 
     def _on_delta(self, src: int, msg: CheckpointDeltaMsg) -> None:
-        self.stats["checkpoints_received"] += 1
+        self._counts["checkpoints_received"].inc()
         self._observe(src, msg.sent_at)
         base = self._baselines.get(msg.sender)
         # A sender the state model forgot has no baseline either.
@@ -376,7 +376,7 @@ class CheckpointExchange:
                 or self.state_model.get(msg.sender) is None):
             # We lack the delta's base: skip; the sender keeps sending
             # fulls until our baseline ack reaches it.
-            self.stats["deltas_ignored"] += 1
+            self._counts["deltas_ignored"].inc()
             return
         patched = dict(base.state)
         patched.update(msg.changed)

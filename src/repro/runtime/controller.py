@@ -8,6 +8,7 @@ wires one owner per Figure 1 box: the checkpoint exchange
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..choice.choicepoint import ChoicePoint
@@ -23,10 +24,10 @@ from ..mc import (
 )
 from ..mc.explorer import effect_events
 from ..model import NetworkModel, StateModel
-from ..obs import MetricsRegistry, stats_view
+from ..obs import Counter, MetricsRegistry
 from ..statemachine import ChoiceRequested, InboundInterposer
 from ..statemachine.node import Cluster, Node
-from .checkpoints import RUNTIME_MESSAGE_TYPES, CheckpointExchange, schedule_every
+from .checkpoints import RUNTIME_MESSAGE_TYPES, CheckpointExchange
 from .resolution import DEGRADE_REASONS, AmortizedResolver, PerChoiceResolver
 from .steering import SteeringModule, steer
 
@@ -34,6 +35,16 @@ from .steering import SteeringModule, steer
 # Sandbox replays of one dispatch before giving up: each replay fills one
 # more unscripted choice, so this bounds the choices a handler may make.
 _MAX_REPLAY_FILLS = 32
+# The keys of ``stats``: each is the ``runtime.<key>`` counter (labelled
+# ``node``) of the runtime's registry, written by one owner — the
+# runtime, the checkpoint exchange, the steering module or the resolver.
+_STATS_KEYS = (
+    "checkpoints_sent", "checkpoints_received", "predictions", "states_explored",
+    "filters_installed", "steered_messages", "choices_resolved", "change_broadcasts",
+    "delta_checkpoints_sent", "full_checkpoints_sent", "checkpoint_bytes_sent",
+    "checkpoint_acks_sent", "resync_fulls_sent", "deltas_ignored",
+    *(f"degraded.{reason}" for reason in DEGRADE_REASONS),
+)
 
 
 class _ZeroObjective(Objective):
@@ -94,36 +105,18 @@ class CrystalBallRuntime(InboundInterposer):
         self._explorer: Optional[Explorer] = None
 
         self.state_model = StateModel(node.node_id)
-        # All counters live in the runtime's own metrics registry;
-        # ``stats`` remains the historical dict-shaped view over them.
+        # Every count lives in the runtime's own metrics registry, and
+        # each owner holds handles to the counters it writes.
         self.metrics = MetricsRegistry()
         self.steering = SteeringModule(metrics=self.metrics, node=node.node_id)
-        self.stats = stats_view(
-            self.metrics, "runtime",
-            (
-                "checkpoints_sent",
-                "checkpoints_received",
-                "predictions",
-                "states_explored",
-                "filters_installed",
-                "steered_messages",
-                "choices_resolved",
-                "change_broadcasts",
-                "delta_checkpoints_sent",
-                "full_checkpoints_sent",
-                "checkpoint_bytes_sent",
-                "checkpoint_acks_sent",
-                "resync_fulls_sent",
-                "deltas_ignored",
-                *(f"degraded.{reason}" for reason in DEGRADE_REASONS),
-            ),
-            node=node.node_id,
-        )
+        self.states_explored = self._counter("states_explored")
+        self._predictions = self._counter("predictions")
+        self._choices_resolved = self._counter("choices_resolved")
         # Checkpoint exchange (Figure 1's first box): every runtime
         # message goes there.  Checkpoint-on-change stands for Figure
         # 1's checkpoints accompanying outbound messages.
         self.exchange = CheckpointExchange(
-            node, self.state_model, self.network_model, self.stats,
+            node, self.state_model, self.network_model, self.metrics,
             trigger=self.broadcast_checkpoint,
             checkpoint_period=checkpoint_period,
             passive_measurement=passive_measurement,
@@ -142,12 +135,24 @@ class CrystalBallRuntime(InboundInterposer):
         node.crystalball = self
         node.capture_dispatch = self.resolver.needs_dispatch
 
+    def _counter(self, key: str) -> Counter:
+        return self.metrics.counter(f"runtime.{key}", node=self.node.node_id)
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Every runtime counter by key, as a plain dict read off the
+        registry (writing to it changes no count)."""
+        return {key: self._counter(key).value for key in _STATS_KEYS}
+
     def start(self) -> None:
-        """Start the checkpoint exchange and the periodic prediction."""
+        """Start the checkpoint exchange and the periodic prediction
+        (each period while the node is up)."""
         self.exchange.start()
         if self.prediction_period > 0:
-            schedule_every(self.node, self.prediction_period, self.run_prediction,
-                           f"cb.predict:{self.node.node_id}")
+            node = self.node
+            node.sim.every(self.prediction_period,
+                           lambda: self.run_prediction() if node.is_up else None,
+                           math.inf, f"cb.predict:{node.node_id}")
 
     # ------------------------------------------------------------------
     # Interposition (Figure 1: runtime sits between network and service)
@@ -276,8 +281,8 @@ class CrystalBallRuntime(InboundInterposer):
             except Exception:
                 self.resolver.skip_round()
                 return None
-        self.stats["predictions"] += 1
-        self.stats["states_explored"] += report.total_states
+        self._predictions.inc()
+        self.states_explored.inc(report.total_states)
         self.last_prediction_summary = report.summary()
         steer(self, report, world)
         return report
@@ -297,7 +302,7 @@ class CrystalBallRuntime(InboundInterposer):
             value = self.resolver.degrade("no_dispatch", point, node)
         else:
             value = self.resolve_choice(point, node)
-        self.stats["choices_resolved"] += 1
+        self._choices_resolved.inc()
         return value
 
     def resolve_choice(self, point: ChoicePoint, node: Node) -> Any:
@@ -331,7 +336,7 @@ class CrystalBallRuntime(InboundInterposer):
             metrics=self.metrics,
         )
         report = predictor.predict(world)
-        self.stats["states_explored"] += report.total_states
+        self.states_explored.inc(report.total_states)
         self.last_prediction_summary = report.summary()
         return immediate + score_report(report, self.objective)
 

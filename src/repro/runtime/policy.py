@@ -34,9 +34,11 @@ states-rate budget is the deterministic proxy that keeps it low.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..choice.choicepoint import ChoicePoint
+from ..obs import Counter, MetricsRegistry
 from ..statemachine.context import ChoiceRequested
 from ..statemachine.serialization import freeze
 
@@ -57,8 +59,10 @@ MAX_POLICY_AGE = 20.0
 RATE_BUDGET = 3_000.0
 INITIAL_ALLOWANCE = 30_000.0
 
-# The paths that answer a choice; every resolution takes exactly one.
-_RESOLVED_BY = ("coalesced", "policy_hits", "scored_rounds", "fallbacks")
+# Each path that answers a choice, as ``resolve_explain`` names it, and
+# its ``runtime.policy.<name>`` counter; every resolution takes one.
+_PATHS = {"coalesced": "coalesced", "policy": "policy_hits",
+          "scored": "scored_rounds", "fallback": "fallbacks"}
 
 
 def identity_key(point: ChoicePoint) -> Tuple:
@@ -128,6 +132,14 @@ def _live(table: "OrderedDict", key: Tuple, now: float, ttl: float) -> Optional[
     return entry
 
 
+def _offered(ranking: Ranking, point: ChoicePoint) -> Optional[Any]:
+    """The best ranked candidate ``point`` still offers, or None."""
+    for candidate, _score in ranking:
+        if candidate in point.candidates:
+            return candidate
+    return None
+
+
 def _store(table: "OrderedDict", key: Tuple, value: Any, now: float, bound: int) -> None:
     """Store ``value`` at ``now``, evicting the least recently used entry."""
     table[key] = (value, now)
@@ -162,11 +174,16 @@ class AmortizedSteering:
 
     Every step is a pure function of simulation state, so same-seed
     runs resolve identically (the T2 bench asserts digest identity).
+    Each count is a ``runtime.policy.*`` counter of ``metrics`` (the
+    runtime's registry, labelled ``node``); :meth:`snapshot` reads
+    ``denied`` and ``deferred`` off ``degrade``'s ``runtime.degraded.*``.
     """
 
     def __init__(
         self,
         degrade: Callable[[str, ChoicePoint, Optional[object]], Any],
+        metrics: MetricsRegistry,
+        node: int,
         score_fn: Optional[Callable[..., Optional[Tuple[Ranking, int]]]] = None,
         cost_fn: Optional[Callable[..., Optional[int]]] = None,
     ) -> None:
@@ -180,23 +197,19 @@ class AmortizedSteering:
         self.answers: "OrderedDict[Tuple, Tuple[Any, float]]" = OrderedDict()
         # scenario_signature -> (ranking, stored_at)
         self.rankings: "OrderedDict[Tuple, Tuple[Ranking, float]]" = OrderedDict()
-        self.installs = 0
-        self.invalidations: Dict[str, int] = {}
-        self.policy_lookups = {"hits": 0, "misses": 0, "stale": 0}
-        self.coalesce_lookups = {"hits": 0, "misses": 0}
-        self.spent_states = 0
         # Dispatch kinds observed to carry choices: while capture is
         # armed, only these checkpoint (see Node.capture_kinds) — the
         # rest of the event stream stays snapshot-free.
         self.capture_kinds: set = set()
-        self.counters: Dict[str, int] = {
-            "coalesced": 0,
-            "policy_hits": 0,
-            "scored_rounds": 0,
-            "fallbacks": 0,
-            "deferred": 0,
-            "denied": 0,
-        }
+        self._counter = partial(metrics.counter, node=node)
+        self._paths = {how: self._counter(f"runtime.policy.{name}") for how, name in _PATHS.items()}
+        self._installs = self._counter("runtime.policy.installs")  # scored rounds run
+        self._stale = self._counter("runtime.policy.stale")
+        self._spent = self._counter("runtime.policy.spent_states")
+        self._denied = self._counter("runtime.degraded.denied")
+        self._deferred = self._counter("runtime.degraded.deferred")
+        # The invalidation reasons seen so far, one counter each.
+        self._invalidations: Dict[str, Counter] = {}
 
     def allowance(self, now: float) -> float:
         """States the budget permits having spent by simulated ``now``."""
@@ -206,24 +219,22 @@ class AmortizedSteering:
                 now: float) -> None:
         """Distill one scored round into a ranking for its scenario."""
         _store(self.rankings, signature, tuple(ranking), now, _RANKING_ENTRIES)
-        self.installs += 1
+        self._installs.inc()
 
     def lookup(self, signature: Tuple, point: ChoicePoint, now: float) -> Optional[Any]:
         """Best ranked candidate still offered by ``point``, or None.
 
         A live ranking none of whose candidates are currently offered is
-        counted as a stale miss, and the caller falls through to
-        scoring/fallback.
+        counted as stale, and the caller falls through to
+        scoring/fallback.  Hits and misses are the paths' to count.
         """
         entry = _live(self.rankings, signature, now, MAX_POLICY_AGE)
-        if entry is not None:
-            for candidate, _score in entry[0]:
-                if candidate in point.candidates:
-                    self.policy_lookups["hits"] += 1
-                    return candidate
-            self.policy_lookups["stale"] += 1
-        self.policy_lookups["misses"] += 1
-        return None
+        if entry is None:
+            return None
+        value = _offered(entry[0], point)
+        if value is None:
+            self._stale.inc()
+        return value
 
     def resolve(self, point: ChoicePoint, node: Optional[object] = None,
                 now: Optional[float] = None) -> Any:
@@ -239,27 +250,20 @@ class AmortizedSteering:
         key = identity_key(point)
         entry = _live(self.answers, key, now, COALESCE_WINDOW)
         if entry is not None:
-            self.coalesce_lookups["hits"] += 1
-            self.counters["coalesced"] += 1
+            self._paths["coalesced"].inc()
             return entry[0], "coalesced"
-        self.coalesce_lookups["misses"] += 1
         signature = scenario_signature(point, node)
-        value = self.lookup(signature, point, now)
-        if value is not None:
-            self.counters["policy_hits"] += 1
-            _store(self.answers, key, value, now, _ANSWER_ENTRIES)
-            return value, "policy"
-        reason = self._score(signature, point, node, now)
-        if reason is None:
-            value = self.lookup(signature, point, now)
-            if value is not None:
-                _store(self.answers, key, value, now, _ANSWER_ENTRIES)
-                return value, "scored"
-            reason = "unranked"
-        value = self.degrade(reason, point, node)
-        self.counters["fallbacks"] += 1
+        how, value = "policy", self.lookup(signature, point, now)
+        if value is None:
+            how, reason = "scored", self._score(signature, point, node, now)
+            if reason is None:
+                # The round just installed its ranking: pick from it as is.
+                value = _offered(self.rankings[signature][0], point)
+            if value is None:
+                how, value = "fallback", self.degrade(reason or "unranked", point, node)
+        self._paths[how].inc()
         _store(self.answers, key, value, now, _ANSWER_ENTRIES)
-        return value, "fallback"
+        return value, how
 
     def _score(self, signature: Tuple, point: ChoicePoint,
                node: Optional[object], now: float) -> Optional[str]:
@@ -267,16 +271,16 @@ class AmortizedSteering:
         reason no round ran."""
         if self.score_fn is None:
             return "unranked"
-        if self.spent_states >= self.allowance(now):
+        spent = self._spent.value
+        if spent >= self.allowance(now):
             return "budget"
         projected = self.cost_fn(point, node) if self.cost_fn is not None else None
-        if projected is not None and self.spent_states + projected > self.allowance(now):
+        if projected is not None and spent + projected > self.allowance(now):
             # Admission control: this round's replay no longer fits the
             # remaining allowance (the decided log has grown).  Disarm
             # capture too — stop snapshotting dispatches for rounds we
             # cannot afford; the fallback answers until the accruing
             # allowance can admit a round again.
-            self.counters["denied"] += 1
             self._disarm(node)
             return "denied"
         try:
@@ -289,12 +293,10 @@ class AmortizedSteering:
             # Scoring wanted but impossible (no captured dispatch): arm
             # capture so an upcoming dispatch checkpoints its pre-state
             # and the next miss in this scenario scores.
-            self.counters["deferred"] += 1
             self._arm(node)
             return "deferred"
         ranking, cost = scored
-        self.spent_states += max(int(cost), 0)
-        self.counters["scored_rounds"] += 1
+        self._spent.inc(max(int(cost), 0))
         self.install(signature, ranking, now)
         self._disarm(node)
         return None
@@ -317,27 +319,39 @@ class AmortizedSteering:
         """World changed: drop rankings and coalesced answers."""
         self.rankings.clear()
         self.answers.clear()
-        self.invalidations[reason] = self.invalidations.get(reason, 0) + 1
+        counter = self._invalidations[reason] = self._counter(
+            "runtime.policy.invalidations", reason=reason)
+        counter.inc()
 
     def snapshot(self) -> Dict[str, Any]:
         """Path counters, budget spent, and both tables' lookup tallies.
 
         ``resolutions`` counts every answered choice once: a denied or
         deferred resolution also ends as a fallback, so the sum of all
-        ``counters`` would count it twice.
+        ``counters`` would count it twice.  A resolution looks up each
+        table it reaches once, and hits it only on that table's path.
         """
+        counters = {name: self._paths[how].value for how, name in _PATHS.items()}
+        resolutions = sum(counters.values())
+        counters["deferred"] = self._deferred.value
+        counters["denied"] = self._denied.value
+        coalesced, hits = counters["coalesced"], counters["policy_hits"]
         policy: Dict[str, Any] = {
-            "installs": self.installs,
-            "invalidations": dict(self.invalidations),
-            **self.policy_lookups,
+            "installs": self._installs.value,
+            "invalidations": {
+                reason: counter.value for reason, counter in self._invalidations.items()
+            },
+            "hits": hits,
+            "misses": resolutions - coalesced - hits,
+            "stale": self._stale.value,
         }
         policy["hit_rate"] = _hit_rate(policy)
         return {
-            "counters": dict(self.counters),
-            "resolutions": sum(self.counters[path] for path in _RESOLVED_BY),
-            "spent_states": self.spent_states,
+            "counters": counters,
+            "resolutions": resolutions,
+            "spent_states": self._spent.value,
             "policy": policy,
-            "coalesce": dict(self.coalesce_lookups),
+            "coalesce": {"hits": coalesced, "misses": resolutions - coalesced},
         }
 
 
@@ -346,9 +360,13 @@ def _hit_rate(tally: Dict[str, Any]) -> float:
     return tally["hits"] / lookups if lookups else 0.0
 
 
-def _add(into: Dict[str, int], counts: Dict[str, int]) -> None:
+def _add(into: Dict[str, Any], counts: Dict[str, Any]) -> None:
+    """Add every count in ``counts``, nested ones too, into ``into``."""
     for name, count in counts.items():
-        into[name] = into.get(name, 0) + count
+        if isinstance(count, dict):
+            _add(into.setdefault(name, {}), count)
+        else:
+            into[name] = into.get(name, 0) + count
 
 
 def merge_steering_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
@@ -367,14 +385,7 @@ def merge_steering_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, A
         "coalesce": {"hits": 0, "misses": 0},
     }
     for snap in snapshots:
-        _add(merged["counters"], snap["counters"])
-        merged["resolutions"] += snap["resolutions"]
-        merged["spent_states"] += snap["spent_states"]
-        policy = snap["policy"]
-        for field in ("installs", "hits", "misses", "stale"):
-            merged["policy"][field] += policy[field]
-        _add(merged["policy"]["invalidations"], policy["invalidations"])
-        _add(merged["coalesce"], snap["coalesce"])
+        _add(merged, snap)
     merged["policy"]["hit_rate"] = _hit_rate(merged["policy"])
     return merged
 

@@ -42,8 +42,7 @@ def _state_weight(values: Iterable[Any]) -> int:
 
 class _Resolver:
     """The fallback and the one exit to it; ``runtime`` supplies the
-    node, the ``stats`` and ``metrics`` to record into and
-    ``_score_candidate``."""
+    node, the ``metrics`` to record into and ``_score_candidate``."""
 
     def __init__(self, runtime: Any, fallback: Any) -> None:
         # Checked when the runtime is built, not at the first miss.
@@ -55,16 +54,21 @@ class _Resolver:
             )
         self.runtime = runtime
         self.fallback = fallback
+        self._degraded = {
+            reason: runtime.metrics.counter(
+                f"runtime.degraded.{reason}", node=runtime.node.node_id)
+            for reason in DEGRADE_REASONS
+        }
 
     def degrade(self, reason: str, point: ChoicePoint, node: Optional[Any]) -> Any:
         """The one exit for a choice prediction cannot answer: count it
         as ``degraded.<reason>`` and let the fallback resolve it."""
-        self.runtime.stats[f"degraded.{reason}"] += 1
+        self._degraded[reason].inc()
         return self.fallback.resolve(point, node)
 
     def skip_round(self) -> None:
         """Count a periodic prediction round that raised (not answered)."""
-        self.runtime.stats["degraded.round_skipped"] += 1
+        self._degraded["round_skipped"].inc()
 
     def _clock(self) -> float:
         return self.runtime.node.sim.now
@@ -124,6 +128,8 @@ class AmortizedResolver(_Resolver):
         super().__init__(runtime, fallback)
         amortized = self.amortized = AmortizedSteering(
             degrade=self.degrade,
+            metrics=runtime.metrics,
+            node=runtime.node.node_id,
             score_fn=self._policy_score,
             cost_fn=self._policy_cost,
         )
@@ -159,7 +165,7 @@ class AmortizedResolver(_Resolver):
         if dispatch is None:
             return None
         runtime = self.runtime
-        before = runtime.stats["states_explored"]
+        before = runtime.states_explored.value
         scored = []
         with runtime.metrics.span("runtime.policy_score", node=runtime.node.node_id):
             for candidate in point.candidates:
@@ -176,7 +182,7 @@ class AmortizedResolver(_Resolver):
         # admission decision moves.  It makes the rate budget
         # concentrate scoring early, when state is small, and throttle
         # it as a decided log grows.
-        cost = runtime.stats["states_explored"] - before + self._policy_cost(point, node)
+        cost = runtime.states_explored.value - before + self._policy_cost(point, node)
         node.sim.trace.record(
             node.sim.now, "runtime.policy_distilled", node=node.node_id,
             label=point.label, states=cost,

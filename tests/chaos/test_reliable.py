@@ -145,14 +145,21 @@ def test_ack_cancels_pending_retry_timer():
 
 
 def test_reliable_stats_are_registry_backed():
+    """``stats`` is a plain dict read off the ``reliable.*`` counters:
+    each key is its counter's value, and writing to it counts nothing."""
     sim, net, layer, inboxes = make_layer()
     layer.send(0, 1, "hello")
     sim.run()
-    assert dict(layer.stats) == {
+    stats = layer.stats
+    assert type(stats) is dict
+    assert stats == {
         "sent": 1, "acked": 1, "retransmissions": 0,
         "duplicates_suppressed": 0, "gave_up": 0,
     }
+    assert stats == {key: layer.metrics.counter(f"reliable.{key}").value for key in stats}
+    stats["acked"] += 5
     assert layer.metrics.counter("reliable.acked").value == 1
+    assert layer.stats["acked"] == 1
 
 
 # ----------------------------------------------------------------------

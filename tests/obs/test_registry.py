@@ -1,8 +1,8 @@
-"""Metrics registry: instruments, labels, views, the enabled gate."""
+"""Metrics registry: instruments, labels, the enabled gate."""
 
 import pytest
 
-from repro.obs import MetricsRegistry, StatsView, render_key, stats_view
+from repro.obs import MetricsRegistry, render_key
 
 
 def test_counter_identity_and_increment():
@@ -69,37 +69,6 @@ def test_disabled_registry_returns_null_span():
     assert span is not None  # the shared no-op object
 
 
-def test_stats_view_is_dict_shaped():
-    registry = MetricsRegistry()
-    view = stats_view(registry, "runtime", ("a", "b"), node=3)
-    view["a"] += 2
-    view["b"] = 7
-    assert view["a"] == 2
-    assert dict(view) == {"a": 2, "b": 7}
-    assert view == {"a": 2, "b": 7}
-    assert {"a": 2, "b": 7} == view
-    assert view != {"a": 0, "b": 7}
-    assert registry.counter("runtime.a", node=3).value == 2
-
-
-def test_stats_view_equality_across_registries():
-    # Determinism comparisons diff whole stats views between runs.
-    v1 = stats_view(MetricsRegistry(), "r", ("x",))
-    v2 = stats_view(MetricsRegistry(), "r", ("x",))
-    v1["x"] += 1
-    assert v1 != v2
-    v2["x"] += 1
-    assert v1 == v2
-
-
-def test_stats_view_keys_are_fixed():
-    view = stats_view(MetricsRegistry(), "r", ("x",))
-    with pytest.raises(KeyError):
-        view["nope"]
-    with pytest.raises(TypeError):
-        del view["x"]
-
-
 def test_snapshot_and_reset():
     registry = MetricsRegistry()
     registry.counter("c").inc()
@@ -143,12 +112,6 @@ def test_reset_zeroes_in_place_so_held_handles_keep_recording():
     registry.enabled = False
     hist.observe(3.0)
     assert hist.count == 1
-
-
-def test_stats_view_repr_is_dict_repr():
-    view = stats_view(MetricsRegistry(), "r", ("x",))
-    assert repr(view) == "{'x': 0}"
-    assert isinstance(view, StatsView)
 
 
 # ----------------------------------------------------------------------

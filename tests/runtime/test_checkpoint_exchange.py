@@ -1,17 +1,16 @@
 """CheckpointExchange on its own: no runtime, explorer or predictor.
 
-Each node gets an exchange, its own state and network models, a plain
-counter dict for stats, and a minimal interposer that hands it the
+Each node gets an exchange, its own state and network models, a metrics
+registry to count into, and a minimal interposer that hands it the
 runtime's messages — the part of ``CrystalBallRuntime`` the exchange
 needs.
 """
-
-from collections import Counter
 
 import pytest
 
 from repro.model import NetworkModel, StateModel
 from repro.net import full_mesh
+from repro.obs import MetricsRegistry
 from repro.runtime.checkpoints import (
     RUNTIME_MESSAGE_TYPES,
     CheckpointAckMsg,
@@ -45,13 +44,18 @@ class ExchangeOnly(InboundInterposer):
 
 def attach(node, deltas, on_change, drop_acks_from=(), passive=True):
     exchange = CheckpointExchange(
-        node, StateModel(node.node_id), NetworkModel(), Counter(),
+        node, StateModel(node.node_id), NetworkModel(), MetricsRegistry(),
         trigger=lambda: exchange.broadcast(),
         checkpoint_period=0.0, passive_measurement=passive,
         deltas=deltas, on_change=on_change,
     )
     node.inbound_interposers.append(ExchangeOnly(exchange, drop_acks_from))
     return exchange
+
+
+def count(exchange, key):
+    """The exchange's ``runtime.<key>`` counter in its registry."""
+    return exchange.metrics.counter(f"runtime.{key}", node=exchange.node.node_id).value
 
 
 def exchanges(deltas=False, on_change=False, drop_acks=None, passive=True):
@@ -78,8 +82,8 @@ def test_full_checkpoint_reaches_peer_state_model():
     for peer in (1, 2):
         stored = ex[peer].state_model.get(0)
         assert (stored.epoch, stored.state) == (1, {"value": 1})
-        assert ex[peer].stats["checkpoints_received"] == 1
-    assert ex[0].stats["checkpoints_sent"] == 2
+        assert count(ex[peer], "checkpoints_received") == 1
+    assert count(ex[0], "checkpoints_sent") == 2
     # The stamp became a latency sample (the full-mesh default is 0.05 s).
     assert 0.01 < ex[1].network_model.latency(0, 1) < 0.2
 
@@ -99,8 +103,8 @@ def test_checkpoint_stamps_feed_latency_only_with_passive_measurement(deltas, pa
         ex[0].broadcast()
         cluster.run(until=until)
         estimates.append(model.latency(0, 1))
-    assert ex[0].stats["delta_checkpoints_sent"] == (2 if deltas else 0)
-    assert ex[1].stats["checkpoints_received"] == 2
+    assert count(ex[0], "delta_checkpoints_sent") == (2 if deltas else 0)
+    assert count(ex[1], "checkpoints_received") == 2
     if passive:
         assert estimates[0] > estimates[1] > estimates[2]
     else:
@@ -110,13 +114,13 @@ def test_checkpoint_stamps_feed_latency_only_with_passive_measurement(deltas, pa
 def test_delta_sent_once_the_ack_has_arrived():
     cluster, ex = exchanges(deltas=True)
     ex[0].broadcast()  # rotation: a full each, acks requested
-    assert ex[0].stats["full_checkpoints_sent"] == 2
+    assert count(ex[0], "full_checkpoints_sent") == 2
     cluster.run(until=1.5)
-    assert ex[1].stats["checkpoint_acks_sent"] == 1
+    assert count(ex[1], "checkpoint_acks_sent") == 1
     assert ex[1].baseline(0).epoch == 1
     ex[0].broadcast()
-    assert ex[0].stats["delta_checkpoints_sent"] == 2
-    assert ex[0].stats["resync_fulls_sent"] == 0
+    assert count(ex[0], "delta_checkpoints_sent") == 2
+    assert count(ex[0], "resync_fulls_sent") == 0
     cluster.run(until=2.0)
     patched = ex[1].state_model.get(0)
     assert (patched.epoch, patched.state) == (2, {"value": 1})
@@ -126,12 +130,12 @@ def test_dropped_ack_leads_to_a_resync_full():
     cluster, ex = exchanges(deltas=True, drop_acks={0: {2}})
     ex[0].broadcast()
     cluster.run(until=0.5)
-    assert ex[2].stats["checkpoint_acks_sent"] == 1  # sent, never received
+    assert count(ex[2], "checkpoint_acks_sent") == 1  # sent, never received
     ex[0].broadcast()
     # Peer 1 acked and gets a delta; peer 2 gets the full again.
-    assert ex[0].stats["delta_checkpoints_sent"] == 1
-    assert ex[0].stats["resync_fulls_sent"] == 1
-    assert ex[0].stats["full_checkpoints_sent"] == 3
+    assert count(ex[0], "delta_checkpoints_sent") == 1
+    assert count(ex[0], "resync_fulls_sent") == 1
+    assert count(ex[0], "full_checkpoints_sent") == 3
     cluster.run(until=1.0)
     assert ex[2].state_model.get(0).epoch == 2
     assert ex[2].baseline(0).epoch == 2
@@ -147,7 +151,7 @@ def test_delta_against_a_missing_base_is_ignored():
                                  sent_at=0.5, changed={"value": 9})
     ex[1].receive(0, stale)
     ex[1].receive(2, unknown)
-    assert ex[1].stats["deltas_ignored"] == 2
+    assert count(ex[1], "deltas_ignored") == 2
     assert ex[1].state_model.get(0).epoch == 1
     assert ex[1].state_model.get(2) is None
 
@@ -155,10 +159,10 @@ def test_delta_against_a_missing_base_is_ignored():
 def test_state_change_triggers_a_broadcast():
     cluster, ex = exchanges(on_change=True)
     cluster.run(until=0.5)  # no Bump delivered yet: nothing changed
-    assert all(e.stats["change_broadcasts"] == 0 for e in ex)
+    assert all(count(e, "change_broadcasts") == 0 for e in ex)
     cluster.run(until=1.5)  # each node received one Bump
     for e in ex:
-        assert e.stats["change_broadcasts"] == 1
+        assert count(e, "change_broadcasts") == 1
         assert e.epoch == 1
     # Node 1's new value reached its peers with no periodic exchange.
     assert ex[2].state_model.get(1).state == {"value": 1}

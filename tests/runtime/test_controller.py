@@ -330,7 +330,7 @@ def test_world_change_flushes_every_prediction_store(reason, policy_reason, fire
     cluster, runtime = warm_runtime(steering_policy=True, fallback=FirstResolver())
     fire(cluster)
     assert not any(len(store) for store in stores(runtime))
-    assert runtime.amortized.invalidations == {policy_reason: 1}
+    assert runtime.amortized.snapshot()["policy"]["invalidations"] == {policy_reason: 1}
 
 
 def test_filters_installed_not_inflated_by_ttl_refresh():
@@ -344,7 +344,7 @@ def test_filters_installed_not_inflated_by_ttl_refresh():
     assert runtime.stats["filters_installed"] == 1
     assert len(runtime.steering) == 1
     assert all(len(store) > 0 for store in stores(runtime))
-    assert runtime.amortized.invalidations == {"steering": 1}
+    assert runtime.amortized.snapshot()["policy"]["invalidations"] == {"steering": 1}
 
 
 def test_per_choice_runtime_takes_every_flush_trigger():

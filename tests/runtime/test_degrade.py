@@ -159,9 +159,14 @@ def test_live_handler_exception_still_propagates():
 
 def amortized_giver(patch=None):
     """Six choices (t=1..6) under the amortized scheduler; the reasons
-    always sum to the scheduler's own fallback count."""
+    always sum to the scheduler's own fallback count, and every answered
+    choice took exactly one path."""
     cluster, runtime = giver(steering_policy=True, patch=patch, until=6.5)
-    assert sum(degraded(runtime).values()) == runtime.amortized.counters["fallbacks"]
+    counters = runtime.amortized.snapshot()["counters"]
+    assert sum(degraded(runtime).values()) == counters["fallbacks"]
+    assert (counters["coalesced"] + counters["policy_hits"]
+            + counters["scored_rounds"] + counters["fallbacks"]
+            == runtime.stats["choices_resolved"])
     return cluster, runtime
 
 
@@ -171,7 +176,7 @@ def test_unaffordable_rounds_degrade_denied():
 
     cluster, runtime = amortized_giver(patch)
     assert degraded(runtime) == {"denied": 6}
-    assert runtime.amortized.counters["denied"] == 6
+    assert runtime.amortized.snapshot()["counters"]["denied"] == 6
     assert cluster.service(1).wealth == 6
 
 
@@ -199,8 +204,9 @@ def test_raising_predictor_degrades_amortized_prediction_error(monkeypatch):
     # t=1 defers and arms capture; every later round reaches the
     # predictor, which raises, and charges nothing.
     assert degraded(runtime) == {"deferred": 1, "prediction_error": 5}
-    assert runtime.amortized.counters["scored_rounds"] == 0
-    assert runtime.amortized.spent_states == 0
+    snap = runtime.amortized.snapshot()
+    assert snap["counters"]["scored_rounds"] == 0
+    assert snap["spent_states"] == 0
     assert cluster.service(1).wealth == 6
 
 

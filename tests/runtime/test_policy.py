@@ -12,13 +12,15 @@ bench relies on:
   degrade function, never from the dead ranking.
 
 The scheduler's windows and budget are module constants; tests
-monkeypatch them.
+monkeypatch them.  Its counts live in a registry, and tests read them
+through ``snapshot()``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.choice import ChoicePoint
+from repro.obs import MetricsRegistry
 from repro.runtime import policy as policy_module
 from repro.runtime import (
     AmortizedSteering,
@@ -52,6 +54,26 @@ class DegradeToLast:
 
 def degrade_to_first(reason, p, node):
     return p.candidates[0]
+
+
+def scheduler(degrade, score_fn=None, cost_fn=None):
+    """An AmortizedSteering for node 0 over a fresh registry, whose
+    ``degrade`` counts each reason as ``runtime.degraded.<reason>``
+    before answering, as the runtime's resolver does."""
+    metrics = MetricsRegistry()
+
+    def counted(reason, p, node):
+        metrics.counter(f"runtime.degraded.{reason}", node=0).inc()
+        return degrade(reason, p, node)
+
+    return AmortizedSteering(degrade=counted, metrics=metrics, node=0,
+                             score_fn=score_fn, cost_fn=cost_fn)
+
+
+def lookups(sched):
+    """The ranking table's ``(hits, misses, stale)`` tallies."""
+    policy = sched.snapshot()["policy"]
+    return policy["hits"], policy["misses"], policy["stale"]
 
 
 def scored_by(scores):
@@ -99,19 +121,20 @@ def test_scenario_signature_separates_labels_and_candidates():
 
 def test_policy_install_and_lookup(monkeypatch):
     set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     p = point()
     sig = scenario_signature(p)
     assert sched.lookup(sig, p, now=0.0) is None
     sched.install(sig, ((2, 1.0), (1, 0.5), (3, 0.1)), now=0.0)
     assert sched.lookup(sig, p, now=1.0) == 2
     assert sched.resolve_explain(p, now=1.0) == (2, "policy")
-    assert sched.policy_lookups == {"hits": 2, "misses": 1, "stale": 0}
+    # Only a resolution counts a lookup: here, its one policy answer.
+    assert lookups(sched) == (1, 0, 0)
 
 
 def test_policy_entry_ages_out(monkeypatch):
     set_knobs(monkeypatch, MAX_POLICY_AGE=2.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     p = point()
     sig = scenario_signature(p)
     sched.install(sig, ((2, 1.0),), now=0.0)
@@ -121,7 +144,7 @@ def test_policy_entry_ages_out(monkeypatch):
 
 def test_policy_skips_candidates_no_longer_offered(monkeypatch):
     set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     sig = ("s",)
     sched.install(sig, ((9, 1.0), (2, 0.5)), now=0.0)
     assert sched.lookup(sig, point((1, 2, 3)), now=0.0) == 2
@@ -129,16 +152,21 @@ def test_policy_skips_candidates_no_longer_offered(monkeypatch):
 
 def test_policy_all_candidates_gone_is_a_stale_miss(monkeypatch):
     set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     sig = ("s",)
     sched.install(sig, ((9, 1.0),), now=0.0)
     assert sched.lookup(sig, point((1, 2)), now=0.0) is None
-    assert sched.policy_lookups == {"hits": 0, "misses": 1, "stale": 1}
+    assert lookups(sched) == (0, 0, 1)
+    # A resolution in that scenario misses, stale again, and falls back.
+    stale = point((1, 2))
+    sched.install(scenario_signature(stale), ((9, 1.0),), now=0.0)
+    assert sched.resolve_explain(stale, now=0.0) == (2, "fallback")
+    assert lookups(sched) == (0, 1, 2)
 
 
 def test_policy_invalidate_counts_reasons(monkeypatch):
     set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     sched.install(("s",), ((1, 1.0),), now=0.0)
     sched.invalidate("liveness")
     sched.invalidate("liveness")
@@ -162,12 +190,13 @@ def test_raising_score_fn_degrades_the_choice(monkeypatch):
 
     set_knobs(monkeypatch, COALESCE_WINDOW=0.0)
     degrade = DegradeToLast()
-    sched = AmortizedSteering(degrade=degrade, score_fn=failing)
+    sched = scheduler(degrade, score_fn=failing)
     assert sched.resolve_explain(point(), now=0.0) == (3, "fallback")
     assert degrade.reasons == ["prediction_error"]
-    assert sched.spent_states == 0
-    assert sched.counters["scored_rounds"] == 0
-    assert sched.counters["fallbacks"] == 1
+    snap = sched.snapshot()
+    assert snap["spent_states"] == 0
+    assert snap["counters"]["scored_rounds"] == 0
+    assert snap["counters"]["fallbacks"] == 1
 
     def requesting(p, n):
         raise ChoiceRequested(p, [], False)
@@ -179,21 +208,19 @@ def test_raising_score_fn_degrades_the_choice(monkeypatch):
 
 def test_scored_round_installs_policy_for_scenario(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=0.0)
-    sched = AmortizedSteering(
-        degrade=degrade_to_first, score_fn=scored_by({1: 0.0, 2: 1.0, 3: 0.5}),
-    )
+    sched = scheduler(degrade_to_first, score_fn=scored_by({1: 0.0, 2: 1.0, 3: 0.5}))
     value, source = sched.resolve_explain(point(queue=4), now=0.0)
     assert (value, source) == (2, "scored")
     # Same scenario bucket (queue 4..7), different exact info: policy hit.
     value, source = sched.resolve_explain(point(queue=6), now=1.0)
     assert (value, source) == (2, "policy")
-    assert sched.counters["scored_rounds"] == 1
-    assert sched.counters["policy_hits"] == 1
+    assert sched.snapshot()["counters"]["scored_rounds"] == 1
+    assert sched.snapshot()["counters"]["policy_hits"] == 1
 
 
 def test_coalescing_shares_one_resolution(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=0.25)
-    sched = AmortizedSteering(degrade=degrade_to_first, score_fn=scored_by({3: 1.0}))
+    sched = scheduler(degrade_to_first, score_fn=scored_by({3: 1.0}))
     assert sched.resolve_explain(point(queue=4), now=0.0) == (3, "scored")
     assert sched.resolve_explain(point(queue=4), now=0.2) == (3, "coalesced")
     # Outside the window the coalesced answer is gone (policy answers).
@@ -203,7 +230,7 @@ def test_coalescing_shares_one_resolution(monkeypatch):
 def test_budget_exhaustion_defers_to_fallback(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=0.0, RATE_BUDGET=1.0, INITIAL_ALLOWANCE=3.0)
     fallback = DegradeToLast()
-    sched = AmortizedSteering(degrade=fallback, score_fn=scored_by({1: 1.0}))
+    sched = scheduler(fallback, score_fn=scored_by({1: 1.0}))
     # First round costs 3 states (three candidates) and exhausts the
     # t=0 allowance; a different scenario at t=0 must not score.
     assert sched.resolve_explain(point(queue=1), now=0.0)[1] == "scored"
@@ -229,16 +256,14 @@ def test_admission_denies_unaffordable_rounds_and_disarms_capture(monkeypatch):
 
     set_knobs(monkeypatch, COALESCE_WINDOW=0.0, RATE_BUDGET=1.0, INITIAL_ALLOWANCE=10.0)
     fallback = DegradeToLast()
-    sched = AmortizedSteering(
-        degrade=fallback, score_fn=counting_score, cost_fn=lambda p, n: 1_000,
-    )
+    sched = scheduler(fallback, score_fn=counting_score, cost_fn=lambda p, n: 1_000)
     # Projected cost (1000) exceeds the allowance: the round is denied
     # *before* score_fn runs, and capture is disarmed so the node stops
     # paying for pre-dispatch snapshots it cannot use.
     value, source = sched.resolve_explain(point(), node=node, now=0.0)
     assert (value, source) == (3, "fallback")
     assert calls == []
-    assert sched.counters["denied"] == 1
+    assert sched.snapshot()["counters"]["denied"] == 1
     assert fallback.reasons == ["denied"]
     assert node.capture_dispatch is False
     # Once the accruing allowance covers the projection, scoring resumes.
@@ -248,12 +273,11 @@ def test_admission_denies_unaffordable_rounds_and_disarms_capture(monkeypatch):
 
 def test_unknown_cost_admits_scoring(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=0.0, RATE_BUDGET=1.0, INITIAL_ALLOWANCE=3.0)
-    sched = AmortizedSteering(
-        degrade=DegradeToLast(), score_fn=scored_by({2: 1.0}), cost_fn=lambda p, n: None,
-    )
+    sched = scheduler(DegradeToLast(), score_fn=scored_by({2: 1.0}),
+                      cost_fn=lambda p, n: None)
     # cost_fn returning None (no captured dispatch to size) admits.
     assert sched.resolve_explain(point(), now=0.0)[1] == "scored"
-    assert sched.counters["denied"] == 0
+    assert sched.snapshot()["counters"]["denied"] == 0
 
 
 def test_deferred_scoring_arms_capture(monkeypatch):
@@ -264,12 +288,12 @@ def test_deferred_scoring_arms_capture(monkeypatch):
     node = FakeNode()
     set_knobs(monkeypatch, COALESCE_WINDOW=0.0)
     fallback = DegradeToLast()
-    sched = AmortizedSteering(degrade=fallback, score_fn=lambda p, n: None)
+    sched = scheduler(fallback, score_fn=lambda p, n: None)
     value, source = sched.resolve_explain(point(), node=node, now=0.0)
     assert source == "fallback"
     assert fallback.reasons == ["deferred"]
     assert node.capture_dispatch is True  # hungry for a checkpoint
-    assert sched.counters["deferred"] == 1
+    assert sched.snapshot()["counters"]["deferred"] == 1
     sched.score_fn = scored_by({2: 1.0})
     assert sched.resolve_explain(point(), node=node, now=1.0)[1] == "scored"
     assert node.capture_dispatch is False  # fed, disarmed
@@ -277,20 +301,20 @@ def test_deferred_scoring_arms_capture(monkeypatch):
 
 def test_invalidate_drops_policy_and_coalesced_answers(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=10.0, RATE_BUDGET=0.0, INITIAL_ALLOWANCE=3.0)
-    sched = AmortizedSteering(degrade=DegradeToLast(), score_fn=scored_by({1: 1.0}))
+    sched = scheduler(DegradeToLast(), score_fn=scored_by({1: 1.0}))
     assert sched.resolve_explain(point(), now=0.0)[1] == "scored"
     sched.invalidate("liveness")
     # Budget spent and caches cleared: only the fallback remains.
     value, source = sched.resolve_explain(point(), now=0.1)
     assert (value, source) == (3, "fallback")
-    assert sched.invalidations == {"liveness": 1}
+    assert sched.snapshot()["policy"]["invalidations"] == {"liveness": 1}
     assert not sched.rankings
 
 
 def test_merge_steering_snapshots_aggregates(monkeypatch):
     set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
-    a = AmortizedSteering(degrade=degrade_to_first, score_fn=scored_by({2: 1.0}))
-    b = AmortizedSteering(degrade=degrade_to_first, score_fn=scored_by({2: 1.0}))
+    a = scheduler(degrade_to_first, score_fn=scored_by({2: 1.0}))
+    b = scheduler(degrade_to_first, score_fn=scored_by({2: 1.0}))
     a.resolve_explain(point(queue=4), now=0.0)
     a.resolve_explain(point(queue=4), now=10.0)  # policy aged out: rescored
     b.resolve_explain(point(queue=4), now=0.0)
@@ -300,7 +324,7 @@ def test_merge_steering_snapshots_aggregates(monkeypatch):
     assert merged["counters"]["coalesced"] == 1
     assert merged["resolutions"] == 4
     assert merged["policy"]["installs"] == 3
-    assert merged["spent_states"] == a.spent_states + b.spent_states
+    assert merged["spent_states"] == a.snapshot()["spent_states"] + b.snapshot()["spent_states"]
     assert merged["coalesce"] == {"hits": 1, "misses": 3}
     assert 0.0 <= merged["policy"]["hit_rate"] <= 1.0
 
@@ -336,7 +360,7 @@ def test_fresh_policy_equals_per_choice_prediction(candidates, scores, queue):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         set_knobs(monkeypatch, COALESCE_WINDOW=0.0, INITIAL_ALLOWANCE=float("inf"))
-        sched = AmortizedSteering(degrade=DegradeToLast(), score_fn=score_fn)
+        sched = scheduler(DegradeToLast(), score_fn=score_fn)
         value, source = sched.resolve_explain(p, now=0.0)
         assert source == "scored"
         assert value == best
@@ -362,7 +386,7 @@ def test_stale_policy_always_falls_back_never_stale_silently(
     with pytest.MonkeyPatch.context() as monkeypatch:
         set_knobs(monkeypatch, COALESCE_WINDOW=0.0, MAX_POLICY_AGE=max_age,
                   RATE_BUDGET=1.0, INITIAL_ALLOWANCE=float(len(candidates)))
-        sched = AmortizedSteering(degrade=fallback, score_fn=scored_by(scores))
+        sched = scheduler(fallback, score_fn=scored_by(scores))
         assert sched.resolve_explain(p, now=0.0)[1] == "scored"
         value, source = sched.resolve_explain(p, now=age)
     if age <= max_age:
@@ -386,7 +410,7 @@ def test_invalidated_policy_never_answers(candidates, scores):
     with pytest.MonkeyPatch.context() as monkeypatch:
         set_knobs(monkeypatch, COALESCE_WINDOW=0.0, RATE_BUDGET=1.0,
                   INITIAL_ALLOWANCE=float(len(candidates)))
-        sched = AmortizedSteering(degrade=fallback, score_fn=scored_by(scores))
+        sched = scheduler(fallback, score_fn=scored_by(scores))
         assert sched.resolve_explain(p, now=0.0)[1] == "scored"
         sched.invalidate("steering")
         value, source = sched.resolve_explain(p, now=0.0)

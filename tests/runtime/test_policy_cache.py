@@ -11,15 +11,18 @@ prediction off the critical path.
 
 from repro.choice.resolvers import FirstResolver
 from repro.obs.report import node_metrics
-from repro.runtime import (
-    AmortizedSteering,
-    identity_key,
-    merge_steering_snapshots,
-    scenario_signature,
-)
+from repro.runtime import identity_key, merge_steering_snapshots, scenario_signature
 from repro.runtime.policy import _ANSWER_ENTRIES, _RANKING_ENTRIES
 
-from .test_policy import DegradeToLast, degrade_to_first, point, scored_by, set_knobs
+from .test_policy import (
+    DegradeToLast,
+    degrade_to_first,
+    lookups,
+    point,
+    scheduler,
+    scored_by,
+    set_knobs,
+)
 
 
 class CountingScore:
@@ -61,28 +64,28 @@ def giver_cluster():
 
 def test_cache_put_get(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=5.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     p = point()
     assert sched.resolve_explain(p, now=1.0) == (3, "fallback")
     assert sched.answers[identity_key(p)] == (3, 1.0)
     assert sched.resolve_explain(p, now=2.0) == (3, "coalesced")
-    assert sched.coalesce_lookups == {"hits": 1, "misses": 1}
+    assert sched.snapshot()["coalesce"] == {"hits": 1, "misses": 1}
 
 
 def test_cache_miss():
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     assert sched.lookup(("nope",), point(), now=0.0) is None
-    assert sched.policy_lookups == {"hits": 0, "misses": 1, "stale": 0}
+    assert lookups(sched) == (0, 0, 0)  # a lookup outside a resolution
     # A never-seen point misses both tables before the fallback answers.
     assert sched.resolve_explain(point(label="nope"), now=0.0) == (3, "fallback")
-    assert sched.coalesce_lookups == {"hits": 0, "misses": 1}
-    assert sched.policy_lookups["misses"] == 2
+    assert sched.snapshot()["coalesce"] == {"hits": 0, "misses": 1}
+    assert lookups(sched) == (0, 1, 0)
 
 
 def test_ttl_expiry(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=1.0)
     fallback = DegradeToLast()
-    sched = AmortizedSteering(degrade=fallback)
+    sched = scheduler(fallback)
     p = point()
     sched.resolve(p, now=0.0)
     assert sched.resolve_explain(p, now=0.5)[1] == "coalesced"
@@ -97,7 +100,7 @@ def test_ttl_boundary_entry_still_hits(monkeypatch):
     the double-subtraction form ``now - stored_at > ttl`` drifts under
     floating point (e.g. 0.3 - 0.2 > 0.1) and evicted live entries."""
     set_knobs(monkeypatch, COALESCE_WINDOW=0.1, MAX_POLICY_AGE=0.1)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     p = point()
     sig = scenario_signature(p)
     sched.install(sig, ((2, 1.0),), now=0.2)
@@ -112,19 +115,19 @@ def test_ttl_boundary_entry_still_hits(monkeypatch):
 
 def test_expired_entry_deleted_without_lru_bookkeeping(monkeypatch):
     set_knobs(monkeypatch, MAX_POLICY_AGE=1.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     sched.install(("old",), ((1, 1.0),), now=0.0)
     sched.install(("new",), ((2, 1.0),), now=5.0)
     assert sched.lookup(("old",), point(), now=5.0) is None
     assert list(sched.rankings) == [("new",)]  # deleted outright
-    assert sched.policy_lookups == {"hits": 0, "misses": 1, "stale": 0}
+    assert lookups(sched) == (0, 0, 0)  # expired is not stale
 
 
 def test_lru_eviction(monkeypatch):
     """Each table drops its least recently used entry past its bound; a
     live hit refreshes an entry's place."""
     set_knobs(monkeypatch, COALESCE_WINDOW=10.0, MAX_POLICY_AGE=10.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     for i in range(_RANKING_ENTRIES):
         sched.install((i,), ((1, 1.0),), now=0.0)
     assert sched.lookup((0,), point(), now=0.0) == 1  # refresh 0
@@ -145,13 +148,13 @@ def test_lru_eviction(monkeypatch):
 
 def test_invalidate(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=5.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
+    sched = scheduler(DegradeToLast())
     sched.resolve(point(), now=0.0)
     sched.install(("s",), ((1, 1.0),), now=0.0)
     sched.invalidate()
     assert len(sched.answers) == 0
     assert len(sched.rankings) == 0
-    assert sched.invalidations == {"external": 1}
+    assert sched.snapshot()["policy"]["invalidations"] == {"external": 1}
 
 
 # ----------------------------------------------------------------------
@@ -162,23 +165,24 @@ def test_stale_candidate_counts_as_miss_not_hit(monkeypatch):
     """A live ranking with none of its candidates offered did not answer;
     counting it as a hit would inflate ``hit_rate``."""
     set_knobs(monkeypatch, MAX_POLICY_AGE=5.0)
-    sched = AmortizedSteering(degrade=DegradeToLast())
-    sched.install(("s",), ((3, 1.0),), now=0.0)
-    assert sched.lookup(("s",), point((1, 2)), now=0.0) is None
-    policy = sched.snapshot()["policy"]
-    assert (policy["hits"], policy["misses"], policy["stale"]) == (0, 1, 1)
-    assert policy["hit_rate"] == 0.0
+    sched = scheduler(DegradeToLast())
+    stale = point((1, 2))
+    sched.install(scenario_signature(stale), ((3, 1.0),), now=0.0)
+    assert sched.resolve_explain(stale, now=0.0) == (2, "fallback")
+    assert lookups(sched) == (0, 1, 1)
+    assert sched.snapshot()["policy"]["hit_rate"] == 0.0
     # A genuine hit afterwards still counts as one.
-    assert sched.lookup(("s",), point((1, 3)), now=0.0) == 3
-    policy = sched.snapshot()["policy"]
-    assert (policy["hits"], policy["misses"], policy["stale"]) == (1, 1, 1)
+    offered = point((1, 3))
+    sched.install(scenario_signature(offered), ((3, 1.0),), now=0.0)
+    assert sched.resolve_explain(offered, now=0.0) == (3, "policy")
+    assert lookups(sched) == (1, 1, 1)
 
 
 def test_hit_rate():
-    sched = AmortizedSteering(degrade=DegradeToLast())
-    sched.install(("k",), ((1, 1.0),), now=0.0)
-    sched.lookup(("k",), point(), now=0.0)
-    sched.lookup(("x",), point(), now=0.0)
+    sched = scheduler(DegradeToLast())
+    sched.install(scenario_signature(point()), ((1, 1.0),), now=0.0)
+    assert sched.resolve_explain(point(), now=0.0) == (1, "policy")
+    assert sched.resolve_explain(point(label="x"), now=0.0) == (3, "fallback")
     assert sched.snapshot()["policy"]["hit_rate"] == 0.5
     assert merge_steering_snapshots([sched.snapshot()])["policy"]["hit_rate"] == 0.5
 
@@ -187,7 +191,7 @@ def test_snapshot_reports_counters(monkeypatch):
     """One answer per path, and ``resolutions`` counts each once: a
     denied or deferred resolution also ends as a fallback."""
     set_knobs(monkeypatch, COALESCE_WINDOW=0.5)
-    sched = AmortizedSteering(degrade=DegradeToLast(), score_fn=lambda p, n: None)
+    sched = scheduler(DegradeToLast(), score_fn=lambda p, n: None)
     assert sched.resolve_explain(point(), now=0.0) == (3, "fallback")  # deferred
     assert sched.resolve_explain(point(), now=0.1) == (3, "coalesced")
     sched.score_fn = scored_by({2: 1.0})
@@ -201,10 +205,12 @@ def test_snapshot_reports_counters(monkeypatch):
     assert snap["resolutions"] == 4
     assert snap["spent_states"] == 3
     assert snap["coalesce"] == {"hits": 1, "misses": 3}
-    # Lookups: miss (t=0), miss (t=1), hit after install, hit (t=2).
+    # One lookup per resolution past the answer table: miss (t=0), miss
+    # (t=1, then scored: picking from the new ranking is no lookup), hit
+    # (t=2).
     assert snap["policy"] == {
         "installs": 1, "invalidations": {},
-        "hits": 2, "misses": 2, "stale": 0, "hit_rate": 0.5,
+        "hits": 1, "misses": 2, "stale": 0, "hit_rate": 1 / 3,
     }
 
 
@@ -215,7 +221,7 @@ def test_snapshot_reports_counters(monkeypatch):
 def test_cached_resolver_avoids_recompute(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=1.0)
     score = CountingScore({3: 1.0})
-    sched = AmortizedSteering(degrade=degrade_to_first, score_fn=score)
+    sched = scheduler(degrade_to_first, score_fn=score)
     assert sched.resolve_explain(point(queue=4), now=0.0) == (3, "scored")
     assert sched.resolve_explain(point(queue=4), now=0.5) == (3, "coalesced")
     assert sched.resolve_explain(point(queue=6), now=0.5) == (3, "policy")
@@ -225,7 +231,7 @@ def test_cached_resolver_avoids_recompute(monkeypatch):
 def test_cached_resolver_distinguishes_labels(monkeypatch):
     set_knobs(monkeypatch, COALESCE_WINDOW=1.0)
     score = CountingScore({3: 1.0})
-    sched = AmortizedSteering(degrade=degrade_to_first, score_fn=score)
+    sched = scheduler(degrade_to_first, score_fn=score)
     sched.resolve(point(label="a"), now=0.0)
     assert sched.resolve_explain(point(label="b"), now=0.0)[1] == "scored"
     assert score.calls == 2
@@ -233,14 +239,14 @@ def test_cached_resolver_distinguishes_labels(monkeypatch):
 
 def test_cached_value_no_longer_candidate_recomputes():
     score = CountingScore({2: 1.0})
-    sched = AmortizedSteering(degrade=DegradeToLast(), score_fn=score)
+    sched = scheduler(DegradeToLast(), score_fn=score)
     p = point((1, 2))
     # The scenario's ranking names only 3, which is no longer offered:
     # the stale miss must score again, not answer from the ranking.
     sched.install(scenario_signature(p), ((3, 1.0),), now=0.0)
     assert sched.resolve_explain(p, now=0.0) == (2, "scored")
     assert score.calls == 1
-    assert sched.policy_lookups["stale"] == 1
+    assert lookups(sched) == (0, 1, 1)
 
 
 def test_cached_resolver_stats_delegates_to_snapshot():
@@ -248,8 +254,10 @@ def test_cached_resolver_stats_delegates_to_snapshot():
     snap = runtimes[0].amortized.snapshot()
     assert node_metrics(cluster.nodes[0])["steering"]["amortized"] == snap
     # One miss per fallback or scored answer, one hit per policy answer.
+    counters = snap["counters"]
     assert snap["coalesce"] == {"hits": 0, "misses": 6}
-    assert snap["policy"]["hits"] == snap["counters"]["policy_hits"] + 1
+    assert snap["policy"]["hits"] == counters["policy_hits"]
+    assert snap["policy"]["misses"] == counters["scored_rounds"] + counters["fallbacks"]
 
 
 def test_cached_resolver_speeds_up_predictive():

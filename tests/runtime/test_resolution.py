@@ -1,7 +1,6 @@
 """Per-choice resolution on its own: a stub node, a captured dispatch and
 a scripted scorer stand in for the runtime, so no ``Cluster`` runs."""
 
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from repro.choice import ChoicePoint, FixedResolver
 from repro.mc import TimerAction
 from repro.obs import MetricsRegistry
-from repro.runtime.resolution import PerChoiceResolver
+from repro.runtime.resolution import DEGRADE_REASONS, PerChoiceResolver
 from repro.sim import Simulator
 from repro.statemachine import ChoiceRequested
 from repro.statemachine.node import DispatchRecord
@@ -27,7 +26,6 @@ class ScriptedRuntime:
             current_dispatch=DispatchRecord(TimerAction(0, "give", None), {"wealth": 0}),
         )
         self.metrics = MetricsRegistry()
-        self.stats = Counter()
         self.scores = scores
         self.scored = []
 
@@ -47,8 +45,14 @@ def resolve(scores, runtime=None):
     point = ChoicePoint("gift-target", list(scores), node_id=0)
     value = PerChoiceResolver(runtime, FixedResolver(len(scores))).resolve(point, runtime.node)
     recorded = [r.data["score"] for r in runtime.node.sim.trace.select("runtime.choice_score")]
-    degraded = {key: count for key, count in runtime.stats.items() if count}
-    return value, runtime, recorded, degraded
+    return value, runtime, recorded, degraded(runtime)
+
+
+def degraded(runtime):
+    """The non-zero ``runtime.degraded.<reason>`` counters, by reason."""
+    counts = {reason: runtime.metrics.counter(f"runtime.degraded.{reason}", node=0).value
+              for reason in DEGRADE_REASONS}
+    return {reason: count for reason, count in counts.items() if count}
 
 
 def test_tie_goes_to_the_first_best_candidate():
@@ -63,7 +67,7 @@ def test_every_score_minus_inf_degrades_replay_exhausted():
     value, _, recorded, degraded = resolve({1: -INF, 2: -INF, 3: -INF})
     assert value == 3  # the fallback's answer
     assert recorded == [-INF] * 3
-    assert degraded == {"degraded.replay_exhausted": 1}
+    assert degraded == {"replay_exhausted": 1}
 
 
 def test_raising_scorer_degrades_prediction_error_and_keeps_earlier_records():
@@ -72,7 +76,7 @@ def test_raising_scorer_degrades_prediction_error_and_keeps_earlier_records():
     assert value == 3  # the fallback's answer, not the best score seen
     assert runtime.scored == [1, 2]  # nothing is scored after the raise
     assert recorded == [1.0]
-    assert degraded == {"degraded.prediction_error": 1}
+    assert degraded == {"prediction_error": 1}
 
 
 def test_choice_requested_propagates():
@@ -81,4 +85,4 @@ def test_choice_requested_propagates():
     runtime = ScriptedRuntime(scores)
     with pytest.raises(ChoiceRequested):
         resolve(scores, runtime)
-    assert not any(runtime.stats.values())
+    assert not any(runtime.metrics.counters().values())
