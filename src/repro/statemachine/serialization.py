@@ -37,7 +37,11 @@ one width holding only exact ``int``, freezes to one leaf ``(tag,
 shape, count, sha256hex)`` over the packed run instead of one tagged
 tuple per element (see ``_run_leaf``).  Which form a value takes
 depends on the value alone, and the two cannot collide: a spelled-out
-container is a 2-tuple whose second item is a tuple.
+container is a 2-tuple whose second item is a tuple.  Within one
+top-level :func:`freeze` call, a tuple of at least ``_RUN_MIN``
+elements met again *by identity* reuses the form built for it the
+first time (replicas share their decided batches); nothing is kept
+from one call to the next.
 
 :func:`unchanged` tells, without freezing anything, that a handler's
 hand-over holds its checkpoint's state, so the model checker can keep
@@ -70,6 +74,12 @@ _FLAT_TAGS: Dict[type, str] = {tuple: "__tuple__", list: "__list__", deque: "__d
 # call costs more than the tags it saves; a log passes it within a
 # batch or two, and no container of a tree or gossip service reaches it.
 _RUN_MIN = 32
+
+# The frozen form of every tuple of at least ``_RUN_MIN`` elements met
+# in one top-level freeze call, by ``id``, each beside the tuple itself:
+# held, the tuple cannot die and hand its ``id`` to another before the
+# call returns.  Made per call and dropped with it (see freeze).
+_Shared = Dict[int, Tuple[tuple, Hashable]]
 
 # Field names per dataclass type, filled when the first instance of the
 # class is met (``dataclasses.fields`` rebuilds its tuple per call).
@@ -212,13 +222,19 @@ def freeze(value: Any) -> Hashable:
 
     The encoding is injective per type (containers are tagged) so that
     e.g. ``[1, 2]`` and ``(1, 2)`` freeze differently.  ``value`` is
-    only read, never mutated or retained.
+    only read, never mutated or retained past the call.
     """
     freezer = _FREEZERS.get(type(value), _freeze_other)
-    return value if freezer is None else freezer(value)
+    return value if freezer is None else freezer(value, {})
 
 
-def _frozen_elements(values: Any) -> Any:
+def _freeze(value: Any, shared: _Shared) -> Hashable:
+    """:func:`freeze` inside a call, sharing that call's ``shared``."""
+    freezer = _FREEZERS.get(type(value), _freeze_other)
+    return value if freezer is None else freezer(value, shared)
+
+
+def _frozen_elements(values: Any, shared: _Shared) -> Any:
     """The frozen elements of ``values``, in iteration order."""
     kinds = set(map(type, values))
     if kinds <= _SCALARS:
@@ -230,7 +246,7 @@ def _frozen_elements(values: Any) -> Any:
         tag = _FLAT_TAGS.get(kind)
         if tag is not None and set(map(type, chain.from_iterable(values))) <= _SCALARS:
             return zip(repeat(tag), map(tuple, values))
-    return [freeze(v) for v in values]
+    return [_freeze(v, shared) for v in values]
 
 
 def _run_leaf(tag: str, values: Any, ordered: bool = True) -> Optional[Hashable]:
@@ -277,43 +293,51 @@ def _run_leaf(tag: str, values: Any, ordered: bool = True) -> Optional[Hashable]
     return (tag, shape, len(values), hashlib.sha256(packed).hexdigest())
 
 
-def _freeze_list(value: list) -> Hashable:
+def _freeze_list(value: list, shared: _Shared) -> Hashable:
     leaf = len(value) >= _RUN_MIN and _run_leaf("__list__", value)
-    return leaf or ("__list__", tuple(_frozen_elements(value)))
+    return leaf or ("__list__", tuple(_frozen_elements(value, shared)))
 
 
-def _freeze_deque(value: deque) -> Hashable:
+def _freeze_deque(value: deque, shared: _Shared) -> Hashable:
     leaf = len(value) >= _RUN_MIN and _run_leaf("__deque__", value)
-    return leaf or ("__deque__", tuple(_frozen_elements(value)))
+    return leaf or ("__deque__", tuple(_frozen_elements(value, shared)))
 
 
-def _freeze_tuple(value: tuple) -> Hashable:
-    leaf = len(value) >= _RUN_MIN and _run_leaf("__tuple__", value)
-    return leaf or ("__tuple__", tuple(_frozen_elements(value)))
+def _freeze_tuple(value: tuple, shared: _Shared) -> Hashable:
+    if len(value) < _RUN_MIN:
+        return ("__tuple__", tuple(_frozen_elements(value, shared)))
+    # Replicas hold the same decided batches: a long tuple met again in
+    # this call is frozen once.
+    held = shared.get(id(value))
+    if held is None:
+        frozen = _run_leaf("__tuple__", value) or (
+            "__tuple__", tuple(_frozen_elements(value, shared)))
+        held = shared[id(value)] = (value, frozen)
+    return held[1]
 
 
-def _freeze_set(value: Any) -> Hashable:
+def _freeze_set(value: Any, shared: _Shared) -> Hashable:
     leaf = len(value) >= _RUN_MIN and _run_leaf("__set__", value, ordered=False)
-    return leaf or ("__set__", tuple(sorted(_frozen_elements(value), key=repr)))
+    return leaf or ("__set__", tuple(sorted(_frozen_elements(value, shared), key=repr)))
 
 
 def _key_repr(item: tuple) -> str:
     return repr(item[0])
 
 
-def _freeze_dict(value: dict) -> Hashable:
+def _freeze_dict(value: dict, shared: _Shared) -> Hashable:
     leaf = len(value) >= _RUN_MIN and _run_leaf("__dict__", value, ordered=False)
     if leaf:
         # Keys that are a run are hashed; the held values follow as one
         # tuple in the keys' natural order.
-        return (*leaf, freeze(tuple(map(value.__getitem__, sorted(value)))))
-    items = zip(_frozen_elements(value), _frozen_elements(value.values()))
+        return (*leaf, _freeze(tuple(map(value.__getitem__, sorted(value))), shared))
+    items = zip(_frozen_elements(value, shared), _frozen_elements(value.values(), shared))
     return ("__dict__", tuple(sorted(items, key=_key_repr)))
 
 
 # In the order a subclass instance is tested against them; the frozen
 # form carries a tag, not the type, so the same walkers serve both.
-_CONTAINER_FREEZERS: Dict[type, Callable[[Any], Hashable]] = {
+_CONTAINER_FREEZERS: Dict[type, Callable[[Any, _Shared], Hashable]] = {
     dict: _freeze_dict,
     list: _freeze_list,
     deque: _freeze_deque,
@@ -323,7 +347,7 @@ _CONTAINER_FREEZERS: Dict[type, Callable[[Any], Hashable]] = {
 }
 
 
-def _freeze_other(value: Any) -> Hashable:
+def _freeze_other(value: Any, shared: _Shared) -> Hashable:
     """Counterpart of :func:`_snapshot_other` for :func:`freeze`."""
     names = _DATACLASS_FIELDS.get(type(value))
     if names is None:
@@ -331,15 +355,15 @@ def _freeze_other(value: Any) -> Hashable:
             return value
         for base, freezer in _CONTAINER_FREEZERS.items():
             if isinstance(value, base):
-                return freezer(value)
+                return freezer(value, shared)
         names = _field_names(value)
         if names is None:
             raise _not_plain(value)
-    fields = tuple([(name, freeze(getattr(value, name))) for name in names])
+    fields = tuple([(name, _freeze(getattr(value, name), shared)) for name in names])
     return ("__dc__", type(value).__name__, fields)
 
 
-_FREEZERS: Dict[type, Optional[Callable[[Any], Hashable]]] = {
+_FREEZERS: Dict[type, Optional[Callable[[Any, _Shared], Hashable]]] = {
     **dict.fromkeys(_SCALAR_TYPES), **_CONTAINER_FREEZERS,
 }
 

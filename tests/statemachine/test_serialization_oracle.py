@@ -646,24 +646,27 @@ def test_a_long_log_freezes_small_and_digests_in_bounded_memory():
 
 
 def test_freezing_a_replica_costs_a_call_per_container_not_per_command(monkeypatch):
-    calls = {"freeze": 0, "_frozen_elements": 0}
+    calls = {"freeze": 0, "_freeze": 0, "_frozen_elements": 0}
 
     def counted(name):
         original = getattr(serialization, name)
 
-        def wrapper(value):
+        def wrapper(*args):
             calls[name] += 1
-            return original(value)
+            return original(*args)
         monkeypatch.setattr(serialization, name, wrapper)
 
     counted("freeze")
+    counted("_freeze")
     counted("_frozen_elements")
     state = {
         "executed": [(i % 5, i) for i in range(80_000)],
         "chosen": {i: tuple((i % 5, 128 * i + j) for j in range(128)) for i in range(625)},
     }
     frozen = serialization.freeze(state)
-    # The state, its two fields, the tuple of held batches, each batch.
-    assert calls["freeze"] == 1 + 2 + 1 + 625
+    # The state; inside the call its two fields, the tuple of held
+    # batches, each batch.
+    assert calls["freeze"] == 1
+    assert calls["_freeze"] == 2 + 1 + 625
     assert calls["_frozen_elements"] <= 4
     assert len(repr(frozen)) < 100 * 625
