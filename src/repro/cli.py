@@ -13,7 +13,6 @@ Usage::
     python -m repro.cli trace a7 --explain --format markdown \\
         --json TRACE_EXPLAIN.json --markdown TRACE_EXPLAIN.md
     python -m repro.cli bench p1 --quick
-    python -m repro.cli bench p2 --quick    # ack-anchored delta checkpoints
     python -m repro.cli bench s1 --quick
     python -m repro.cli report e2 --variant choice-crystalball --seed 1 \\
         --json RUN_REPORT.json --markdown RUN_REPORT.md

@@ -171,7 +171,6 @@ def run_tree_experiment(
     chain_depth: int = 6,
     budget: int = 250,
     checkpoint_period: float = 0.5,
-    runtime_kwargs: Optional[dict] = None,
 ) -> TreeExperimentResult:
     """Run one full join / fail-subtree / rejoin scenario.
 
@@ -185,7 +184,7 @@ def run_tree_experiment(
     cluster = build_tree_cluster(
         variant, n, seed, cfg,
         runtime_kwargs=dict(checkpoint_period=checkpoint_period, chain_depth=chain_depth,
-                            budget=budget, **(runtime_kwargs or {})),
+                            budget=budget),
     )
     result = TreeExperimentResult(variant=variant, seed=seed, n=n)
 

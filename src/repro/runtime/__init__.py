@@ -5,7 +5,7 @@ prediction, execution steering via event filters, and predictive
 resolution of exposed choices.
 """
 
-from .checkpoints import CheckpointDeltaMsg, CheckpointMsg
+from .checkpoints import CheckpointMsg
 from .controller import CrystalBallRuntime, install_crystalball
 from .policy import (
     AmortizedSteering,
@@ -21,7 +21,6 @@ __all__ = [
     "identity_key",
     "merge_steering_snapshots",
     "scenario_signature",
-    "CheckpointDeltaMsg",
     "CheckpointMsg",
     "CrystalBallRuntime",
     "DEGRADE_REASONS",

@@ -40,9 +40,7 @@ _MAX_REPLAY_FILLS = 32
 # runtime, the checkpoint exchange, the steering module or the resolver.
 _STATS_KEYS = (
     "checkpoints_sent", "checkpoints_received", "predictions", "states_explored",
-    "filters_installed", "steered_messages", "choices_resolved", "change_broadcasts",
-    "delta_checkpoints_sent", "full_checkpoints_sent", "checkpoint_bytes_sent",
-    "checkpoint_acks_sent", "resync_fulls_sent", "deltas_ignored",
+    "filters_installed", "steered_messages", "choices_resolved", "checkpoint_bytes_sent",
     *(f"degraded.{reason}" for reason in DEGRADE_REASONS),
 )
 
@@ -72,8 +70,6 @@ class CrystalBallRuntime(InboundInterposer):
         budget: int = 1_500,
         passive_measurement: bool = True,
         prediction_scope: str = "global",
-        broadcast_on_change: bool = False,
-        checkpoint_deltas: bool = False,
         fallback: Any = FirstResolver(),
         steering_policy: bool = False,
     ) -> None:
@@ -113,15 +109,12 @@ class CrystalBallRuntime(InboundInterposer):
         self._predictions = self._counter("predictions")
         self._choices_resolved = self._counter("choices_resolved")
         # Checkpoint exchange (Figure 1's first box): every runtime
-        # message goes there.  Checkpoint-on-change stands for Figure
-        # 1's checkpoints accompanying outbound messages.
+        # message goes there.
         self.exchange = CheckpointExchange(
             node, self.state_model, self.network_model, self.metrics,
             trigger=self.broadcast_checkpoint,
             checkpoint_period=checkpoint_period,
             passive_measurement=passive_measurement,
-            deltas=checkpoint_deltas,
-            on_change=broadcast_on_change,
         )
 
         # Exposed choices: one resolver, per choice or amortized, each
@@ -184,9 +177,6 @@ class CrystalBallRuntime(InboundInterposer):
         )
         node.network.break_connection(node.node_id, src)
         return False
-
-    def after_dispatch(self, node: Node) -> None:
-        self.exchange.after_dispatch()
 
     def broadcast_checkpoint(self) -> None:
         """Take a checkpoint and send it to every neighbor (the entry

@@ -175,13 +175,14 @@ class AmortizedResolver(_Resolver):
         # matching the per-choice path's strict-improvement rule.
         scored.sort(key=lambda pair: pair[1], reverse=True)
         # Charge a round its predicted states PLUS the checkpoint
-        # weight per replayed candidate.  The weight stands for copying
-        # the captured state, which replay no longer does in full (a
-        # step copies only the fields its handler touches); it is kept
-        # on purpose until ROADMAP item 13(b) replaces it, so no
-        # admission decision moves.  It makes the rate budget
-        # concentrate scoring early, when state is small, and throttle
-        # it as a decided log grows.
+        # weight per replayed candidate.  The weight is the term that
+        # tracks what a round costs: replay and scoring grow with the
+        # state, not with the states explored.  Charged explored states
+        # alone (measured on a 2-core host, ROADMAP item 18), the Paxos
+        # amortized workload ran past 600 s against 7.7 s, and a scored
+        # round went from ~5 to ~15 ms.  The weight makes the rate
+        # budget concentrate scoring early, when state is small, and
+        # throttle it as a decided log grows.
         cost = runtime.states_explored.value - before + self._policy_cost(point, node)
         node.sim.trace.record(
             node.sim.now, "runtime.policy_distilled", node=node.node_id,
@@ -192,8 +193,8 @@ class AmortizedResolver(_Resolver):
     def _policy_cost(self, point: ChoicePoint, node: Any) -> Optional[int]:
         """Projected cost of scoring ``point`` now, for budget admission.
 
-        The weight term (``_state_weight``, the size proxy kept until
-        ROADMAP item 13(b)) dominates a round's bill once the service's
+        The weight term (``_state_weight``, the size proxy: see
+        ``_policy_score``) dominates a round's bill once the service's
         state has grown, and it is knowable *before* capturing or
         replaying anything: with no dispatch captured yet, the service's
         ``live_state()`` gives the same proxy without a copy.  Denying

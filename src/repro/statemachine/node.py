@@ -29,16 +29,10 @@ class InboundInterposer:
 
     ``on_inbound`` returns ``False`` to suppress delivery to the
     service (used by execution steering's event filters).
-    ``after_dispatch`` fires after every completed dispatch (message or
-    timer), letting a runtime react to local state changes — e.g.
-    broadcasting a fresh checkpoint the moment the state moved.
     """
 
     def on_inbound(self, node: "Node", src: int, msg: Any) -> bool:
         return True
-
-    def after_dispatch(self, node: "Node") -> None:
-        return None
 
 
 @dataclass
@@ -230,12 +224,6 @@ class Node:
             self.service.deliver(src, payload)
         finally:
             self.current_dispatch = None
-        if self.inbound_interposers:
-            self._after_dispatch()
-
-    def _after_dispatch(self) -> None:
-        for interposer in self.inbound_interposers:
-            interposer.after_dispatch(self)
 
     def _on_broken(self, peer: int) -> None:
         if self.is_up:
@@ -308,8 +296,6 @@ class Node:
             self.service.fire_timer(name, payload)
         finally:
             self.current_dispatch = None
-        if self.inbound_interposers:
-            self._after_dispatch()
 
     def pending_timers(self) -> List[tuple]:
         """Live timers as ``(name, deadline, payload)`` (for snapshots)."""

@@ -1,7 +1,7 @@
 """Runtime wire messages: classification and sizes."""
 
-from repro.runtime import CheckpointDeltaMsg, CheckpointMsg
-from repro.runtime.checkpoints import RUNTIME_MESSAGE_TYPES, CheckpointAckMsg
+from repro.runtime import CheckpointMsg
+from repro.runtime.checkpoints import RUNTIME_MESSAGE_TYPES
 from repro.statemachine import Message
 from dataclasses import dataclass
 
@@ -12,12 +12,9 @@ class AppMsg(Message):
 
 
 def test_runtime_messages_classified():
-    for msg in (
-        CheckpointMsg(sender=0, epoch=1, taken_at=0.0, sent_at=0.0, state={}),
-        CheckpointDeltaMsg(sender=0, epoch=2, base_epoch=1, taken_at=0.0, sent_at=0.0),
-        CheckpointAckMsg(sender=0, epoch=1),
-    ):
-        assert isinstance(msg, RUNTIME_MESSAGE_TYPES)
+    assert RUNTIME_MESSAGE_TYPES == (CheckpointMsg,)
+    msg = CheckpointMsg(sender=0, epoch=1, taken_at=0.0, sent_at=0.0, state={})
+    assert isinstance(msg, RUNTIME_MESSAGE_TYPES)
 
 
 def test_app_messages_not_runtime():
