@@ -257,7 +257,7 @@ class Explorer:
                 if timer_filter is not None and timer.key() not in timer_filter:
                     continue
                 if world.is_up(timer.node) and timer.node in world.node_states:
-                    actions.append(TimerAction(node=timer.node, name=timer.name, payload=timer.payload))
+                    actions.append(timer.action())
         if self.include_drops and (msg_filter is None or msg_filter):
             seen_messages.clear()
             for message in world.inflight:
@@ -316,11 +316,15 @@ class Explorer:
         A step that hands back ``state`` itself (it changed nothing, see
         :meth:`sandbox_step`) keeps the parent's digest cell: the
         successor's digest is the parent's adjusted by its events only.
+        In the search, a timer step that also re-arms only the timer it
+        fired, unchanged, is the identity on the world (see
+        :func:`_self_loop`): its successor is ``world`` itself, already
+        visited, and nothing is built.
         """
         # What the step takes out of the world besides its handler's own
         # effects (the message, or the fired timer), and the time it takes.
         if isinstance(action, DeliverAction):
-            node_id, fired = action.dst, ()
+            node_id, fired, timer = action.dst, (), None
             removed = InFlightMessage(action.src, action.dst, action.msg)
             delay = self._delivery_delay(action.src, action.dst, action.msg)
         elif isinstance(action, TimerAction):
@@ -346,6 +350,11 @@ class Explorer:
                      for checkpoint, effects in variants]
             if key is not None and not time_read:
                 memo[key] = (state, steps)
+        node = None if time_read else node_id
+        # Successors() callers read the successor's time and depth, so
+        # only the search, which reads its digest, may get ``world`` back.
+        if memo is not None and timer is not None and _self_loop(world, state, timer, steps):
+            return [world], node
         successors = []
         for checkpoint, cell, sent, cancelled, armed in steps:
             successor = world.evolve(
@@ -360,7 +369,7 @@ class Explorer:
             if checkpoint is not state:
                 successor._cells[node_id] = cell
             successors.append(successor)
-        return successors, None if time_read else node_id
+        return successors, node
 
     def _invoke_variants(
         self,
@@ -553,6 +562,25 @@ def _first_timers(world: WorldState) -> Dict[Tuple[int, str], PendingTimer]:
     world, not one per timer action."""
     return world.memo(
         "_first_timers", lambda w: {(t.node, t.name): t for t in reversed(w.timers)})
+
+
+def _self_loop(world: WorldState, state: Dict[str, Any], timer: PendingTimer,
+               steps: List[Tuple]) -> bool:
+    """Whether firing ``timer`` at ``state`` leads back to ``world``
+    (``steps`` as :meth:`Explorer._expand` builds them): one variant
+    that hands back ``state`` itself, sends and cancels nothing and arms
+    one timer of the fired timer's ``key()``, in a world that holds one
+    pending timer per ``(node, name)``, as arming on a live node
+    supersedes.  The evolve would then take out the fired timer alone
+    and put in one of equal key, hence equal digest part, and keep the
+    node's state dict: the same world but for time and depth, which the
+    digest leaves out."""
+    if len(steps) != 1:
+        return False
+    checkpoint, _, sent, cancelled, armed = steps[0]
+    return (checkpoint is state and not sent and not cancelled and len(armed) == 1
+            and armed[0].key() == timer.key()
+            and len(_first_timers(world)) == len(world.timers))
 
 
 def created_event_keys(before: WorldState, after: WorldState) -> set:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from ..statemachine.events import TimerAction
 from ..statemachine.serialization import digest_of_frozen, freeze, snapshot_value
 
 
@@ -87,6 +88,15 @@ class PendingTimer(_Event):
 
     def _identity(self) -> Tuple:
         return (self.node, self.name, freeze(self.payload))
+
+    def action(self) -> TimerAction:
+        """The firing of this timer, built once per timer object, so
+        the worlds that share the timer share its action and its key."""
+        action = getattr(self, "_action", None)
+        if action is None:
+            action = TimerAction(node=self.node, name=self.name, payload=self.payload)
+            object.__setattr__(self, "_action", action)
+        return action
 
 
 class WorldState:

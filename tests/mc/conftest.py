@@ -49,3 +49,51 @@ class TokenService(Service):
 @pytest.fixture
 def token_factory():
     return lambda node_id: TokenService(node_id, n=3)
+
+
+@dataclass
+class Ping(Message):
+    """A hop count passed along a chain of nodes."""
+
+    hops: int
+
+
+class LoopService(Service):
+    """A ``tick`` timer that re-arms itself, with ``mode`` saying what
+    else its handler does: ``loop`` nothing, ``payload`` re-arm with the
+    next payload, ``cancel`` cancel the ``other`` timer, ``send`` send a
+    ping to the next node, ``count`` count the tick in the state.  An
+    ``other`` timer is counted as a tick and not re-armed, so cancelling
+    it leads elsewhere than firing it.  A ping is counted and forwarded
+    up the chain while it has hops left."""
+
+    state_fields = ("ticks", "pings")
+
+    def __init__(self, node_id: int, n: int = 3, mode: str = "loop") -> None:
+        super().__init__(node_id)
+        self.n = n
+        self.mode = mode
+        self.ticks = 0
+        self.pings = 0
+
+    @timer_handler("tick")
+    def on_tick(self, payload) -> None:
+        if self.mode == "payload":
+            payload = (payload or 0) + 1
+        elif self.mode == "cancel":
+            self.cancel_timer("other")
+        elif self.mode == "send":
+            self.send((self.node_id + 1) % self.n, Ping(hops=0))
+        elif self.mode == "count":
+            self.ticks += 1
+        self.set_timer("tick", 1.0, payload)
+
+    @timer_handler("other")
+    def on_other(self, payload) -> None:
+        self.ticks += 1
+
+    @msg_handler(Ping)
+    def on_ping(self, src: int, msg: Ping) -> None:
+        self.pings += 1
+        if msg.hops > 0:
+            self.send((self.node_id + 1) % self.n, Ping(hops=msg.hops - 1))

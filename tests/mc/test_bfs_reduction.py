@@ -8,6 +8,7 @@ same states in the same order, report the same violations with the
 same paths and bounds, and take no more transitions.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,12 +16,12 @@ from repro.apps.paxos import AGREEMENT, PaxosConfig, make_paxos_factory
 from repro.apps.randtree import (Join, RandTreeConfig, make_exposed_factory,
                                  randtree_properties)
 from repro.choice.resolvers import RandomResolver
-from repro.mc import (Explorer, InFlightMessage, SafetyProperty, WorldState,
-                      all_nodes, world_from_services)
+from repro.mc import (Explorer, InFlightMessage, PendingTimer, SafetyProperty,
+                      TimerAction, WorldState, all_nodes, world_from_services)
 from repro.statemachine import Cluster
 
 from ..apps.test_paxos_model_checking import make_contention_world
-from .conftest import Token, TokenService
+from .conftest import LoopService, Ping, Token, TokenService
 from .legacy_bfs import legacy_bfs
 
 
@@ -142,3 +143,66 @@ def test_complete_search_that_never_reaches_the_bound():
     root = WorldState(node_states=states, inflight=[InFlightMessage(0, 1, Token(value=1))])
     _, new = assert_same_search(lambda: Explorer(factory), root, 8, 10_000)
     assert (new.states_explored, new.max_depth, new.truncated) == (63, 7, False)
+
+
+# A timer step that keeps its node's state dict, sends and cancels
+# nothing and re-arms only the timer it fired, under the same key, is
+# the identity on the world: the search counts it and builds nothing.
+# Every other case breaks one of those conditions and must be built.
+# Each entry: node 0's mode, node 0's extra pending timers, whether the
+# step is a self-loop.
+SELF_LOOP_CASES = {
+    "same-key re-arm": ("loop", (), True),
+    "re-arm with another payload": ("payload", (), False),
+    "re-arm and cancel another pending timer": ("cancel", ("other",), False),
+    "re-arm and send": ("send", (), False),
+    "re-arm from a changed state": ("count", (), False),
+    "two pending timers of one (node, name)": ("loop", ("tick",), False),
+}
+
+
+def loop_world(case, n, inflight=()):
+    """``n`` :class:`LoopService` nodes, each with a pending ``tick``,
+    node 0 set up as ``case`` says, and its factory."""
+    mode, extra, _ = SELF_LOOP_CASES[case]
+    factory = lambda nid: LoopService(nid, n=n, mode=mode if nid == 0 else "loop")
+    timers = [PendingTimer(nid, "tick", None, 1.0) for nid in range(n)]
+    timers += [PendingTimer(0, name, None, 1.0) for name in extra]
+    states = {nid: factory(nid).checkpoint() for nid in range(n)}
+    return WorldState(node_states=states, inflight=inflight, timers=timers), factory
+
+
+@pytest.mark.parametrize("case", SELF_LOOP_CASES)
+def test_search_past_self_loops_is_the_unreduced_one(case):
+    root, factory = loop_world(case, 3, [InFlightMessage(1, 2, Ping(hops=2))])
+    assert_same_search(lambda: Explorer(factory), root, 4, 2000)
+
+
+@pytest.mark.parametrize("case", SELF_LOOP_CASES)
+def test_self_loop_is_counted_not_built(case, monkeypatch):
+    root, factory = loop_world(case, 1)
+    old, _ = assert_same_search(lambda: Explorer(factory), root, 1, 100)
+    evolved = []
+    evolve = WorldState.evolve
+
+    def counting(world, *args, **kwargs):
+        evolved.append(world)
+        return evolve(world, *args, **kwargs)
+
+    monkeypatch.setattr(WorldState, "evolve", counting)
+    result = Explorer(factory).bfs(root.clone(), max_depth=1)
+    assert result.transitions == old.transitions
+    if SELF_LOOP_CASES[case][2]:
+        assert (result.transitions, result.states_explored, evolved) == (1, 1, [])
+    else:
+        assert len(evolved) == result.transitions
+
+
+def test_successors_of_a_self_loop_build_the_later_world():
+    # Consequence prediction reads a successor's time and depth, so
+    # ``successors`` builds the world a self-loop leads to.
+    root, factory = loop_world("same-key re-arm", 1)
+    (successor,) = Explorer(factory).successors(root, TimerAction(0, "tick"))
+    assert successor is not root
+    assert (successor.time, successor.depth) == (root.time + 1.0, root.depth + 1)
+    assert successor.digest() == root.digest()

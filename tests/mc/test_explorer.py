@@ -57,6 +57,18 @@ def test_timer_actions_enabled(token_factory):
     assert actions == [TimerAction(node=2, name="kick", payload=None)]
 
 
+def test_worlds_sharing_a_timer_share_its_action(token_factory):
+    world = world_with(token_factory, timers=[PendingTimer(0, "kick", None, 1.0),
+                                              PendingTimer(2, "kick", (1, [2]), 1.0)])
+    explorer = Explorer(token_factory)
+    first, kept = explorer.enabled_actions(world)
+    for successor in explorer.successors(world, first):
+        (timer,) = [a for a in explorer.enabled_actions(successor)
+                    if isinstance(a, TimerAction)]
+        assert timer is kept
+    assert kept.key() == TimerAction(2, "kick", (1, [2])).key()
+
+
 def test_drops_included_when_enabled(token_factory):
     world = world_with(token_factory, inflight=[InFlightMessage(0, 1, Token(value=1))])
     explorer = Explorer(token_factory, include_drops=True)

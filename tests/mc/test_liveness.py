@@ -5,10 +5,11 @@ from repro.mc import (
     Explorer,
     InFlightMessage,
     LivenessProperty,
+    PendingTimer,
     WorldState,
 )
 
-from .conftest import Token, TokenService
+from .conftest import LoopService, Ping, Token, TokenService
 
 
 def world_with(factory, inflight=(), n=3):
@@ -96,3 +97,22 @@ def test_check_all_runs_each_property(token_factory):
         LivenessProperty("node2", node2_received),
     ])
     assert [r.property_name for r in results] == ["delivered", "node2"]
+
+
+def test_progress_past_self_looping_timers_is_witnessed_as_unreduced():
+    # Nodes 1 and 2 tick without changing anything, node 0 counts its
+    # ticks, and the ping comes back to node 0 three hops in.  The
+    # search counts the self-loops without building them; the witness
+    # and the states explored before it are the unreduced search's.
+    factory = lambda nid: LoopService(nid, n=3, mode="count" if nid == 0 else "loop")
+    states = {nid: factory(nid).checkpoint() for nid in range(3)}
+    world = WorldState(node_states=states, inflight=[InFlightMessage(0, 1, Ping(hops=2))],
+                       timers=[PendingTimer(nid, "tick", None, 1.0) for nid in range(3)])
+    checker = BoundedLivenessChecker(Explorer(factory), max_depth=4)
+    result = checker.check(world, LivenessProperty(
+        "back-at-0", lambda w: w.state_of(0)["pings"] > 0))
+    assert result.reachable and not result.truncated
+    assert [a.describe() for a in result.witness_path] == [
+        "deliver Ping 0->1 via on_ping", "deliver Ping 1->2 via on_ping",
+        "deliver Ping 2->0 via on_ping"]
+    assert result.states_explored == 7
