@@ -42,7 +42,6 @@ KNOWN_BENCH_IDS: Dict[str, str] = {
     "A5": "steady churn",
     "A6": "cluster-size scaling",
     "A7": "safety under chaos",
-    "O1": "observability overhead",
     "O2": "causal tracing overhead",
     "O3": "streaming telemetry overhead (sampler + RunStream)",
     "P1": "prediction hot path (pinned report, incremental digests)",

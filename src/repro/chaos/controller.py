@@ -38,14 +38,13 @@ class ChaosController:
         cluster,
         plan: Optional[FaultPlan] = None,
         checkpoint_period: float = 0.0,
-        link_chaos: Optional[LinkChaos] = None,
     ) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
         self.network = cluster.network
         self.plan = plan if plan is not None else FaultPlan()
         self.checkpoint_period = checkpoint_period
-        self.link_chaos = link_chaos if link_chaos is not None else LinkChaos(self.sim)
+        self.link_chaos = LinkChaos(self.sim)
         self.network.add_fault_interposer(self.link_chaos)
         self._saved_checkpoints: Dict[int, Any] = {}
         self._armed = False

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import NULL_SPAN, MetricsRegistry, Span
+from ..obs import MetricsRegistry
 
 
 class ChaosError(ValueError):
@@ -145,7 +145,7 @@ class LinkChaos:
     every message *toward* them.
     """
 
-    def __init__(self, sim, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
         self.default_profile: LinkFaultProfile = NULL_PROFILE
         self._profiles: Dict[Tuple[int, int], LinkFaultProfile] = {}
@@ -158,10 +158,7 @@ class LinkChaos:
         self._duplicate_rng = stream("chaos.duplicate")
         self._reorder_rng = stream("chaos.reorder")
         self._corrupt_rng = stream("chaos.corrupt")
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # The one re-enterable "chaos.apply" span, held from the first
-        # interposition that finds the registry enabled.
-        self._span: Optional[Span] = None
+        self.metrics = MetricsRegistry()
         self._counts = {
             key: self.metrics.counter(f"chaos.{key}")
             for key in ("dropped", "duplicated", "reordered", "corrupted", "flap_dropped")
@@ -219,16 +216,6 @@ class LinkChaos:
 
     def apply(self, src: int, dst: int, payload: Any, now: float) -> Optional[FaultDecision]:
         """Decide the fate of one send; ``None`` means untouched."""
-        span = self._span if self.metrics.enabled else NULL_SPAN
-        if span is None:
-            span = self._span = self.metrics.span("chaos.apply", clock=self._sim_clock)
-        with span:
-            return self._apply(src, dst, payload, now)
-
-    def _sim_clock(self) -> float:
-        return self.sim.now
-
-    def _apply(self, src: int, dst: int, payload: Any, now: float) -> Optional[FaultDecision]:
         for flap in self._flaps:
             if _pair(src, dst) == _pair(flap.a, flap.b) and flap.is_down(now):
                 self._counts["flap_dropped"].inc()

@@ -91,14 +91,13 @@ class ReliableLayer:
         self,
         network,
         config: Optional[ReliabilityConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._network = network
         self.config = config if config is not None else ReliabilityConfig()
         self._next_seq: Dict[int, int] = {}
         self._pending: Dict[Tuple[int, int, int], _Pending] = {}
         self._seen: Dict[int, Set[Tuple[int, int]]] = {}
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._counts = {
             key: self.metrics.counter(f"reliable.{key}")
             for key in ("sent", "acked", "retransmissions", "duplicates_suppressed", "gave_up")

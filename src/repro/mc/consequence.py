@@ -14,11 +14,9 @@ predictive choice resolution consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..choice.objectives import Objective, SAFETY_PENALTY
-from ..obs import MetricsRegistry
 from ..statemachine.serialization import digest_of_frozen
 from .actions import Action
 from .explorer import (
@@ -150,22 +148,15 @@ class ConsequencePredictor:
         explorer: Explorer,
         chain_depth: int = 4,
         budget: int = 2_000,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if chain_depth < 1:
             raise ValueError(f"chain_depth must be >= 1, got {chain_depth}")
         self.explorer = explorer
         self.chain_depth = chain_depth
         self.budget = budget
-        # None means fully uninstrumented (not even counters) — the
-        # predictor is the hot path, so the baseline stays untouched.
-        self.metrics = metrics
 
     def predict(self, world: WorldState) -> PredictionReport:
         """Explore the causal chains of every enabled action."""
-        metrics = self.metrics
-        timed = metrics is not None and metrics.enabled
-        started = perf_counter() if timed else 0.0
         # Evaluate the root once up front: its cached verdicts let every
         # first-level successor check properties incrementally instead
         # of full-scanning (the verdict itself is not part of the
@@ -181,21 +172,6 @@ class ConsequencePredictor:
             outcome = self._explore_chain(world, action, remaining)
             report.outcomes.append(outcome)
             report.total_states += outcome.states
-        if metrics is not None:
-            metrics.counter("mc.predictions").inc()
-            predicted = sum(len(o.violations) for o in report.outcomes)
-            if predicted:
-                metrics.counter("mc.near_violations").inc(predicted)
-                min_depth = report.min_violation_depth()
-                if min_depth is not None:
-                    metrics.gauge("mc.min_violation_depth").set(min_depth)
-            metrics.gauge("mc.pool.hit_rate").set(self.explorer.pool.hit_rate)
-        if timed:
-            elapsed = perf_counter() - started
-            metrics.histogram("mc.predict.seconds").observe(elapsed)
-            metrics.histogram("mc.predict.states").observe(report.total_states)
-            if elapsed > 0.0:
-                metrics.gauge("mc.states_per_sec").set(report.total_states / elapsed)
         return report
 
     def _explore_chain(

@@ -75,7 +75,6 @@ class Network:
         sim: Simulator,
         topology,
         liveness: Optional[LivenessRegistry] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -110,10 +109,9 @@ class Network:
         # CrystalBall runtimes subscribe to flush their policy rankings —
         # connectivity is an input every cached ranking implicitly read.
         self.topology_listeners: List[Any] = []
-        # Traffic counters live in the metrics registry (a private one
-        # unless a shared registry is passed in); the historical
-        # ``messages_sent``/... attributes remain as read-only properties.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # Traffic counters live in the network's own metrics registry;
+        # ``messages_sent``/... read them as properties.
+        self.metrics = MetricsRegistry()
         self._messages_sent = self.metrics.counter("net.messages_sent")
         self._messages_delivered = self.metrics.counter("net.messages_delivered")
         self._messages_dropped = self.metrics.counter("net.messages_dropped")

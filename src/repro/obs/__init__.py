@@ -2,12 +2,10 @@
 
 ``repro.obs`` owns the telemetry the rest of the system records into:
 
-* :class:`MetricsRegistry` — counters, gauges, and histograms with
-  label sets; counters/gauges always record, timed instruments are
-  gated by ``enabled`` (see :mod:`repro.obs.registry` for the cost
-  model);
-* :class:`~repro.obs.spans.Span` — host-clock timing of runtime
-  operations correlated with simulated time;
+* :class:`MetricsRegistry` — counters with label sets, each written
+  through a handle its owner holds;
+* :class:`~repro.obs.spans.Span` — host-clock timing of the runtime's
+  coarse operations;
 * :class:`RunReport` / :func:`collect_cluster_metrics` — the uniform
   per-node run report every experiment emits and
   ``python -m repro.cli report`` renders;
@@ -23,8 +21,8 @@
   :class:`~repro.obs.stream.RunStream` JSONL file exposes an in-flight
   run to concurrent tails (``python -m repro.cli tail`` / ``top``).
 
-Components default to private registries, so unit tests and
-determinism comparisons stay isolated.
+Each component owns a private registry, so unit tests and determinism
+comparisons stay isolated.
 """
 
 from .causal import (
@@ -43,13 +41,11 @@ from .forensics import (
 )
 from .registry import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     render_key,
 )
 from .report import RunReport, collect_cluster_metrics, node_metrics, run_report
-from .spans import NULL_SPAN, Span, SpanStats
+from .spans import Span, SpanStats
 from .stream import (
     RECORD_TYPES,
     STREAM_VERSION,
@@ -67,12 +63,9 @@ from .timeseries import Series, TelemetrySampler
 __all__ = [
     "MetricsRegistry",
     "Counter",
-    "Gauge",
-    "Histogram",
     "render_key",
     "Span",
     "SpanStats",
-    "NULL_SPAN",
     "RunReport",
     "collect_cluster_metrics",
     "node_metrics",

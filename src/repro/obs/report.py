@@ -63,10 +63,6 @@ def node_metrics(node) -> Dict[str, Any]:
     snapshot = runtime.metrics.snapshot()
     if snapshot["spans"]:
         section["spans"] = snapshot["spans"]
-    if snapshot["gauges"]:
-        section["gauges"] = snapshot["gauges"]
-    if snapshot["histograms"]:
-        section["histograms"] = snapshot["histograms"]
     summary = getattr(runtime, "last_prediction_summary", None)
     if summary is not None:
         section["prediction"] = dict(summary)

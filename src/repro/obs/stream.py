@@ -33,6 +33,7 @@ attached or not (``benchmarks/bench_o3_stream.py`` proves it).
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -200,11 +201,14 @@ def follow_stream(
     """Yield records as the writer appends them (``tail -f`` semantics).
 
     Terminates when a record whose type is in ``stop_types`` is seen
-    (the summary marks the run finished) or when ``timeout`` host
-    seconds elapse without the stream ending.  The file may not exist
-    yet when following starts; the reader waits for it.
+    (the summary marks the run finished) or after ``timeout`` seconds
+    of polling (counted in ``poll`` sleeps) without the stream ending.
+    The file may not exist yet when following starts; the reader waits
+    for it.
     """
-    deadline = None if timeout is None else time.monotonic() + timeout
+    if poll <= 0:
+        raise ValueError(f"poll must be positive, got {poll!r}")
+    sleeps_left = None if timeout is None else math.ceil(timeout / poll)
     position = 0
     buffer = ""
     while True:
@@ -222,8 +226,10 @@ def follow_stream(
                 yield record
                 if record["type"] in stop_types:
                     return
-        if deadline is not None and time.monotonic() >= deadline:
-            return
+        if sleeps_left is not None:
+            if sleeps_left <= 0:
+                return
+            sleeps_left -= 1
         time.sleep(poll)
 
 

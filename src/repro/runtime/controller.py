@@ -181,14 +181,8 @@ class CrystalBallRuntime(InboundInterposer):
     def broadcast_checkpoint(self) -> None:
         """Take a checkpoint and send it to every neighbor (the entry
         point of every broadcast: see :class:`CheckpointExchange`)."""
-        with self.metrics.span(
-            "runtime.checkpoint_broadcast", clock=self._sim_clock,
-            node=self.node.node_id,
-        ):
+        with self.metrics.span("runtime.checkpoint_broadcast", node=self.node.node_id):
             self.exchange.broadcast()
-
-    def _sim_clock(self) -> float:
-        return self.node.sim.now
 
     # ------------------------------------------------------------------
     # Prediction engine: snapshot world, consequence prediction, replay
@@ -258,11 +252,8 @@ class CrystalBallRuntime(InboundInterposer):
         """
         predictor = ConsequencePredictor(
             self.make_explorer(), chain_depth=self.chain_depth, budget=self.budget,
-            metrics=self.metrics,
         )
-        with self.metrics.span(
-            "runtime.predict", clock=self._sim_clock, node=self.node.node_id,
-        ):
+        with self.metrics.span("runtime.predict", node=self.node.node_id):
             try:
                 world = self.current_world()
                 report = predictor.predict(world)
@@ -323,7 +314,6 @@ class CrystalBallRuntime(InboundInterposer):
         predictor = ConsequencePredictor(
             self.make_explorer(), chain_depth=self.chain_depth,
             budget=self.budget if budget is None else budget,
-            metrics=self.metrics,
         )
         report = predictor.predict(world)
         self.states_explored.inc(report.total_states)

@@ -70,9 +70,6 @@ class _Resolver:
         """Count a periodic prediction round that raised (not answered)."""
         self._degraded["round_skipped"].inc()
 
-    def _clock(self) -> float:
-        return self.runtime.node.sim.now
-
 
 class PerChoiceResolver(_Resolver):
     """Score every candidate of every choice by sandbox replay."""
@@ -94,9 +91,7 @@ class PerChoiceResolver(_Resolver):
         runtime = self.runtime
         dispatch = node.current_dispatch
         best, best_score = None, float("-inf")
-        with runtime.metrics.span(
-            "runtime.choice", clock=self._clock, node=runtime.node.node_id,
-        ):
+        with runtime.metrics.span("runtime.choice", node=runtime.node.node_id):
             try:
                 for candidate in point.candidates:
                     score = runtime._score_candidate(dispatch, candidate)
@@ -151,9 +146,7 @@ class AmortizedResolver(_Resolver):
         """Coalesced answer, else a ranking, else a budgeted scored round
         (see :class:`AmortizedSteering`)."""
         runtime = self.runtime
-        with runtime.metrics.span(
-            "runtime.choice", clock=self._clock, node=runtime.node.node_id,
-        ):
+        with runtime.metrics.span("runtime.choice", node=runtime.node.node_id):
             return self.amortized.resolve(point, node)
 
     def _policy_score(self, point: ChoicePoint, node: Any):

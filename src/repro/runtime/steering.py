@@ -104,10 +104,10 @@ class SteeringModule:
         return list(self._filters)
 
     def snapshot(self) -> dict:
-        """Counters + active-filter count, for metrics sections."""
+        """Refreshes and the active-filter count, for metrics sections
+        (filtered messages and new filters are in the runtime's
+        ``stats``)."""
         return {
-            "filtered": self._filtered.value,
-            "installed": self._installed.value,
             "refreshed": self._refreshed.value,
             "active_filters": len(self._filters),
         }

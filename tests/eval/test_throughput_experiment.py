@@ -97,3 +97,21 @@ def test_probe_flags_a_conflicting_decision_at_the_last_replica(monkeypatch):
     monkeypatch.setattr(paxos_experiment, "Cluster", sabotaged)
     r = run_throughput_experiment("static", **SMALL)
     assert (r.agreement, r.at_most_once, r.safe) == (False, True, False)
+
+
+def test_static_mode_under_message_chaos_opens_no_span(monkeypatch):
+    """With no CrystalBall runtime installed nothing in the run times
+    itself: the chaos interposer consults every send without a span."""
+    from repro.obs.spans import Span
+
+    entered = []
+    original = Span.__enter__
+
+    def counted(span):
+        entered.append(span)
+        return original(span)
+
+    monkeypatch.setattr(Span, "__enter__", counted)
+    result = run_throughput_experiment("static", **SMALL)
+    assert result.committed > 0
+    assert entered == []

@@ -91,3 +91,17 @@ def test_reliable_transport_shows_up_in_network_section():
     assert "reliable" in section
     assert section["reliable"]["sent"] > 0
     assert "pending" in section["reliable"]
+
+
+def test_tree_run_node_sections_hold_only_what_a_report_reads():
+    from repro.eval.tree_experiment import run_tree_experiment
+
+    result = run_tree_experiment("choice-crystalball", n=9, seed=1, chain_depth=4, budget=120)
+    sections = result.metrics["nodes"].values()
+    base = {"up", "runtime", "epoch", "steering", "spans"}
+    # A node that resolved a choice also carries its last prediction.
+    assert {frozenset(s) for s in sections} == {frozenset(base), frozenset(base | {"prediction"})}
+    for section in sections:
+        assert set(section["steering"]) == {"refreshed", "active_filters"}
+        for summary in section["spans"].values():
+            assert set(summary) == {"count", "total_s", "mean_s", "min_s", "max_s"}

@@ -155,6 +155,10 @@ class TestFollowStream:
         assert [r["type"] for r in records] == ["header", "sample"]
         stream.close()
 
+    def test_follow_rejects_a_poll_that_is_not_positive(self, stream_path):
+        with pytest.raises(ValueError):
+            next(follow_stream(stream_path, poll=0.0, timeout=1.0))
+
     def test_follow_waits_for_missing_file(self, tmp_path):
         path = str(tmp_path / "late.jsonl")
 

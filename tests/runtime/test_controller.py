@@ -131,11 +131,8 @@ def test_steering_installs_filter_and_breaks_connection():
     runtime = runtimes[0]
     assert runtime.stats["filters_installed"] > 0
     assert runtime.stats["steered_messages"] > 0
-    # The steering module reads the same counters as ``stats``.
-    snapshot = runtime.steering.snapshot()
-    assert (snapshot["installed"], snapshot["filtered"], runtime.steering.filtered_count) == (
-        runtime.stats["filters_installed"], runtime.stats["steered_messages"],
-        runtime.stats["steered_messages"])
+    # The steering module reads the same counter as ``stats``.
+    assert runtime.steering.filtered_count == runtime.stats["steered_messages"]
     assert cluster.service(0).value == 0  # steering kept the property
     assert cluster.network.connection_epoch(0, 2) > 0  # connection broken
     # Each steered message and each filter install is one trace record.

@@ -135,7 +135,7 @@ def predicted_violation():
 def test_predicted_violation_installs_one_filter():
     runtime = steering_runtime()
     steer(runtime, *predicted_violation())
-    assert runtime.steering.snapshot()["installed"] == 1
+    assert runtime.steering.metrics.counter("runtime.filters_installed").value == 1
     assert runtime.resolver.invalidations == ["steering"]
     (installed,) = runtime.steering.active_filters
     assert (installed.src, installed.expires_at, installed.reason) == (1, FILTER_TTL, "evil-free")
@@ -149,7 +149,7 @@ def test_repeated_prediction_only_refreshes_the_filter():
     steer(runtime, *predicted_violation())
     runtime.node.sim.run(until=4.0)
     steer(runtime, *predicted_violation())
-    assert runtime.steering.snapshot()["installed"] == 1
+    assert runtime.steering.metrics.counter("runtime.filters_installed").value == 1
     assert runtime.resolver.invalidations == ["steering"]
     assert len(runtime.steering) == 1
     assert runtime.steering.active_filters[0].expires_at == 4.0 + FILTER_TTL

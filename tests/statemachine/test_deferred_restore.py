@@ -12,6 +12,9 @@ starts from the checkpoint it handed over.  The steps are every live
 dispatch of small RandTree, gossip, dissemination, Paxos and two-layer
 stack runs, drawn by hypothesis against one explorer per family, so
 pooled instances carry state between examples as they do in a search.
+A second step replays another dispatch's choice script, which the
+handed-over state may not offer: then both sides must raise the same
+:class:`~repro.choice.ChoiceError`.
 """
 
 from collections import deque
@@ -24,7 +27,7 @@ from repro.apps.dissemination import DisseminationConfig, make_exposed_swarm_fac
 from repro.apps.gossip import GossipConfig, make_exposed_gossip_factory
 from repro.apps.paxos import PaxosConfig, make_paxos_factory
 from repro.apps.randtree import RandTreeConfig, make_exposed_factory
-from repro.choice import RandomResolver
+from repro.choice import ChoiceError, RandomResolver
 from repro.mc import DeliverAction, Explorer
 from repro.statemachine import (
     ChoiceRequested,
@@ -110,13 +113,16 @@ def _shape(value):
 
 
 def _outcome(step, *args):
-    """A step's checkpoint (digest and shape) and effects, or the
-    unscripted choice it stopped at."""
+    """A step's checkpoint (digest and shape) and effects, the
+    unscripted choice it stopped at, or the scripted choice it
+    rejected."""
     try:
         checkpoint, effects, time_read = step(*args)
     except ChoiceRequested as request:
         point = request.point
         return None, ("choice", point.label, freeze(point.candidates), freeze(request.consumed))
+    except ChoiceError as error:
+        return None, ("error", str(error))
     events = (effects.sent, effects.timers_set, effects.timers_cancelled, time_read)
     return checkpoint, (digest(checkpoint), _shape(checkpoint), freeze(events))
 
@@ -144,6 +150,14 @@ def test_sandbox_step_matches_the_eager_oracle(family, data):
         return
     # The next step starts from the checkpoint the first one handed over.
     _, second, later = data.draw(st.sampled_from([s for s in steps if s[0] == node_id]))
+    _second_step(family, node_id, handed, oracle, second, later)
+    assert digest(state) == before
+
+
+def _second_step(family, node_id, handed, oracle, second, later):
+    """Step ``second`` from the handed-over checkpoint and from the
+    oracle's; both must agree and leave the handed-over one as it was."""
+    factory, seed, explorer, _ = _family(family)
     script = list(second.choices)
     handed_before = digest(handed)
     _, got = _outcome(explorer.sandbox_step, node_id, handed, second.event, later, script)
@@ -151,7 +165,31 @@ def test_sandbox_step_matches_the_eager_oracle(family, data):
         eager_sandbox_step, factory, node_id, oracle, second.event, later, script, seed)
     assert got == expected
     assert digest(handed) == handed_before
-    assert digest(state) == before
+    return got
+
+
+def test_a_second_script_the_handed_over_state_rejects_raises_on_both_sides():
+    # The first recorded dissemination pair whose second step's script
+    # names a block the handed-over state does not offer.
+    factory, seed, explorer, steps = _family("dissemination")
+    for node_id, first, now in steps:
+        state = first.checkpoint
+        script = list(first.choices)
+        handed, _ = _outcome(explorer.sandbox_step, node_id, state, first.event, now, script)
+        if handed is None:
+            continue
+        oracle, _ = _outcome(
+            eager_sandbox_step, factory, node_id, state, first.event, now, script, seed)
+        for other, second, later in steps:
+            if other != node_id:
+                continue
+            script = list(second.choices)
+            _, got = _outcome(explorer.sandbox_step, node_id, handed, second.event, later, script)
+            if got[0] == "error":
+                assert "not among candidates" in got[1]
+                assert _second_step("dissemination", node_id, handed, oracle, second, later) == got
+                return
+    raise AssertionError("no recorded dissemination step pair rejects its script")
 
 
 # ----------------------------------------------------------------------
