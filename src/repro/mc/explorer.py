@@ -64,8 +64,10 @@ class ExplorationResult:
     ``pruned`` counts enabled actions the search skipped because a
     sleep set showed their successors were already reached, ``reused``
     the deliver/timer steps whose successors were built from the
-    search's memo instead of running the handler: together they say why
-    ``transitions`` is below an unreduced search's.
+    search's memo instead of running the handler (a step that read the
+    clock only at the world time it first ran at): together they say
+    why ``transitions`` is below an unreduced search's and why it runs
+    fewer handlers.
 
     ``max_depth`` is the deepest level, relative to the root, that the
     search dequeued for expansion, or the depth bound itself when a
@@ -307,10 +309,18 @@ class Explorer:
 
         The search passes a ``memo`` (and the ``result`` that counts its
         hits); it maps ``(node, id(node's state dict), action key)`` to
-        ``(that state dict, steps)``: a handler is a function of its
-        node's state and its message unless it reads the clock, so a
+        ``(that state dict, steps, by_time, made_of)``.  A handler is a
+        function of its node's state, its event, the clock it reads and
+        its choice script (the sandbox's random streams are fixed), so a
         clock-free run's checkpoints, their digest cells and the events
-        they create serve every later world holding the same state dict.
+        they create serve every later world holding the same state dict
+        (``by_time`` and ``made_of`` are ``None``).  A run that read the
+        clock serves only worlds at the same ``world.time``, the ``now``
+        it read, and is kept only when every variant handed back the
+        state dict itself, so its entry holds nothing but effect lists:
+        ``by_time`` maps each time it ran at to its steps, and a later run
+        whose effects are made of the first run's very objects
+        (``made_of``, see :func:`_same_objects`) shares its ``steps``.
         The entry keeps the dict alive, so its id is not reused.
 
         A step that hands back ``state`` itself (it changed nothing, see
@@ -337,19 +347,32 @@ class Explorer:
         else:
             return self.successors(world, action), None
         state = world.state_of(node_id)
-        key = entry = None
+        key = entry = steps = None
         if memo is not None:
             key = (node_id, id(state), action.key())
             entry = memo.get(key)
         if entry is not None:
+            by_time = entry[2]
+            time_read = by_time is not None
+            steps = by_time.get(world.time) if time_read else entry[1]
+        if steps is not None:
             result.reused += 1
-            steps, time_read = entry[1], False
         else:
             variants, time_read = self._invoke_variants(node_id, state, action, world.time)
-            steps = [(checkpoint, [None]) + effect_events(node_id, effects)
-                     for checkpoint, effects in variants]
+            kept = (key is not None and time_read
+                    and all(checkpoint is state for checkpoint, _ in variants))
+            made_of = _effect_objects(variants) if kept else None
+            if kept and entry is not None and _same_objects(made_of, entry[3]):
+                steps = entry[1]
+            else:
+                steps = [(checkpoint, [None]) + effect_events(node_id, effects)
+                         for checkpoint, effects in variants]
             if key is not None and not time_read:
-                memo[key] = (state, steps)
+                memo[key] = (state, steps, None, None)
+            elif kept:
+                if entry is None:
+                    entry = memo[key] = (state, steps, {}, made_of)
+                entry[2][world.time] = steps
         node = None if time_read else node_id
         # Successors() callers read the successor's time and depth, so
         # only the search, which reads its digest, may get ``world`` back.
@@ -530,6 +553,28 @@ def effect_events(node_id: int, effects: Effects) -> Tuple[
         [PendingTimer(node=node_id, name=name, payload=payload, delay=delay)
          for name, delay, payload in effects.timers_set],
     )
+
+
+def _effect_objects(variants: List[Tuple[Dict[str, Any], Effects]]) -> Tuple[List[int], List[Any]]:
+    """What a step's effects are made of: how many sends, armings and
+    cancels each variant made, and every object in them, in order."""
+    shape: List[int] = []
+    objects: List[Any] = []
+    for _, effects in variants:
+        shape += (len(effects.sent), len(effects.timers_set), len(effects.timers_cancelled))
+        for item in (*effects.sent, *effects.timers_set):
+            objects.extend(item)
+        objects.extend(effects.timers_cancelled)
+    return shape, objects
+
+
+def _same_objects(a: Tuple[List[int], List[Any]], b: Tuple[List[int], List[Any]]) -> bool:
+    """Whether two steps' effects are made of the very same objects
+    (:func:`_effect_objects`): then the events built from one are the
+    other's.  ``==`` would not do, as it lets ``1``, ``1.0`` and
+    ``True`` stand for one another where digests tell them apart."""
+    return (a[0] == b[0] and len(a[1]) == len(b[1])
+            and all(x is y for x, y in zip(a[1], b[1])))
 
 
 def _inherit(taken: Dict[Tuple, int], node: Optional[int]) -> Dict[Tuple, int]:

@@ -98,16 +98,14 @@ class MetricsRegistry:
         return {render_key(c.name, c.labels): c.value
                 for c in self._counters.values()}
 
+    def spans(self) -> Dict[str, Dict[str, Any]]:
+        """The summary of every span opened at least once, by key."""
+        return {render_key(s.name, s.labels): s.summary()
+                for s in self._spans.values() if s.count}
+
     def snapshot(self) -> Dict[str, Any]:
         """Everything the registry holds, as plain JSON-able dicts."""
-        return {
-            "counters": self.counters(),
-            "spans": {
-                render_key(s.name, s.labels): s.summary()
-                for s in self._spans.values()
-                if s.count
-            },
-        }
+        return {"counters": self.counters(), "spans": self.spans()}
 
     def __repr__(self) -> str:
         return (f"MetricsRegistry(counters={len(self._counters)}, "

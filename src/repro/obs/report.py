@@ -60,9 +60,9 @@ def node_metrics(node) -> Dict[str, Any]:
     amortized = getattr(runtime, "amortized", None)
     if amortized is not None:
         section["steering"]["amortized"] = amortized.snapshot()
-    snapshot = runtime.metrics.snapshot()
-    if snapshot["spans"]:
-        section["spans"] = snapshot["spans"]
+    spans = runtime.metrics.spans()
+    if spans:
+        section["spans"] = spans
     summary = getattr(runtime, "last_prediction_summary", None)
     if summary is not None:
         section["prediction"] = dict(summary)

@@ -250,22 +250,28 @@ class CrystalBallRuntime(InboundInterposer):
         from it, it is counted as ``degraded.round_skipped``, and None
         is returned.
         """
-        predictor = ConsequencePredictor(
-            self.make_explorer(), chain_depth=self.chain_depth, budget=self.budget,
-        )
         with self.metrics.span("runtime.predict", node=self.node.node_id):
             try:
                 world = self.current_world()
-                report = predictor.predict(world)
+                report = self._predict(world)
             except ChoiceRequested:
                 raise
             except Exception:
                 self.resolver.skip_round()
                 return None
+        steer(self, report, world)
+        return report
+
+    def _predict(self, world: WorldState, budget: Optional[int] = None) -> PredictionReport:
+        """One consequence prediction from ``world``, periodic or scoring
+        a candidate, counted in ``predictions`` and ``states_explored``."""
+        report = ConsequencePredictor(
+            self.make_explorer(), chain_depth=self.chain_depth,
+            budget=self.budget if budget is None else budget,
+        ).predict(world)
         self._predictions.inc()
         self.states_explored.inc(report.total_states)
         self.last_prediction_summary = report.summary()
-        steer(self, report, world)
         return report
 
     # ------------------------------------------------------------------
@@ -311,14 +317,7 @@ class CrystalBallRuntime(InboundInterposer):
             time=self.node.sim.now, copy_states=False,
         )
         immediate = self.objective.score(world)
-        predictor = ConsequencePredictor(
-            self.make_explorer(), chain_depth=self.chain_depth,
-            budget=self.budget if budget is None else budget,
-        )
-        report = predictor.predict(world)
-        self.states_explored.inc(report.total_states)
-        self.last_prediction_summary = report.summary()
-        return immediate + score_report(report, self.objective)
+        return immediate + score_report(self._predict(world, budget), self.objective)
 
     def _replay(self, dispatch, candidate: Any):
         """Re-run the captured dispatch with ``candidate`` at the pending

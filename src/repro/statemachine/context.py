@@ -168,8 +168,9 @@ class SandboxContext(Context):
         self._script = list(choice_script or [])
         self._consumed: List[Any] = []
         self._rng_seed = rng_seed
-        # Whether the handler observed the clock; the explorer's search
-        # memo and sleep sets only trust clock-free handler runs.
+        # Whether the handler observed the clock; the explorer's sleep
+        # sets only trust clock-free handler runs, and its search memo
+        # serves a clock-reading run only at the time it ran at.
         self.time_read = False
 
     def now(self) -> float:

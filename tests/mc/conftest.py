@@ -62,17 +62,20 @@ class LoopService(Service):
     """A ``tick`` timer that re-arms itself, with ``mode`` saying what
     else its handler does: ``loop`` nothing, ``payload`` re-arm with the
     next payload, ``cancel`` cancel the ``other`` timer, ``send`` send a
-    ping to the next node, ``count`` count the tick in the state.  An
-    ``other`` timer is counted as a tick and not re-armed, so cancelling
-    it leads elsewhere than firing it.  A ping is counted and forwarded
-    up the chain while it has hops left."""
+    ping to the next node, ``count`` count the tick in the state,
+    ``clock`` read the clock and count the tick only once it is past
+    ``threshold``.  An ``other`` timer is counted as a tick and not
+    re-armed, so cancelling it leads elsewhere than firing it.  A ping is
+    counted and forwarded up the chain while it has hops left."""
 
     state_fields = ("ticks", "pings")
 
-    def __init__(self, node_id: int, n: int = 3, mode: str = "loop") -> None:
+    def __init__(self, node_id: int, n: int = 3, mode: str = "loop",
+                 threshold: float = 0.0) -> None:
         super().__init__(node_id)
         self.n = n
         self.mode = mode
+        self.threshold = threshold
         self.ticks = 0
         self.pings = 0
 
@@ -86,6 +89,9 @@ class LoopService(Service):
             self.send((self.node_id + 1) % self.n, Ping(hops=0))
         elif self.mode == "count":
             self.ticks += 1
+        elif self.mode == "clock":
+            if self.now() > self.threshold:
+                self.ticks += 1
         self.set_timer("tick", 1.0, payload)
 
     @timer_handler("other")

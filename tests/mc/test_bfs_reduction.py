@@ -206,3 +206,70 @@ def test_successors_of_a_self_loop_build_the_later_world():
     assert successor is not root
     assert (successor.time, successor.depth) == (root.time + 1.0, root.depth + 1)
     assert successor.digest() == root.digest()
+
+
+# Node 0's ``clock`` tick reads the clock and keeps its state dict until
+# the world time passes the threshold.  The other nodes' ``count`` ticks
+# move the world a second on each, and a ping chain 0.05 s a hop, while
+# node 0 keeps its dict, so one (node, state dict, timer) fires at
+# several world times, kept at some and changed at others.  The memo may
+# serve such a step only at the time it ran at, and only one that kept
+# its state.
+
+def clock_world(threshold, inflight=()):
+    """Three :class:`LoopService` nodes, node 0 in ``clock`` mode and the
+    others in ``count`` mode, each with a pending ``tick``, and their
+    factory."""
+    factory = lambda nid: LoopService(nid, mode="clock" if nid == 0 else "count",
+                                      threshold=threshold)
+    timers = [PendingTimer(nid, "tick", None, 1.0) for nid in range(3)]
+    states = {nid: factory(nid).checkpoint() for nid in range(3)}
+    return WorldState(node_states=states, inflight=list(inflight), timers=timers), factory
+
+
+def recording_clock_reads(factory, runs):
+    """An explorer factory; each explorer it makes appends a list to
+    ``runs`` and records there ``(state dict, now, whether the state was
+    kept)`` for every sandboxed run that read the clock."""
+    def make_explorer():
+        explorer = Explorer(factory)
+        step = explorer.sandbox_step
+        own = []
+        runs.append(own)
+
+        def recording(node_id, state, event, now, script):
+            checkpoint, effects, read = step(node_id, state, event, now, script)
+            if read:
+                own.append((state, now, checkpoint is state))
+            return checkpoint, effects, read
+
+        explorer.sandbox_step = recording
+        return explorer
+    return make_explorer
+
+
+@pytest.mark.parametrize("threshold", [0.5, 1.02, 1.5, 2.5])
+def test_search_past_clock_reading_ticks_is_the_unreduced_one(threshold):
+    root, factory = clock_world(threshold, [InFlightMessage(1, 2, Ping(hops=2))])
+    runs = []
+    assert_same_search(recording_clock_reads(factory, runs), root, 5, 5000)
+    # The unreduced search ran a tick from one state dict at two world
+    # times, keeping the state at one and changing it at the other.
+    outcomes = {}
+    for state, now, kept in runs[0]:
+        outcomes.setdefault(id(state), {})[now] = kept
+    assert any(len(set(by_time.values())) == 2 for by_time in outcomes.values())
+
+
+def test_clock_reading_step_that_changed_its_state_runs_each_time():
+    # Past the threshold, node 0's tick changes its state.  It fires
+    # from the root's state dict at time 0.0 (kept), then at time 1.0
+    # after node 1's tick and again after node 2's: two worlds at one
+    # time, and the step runs in both.
+    root, factory = clock_world(0.5)
+    runs = []
+    _, new = assert_same_search(recording_clock_reads(factory, runs), root, 2, 100)
+    own = root.state_of(0)
+    assert [(now, kept) for state, now, kept in runs[1] if state is own] == [
+        (0.0, True), (1.0, False), (1.0, False)]
+    assert new.reused == 1   # node 2's clock-free tick, after node 1's

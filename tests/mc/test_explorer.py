@@ -19,7 +19,7 @@ from repro.model import NetworkModel
 from repro.net import full_mesh
 from repro.statemachine import Message, Service, msg_handler, timer_handler
 
-from .conftest import Token, TokenService
+from .conftest import LoopService, Token, TokenService
 from .legacy_bfs import legacy_bfs
 
 
@@ -300,13 +300,42 @@ def test_bfs_never_prunes_drops():
     assert reduced.states_explored == oracle.states_explored
 
 
-def test_memo_never_serves_a_clock_reading_handler():
+def test_memo_serves_a_clock_reading_handler_only_at_the_same_world_time():
     # Node 1 keeps its clock reading: delivering to it at the root and
     # after the delivery to node 2 starts from the same state dict at
-    # two world times, and must give two different final states.
+    # two world times, and must give two different final states.  The
+    # memo serves a clock-reading step only at the world time it ran at.
     result = stamp_bfs([(0, 1), (0, 2)], clocked={1}, keep=True)
     assert (result.states_explored, result.transitions, result.pruned) == (5, 4, 0)
     assert result.reused == 1   # node 2's clock-free step, after node 1's
+
+
+def test_memo_serves_a_clock_reading_handler_again_at_the_same_world_time():
+    # Node 0's tick reads the clock and keeps its state before 1.5 s.
+    # Node 1's tick and node 2's each take the world from time 0.0 to
+    # 1.0 and leave node 0's state dict alone, so node 0's tick fires
+    # from one state dict at one time in both: it runs once and is
+    # served once.  A clock-reading step stays dependent, so nothing
+    # about pruning moves.
+    factory = lambda nid: LoopService(nid, mode="clock" if nid == 0 else "count",
+                                      threshold=1.5)
+    world = world_with(factory, timers=[PendingTimer(nid, "tick", None, 1.0)
+                                        for nid in range(3)])
+    explorer = Explorer(factory)
+    step, times = explorer.sandbox_step, []
+
+    def recording(node_id, state, event, now, script):
+        if node_id == 0:
+            times.append(now)
+        return step(node_id, state, event, now, script)
+
+    explorer.sandbox_step = recording
+    result = explorer.bfs(world, max_depth=2)
+    assert times == [0.0, 1.0]   # not again at 1.0 after node 2's tick
+    assert (result.states_explored, result.transitions, result.pruned) == (6, 8, 1)
+    # Node 0's tick after node 2's, and node 2's clock-free tick after
+    # node 1's.
+    assert result.reused == 2
 
 
 def test_state_found_again_keeps_only_what_every_way_in_put_to_sleep():

@@ -14,11 +14,11 @@ from repro.runtime import CrystalBallRuntime
 MAX_LINES = 400
 # The package's physical lines; lower it with each step toward ROADMAP
 # item 9(c)'s 1,253.
-MAX_PACKAGE_LINES = 1_368
+MAX_PACKAGE_LINES = 1_367
 MAX_RUNTIME_KEYWORDS = 10
 # ``repro.obs``'s physical lines; ROADMAP item 11 allows it and
 # ``sim/trace.py`` 2,142 together.
-MAX_OBS_PACKAGE_LINES = 1_633
+MAX_OBS_PACKAGE_LINES = 1_631
 
 
 def _module_sizes(package=repro.runtime):

@@ -94,6 +94,23 @@ def test_choices_resolved_counted():
     assert not any(runtimes[0].stats[f"degraded.{r}"] for r in DEGRADE_REASONS)
 
 
+def test_per_choice_runtime_counts_every_scored_prediction():
+    # A per-choice runtime predicts once per scored candidate, and
+    # ``predictions`` counts those as it counts periodic passes.
+    cluster = Cluster(3, factory, seed=1)
+    runtimes = install_crystalball(
+        cluster, factory,
+        objective=PerformanceObjective("wealth", weighted_wealth),
+        checkpoint_period=0.5, chain_depth=2, budget=200,
+    )
+    cluster.start_all()
+    cluster.run(until=3.5)
+    scored = cluster.sim.trace.count("runtime.choice_score")
+    assert scored == 6   # two candidates at each of three choices
+    assert runtimes[0].stats["predictions"] == scored
+    assert [r.stats["predictions"] for r in runtimes[1:]] == [0, 0]
+
+
 class TickingGiver(GiverService):
     """A giver whose peers also keep a timer pending."""
 
