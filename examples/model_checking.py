@@ -1,16 +1,14 @@
 #!/usr/bin/env python
-"""Using the model checker directly: safety, liveness, simulation.
+"""Using the model checker directly: safety and liveness.
 
 The runtime uses ``repro.mc`` internally, but it is a standalone library
-too.  This example points all three of its analyses at the hardest
+too.  This example points both of its analyses at the hardest
 protocol in the repo — Paxos under proposer contention:
 
 1. **safety** — bounded BFS over every interleaving of two competing
    prepare rounds: agreement must hold in every visited state;
 2. **liveness** — bounded progress-reachability: from the contention
-   snapshot, a decided state must remain reachable;
-3. **simulation** — random walks estimate the distribution of how long
-   the contention takes to resolve.
+   snapshot, a decided state must remain reachable.
 """
 
 from repro.apps.paxos import (
@@ -25,7 +23,6 @@ from repro.mc import (
     Explorer,
     InFlightMessage,
     LivenessProperty,
-    RandomWalkSimulator,
     WorldState,
 )
 
@@ -83,13 +80,6 @@ def main():
           f"witness length: {len(liveness.witness_path)} actions   "
           f"states: {liveness.states_explored}")
     assert liveness.reachable
-
-    print("\n--- 3. simulation: how long does contention take? ---")
-    simulator = RandomWalkSimulator(explorer, seed=1)
-    report = simulator.sample(world, walks=40, max_steps=30,
-                              metric=lambda w: 1.0 if somebody_decided(w) else 0.0)
-    print(f"walks deciding within 30 steps: {report.mean_metric:.0%}   "
-          f"mean simulated end time: {report.mean_final_time:.2f}s")
 
 
 if __name__ == "__main__":

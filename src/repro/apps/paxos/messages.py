@@ -82,11 +82,6 @@ def make_ballot(round_number: int, proposer: int, n: int) -> int:
     return round_number * n + proposer
 
 
-def ballot_proposer(ballot: int, n: int) -> int:
-    """The proposer that owns a ballot."""
-    return ballot % n
-
-
 def slot_owner(instance: int, n: int) -> int:
     """The replica owning this instance's fast path."""
     return instance % n
@@ -248,7 +243,6 @@ __all__ = [
     "NOOP",
     "PaxosConfig",
     "make_ballot",
-    "ballot_proposer",
     "slot_owner",
     "unpack_value",
     "Prepare",

@@ -20,7 +20,6 @@ from .common import (
     make_balance_objective,
     max_tree_depth,
     randtree_properties,
-    subtree_sizes,
     tree_depths,
     unattached_nodes,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "make_balance_objective",
     "max_tree_depth",
     "randtree_properties",
-    "subtree_sizes",
     "tree_depths",
     "unattached_nodes",
     "ExposedRandTree",

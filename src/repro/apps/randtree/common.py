@@ -169,26 +169,6 @@ def unattached_nodes(states: Dict[int, Dict[str, Any]], root: int) -> Set[int]:
     return set(states) - reachable
 
 
-def subtree_sizes(states: Dict[int, Dict[str, Any]], root: int) -> Dict[int, int]:
-    """Size of the subtree rooted at each reachable node."""
-    adjacency = consistent_edges(states, root)
-    sizes: Dict[int, int] = {}
-
-    order: List[int] = []
-    seen = {root}
-    stack = [root]
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        for child in adjacency.get(node_id, []):
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    for node_id in reversed(order):
-        sizes[node_id] = 1 + sum(sizes.get(c, 0) for c in adjacency.get(node_id, []))
-    return sizes
-
-
 def live_states(world) -> Dict[int, Dict[str, Any]]:
     """The states of a world's live nodes, by id: what every tree
     analysis reads (a crashed node holds no authoritative beliefs)."""
@@ -369,7 +349,6 @@ __all__ = [
     "tree_depths",
     "max_tree_depth",
     "unattached_nodes",
-    "subtree_sizes",
     "live_states",
     "make_balance_objective",
     "pending_forward_penalty",

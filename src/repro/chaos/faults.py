@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import MetricsRegistry
-
 
 class ChaosError(ValueError):
     """Raised for invalid fault configurations.
@@ -158,16 +156,13 @@ class LinkChaos:
         self._duplicate_rng = stream("chaos.duplicate")
         self._reorder_rng = stream("chaos.reorder")
         self._corrupt_rng = stream("chaos.corrupt")
-        self.metrics = MetricsRegistry()
-        self._counts = {
-            key: self.metrics.counter(f"chaos.{key}")
-            for key in ("dropped", "duplicated", "reordered", "corrupted", "flap_dropped")
-        }
+        self._counts = dict.fromkeys(
+            ("dropped", "duplicated", "reordered", "corrupted", "flap_dropped"), 0)
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Faults injected so far, by kind (the ``chaos.<kind>`` counters)."""
-        return {key: counter.value for key, counter in self._counts.items()}
+        """Faults injected so far, by kind."""
+        return dict(self._counts)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -218,7 +213,7 @@ class LinkChaos:
         """Decide the fate of one send; ``None`` means untouched."""
         for flap in self._flaps:
             if _pair(src, dst) == _pair(flap.a, flap.b) and flap.is_down(now):
-                self._counts["flap_dropped"].inc()
+                self._counts["flap_dropped"] += 1
                 self.sim.trace.record(now, "chaos.flap", node=src, dst=dst)
                 return FaultDecision(drop=True, reason="chaos-flap")
 
@@ -228,7 +223,7 @@ class LinkChaos:
         decision: Optional[FaultDecision] = None
         if not profile.is_null:
             if profile.drop and self._drop_rng.random() < profile.drop:
-                self._counts["dropped"].inc()
+                self._counts["dropped"] += 1
                 self.sim.trace.record(now, "chaos.drop", node=src, dst=dst,
                                       kind=type(payload).__name__)
                 return FaultDecision(drop=True, reason="chaos-drop")
@@ -237,19 +232,19 @@ class LinkChaos:
                 decision.duplicates = 1
                 decision.duplicate_delays = (
                     self._duplicate_rng.uniform(0.0, profile.reorder_jitter),)
-                self._counts["duplicated"].inc()
+                self._counts["duplicated"] += 1
                 self.sim.trace.record(now, "chaos.duplicate", node=src, dst=dst,
                                       kind=type(payload).__name__)
             if profile.reorder and self._reorder_rng.random() < profile.reorder:
                 extra_delay += self._reorder_rng.uniform(0.0, profile.reorder_jitter)
-                self._counts["reordered"].inc()
+                self._counts["reordered"] += 1
                 self.sim.trace.record(now, "chaos.reorder", node=src, dst=dst,
                                       kind=type(payload).__name__)
             if profile.corrupt and self._corrupt_rng.random() < profile.corrupt:
                 decision.replace = CorruptedPayload(
                     original_type=type(payload).__name__, src=src, dst=dst,
                 )
-                self._counts["corrupted"].inc()
+                self._counts["corrupted"] += 1
                 self.sim.trace.record(now, "chaos.corrupt", node=src, dst=dst,
                                       kind=type(payload).__name__)
         if slow > 0.0:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..net.transport import DEFAULT_MESSAGE_BYTES
-from ..obs import MetricsRegistry
 
 ENVELOPE_OVERHEAD_BYTES = 40
 ACK_SIZE_BYTES = 64
@@ -97,16 +96,13 @@ class ReliableLayer:
         self._next_seq: Dict[int, int] = {}
         self._pending: Dict[Tuple[int, int, int], _Pending] = {}
         self._seen: Dict[int, Set[Tuple[int, int]]] = {}
-        self.metrics = MetricsRegistry()
-        self._counts = {
-            key: self.metrics.counter(f"reliable.{key}")
-            for key in ("sent", "acked", "retransmissions", "duplicates_suppressed", "gave_up")
-        }
+        self._counts = dict.fromkeys(
+            ("sent", "acked", "retransmissions", "duplicates_suppressed", "gave_up"), 0)
 
     @property
     def stats(self) -> Dict[str, int]:
-        """The protocol's counts so far (the ``reliable.<key>`` counters)."""
-        return {key: counter.value for key, counter in self._counts.items()}
+        """The protocol's counts so far."""
+        return dict(self._counts)
 
     def __getattr__(self, name: str) -> Any:
         # Everything not overridden (liveness, topology, sim, partitions,
@@ -159,7 +155,7 @@ class ReliableLayer:
         if tracer is not None:
             pending.cause = tracer.current_event_id()
         self._pending[key] = pending
-        self._counts["sent"].inc()
+        self._counts["sent"] += 1
         self._transmit(key)
         return True
 
@@ -178,7 +174,7 @@ class ReliableLayer:
             return
         pending.attempts += 1
         if pending.attempts > 1:
-            self._counts["retransmissions"].inc()
+            self._counts["retransmissions"] += 1
         tracer = self._network.sim.causal
         if tracer is None:
             self._transmit_wire(key, pending)
@@ -223,7 +219,7 @@ class ReliableLayer:
         if self._pending.pop(key, None) is None:
             return
         src, dst, seq = key
-        self._counts["gave_up"].inc()
+        self._counts["gave_up"] += 1
         self._network.sim.trace.record(
             self._network.sim.now, "reliable.give_up", node=src, dst=dst, seq=seq,
         )
@@ -242,7 +238,7 @@ class ReliableLayer:
         if isinstance(payload, AckEnvelope):
             acked = self._pending.pop((dst, src, payload.seq), None)
             if acked is not None:
-                self._counts["acked"].inc()
+                self._counts["acked"] += 1
                 if acked.timer is not None:
                     # Without this cancel, every acked send leaves one
                     # dead retry event in the simulator queue.
@@ -256,7 +252,7 @@ class ReliableLayer:
             dedup_key = (src, payload.seq)
             seen = self._seen.setdefault(dst, set())
             if dedup_key in seen:
-                self._counts["duplicates_suppressed"].inc()
+                self._counts["duplicates_suppressed"] += 1
                 self._network.sim.trace.record(
                     self._network.sim.now, "reliable.dup_suppressed", node=dst,
                     src=src, seq=payload.seq,

@@ -18,12 +18,8 @@ from .objectives import (
 )
 from .resolvers import (
     FirstResolver,
-    ProportionalResolver,
-    FixedResolver,
     GreedyResolver,
     RandomResolver,
-    RoundRobinResolver,
-    ScriptedResolver,
 )
 
 __all__ = [
@@ -40,10 +36,6 @@ __all__ = [
     "WeightedObjective",
     "combine",
     "FirstResolver",
-    "ProportionalResolver",
-    "FixedResolver",
     "GreedyResolver",
     "RandomResolver",
-    "RoundRobinResolver",
-    "ScriptedResolver",
 ]

@@ -1,20 +1,19 @@
 """Baseline choice resolvers.
 
 These cover the non-predictive resolution strategies the paper
-contrasts against: hard-coded/deterministic policies (first, fixed,
-scripted), random selection (the Choice-Random setup of Section 4),
-round-robin (the Mencius-style proposer rotation of Section 3.1), and
-greedy model-based scoring.  The full predictive resolver, which uses
-consequence prediction over snapshots, lives in ``repro.runtime``
-because it needs the CrystalBall machinery.
+contrasts against: a hard-coded policy (first), random selection (the
+Choice-Random setup of Section 4), and greedy model-based scoring.
+The full predictive resolver, which uses consequence prediction over
+snapshots, lives in ``repro.runtime`` because it needs the CrystalBall
+machinery.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Optional
 
-from .choicepoint import ChoiceError, ChoicePoint, ChoiceResolver
+from .choicepoint import ChoicePoint, ChoiceResolver
 
 ScoreFn = Callable[[Any, ChoicePoint, Optional[object]], float]
 
@@ -26,18 +25,6 @@ class FirstResolver(ChoiceResolver):
 
     def resolve(self, point: ChoicePoint, node: Optional[object] = None) -> Any:
         return point.candidates[0]
-
-
-class FixedResolver(ChoiceResolver):
-    """Always pick the candidate at a fixed index (clamped)."""
-
-    name = "fixed"
-
-    def __init__(self, index: int = 0) -> None:
-        self.index = index
-
-    def resolve(self, point: ChoicePoint, node: Optional[object] = None) -> Any:
-        return point.candidates[min(self.index, len(point.candidates) - 1)]
 
 
 class RandomResolver(ChoiceResolver):
@@ -59,91 +46,6 @@ class RandomResolver(ChoiceResolver):
         else:
             rng = self._rng
         return rng.choice(point.candidates)
-
-
-class RoundRobinResolver(ChoiceResolver):
-    """Rotate through candidates per choice label.
-
-    This reproduces the Mencius-style schedule from Section 3.1: "a
-    recent improvement achieves significant performance gains ... by
-    allowing every node to propose according to a round-robin schedule".
-    """
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
-
-    def resolve(self, point: ChoicePoint, node: Optional[object] = None) -> Any:
-        count = self._counters.get(point.label, 0)
-        self._counters[point.label] = count + 1
-        return point.candidates[count % len(point.candidates)]
-
-
-class ScriptedResolver(ChoiceResolver):
-    """Replay a per-label script of values (for tests and replays)."""
-
-    name = "scripted"
-
-    def __init__(self, script: Dict[str, List[Any]], fallback: Optional[ChoiceResolver] = None) -> None:
-        self._script = {label: list(values) for label, values in script.items()}
-        self._fallback = fallback or FirstResolver()
-
-    def resolve(self, point: ChoicePoint, node: Optional[object] = None) -> Any:
-        queue = self._script.get(point.label)
-        if not queue:
-            return self._fallback.resolve(point, node)
-        value = queue.pop(0)
-        if value not in point.candidates:
-            raise ChoiceError(
-                f"scripted value {value!r} not a candidate of {point.label!r}"
-            )
-        return value
-
-
-class ProportionalResolver(ChoiceResolver):
-    """Sample candidates with probability proportional to their score.
-
-    The fleet-decorrelation pattern this reproduction kept needing (see
-    docs/internals.md §5): when many nodes share similar model views,
-    *argmax* resolution herds them onto one target; sampling
-    proportionally to ``max(score, 0) + base_weight`` keeps decisions
-    biased toward good candidates while spreading the fleet.
-
-    Draws come from the node's named simulation stream when available
-    (reproducible per seed), else from a private seeded generator.
-    """
-
-    name = "proportional"
-
-    def __init__(self, score_fn: ScoreFn, base_weight: float = 1.0, seed: int = 0) -> None:
-        if base_weight < 0:
-            raise ChoiceError(f"base_weight must be >= 0, got {base_weight!r}")
-        self.score_fn = score_fn
-        self.base_weight = base_weight
-        self._rng = random.Random(seed)
-
-    def _rng_for(self, node: Optional[object]):
-        if node is not None:
-            return node.sim.rng.stream(f"node{node.node_id}.proportional")
-        return self._rng
-
-    def resolve(self, point: ChoicePoint, node: Optional[object] = None) -> Any:
-        rng = self._rng_for(node)
-        weights = [
-            max(0.0, self.score_fn(candidate, point, node)) + self.base_weight
-            for candidate in point.candidates
-        ]
-        total = sum(weights)
-        if total <= 0:
-            return rng.choice(point.candidates)
-        pick = rng.random() * total
-        cumulative = 0.0
-        for candidate, weight in zip(point.candidates, weights):
-            cumulative += weight
-            if pick <= cumulative:
-                return candidate
-        return point.candidates[-1]
 
 
 class GreedyResolver(ChoiceResolver):
@@ -173,11 +75,7 @@ class GreedyResolver(ChoiceResolver):
 
 __all__ = [
     "FirstResolver",
-    "FixedResolver",
     "RandomResolver",
-    "RoundRobinResolver",
-    "ScriptedResolver",
     "GreedyResolver",
-    "ProportionalResolver",
     "ScoreFn",
 ]

@@ -22,7 +22,7 @@ combine here:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 Feature = Tuple
 
@@ -47,11 +47,6 @@ def chaos_features(stats: Dict[str, int]) -> Set[Feature]:
     """Which faults actually landed, bucketed by volume."""
     return {("chaos", key, magnitude(count))
             for key, count in stats.items() if count}
-
-
-def violation_features(violations: Iterable) -> Set[Feature]:
-    """One feature per violated property (live violations)."""
-    return {("viol", v.prop) for v in violations}
 
 
 def prediction_features(
@@ -137,5 +132,4 @@ __all__ = [
     "near_violation_score",
     "prediction_features",
     "trace_features",
-    "violation_features",
 ]

@@ -20,7 +20,6 @@ from .consequence import (
     score_report,
 )
 from .liveness import BoundedLivenessChecker, LivenessProperty, LivenessResult
-from .randomwalk import RandomWalkSimulator, SampleReport, Walk
 from .explorer import (
     DEFAULT_STEP_TIME,
     ExplorationError,
@@ -48,9 +47,6 @@ __all__ = [
     "BoundedLivenessChecker",
     "LivenessProperty",
     "LivenessResult",
-    "RandomWalkSimulator",
-    "SampleReport",
-    "Walk",
     "DEFAULT_STEP_TIME",
     "ExplorationError",
     "ExplorationResult",

@@ -50,10 +50,6 @@ class PredictionReport:
     outcomes: List[ActionOutcome] = field(default_factory=list)
     total_states: int = 0
     budget_exhausted: bool = False
-    _index: Optional[Dict[Tuple, ActionOutcome]] = field(
-        default=None, repr=False, compare=False
-    )
-    _indexed_count: int = field(default=0, repr=False, compare=False)
 
     def unsafe_actions(self) -> List[Action]:
         """Initial actions predicted to lead to a violation."""
@@ -127,17 +123,6 @@ class PredictionReport:
             "min_violation_depth": self.min_violation_depth(),
             "budget_exhausted": self.budget_exhausted,
         }
-
-    def outcome_for(self, action_key: Tuple) -> Optional[ActionOutcome]:
-        """The outcome whose initial action has the given key.
-
-        O(1) via a lazily-built index, rebuilt whenever outcomes were
-        appended since the last lookup.
-        """
-        if self._index is None or self._indexed_count != len(self.outcomes):
-            self._index = {o.action.key(): o for o in self.outcomes}
-            self._indexed_count = len(self.outcomes)
-        return self._index.get(action_key)
 
 
 class ConsequencePredictor:

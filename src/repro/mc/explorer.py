@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..statemachine.context import ChoiceRequested, Effects, SandboxContext
-from ..statemachine.serialization import unchanged
+from ..statemachine.serialization import encode_frozen, unchanged
 from ..statemachine.service import Service
 from .actions import Action, DeliverAction, DropAction, TimerAction
 from .properties import SafetyProperty, violated_properties
@@ -46,11 +46,6 @@ class Violation:
     property_name: str
     path: Tuple[Action, ...]
     world: WorldState
-
-    @property
-    def initial_action(self) -> Action:
-        """The first action of the violating path (what steering must avoid)."""
-        return self.path[0]
 
     def describe(self) -> str:
         steps = " ; ".join(a.describe() for a in self.path)
@@ -614,17 +609,25 @@ def _self_loop(world: WorldState, state: Dict[str, Any], timer: PendingTimer,
     """Whether firing ``timer`` at ``state`` leads back to ``world``
     (``steps`` as :meth:`Explorer._expand` builds them): one variant
     that hands back ``state`` itself, sends and cancels nothing and arms
-    one timer of the fired timer's ``key()``, in a world that holds one
-    pending timer per ``(node, name)``, as arming on a live node
-    supersedes.  The evolve would then take out the fired timer alone
-    and put in one of equal key, hence equal digest part, and keep the
-    node's state dict: the same world but for time and depth, which the
-    digest leaves out."""
+    one timer whose ``key()`` encodes like the fired timer's, in a world
+    that holds one pending timer per ``(node, name)``, as arming on a
+    live node supersedes.  The evolve would then take out the fired
+    timer alone and put in one of equal digest part, which is hashed
+    from that encoding, and keep the node's state dict: the same world
+    but for time and depth, which the digest leaves out.
+
+    Equal keys are not enough: ``==`` takes a payload of ``True`` for
+    one of ``1``, and their encodings, hence their parts, differ.  Equal
+    keys whose frozen payload (``key()[2]``) is one object encode alike
+    without encoding; comparing encodings, not parts, hashes nothing."""
     if len(steps) != 1:
         return False
     checkpoint, _, sent, cancelled, armed = steps[0]
-    return (checkpoint is state and not sent and not cancelled and len(armed) == 1
-            and armed[0].key() == timer.key()
+    if not (checkpoint is state and not sent and not cancelled and len(armed) == 1):
+        return False
+    fired, rearmed = timer.key(), armed[0].key()
+    return (rearmed == fired
+            and (rearmed[2] is fired[2] or encode_frozen(rearmed) == encode_frozen(fired))
             and len(_first_timers(world)) == len(world.timers))
 
 

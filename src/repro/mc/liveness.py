@@ -13,7 +13,7 @@ MaceMC terminology a potential dead state).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .actions import Action
 from .explorer import ExplorationResult, Explorer
@@ -70,10 +70,6 @@ class BoundedLivenessChecker:
             property_name=prop.name, reachable=False,
             states_explored=search.states_explored, truncated=search.truncated,
         )
-
-    def check_all(self, world: WorldState, properties: List[LivenessProperty]) -> List[LivenessResult]:
-        """Check every liveness property independently."""
-        return [self.check(world, prop) for prop in properties]
 
 
 __all__ = ["LivenessProperty", "LivenessResult", "BoundedLivenessChecker"]

@@ -6,7 +6,7 @@ breakable per-pair connections as required by CrystalBall's execution
 steering.
 """
 
-from .dynamics import CongestionEpisode, LinkDynamics, schedule_latency_change
+from .dynamics import CongestionEpisode, LinkDynamics
 from .link import LOOPBACK, Link, LinkError
 from .topology import (
     Topology,
@@ -24,17 +24,14 @@ from .membership import (
     VIEW_STATE_FIELDS,
     PartialViewMembership,
     ViewConfig,
-    make_membership_factory,
 )
 
 __all__ = [
     "VIEW_STATE_FIELDS",
     "PartialViewMembership",
     "ViewConfig",
-    "make_membership_factory",
     "CongestionEpisode",
     "LinkDynamics",
-    "schedule_latency_change",
     "LOOPBACK",
     "Link",
     "LinkError",

@@ -4,7 +4,7 @@ Section 3.1 motivates choices with "choosing how to adapt to a change
 in the underlying network"; Section 3.3 with models that must be kept
 "up-to-date".  :class:`LinkDynamics` makes the substrate actually
 change: it perturbs link latencies over simulated time (random
-congestion episodes, or scripted step changes), so adaptive mechanisms
+congestion episodes), so adaptive mechanisms
 have something real to adapt to and EWMA models have something real to
 track.
 
@@ -122,31 +122,4 @@ class LinkDynamics:
         )
 
 
-def schedule_latency_change(
-    sim: Simulator,
-    topology: Topology,
-    at: float,
-    a: int,
-    b: int,
-    latency: float,
-    bandwidth: Optional[float] = None,
-) -> None:
-    """Scripted step change: at time ``at`` the (a, b) link moves to the
-    given latency (and optionally bandwidth), symmetrically."""
-
-    def apply() -> None:
-        current = topology.link(a, b)
-        topology.set_symmetric(
-            a, b,
-            Link(
-                latency=latency,
-                bandwidth=bandwidth if bandwidth is not None else current.bandwidth,
-                loss=current.loss,
-            ),
-        )
-        sim.trace.record(sim.now, "net.latency_change", node=a, peer=b, latency=latency)
-
-    sim.schedule_at(at, apply, tag="net.latency_change")
-
-
-__all__ = ["LinkDynamics", "CongestionEpisode", "schedule_latency_change"]
+__all__ = ["LinkDynamics", "CongestionEpisode"]

@@ -40,10 +40,6 @@ class Link:
         """Serialization delay for a message of ``size_bytes``."""
         return (size_bytes * 8.0) / self.bandwidth
 
-    def one_way_delay(self, size_bytes: int) -> float:
-        """Propagation plus serialization delay for one message."""
-        return self.latency + self.transmission_time(size_bytes)
-
 
 LOOPBACK = Link(latency=0.0, bandwidth=1e12, loss=0.0)
 

@@ -416,16 +416,6 @@ class PartialViewMembership(Service):
         self.send(peer, ViewNeighbor(priority=not self.active))
 
 
-def make_membership_factory(view_config: Optional[ViewConfig] = None):
-    """Factory of standalone membership services sharing one config."""
-    cfg = view_config if view_config is not None else ViewConfig()
-
-    def factory(node_id: int) -> PartialViewMembership:
-        return PartialViewMembership(node_id, cfg)
-
-    return factory
-
-
 __all__ = [
     "VIEW_STATE_FIELDS",
     "ViewConfig",
@@ -439,5 +429,4 @@ __all__ = [
     "ViewProbe",
     "ViewProbeAck",
     "PartialViewMembership",
-    "make_membership_factory",
 ]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..obs import MetricsRegistry
 from ..sim import LivenessRegistry, Simulator
 
 OnMessage = Callable[[int, int, Any], None]
@@ -109,38 +108,15 @@ class Network:
         # CrystalBall runtimes subscribe to flush their policy rankings —
         # connectivity is an input every cached ranking implicitly read.
         self.topology_listeners: List[Any] = []
-        # Traffic counters live in the network's own metrics registry;
-        # ``messages_sent``/... read them as properties.
-        self.metrics = MetricsRegistry()
-        self._messages_sent = self.metrics.counter("net.messages_sent")
-        self._messages_delivered = self.metrics.counter("net.messages_delivered")
-        self._messages_dropped = self.metrics.counter("net.messages_dropped")
-        self._messages_duplicated = self.metrics.counter("net.messages_duplicated")
-        self._bytes_sent = self.metrics.counter("net.bytes_sent")
+        self.messages_sent = 0
+        self.messages_delivered = 0
+        self.messages_dropped = 0
+        self.messages_duplicated = 0
+        self.bytes_sent = 0
         # Hot-loop cache: the loss stream is one registry object per
         # name (looking it up per send costs a dict probe + method call).
         self._loss_rng = sim.rng.stream("net.loss")
         self._batch_tags: Dict[int, str] = {}
-
-    @property
-    def messages_sent(self) -> int:
-        return self._messages_sent.value
-
-    @property
-    def messages_delivered(self) -> int:
-        return self._messages_delivered.value
-
-    @property
-    def messages_dropped(self) -> int:
-        return self._messages_dropped.value
-
-    @property
-    def messages_duplicated(self) -> int:
-        return self._messages_duplicated.value
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._bytes_sent.value
 
     # ------------------------------------------------------------------
     # Endpoint management
@@ -210,10 +186,6 @@ class Network:
         """
         self._fault_interposers.append(interposer)
 
-    def remove_fault_interposer(self, interposer: Any) -> None:
-        """Uninstall a previously-added fault interposer."""
-        self._fault_interposers.remove(interposer)
-
     def _consult_faults(self, src: int, dst: int, payload: Any):
         """Fold all interposer decisions for one send (first drop wins)."""
         combined = None
@@ -275,8 +247,8 @@ class Network:
         """
         if src not in self._endpoints:
             raise TransportError(f"source node {src} is not attached")
-        self._messages_sent.value += 1
-        self._bytes_sent.value += size_bytes
+        self.messages_sent += 1
+        self.bytes_sent += size_bytes
         if not self.liveness.is_up(src):
             self._drop(src, dst, payload, "source-down")
             return None
@@ -351,7 +323,7 @@ class Network:
 
     def _schedule_duplicates(self, src, dst, arrival, payload, epoch, ctx, fault) -> None:
         for extra in fault.duplicate_delays[: fault.duplicates]:
-            self._messages_duplicated.value += 1
+            self.messages_duplicated += 1
             self.sim.schedule_at(
                 arrival + extra,
                 partial(self._deliver, src, dst, payload, epoch, ctx, True),
@@ -465,7 +437,6 @@ class Network:
         epochs = self._conn_epoch
         is_up = self.liveness.is_up
         endpoints_get = self._endpoints.get
-        delivered = self._messages_delivered
         trace = self.sim.trace
         for dst, payload, epoch, ctx in batch:
             if epoch is not None and epochs and epochs.get(_pair(src, dst), 0) != epoch:
@@ -478,7 +449,7 @@ class Network:
             if endpoint is None:
                 self._drop(src, dst, payload, "detached", ctx)
                 continue
-            delivered.value += 1
+            self.messages_delivered += 1
             if trace.enabled:
                 trace.record(self.sim.now, "net.deliver", node=dst, src=src)
             endpoint.on_message(src, dst, payload)
@@ -505,7 +476,7 @@ class Network:
         if endpoint is None:
             self._drop(src, dst, payload, "detached", ctx)
             return
-        self._messages_delivered.value += 1
+        self.messages_delivered += 1
         tracer = self.sim.causal
         if tracer is None:
             trace = self.sim.trace
@@ -533,7 +504,7 @@ class Network:
         reason: str,
         ctx: Optional[Any] = None,
     ) -> None:
-        self._messages_dropped.value += 1
+        self.messages_dropped += 1
         tracer = self.sim.causal
         if tracer is not None:
             tracer.drop_event(ctx)

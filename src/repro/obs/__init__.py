@@ -21,8 +21,8 @@
   :class:`~repro.obs.stream.RunStream` JSONL file exposes an in-flight
   run to concurrent tails (``python -m repro.cli tail`` / ``top``).
 
-Each component owns a private registry, so unit tests and determinism
-comparisons stay isolated.
+Each CrystalBall runtime owns a private registry, so unit tests and
+determinism comparisons stay isolated.
 """
 
 from .causal import (
@@ -44,7 +44,7 @@ from .registry import (
     MetricsRegistry,
     render_key,
 )
-from .report import RunReport, collect_cluster_metrics, node_metrics, run_report
+from .report import RunReport, collect_cluster_metrics, node_metrics
 from .spans import Span, SpanStats
 from .stream import (
     RECORD_TYPES,
@@ -69,7 +69,6 @@ __all__ = [
     "RunReport",
     "collect_cluster_metrics",
     "node_metrics",
-    "run_report",
     "CausalContext",
     "CausalTracer",
     "HappensBeforeGraph",

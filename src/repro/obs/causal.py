@@ -131,10 +131,6 @@ class CausalTracer:
         self._pending: Optional[Dict[str, Any]] = None
         self._attempt = 1
 
-    def trace_of(self, event_id: int) -> int:
-        """The trace id ``event_id`` belongs to."""
-        return self._events[event_id - 1][0]
-
     def current_event_id(self) -> Optional[int]:
         """The event currently executing, if any."""
         return self._current[-1] if self._current else None

@@ -1,19 +1,19 @@
 """The metrics registry: counters and spans with label sets.
 
-:class:`MetricsRegistry` is the one substrate the runtime, the steering
-module, the reliability layer and the chaos interposer count into: named
-counters and host-time spans (see :mod:`repro.obs.spans`) with optional
-label sets, introspectable as a single :meth:`MetricsRegistry.snapshot`.
-Each count is one :class:`Counter` whose writer holds a handle to it; a
-component's ``stats`` is a plain dict read off those counters.  An
-increment is one attribute add, so counters are always on.  Spans read
-the host clock, so only the runtime's coarse operations (a prediction
-pass, a choice, a checkpoint broadcast, a scored policy round) open one.
+:class:`MetricsRegistry` is what a CrystalBall runtime and its steering
+module count into: named counters and host-time spans (see
+:mod:`repro.obs.spans`) with optional label sets.  Each count is one
+:class:`Counter` whose writer holds a handle to it; the runtime's
+``stats`` is a plain dict read off those counters.  An increment is one
+attribute add, so counters are always on.  Spans read the host clock,
+so only the runtime's coarse operations (a prediction pass, a choice, a
+checkpoint broadcast, a scored policy round) open one.
 
-Registries are cheap objects.  Each component owns a private registry
-(keeping unit tests and determinism comparisons isolated); a CrystalBall
-runtime shares its own with the parts it owns, labelled by node, and
-:func:`repro.obs.report.collect_cluster_metrics` reads each runtime's.
+A runtime shares its registry with the parts it owns, labelled by node,
+and :func:`repro.obs.report.collect_cluster_metrics` reads each
+runtime's spans.  The transport, the chaos interposer and the
+reliability layer keep plain integer counts instead: nothing reads
+them by name.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
-        # Span stats live here too, so one snapshot covers everything.
         self._spans: Dict[Tuple[str, LabelSet], SpanStats] = {}
 
     # ------------------------------------------------------------------
@@ -102,10 +101,6 @@ class MetricsRegistry:
         """The summary of every span opened at least once, by key."""
         return {render_key(s.name, s.labels): s.summary()
                 for s in self._spans.values() if s.count}
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Everything the registry holds, as plain JSON-able dicts."""
-        return {"counters": self.counters(), "spans": self.spans()}
 
     def __repr__(self) -> str:
         return (f"MetricsRegistry(counters={len(self._counters)}, "

@@ -157,11 +157,4 @@ def _markdown_rows(data: Any, prefix: str = "") -> List[str]:
     return lines
 
 
-def run_report(cluster, title: str, **context: Any) -> RunReport:
-    """Build a :class:`RunReport` straight from a finished cluster."""
-    return RunReport(
-        title=title, metrics=collect_cluster_metrics(cluster), context=dict(context),
-    )
-
-
-__all__ = ["RunReport", "collect_cluster_metrics", "node_metrics", "run_report"]
+__all__ = ["RunReport", "collect_cluster_metrics", "node_metrics"]

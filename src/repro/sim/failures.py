@@ -59,31 +59,9 @@ class LivenessRegistry:
         self._down.discard(node_id)
         self._notify(node_id, True)
 
-    def fail_many(self, node_ids) -> None:
-        """Fail each id in ``node_ids`` (ordered, for deterministic traces)."""
-        for node_id in node_ids:
-            self.fail(node_id)
-
-    def recover_many(self, node_ids) -> None:
-        """Recover each id in ``node_ids``."""
-        for node_id in node_ids:
-            self.recover(node_id)
-
     def subscribe(self, observer: Observer) -> None:
         """Register a callback invoked as ``observer(node_id, is_up)``."""
         self._observers.append(observer)
-
-    def unsubscribe(self, observer: Observer) -> bool:
-        """Remove a previously-subscribed observer.
-
-        Returns whether it was subscribed (removing an unknown observer
-        is a harmless no-op, so teardown paths need no bookkeeping).
-        """
-        try:
-            self._observers.remove(observer)
-            return True
-        except ValueError:
-            return False
 
     def _notify(self, node_id: int, is_up: bool) -> None:
         # One raising observer (a buggy failure detector) must not wedge

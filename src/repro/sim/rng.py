@@ -42,14 +42,6 @@ class RngRegistry:
             self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a child registry rooted at ``(root_seed, name)``.
-
-        Used to give an isolated, reproducible randomness universe to a
-        sub-simulation (e.g. the model checker exploring a snapshot).
-        """
-        return RngRegistry(derive_seed(self.root_seed, name))
-
     def __repr__(self) -> str:
         return f"RngRegistry(root_seed={self.root_seed}, streams={len(self._streams)})"
 

@@ -7,7 +7,6 @@ from repro.apps.randtree import (
     make_exposed_factory,
     max_tree_depth,
     randtree_properties,
-    subtree_sizes,
     tree_depths,
     unattached_nodes,
 )
@@ -75,13 +74,6 @@ def test_unattached_nodes():
     states = small_tree()
     states[3]["parent"] = 99
     assert unattached_nodes(states, root=0) == {3}
-
-
-def test_subtree_sizes():
-    sizes = subtree_sizes(small_tree(), root=0)
-    assert sizes[0] == 4
-    assert sizes[1] == 2
-    assert sizes[2] == 1
 
 
 def test_total_path_length():

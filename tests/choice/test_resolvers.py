@@ -2,16 +2,9 @@
 
 import pytest
 
-from repro.choice import (
-    ChoiceError,
-    ChoicePoint,
-    FirstResolver,
-    FixedResolver,
-    GreedyResolver,
-    RandomResolver,
-    RoundRobinResolver,
-    ScriptedResolver,
-)
+from repro.choice import ChoiceError, ChoicePoint, FirstResolver, GreedyResolver, RandomResolver
+
+from .doubles import FixedResolver, ScriptedResolver
 
 
 def point(candidates, label="l"):
@@ -42,18 +35,6 @@ def test_random_resolver_covers_candidates():
     assert picks == {0, 1, 2}
 
 
-def test_round_robin_cycles_per_label():
-    resolver = RoundRobinResolver()
-    picks = [resolver.resolve(point(["a", "b", "c"])) for _ in range(5)]
-    assert picks == ["a", "b", "c", "a", "b"]
-
-
-def test_round_robin_labels_independent():
-    resolver = RoundRobinResolver()
-    resolver.resolve(point(["a", "b"], label="one"))
-    assert resolver.resolve(point(["a", "b"], label="two")) == "a"
-
-
 def test_scripted_resolver_replays():
     resolver = ScriptedResolver({"l": ["b", "a"]})
     assert resolver.resolve(point(["a", "b"])) == "b"
@@ -76,46 +57,3 @@ def test_greedy_resolver_picks_max():
 def test_greedy_resolver_tie_goes_first():
     resolver = GreedyResolver(lambda c, p, n: 0.0)
     assert resolver.resolve(point(["x", "y"])) == "x"
-
-
-def test_proportional_prefers_high_scores_statistically():
-    from repro.choice import ProportionalResolver
-
-    resolver = ProportionalResolver(
-        lambda c, p, n: 10.0 if c == "hot" else 0.0, base_weight=0.5, seed=1,
-    )
-    picks = [resolver.resolve(point(["cold", "hot", "mild"])) for _ in range(200)]
-    assert picks.count("hot") > 120  # ~10.5/11.5 of the mass
-
-
-def test_proportional_spreads_on_equal_scores():
-    from repro.choice import ProportionalResolver
-
-    resolver = ProportionalResolver(lambda c, p, n: 1.0, seed=2)
-    picks = {resolver.resolve(point(["a", "b", "c"])) for _ in range(100)}
-    assert picks == {"a", "b", "c"}
-
-
-def test_proportional_negative_scores_clipped():
-    from repro.choice import ProportionalResolver
-
-    resolver = ProportionalResolver(
-        lambda c, p, n: -100.0 if c == "bad" else 1.0, base_weight=0.0, seed=3,
-    )
-    picks = {resolver.resolve(point(["bad", "good"])) for _ in range(50)}
-    assert picks == {"good"}
-
-
-def test_proportional_zero_total_uniform():
-    from repro.choice import ProportionalResolver
-
-    resolver = ProportionalResolver(lambda c, p, n: 0.0, base_weight=0.0, seed=4)
-    picks = {resolver.resolve(point(["a", "b"])) for _ in range(50)}
-    assert picks == {"a", "b"}
-
-
-def test_proportional_invalid_base_weight():
-    from repro.choice import ProportionalResolver
-
-    with pytest.raises(ChoiceError):
-        ProportionalResolver(lambda c, p, n: 0.0, base_weight=-1.0)

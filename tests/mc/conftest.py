@@ -61,8 +61,10 @@ class Ping(Message):
 class LoopService(Service):
     """A ``tick`` timer that re-arms itself, with ``mode`` saying what
     else its handler does: ``loop`` nothing, ``payload`` re-arm with the
-    next payload, ``cancel`` cancel the ``other`` timer, ``send`` send a
-    ping to the next node, ``count`` count the tick in the state,
+    next payload, ``bool`` re-arm with the payload as a bool (``1``
+    becomes ``True``, equal but of another type), ``cancel`` cancel the
+    ``other`` timer, ``send`` send a ping to the next node, ``count``
+    count the tick in the state,
     ``clock`` read the clock and count the tick only once it is past
     ``threshold``.  An ``other`` timer is counted as a tick and not
     re-armed, so cancelling it leads elsewhere than firing it.  A ping is
@@ -83,6 +85,8 @@ class LoopService(Service):
     def on_tick(self, payload) -> None:
         if self.mode == "payload":
             payload = (payload or 0) + 1
+        elif self.mode == "bool":
+            payload = bool(payload)
         elif self.mode == "cancel":
             self.cancel_timer("other")
         elif self.mode == "send":

@@ -152,21 +152,24 @@ def test_complete_search_that_never_reaches_the_bound():
 # Each entry: node 0's mode, node 0's extra pending timers, whether the
 # step is a self-loop.
 SELF_LOOP_CASES = {
-    "same-key re-arm": ("loop", (), True),
-    "re-arm with another payload": ("payload", (), False),
-    "re-arm and cancel another pending timer": ("cancel", ("other",), False),
-    "re-arm and send": ("send", (), False),
-    "re-arm from a changed state": ("count", (), False),
-    "two pending timers of one (node, name)": ("loop", ("tick",), False),
+    "same-key re-arm": ("loop", (), None, True),
+    "re-arm with another payload": ("payload", (), None, False),
+    "re-arm with an equal but differently typed payload": ("bool", (), 1, False),
+    "re-arm and cancel another pending timer": ("cancel", ("other",), None, False),
+    "re-arm and send": ("send", (), None, False),
+    "re-arm from a changed state": ("count", (), None, False),
+    "two pending timers of one (node, name)": ("loop", ("tick",), None, False),
 }
 
 
 def loop_world(case, n, inflight=()):
     """``n`` :class:`LoopService` nodes, each with a pending ``tick``,
-    node 0 set up as ``case`` says, and its factory."""
-    mode, extra, _ = SELF_LOOP_CASES[case]
+    node 0 set up as ``case`` says (its mode, extra timers and first
+    ``tick`` payload), and its factory."""
+    mode, extra, payload, _ = SELF_LOOP_CASES[case]
     factory = lambda nid: LoopService(nid, n=n, mode=mode if nid == 0 else "loop")
-    timers = [PendingTimer(nid, "tick", None, 1.0) for nid in range(n)]
+    timers = [PendingTimer(nid, "tick", payload if nid == 0 else None, 1.0)
+              for nid in range(n)]
     timers += [PendingTimer(0, name, None, 1.0) for name in extra]
     states = {nid: factory(nid).checkpoint() for nid in range(n)}
     return WorldState(node_states=states, inflight=inflight, timers=timers), factory
@@ -192,7 +195,7 @@ def test_self_loop_is_counted_not_built(case, monkeypatch):
     monkeypatch.setattr(WorldState, "evolve", counting)
     result = Explorer(factory).bfs(root.clone(), max_depth=1)
     assert result.transitions == old.transitions
-    if SELF_LOOP_CASES[case][2]:
+    if SELF_LOOP_CASES[case][3]:
         assert (result.transitions, result.states_explored, evolved) == (1, 1, [])
     else:
         assert len(evolved) == result.transitions

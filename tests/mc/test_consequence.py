@@ -4,9 +4,7 @@ import pytest
 
 from repro.choice import PerformanceObjective
 from repro.mc import (
-    ActionOutcome,
     ConsequencePredictor,
-    DeliverAction,
     Explorer,
     InFlightMessage,
     PendingTimer,
@@ -78,35 +76,6 @@ def test_violations_attributed_to_initial_action(token_factory):
     unsafe = report.unsafe_actions()
     assert len(unsafe) == 1
     assert unsafe[0].dst == 1
-
-
-def test_outcome_lookup_by_key(token_factory):
-    world = world_with(token_factory, inflight=[InFlightMessage(0, 1, Token(value=1))])
-    predictor = ConsequencePredictor(Explorer(token_factory), chain_depth=1, budget=100)
-    report = predictor.predict(world)
-    action = report.outcomes[0].action
-    assert report.outcome_for(action.key()) is report.outcomes[0]
-    assert report.outcome_for(("nope",)) is None
-
-
-def test_outcome_for_indexes_by_action_key(token_factory):
-    world = world_with(
-        token_factory,
-        inflight=[InFlightMessage(i, (i + 1) % 3, Token(value=1)) for i in range(3)],
-        timers=[PendingTimer(0, "kick", None, 1.0)],
-    )
-    predictor = ConsequencePredictor(Explorer(token_factory), chain_depth=3, budget=2_000)
-    report = predictor.predict(world)
-    assert len(report.outcomes) > 1
-    for outcome in report.outcomes:
-        assert report.outcome_for(outcome.action.key()) is outcome
-    assert report.outcome_for(("deliver", 9, 9, None, "nope")) is None
-    # The index tracks later appends.
-    extra = ActionOutcome(
-        action=DeliverAction(src=9, dst=9, msg=Token(value=0), handler="on_token")
-    )
-    report.outcomes.append(extra)
-    assert report.outcome_for(extra.action.key()) is extra
 
 
 def test_score_outcome_penalizes_violations(token_factory):

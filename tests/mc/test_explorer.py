@@ -206,7 +206,7 @@ def test_bfs_finds_violation(token_factory):
     assert result.found_violation
     violation = result.violations[0]
     assert violation.property_name == "never-receives"
-    assert isinstance(violation.initial_action, DeliverAction)
+    assert isinstance(violation.path[0], DeliverAction)
 
 
 def test_bfs_dedups_states():

@@ -92,10 +92,10 @@ def test_progress_only_at_the_bound_is_witnessed(token_factory):
 def test_check_all_runs_each_property(token_factory):
     world = world_with(token_factory, inflight=[InFlightMessage(0, 1, Token(value=1))])
     checker = BoundedLivenessChecker(Explorer(token_factory), max_depth=3)
-    results = checker.check_all(world, [
+    results = [checker.check(world, prop) for prop in (
         LivenessProperty("delivered", delivered_somewhere),
         LivenessProperty("node2", node2_received),
-    ])
+    )]
     assert [r.property_name for r in results] == ["delivered", "node2"]
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.net import (
-    LinkDynamics,
-    Network,
-    full_mesh,
-    schedule_latency_change,
-)
+from repro.net import Link, LinkDynamics, Network, full_mesh
 from repro.sim import LivenessRegistry, Simulator
 
 
@@ -19,7 +14,7 @@ def test_scheduled_latency_change_applies():
         for j in range(3):
             if i != j:
                 topo.set_link(i, j, topo.link(i, j))
-    schedule_latency_change(sim, topo, at=1.0, a=0, b=1, latency=0.5)
+    sim.schedule_at(1.0, lambda: topo.set_symmetric(0, 1, Link(latency=0.5)))
     sim.run(until=0.5)
     assert topo.latency(0, 1) == 0.05
     sim.run(until=2.0)
@@ -35,7 +30,7 @@ def test_change_affects_future_deliveries():
     times = []
     net.attach(0, lambda *a: None)
     net.attach(1, lambda src, dst, payload: times.append(sim.now))
-    schedule_latency_change(sim, topo, at=1.0, a=0, b=1, latency=1.0)
+    sim.schedule_at(1.0, lambda: topo.set_symmetric(0, 1, Link(latency=1.0)))
     net.send(0, 1, "before")
     sim.run(until=2.0)
     net.send(0, 1, "after")
@@ -92,7 +87,7 @@ def test_network_model_tracks_dynamics():
 
     sim = Simulator(seed=1)
     topo = full_mesh(2, latency=0.05)
-    schedule_latency_change(sim, topo, at=5.0, a=0, b=1, latency=0.4)
+    sim.schedule_at(5.0, lambda: topo.set_symmetric(0, 1, Link(latency=0.4)))
     model = NetworkModel()
 
     def observe():

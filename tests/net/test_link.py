@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net import LOOPBACK, Link, LinkError
+from repro.net import LOOPBACK, Link, LinkError, Network, Topology
+from repro.sim import Simulator
 
 
 def test_transmission_time():
@@ -11,8 +12,14 @@ def test_transmission_time():
 
 
 def test_one_way_delay_sums_latency_and_tx():
-    link = Link(latency=0.05, bandwidth=8e6)
-    assert link.one_way_delay(1000) == pytest.approx(0.051)
+    sim = Simulator(seed=1)
+    net = Network(sim, Topology(2, default=Link(latency=0.05, bandwidth=8e6)))
+    arrivals = []
+    net.attach(0, lambda *a: None)
+    net.attach(1, lambda src, dst, payload: arrivals.append(sim.now))
+    net.send(0, 1, "m", size_bytes=1000)
+    sim.run()
+    assert arrivals == [pytest.approx(0.051)]
 
 
 def test_negative_latency_rejected():
@@ -34,7 +41,7 @@ def test_loss_bounds():
 
 
 def test_loopback_is_instant():
-    assert LOOPBACK.one_way_delay(10_000_000) < 1e-3
+    assert LOOPBACK.latency + LOOPBACK.transmission_time(10_000_000) < 1e-3
 
 
 def test_links_are_frozen():

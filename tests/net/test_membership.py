@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import ViewConfig, make_membership_factory
+from repro.net import PartialViewMembership, ViewConfig
 from repro.statemachine import Cluster
 
 
@@ -26,7 +26,8 @@ def _overlay_connected(services):
 
 
 def _cluster(n, seed=3, **view_kwargs):
-    cluster = Cluster(n, make_membership_factory(ViewConfig(**view_kwargs)), seed=seed)
+    config = ViewConfig(**view_kwargs)
+    cluster = Cluster(n, lambda node_id: PartialViewMembership(node_id, config), seed=seed)
     cluster.start_all()
     return cluster
 

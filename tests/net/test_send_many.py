@@ -12,7 +12,7 @@ separately.
 import random
 
 from repro.chaos.faults import FaultDecision
-from repro.net import Link, Network, Topology, full_mesh, schedule_latency_change
+from repro.net import Link, Network, Topology, full_mesh
 from repro.sim import Simulator
 
 
@@ -179,21 +179,26 @@ def test_mid_run_link_changes_equivalent():
     def topo(n):
         return Topology(n, default=Link(latency=0.05, bandwidth=1e6))
 
+    changed_at = []
+
+    def change(net):
+        net.topology.set_symmetric(0, 3, Link(latency=0.001, bandwidth=1e6))
+        changed_at.append(net.sim.now)
+
     def script(net, mode):
         sim = net.sim
         out = _broadcast(net, mode, 0, [1, 2, 3], "warm", size_bytes=20_000)
         sim.run(until=0.01)
         net.topology.set_symmetric(0, 2, Link(latency=0.3, bandwidth=1e5))
-        schedule_latency_change(sim, net.topology, at=0.02, a=0, b=3, latency=0.001)
+        sim.schedule_at(0.02, lambda: change(net))
         out += _broadcast(net, mode, 0, [1, 2, 3], "moved", size_bytes=20_000)
         sim.run(until=0.03)
         out += _broadcast(net, mode, 0, [3, 2, 1], "again")
         out += _broadcast(net, mode, 2, [0, 3], "reverse")
         return out
 
-    sim, _ = _assert_equivalent(4, topo, script)
-    latency_changes = list(sim.trace.select("net.latency_change"))
-    assert len(latency_changes) == 1
+    _assert_equivalent(4, topo, script)
+    assert changed_at == [0.02, 0.02]
 
 
 def test_send_many_batches_same_arrival_into_one_event():

@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass
 
 from repro.chaos import reliable_transport
-from repro.obs import RunReport, collect_cluster_metrics, run_report
+from repro.obs import RunReport, collect_cluster_metrics
 from repro.runtime import install_crystalball
 from repro.statemachine import Cluster, Message, Service, msg_handler, timer_handler
 
@@ -61,7 +61,7 @@ def test_collect_cluster_metrics_shape():
 
 def test_run_report_renders_json_and_markdown(tmp_path):
     cluster = small_cluster()
-    report = run_report(cluster, "unit/counter", seed=1)
+    report = RunReport("unit/counter", collect_cluster_metrics(cluster), {"seed": 1})
     payload = json.loads(report.to_json())
     assert payload["title"] == "unit/counter"
     assert payload["context"] == {"seed": 1}

@@ -10,11 +10,12 @@ from collections import Counter
 
 import pytest
 
-from repro.choice import FixedResolver, PerformanceObjective
+from repro.choice import PerformanceObjective
 from repro.mc import ConsequencePredictor
 from repro.runtime import DEGRADE_REASONS, CrystalBallRuntime, install_crystalball
 from repro.statemachine import Cluster, timer_handler
 
+from ..choice.doubles import FixedResolver
 from .test_resolver import GiverService, factory, weighted_wealth
 
 AMORTIZED_REASONS = ("denied", "deferred", "budget", "unranked", "prediction_error")

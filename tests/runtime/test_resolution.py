@@ -5,13 +5,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.choice import ChoicePoint, FixedResolver
+from repro.choice import ChoicePoint
 from repro.mc import TimerAction
 from repro.obs import MetricsRegistry
 from repro.runtime.resolution import DEGRADE_REASONS, PerChoiceResolver
 from repro.sim import Simulator
 from repro.statemachine import ChoiceRequested
 from repro.statemachine.node import DispatchRecord
+
+from ..choice.doubles import FixedResolver
 
 INF = float("inf")
 

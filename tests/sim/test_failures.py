@@ -17,7 +17,8 @@ def test_fail_and_recover():
 
 def test_down_nodes_snapshot():
     reg = LivenessRegistry()
-    reg.fail_many([1, 2])
+    reg.fail(1)
+    reg.fail(2)
     snapshot = reg.down_nodes
     snapshot.add(99)
     assert reg.down_nodes == {1, 2}
@@ -53,37 +54,12 @@ def test_fail_many_and_recover_many_ordered():
     reg = LivenessRegistry()
     events = []
     reg.subscribe(lambda node, up: events.append(node))
-    reg.fail_many([3, 1, 2])
+    for node in (3, 1, 2):
+        reg.fail(node)
     assert events == [3, 1, 2]
-    reg.recover_many([1, 3])
+    for node in (1, 3):
+        reg.recover(node)
     assert reg.down_nodes == {2}
-
-
-def test_unsubscribe_stops_notifications():
-    reg = LivenessRegistry()
-    events = []
-    observer = lambda node, up: events.append(node)  # noqa: E731
-    reg.subscribe(observer)
-    reg.fail(1)
-    assert reg.unsubscribe(observer) is True
-    reg.fail(2)
-    assert events == [1]
-
-
-def test_unsubscribe_unknown_observer_is_noop():
-    reg = LivenessRegistry()
-    assert reg.unsubscribe(lambda node, up: None) is False
-
-
-def test_unsubscribe_removes_one_registration():
-    reg = LivenessRegistry()
-    events = []
-    observer = lambda node, up: events.append(node)  # noqa: E731
-    reg.subscribe(observer)
-    reg.subscribe(observer)
-    reg.unsubscribe(observer)
-    reg.fail(1)
-    assert events == [1]  # one registration remains
 
 
 def test_raising_observer_does_not_starve_later_observers():

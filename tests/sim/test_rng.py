@@ -37,17 +37,6 @@ def test_new_stream_does_not_perturb_existing():
     assert stream_b.random() == first
 
 
-def test_fork_is_deterministic():
-    child_a = RngRegistry(5).fork("sub").stream("s").random()
-    child_b = RngRegistry(5).fork("sub").stream("s").random()
-    assert child_a == child_b
-
-
-def test_fork_differs_from_parent():
-    parent = RngRegistry(5)
-    assert parent.fork("sub").root_seed != parent.root_seed
-
-
 @given(st.integers(), st.text(max_size=50))
 def test_derive_seed_stable_and_64bit(seed, name):
     value = derive_seed(seed, name)

@@ -2,8 +2,9 @@
 
 from dataclasses import dataclass
 
-from repro.choice import ScriptedResolver
 from repro.statemachine import Cluster, Message, SandboxContext, Service, msg_handler
+
+from ..choice.doubles import ScriptedResolver
 
 
 @dataclass
